@@ -345,13 +345,19 @@ def _dataset_from_rows(rows: list[dict]) -> Dataset:
     labels = [int(r["label"]) for r in rows]
     clean = [int(r["clean_label"]) for r in rows if "clean_label" in r]
     num_classes = max(labels + [c for c in clean if c >= 0]) + 1
-    return Dataset(
+    dataset = Dataset(
         example_ids=np.asarray([int(r["example_id"]) for r in rows], dtype=np.int64),
         clip_ids=np.asarray([int(r["clip_id"]) for r in rows], dtype=np.int64),
         features=np.asarray([r["features"] for r in rows], dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64),
         num_classes=max(num_classes, 2),
     )
+    # Checked here rather than in Dataset, which re-validates on every subset.
+    finite = np.isfinite(dataset.features).all(axis=1)
+    if not finite.all():
+        bad = int(dataset.example_ids[np.argmin(finite)])
+        raise InvalidInputError(f"example {bad} has a non-finite feature value")
+    return dataset
 
 
 def read_dataset(path) -> Dataset:
@@ -392,11 +398,27 @@ def read_annotated(path) -> AnnotatedDataset:
 
 
 def dataset_fingerprint(annotated: AnnotatedDataset) -> str:
-    """Content hash of the private serialization (order-sensitive)."""
+    """Content hash of the columns and ground truth (order-sensitive).
+
+    A shape header (rows, feature dim) is followed by each column's
+    canonical bytes: ids, labels and clean labels as little-endian int64,
+    corruption flags as one byte each, features as little-endian float64
+    in row-major order. Non-contiguous or Fortran-ordered columns hash the
+    same as their contiguous copies.
+    """
+    data = annotated.data
     digest = hashlib.sha256()
-    for record in _private_rows(annotated):
-        digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
-        digest.update(b"\n")
+    digest.update(np.asarray([data.n_examples, data.feature_dim], dtype="<i8"))
+    columns = (
+        (data.example_ids, "<i8"),
+        (data.clip_ids, "<i8"),
+        (data.labels, "<i8"),
+        (annotated.clean_labels, "<i8"),
+        (annotated.corrupted, "u1"),
+        (data.features, "<f8"),
+    )
+    for column, dtype in columns:
+        digest.update(memoryview(np.ascontiguousarray(column, dtype=dtype)))
     return digest.hexdigest()[:16]
 
 

@@ -286,21 +286,41 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
     """Clip-level accuracy: average patch softmax per clip, argmax vs clip label."""
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot evaluate on an empty dataset")
-    probs = softmax_rows(forward(params, dataset.features))
-    clips, inverse, clip_labels = dataset.clip_table()
-    sums = np.zeros((clips.size, dataset.num_classes))
-    np.add.at(sums, inverse, probs)
-    counts = np.bincount(inverse, minlength=clips.size).astype(np.float64)
+    _, inverse, clip_labels = dataset.clip_table()
+    return _clip_accuracy(params, dataset.features, inverse, clip_labels)
+
+
+def _clip_accuracy(
+    params: ModelParams,
+    features: np.ndarray,
+    inverse: np.ndarray,
+    clip_labels: np.ndarray,
+) -> float:
+    """Clip-level accuracy given a precomputed ``Dataset.clip_table``."""
+    probs = softmax_rows(forward(params, features))
+    n_clips = clip_labels.size
+    # bincount adds rows in order, like np.add.at, so the sums are bit-identical
+    sums = np.stack(
+        [
+            np.bincount(inverse, weights=probs[:, k], minlength=n_clips)
+            for k in range(probs.shape[1])
+        ],
+        axis=1,
+    )
+    counts = np.bincount(inverse, minlength=n_clips).astype(np.float64)
     predicted = (sums / counts[:, None]).argmax(axis=1)
     return float((predicted == clip_labels).mean())
 
 
-def _prune_schedule(plan: StagePlan) -> set[int]:
+def _prune_schedule(plan: StagePlan, max_epochs: int) -> set[int]:
+    """Epochs (before ``max_epochs``) that start with a prune round."""
     if plan.strategy != Strategy.PRUNE:
         return set()
     if plan.start_epoch == 0:
-        return {0}
-    return {plan.start_epoch * (k + 1) for k in range(plan.prune_rounds)}
+        epochs = {0}
+    else:
+        epochs = {plan.start_epoch * (k + 1) for k in range(plan.prune_rounds)}
+    return {epoch for epoch in epochs if epoch < max_epochs}
 
 
 def train(
@@ -320,6 +340,16 @@ def train(
     train_split, val_split = stratified_split(
         dataset, config.val_fraction, rng.child(_SPLIT)
     )
+    prune_epochs = _prune_schedule(config.stage, config.max_epochs)
+    to_remove = config.stage.prune_count * len(prune_epochs)
+    train_clips = train_split.n_clips()
+    if to_remove >= train_clips:
+        raise InvalidInputError(
+            f"{len(prune_epochs)} prune round(s) of {config.stage.prune_count} clips"
+            f" would remove {to_remove} of the {train_clips} train-split clips;"
+            " at least one must survive"
+        )
+    _, val_inverse, val_clip_labels = val_split.clip_table()
     current = train_split
     targets = targets_matrix(current.labels, dataset.num_classes, config.smoothing)
 
@@ -340,7 +370,6 @@ def train(
     stall = 0
     history: list[EpochRecord] = []
     prune_rows: list[PruneRecord] | None = None
-    prune_epochs = _prune_schedule(config.stage)
     inter_mixup = (
         config.mixup is not None
         and config.mixup.enabled
@@ -410,7 +439,7 @@ def train(
             kept_count += n_kept
             total_count += len(report)
 
-        val_acc = evaluate(params, val_split)
+        val_acc = _clip_accuracy(params, val_split.features, val_inverse, val_clip_labels)
         history.append(
             EpochRecord(
                 epoch=epoch,

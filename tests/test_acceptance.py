@@ -6,7 +6,8 @@ run paired multi-seed experiments on synthetic clip data and compare mean
 test accuracies between methods. Every test prints one summary line with
 its measured numbers (run pytest with -s or -rA to see them all).
 
-Two trend bars are not attainable with a linear model on desk-scale data;
+Three trend bars (criterion 8's accuracy half, criterion 10 and
+criterion 11) are not attainable with a linear model on desk-scale data;
 those tests print their measured margins and then mark themselves as
 expected failures rather than asserting a bar this setup cannot meet. The
 margins quoted in the expected-failure reasons were stable across the base

@@ -239,6 +239,35 @@ class TestTrainCommand:
         assert code == 2
         assert "train.loss" in capsys.readouterr().err
 
+    def test_non_finite_feature_exits_two_before_training(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        rows = [json.loads(line) for line in data.read_text().splitlines()]
+        rows[3]["features"][1] = float("nan")
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(train_config(tmp_path)),
+            "--data", str(data), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert f"example {rows[3]['example_id']} " in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_prune_overflow_exits_two_before_training(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        stage = {"strategy": "prune", "start_epoch": 1, "prune_count": 4, "prune_rounds": 3}
+        config = train_config(tmp_path, stage=stage)
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(config), "--data", str(data),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "would remove 12 of the 12" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_trains_from_public_file_too(self, tmp_path):
         data = tmp_path / "data.jsonl"
         public = tmp_path / "public.jsonl"

@@ -1,7 +1,11 @@
 """Tests for blob generation, noise injection, and the experiment harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelnoise import (
     OOV_CLEAN_LABEL,
@@ -380,6 +384,83 @@ class TestSerialization:
         assert len(dataset_fingerprint(a)) == 16
         c = blobs(clips_per_class=2, seed=1)
         assert dataset_fingerprint(a) != dataset_fingerprint(c)
+
+    def test_non_finite_feature_rejected_with_its_example_id(self, tmp_path):
+        annotated = blobs(clips_per_class=2)
+        features = annotated.data.features.copy()
+        features[5, 2] = np.nan
+        features[7, 0] = np.inf
+        bad = replace(annotated.data, features=features)
+        path = tmp_path / "nan.jsonl"
+        write_dataset(path, bad)
+        with pytest.raises(InvalidInputError, match="example 5 "):
+            read_dataset(path)
+        write_annotated(path, replace(annotated, data=bad))
+        with pytest.raises(InvalidInputError, match="example 5 "):
+            read_annotated(path)
+
+
+fingerprint_cases = st.fixed_dictionaries(
+    dict(
+        num_classes=st.just(2),
+        clips_per_class=st.integers(1, 4),
+        patches_per_clip=st.integers(1, 3),
+        feature_dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+)
+
+
+class TestFingerprintProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), case=fingerprint_cases)
+    def test_row_swap_changes_fingerprint(self, data, case):
+        annotated = blobs(**case)
+        n = annotated.data.n_examples
+        i = data.draw(st.integers(0, n - 2))
+        j = data.draw(st.integers(i + 1, n - 1))
+        order = np.arange(n)
+        order[[i, j]] = order[[j, i]]
+        swapped = AnnotatedDataset(
+            annotated.data.subset(order),
+            annotated.clean_labels[order],
+            annotated.corrupted[order],
+        )
+        assert dataset_fingerprint(swapped) != dataset_fingerprint(annotated)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), case=fingerprint_cases)
+    def test_one_ulp_feature_change_changes_fingerprint(self, data, case):
+        annotated = blobs(**case)
+        row = data.draw(st.integers(0, annotated.data.n_examples - 1))
+        col = data.draw(st.integers(0, annotated.data.feature_dim - 1))
+        features = annotated.data.features.copy()
+        features[row, col] = np.nextafter(features[row, col], np.inf)
+        nudged = replace(annotated, data=replace(annotated.data, features=features))
+        assert dataset_fingerprint(nudged) != dataset_fingerprint(annotated)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), case=fingerprint_cases)
+    def test_corrupted_flag_flip_changes_fingerprint(self, data, case):
+        annotated = blobs(**case)
+        row = data.draw(st.integers(0, annotated.data.n_examples - 1))
+        flags = annotated.corrupted.copy()
+        flags[row] = True  # clean blobs: every flag starts false
+        flipped = AnnotatedDataset(annotated.data, annotated.clean_labels, flags)
+        assert dataset_fingerprint(flipped) != dataset_fingerprint(annotated)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=fingerprint_cases)
+    def test_memory_layout_does_not_change_fingerprint(self, case):
+        annotated = blobs(**case)
+        features = annotated.data.features
+        wide = np.zeros((features.shape[0], 2 * features.shape[1]))
+        wide[:, ::2] = features
+        for layout in (np.asfortranarray(features), wide[:, ::2]):
+            # an (N, 1) Fortran array is also C-contiguous
+            assert not layout.flags.c_contiguous or features.shape[1] == 1
+            moved = replace(annotated, data=replace(annotated.data, features=layout))
+            assert dataset_fingerprint(moved) == dataset_fingerprint(annotated)
 
 
 def tiny_experiment(**overrides):

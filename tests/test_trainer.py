@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelnoise import (
     Architecture,
@@ -34,6 +36,7 @@ from labelnoise import (
     train,
     write_metrics,
 )
+from labelnoise.numerics import softmax_rows
 from labelnoise.trainer import _Adam, _forward_cached, _param_grads
 
 
@@ -237,6 +240,34 @@ class TestForwardAndEvaluate:
         ).subset(np.array([], dtype=int))
         with pytest.raises(InvalidInputError):
             evaluate(params, ds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(1, 40),
+        n_clip_ids=st.integers(1, 12),
+        num_classes=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluate_matches_add_at_reference(self, n_rows, n_clip_ids, num_classes, seed):
+        rng = np.random.default_rng(seed)
+        clip_ids = rng.integers(0, n_clip_ids, size=n_rows) * 7  # sparse, unsorted ids
+        label_of_clip = rng.integers(0, num_classes, size=7 * n_clip_ids)
+        ds = Dataset(
+            np.arange(n_rows),
+            clip_ids,
+            rng.standard_normal((n_rows, 3)),
+            label_of_clip[clip_ids],
+            num_classes,
+        )
+        params = init_params(Architecture.LINEAR, 3, num_classes, 1, RngStream(seed))
+        probs = softmax_rows(forward(params, ds.features))
+        clips, inverse = np.unique(ds.clip_ids, return_inverse=True)
+        sums = np.zeros((clips.size, num_classes))
+        np.add.at(sums, inverse, probs)
+        counts = np.bincount(inverse, minlength=clips.size).astype(np.float64)
+        predicted = (sums / counts[:, None]).argmax(axis=1)
+        expected = float((predicted == label_of_clip[clips]).mean())
+        assert evaluate(params, ds) == expected
 
 
 class TestAdam:
@@ -468,6 +499,27 @@ class TestTrainWithDefenses:
         # first round scores 30 clips, second scores the surviving 26
         assert len(result.prune_report) == 56
         assert sum(r.removed for r in result.prune_report) == 8
+
+    def test_prune_overflow_rejected_before_first_epoch(self, monkeypatch):
+        # 4 rounds x 10 clips cannot come out of the 30 train-split clips
+        def no_batches(*args, **kwargs):
+            raise AssertionError("an epoch ran before the prune check")
+
+        monkeypatch.setattr("labelnoise.trainer.batch_losses", no_batches)
+        stage = StagePlan(
+            strategy=Strategy.PRUNE, start_epoch=2, prune_count=10, prune_rounds=4
+        )
+        with pytest.raises(InvalidInputError, match="would remove 40 of the 30"):
+            train(blob_dataset(), quick_config(max_epochs=10, stage=stage))
+
+    def test_prune_check_counts_only_rounds_before_max_epochs(self):
+        # rounds would fall at epochs 2, 4, 6, 8; only the first two run
+        stage = StagePlan(
+            strategy=Strategy.PRUNE, start_epoch=2, prune_count=10, prune_rounds=4
+        )
+        result = train(blob_dataset(), quick_config(max_epochs=5, stage=stage))
+        assert len(result.prune_report) == 30 + 20
+        assert sum(r.removed for r in result.prune_report) == 20
 
     def test_smoothing_changes_the_fit(self):
         from labelnoise import SmoothingPolicy
