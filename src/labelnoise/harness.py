@@ -44,7 +44,14 @@ from .errors import ConfigurationError, ExperimentError, InvalidInputError
 from .numerics import RngStream, derive_seed, mean_ci
 from .selection import PruneRecord, Strategy
 from .smoothing import NoiseGroup
-from .trainer import EpochRecord, ModelParams, TrainConfig, evaluate, train
+from .trainer import (
+    EpochRecord,
+    ModelParams,
+    TrainConfig,
+    check_prune_plan,
+    evaluate,
+    train,
+)
 
 OOV_CLEAN_LABEL = -1
 
@@ -365,36 +372,47 @@ def read_dataset(path) -> Dataset:
     return _dataset_from_rows(_read_rows(path))
 
 
-def read_as_annotated(path) -> AnnotatedDataset:
-    """Read any dataset file as annotated.
+def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
+    """The one reader behind :func:`read_annotated` and :func:`read_as_annotated`.
 
-    Files without ground-truth fields are treated as clean: every row keeps
-    its label as the clean label and carries a false corruption flag. Use
-    :func:`read_annotated` when the annotations must actually be present.
+    Every row must carry both ``clean_label`` and ``corrupted``, or none
+    may. A file without them reads as clean unless ``require_truth``.
     """
     rows = _read_rows(path)
-    if all("clean_label" in r and "corrupted" in r for r in rows):
+    layouts = {("clean_label" in r, "corrupted" in r) for r in rows}
+    if layouts == {(True, True)}:
         return AnnotatedDataset(
             _dataset_from_rows(rows),
             np.asarray([int(r["clean_label"]) for r in rows], dtype=np.int64),
             np.asarray([bool(r["corrupted"]) for r in rows], dtype=bool),
         )
+    if layouts != {(False, False)}:
+        raise InvalidInputError(
+            f"{path} carries clean_label/corrupted on some rows only;"
+            " a dataset file annotates every row or none"
+        )
+    if require_truth:
+        raise InvalidInputError(
+            f"{path} is not a harness-private file: clean_label/corrupted missing"
+        )
     data = _dataset_from_rows(rows)
     return AnnotatedDataset(data, data.labels.copy(), np.zeros(data.n_examples, dtype=bool))
 
 
+def read_as_annotated(path) -> AnnotatedDataset:
+    """Read any dataset file as annotated.
+
+    Files without ground-truth fields are treated as clean: every row keeps
+    its label as the clean label and carries a false corruption flag. A
+    file that annotates only some rows is rejected. Use
+    :func:`read_annotated` when the annotations must actually be present.
+    """
+    return _read_annotated(path, require_truth=False)
+
+
 def read_annotated(path) -> AnnotatedDataset:
     """Read a harness-private dataset file; fails if ground truth is absent."""
-    rows = _read_rows(path)
-    if any("clean_label" not in r or "corrupted" not in r for r in rows):
-        raise InvalidInputError(
-            f"{path} is not a harness-private file: clean_label/corrupted missing"
-        )
-    return AnnotatedDataset(
-        _dataset_from_rows(rows),
-        np.asarray([int(r["clean_label"]) for r in rows], dtype=np.int64),
-        np.asarray([bool(r["corrupted"]) for r in rows], dtype=bool),
-    )
+    return _read_annotated(path, require_truth=True)
 
 
 def dataset_fingerprint(annotated: AnnotatedDataset) -> str:
@@ -550,7 +568,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Dataset and corruption seeds depend only on (base_seed, run index), so
     two methods run with the same base seed see identical noisy datasets
     run for run.
+
+    A prune plan that cannot fit the train split is rejected with
+    ``InvalidInputError`` before run 0. The split size checked is that of
+    the noise-free dataset, ``num_classes * (clips_per_class -
+    ceil(val_fraction * clips_per_class))``; label noise moves clips between
+    classes, so a run's own split may differ and ``train`` checks it again.
     """
+    dp = cfg.dataset
+    val_clips = math.ceil(cfg.train.val_fraction * dp.clips_per_class)
+    check_prune_plan(
+        cfg.train.stage,
+        cfg.train.max_epochs,
+        dp.num_classes * (dp.clips_per_class - val_clips),
+    )
     runs: list[RunResult] = []
     for run_index in range(cfg.runs):
         try:

@@ -64,7 +64,7 @@ class LossReport:
         object.__setattr__(self, "example_ids", ids)
         if values.ndim != 1 or ids.ndim != 1 or values.shape[0] != ids.shape[0]:
             raise InvalidInputError("loss values and example ids must align 1:1")
-        if values.size and (not np.all(np.isfinite(values)) or values.min() < 0):
+        if values.size and (not np.isfinite(values).all() or values.min() < 0):
             raise InvalidInputError("loss values must be finite and non-negative")
 
     def __len__(self) -> int:

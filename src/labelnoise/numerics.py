@@ -89,8 +89,10 @@ def softmax(logits) -> np.ndarray:
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax for a 2-D array of logits (shape N x K)."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def percentile(values, level: float) -> float:

@@ -138,36 +138,66 @@ def _param_grads(
     features: np.ndarray,
     logit_grads: np.ndarray,
     hidden: np.ndarray | None,
-) -> list[np.ndarray]:
-    """Backprop pre-scaled per-row logit gradients to the weight arrays."""
+    grads: list[np.ndarray],
+) -> None:
+    """Backprop pre-scaled per-row logit gradients into ``grads`` (one array per weight)."""
     if params.architecture == Architecture.LINEAR:
-        return [features.T @ logit_grads, logit_grads.sum(axis=0)]
+        np.matmul(features.T, logit_grads, out=grads[0])
+        logit_grads.sum(axis=0, out=grads[1])
+        return
     w1, b1, w2, b2 = params.weights
-    hidden_grads = (logit_grads @ w2.T) * (hidden > 0.0)
-    return [
-        features.T @ hidden_grads,
-        hidden_grads.sum(axis=0),
-        hidden.T @ logit_grads,
-        logit_grads.sum(axis=0),
-    ]
+    hidden_grads = logit_grads @ w2.T
+    hidden_grads *= hidden > 0.0
+    np.matmul(features.T, hidden_grads, out=grads[0])
+    hidden_grads.sum(axis=0, out=grads[1])
+    np.matmul(hidden.T, logit_grads, out=grads[2])
+    logit_grads.sum(axis=0, out=grads[3])
+
+
+def _flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive slices of a flat buffer, reshaped to ``shapes`` (views, not copies)."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def _flat_params(
+    params: ModelParams,
+) -> tuple[ModelParams, np.ndarray, list[np.ndarray], np.ndarray]:
+    """Copy ``params`` into one flat weight buffer and add a zeroed gradient buffer.
+
+    Returns (params whose weights view the buffer, the weight buffer,
+    gradient views shaped like the weights, the gradient buffer).
+    """
+    shapes = [w.shape for w in params.weights]
+    flat_weights = np.concatenate([w.ravel() for w in params.weights])
+    flat_grads = np.zeros_like(flat_weights)
+    viewed = replace(params, weights=_flat_views(flat_weights, shapes))
+    return viewed, flat_weights, _flat_views(flat_grads, shapes), flat_grads
 
 
 class _Adam:
-    def __init__(self, shapes):
-        self.first = [np.zeros(s) for s in shapes]
-        self.second = [np.zeros(s) for s in shapes]
+    """Adam over one flat parameter buffer: a single vectorized update per step."""
+
+    def __init__(self, size: int):
+        self.first = np.zeros(size)
+        self.second = np.zeros(size)
         self.step_count = 0
 
-    def step(self, weights: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
+    def step(self, weights: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.step_count += 1
         correction1 = 1.0 - ADAM_BETA1**self.step_count
         correction2 = 1.0 - ADAM_BETA2**self.step_count
-        for w, g, m, v in zip(weights, grads, self.first, self.second):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            w -= lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
+        m, v = self.first, self.second
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grads
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grads * grads
+        weights -= lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -323,6 +353,23 @@ def _prune_schedule(plan: StagePlan, max_epochs: int) -> set[int]:
     return {epoch for epoch in epochs if epoch < max_epochs}
 
 
+def check_prune_plan(plan: StagePlan, max_epochs: int, train_clips: int) -> set[int]:
+    """The plan's prune epochs, once the rounds are known to leave a clip to train on.
+
+    Raises ``InvalidInputError`` when ``prune_count`` times the rounds that
+    start before ``max_epochs`` is positive and reaches ``train_clips``.
+    """
+    prune_epochs = _prune_schedule(plan, max_epochs)
+    to_remove = plan.prune_count * len(prune_epochs)
+    if to_remove and to_remove >= train_clips:
+        raise InvalidInputError(
+            f"{len(prune_epochs)} prune round(s) of {plan.prune_count} clips"
+            f" would remove {to_remove} of the {train_clips} train-split clips;"
+            " at least one must survive"
+        )
+    return prune_epochs
+
+
 def train(
     dataset: Dataset, config: TrainConfig, rng: RngStream | None = None
 ) -> TrainResult:
@@ -340,36 +387,33 @@ def train(
     train_split, val_split = stratified_split(
         dataset, config.val_fraction, rng.child(_SPLIT)
     )
-    prune_epochs = _prune_schedule(config.stage, config.max_epochs)
-    to_remove = config.stage.prune_count * len(prune_epochs)
-    train_clips = train_split.n_clips()
-    if to_remove >= train_clips:
-        raise InvalidInputError(
-            f"{len(prune_epochs)} prune round(s) of {config.stage.prune_count} clips"
-            f" would remove {to_remove} of the {train_clips} train-split clips;"
-            " at least one must survive"
-        )
+    prune_epochs = check_prune_plan(config.stage, config.max_epochs, train_split.n_clips())
     _, val_inverse, val_clip_labels = val_split.clip_table()
     current = train_split
     targets = targets_matrix(current.labels, dataset.num_classes, config.smoothing)
 
-    params = init_params(
-        config.architecture,
-        dataset.feature_dim,
-        dataset.num_classes,
-        config.hidden_units,
-        rng.child(_INIT),
+    # The weights, their gradient and the Adam moments each live in one flat
+    # buffer; ``params.weights`` and ``grads`` are reshaped views into them.
+    params, flat_weights, grads, flat_grads = _flat_params(
+        init_params(
+            config.architecture,
+            dataset.feature_dim,
+            dataset.num_classes,
+            config.hidden_units,
+            rng.child(_INIT),
+        )
     )
-    adam = _Adam([w.shape for w in params.weights])
+    adam = _Adam(flat_weights.size)
     lr = config.initial_lr
     plateau_best = -math.inf
     plateau_counter = 0
     best_val = -math.inf
+    # Snapshots own their arrays; the initial one is returned if no epoch runs.
     best_params = params.copy()
-    best_epoch = -1
     stall = 0
     history: list[EpochRecord] = []
     prune_rows: list[PruneRecord] | None = None
+    discard = config.stage.strategy == Strategy.DISCARD
     inter_mixup = (
         config.mixup is not None
         and config.mixup.enabled
@@ -388,56 +432,58 @@ def train(
             if inter_mixup
             else None
         )
+        mixup_rng = rng.child(_MIXUP).child(epoch)
 
         kept_loss_sum = 0.0
         kept_count = 0
         total_count = 0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            batch = Batch(current.features[idx], targets[idx])
+            features = current.features[idx]
+            batch_targets = targets[idx]
             if config.mixup is not None:
                 partner = None
                 if inter_mixup:
                     pidx = partner_order[start : start + config.batch_size]
                     partner = Batch(current.features[pidx], targets[pidx])
-                batch = apply_mixup(
-                    batch,
+                mixed = apply_mixup(
+                    Batch(features, batch_targets),
                     partner,
                     config.mixup,
                     epoch,
-                    rng.child(_MIXUP).child(epoch).child(batch_index),
+                    mixup_rng.child(batch_index),
                 )
+                features, batch_targets = mixed.features, mixed.targets
 
-            logits, hidden = _forward_cached(params, batch.features)
-            if not np.all(np.isfinite(logits)):
+            logits, hidden = _forward_cached(params, features)
+            if not np.isfinite(logits).all():
                 raise TrainingError("training diverged: non-finite logits", epoch)
             probs = softmax_rows(logits)
             report = batch_losses(
-                config.loss, batch.targets, probs, current.example_ids[idx]
+                config.loss, batch_targets, probs, current.example_ids[idx]
             )
-            if config.stage.strategy == Strategy.DISCARD:
+            losses = report.per_example
+            total_count += len(losses)
+            if discard:
                 keep = discard_mask(
                     report, config.stage.rule, epoch, config.stage.start_epoch
                 )
-            else:
-                keep = np.ones(len(report), dtype=bool)
+                if not keep.all():
+                    features = features[keep]
+                    batch_targets = batch_targets[keep]
+                    probs = probs[keep]
+                    losses = losses[keep]
+                    if hidden is not None:
+                        hidden = hidden[keep]
 
-            n_kept = int(keep.sum())
-            logit_grads = (
-                loss_gradients_from_probs(config.loss, batch.targets[keep], probs[keep])
-                / n_kept
-            )
-            grads = _param_grads(
-                params,
-                batch.features[keep],
-                logit_grads,
-                hidden[keep] if hidden is not None else None,
-            )
-            adam.step(params.weights, grads, lr)
+            n_kept = len(losses)
+            logit_grads = loss_gradients_from_probs(config.loss, batch_targets, probs)
+            logit_grads /= n_kept
+            _param_grads(params, features, logit_grads, hidden, grads)
+            adam.step(flat_weights, flat_grads, lr)
 
-            kept_loss_sum += float(report.per_example[keep].sum())
+            kept_loss_sum += float(losses.sum())
             kept_count += n_kept
-            total_count += len(report)
 
         val_acc = _clip_accuracy(params, val_split.features, val_inverse, val_clip_labels)
         history.append(
@@ -452,7 +498,6 @@ def train(
         if val_acc > best_val:
             best_val = val_acc
             best_params = params.copy()
-            best_epoch = epoch
             stall = 0
         else:
             stall += 1
@@ -462,8 +507,6 @@ def train(
         if stall >= config.early_stop_patience:
             break
 
-    if best_epoch < 0:
-        best_params = params
     return TrainResult(best_params, history, prune_rows)
 
 
@@ -475,7 +518,7 @@ def _prune_now(
     epoch: int,
 ) -> tuple[Dataset, np.ndarray, list[PruneRecord]]:
     logits = forward(params, current.features)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise TrainingError("training diverged: non-finite logits while pruning", epoch)
     probs = softmax_rows(logits)
     report = batch_losses(config.loss, targets, probs, current.example_ids)

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from labelnoise import PruneRecord, read_annotated, read_dataset, read_summary, write_prune_report
@@ -161,6 +162,22 @@ class TestDatasetCommands:
         )
         assert code == 2
 
+
+    def test_corrupt_partly_annotated_file_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        rows = [json.loads(line) for line in data.read_text().splitlines()]
+        del rows[2]["clean_label"], rows[2]["corrupted"]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "noisy.jsonl"
+        code = run_cli(
+            "dataset", "corrupt",
+            "--in", str(data), "--kind", "symmetric", "--rate", "0.5",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "some rows only" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestTrainCommand:
     def test_writes_artifacts_and_reports_accuracy(self, tmp_path, capsys):
@@ -334,6 +351,50 @@ class TestExperimentCommand:
         printed = json.loads(capsys.readouterr().out)
         assert printed["runs"] == 3
         assert printed["base_seed"] == 9
+
+    def test_prune_overflow_exits_two_before_run_zero(self, tmp_path, capsys, monkeypatch):
+        # 6 clips per class, 2 of them to validation: 8 train-split clips
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before the prune check")
+
+        monkeypatch.setattr("labelnoise.harness._single_run", no_runs)
+        train = {
+            "loss": {"kind": "cce"},
+            "max_epochs": 4,
+            "batch_size": 8,
+            "initial_lr": 0.01,
+            "val_fraction": 0.25,
+            "stage": {
+                "strategy": "prune", "start_epoch": 1, "prune_count": 4, "prune_rounds": 3,
+            },
+        }
+        out_dir = tmp_path / "exp"
+        code = run_cli(
+            "experiment", "--config", str(experiment_config(tmp_path, train=train)),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "would remove 12 of the 8" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_failure_inside_a_run_exits_one(self, tmp_path, capsys):
+        # a learning rate this large overflows the weights within a few steps
+        train = {
+            "loss": {"kind": "cce"},
+            "max_epochs": 4,
+            "batch_size": 8,
+            "initial_lr": 1e308,
+            "val_fraction": 0.25,
+        }
+        out_dir = tmp_path / "exp"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(
+                "experiment", "--config", str(experiment_config(tmp_path, train=train)),
+                "--out-dir", str(out_dir),
+            )
+        assert code == 1
+        assert re.search(r"run 0: epoch \d+: training diverged", capsys.readouterr().err)
+        assert not out_dir.exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

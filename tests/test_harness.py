@@ -1,5 +1,6 @@
 """Tests for blob generation, noise injection, and the experiment harness."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -354,6 +355,33 @@ class TestSerialization:
         annotated = read_as_annotated(path)
         assert not annotated.corrupted.any()
         np.testing.assert_array_equal(annotated.clean_labels, data.labels)
+
+    def test_private_file_reads_the_same_through_both_readers(self, tmp_path):
+        noisy = inject_symmetric_noise(
+            blobs(clips_per_class=3), NoiseSpec(NoiseKind.SYMMETRIC_IV, rate=0.5, seed=2)
+        )
+        path = tmp_path / "private.jsonl"
+        write_annotated(path, noisy)
+        for loaded in (read_annotated(path), read_as_annotated(path)):
+            np.testing.assert_array_equal(loaded.clean_labels, noisy.clean_labels)
+            np.testing.assert_array_equal(loaded.corrupted, noisy.corrupted)
+            np.testing.assert_array_equal(loaded.data.labels, noisy.data.labels)
+            np.testing.assert_array_equal(loaded.data.features, noisy.data.features)
+
+    @pytest.mark.parametrize("dropped", [("clean_label", "corrupted"), ("corrupted",)])
+    def test_partly_annotated_file_rejected_by_both_readers(self, tmp_path, dropped):
+        noisy = inject_symmetric_noise(
+            blobs(clips_per_class=3), NoiseSpec(NoiseKind.SYMMETRIC_IV, rate=0.5, seed=2)
+        )
+        path = tmp_path / "mixed.jsonl"
+        write_annotated(path, noisy)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for key in dropped:
+            del rows[4][key]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        for reader in (read_annotated, read_as_annotated):
+            with pytest.raises(InvalidInputError, match="some rows only"):
+                reader(path)
 
     def test_num_classes_inferred_from_clean_labels_too(self, tmp_path):
         # an oov file whose observed labels miss the top class still needs

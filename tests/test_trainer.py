@@ -1,5 +1,6 @@
 """Tests for the classifier, the training loop, and its schedules."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,9 +17,13 @@ from labelnoise import (
     LossSpec,
     MixupPolicy,
     ModelParams,
+    NoiseGroup,
+    NoiseKind,
+    NoiseSpec,
     Pairing,
     RngStream,
     SelectionRule,
+    SmoothingPolicy,
     StagePlan,
     Strategy,
     TrainConfig,
@@ -27,6 +32,7 @@ from labelnoise import (
     forward,
     generate_blobs,
     init_params,
+    inject_symmetric_noise,
     load_model,
     plateau_step,
     read_metrics,
@@ -35,9 +41,16 @@ from labelnoise import (
     stratified_split,
     train,
     write_metrics,
+    write_prune_report,
 )
 from labelnoise.numerics import softmax_rows
-from labelnoise.trainer import _Adam, _forward_cached, _param_grads
+from labelnoise.trainer import (
+    _Adam,
+    _flat_params,
+    _flat_views,
+    _forward_cached,
+    _param_grads,
+)
 
 
 def clip_dataset(num_classes, clips_per_class, patches_per_clip=1, feature_dim=2, seed=0):
@@ -270,23 +283,37 @@ class TestForwardAndEvaluate:
         assert evaluate(params, ds) == expected
 
 
+def per_array_adam(weights, grads_per_step, lr):
+    """Adam as one loop over separate arrays: the reference for the flat update."""
+    first = [np.zeros_like(w) for w in weights]
+    second = [np.zeros_like(w) for w in weights]
+    for step, grads in enumerate(grads_per_step, start=1):
+        correction1 = 1.0 - 0.9**step
+        correction2 = 1.0 - 0.999**step
+        for w, g, m, v in zip(weights, grads, first, second):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            w -= lr * (m / correction1) / (np.sqrt(v / correction2) + 1e-8)
+
+
 class TestAdam:
     def test_first_step_is_sign_scaled(self):
         # after one step the bias-corrected moments give lr * g / (|g| + eps)
-        w = [np.array([1.0, -2.0])]
-        g = [np.array([0.5, -0.25])]
-        adam = _Adam([(2,)])
-        adam.step(w, g, lr=0.1)
+        w = np.array([1.0, -2.0])
+        adam = _Adam(2)
+        adam.step(w, np.array([0.5, -0.25]), lr=0.1)
         expected = np.array(
             [1.0 - 0.1 * 0.5 / (0.5 + 1e-8), -2.0 + 0.1 * 0.25 / (0.25 + 1e-8)]
         )
-        np.testing.assert_allclose(w[0], expected, atol=1e-12)
+        np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_zero_gradient_no_move(self):
-        w = [np.array([3.0])]
-        adam = _Adam([(1,)])
-        adam.step(w, [np.zeros(1)], lr=0.1)
-        np.testing.assert_array_equal(w[0], [3.0])
+        w = np.array([3.0])
+        adam = _Adam(1)
+        adam.step(w, np.zeros(1), lr=0.1)
+        np.testing.assert_array_equal(w, [3.0])
 
     def test_single_step_decreases_loss(self):
         rng = np.random.default_rng(7)
@@ -294,12 +321,14 @@ class TestAdam:
 
         spec = LossSpec(LossKind.CCE)
         for _ in range(50):
-            params = init_params(
-                Architecture.LINEAR, 3, 4, 1, RngStream(int(rng.integers(1 << 30)))
+            params, flat, grads, flat_grads = _flat_params(
+                init_params(
+                    Architecture.LINEAR, 3, 4, 1, RngStream(int(rng.integers(1 << 30)))
+                )
             )
             x = rng.standard_normal((16, 3))
             y = np.eye(4)[rng.integers(0, 4, size=16)]
-            adam = _Adam([w.shape for w in params.weights])
+            adam = _Adam(flat.size)
 
             def mean_loss():
                 probs = softmax_rows(forward(params, x))
@@ -308,9 +337,39 @@ class TestAdam:
             before = mean_loss()
             probs = softmax_rows(forward(params, x))
             logit_grads = loss_gradients_from_probs(spec, y, probs) / 16
-            grads = _param_grads(params, x, logit_grads, None)
-            adam.step(params.weights, grads, lr=1e-4)
+            _param_grads(params, x, logit_grads, None, grads)
+            adam.step(flat, flat_grads, lr=1e-4)
             assert mean_loss() < before
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+            min_size=1,
+            max_size=4,
+        ),
+        steps=st.integers(1, 4),
+        lr=st.floats(1e-5, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_step_matches_per_array_formula(self, shapes, steps, lr, seed):
+        rng = np.random.default_rng(seed)
+        weights = [rng.standard_normal(shape) for shape in shapes]
+        grads_per_step = [
+            [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes]
+            for _ in range(steps)
+        ]
+        flat = np.concatenate([w.ravel() for w in weights])
+        flat_grads = np.zeros_like(flat)
+        grad_views = _flat_views(flat_grads, shapes)
+        adam = _Adam(flat.size)
+        for grads in grads_per_step:
+            for view, g in zip(grad_views, grads):
+                view[...] = g
+            adam.step(flat, flat_grads, lr)
+        per_array_adam(weights, grads_per_step, lr)
+        for view, w in zip(_flat_views(flat, shapes), weights):
+            assert view.tobytes() == w.tobytes()
 
 
 class TestParamGrads:
@@ -323,7 +382,7 @@ class TestParamGrads:
 
         rng = np.random.default_rng(17)
         spec = LossSpec(LossKind.LQ, q=0.7)
-        params = init_params(architecture, 3, 4, 6, RngStream(21))
+        params, _, grads, _ = _flat_params(init_params(architecture, 3, 4, 6, RngStream(21)))
         x = rng.standard_normal((10, 3))
         y = np.eye(4)[rng.integers(0, 4, size=10)]
 
@@ -334,7 +393,7 @@ class TestParamGrads:
         logits, hidden = _forward_cached(params, x)
         probs = softmax_rows(logits)
         logit_grads = loss_gradients_from_probs(spec, y, probs) / 10
-        grads = _param_grads(params, x, logit_grads, hidden)
+        _param_grads(params, x, logit_grads, hidden, grads)
 
         h = 1e-6
         for w, g in zip(params.weights, grads):
@@ -348,6 +407,29 @@ class TestParamGrads:
                 flat_w[i] = original
                 numeric = (up - down) / (2 * h)
                 assert abs(flat_g[i] - numeric) < 1e-4 * max(1.0, abs(numeric))
+
+    @pytest.mark.parametrize(
+        "architecture", [Architecture.LINEAR, Architecture.ONE_HIDDEN]
+    )
+    def test_in_place_matches_allocating_products(self, architecture):
+        rng = np.random.default_rng(5)
+        params, _, grads, _ = _flat_params(init_params(architecture, 7, 3, 9, RngStream(2)))
+        x = rng.standard_normal((13, 7))
+        logits, hidden = _forward_cached(params, x)
+        logit_grads = rng.standard_normal(logits.shape)
+        _param_grads(params, x, logit_grads, hidden, grads)
+        if architecture == Architecture.LINEAR:
+            expected = [x.T @ logit_grads, logit_grads.sum(axis=0)]
+        else:
+            hidden_grads = (logit_grads @ params.weights[2].T) * (hidden > 0.0)
+            expected = [
+                x.T @ hidden_grads,
+                hidden_grads.sum(axis=0),
+                hidden.T @ logit_grads,
+                logit_grads.sum(axis=0),
+            ]
+        for g, e in zip(grads, expected):
+            assert g.tobytes() == e.tobytes()
 
 
 def quick_config(**overrides):
@@ -420,6 +502,18 @@ class TestTrainLoop:
         for wa, wb in zip(full.params.weights, truncated.params.weights):
             np.testing.assert_array_equal(wa, wb)
 
+    @pytest.mark.parametrize("max_epochs", [0, 3])
+    def test_returned_params_own_their_arrays(self, max_epochs):
+        # the loop trains views into one flat buffer; what it returns must not
+        # alias that buffer or another run's
+        ds = blob_dataset()
+        a = train(ds, quick_config(max_epochs=max_epochs))
+        b = train(ds, quick_config(max_epochs=max_epochs))
+        for wa, wb in zip(a.params.weights, b.params.weights):
+            assert wa.flags.owndata and wb.flags.owndata
+            wa += 1.0
+            assert not np.array_equal(wa, wb)
+
     def test_early_stopping_length(self):
         # a learning rate this small never improves validation accuracy
         # after the first epoch, so the run stops at 1 + patience epochs
@@ -475,6 +569,40 @@ class TestTrainWithDefenses:
         kept = [r.kept_fraction for r in result.history]
         assert all(k == 1.0 for k in kept[:4])
         assert any(k < 1.0 for k in kept[4:])
+
+    def test_gradient_and_discard_hooks_see_every_step(self, monkeypatch):
+        # the benchmark counts training rows by wrapping these two functions
+        # where the trainer binds them; bypassing either must fail here
+        import labelnoise.trainer as trainer_module
+
+        masks, grad_rows = [], []
+        real_mask = trainer_module.discard_mask
+        real_grads = trainer_module.loss_gradients_from_probs
+
+        def counted_mask(*args, **kwargs):
+            keep = real_mask(*args, **kwargs)
+            masks.append(keep.copy())
+            return keep
+
+        def counted_grads(spec, targets, probs):
+            grad_rows.append(len(targets))
+            return real_grads(spec, targets, probs)
+
+        monkeypatch.setattr(trainer_module, "discard_mask", counted_mask)
+        monkeypatch.setattr(trainer_module, "loss_gradients_from_probs", counted_grads)
+        stage = StagePlan(
+            strategy=Strategy.DISCARD, start_epoch=2, rule=SelectionRule.max_fraction(0.5)
+        )
+        result = train(blob_dataset(), quick_config(max_epochs=5, stage=stage))
+        steps_per_epoch = math.ceil(90 / 16)  # 30 train clips x 3 patches
+        assert len(masks) == len(grad_rows) == 5 * steps_per_epoch
+        assert grad_rows == [int(keep.sum()) for keep in masks]
+        assert sum(len(keep) for keep in masks) == 5 * 90
+        assert any(rows < len(keep) for rows, keep in zip(grad_rows, masks))
+        for epoch, record in enumerate(result.history):
+            epoch_masks = masks[epoch * steps_per_epoch : (epoch + 1) * steps_per_epoch]
+            kept = sum(int(keep.sum()) for keep in epoch_masks)
+            assert record.kept_fraction == kept / 90
 
     def test_prune_runs_once_and_reports(self):
         ds = blob_dataset()  # split at 0.25 leaves 30 train clips
@@ -621,3 +749,114 @@ class TestArtifacts:
         path = tmp_path / "model.json"
         save_model(path, result.params)
         assert evaluate(load_model(path), ds) == evaluate(result.params, ds)
+
+
+def noisy_blobs():
+    """Three classes with 30% flipped clip labels, so discard rejects rows."""
+    annotated = generate_blobs(
+        num_classes=3,
+        clips_per_class=12,
+        patches_per_clip=2,
+        feature_dim=4,
+        cluster_spread=0.3,
+        seed=11,
+    )
+    return inject_symmetric_noise(
+        annotated, NoiseSpec(NoiseKind.SYMMETRIC_IV, rate=0.3, seed=12)
+    ).data
+
+
+_LQ = LossSpec(LossKind.LQ, q=0.7)
+_TWO_GROUPS = SmoothingPolicy(
+    epsilon=0.2,
+    delta_epsilon=0.1,
+    group_of_class={
+        0: NoiseGroup.LOW_NOISE,
+        1: NoiseGroup.HIGH_NOISE,
+        2: NoiseGroup.HIGH_NOISE,
+    },
+)
+
+# One small configuration per trainer path; the batch size of 10 leaves a
+# short last batch in every epoch.
+GOLDEN_CONFIGS = {
+    "linear_cce": dict(),
+    "linear_mae": dict(loss=LossSpec(LossKind.MAE)),
+    "linear_lq_max_fraction_discard": dict(
+        loss=_LQ,
+        stage=StagePlan(
+            strategy=Strategy.DISCARD,
+            start_epoch=2,
+            rule=SelectionRule.max_fraction(0.6),
+        ),
+    ),
+    "hidden_lq_percentile_discard_inter_mixup": dict(
+        loss=_LQ,
+        architecture=Architecture.ONE_HIDDEN,
+        hidden_units=6,
+        stage=StagePlan(
+            strategy=Strategy.DISCARD,
+            start_epoch=1,
+            rule=SelectionRule.at_percentile(70.0),
+        ),
+        mixup=MixupPolicy(alpha=0.4, pairing=Pairing.INTER_BATCH),
+    ),
+    "hidden_cce_intra_mixup": dict(
+        architecture=Architecture.ONE_HIDDEN,
+        hidden_units=5,
+        mixup=MixupPolicy(alpha=0.3, warmup_epochs=2),
+    ),
+    "linear_lq_iterative_prune": dict(
+        loss=_LQ,
+        stage=StagePlan(
+            strategy=Strategy.PRUNE, start_epoch=2, prune_count=3, prune_rounds=2
+        ),
+    ),
+    "hidden_mae_prune_at_start": dict(
+        loss=LossSpec(LossKind.MAE),
+        architecture=Architecture.ONE_HIDDEN,
+        hidden_units=4,
+        stage=StagePlan(strategy=Strategy.PRUNE, start_epoch=0, prune_count=2),
+    ),
+    "linear_cce_two_group_smoothing": dict(smoothing=_TWO_GROUPS),
+    "linear_early_stop": dict(max_epochs=40, early_stop_patience=2),
+    "linear_no_epochs": dict(max_epochs=0),
+}
+
+# SHA-256 of the metrics, model and prune-report bytes each configuration
+# writes. A change to the training loop must leave all of them unchanged.
+GOLDEN_DIGESTS = {
+    "hidden_cce_intra_mixup": "0c8aaa2fd3feaa740edf3231a930bb14eed559119ea68292bdb865e33ddd220a",
+    "hidden_lq_percentile_discard_inter_mixup": "35a4754f257f2d47803676e172765278a6c8b0b06682216b08a4c7fd00de6f86",
+    "hidden_mae_prune_at_start": "c5766de8d1d3f736999eb02f796a7900cdf81769929c80471175b2591ec09cb4",
+    "linear_cce": "9c800fc1ba1379b99ce3bb5586b1a826f78b681a33147fe84a62759c0bb844f8",
+    "linear_cce_two_group_smoothing": "7ba86cafcd4a92cccf782cc8195fbb7df5f50fb73896abb8ca95f3e0c3005ca0",
+    "linear_early_stop": "5a39faa5cfa9ff995b91dd8666817e4309818f80166ada4680d601129e897066",
+    "linear_lq_iterative_prune": "893fdbe368cfc7c247f636d1dc2d822b260423eae40dfa7908ee06fd228b012d",
+    "linear_lq_max_fraction_discard": "6689427ddd84199c762f26f9f1d99bac6e776cd262217cdd3a772f31196d02de",
+    "linear_mae": "0febec7c5a488268663c02dceb126fcd28f3c3a7c4824e0232faab5fe129c3a8",
+    "linear_no_epochs": "10165f09ae1899e6a0d49b50a842de07a55d59384b4113d5da8a4198f5cb1c14",
+}
+
+
+def artifact_digest(result, tmp_path):
+    digest = hashlib.sha256()
+    write_metrics(tmp_path / "metrics.jsonl", result.history)
+    save_model(tmp_path / "model.json", result.params)
+    digest.update((tmp_path / "metrics.jsonl").read_bytes())
+    digest.update((tmp_path / "model.json").read_bytes())
+    if result.prune_report is not None:
+        write_prune_report(tmp_path / "prune.jsonl", result.prune_report)
+        digest.update((tmp_path / "prune.jsonl").read_bytes())
+    return digest.hexdigest()
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_artifact_bytes_unchanged(self, name, tmp_path):
+        config = quick_config(
+            **{"max_epochs": 6, "batch_size": 10, "initial_lr": 0.05, "seed": 7,
+               **GOLDEN_CONFIGS[name]}
+        )
+        result = train(noisy_blobs(), config)
+        assert artifact_digest(result, tmp_path) == GOLDEN_DIGESTS[name]
