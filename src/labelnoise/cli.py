@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Four commands cover the workflow end to end:
+Five commands cover the workflow end to end:
 
 * ``dataset generate`` writes a synthetic clip-structured dataset;
 * ``dataset corrupt`` injects label or feature corruption into one;

@@ -1,30 +1,31 @@
 """Translate JSON-style dictionaries into the toolkit's typed configs.
 
-The accepted schema mirrors the dataclasses one level at a time. Parsing
-is strict: unknown keys are rejected with their dotted path so typos
-surface immediately, and any constraint violation raised while building an
-underlying dataclass is re-raised as a :class:`ConfigurationError` naming
-the section it came from.
+The schema mirrors the dataclasses one level at a time, one table per
+level: each row names a JSON key, the dataclass field it fills, the caster
+that checks its value, and what a missing key means. ``_parse`` walks the
+tables and ``_render`` prints a config back out in the same schema.
+Parsing is strict: unknown keys are rejected with their dotted path before
+any value of their section is read, values are checked in table order, and
+a constraint violation raised while building a dataclass is re-raised as a
+:class:`ConfigurationError` naming the section it came from.
 
-Two conveniences are resolved here rather than downstream. A selection
-rule written as ``{"kind": "patch_count", "count": c}`` becomes the
-equivalent percentile rule for the configured batch size (dropping the
-``c`` largest losses out of ``batch_size`` keeps everything at or below
-the ``100 * (1 - c / batch_size)`` percentile). And a smoothing ``groups``
-value of ``"auto"`` asks the experiment runner to derive the group map
-from the corruption it injected; it is rejected outside that context
-because a lone training run has no ground truth to derive groups from.
-
-The ``*_to_dict`` functions invert parsing so a fully resolved
-configuration can be printed back out in the same schema.
+Two conveniences are resolved here. A rule ``{"kind": "patch_count",
+"count": c}`` becomes the percentile rule that drops the ``c`` largest
+losses of a batch of the configured size: level ``100 * (1 - c /
+batch_size)``. A smoothing ``groups`` value of ``"auto"`` asks the
+experiment runner to derive the group map from the corruption it injected;
+a lone training run has no ground truth to derive it from, so only
+``parse_experiment`` accepts it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import ConfigurationError, InvalidInputError
 from .harness import DatasetParams, ExperimentConfig, NoiseKind, NoiseSpec
@@ -56,48 +57,79 @@ def _dotted(prefix: str, key: str) -> str:
     return f"{prefix}.{key}" if prefix else key
 
 
-def _check_keys(section: Mapping, allowed: tuple[str, ...], prefix: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigurationError(
-                f"unknown configuration key: {_dotted(prefix, str(key))}"
-            )
+@dataclasses.dataclass
+class _Context:
+    """What one parse carries between sections."""
+
+    allow_auto_groups: bool = False
+    auto_groups: bool = False
+    batch_size: int = TrainConfig.batch_size
 
 
-def _section(value: Any, path: str) -> dict:
+# Casters take (JSON value, dotted path, context) and return the field value.
+
+
+def _object(value: Any, path: str) -> Mapping:
     if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"{path} must be a JSON object, got {type(value).__name__}"
-        )
-    return dict(value)
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{path} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{path} must be true or false, got {value!r}")
+        raise ConfigurationError(f"{path} must be a JSON object, got {type(value).__name__}")
     return value
 
 
-def _as_enum(enum_cls, value: Any, path: str):
+def _typed(kind, noun: str) -> Callable:
+    """A JSON value of one Python type; true and false are not numbers."""
+    def cast(value: Any, path: str, ctx: _Context):
+        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+            raise ConfigurationError(f"{path} must be {noun}, got {value!r}")
+        return value
+    return cast
+
+
+_int = _typed(int, "an integer")
+_bool = _typed(bool, "true or false")
+_string = _typed(str, "a string path")
+_number = _typed((int, float), "a number")
+
+
+def _float(value: Any, path: str, ctx: _Context) -> float:
     try:
-        return enum_cls(value)
-    except ValueError:
-        options = ", ".join(repr(member.value) for member in enum_cls)
-        raise ConfigurationError(
-            f"{path} must be one of {options}, got {value!r}"
-        ) from None
+        number = float(_number(value, path, ctx))
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{path} must be a finite number, got {value!r}")
+    return number
+
+
+def _enum(enum_cls) -> Callable:
+    def cast(value: Any, path: str, ctx: _Context):
+        try:
+            return enum_cls(value)
+        except ValueError:
+            options = ", ".join(repr(member.value) for member in enum_cls)
+            raise ConfigurationError(f"{path} must be one of {options}, got {value!r}") from None
+    return cast
+
+
+def _class_map(item: Callable) -> Callable:
+    """A JSON object keyed by class index; every key is checked before any value."""
+    def cast(value: Any, path: str, ctx: _Context) -> dict:
+        raw: dict[int, Any] = {}
+        for key, entry in _object(value, path).items():
+            try:
+                raw[int(key)] = entry
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{path} keys must be class indices, got {key!r}"
+                ) from None
+        return {cls: item(entry, f"{path}[{cls}]", ctx) for cls, entry in raw.items()}
+    return cast
+
+
+def _section(cls) -> Callable:
+    """A JSON object that fills one dataclass from its table."""
+    def cast(value: Any, path: str, ctx: _Context):
+        return _build(cls, path, **_parse(_TABLES[cls], _object(value, path), path, ctx))
+    return cast
 
 
 def _build(factory, path: str, **kwargs):
@@ -107,404 +139,201 @@ def _build(factory, path: str, **kwargs):
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-def _int_keyed(value: Any, path: str) -> dict[int, Any]:
-    raw = _section(value, path)
-    out: dict[int, Any] = {}
-    for key, item in raw.items():
-        try:
-            cls = int(key)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"{path} keys must be class indices, got {key!r}"
-            ) from None
-        out[cls] = item
-    return out
+def _batch_size(value: Any, path: str, ctx: _Context) -> int:
+    ctx.batch_size = _int(value, path, ctx)
+    return ctx.batch_size
 
 
-def _default_of(cls, field_name: str):
-    for field in dataclasses.fields(cls):
-        if field.name == field_name:
-            return field.default
-    raise AttributeError(field_name)
+_RULE_PARAMETER = {"max_fraction": "fraction", "percentile": "level", "patch_count": "count"}
 
 
-# --- parsing ---------------------------------------------------------------
-
-_LOSS_KEYS = ("kind", "q")
-_RULE_KEYS = ("kind", "fraction", "level", "count")
-_STAGE_KEYS = ("strategy", "start_epoch", "rule", "prune_count", "prune_rounds")
-_SMOOTHING_KEYS = ("epsilon", "delta_epsilon", "groups")
-_MIXUP_KEYS = ("alpha", "warmup_epochs", "pairing", "enabled")
-_TRAIN_KEYS = (
-    "loss",
-    "max_epochs",
-    "batch_size",
-    "initial_lr",
-    "lr_halving_patience",
-    "early_stop_patience",
-    "val_fraction",
-    "seed",
-    "architecture",
-    "hidden_units",
-    "stage",
-    "smoothing",
-    "mixup",
-)
-_DATASET_KEYS = (
-    "classes",
-    "clips_per_class",
-    "patches_per_clip",
-    "dims",
-    "spread",
-    "test_clips_per_class",
-)
-_NOISE_KEYS = ("kind", "rate", "seed", "rate_by_class")
-_EXPERIMENT_KEYS = ("dataset", "noise", "train", "runs", "base_seed", "output_dir")
-
-
-def parse_loss(section: Any, prefix: str = "train.loss") -> LossSpec:
-    section = _section(section, prefix)
-    _check_keys(section, _LOSS_KEYS, prefix)
-    kind = _as_enum(LossKind, section.get("kind", "cce"), _dotted(prefix, "kind"))
-    q = section.get("q")
-    if q is not None:
-        q = _as_float(q, _dotted(prefix, "q"))
-    return _build(LossSpec, prefix, kind=kind, q=q)
-
-
-def parse_rule(section: Any, batch_size: int, prefix: str) -> SelectionRule:
-    section = _section(section, prefix)
-    _check_keys(section, _RULE_KEYS, prefix)
-    if "kind" not in section:
-        raise ConfigurationError(f"{_dotted(prefix, 'kind')} is required")
-    kind = section["kind"]
+def _rule(value: Any, path: str, ctx: _Context) -> SelectionRule:
+    raw = _object(value, path)
+    _check_keys(raw, ("kind", *_RULE_PARAMETER.values()), path)
+    if "kind" not in raw:
+        raise ConfigurationError(f"{_dotted(path, 'kind')} is required")
+    kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in _RULE_PARAMETER:
+        options = ", ".join(map(repr, _RULE_PARAMETER))
+        raise ConfigurationError(f"{_dotted(path, 'kind')} must be one of {options}, got {kind!r}")
+    parameter = _RULE_PARAMETER[kind]
+    where = _dotted(path, parameter)
+    if parameter not in raw:
+        raise ConfigurationError(f"{where} is required by the {kind} rule")
+    for stray in _RULE_PARAMETER.values():
+        if stray != parameter and stray in raw:
+            raise ConfigurationError(f"{_dotted(path, stray)} does not apply to the {kind} rule")
     if kind == "max_fraction":
-        if "fraction" not in section:
-            raise ConfigurationError(
-                f"{_dotted(prefix, 'fraction')} is required by the max_fraction rule"
-            )
-        for stray in ("level", "count"):
-            if stray in section:
-                raise ConfigurationError(
-                    f"{_dotted(prefix, stray)} does not apply to the max_fraction rule"
-                )
-        fraction = _as_float(section["fraction"], _dotted(prefix, "fraction"))
-        return _build(SelectionRule.max_fraction, prefix, fraction=fraction)
+        return _build(SelectionRule.max_fraction, path, fraction=_float(raw[parameter], where, ctx))
     if kind == "percentile":
-        if "level" not in section:
-            raise ConfigurationError(
-                f"{_dotted(prefix, 'level')} is required by the percentile rule"
-            )
-        for stray in ("fraction", "count"):
-            if stray in section:
-                raise ConfigurationError(
-                    f"{_dotted(prefix, stray)} does not apply to the percentile rule"
-                )
-        level = _as_float(section["level"], _dotted(prefix, "level"))
-        return _build(SelectionRule.at_percentile, prefix, level=level)
-    if kind == "patch_count":
-        if "count" not in section:
-            raise ConfigurationError(
-                f"{_dotted(prefix, 'count')} is required by the patch_count rule"
-            )
-        for stray in ("fraction", "level"):
-            if stray in section:
-                raise ConfigurationError(
-                    f"{_dotted(prefix, stray)} does not apply to the patch_count rule"
-                )
-        count = _as_int(section["count"], _dotted(prefix, "count"))
-        if not 1 <= count <= batch_size:
-            raise ConfigurationError(
-                f"{_dotted(prefix, 'count')} must lie in [1, batch_size={batch_size}],"
-                f" got {count}"
-            )
-        level = 100.0 * (1.0 - count / batch_size)
-        return _build(SelectionRule.at_percentile, prefix, level=level)
-    raise ConfigurationError(
-        f"{_dotted(prefix, 'kind')} must be one of 'max_fraction', 'percentile',"
-        f" 'patch_count', got {kind!r}"
-    )
+        return _build(SelectionRule.at_percentile, path, level=_float(raw[parameter], where, ctx))
+    count, batch_size = _int(raw[parameter], where, ctx), ctx.batch_size
+    if not 1 <= count <= batch_size:
+        raise ConfigurationError(f"{where} must lie in [1, batch_size={batch_size}], got {count}")
+    return _build(SelectionRule.at_percentile, path, level=100.0 * (1.0 - count / batch_size))
 
 
-def parse_stage(section: Any, batch_size: int, prefix: str = "train.stage") -> StagePlan:
-    section = _section(section, prefix)
-    _check_keys(section, _STAGE_KEYS, prefix)
-    kwargs: dict[str, Any] = {}
-    if "strategy" in section:
-        kwargs["strategy"] = _as_enum(
-            Strategy, section["strategy"], _dotted(prefix, "strategy")
+def _groups(value: Any, path: str, ctx: _Context):
+    if value != AUTO_GROUPS:
+        return _class_map(_enum(NoiseGroup))(value, path, ctx)
+    if not ctx.allow_auto_groups:
+        raise ConfigurationError(
+            f"{path}: 'auto' derives the group map from injected corruption and is only"
+            " available to the experiment command"
         )
-    if "start_epoch" in section:
-        kwargs["start_epoch"] = _as_int(section["start_epoch"], _dotted(prefix, "start_epoch"))
-    if "rule" in section and section["rule"] is not None:
-        kwargs["rule"] = parse_rule(section["rule"], batch_size, _dotted(prefix, "rule"))
-    if "prune_count" in section:
-        kwargs["prune_count"] = _as_int(section["prune_count"], _dotted(prefix, "prune_count"))
-    if "prune_rounds" in section:
-        kwargs["prune_rounds"] = _as_int(section["prune_rounds"], _dotted(prefix, "prune_rounds"))
-    return _build(StagePlan, prefix, **kwargs)
+    ctx.auto_groups = True
+    return None
 
 
-def parse_smoothing(
-    section: Any, prefix: str = "train.smoothing", allow_auto_groups: bool = False
-) -> tuple[SmoothingPolicy, bool]:
-    """Returns (policy, wants_auto_groups)."""
-    section = _section(section, prefix)
-    _check_keys(section, _SMOOTHING_KEYS, prefix)
-    if "epsilon" not in section:
-        raise ConfigurationError(f"{_dotted(prefix, 'epsilon')} is required")
-    epsilon = _as_float(section["epsilon"], _dotted(prefix, "epsilon"))
-    delta = _as_float(section.get("delta_epsilon", 0.0), _dotted(prefix, "delta_epsilon"))
-    groups_raw = section.get("groups")
-    auto = False
-    group_map: dict[int, NoiseGroup] | None = None
-    if groups_raw == AUTO_GROUPS:
-        if not allow_auto_groups:
-            raise ConfigurationError(
-                f"{_dotted(prefix, 'groups')}: 'auto' derives the group map from"
-                " injected corruption and is only available to the experiment"
-                " command"
-            )
-        auto = True
-    elif groups_raw is not None:
-        path = _dotted(prefix, "groups")
-        group_map = {
-            cls: _as_enum(NoiseGroup, raw, f"{path}[{cls}]")
-            for cls, raw in _int_keyed(groups_raw, path).items()
-        }
-    policy = _build(
-        SmoothingPolicy, prefix,
-        epsilon=epsilon, delta_epsilon=delta, group_of_class=group_map,
-    )
-    return policy, auto
-
-
-def parse_mixup(section: Any, prefix: str = "train.mixup") -> MixupPolicy:
-    section = _section(section, prefix)
-    _check_keys(section, _MIXUP_KEYS, prefix)
-    if "alpha" not in section:
-        raise ConfigurationError(f"{_dotted(prefix, 'alpha')} is required")
-    kwargs: dict[str, Any] = {
-        "alpha": _as_float(section["alpha"], _dotted(prefix, "alpha"))
-    }
-    if "warmup_epochs" in section:
-        kwargs["warmup_epochs"] = _as_int(
-            section["warmup_epochs"], _dotted(prefix, "warmup_epochs")
+def _noise(value: Any, path: str, ctx: _Context) -> NoiseSpec | None:
+    noise = None if value is None else _section(NoiseSpec)(value, path, ctx)
+    if ctx.auto_groups and noise is None:
+        raise ConfigurationError(
+            "train.smoothing.groups: 'auto' requires a noise section to derive"
+            " the group map from"
         )
-    if "pairing" in section:
-        kwargs["pairing"] = _as_enum(Pairing, section["pairing"], _dotted(prefix, "pairing"))
-    if "enabled" in section:
-        kwargs["enabled"] = _as_bool(section["enabled"], _dotted(prefix, "enabled"))
-    return _build(MixupPolicy, prefix, **kwargs)
+    return noise
 
 
-def parse_train(
-    section: Any, prefix: str = "train", allow_auto_groups: bool = False
-) -> tuple[TrainConfig, bool]:
-    """Returns (config, wants_auto_groups)."""
-    section = _section(section, prefix)
-    _check_keys(section, _TRAIN_KEYS, prefix)
-    loss = parse_loss(section.get("loss", {}), _dotted(prefix, "loss"))
-    kwargs: dict[str, Any] = {}
-    casters = (
-        ("max_epochs", _as_int),
-        ("batch_size", _as_int),
-        ("initial_lr", _as_float),
-        ("lr_halving_patience", _as_int),
-        ("early_stop_patience", _as_int),
-        ("val_fraction", _as_float),
-        ("seed", _as_int),
-        ("hidden_units", _as_int),
-    )
-    for key, caster in casters:
-        if key in section:
-            kwargs[key] = caster(section[key], _dotted(prefix, key))
-    if "architecture" in section:
-        kwargs["architecture"] = _as_enum(
-            Architecture, section["architecture"], _dotted(prefix, "architecture")
-        )
-    batch_size = kwargs.get("batch_size", _default_of(TrainConfig, "batch_size"))
-    auto = False
-    if "stage" in section and section["stage"] is not None:
-        kwargs["stage"] = parse_stage(section["stage"], batch_size, _dotted(prefix, "stage"))
-    if "smoothing" in section and section["smoothing"] is not None:
-        policy, auto = parse_smoothing(
-            section["smoothing"], _dotted(prefix, "smoothing"), allow_auto_groups
-        )
-        kwargs["smoothing"] = policy
-    if "mixup" in section and section["mixup"] is not None:
-        kwargs["mixup"] = parse_mixup(section["mixup"], _dotted(prefix, "mixup"))
-    return _build(TrainConfig, prefix, loss=loss, **kwargs), auto
+# What a missing key means: the dataclass default (_OPTIONAL), the dataclass
+# default for JSON null too (_NULLABLE), an error (_REQUIRED), or any other
+# value, which is cast as if the JSON had held it.
+_OPTIONAL, _NULLABLE, _REQUIRED = object(), object(), object()
 
 
-def parse_dataset(section: Any, prefix: str = "dataset") -> DatasetParams:
-    section = _section(section, prefix)
-    _check_keys(section, _DATASET_KEYS, prefix)
-    kwargs: dict[str, Any] = {}
-    mapping = (
-        ("classes", "num_classes", _as_int),
-        ("clips_per_class", "clips_per_class", _as_int),
-        ("patches_per_clip", "patches_per_clip", _as_int),
-        ("dims", "feature_dim", _as_int),
-        ("spread", "cluster_spread", _as_float),
-        ("test_clips_per_class", "test_clips_per_class", _as_int),
-    )
-    for key, name, caster in mapping:
-        if key in section:
-            kwargs[name] = caster(section[key], _dotted(prefix, key))
-    return _build(DatasetParams, prefix, **kwargs)
+class _Key(NamedTuple):
+    name: str
+    cast: Callable
+    field: str = ""
+    missing: Any = _OPTIONAL
+
+
+_TABLES: dict[type, tuple[_Key, ...]] = {
+    LossSpec: (
+        _Key("kind", _enum(LossKind), missing="cce"),
+        _Key("q", _float, missing=_NULLABLE),
+    ),
+    # Rendered from this table; parsed by _rule, which also accepts "count".
+    SelectionRule: (
+        _Key("kind", _enum(SelectionKind)),
+        _Key("fraction", _float, missing=_NULLABLE),
+        _Key("level", _float, missing=_NULLABLE),
+    ),
+    StagePlan: (
+        _Key("strategy", _enum(Strategy)),
+        _Key("start_epoch", _int),
+        _Key("rule", _rule, missing=_NULLABLE),
+        _Key("prune_count", _int),
+        _Key("prune_rounds", _int),
+    ),
+    SmoothingPolicy: (
+        _Key("epsilon", _float, missing=_REQUIRED),
+        _Key("delta_epsilon", _float),
+        _Key("groups", _groups, "group_of_class", missing=_NULLABLE),
+    ),
+    MixupPolicy: (
+        _Key("alpha", _float, missing=_REQUIRED),
+        _Key("warmup_epochs", _int),
+        _Key("pairing", _enum(Pairing)),
+        _Key("enabled", _bool),
+    ),
+    TrainConfig: (
+        _Key("loss", _section(LossSpec), missing={}),
+        _Key("max_epochs", _int),
+        _Key("batch_size", _batch_size),
+        _Key("initial_lr", _float),
+        _Key("lr_halving_patience", _int),
+        _Key("early_stop_patience", _int),
+        _Key("val_fraction", _float),
+        _Key("seed", _int),
+        _Key("hidden_units", _int),
+        _Key("architecture", _enum(Architecture)),
+        _Key("stage", _section(StagePlan), missing=_NULLABLE),
+        _Key("smoothing", _section(SmoothingPolicy), missing=_NULLABLE),
+        _Key("mixup", _section(MixupPolicy), missing=_NULLABLE),
+    ),
+    DatasetParams: (
+        _Key("classes", _int, "num_classes"),
+        _Key("clips_per_class", _int),
+        _Key("patches_per_clip", _int),
+        _Key("dims", _int, "feature_dim"),
+        _Key("spread", _float, "cluster_spread"),
+        _Key("test_clips_per_class", _int),
+    ),
+    NoiseSpec: (
+        _Key("kind", _enum(NoiseKind), missing=_REQUIRED),
+        _Key("rate", _float),
+        _Key("seed", _int),
+        _Key("rate_by_class", _class_map(_float), missing=_NULLABLE),
+    ),
+    ExperimentConfig: (
+        _Key("dataset", _section(DatasetParams), missing={}),
+        _Key("train", _section(TrainConfig), missing={}),
+        _Key("noise", _noise, missing=None),
+        _Key("runs", _int),
+        _Key("base_seed", _int),
+        _Key("output_dir", _string, missing=_NULLABLE),
+    ),
+}
+
+
+def _check_keys(section: Mapping, allowed, prefix: str) -> None:
+    for key in section:
+        if key not in allowed:
+            raise ConfigurationError(f"unknown configuration key: {_dotted(prefix, str(key))}")
+
+
+def _parse(table: tuple[_Key, ...], section: Mapping, prefix: str, ctx: _Context) -> dict:
+    """Field keyword arguments for one section, checked in table order."""
+    _check_keys(section, [key.name for key in table], prefix)
+    fields: dict[str, Any] = {}
+    for key in table:
+        path = _dotted(prefix, key.name)
+        if key.missing is _NULLABLE and section.get(key.name) is None:
+            continue
+        value = section.get(key.name, key.missing)
+        if value is _REQUIRED:
+            raise ConfigurationError(f"{path} is required")
+        if value is not _OPTIONAL:
+            fields[key.field or key.name] = key.cast(value, path, ctx)
+    return fields
+
+
+def _render(value: Any) -> Any:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return {str(cls): _render(item) for cls, item in sorted(value.items())}
+    if type(value) not in _TABLES:
+        return value
+    items = ((key.name, getattr(value, key.field or key.name)) for key in _TABLES[type(value)])
+    return {name: _render(item) for name, item in items if item is not None}
+
+
+def parse_train(section: Any, prefix: str = "train", allow_auto_groups: bool = False):
+    """Returns (TrainConfig, wants_auto_groups)."""
+    ctx = _Context(allow_auto_groups=allow_auto_groups)
+    return _section(TrainConfig)(section, prefix, ctx), ctx.auto_groups
 
 
 def parse_noise(section: Any, prefix: str = "noise") -> NoiseSpec:
-    section = _section(section, prefix)
-    _check_keys(section, _NOISE_KEYS, prefix)
-    if "kind" not in section:
-        raise ConfigurationError(f"{_dotted(prefix, 'kind')} is required")
-    kind = _as_enum(NoiseKind, section["kind"], _dotted(prefix, "kind"))
-    kwargs: dict[str, Any] = {"kind": kind}
-    if "rate" in section:
-        kwargs["rate"] = _as_float(section["rate"], _dotted(prefix, "rate"))
-    if "seed" in section:
-        kwargs["seed"] = _as_int(section["seed"], _dotted(prefix, "seed"))
-    if section.get("rate_by_class") is not None:
-        path = _dotted(prefix, "rate_by_class")
-        kwargs["rate_by_class"] = {
-            cls: _as_float(raw, f"{path}[{cls}]")
-            for cls, raw in _int_keyed(section["rate_by_class"], path).items()
-        }
-    return _build(NoiseSpec, prefix, **kwargs)
+    return _section(NoiseSpec)(section, prefix, _Context())
 
 
 def parse_experiment(config: Any) -> ExperimentConfig:
     if not isinstance(config, Mapping):
         raise ConfigurationError("the configuration must be a JSON object")
-    config = dict(config)
-    _check_keys(config, _EXPERIMENT_KEYS, "")
-    dataset = parse_dataset(config.get("dataset", {}))
-    train_cfg, auto = parse_train(config.get("train", {}), allow_auto_groups=True)
-    noise = parse_noise(config["noise"]) if config.get("noise") is not None else None
-    if auto and noise is None:
-        raise ConfigurationError(
-            "train.smoothing.groups: 'auto' requires a noise section to derive"
-            " the group map from"
-        )
-    kwargs: dict[str, Any] = {}
-    if "runs" in config:
-        kwargs["runs"] = _as_int(config["runs"], "runs")
-    if "base_seed" in config:
-        kwargs["base_seed"] = _as_int(config["base_seed"], "base_seed")
-    output_dir = config.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigurationError(f"output_dir must be a string path, got {output_dir!r}")
-    return _build(
-        ExperimentConfig, "configuration",
-        dataset=dataset, train=train_cfg, noise=noise,
-        auto_noise_groups=auto, output_dir=output_dir, **kwargs,
-    )
-
-
-# --- rendering back to the schema ------------------------------------------
-
-
-def loss_to_dict(spec: LossSpec) -> dict:
-    out: dict[str, Any] = {"kind": spec.kind.value}
-    if spec.q is not None:
-        out["q"] = spec.q
-    return out
-
-
-def rule_to_dict(rule: SelectionRule) -> dict:
-    if rule.kind is SelectionKind.MAX_FRACTION:
-        return {"kind": "max_fraction", "fraction": rule.fraction}
-    return {"kind": "percentile", "level": rule.level}
-
-
-def stage_to_dict(plan: StagePlan) -> dict:
-    out: dict[str, Any] = {
-        "strategy": plan.strategy.value,
-        "start_epoch": plan.start_epoch,
-        "prune_count": plan.prune_count,
-        "prune_rounds": plan.prune_rounds,
-    }
-    if plan.rule is not None:
-        out["rule"] = rule_to_dict(plan.rule)
-    return out
-
-
-def smoothing_to_dict(policy: SmoothingPolicy, auto_groups: bool = False) -> dict:
-    out: dict[str, Any] = {
-        "epsilon": policy.epsilon,
-        "delta_epsilon": policy.delta_epsilon,
-    }
-    if auto_groups:
-        out["groups"] = AUTO_GROUPS
-    elif policy.group_of_class is not None:
-        out["groups"] = {
-            str(cls): group.value
-            for cls, group in sorted(policy.group_of_class.items())
-        }
-    return out
-
-
-def mixup_to_dict(policy: MixupPolicy) -> dict:
-    return {
-        "alpha": policy.alpha,
-        "warmup_epochs": policy.warmup_epochs,
-        "pairing": policy.pairing.value,
-        "enabled": policy.enabled,
-    }
+    ctx = _Context(allow_auto_groups=True)
+    fields = _parse(_TABLES[ExperimentConfig], config, "", ctx)
+    return _build(ExperimentConfig, "configuration", auto_noise_groups=ctx.auto_groups, **fields)
 
 
 def train_to_dict(cfg: TrainConfig, auto_groups: bool = False) -> dict:
-    out: dict[str, Any] = {
-        "loss": loss_to_dict(cfg.loss),
-        "max_epochs": cfg.max_epochs,
-        "batch_size": cfg.batch_size,
-        "initial_lr": cfg.initial_lr,
-        "lr_halving_patience": cfg.lr_halving_patience,
-        "early_stop_patience": cfg.early_stop_patience,
-        "val_fraction": cfg.val_fraction,
-        "seed": cfg.seed,
-        "architecture": cfg.architecture.value,
-        "hidden_units": cfg.hidden_units,
-        "stage": stage_to_dict(cfg.stage),
-    }
-    if cfg.smoothing is not None:
-        out["smoothing"] = smoothing_to_dict(cfg.smoothing, auto_groups)
-    if cfg.mixup is not None:
-        out["mixup"] = mixup_to_dict(cfg.mixup)
-    return out
-
-
-def dataset_to_dict(params: DatasetParams) -> dict:
-    return {
-        "classes": params.num_classes,
-        "clips_per_class": params.clips_per_class,
-        "patches_per_clip": params.patches_per_clip,
-        "dims": params.feature_dim,
-        "spread": params.cluster_spread,
-        "test_clips_per_class": params.test_clips_per_class,
-    }
-
-
-def noise_to_dict(spec: NoiseSpec) -> dict:
-    out: dict[str, Any] = {"kind": spec.kind.value, "rate": spec.rate, "seed": spec.seed}
-    if spec.rate_by_class is not None:
-        out["rate_by_class"] = {
-            str(cls): float(rate) for cls, rate in sorted(spec.rate_by_class.items())
-        }
+    out = _render(cfg)
+    if auto_groups and cfg.smoothing is not None:
+        out["smoothing"]["groups"] = AUTO_GROUPS
     return out
 
 
 def experiment_to_dict(cfg: ExperimentConfig) -> dict:
-    out: dict[str, Any] = {
-        "dataset": dataset_to_dict(cfg.dataset),
-        "train": train_to_dict(cfg.train, cfg.auto_noise_groups),
-        "runs": cfg.runs,
-        "base_seed": cfg.base_seed,
-    }
-    if cfg.noise is not None:
-        out["noise"] = noise_to_dict(cfg.noise)
-    if cfg.output_dir is not None:
-        out["output_dir"] = cfg.output_dir
-    return out
+    return {**_render(cfg), "train": train_to_dict(cfg.train, cfg.auto_noise_groups)}

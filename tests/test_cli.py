@@ -285,6 +285,33 @@ class TestTrainCommand:
         assert "would remove 12 of the 12" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "extra, path",
+        [
+            ({"initial_lr": float("nan")}, "train.initial_lr"),
+            ({"mixup": {"alpha": float("nan")}}, "train.mixup.alpha"),
+            ({"val_fraction": float("inf")}, "train.val_fraction"),
+        ],
+    )
+    def test_non_finite_config_value_exits_two_before_training(
+        self, tmp_path, capsys, monkeypatch, extra, path
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started before the config was checked")
+
+        monkeypatch.setattr("labelnoise.cli.train", no_training)
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        config = train_config(tmp_path, **extra)
+        assert "NaN" in config.read_text() or "Infinity" in config.read_text()
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(config), "--data", str(data), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert f"error: {path} must be a finite number" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_trains_from_public_file_too(self, tmp_path):
         data = tmp_path / "data.jsonl"
         public = tmp_path / "public.jsonl"
@@ -400,6 +427,29 @@ class TestExperimentCommand:
         path = tmp_path / "broken.json"
         path.write_text('{"runs": "many"}')
         assert run_cli("experiment", "--config", str(path)) == 2
+
+    @pytest.mark.parametrize(
+        "section, value, path",
+        [
+            ("train", {"loss": {"kind": "cce"}, "initial_lr": float("nan")}, "train.initial_lr"),
+            ("train", {"mixup": {"alpha": float("nan")}}, "train.mixup.alpha"),
+            ("dataset", {"spread": float("inf")}, "dataset.spread"),
+            ("noise", {"kind": "symmetric", "rate": float("-inf")}, "noise.rate"),
+        ],
+    )
+    def test_non_finite_config_value_exits_two_before_run_zero(
+        self, tmp_path, capsys, monkeypatch, section, value, path
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before the config was checked")
+
+        monkeypatch.setattr("labelnoise.harness._single_run", no_runs)
+        out_dir = tmp_path / "exp"
+        config = experiment_config(tmp_path, **{section: value})
+        code = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        assert f"error: {path} must be a finite number" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("experiment", "--config", str(tmp_path / "absent.json")) == 2

@@ -1,197 +1,210 @@
 """Tests for the JSON-dictionary configuration layer."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelnoise import (
     Architecture,
     ConfigurationError,
+    DatasetParams,
+    ExperimentConfig,
     LossKind,
+    LossSpec,
+    MixupPolicy,
     NoiseGroup,
     NoiseKind,
+    NoiseSpec,
     Pairing,
     SelectionKind,
+    SelectionRule,
+    SmoothingPolicy,
+    StagePlan,
     Strategy,
+    TrainConfig,
 )
 from labelnoise.config import (
-    dataset_to_dict,
     experiment_to_dict,
-    loss_to_dict,
-    mixup_to_dict,
-    noise_to_dict,
-    parse_dataset,
     parse_experiment,
-    parse_loss,
-    parse_mixup,
     parse_noise,
-    parse_rule,
-    parse_smoothing,
-    parse_stage,
     parse_train,
     read_config_file,
-    rule_to_dict,
-    smoothing_to_dict,
-    stage_to_dict,
     train_to_dict,
 )
 
 
 class TestParseLoss:
     def test_defaults_to_cce(self):
-        spec = parse_loss({})
+        spec = parse_train({"loss": {}})[0].loss
         assert spec.kind == LossKind.CCE
         assert spec.q is None
 
     def test_lq_with_q(self):
-        spec = parse_loss({"kind": "lq", "q": 0.7})
+        spec = parse_train({"loss": {"kind": "lq", "q": 0.7}})[0].loss
         assert spec.kind == LossKind.LQ
         assert spec.q == 0.7
 
     def test_bad_q_names_the_section(self):
         with pytest.raises(ConfigurationError, match="train.loss"):
-            parse_loss({"kind": "lq", "q": 1.5})
+            parse_train({"loss": {"kind": "lq", "q": 1.5}})
 
     def test_unknown_kind_lists_options(self):
         with pytest.raises(ConfigurationError, match="'cce'"):
-            parse_loss({"kind": "huber"})
+            parse_train({"loss": {"kind": "huber"}})
 
     def test_unknown_key_dotted_path(self):
         with pytest.raises(ConfigurationError, match=r"train\.loss\.gamma"):
-            parse_loss({"kind": "cce", "gamma": 2.0})
+            parse_train({"loss": {"kind": "cce", "gamma": 2.0}})
 
     def test_non_object_section(self):
         with pytest.raises(ConfigurationError):
-            parse_loss("cce")
+            parse_train({"loss": "cce"})
+
+
+def rule_config(rule: dict) -> dict:
+    """A train section whose stage carries ``rule``, batches of 64 patches."""
+    return {"batch_size": 64, "stage": {"rule": rule}}
 
 
 class TestParseRule:
     def test_max_fraction(self):
-        rule = parse_rule({"kind": "max_fraction", "fraction": 0.93}, 64, "r")
-        assert rule.kind == SelectionKind.MAX_FRACTION
-        assert rule.fraction == 0.93
+        cfg, _ = parse_train(rule_config({"kind": "max_fraction", "fraction": 0.93}))
+        assert cfg.stage.rule.kind == SelectionKind.MAX_FRACTION
+        assert cfg.stage.rule.fraction == 0.93
 
     def test_percentile(self):
-        rule = parse_rule({"kind": "percentile", "level": 80.0}, 64, "r")
-        assert rule.level == 80.0
+        cfg, _ = parse_train(rule_config({"kind": "percentile", "level": 80.0}))
+        assert cfg.stage.rule.level == 80.0
 
     def test_patch_count_becomes_percentile(self):
-        rule = parse_rule({"kind": "patch_count", "count": 16}, 64, "r")
-        assert rule.kind == SelectionKind.PERCENTILE
-        assert rule.level == 75.0
+        cfg, _ = parse_train(rule_config({"kind": "patch_count", "count": 16}))
+        assert cfg.stage.rule.kind == SelectionKind.PERCENTILE
+        assert cfg.stage.rule.level == 75.0
 
     def test_patch_count_bounds(self):
         with pytest.raises(ConfigurationError, match="count"):
-            parse_rule({"kind": "patch_count", "count": 0}, 64, "r")
+            parse_train(rule_config({"kind": "patch_count", "count": 0}))
         with pytest.raises(ConfigurationError, match="count"):
-            parse_rule({"kind": "patch_count", "count": 65}, 64, "r")
+            parse_train(rule_config({"kind": "patch_count", "count": 65}))
 
     def test_missing_parameter(self):
         with pytest.raises(ConfigurationError, match="fraction"):
-            parse_rule({"kind": "max_fraction"}, 64, "r")
+            parse_train(rule_config({"kind": "max_fraction"}))
         with pytest.raises(ConfigurationError, match="level"):
-            parse_rule({"kind": "percentile"}, 64, "r")
+            parse_train(rule_config({"kind": "percentile"}))
 
     def test_stray_parameter_for_kind(self):
         with pytest.raises(ConfigurationError, match="does not apply"):
-            parse_rule({"kind": "max_fraction", "fraction": 0.9, "level": 5.0}, 64, "r")
+            parse_train(rule_config({"kind": "max_fraction", "fraction": 0.9, "level": 5.0}))
         with pytest.raises(ConfigurationError, match="does not apply"):
-            parse_rule({"kind": "percentile", "level": 5.0, "count": 2}, 64, "r")
+            parse_train(rule_config({"kind": "percentile", "level": 5.0, "count": 2}))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError, match="kind"):
-            parse_rule({"kind": "topk"}, 64, "r")
+            parse_train(rule_config({"kind": "topk"}))
 
 
 class TestParseStage:
     def test_full_plan(self):
-        plan = parse_stage(
+        cfg, _ = parse_train(
             {
-                "strategy": "discard",
-                "start_epoch": 10,
-                "rule": {"kind": "max_fraction", "fraction": 0.93},
-            },
-            64,
+                "batch_size": 64,
+                "stage": {
+                    "strategy": "discard",
+                    "start_epoch": 10,
+                    "rule": {"kind": "max_fraction", "fraction": 0.93},
+                },
+            }
         )
-        assert plan.strategy == Strategy.DISCARD
-        assert plan.start_epoch == 10
+        assert cfg.stage.strategy == Strategy.DISCARD
+        assert cfg.stage.start_epoch == 10
 
     def test_prune_plan(self):
-        plan = parse_stage({"strategy": "prune", "start_epoch": 5, "prune_count": 28}, 64)
+        stage = {"strategy": "prune", "start_epoch": 5, "prune_count": 28}
+        plan = parse_train({"batch_size": 64, "stage": stage})[0].stage
         assert plan.strategy == Strategy.PRUNE
         assert plan.prune_count == 28
 
     def test_discard_without_rule_names_section(self):
         with pytest.raises(ConfigurationError, match="train.stage"):
-            parse_stage({"strategy": "discard", "start_epoch": 3}, 64)
+            parse_train({"batch_size": 64, "stage": {"strategy": "discard", "start_epoch": 3}})
 
     def test_float_start_epoch_rejected(self):
         with pytest.raises(ConfigurationError, match="start_epoch"):
-            parse_stage({"strategy": "none", "start_epoch": 2.5}, 64)
+            parse_train({"batch_size": 64, "stage": {"strategy": "none", "start_epoch": 2.5}})
 
 
 class TestParseSmoothing:
     def test_plain(self):
-        policy, auto = parse_smoothing({"epsilon": 0.15})
-        assert policy.epsilon == 0.15
-        assert policy.delta_epsilon == 0.0
+        cfg, auto = parse_train({"smoothing": {"epsilon": 0.15}})
+        assert cfg.smoothing.epsilon == 0.15
+        assert cfg.smoothing.delta_epsilon == 0.0
         assert not auto
 
     def test_explicit_groups_with_int_keys_as_strings(self):
-        policy, auto = parse_smoothing(
+        cfg, auto = parse_train(
             {
-                "epsilon": 0.15,
-                "delta_epsilon": 0.05,
-                "groups": {"0": "low", "1": "high"},
+                "smoothing": {
+                    "epsilon": 0.15,
+                    "delta_epsilon": 0.05,
+                    "groups": {"0": "low", "1": "high"},
+                }
             }
         )
         assert not auto
-        assert policy.group_of_class == {0: NoiseGroup.LOW_NOISE, 1: NoiseGroup.HIGH_NOISE}
+        assert cfg.smoothing.group_of_class == {
+            0: NoiseGroup.LOW_NOISE, 1: NoiseGroup.HIGH_NOISE
+        }
 
     def test_auto_rejected_without_permission(self):
         with pytest.raises(ConfigurationError, match="auto"):
-            parse_smoothing({"epsilon": 0.15, "groups": "auto"})
+            parse_train({"smoothing": {"epsilon": 0.15, "groups": "auto"}})
 
     def test_auto_allowed_when_enabled(self):
-        policy, auto = parse_smoothing(
-            {"epsilon": 0.15, "groups": "auto"}, allow_auto_groups=True
+        cfg, auto = parse_train(
+            {"smoothing": {"epsilon": 0.15, "groups": "auto"}}, allow_auto_groups=True
         )
         assert auto
-        assert policy.group_of_class is None
+        assert cfg.smoothing.group_of_class is None
 
     def test_epsilon_required(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
-            parse_smoothing({})
+            parse_train({"smoothing": {}})
 
     def test_bad_group_key(self):
         with pytest.raises(ConfigurationError, match="class indices"):
-            parse_smoothing({"epsilon": 0.1, "groups": {"cat": "low"}})
+            parse_train({"smoothing": {"epsilon": 0.1, "groups": {"cat": "low"}}})
 
     def test_bad_group_value(self):
         with pytest.raises(ConfigurationError, match="low"):
-            parse_smoothing({"epsilon": 0.1, "groups": {"0": "loud"}})
+            parse_train({"smoothing": {"epsilon": 0.1, "groups": {"0": "loud"}}})
 
 
 class TestParseMixup:
     def test_full(self):
-        policy = parse_mixup(
-            {"alpha": 0.3, "warmup_epochs": 10, "pairing": "inter", "enabled": True}
-        )
+        policy = parse_train(
+            {"mixup": {"alpha": 0.3, "warmup_epochs": 10, "pairing": "inter", "enabled": True}}
+        )[0].mixup
         assert policy.alpha == 0.3
         assert policy.warmup_epochs == 10
         assert policy.pairing == Pairing.INTER_BATCH
 
     def test_alpha_required(self):
         with pytest.raises(ConfigurationError, match="alpha"):
-            parse_mixup({"warmup_epochs": 3})
+            parse_train({"mixup": {"warmup_epochs": 3}})
 
     def test_enabled_must_be_bool(self):
         with pytest.raises(ConfigurationError, match="enabled"):
-            parse_mixup({"alpha": 0.3, "enabled": "yes"})
+            parse_train({"mixup": {"alpha": 0.3, "enabled": "yes"}})
 
     def test_bool_alpha_rejected(self):
         with pytest.raises(ConfigurationError, match="alpha"):
-            parse_mixup({"alpha": True})
+            parse_train({"mixup": {"alpha": True}})
 
 
 class TestParseTrain:
@@ -255,9 +268,9 @@ class TestParseTrain:
 
 class TestParseDatasetAndNoise:
     def test_dataset_mapping(self):
-        params = parse_dataset(
-            {"classes": 6, "clips_per_class": 10, "dims": 5, "spread": 0.5}
-        )
+        params = parse_experiment(
+            {"dataset": {"classes": 6, "clips_per_class": 10, "dims": 5, "spread": 0.5}}
+        ).dataset
         assert params.num_classes == 6
         assert params.feature_dim == 5
         assert params.cluster_spread == 0.5
@@ -353,11 +366,12 @@ class TestReadConfigFile:
 class TestRoundTrips:
     def test_loss(self):
         raw = {"kind": "lq", "q": 0.7}
-        assert loss_to_dict(parse_loss(raw)) == raw
+        assert train_to_dict(parse_train({"loss": raw})[0])["loss"] == raw
 
     def test_rule(self):
         raw = {"kind": "max_fraction", "fraction": 0.93}
-        assert rule_to_dict(parse_rule(raw, 64, "r")) == raw
+        cfg, _ = parse_train(rule_config(raw))
+        assert train_to_dict(cfg)["stage"]["rule"] == raw
 
     def test_stage(self):
         raw = {
@@ -367,30 +381,31 @@ class TestRoundTrips:
             "prune_rounds": 1,
             "rule": {"kind": "percentile", "level": 75.0},
         }
-        assert stage_to_dict(parse_stage(raw, 64)) == raw
+        cfg, _ = parse_train({"batch_size": 64, "stage": raw})
+        assert train_to_dict(cfg)["stage"] == raw
 
     def test_smoothing_with_groups(self):
         raw = {"epsilon": 0.15, "delta_epsilon": 0.05, "groups": {"0": "low", "1": "high"}}
-        policy, auto = parse_smoothing(raw)
-        assert smoothing_to_dict(policy, auto) == raw
+        cfg, auto = parse_train({"smoothing": raw})
+        assert train_to_dict(cfg, auto)["smoothing"] == raw
 
     def test_smoothing_auto_marker_survives(self):
         raw = {"epsilon": 0.15, "delta_epsilon": 0.0, "groups": "auto"}
-        policy, auto = parse_smoothing(raw, allow_auto_groups=True)
-        assert smoothing_to_dict(policy, auto) == raw
+        cfg, auto = parse_train({"smoothing": raw}, allow_auto_groups=True)
+        assert train_to_dict(cfg, auto)["smoothing"] == raw
 
     def test_mixup(self):
         raw = {"alpha": 0.3, "warmup_epochs": 10, "pairing": "intra", "enabled": True}
-        assert mixup_to_dict(parse_mixup(raw)) == raw
+        assert train_to_dict(parse_train({"mixup": raw})[0])["mixup"] == raw
 
     def test_dataset(self):
-        params = parse_dataset({"classes": 4, "spread": 0.25})
-        rendered = dataset_to_dict(params)
-        assert parse_dataset(rendered) == params
+        cfg = parse_experiment({"dataset": {"classes": 4, "spread": 0.25}})
+        rendered = experiment_to_dict(cfg)["dataset"]
+        assert parse_experiment({"dataset": rendered}).dataset == cfg.dataset
 
     def test_noise(self):
         raw = {"kind": "symmetric", "rate": 0.0, "seed": 0, "rate_by_class": {"0": 0.2, "1": 0.5}}
-        assert noise_to_dict(parse_noise(raw)) == raw
+        assert experiment_to_dict(parse_experiment({"noise": raw}))["noise"] == raw
 
     def test_train_and_experiment_full_circle(self):
         raw = {
@@ -415,3 +430,173 @@ class TestRoundTrips:
         rendered = train_to_dict(cfg, auto)
         reparsed, _ = parse_train(rendered)
         assert reparsed == cfg
+
+
+class TestNonFiniteNumbers:
+    """json.loads accepts NaN and Infinity; the float caster does not."""
+
+    def test_nan_learning_rate(self):
+        with pytest.raises(ConfigurationError, match=r"^train\.initial_lr must be a finite"):
+            parse_train(json.loads('{"initial_lr": NaN}'))
+
+    def test_nan_mixup_alpha(self):
+        with pytest.raises(ConfigurationError, match=r"^train\.mixup\.alpha must be a finite"):
+            parse_train(json.loads('{"mixup": {"alpha": NaN}}'))
+
+    def test_infinite_spread(self):
+        with pytest.raises(ConfigurationError, match=r"^dataset\.spread must be a finite"):
+            parse_experiment(json.loads('{"dataset": {"spread": Infinity}}'))
+
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"loss": {"kind": "lq", "q": "-Infinity"}}, r"train\.loss\.q"),
+            ({"val_fraction": "NaN"}, r"train\.val_fraction"),
+            ({"stage": {"rule": {"kind": "percentile", "level": "NaN"}}},
+             r"train\.stage\.rule\.level"),
+            ({"stage": {"rule": {"kind": "max_fraction", "fraction": "NaN"}}},
+             r"train\.stage\.rule\.fraction"),
+            ({"smoothing": {"epsilon": "NaN"}}, r"train\.smoothing\.epsilon"),
+            ({"smoothing": {"epsilon": 0.1, "delta_epsilon": "Infinity"}},
+             r"train\.smoothing\.delta_epsilon"),
+        ],
+    )
+    def test_every_train_float_is_checked(self, raw, path):
+        text = re.sub(r'"(-?Infinity|NaN)"', r"\1", json.dumps(raw))
+        with pytest.raises(ConfigurationError, match=f"^{path} must be a finite number"):
+            parse_train(json.loads(text))
+
+    def test_noise_rates(self):
+        with pytest.raises(ConfigurationError, match=r"^noise\.rate must be a finite"):
+            parse_noise({"kind": "symmetric", "rate": float("nan")})
+        with pytest.raises(ConfigurationError, match=r"^noise\.rate_by_class\[1\] must be"):
+            parse_noise({"kind": "oov", "rate_by_class": {"0": 0.1, "1": float("inf")}})
+
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(ConfigurationError, match=r"^train\.initial_lr must be a finite"):
+            parse_train({"initial_lr": 10**400})
+
+
+# --- parse(render(cfg)) == cfg ---------------------------------------------------
+
+finite = dict(allow_nan=False, allow_infinity=False)
+counts = st.integers(min_value=1, max_value=10**6)
+seeds = st.integers(min_value=-(2**63), max_value=2**63)
+unit = st.floats(min_value=0.0, max_value=1.0, **finite)
+class_indices = st.integers(min_value=-3, max_value=40)
+
+rules = st.one_of(
+    st.builds(SelectionRule.max_fraction, unit),
+    st.builds(SelectionRule.at_percentile, st.floats(min_value=0.0, max_value=100.0, **finite)),
+)
+
+
+@st.composite
+def stage_plans(draw):
+    strategy = draw(st.sampled_from(Strategy))
+    rule = draw(rules if strategy == Strategy.DISCARD else st.none() | rules)
+    rounds = draw(st.integers(min_value=1, max_value=4))
+    start = draw(st.integers(min_value=1 if rounds > 1 else 0, max_value=500))
+    count = draw(st.integers(min_value=0, max_value=1000))
+    return StagePlan(strategy, start, rule, count, rounds)
+
+
+@st.composite
+def smoothing_policies(draw):
+    epsilon = draw(st.floats(min_value=0.0, max_value=0.99, **finite))
+    delta = draw(st.floats(min_value=0.0, max_value=min(epsilon, 0.99 - epsilon), **finite))
+    groups = draw(st.none() | st.dictionaries(class_indices, st.sampled_from(NoiseGroup)))
+    return SmoothingPolicy(epsilon, delta, groups)
+
+
+@st.composite
+def mixup_policies(draw):
+    enabled = draw(st.booleans())
+    low = 1e-6 if enabled else -10.0
+    alpha = draw(st.floats(min_value=low, max_value=10.0, **finite))
+    return MixupPolicy(
+        alpha, draw(st.integers(0, 100)), draw(st.sampled_from(Pairing)), enabled
+    )
+
+
+@st.composite
+def losses(draw):
+    kind = draw(st.sampled_from(LossKind))
+    in_range = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, **finite)
+    q = draw(in_range if kind == LossKind.LQ else st.none() | in_range)
+    return LossSpec(kind, q)
+
+
+train_configs = st.builds(
+    TrainConfig,
+    loss=losses(),
+    max_epochs=st.integers(0, 10**4),
+    batch_size=counts,
+    initial_lr=st.floats(min_value=1e-9, max_value=10.0, **finite),
+    lr_halving_patience=counts,
+    early_stop_patience=counts,
+    val_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, **finite),
+    seed=seeds,
+    stage=stage_plans(),
+    smoothing=st.none() | smoothing_policies(),
+    mixup=st.none() | mixup_policies(),
+    architecture=st.sampled_from(Architecture),
+    hidden_units=counts,
+)
+
+noise_specs = st.builds(
+    NoiseSpec,
+    kind=st.sampled_from(NoiseKind),
+    rate=unit,
+    seed=seeds,
+    rate_by_class=st.none() | st.dictionaries(class_indices, unit),
+)
+
+
+@st.composite
+def experiment_configs(draw):
+    train = draw(train_configs)
+    noise = draw(st.none() | noise_specs)
+    auto = train.smoothing is not None and noise is not None and draw(st.booleans())
+    if auto and train.smoothing.group_of_class is not None:
+        # "auto" replaces an explicit group map when rendered
+        smoothing = SmoothingPolicy(train.smoothing.epsilon, train.smoothing.delta_epsilon)
+        train = dataclasses.replace(train, smoothing=smoothing)
+    dataset = DatasetParams(
+        draw(st.integers(2, 50)), draw(counts), draw(counts), draw(counts),
+        draw(st.floats(min_value=0.0, max_value=100.0, **finite)), draw(counts),
+    )
+    return ExperimentConfig(
+        dataset, train, noise, draw(counts), draw(seeds), auto,
+        draw(st.none() | st.text(max_size=20)),
+    )
+
+
+class TestRenderParseProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=experiment_configs())
+    def test_experiment_survives_json(self, cfg):
+        rendered = json.loads(json.dumps(experiment_to_dict(cfg)))
+        assert parse_experiment(rendered) == cfg
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_json_blocks() -> list[str]:
+    return re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_has_both_example_configs():
+    assert len(readme_json_blocks()) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(readme_json_blocks())))
+def test_readme_config_block_parses_and_survives_the_round_trip(index):
+    raw = json.loads(readme_json_blocks()[index])
+    if "train" in raw:
+        cfg = parse_experiment(raw)
+        assert parse_experiment(json.loads(json.dumps(experiment_to_dict(cfg)))) == cfg
+    else:
+        cfg, auto = parse_train(raw)
+        assert parse_train(json.loads(json.dumps(train_to_dict(cfg, auto)))) == (cfg, auto)
