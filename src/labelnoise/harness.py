@@ -32,7 +32,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -213,17 +214,16 @@ def inject_symmetric_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> Anno
     selected = _select_clips(annotated, spec, gen)
     if selected.size == 0:
         return annotated
-    labels = annotated.data.labels.copy()
-    flags = annotated.corrupted.copy()
-    num_classes = annotated.data.num_classes
-    draws = gen.integers(0, num_classes - 1, size=selected.size)
-    for clip, draw in zip(selected, draws):
-        rows = annotated.data.clip_ids == clip
-        old = int(labels[rows][0])
-        new = int(draw) if draw < old else int(draw) + 1
-        labels[rows] = new
-        flags[rows] = True
-    dataset = replace(annotated.data, labels=labels)
+    draws = gen.integers(0, annotated.data.num_classes - 1, size=selected.size)
+    clips, inverse, clip_labels = annotated.data.clip_table()
+    picked = np.searchsorted(clips, selected)
+    old = clip_labels[picked]
+    # a draw at or above the old label skips it, so the new label always differs
+    clip_labels[picked] = np.where(draws < old, draws, draws + 1)
+    flipped = np.zeros(clips.size, dtype=bool)
+    flipped[picked] = True
+    dataset = replace(annotated.data, labels=clip_labels[inverse])
+    flags = annotated.corrupted | flipped[inverse]
     return AnnotatedDataset(dataset, annotated.clean_labels.copy(), flags)
 
 
@@ -337,15 +337,75 @@ def write_annotated(path, annotated: AnnotatedDataset) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+# What reading a malformed row raises: bad JSON or text (ValueError), a
+# missing field (KeyError), a row that is not an object or a value of the
+# wrong type (TypeError), ragged features (ValueError), a huge number.
+_ROW_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _read_rows(path) -> list[dict]:
-    rows = []
     with open(Path(path), "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
+        try:
+            rows = [json.loads(line) for line in fh if line.strip()]
+        except ValueError as exc:
+            raise _bad_line(path, exc) from exc
     if not rows:
         raise InvalidInputError(f"dataset file {path} is empty")
     return rows
+
+
+@contextmanager
+def _line_errors(path):
+    """Report a row that the column conversion inside rejects by its line."""
+    try:
+        yield
+    except InvalidInputError:
+        raise
+    except _ROW_ERRORS as exc:
+        raise _bad_line(path, exc) from exc
+
+
+def _bad_line(path, exc: Exception) -> InvalidInputError:
+    """An error naming the first line of ``path`` that is not a dataset row.
+
+    Reading converts whole columns at once, so a failure does not say which
+    row caused it; this re-reads the file one line at a time to find out,
+    on the error path only.
+    """
+    width = None
+    with open(Path(path), "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    width = _check_row(json.loads(line), width)
+            except _ROW_ERRORS as err:
+                return InvalidInputError(f"{path}, line {number}: {_describe(err)}")
+    return InvalidInputError(f"{path}: {exc}")
+
+
+def _check_row(row, width: int | None) -> int:
+    """The feature count of one parsed row, once its fields convert like a column."""
+    if not isinstance(row, dict):
+        raise TypeError(f"a row must be a JSON object, got {json.dumps(row)[:40]}")
+    for key in ("example_id", "clip_id", "label"):
+        int(row[key])
+    if "clean_label" in row:
+        int(row["clean_label"])
+    features = np.asarray(row["features"], dtype=np.float64)
+    if features.ndim != 1:
+        raise ValueError("features must be a flat list of numbers")
+    if width is not None and features.size != width:
+        raise ValueError(f"{features.size} features where earlier rows have {width}")
+    return features.size
+
+
+def _describe(err: Exception) -> str:
+    if isinstance(err, KeyError):
+        return f"missing field {err}"
+    if isinstance(err, json.JSONDecodeError):
+        return f"not valid JSON ({err.msg} at column {err.colno})"
+    return str(err)
 
 
 def _dataset_from_rows(rows: list[dict]) -> Dataset:
@@ -369,7 +429,9 @@ def _dataset_from_rows(rows: list[dict]) -> Dataset:
 
 def read_dataset(path) -> Dataset:
     """Read any dataset file as the public view (ground truth dropped)."""
-    return _dataset_from_rows(_read_rows(path))
+    rows = _read_rows(path)
+    with _line_errors(path):
+        return _dataset_from_rows(rows)
 
 
 def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
@@ -379,23 +441,24 @@ def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
     may. A file without them reads as clean unless ``require_truth``.
     """
     rows = _read_rows(path)
-    layouts = {("clean_label" in r, "corrupted" in r) for r in rows}
-    if layouts == {(True, True)}:
-        return AnnotatedDataset(
-            _dataset_from_rows(rows),
-            np.asarray([int(r["clean_label"]) for r in rows], dtype=np.int64),
-            np.asarray([bool(r["corrupted"]) for r in rows], dtype=bool),
-        )
-    if layouts != {(False, False)}:
-        raise InvalidInputError(
-            f"{path} carries clean_label/corrupted on some rows only;"
-            " a dataset file annotates every row or none"
-        )
-    if require_truth:
-        raise InvalidInputError(
-            f"{path} is not a harness-private file: clean_label/corrupted missing"
-        )
-    data = _dataset_from_rows(rows)
+    with _line_errors(path):
+        layouts = {("clean_label" in r, "corrupted" in r) for r in rows}
+        if layouts == {(True, True)}:
+            return AnnotatedDataset(
+                _dataset_from_rows(rows),
+                np.asarray([int(r["clean_label"]) for r in rows], dtype=np.int64),
+                np.asarray([bool(r["corrupted"]) for r in rows], dtype=bool),
+            )
+        if layouts != {(False, False)}:
+            raise InvalidInputError(
+                f"{path} carries clean_label/corrupted on some rows only;"
+                " a dataset file annotates every row or none"
+            )
+        if require_truth:
+            raise InvalidInputError(
+                f"{path} is not a harness-private file: clean_label/corrupted missing"
+            )
+        data = _dataset_from_rows(rows)
     return AnnotatedDataset(data, data.labels.copy(), np.zeros(data.n_examples, dtype=bool))
 
 
@@ -509,10 +572,12 @@ class ExperimentResult:
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:
-    """Stable hash of the fully resolved configuration."""
-    from dataclasses import asdict
+    """Stable hash of the fully resolved configuration.
 
-    canonical = json.dumps(asdict(cfg), sort_keys=True, default=str)
+    ``output_dir`` says where results go, not what is run, so it is left
+    out: one experiment written to two directories has one fingerprint.
+    """
+    canonical = json.dumps(asdict(replace(cfg, output_dir=None)), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 

@@ -64,11 +64,17 @@ class LossReport:
         object.__setattr__(self, "example_ids", ids)
         if values.ndim != 1 or ids.ndim != 1 or values.shape[0] != ids.shape[0]:
             raise InvalidInputError("loss values and example ids must align 1:1")
-        if values.size and (not np.isfinite(values).all() or values.min() < 0):
-            raise InvalidInputError("loss values must be finite and non-negative")
+        if values.size:
+            _check_loss_values(values)
 
     def __len__(self) -> int:
         return int(self.per_example.shape[0])
+
+
+def _check_loss_values(values: np.ndarray) -> None:
+    """Raise unless a non-empty float array of losses is finite and non-negative."""
+    if not np.isfinite(values).all() or values.min() < 0:
+        raise InvalidInputError("loss values must be finite and non-negative")
 
 
 def _check_pair(y, p) -> tuple[np.ndarray, np.ndarray]:
@@ -120,17 +126,23 @@ def batch_losses(spec: LossSpec, targets, predictions, ids) -> LossReport:
         or ids.shape[0] != targets.shape[0]
     ):
         raise InvalidInputError("targets, predictions and ids must have equal lengths")
+    return LossReport(_loss_values(spec, targets, predictions), ids)
 
+
+def _loss_values(spec: LossSpec, targets: np.ndarray, predictions: np.ndarray) -> np.ndarray:
+    """Per-row loss of float (N, K) targets and predictions, unchecked.
+
+    The one formula behind :func:`batch_losses`; the trainer calls it on
+    every minibatch and checks the values itself.
+    """
     if spec.kind == LossKind.CCE:
-        values = -(targets * np.log(np.maximum(predictions, PROB_FLOOR))).sum(axis=1)
-    elif spec.kind == LossKind.MAE:
-        values = np.abs(targets - predictions).sum(axis=1)
-    elif spec.kind == LossKind.LQ:
+        return -(targets * np.log(np.maximum(predictions, PROB_FLOOR))).sum(axis=1)
+    if spec.kind == LossKind.MAE:
+        return np.abs(targets - predictions).sum(axis=1)
+    if spec.kind == LossKind.LQ:
         dots = np.maximum((targets * predictions).sum(axis=1), PROB_FLOOR)
-        values = (1.0 - dots**spec.q) / spec.q
-    else:
-        raise InvalidInputError(f"unknown loss kind {spec.kind!r}")
-    return LossReport(values, ids)
+        return (1.0 - dots**spec.q) / spec.q
+    raise InvalidInputError(f"unknown loss kind {spec.kind!r}")
 
 
 def loss_gradients_from_probs(

@@ -30,14 +30,20 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidInputError, TrainingError
-from .losses import LossSpec, batch_losses, loss_gradients_from_probs
+from .losses import (
+    LossReport,
+    LossSpec,
+    _check_loss_values,
+    _loss_values,
+    batch_losses,
+    loss_gradients_from_probs,
+)
 from .mixup import Batch, MixupPolicy, Pairing, apply_mixup
 from .numerics import RngStream, softmax_rows
 from .selection import (
     PruneRecord,
     StagePlan,
     Strategy,
-    clip_losses,
     discard_mask,
     prune_dataset,
     prune_report_rows,
@@ -316,30 +322,49 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
     """Clip-level accuracy: average patch softmax per clip, argmax vs clip label."""
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot evaluate on an empty dataset")
+    layout = _clip_layout(dataset, params.num_classes)
+    return _clip_accuracy(params, dataset.features, layout)
+
+
+@dataclass(frozen=True)
+class _ClipLayout:
+    """Where each patch probability of a dataset adds up; built once per run.
+
+    ``cells`` holds ``clip * K + class`` for every entry of the row-major
+    (N, K) probability matrix, so one bincount gives every per-clip sum.
+    """
+
+    cells: np.ndarray  # (N * K,) int64
+    counts: np.ndarray  # (clips, 1) patch counts as float64
+    labels: np.ndarray  # (clips,) clip labels
+
+
+def _clip_layout(dataset: Dataset, num_classes: int) -> _ClipLayout:
     _, inverse, clip_labels = dataset.clip_table()
-    return _clip_accuracy(params, dataset.features, inverse, clip_labels)
+    cells = (inverse[:, None] * num_classes + np.arange(num_classes)).ravel()
+    counts = np.bincount(inverse).astype(np.float64)[:, None]
+    return _ClipLayout(cells, counts, clip_labels)
 
 
-def _clip_accuracy(
-    params: ModelParams,
-    features: np.ndarray,
-    inverse: np.ndarray,
-    clip_labels: np.ndarray,
-) -> float:
-    """Clip-level accuracy given a precomputed ``Dataset.clip_table``."""
+def _clip_mean_probs(
+    params: ModelParams, features: np.ndarray, layout: _ClipLayout
+) -> np.ndarray:
+    """Per-clip mean of the patch softmax rows, one row per clip."""
     probs = softmax_rows(forward(params, features))
-    n_clips = clip_labels.size
-    # bincount adds rows in order, like np.add.at, so the sums are bit-identical
-    sums = np.stack(
-        [
-            np.bincount(inverse, weights=probs[:, k], minlength=n_clips)
-            for k in range(probs.shape[1])
-        ],
-        axis=1,
-    )
-    counts = np.bincount(inverse, minlength=n_clips).astype(np.float64)
-    predicted = (sums / counts[:, None]).argmax(axis=1)
-    return float((predicted == clip_labels).mean())
+    # bincount adds each cell's terms in row order from 0.0, as np.add.at
+    # does, so the sums are bit-identical to it (np.add.reduceat is not: it
+    # adds a segment's first row to the sum of the others)
+    n_clips = layout.counts.shape[0]
+    sums = np.bincount(layout.cells, weights=probs.ravel(), minlength=n_clips * probs.shape[1])
+    sums = sums.reshape(n_clips, probs.shape[1])
+    sums /= layout.counts
+    return sums
+
+
+def _clip_accuracy(params: ModelParams, features: np.ndarray, layout: _ClipLayout) -> float:
+    predicted = _clip_mean_probs(params, features, layout).argmax(axis=1)
+    # an exact count over an exact size: the same float as the mean of the bools
+    return np.count_nonzero(predicted == layout.labels) / predicted.size
 
 
 def _prune_schedule(plan: StagePlan, max_epochs: int) -> set[int]:
@@ -388,7 +413,7 @@ def train(
         dataset, config.val_fraction, rng.child(_SPLIT)
     )
     prune_epochs = check_prune_plan(config.stage, config.max_epochs, train_split.n_clips())
-    _, val_inverse, val_clip_labels = val_split.clip_table()
+    val_layout = _clip_layout(val_split, dataset.num_classes)
     current = train_split
     targets = targets_matrix(current.labels, dataset.num_classes, config.smoothing)
 
@@ -408,8 +433,9 @@ def train(
     plateau_best = -math.inf
     plateau_counter = 0
     best_val = -math.inf
-    # Snapshots own their arrays; the initial one is returned if no epoch runs.
-    best_params = params.copy()
+    # The best epoch's weights, as a flat copy; the initial weights are
+    # returned if no epoch runs.
+    best_weights = flat_weights.copy()
     stall = 0
     history: list[EpochRecord] = []
     prune_rows: list[PruneRecord] | None = None
@@ -432,20 +458,23 @@ def train(
             if inter_mixup
             else None
         )
-        mixup_rng = rng.child(_MIXUP).child(epoch)
+        mixup_rng = rng.child(_MIXUP).child(epoch) if config.mixup is not None else None
 
         kept_loss_sum = 0.0
         kept_count = 0
         total_count = 0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            features = current.features[idx]
-            batch_targets = targets[idx]
+            # take copies the same rows as fancy indexing, with less overhead
+            features = current.features.take(idx, axis=0)
+            batch_targets = targets.take(idx, axis=0)
             if config.mixup is not None:
                 partner = None
                 if inter_mixup:
                     pidx = partner_order[start : start + config.batch_size]
-                    partner = Batch(current.features[pidx], targets[pidx])
+                    partner = Batch(
+                        current.features.take(pidx, axis=0), targets.take(pidx, axis=0)
+                    )
                 mixed = apply_mixup(
                     Batch(features, batch_targets),
                     partner,
@@ -459,12 +488,11 @@ def train(
             if not np.isfinite(logits).all():
                 raise TrainingError("training diverged: non-finite logits", epoch)
             probs = softmax_rows(logits)
-            report = batch_losses(
-                config.loss, batch_targets, probs, current.example_ids[idx]
-            )
-            losses = report.per_example
+            losses = _loss_values(config.loss, batch_targets, probs)
             total_count += len(losses)
             if discard:
+                # the report checks the values, as _check_loss_values does
+                report = LossReport(losses, current.example_ids[idx])
                 keep = discard_mask(
                     report, config.stage.rule, epoch, config.stage.start_epoch
                 )
@@ -475,6 +503,12 @@ def train(
                     losses = losses[keep]
                     if hidden is not None:
                         hidden = hidden[keep]
+            loss_sum = float(losses.sum())
+            # Without a report, check the values here. Terms >= 0 whose sum is
+            # finite are all finite (min is NaN if any term is NaN); when this
+            # cheap test fails, the full check raises unless the sum overflowed.
+            if not discard and not (losses.min() >= 0.0 and math.isfinite(loss_sum)):
+                _check_loss_values(losses)
 
             n_kept = len(losses)
             logit_grads = loss_gradients_from_probs(config.loss, batch_targets, probs)
@@ -482,10 +516,10 @@ def train(
             _param_grads(params, features, logit_grads, hidden, grads)
             adam.step(flat_weights, flat_grads, lr)
 
-            kept_loss_sum += float(losses.sum())
+            kept_loss_sum += loss_sum
             kept_count += n_kept
 
-        val_acc = _clip_accuracy(params, val_split.features, val_inverse, val_clip_labels)
+        val_acc = _clip_accuracy(params, val_split.features, val_layout)
         history.append(
             EpochRecord(
                 epoch=epoch,
@@ -497,7 +531,7 @@ def train(
         )
         if val_acc > best_val:
             best_val = val_acc
-            best_params = params.copy()
+            np.copyto(best_weights, flat_weights)
             stall = 0
         else:
             stall += 1
@@ -507,7 +541,9 @@ def train(
         if stall >= config.early_stop_patience:
             break
 
-    return TrainResult(best_params, history, prune_rows)
+    shapes = [w.shape for w in params.weights]
+    best = [w.copy() for w in _flat_views(best_weights, shapes)]
+    return TrainResult(replace(params, weights=best), history, prune_rows)
 
 
 def _prune_now(
@@ -522,7 +558,10 @@ def _prune_now(
         raise TrainingError("training diverged: non-finite logits while pruning", epoch)
     probs = softmax_rows(logits)
     report = batch_losses(config.loss, targets, probs, current.example_ids)
-    losses_by_clip = clip_losses(report, current.clip_of_example())
+    clips, inverse, _ = current.clip_table()
+    # bincount adds each clip's patch losses in row order, as clip_losses does
+    means = np.bincount(inverse, weights=report.per_example) / np.bincount(inverse)
+    losses_by_clip = dict(zip(clips.tolist(), means.tolist()))
     kept, removed = prune_dataset(current, losses_by_clip, config.stage.prune_count)
     rows = prune_report_rows(losses_by_clip, removed)
     keep_mask = ~np.isin(current.clip_ids, np.asarray(removed, dtype=np.int64))

@@ -75,6 +75,21 @@ def experiment_config(tmp_path, name="experiment.json", **extra):
     return path
 
 
+# How to break one row of a generated file, and what the error then says.
+MALFORMED_ROWS = {
+    "not_json": (lambda row: json.dumps(row)[:-3], "not valid JSON"),
+    "missing_label": (
+        lambda row: json.dumps({k: v for k, v in row.items() if k != "label"}),
+        "missing field 'label'",
+    ),
+    "list_row": (lambda row: json.dumps(list(row.values())), "a row must be a JSON object"),
+    "ragged_features": (
+        lambda row: json.dumps({**row, "features": row["features"] + [0.0]}),
+        "5 features where earlier rows have 4",
+    ),
+}
+
+
 class TestDatasetCommands:
     def test_generate_writes_private_file(self, tmp_path, capsys):
         out = tmp_path / "data.jsonl"
@@ -271,6 +286,23 @@ class TestTrainCommand:
         assert f"example {rows[3]['example_id']} " in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+    def test_malformed_row_exits_two_naming_its_line(self, tmp_path, capsys, case):
+        broken, message = MALFORMED_ROWS[case]
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        lines = data.read_text().splitlines()
+        lines[6] = broken(json.loads(lines[6]))
+        data.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(train_config(tmp_path)),
+            "--data", str(data), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert f"data.jsonl, line 7: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_prune_overflow_exits_two_before_training(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         run_cli(*generate_args(data))
@@ -367,6 +399,22 @@ class TestExperimentCommand:
         b = read_summary(tmp_path / "out_lq" / "summary.json")
         assert a.dataset_fingerprints == b.dataset_fingerprints
         assert a.config_fingerprint != b.config_fingerprint
+
+    def test_out_dir_does_not_change_the_config_fingerprint(self, tmp_path, monkeypatch):
+        config = str(experiment_config(tmp_path))
+        for out in ("out_a", "out_b"):
+            assert run_cli("experiment", "--config", config, "--out-dir", str(tmp_path / out)) == 0
+        monkeypatch.setenv("LABELNOISE_OUT_DIR", str(tmp_path / "out_env"))
+        assert run_cli("experiment", "--config", config) == 0
+        summaries = [
+            (tmp_path / out / "summary.json").read_bytes()
+            for out in ("out_a", "out_b", "out_env")
+        ]
+        assert summaries[0] == summaries[1] == summaries[2]
+        # the value a config without an output directory has always had
+        assert read_summary(tmp_path / "out_a" / "summary.json").config_fingerprint == (
+            "86098ec4700db639"
+        )
 
     def test_flag_overrides_reach_the_config(self, tmp_path, capsys):
         config = experiment_config(tmp_path)

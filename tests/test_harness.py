@@ -1,6 +1,7 @@
 """Tests for blob generation, noise injection, and the experiment harness."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,58 @@ class TestNoiseSpec:
             NoiseSpec(NoiseKind.OOV_REPLACE, rate_by_class={0: 2.0})
 
 
+def shuffled_rows(annotated, seed):
+    perm = np.random.default_rng(seed).permutation(annotated.data.n_examples)
+    return AnnotatedDataset(
+        annotated.data.subset(perm), annotated.clean_labels[perm], annotated.corrupted[perm]
+    )
+
+
+def symmetric(annotated, **spec):
+    return inject_symmetric_noise(annotated, NoiseSpec(NoiseKind.SYMMETRIC_IV, **spec))
+
+
+def noise_case(name):
+    """The noisy dataset behind one entry of ``NOISE_FINGERPRINTS``."""
+    if name == "uniform_0.2_seed1":
+        return symmetric(blobs(seed=1), rate=0.2, seed=1)
+    if name == "uniform_0.4_seed7":
+        return symmetric(blobs(seed=7), rate=0.4, seed=7)
+    if name == "uniform_1.0_seed3_five_classes":
+        return symmetric(blobs(seed=3, num_classes=5, clips_per_class=9), rate=1.0, seed=3)
+    if name == "per_class_seed4":
+        return symmetric(
+            blobs(seed=4, clips_per_class=10),
+            seed=4,
+            rate_by_class={0: 0.2, 1: 0.2, 2: 0.5, 3: 0.5},
+        )
+    if name == "per_class_seed11_two_patches":
+        return symmetric(
+            blobs(seed=11, patches_per_clip=2),
+            seed=11,
+            rate_by_class={0: 0.0, 1: 0.7, 2: 0.3, 3: 1.0},
+        )
+    # rows out of clip order, then noise applied on top of earlier noise
+    once = symmetric(shuffled_rows(blobs(seed=5, clips_per_class=12), 5), rate=0.5, seed=5)
+    if name == "shuffled_rows_seed5":
+        return once
+    assert name == "noise_on_noise_seed6"
+    return symmetric(once, rate=0.5, seed=6)
+
+
+# dataset_fingerprint of each noise_case, recorded before symmetric noise was
+# vectorized: same draws, same clips, same labels.
+NOISE_FINGERPRINTS = {
+    "uniform_0.2_seed1": "2b1e8c47a4faaf48",
+    "uniform_0.4_seed7": "d929ecc88a98af00",
+    "uniform_1.0_seed3_five_classes": "e409bfe16a6b3980",
+    "per_class_seed4": "2b7acd7a015e1994",
+    "per_class_seed11_two_patches": "5215a408b6438c97",
+    "shuffled_rows_seed5": "85e8ffc20584dca3",
+    "noise_on_noise_seed6": "54f01de99ab1d1a1",
+}
+
+
 class TestSymmetricNoise:
     def test_corrupts_the_exact_clip_count(self):
         annotated = blobs()
@@ -193,6 +246,10 @@ class TestSymmetricNoise:
         noisy = inject_symmetric_noise(annotated, spec)
         rates = per_class_corruption_rates(noisy)
         np.testing.assert_allclose(rates, [0.2, 0.2, 0.5, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(NOISE_FINGERPRINTS))
+    def test_fingerprints_unchanged(self, name):
+        assert dataset_fingerprint(noise_case(name)) == NOISE_FINGERPRINTS[name]
 
     def test_rate_by_class_must_cover_every_class(self):
         spec = NoiseSpec(NoiseKind.SYMMETRIC_IV, seed=0, rate_by_class={0: 0.2})
@@ -312,7 +369,42 @@ class TestPrunePrecision:
             prune_precision(report, annotated)
 
 
+def malformed(row: dict, case: str) -> str:
+    """One dataset row, broken the way ``case`` names."""
+    if case == "not_json":
+        return json.dumps(row)[:-3]
+    if case == "missing_label":
+        del row["label"]
+        return json.dumps(row)
+    if case == "list_row":
+        return json.dumps(list(row))
+    assert case == "ragged_features"
+    row["features"] = row["features"][:-1]
+    return json.dumps(row)
+
+
+MALFORMED = {
+    "not_json": "not valid JSON",
+    "missing_label": "missing field 'label'",
+    "list_row": "a row must be a JSON object",
+    "ragged_features": "7 features where earlier rows have 8",
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("reader", [read_dataset, read_annotated, read_as_annotated])
+    def test_malformed_row_named_by_its_line(self, tmp_path, case, reader):
+        path = tmp_path / "bad.jsonl"
+        write_annotated(path, blobs(clips_per_class=2))
+        lines = path.read_text().splitlines()
+        lines.insert(2, "")  # blank lines count toward the line number
+        lines[5] = malformed(json.loads(lines[5]), case)
+        path.write_text("\n".join(lines) + "\n")
+        message = rf"bad\.jsonl, line 6: {re.escape(MALFORMED[case])}"
+        with pytest.raises(InvalidInputError, match=message):
+            reader(path)
+
     def test_public_round_trip(self, tmp_path):
         data = blobs(clips_per_class=3).data
         path = tmp_path / "data.jsonl"

@@ -46,6 +46,8 @@ from labelnoise import (
 from labelnoise.numerics import softmax_rows
 from labelnoise.trainer import (
     _Adam,
+    _clip_layout,
+    _clip_mean_probs,
     _flat_params,
     _flat_views,
     _forward_cached,
@@ -283,6 +285,40 @@ class TestForwardAndEvaluate:
         assert evaluate(params, ds) == expected
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        patches=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+        num_classes=st.integers(2, 5),
+        architecture=st.sampled_from(list(Architecture)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_clip_layout_matches_add_at_reference(
+        self, patches, num_classes, architecture, seed
+    ):
+        # clips with unequal patch counts, their rows interleaved at random
+        rng = np.random.default_rng(seed)
+        clip_of_row = np.repeat(np.arange(len(patches)) * 5 + 3, patches)
+        clip_ids = clip_of_row[rng.permutation(clip_of_row.size)]
+        label_of_clip = rng.integers(0, num_classes, size=5 * len(patches) + 3)
+        ds = Dataset(
+            np.arange(clip_ids.size),
+            clip_ids,
+            rng.standard_normal((clip_ids.size, 3)),
+            label_of_clip[clip_ids],
+            num_classes,
+        )
+        params = init_params(architecture, 3, num_classes, 4, RngStream(seed))
+        probs = softmax_rows(forward(params, ds.features))
+        clips, inverse = np.unique(ds.clip_ids, return_inverse=True)
+        sums = np.zeros((clips.size, num_classes))
+        np.add.at(sums, inverse, probs)
+        means = sums / np.bincount(inverse).astype(np.float64)[:, None]
+        layout = _clip_layout(ds, num_classes)
+        np.testing.assert_array_equal(_clip_mean_probs(params, ds.features, layout), means)
+        expected = float((means.argmax(axis=1) == label_of_clip[clips]).mean())
+        assert evaluate(params, ds) == expected
+
+
 def per_array_adam(weights, grads_per_step, lr):
     """Adam as one loop over separate arrays: the reference for the flat update."""
     first = [np.zeros_like(w) for w in weights]
@@ -513,6 +549,53 @@ class TestTrainLoop:
             assert wa.flags.owndata and wb.flags.owndata
             wa += 1.0
             assert not np.array_equal(wa, wb)
+
+    def test_returns_the_best_epoch_when_later_epochs_are_worse(self, monkeypatch):
+        # validation scores are scripted so that epoch 1 is best and every
+        # later epoch is worse; the weights scored at epoch 1 come back
+        import labelnoise.trainer as trainer_module
+
+        scores = iter([0.5, 0.9, 0.7, 0.6, 0.8])
+        scored_weights = []
+
+        def scripted(params, features, layout):
+            scored_weights.append([w.copy() for w in params.weights])
+            return next(scores)
+
+        monkeypatch.setattr(trainer_module, "_clip_accuracy", scripted)
+        result = train(blob_dataset(), quick_config(max_epochs=5, initial_lr=0.05))
+        assert [r.val_accuracy for r in result.history] == [0.5, 0.9, 0.7, 0.6, 0.8]
+        for returned, best, last in zip(
+            result.params.weights, scored_weights[1], scored_weights[-1]
+        ):
+            np.testing.assert_array_equal(returned, best)
+            assert not np.array_equal(returned, last)
+            assert returned.flags.owndata
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+    @pytest.mark.parametrize("strategy", [Strategy.NONE, Strategy.DISCARD])
+    def test_bad_loss_values_raise_on_any_step(self, monkeypatch, bad, strategy):
+        # the loss check runs on every step, with or without a discard rule
+        import labelnoise.trainer as trainer_module
+
+        real = trainer_module._loss_values
+        steps = []
+
+        def poisoned(spec, targets, probs):
+            values = real(spec, targets, probs)
+            steps.append(len(values))
+            if len(steps) == 9:
+                values[-1] = bad
+            return values
+
+        monkeypatch.setattr(trainer_module, "_loss_values", poisoned)
+        stage = StagePlan(
+            strategy=strategy,
+            rule=SelectionRule.max_fraction(0.5) if strategy == Strategy.DISCARD else None,
+        )
+        with pytest.raises(InvalidInputError, match="finite and non-negative"):
+            train(blob_dataset(), quick_config(max_epochs=3, stage=stage))
+        assert len(steps) == 9
 
     def test_early_stopping_length(self):
         # a learning rate this small never improves validation accuracy
