@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import json
+
 
 class InvalidInputError(ValueError):
     """An operation received arguments outside its domain."""
@@ -23,3 +25,14 @@ class ExperimentError(RuntimeError):
     def __init__(self, message: str, run_index: int):
         super().__init__(f"run {run_index}: {message}")
         self.run_index = run_index
+
+
+def line_error(path, number: int, err: Exception) -> InvalidInputError:
+    """An error naming line ``number`` of the JSON-lines file ``path`` and its fault."""
+    if isinstance(err, KeyError):
+        reason = f"missing field {err}"
+    elif isinstance(err, json.JSONDecodeError):
+        reason = f"not valid JSON ({err.msg} at column {err.colno})"
+    else:
+        reason = str(err)
+    return InvalidInputError(f"{path}, line {number}: {reason}")

@@ -41,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, ExperimentError, InvalidInputError
+from .errors import ConfigurationError, ExperimentError, InvalidInputError, line_error
 from .numerics import RngStream, derive_seed, mean_ci
 from .selection import PruneRecord, Strategy
 from .smoothing import NoiseGroup
@@ -169,11 +169,21 @@ def _round_count(x: float) -> int:
 
 
 def _clip_view(annotated: AnnotatedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(clip ids, label, original class, corrupted flag), one entry per clip."""
-    clips, first_row = np.unique(annotated.data.clip_ids, return_index=True)
-    clip_labels = annotated.data.labels[first_row]
-    clean = annotated.clean_labels[first_row]
-    flags = annotated.corrupted[first_row]
+    """(clip ids, label, original class, corrupted flag), one entry per clip.
+
+    Built on the clip table; raises if patches of one clip disagree on the truth.
+    """
+    clips, inverse, clip_labels = annotated.data.clip_table()
+    clean = np.empty(clips.size, dtype=np.int64)
+    clean[inverse] = annotated.clean_labels
+    flags = np.empty(clips.size, dtype=bool)
+    flags[inverse] = annotated.corrupted
+    disagree = (clean[inverse] != annotated.clean_labels) | (flags[inverse] != annotated.corrupted)
+    if disagree.any():
+        raise InvalidInputError(
+            f"patches of clip {annotated.data.clip_ids[disagree.argmax()]}"
+            " disagree on clean_label or corrupted"
+        )
     original = np.where(clean >= 0, clean, clip_labels)
     return clips, clip_labels, original, flags
 
@@ -261,12 +271,11 @@ def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedD
 def per_class_corruption_rates(annotated: AnnotatedDataset) -> np.ndarray:
     """Fraction of corrupted clips per original class (clip-level)."""
     _, _, original, flags = _clip_view(annotated)
-    rates = np.zeros(annotated.data.num_classes)
-    for cls in range(annotated.data.num_classes):
-        members = original == cls
-        if members.any():
-            rates[cls] = float(flags[members].mean())
-    return rates
+    num_classes = annotated.data.num_classes
+    # counts of whole clips are exact, so each rate is the mean of the flags
+    clips = np.bincount(original, minlength=num_classes)[:num_classes]
+    corrupted = np.bincount(original, weights=flags, minlength=num_classes)[:num_classes]
+    return np.divide(corrupted, clips, out=np.zeros(num_classes), where=clips > 0)
 
 
 def noise_group_map(annotated: AnnotatedDataset) -> dict[int, NoiseGroup]:
@@ -287,15 +296,15 @@ def prune_precision(
     report: list[PruneRecord], annotated: AnnotatedDataset
 ) -> float | None:
     """Fraction of removed clips that were actually corrupted; None if none removed."""
-    removed = {row.clip_id for row in report if row.removed}
-    if not removed:
+    removed = np.unique([row.clip_id for row in report if row.removed]).astype(np.int64)
+    if not removed.size:
         return None
     clips, _, _, flags = _clip_view(annotated)
-    flag_of_clip = {int(c): bool(f) for c, f in zip(clips, flags)}
-    missing = [c for c in removed if c not in flag_of_clip]
-    if missing:
-        raise InvalidInputError(f"removed clips not present in the dataset: {missing[:5]}")
-    return float(np.mean([flag_of_clip[c] for c in sorted(removed)]))
+    at = np.minimum(np.searchsorted(clips, removed), clips.size - 1)
+    missing = removed[clips[at] != removed]
+    if missing.size:
+        raise InvalidInputError(f"removed clips not present in the dataset: {missing[:5].tolist()}")
+    return float(flags[at].mean())
 
 
 # --- serialization ---------------------------------------------------------
@@ -380,7 +389,7 @@ def _bad_line(path, exc: Exception) -> InvalidInputError:
                 if line.strip():
                     width = _check_row(json.loads(line), width)
             except _ROW_ERRORS as err:
-                return InvalidInputError(f"{path}, line {number}: {_describe(err)}")
+                return line_error(path, number, err)
     return InvalidInputError(f"{path}: {exc}")
 
 
@@ -389,9 +398,9 @@ def _check_row(row, width: int | None) -> int:
     if not isinstance(row, dict):
         raise TypeError(f"a row must be a JSON object, got {json.dumps(row)[:40]}")
     for key in ("example_id", "clip_id", "label"):
-        int(row[key])
+        _int_column([row], key)
     if "clean_label" in row:
-        int(row["clean_label"])
+        _int_column([row], "clean_label")
     features = np.asarray(row["features"], dtype=np.float64)
     if features.ndim != 1:
         raise ValueError("features must be a flat list of numbers")
@@ -400,24 +409,25 @@ def _check_row(row, width: int | None) -> int:
     return features.size
 
 
-def _describe(err: Exception) -> str:
-    if isinstance(err, KeyError):
-        return f"missing field {err}"
-    if isinstance(err, json.JSONDecodeError):
-        return f"not valid JSON ({err.msg} at column {err.colno})"
-    return str(err)
+def _int_column(rows: list[dict], key: str) -> np.ndarray:
+    """One field of every row as int64; a float, string or boolean is rejected."""
+    values = [r[key] for r in rows]
+    if set(map(type, values)) != {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise TypeError(f"{key} must be an integer, got {json.dumps(bad)[:40]}")
+    return np.asarray(values, dtype=np.int64)
 
 
 def _dataset_from_rows(rows: list[dict]) -> Dataset:
-    labels = [int(r["label"]) for r in rows]
-    clean = [int(r["clean_label"]) for r in rows if "clean_label" in r]
-    num_classes = max(labels + [c for c in clean if c >= 0]) + 1
+    labels = _int_column(rows, "label")
+    truth_rows = [r for r in rows if "clean_label" in r]
+    clean = _int_column(truth_rows, "clean_label") if truth_rows else labels
     dataset = Dataset(
-        example_ids=np.asarray([int(r["example_id"]) for r in rows], dtype=np.int64),
-        clip_ids=np.asarray([int(r["clip_id"]) for r in rows], dtype=np.int64),
+        example_ids=_int_column(rows, "example_id"),
+        clip_ids=_int_column(rows, "clip_id"),
         features=np.asarray([r["features"] for r in rows], dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-        num_classes=max(num_classes, 2),
+        labels=labels,
+        num_classes=max(int(labels.max()) + 1, int(clean.max()) + 1, 2),
     )
     # Checked here rather than in Dataset, which re-validates on every subset.
     finite = np.isfinite(dataset.features).all(axis=1)
@@ -444,11 +454,13 @@ def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
     with _line_errors(path):
         layouts = {("clean_label" in r, "corrupted" in r) for r in rows}
         if layouts == {(True, True)}:
-            return AnnotatedDataset(
+            annotated = AnnotatedDataset(
                 _dataset_from_rows(rows),
-                np.asarray([int(r["clean_label"]) for r in rows], dtype=np.int64),
+                _int_column(rows, "clean_label"),
                 np.asarray([bool(r["corrupted"]) for r in rows], dtype=bool),
             )
+            _clip_view(annotated)  # rejects a clip whose patches disagree on the truth
+            return annotated
         if layouts != {(False, False)}:
             raise InvalidInputError(
                 f"{path} carries clean_label/corrupted on some rows only;"

@@ -91,19 +91,22 @@ def _check_pair(y, p) -> tuple[np.ndarray, np.ndarray]:
 def cce(y, p) -> float:
     """Categorical cross-entropy ``-sum_k y(k) log p(k)``."""
     y, p = _check_pair(y, p)
-    return float(-(y * np.log(np.maximum(p, PROB_FLOOR))).sum())
+    return float(_loss_values(LossSpec(LossKind.CCE), y[None, :], p[None, :])[0])
 
 
 def mae(y, p) -> float:
     """Mean absolute error ``sum_k |y(k) - p(k)|`` (equals ``2(1 - p_t)`` for one-hot y)."""
     y, p = _check_pair(y, p)
-    return float(np.abs(y - p).sum())
+    return float(_loss_values(LossSpec(LossKind.MAE), y[None, :], p[None, :])[0])
 
 
 def lq_loss(y, p, q: float) -> float:
-    """Power loss ``(1 - dot^q) / q`` with ``dot = sum_k y(k) p(k)``."""
-    if not 0.0 < q <= 1.0:
-        raise InvalidInputError(f"the lq loss requires an exponent q in (0, 1], got {q}")
+    """Power loss ``(1 - dot^q) / q`` with ``dot = y @ p``.
+
+    Not a wrapper like :func:`cce`: the batch row sum can differ from
+    ``y @ p`` by an ulp, and at ``q = 1`` this must equal ``1 - y @ p`` exactly.
+    """
+    LossSpec(LossKind.LQ, q)  # checks q
     y, p = _check_pair(y, p)
     dot = max(float(y @ p), PROB_FLOOR)
     return (1.0 - dot**q) / q
@@ -132,8 +135,8 @@ def batch_losses(spec: LossSpec, targets, predictions, ids) -> LossReport:
 def _loss_values(spec: LossSpec, targets: np.ndarray, predictions: np.ndarray) -> np.ndarray:
     """Per-row loss of float (N, K) targets and predictions, unchecked.
 
-    The one formula behind :func:`batch_losses`; the trainer calls it on
-    every minibatch and checks the values itself.
+    The one formula behind :func:`batch_losses`, :func:`cce` and :func:`mae`;
+    the trainer calls it on every minibatch and checks the values itself.
     """
     if spec.kind == LossKind.CCE:
         return -(targets * np.log(np.maximum(predictions, PROB_FLOOR))).sum(axis=1)

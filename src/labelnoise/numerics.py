@@ -82,8 +82,7 @@ def softmax(logits) -> np.ndarray:
         raise InvalidInputError("softmax expects a vector of at least 2 logits")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("softmax requires finite logits")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    return softmax_rows(z[None, :])[0]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

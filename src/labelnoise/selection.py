@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, InvalidInputError
-from .losses import LossReport
+from .errors import ConfigurationError, InvalidInputError, line_error
+from .losses import LossReport, _check_loss_values
 from .numerics import percentile
 
 
@@ -101,8 +101,7 @@ def threshold_from_rule(losses, rule: SelectionRule) -> float:
     values = np.asarray(losses, dtype=np.float64)
     if values.size == 0:
         raise InvalidInputError("cannot derive a threshold from an empty loss array")
-    if not np.all(np.isfinite(values)) or values.min() < 0:
-        raise InvalidInputError("losses must be finite and non-negative")
+    _check_loss_values(values)
     if rule.kind == SelectionKind.MAX_FRACTION:
         return float(rule.fraction * values.max())
     return percentile(values, rule.level)
@@ -212,18 +211,36 @@ def write_prune_report(path, rows: Sequence[PruneRecord]) -> None:
 
 
 def read_prune_report(path) -> list[PruneRecord]:
+    """Rows of a prune report; a malformed line raises ``InvalidInputError`` naming it."""
     rows = []
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(Path(path), "rb") as fh:
+        for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            rows.append(
-                PruneRecord(
-                    int(record["clip_id"]),
-                    float(record["clip_loss"]),
-                    int(record["rank"]),
-                    bool(record["removed"]),
-                )
-            )
+            try:
+                rows.append(_report_row(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise line_error(path, number, exc) from exc
     return rows
+
+
+# Each report field and the JSON types it may take (a bool is not an int here).
+_REPORT_FIELDS = (
+    ("clip_id", (int,)),
+    ("clip_loss", (int, float)),
+    ("rank", (int,)),
+    ("removed", (bool,)),
+)
+
+
+def _report_row(record) -> PruneRecord:
+    if not isinstance(record, dict):
+        raise TypeError(f"a row must be a JSON object, got {json.dumps(record)[:40]}")
+    for key, types in _REPORT_FIELDS:
+        if type(record[key]) not in types:
+            raise TypeError(f"{key} has the wrong type: {json.dumps(record[key])[:40]}")
+    if not -(2**63) <= record["clip_id"] < 2**63:
+        raise ValueError(f"clip_id {record['clip_id']} is outside the int64 range of clip ids")
+    return PruneRecord(
+        record["clip_id"], float(record["clip_loss"]), record["rank"], record["removed"]
+    )

@@ -76,11 +76,8 @@ def smooth_uniform(target_class: int, num_classes: int, epsilon: float) -> np.nd
         raise InvalidInputError(
             f"target class {target_class} outside [0, {num_classes})"
         )
-    if not 0.0 <= epsilon < 1.0:
-        raise InvalidInputError(f"epsilon must lie in [0, 1), got {epsilon}")
-    out = np.full(num_classes, epsilon / num_classes, dtype=np.float64)
-    out[target_class] = (1.0 - epsilon) + epsilon / num_classes
-    return out
+    # the policy checks epsilon
+    return targets_matrix([target_class], num_classes, SmoothingPolicy(epsilon))[0]
 
 
 def smooth_with_policy(
@@ -97,18 +94,17 @@ def targets_matrix(
 ) -> np.ndarray:
     """Stack per-example target rows: one-hot when ``policy`` is None.
 
-    The row for a given class is identical across examples, so rows are
-    built once per class and gathered.
+    Rows depend only on the class, so the K rows are built once from the
+    module's formula, each with its class's epsilon, and gathered.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise InvalidInputError("labels outside [0, num_classes)")
-    rows = np.empty((num_classes, num_classes), dtype=np.float64)
-    for cls in range(num_classes):
-        if policy is None:
-            row = np.zeros(num_classes, dtype=np.float64)
-            row[cls] = 1.0
-        else:
-            row = smooth_with_policy(cls, num_classes, policy)
-        rows[cls] = row
+    if policy is None:
+        epsilons = np.zeros(num_classes)
+    else:
+        epsilons = np.array([policy.effective_epsilon(c) for c in range(num_classes)])
+    spread = epsilons / num_classes
+    rows = np.repeat(spread[:, None], num_classes, axis=1)
+    np.fill_diagonal(rows, (1.0 - epsilons) + spread)
     return rows[labels]

@@ -87,9 +87,6 @@ class ModelParams:
         if not all(np.all(np.isfinite(w)) for w in self.weights):
             raise InvalidInputError("model weights must be finite")
 
-    def copy(self) -> "ModelParams":
-        return replace(self, weights=[w.copy() for w in self.weights])
-
 
 def _weight_shapes(
     architecture: Architecture, feature_dim: int, num_classes: int, hidden_units: int
@@ -430,7 +427,6 @@ def train(
     )
     adam = _Adam(flat_weights.size)
     lr = config.initial_lr
-    plateau_best = -math.inf
     plateau_counter = 0
     best_val = -math.inf
     # The best epoch's weights, as a flat copy; the initial weights are
@@ -529,14 +525,14 @@ def train(
                 kept_fraction=kept_count / total_count,
             )
         )
+        # plateau_step below moves best_val on the same strict improvement
         if val_acc > best_val:
-            best_val = val_acc
             np.copyto(best_weights, flat_weights)
             stall = 0
         else:
             stall += 1
-        lr, plateau_counter, plateau_best = plateau_step(
-            plateau_best, val_acc, plateau_counter, lr, config.lr_halving_patience
+        lr, plateau_counter, best_val = plateau_step(
+            best_val, val_acc, plateau_counter, lr, config.lr_halving_patience
         )
         if stall >= config.early_stop_patience:
             break
@@ -564,8 +560,8 @@ def _prune_now(
     losses_by_clip = dict(zip(clips.tolist(), means.tolist()))
     kept, removed = prune_dataset(current, losses_by_clip, config.stage.prune_count)
     rows = prune_report_rows(losses_by_clip, removed)
-    keep_mask = ~np.isin(current.clip_ids, np.asarray(removed, dtype=np.int64))
-    return kept, targets[keep_mask], rows
+    # a target row depends only on its label, so rebuilding equals gathering
+    return kept, targets_matrix(kept.labels, kept.num_classes, config.smoothing), rows
 
 
 def write_metrics(path, history: list[EpochRecord]) -> None:

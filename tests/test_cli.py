@@ -87,6 +87,37 @@ MALFORMED_ROWS = {
         lambda row: json.dumps({**row, "features": row["features"] + [0.0]}),
         "5 features where earlier rows have 4",
     ),
+    "float_label": (
+        lambda row: json.dumps({**row, "label": 1.7}), "label must be an integer, got 1.7"
+    ),
+    "string_label": (
+        lambda row: json.dumps({**row, "label": "1"}), 'label must be an integer, got "1"'
+    ),
+    "float_example_id": (
+        lambda row: json.dumps({**row, "example_id": 2.9}),
+        "example_id must be an integer, got 2.9",
+    ),
+}
+
+# How to break line 2 of a prune report, and what the error then says.
+MALFORMED_REPORT_LINES = {
+    "not_json": (lambda row: json.dumps(row)[:-2], "not valid JSON"),
+    "missing_removed": (
+        lambda row: json.dumps({k: v for k, v in row.items() if k != "removed"}),
+        "missing field 'removed'",
+    ),
+    "list_row": (lambda row: json.dumps(list(row.values())), "a row must be a JSON object"),
+    "string_removed": (
+        lambda row: json.dumps({**row, "removed": "false"}),
+        'removed has the wrong type: "false"',
+    ),
+    "float_clip_id": (
+        lambda row: json.dumps({**row, "clip_id": 1.5}), "clip_id has the wrong type: 1.5"
+    ),
+    "clip_id_past_int64": (
+        lambda row: json.dumps({**row, "clip_id": 2**63}),
+        f"clip_id {2**63} is outside the int64 range of clip ids",
+    ),
 }
 
 
@@ -550,6 +581,37 @@ class TestPruneReportCommand:
         write_prune_report(report, [PruneRecord(0, 1.0, 1, True)])
         code = run_cli("prune-report", "--report", str(report), "--dataset", str(public))
         assert code == 2
+
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPORT_LINES))
+    def test_malformed_report_exits_two_naming_its_line(self, tmp_path, capsys, case):
+        broken, message = MALFORMED_REPORT_LINES[case]
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        report = tmp_path / "report.jsonl"
+        write_prune_report(report, [PruneRecord(c, 1.0, c + 1, c < 2) for c in range(3)])
+        lines = report.read_text().splitlines()
+        lines[1] = broken(json.loads(lines[1]))
+        report.write_text("\n".join(lines) + "\n")
+        code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
+        assert code == 2
+        assert f"report.jsonl, line 2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_clip_with_disagreeing_patches_exits_two(self, tmp_path, capsys, reverse):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        rows = [json.loads(line) for line in data.read_text().splitlines()]
+        assert rows[0]["clip_id"] == rows[1]["clip_id"]
+        rows[0]["corrupted"] = True  # one patch of the clip flagged, the other not
+        if reverse:
+            rows.reverse()
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        report = tmp_path / "report.jsonl"
+        write_prune_report(report, [PruneRecord(rows[0]["clip_id"], 1.0, 1, True)])
+        code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
+        assert code == 2
+        assert "disagree on clean_label or corrupted" in capsys.readouterr().err
 
 
 class TestOutDirResolution:

@@ -369,6 +369,102 @@ class TestPrunePrecision:
             prune_precision(report, annotated)
 
 
+def first_row_reference(annotated, report):
+    """Corruption rates and prune precision read from each clip's first row."""
+    clips, first = np.unique(annotated.data.clip_ids, return_index=True)
+    clean = annotated.clean_labels[first]
+    flags = annotated.corrupted[first]
+    original = np.where(clean >= 0, clean, annotated.data.labels[first])
+    rates = np.zeros(annotated.data.num_classes)
+    for cls in range(annotated.data.num_classes):
+        members = original == cls
+        if members.any():
+            rates[cls] = float(flags[members].mean())
+    flag_of_clip = dict(zip(clips.tolist(), flags.tolist()))
+    removed = sorted({row.clip_id for row in report if row.removed})
+    precision = float(np.mean([flag_of_clip[c] for c in removed])) if removed else None
+    return rates, precision
+
+
+clip_view_cases = st.fixed_dictionaries(
+    dict(
+        num_classes=st.integers(2, 5),
+        clips_per_class=st.integers(1, 6),
+        patches_per_clip=st.integers(1, 3),
+        feature_dim=st.just(2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+)
+
+
+class TestClipView:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        case=clip_view_cases,
+        kind=st.sampled_from(list(NoiseKind)),
+        rate=st.floats(0.0, 1.0),
+    )
+    def test_rates_and_precision_equal_first_row_reference(self, data, case, kind, rate):
+        inject = inject_symmetric_noise if kind == NoiseKind.SYMMETRIC_IV else inject_oov_noise
+        noisy = shuffled_rows(inject(blobs(**case), NoiseSpec(kind, rate=rate, seed=3)), 1)
+        # sparse clip ids, so a position in the clip table is not the id
+        annotated = replace(noisy, data=replace(noisy.data, clip_ids=noisy.data.clip_ids * 7 + 2))
+        clips = np.unique(annotated.data.clip_ids).tolist()
+        removed = data.draw(st.sets(st.sampled_from(clips)))
+        report = [PruneRecord(c, 1.0, rank, c in removed) for rank, c in enumerate(clips, 1)]
+        rates, precision = first_row_reference(annotated, report)
+        assert per_class_corruption_rates(annotated).tobytes() == rates.tobytes()
+        assert prune_precision(report, annotated) == precision
+
+    @pytest.mark.parametrize("absent", [-5, 3, 10**6])
+    def test_removed_clip_absent_from_sparse_ids_rejected(self, absent):
+        annotated = blobs(num_classes=2, clips_per_class=2, patches_per_clip=2)
+        # clip ids 2, 9, 16, 23: the absent ids fall below, between and above them
+        annotated = replace(
+            annotated, data=replace(annotated.data, clip_ids=annotated.data.clip_ids * 7 + 2)
+        )
+        report = [PruneRecord(9, 1.0, 1, True), PruneRecord(absent, 1.0, 2, True)]
+        with pytest.raises(InvalidInputError, match=rf"not present in the dataset: \[{absent}\]"):
+            prune_precision(report, annotated)
+
+    def test_patches_disagreeing_in_memory_rejected(self):
+        annotated = blobs(num_classes=2, clips_per_class=2, patches_per_clip=2)
+        flags = annotated.corrupted.copy()
+        flags[0] = True  # rows 0 and 1 are the patches of clip 0
+        bad = AnnotatedDataset(annotated.data, annotated.clean_labels, flags)
+        with pytest.raises(InvalidInputError, match="patches of clip 0 disagree"):
+            per_class_corruption_rates(bad)
+        with pytest.raises(InvalidInputError, match="patches of clip 0 disagree"):
+            prune_precision([PruneRecord(0, 1.0, 1, True)], bad)
+
+
+def disagreeing_rows(path, field: str) -> list[dict]:
+    """Rows of a clean file whose two patches of clip 0 disagree on ``field``."""
+    write_annotated(path, blobs(num_classes=2, clips_per_class=2, patches_per_clip=2))
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert rows[0]["clip_id"] == rows[1]["clip_id"] == 0
+    rows[0]["corrupted"] = True
+    if field == "clean_label":
+        rows[1]["corrupted"] = True
+        rows[0]["clean_label"] = 1 - rows[0]["label"]
+    return rows
+
+
+class TestClipTruthAgreement:
+    @pytest.mark.parametrize("field", ["corrupted", "clean_label"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("reader", [read_annotated, read_as_annotated])
+    def test_file_rejected_in_either_row_order(self, tmp_path, field, reverse, reader):
+        path = tmp_path / "disagree.jsonl"
+        rows = disagreeing_rows(path, field)
+        if reverse:
+            rows.reverse()
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(InvalidInputError, match="patches of clip 0 disagree"):
+            reader(path)
+
+
 def malformed(row: dict, case: str) -> str:
     """One dataset row, broken the way ``case`` names."""
     if case == "not_json":
@@ -378,16 +474,36 @@ def malformed(row: dict, case: str) -> str:
         return json.dumps(row)
     if case == "list_row":
         return json.dumps(list(row))
+    if case in NON_INTEGER:
+        key, value = NON_INTEGER[case]
+        row[key] = value
+        return json.dumps(row)
     assert case == "ragged_features"
     row["features"] = row["features"][:-1]
     return json.dumps(row)
 
+
+# Integer fields given values that int() would truncate or coerce.
+NON_INTEGER = {
+    "float_label": ("label", 1.7),
+    "string_label": ("label", "1"),
+    "bool_label": ("label", True),
+    "float_example_id": ("example_id", 2.9),
+    "float_clip_id": ("clip_id", 1.5),
+    "string_clean_label": ("clean_label", "0"),
+}
 
 MALFORMED = {
     "not_json": "not valid JSON",
     "missing_label": "missing field 'label'",
     "list_row": "a row must be a JSON object",
     "ragged_features": "7 features where earlier rows have 8",
+    "float_label": "label must be an integer, got 1.7",
+    "string_label": 'label must be an integer, got "1"',
+    "bool_label": "label must be an integer, got true",
+    "float_example_id": "example_id must be an integer, got 2.9",
+    "float_clip_id": "clip_id must be an integer, got 1.5",
+    "string_clean_label": 'clean_label must be an integer, got "0"',
 }
 
 

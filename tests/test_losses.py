@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelnoise import (
     InvalidInputError,
@@ -18,6 +20,7 @@ from labelnoise import (
     mae,
     softmax,
 )
+from labelnoise.numerics import softmax_rows
 
 CCE_SOFT_REFERENCE = 1.0397207708399180  # 1.5 * ln 2, for the pair below
 LQ_HALF_Q07 = 0.5491825618964880         # (1 - 0.5^0.7) / 0.7
@@ -319,3 +322,37 @@ class TestMaeNoiseRobustness:
             clean_best = min(candidates, key=lambda p: mae(clean, p))
             np.testing.assert_array_equal(noisy_best, clean)
             np.testing.assert_array_equal(clean_best, clean)
+
+
+# Logit vectors wide enough to push some probabilities under PROB_FLOOR.
+logit_vectors = st.lists(
+    st.floats(-60.0, 60.0, allow_nan=False), min_size=2, max_size=10
+).map(np.asarray)
+
+
+@st.composite
+def target_and_logits(draw):
+    z = draw(logit_vectors)
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=z.size, max_size=z.size))
+    y = np.asarray(weights)
+    if y.sum() == 0.0:
+        y = one_hot(draw(st.integers(0, z.size - 1)), z.size)
+    return y / y.sum(), z
+
+
+class TestScalarFormsAreBatchRows:
+    """The scalar functions wrap the batch formulas, so they agree bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=logit_vectors)
+    def test_softmax_is_the_softmax_rows_row(self, z):
+        assert softmax(z).tobytes() == softmax_rows(z[None, :])[0].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=target_and_logits())
+    def test_cce_and_mae_are_the_batch_row(self, case):
+        y, z = case
+        p = softmax(z)
+        for spec, scalar in ((LossSpec(LossKind.CCE), cce), (LossSpec(LossKind.MAE), mae)):
+            row = batch_losses(spec, y[None, :], p[None, :], [0]).per_example[0]
+            assert scalar(y, p) == row

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelnoise import (
     ConfigurationError,
@@ -162,3 +164,47 @@ class TestTargetsMatrix:
     def test_out_of_range_label(self):
         with pytest.raises(InvalidInputError):
             targets_matrix([0, 3], 3)
+
+
+@st.composite
+def policies(draw, num_classes, missing=frozenset()):
+    """A valid policy: flat, or with a noise group for every class not in ``missing``."""
+    epsilon = draw(st.floats(0.0, 0.95))
+    # at most epsilon and at most half the room below 1, so both offsets stay valid
+    delta = draw(st.floats(0.0, 1.0)) * min(epsilon, (1.0 - epsilon) / 2)
+    if not missing and draw(st.booleans()):
+        return SmoothingPolicy(epsilon, delta)
+    groups = {
+        cls: draw(st.sampled_from(list(NoiseGroup)))
+        for cls in range(num_classes)
+        if cls not in missing
+    }
+    return SmoothingPolicy(epsilon, delta, groups)
+
+
+class TestTargetsMatrixProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), num_classes=st.integers(2, 9))
+    def test_rows_equal_the_per_class_policy_rows(self, data, num_classes):
+        policy = data.draw(policies(num_classes))
+        labels = data.draw(st.lists(st.integers(0, num_classes - 1), max_size=20))
+        m = targets_matrix(labels, num_classes, policy)
+        assert m.shape == (len(labels), num_classes)
+        for row, t in zip(m, labels):
+            assert row.tobytes() == smooth_with_policy(t, num_classes, policy).tobytes()
+        for t in range(num_classes):
+            row = targets_matrix([t], num_classes, policy)[0]
+            assert row.tobytes() == smooth_with_policy(t, num_classes, policy).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), num_classes=st.integers(2, 9))
+    def test_missing_group_names_the_first_missing_class(self, data, num_classes):
+        missing = data.draw(
+            st.sets(st.integers(0, num_classes - 1), min_size=1, max_size=num_classes)
+        )
+        policy = data.draw(policies(num_classes, frozenset(missing)))
+        message = f"class {min(missing)} is missing from the noise-group map"
+        with pytest.raises(ConfigurationError, match=message):
+            targets_matrix([0], num_classes, policy)
+        with pytest.raises(ConfigurationError, match=message):
+            smooth_with_policy(min(missing), num_classes, policy)

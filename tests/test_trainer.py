@@ -137,6 +137,42 @@ class TestStratifiedSplit:
             stratified_split(ds, 0.5, 0)
 
 
+class TestStratifiedSplitProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        clips_per_class=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+        patches=st.lists(st.integers(1, 4), min_size=28, max_size=28),
+        val_fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_partition(self, clips_per_class, patches, val_fraction, seed):
+        # class c owns clips_per_class[c] clips (class 0 may be left empty by
+        # starting at 1), clips have unequal patch counts, rows are shuffled
+        clip_labels = np.repeat(np.arange(1, len(clips_per_class) + 1), clips_per_class)
+        clip_ids = np.repeat(np.arange(clip_labels.size) * 3 + 1, patches[: clip_labels.size])
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(clip_ids.size)
+        ds = Dataset(
+            np.arange(clip_ids.size) * 2,
+            clip_ids[order],
+            rng.standard_normal((clip_ids.size, 2)),
+            np.repeat(clip_labels, patches[: clip_labels.size])[order],
+            len(clips_per_class) + 1,
+        )
+        train_split, val_split = stratified_split(ds, val_fraction, seed)
+        train_ids = set(train_split.example_ids.tolist())
+        val_ids = set(val_split.example_ids.tolist())
+        assert not train_ids & val_ids
+        assert train_ids | val_ids == set(ds.example_ids.tolist())
+        assert not set(train_split.clip_ids.tolist()) & set(val_split.clip_ids.tolist())
+        for split in (train_split, val_split):  # each split keeps the dataset's row order
+            in_split = np.isin(ds.example_ids, split.example_ids)
+            assert np.array_equal(split.example_ids, ds.example_ids[in_split])
+        for cls, n_clips in enumerate(clips_per_class, start=1):
+            val_clips = np.unique(val_split.clip_ids[val_split.labels == cls])
+            assert val_clips.size == math.ceil(val_fraction * n_clips)
+
+
 class TestPlateauStep:
     def test_improvement_resets(self):
         lr, counter, best = plateau_step(0.5, 0.6, 3, 0.01, 5)
