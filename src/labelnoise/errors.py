@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the JSON-lines loop that names a bad line."""
 
 import json
+from pathlib import Path
 
 
 class InvalidInputError(ValueError):
@@ -36,3 +37,23 @@ def line_error(path, number: int, err: Exception) -> InvalidInputError:
     else:
         reason = str(err)
     return InvalidInputError(f"{path}, line {number}: {reason}")
+
+
+def read_json_lines(path, parse_row) -> list:
+    """``parse_row`` of each non-blank line of the JSON-lines file ``path``, in order.
+
+    Lines are numbered from 1, blank ones included. A line that is not JSON,
+    or whose parsed value ``parse_row`` rejects with a ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``OverflowError`` (a JSON integer too
+    large for a float), raises :func:`line_error` naming it.
+    """
+    rows = []
+    with open(Path(path), "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(parse_row(json.loads(line)))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise line_error(path, number, exc) from exc
+    return rows

@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -41,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, ExperimentError, InvalidInputError, line_error
+from .errors import ConfigurationError, ExperimentError, InvalidInputError, read_json_lines
 from .numerics import RngStream, derive_seed, mean_ci
 from .selection import PruneRecord, Strategy
 from .smoothing import NoiseGroup
@@ -310,168 +309,125 @@ def prune_precision(
 # --- serialization ---------------------------------------------------------
 
 
-def _public_row(annotated_or_dataset, row: int) -> dict:
-    data = (
-        annotated_or_dataset.data
-        if isinstance(annotated_or_dataset, AnnotatedDataset)
-        else annotated_or_dataset
+def _write_rows(path, data: Dataset, **truth: np.ndarray) -> None:
+    """One JSON object per row, keys sorted: the public columns plus ``truth``."""
+    columns = dict(
+        example_id=data.example_ids,
+        clip_id=data.clip_ids,
+        features=data.features,
+        label=data.labels,
+        **truth,
     )
-    return {
-        "example_id": int(data.example_ids[row]),
-        "clip_id": int(data.clip_ids[row]),
-        "features": [float(v) for v in data.features[row]],
-        "label": int(data.labels[row]),
-    }
-
-
-def _private_rows(annotated: AnnotatedDataset):
-    for row in range(annotated.data.n_examples):
-        record = _public_row(annotated, row)
-        record["clean_label"] = int(annotated.clean_labels[row])
-        record["corrupted"] = bool(annotated.corrupted[row])
-        yield record
+    with open(Path(path), "w", encoding="utf-8") as fh:
+        for values in zip(*(column.tolist() for column in columns.values())):
+            fh.write(json.dumps(dict(zip(columns, values)), sort_keys=True) + "\n")
 
 
 def write_dataset(path, dataset: Dataset) -> None:
     """Public dataset file: no ground-truth fields."""
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for row in range(dataset.n_examples):
-            fh.write(json.dumps(_public_row(dataset, row), sort_keys=True) + "\n")
+    _write_rows(path, dataset)
 
 
 def write_annotated(path, annotated: AnnotatedDataset) -> None:
     """Harness-private dataset file including clean labels and flags."""
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for record in _private_rows(annotated):
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _write_rows(
+        path, annotated.data, clean_label=annotated.clean_labels, corrupted=annotated.corrupted
+    )
 
 
-# What reading a malformed row raises: bad JSON or text (ValueError), a
-# missing field (KeyError), a row that is not an object or a value of the
-# wrong type (TypeError), ragged features (ValueError), a huge number.
-_ROW_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+# How an error names each JSON type a field must have. Types are compared
+# exactly, so a boolean is not an integer and an integer is not a boolean.
+_FIELD_TYPES = {int: "an integer", bool: "true or false"}
+_NUMBERS = frozenset((int, float))
 
 
-def _read_rows(path) -> list[dict]:
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        try:
-            rows = [json.loads(line) for line in fh if line.strip()]
-        except ValueError as exc:
-            raise _bad_line(path, exc) from exc
+def _field(record: dict, key: str, kind: type):
+    """``record[key]``, which must be a JSON value of type ``kind``; integers fit int64."""
+    value = record[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {_FIELD_TYPES[kind]}, got {json.dumps(value)[:40]}")
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{key} {value} is outside the int64 range")
+    return value
+
+
+class _RowSchema:
+    """Checks one parsed dataset row; the file's first row sets the width and layout.
+
+    Called on each row in file order. ``example_id``, ``clip_id``, ``label``
+    and ``clean_label`` are integers, ``corrupted`` is a boolean, and
+    ``features`` is a flat list of numbers as long as the first row's. The
+    ground-truth pair is on every row or on none; a row without it reads
+    as clean. Returns ``(example_id, clip_id, label, features, clean_label,
+    corrupted)``.
+    """
+
+    def __init__(self):
+        self.width: int | None = None
+        self.annotated: bool | None = None
+
+    def __call__(self, record) -> tuple:
+        if type(record) is not dict:
+            raise TypeError(f"a row must be a JSON object, got {json.dumps(record)[:40]}")
+        if self.annotated is None:
+            self.annotated = "clean_label" in record
+        if ("clean_label" in record, "corrupted" in record) != (self.annotated, self.annotated):
+            raise ValueError(
+                "clean_label/corrupted on some rows only;"
+                " a dataset file annotates every row or none"
+            )
+        example_id = _field(record, "example_id", int)
+        clip_id = _field(record, "clip_id", int)
+        label = _field(record, "label", int)
+        features = record["features"]
+        if type(features) is not list or not _NUMBERS.issuperset(map(type, features)):
+            raise TypeError("features must be a flat list of numbers")
+        if self.width is None:
+            self.width = len(features)
+        if len(features) != self.width:
+            raise ValueError(f"{len(features)} features where earlier rows have {self.width}")
+        features = np.array(features, dtype=np.float64)  # OverflowError past the float range
+        if not self.annotated:
+            return example_id, clip_id, label, features, label, False
+        clean_label = _field(record, "clean_label", int)
+        return example_id, clip_id, label, features, clean_label, _field(record, "corrupted", bool)
+
+
+def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
+    """The one dataset reader: each line is checked by :class:`_RowSchema` as it is read.
+
+    A file without ground-truth fields reads as clean unless ``require_truth``.
+    """
+    schema = _RowSchema()
+    rows = read_json_lines(path, schema)
     if not rows:
         raise InvalidInputError(f"dataset file {path} is empty")
-    return rows
-
-
-@contextmanager
-def _line_errors(path):
-    """Report a row that the column conversion inside rejects by its line."""
-    try:
-        yield
-    except InvalidInputError:
-        raise
-    except _ROW_ERRORS as exc:
-        raise _bad_line(path, exc) from exc
-
-
-def _bad_line(path, exc: Exception) -> InvalidInputError:
-    """An error naming the first line of ``path`` that is not a dataset row.
-
-    Reading converts whole columns at once, so a failure does not say which
-    row caused it; this re-reads the file one line at a time to find out,
-    on the error path only.
-    """
-    width = None
-    with open(Path(path), "rb") as fh:
-        for number, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if line.strip():
-                    width = _check_row(json.loads(line), width)
-            except _ROW_ERRORS as err:
-                return line_error(path, number, err)
-    return InvalidInputError(f"{path}: {exc}")
-
-
-def _check_row(row, width: int | None) -> int:
-    """The feature count of one parsed row, once its fields convert like a column."""
-    if not isinstance(row, dict):
-        raise TypeError(f"a row must be a JSON object, got {json.dumps(row)[:40]}")
-    for key in ("example_id", "clip_id", "label"):
-        _int_column([row], key)
-    if "clean_label" in row:
-        _int_column([row], "clean_label")
-    features = np.asarray(row["features"], dtype=np.float64)
-    if features.ndim != 1:
-        raise ValueError("features must be a flat list of numbers")
-    if width is not None and features.size != width:
-        raise ValueError(f"{features.size} features where earlier rows have {width}")
-    return features.size
-
-
-def _int_column(rows: list[dict], key: str) -> np.ndarray:
-    """One field of every row as int64; a float, string or boolean is rejected."""
-    values = [r[key] for r in rows]
-    if set(map(type, values)) != {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise TypeError(f"{key} must be an integer, got {json.dumps(bad)[:40]}")
-    return np.asarray(values, dtype=np.int64)
-
-
-def _dataset_from_rows(rows: list[dict]) -> Dataset:
-    labels = _int_column(rows, "label")
-    truth_rows = [r for r in rows if "clean_label" in r]
-    clean = _int_column(truth_rows, "clean_label") if truth_rows else labels
-    dataset = Dataset(
-        example_ids=_int_column(rows, "example_id"),
-        clip_ids=_int_column(rows, "clip_id"),
-        features=np.asarray([r["features"] for r in rows], dtype=np.float64),
+    if require_truth and not schema.annotated:
+        raise InvalidInputError(
+            f"{path} is not a harness-private file: clean_label/corrupted missing"
+        )
+    example_ids, clip_ids, labels, features, clean, flags = zip(*rows)
+    data = Dataset(
+        example_ids=example_ids,
+        clip_ids=clip_ids,
+        features=features,
         labels=labels,
-        num_classes=max(int(labels.max()) + 1, int(clean.max()) + 1, 2),
+        num_classes=max(max(labels) + 1, max(clean) + 1, 2),
     )
     # Checked here rather than in Dataset, which re-validates on every subset.
-    finite = np.isfinite(dataset.features).all(axis=1)
+    finite = np.isfinite(data.features).all(axis=1)
     if not finite.all():
-        bad = int(dataset.example_ids[np.argmin(finite)])
+        bad = int(data.example_ids[np.argmin(finite)])
         raise InvalidInputError(f"example {bad} has a non-finite feature value")
-    return dataset
+    annotated = AnnotatedDataset(data, clean, flags)
+    if schema.annotated:
+        _clip_view(annotated)  # rejects a clip whose patches disagree on the truth
+    return annotated
 
 
 def read_dataset(path) -> Dataset:
     """Read any dataset file as the public view (ground truth dropped)."""
-    rows = _read_rows(path)
-    with _line_errors(path):
-        return _dataset_from_rows(rows)
-
-
-def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
-    """The one reader behind :func:`read_annotated` and :func:`read_as_annotated`.
-
-    Every row must carry both ``clean_label`` and ``corrupted``, or none
-    may. A file without them reads as clean unless ``require_truth``.
-    """
-    rows = _read_rows(path)
-    with _line_errors(path):
-        layouts = {("clean_label" in r, "corrupted" in r) for r in rows}
-        if layouts == {(True, True)}:
-            annotated = AnnotatedDataset(
-                _dataset_from_rows(rows),
-                _int_column(rows, "clean_label"),
-                np.asarray([bool(r["corrupted"]) for r in rows], dtype=bool),
-            )
-            _clip_view(annotated)  # rejects a clip whose patches disagree on the truth
-            return annotated
-        if layouts != {(False, False)}:
-            raise InvalidInputError(
-                f"{path} carries clean_label/corrupted on some rows only;"
-                " a dataset file annotates every row or none"
-            )
-        if require_truth:
-            raise InvalidInputError(
-                f"{path} is not a harness-private file: clean_label/corrupted missing"
-            )
-        data = _dataset_from_rows(rows)
-    return AnnotatedDataset(data, data.labels.copy(), np.zeros(data.n_examples, dtype=bool))
+    return _read_annotated(path, require_truth=False).data
 
 
 def read_as_annotated(path) -> AnnotatedDataset:
@@ -639,6 +595,19 @@ def _single_run(cfg: ExperimentConfig, run_index: int) -> RunResult:
     )
 
 
+def _check_class_map(name: str, by_class: Mapping[int, object] | None, num_classes: int) -> None:
+    """Reject a per-class map whose keys are not exactly ``0 .. num_classes - 1``."""
+    if by_class is None:
+        return
+    missing = sorted(set(range(num_classes)) - set(by_class))
+    unknown = sorted(set(by_class) - set(range(num_classes)))
+    if missing or unknown:
+        raise ConfigurationError(
+            f"{name} must key exactly the classes 0..{num_classes - 1};"
+            f" missing {missing}, unknown {unknown}"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute ``cfg.runs`` paired pipelines and aggregate their accuracies.
 
@@ -646,13 +615,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     two methods run with the same base seed see identical noisy datasets
     run for run.
 
-    A prune plan that cannot fit the train split is rejected with
-    ``InvalidInputError`` before run 0. The split size checked is that of
-    the noise-free dataset, ``num_classes * (clips_per_class -
+    Two config errors are rejected before run 0. A per-class map
+    (``rate_by_class``, or a smoothing group map that is not derived
+    automatically) that does not key exactly the classes raises
+    ``ConfigurationError``. A prune plan that cannot fit the train split
+    raises ``InvalidInputError``. The split size checked is that of the
+    noise-free dataset, ``num_classes * (clips_per_class -
     ceil(val_fraction * clips_per_class))``; label noise moves clips between
     classes, so a run's own split may differ and ``train`` checks it again.
     """
     dp = cfg.dataset
+    if cfg.noise is not None:
+        _check_class_map("noise.rate_by_class", cfg.noise.rate_by_class, dp.num_classes)
+    if cfg.train.smoothing is not None and not cfg.auto_noise_groups:
+        groups = cfg.train.smoothing.group_of_class
+        _check_class_map("train.smoothing.groups", groups, dp.num_classes)
     val_clips = math.ceil(cfg.train.val_fraction * dp.clips_per_class)
     check_prune_plan(
         cfg.train.stage,

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, InvalidInputError, line_error
+from .errors import ConfigurationError, InvalidInputError, read_json_lines
 from .losses import LossReport, _check_loss_values
 from .numerics import percentile
 
@@ -212,16 +212,7 @@ def write_prune_report(path, rows: Sequence[PruneRecord]) -> None:
 
 def read_prune_report(path) -> list[PruneRecord]:
     """Rows of a prune report; a malformed line raises ``InvalidInputError`` naming it."""
-    rows = []
-    with open(Path(path), "rb") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(_report_row(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise line_error(path, number, exc) from exc
-    return rows
+    return read_json_lines(path, _report_row)
 
 
 # Each report field and the JSON types it may take (a bool is not an int here).

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidInputError, TrainingError
+from .errors import InvalidInputError, TrainingError, read_json_lines
 from .losses import (
     LossReport,
     LossSpec,
@@ -584,22 +584,18 @@ def write_metrics(path, history: list[EpochRecord]) -> None:
 
 
 def read_metrics(path) -> list[EpochRecord]:
-    history = []
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            history.append(
-                EpochRecord(
-                    epoch=int(record["epoch"]),
-                    train_loss=float(record["train_loss"]),
-                    val_accuracy=float(record["val_accuracy"]),
-                    lr=float(record["lr"]),
-                    kept_fraction=float(record["kept_fraction"]),
-                )
-            )
-    return history
+    """Epoch records of a metrics file; a malformed line raises ``InvalidInputError`` naming it."""
+    return read_json_lines(path, _epoch_record)
+
+
+def _epoch_record(record) -> EpochRecord:
+    return EpochRecord(
+        epoch=int(record["epoch"]),
+        train_loss=float(record["train_loss"]),
+        val_accuracy=float(record["val_accuracy"]),
+        lr=float(record["lr"]),
+        kept_fraction=float(record["kept_fraction"]),
+    )
 
 
 def save_model(path, params: ModelParams) -> None:

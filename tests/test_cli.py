@@ -97,6 +97,18 @@ MALFORMED_ROWS = {
         lambda row: json.dumps({**row, "example_id": 2.9}),
         "example_id must be an integer, got 2.9",
     ),
+    "string_corrupted": (
+        lambda row: json.dumps({**row, "corrupted": "no"}),
+        'corrupted must be true or false, got "no"',
+    ),
+    "string_feature": (
+        lambda row: json.dumps({**row, "features": ["2.5", *row["features"][1:]]}),
+        "features must be a flat list of numbers",
+    ),
+    "huge_int_feature": (
+        lambda row: json.dumps({**row, "features": [10**400, *row["features"][1:]]}),
+        "int too large to convert to float",
+    ),
 }
 
 # How to break line 2 of a prune report, and what the error then says.
@@ -117,6 +129,10 @@ MALFORMED_REPORT_LINES = {
     "clip_id_past_int64": (
         lambda row: json.dumps({**row, "clip_id": 2**63}),
         f"clip_id {2**63} is outside the int64 range of clip ids",
+    ),
+    "loss_past_float": (
+        lambda row: json.dumps({**row, "clip_loss": 10**400}),
+        "int too large to convert to float",
     ),
 }
 
@@ -481,6 +497,52 @@ class TestExperimentCommand:
         )
         assert code == 2
         assert "would remove 12 of the 8" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            (
+                "noise",
+                {"kind": "symmetric", "rate": 0.4, "rate_by_class": {"0": 0.2}},
+                "noise.rate_by_class must key exactly the classes 0..1; missing [1], unknown []",
+            ),
+            (
+                "noise",
+                {"kind": "symmetric", "rate_by_class": {"0": 0.2, "1": 0.2, "7": 0.5}},
+                "noise.rate_by_class must key exactly the classes 0..1; missing [], unknown [7]",
+            ),
+            (
+                "smoothing",
+                {"epsilon": 0.2, "delta_epsilon": 0.1, "groups": {"1": "low"}},
+                "train.smoothing.groups must key exactly the classes 0..1;"
+                " missing [0], unknown []",
+            ),
+            (
+                "smoothing",
+                {"epsilon": 0.2, "groups": {"0": "low", "1": "high", "7": "low"}},
+                "train.smoothing.groups must key exactly the classes 0..1;"
+                " missing [], unknown [7]",
+            ),
+        ],
+        ids=["rates_missing", "rates_unknown", "groups_missing", "groups_unknown"],
+    )
+    def test_class_map_off_the_classes_exits_two_before_run_zero(
+        self, tmp_path, capsys, monkeypatch, section, value, message
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before the class maps were checked")
+
+        monkeypatch.setattr("labelnoise.harness._single_run", no_runs)
+        if section == "smoothing":
+            train = {"loss": {"kind": "cce"}, "max_epochs": 4, "smoothing": value}
+            config = experiment_config(tmp_path, train=train)
+        else:
+            config = experiment_config(tmp_path, noise=value)
+        out_dir = tmp_path / "exp"
+        code = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_failure_inside_a_run_exits_one(self, tmp_path, capsys):

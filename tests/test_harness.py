@@ -478,6 +478,12 @@ def malformed(row: dict, case: str) -> str:
         key, value = NON_INTEGER[case]
         row[key] = value
         return json.dumps(row)
+    if case == "string_corrupted":
+        row["corrupted"] = "no"
+        return json.dumps(row)
+    if case in BAD_FEATURE:
+        row["features"][1] = BAD_FEATURE[case]
+        return json.dumps(row)
     assert case == "ragged_features"
     row["features"] = row["features"][:-1]
     return json.dumps(row)
@@ -493,6 +499,13 @@ NON_INTEGER = {
     "string_clean_label": ("clean_label", "0"),
 }
 
+# Feature values that float() would coerce, or that no float can hold.
+BAD_FEATURE = {
+    "string_feature": "2.5",
+    "bool_feature": True,
+    "huge_int_feature": 10**400,
+}
+
 MALFORMED = {
     "not_json": "not valid JSON",
     "missing_label": "missing field 'label'",
@@ -504,6 +517,10 @@ MALFORMED = {
     "float_example_id": "example_id must be an integer, got 2.9",
     "float_clip_id": "clip_id must be an integer, got 1.5",
     "string_clean_label": 'clean_label must be an integer, got "0"',
+    "string_corrupted": 'corrupted must be true or false, got "no"',
+    "string_feature": "features must be a flat list of numbers",
+    "bool_feature": "features must be a flat list of numbers",
+    "huge_int_feature": "int too large to convert to float",
 }
 
 
@@ -800,6 +817,21 @@ class TestExperiments:
         )
         result = run_experiment(cfg)
         assert len(result.runs) == 2
+
+    def test_auto_noise_groups_replace_a_partial_map(self):
+        # the derived map replaces the given one in every run, so the up-front
+        # check of class maps leaves it alone
+        smoothing = SmoothingPolicy(
+            epsilon=0.15, delta_epsilon=0.05, group_of_class={0: NoiseGroup.LOW_NOISE}
+        )
+        cfg = tiny_experiment(
+            noise=NoiseSpec(NoiseKind.SYMMETRIC_IV, rate=0.4),
+            train=replace(tiny_experiment().train, smoothing=smoothing),
+            auto_noise_groups=True,
+        )
+        assert len(run_experiment(cfg).runs) == 2
+        with pytest.raises(ConfigurationError, match=r"missing \[1\], unknown \[\]"):
+            run_experiment(replace(cfg, auto_noise_groups=False))
 
     def test_failures_carry_the_run_index(self):
         # one clip per class cannot be split, so run 0 fails immediately

@@ -1,6 +1,7 @@
 """Tests for the loss functions and their gradients."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -192,15 +193,21 @@ class TestLossReport:
             LossReport(np.array([0.5, np.nan]), np.arange(2))
 
 
-def finite_difference(spec, y, z, h=1e-6):
+def finite_difference(spec, y, z, h=1e-4):
+    """The fourth-order five-point stencil at h=1e-4.
+
+    Central differences at h=1e-6 carry about 1e-10 of rounding noise, which
+    is above the 1e-5 relative bar for gradients near 1e-6. Here rounding
+    costs about 18 ulp / 12h, near 2e-12, and truncation O(h^4) less still.
+    """
     grad = np.empty_like(z)
     for i in range(z.size):
-        up, dn = z.copy(), z.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (
-            scalar_loss(spec, y, softmax(up)) - scalar_loss(spec, y, softmax(dn))
-        ) / (2 * h)
+        def loss_at(step):
+            moved = z.copy()
+            moved[i] += step * h
+            return scalar_loss(spec, y, softmax(moved))
+
+        grad[i] = (loss_at(-2) - 8 * loss_at(-1) + 8 * loss_at(1) - loss_at(2)) / (12 * h)
     return grad
 
 
@@ -235,7 +242,9 @@ class TestGradients:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     @pytest.mark.parametrize("one_hot_target", [True, False], ids=["onehot", "soft"])
     def test_matches_central_differences(self, spec, one_hot_target):
-        rng = np.random.default_rng(hash((spec.kind.value, spec.q, one_hot_target)) % 2**32)
+        # crc32 rather than hash(): string hashes change with PYTHONHASHSEED
+        case = f"{spec.kind.value} {spec.q} {one_hot_target}"
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
         checked = 0
         while checked < 100:
             y, z = random_case(rng, one_hot_target)

@@ -852,6 +852,27 @@ class TestArtifacts:
         write_metrics(path, history)
         assert read_metrics(path) == history
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"epoch": 2, "lr": 0.01', "not valid JSON"),
+            ('{"epoch": 2, "lr": 0.01}', "missing field 'train_loss'"),
+            (
+                '{"epoch": 2, "kept_fraction": 1.5, "lr": 0.01, "train_loss": 0.5,'
+                ' "val_accuracy": 0.5}',
+                "kept_fraction must lie in (0, 1]",
+            ),
+        ],
+        ids=["not_json", "missing_field", "out_of_range"],
+    )
+    def test_malformed_metrics_line_named(self, tmp_path, line, message):
+        path = tmp_path / "metrics.jsonl"
+        write_metrics(path, [EpochRecord(0, 1.25, 0.5, 0.01, 1.0)])
+        path.write_text(path.read_text() + "\n" + line + "\n")  # blank lines count
+        with pytest.raises(InvalidInputError, match=r"metrics\.jsonl, line 3: ") as excinfo:
+            read_metrics(path)
+        assert message in str(excinfo.value)
+
     def test_model_round_trip(self, tmp_path):
         params = init_params(Architecture.ONE_HIDDEN, 3, 4, 5, RngStream(2))
         path = tmp_path / "model.json"
