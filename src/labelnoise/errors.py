@@ -1,7 +1,9 @@
-"""Exception types shared across the toolkit, and the JSON-lines loop that names a bad line."""
+"""Exception types shared across the toolkit, the JSON-lines loop that names a bad line, and
+the input checks that more than one module applies."""
 
 import json
 from pathlib import Path
+from typing import Mapping
 
 
 class InvalidInputError(ValueError):
@@ -26,6 +28,33 @@ class ExperimentError(RuntimeError):
     def __init__(self, message: str, run_index: int):
         super().__init__(f"run {run_index}: {message}")
         self.run_index = run_index
+
+
+def check_class_map(name: str, by_class: Mapping[int, object] | None, num_classes: int) -> None:
+    """Reject a per-class map whose keys are not exactly ``0 .. num_classes - 1``."""
+    if by_class is None:
+        return
+    missing = sorted(set(range(num_classes)) - set(by_class))
+    unknown = sorted(set(by_class) - set(range(num_classes)))
+    if missing or unknown:
+        raise ConfigurationError(
+            f"{name} must key exactly the classes 0..{num_classes - 1};"
+            f" missing {missing}, unknown {unknown}"
+        )
+
+
+def check_row_types(record, fields) -> None:
+    """Raise ``TypeError`` unless ``record`` is a JSON object whose fields have their JSON types.
+
+    ``fields`` pairs each key with the types its parsed value may have. The
+    type is compared exactly, so a JSON boolean is not a number here. A
+    missing key raises ``KeyError``.
+    """
+    if not isinstance(record, dict):
+        raise TypeError(f"a row must be a JSON object, got {json.dumps(record)[:40]}")
+    for key, types in fields:
+        if type(record[key]) not in types:
+            raise TypeError(f"{key} has the wrong type: {json.dumps(record[key])[:40]}")
 
 
 def line_error(path, number: int, err: Exception) -> InvalidInputError:

@@ -40,7 +40,13 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, ExperimentError, InvalidInputError, read_json_lines
+from .errors import (
+    ConfigurationError,
+    ExperimentError,
+    InvalidInputError,
+    check_class_map,
+    read_json_lines,
+)
 from .numerics import RngStream, derive_seed, mean_ci
 from .selection import PruneRecord, Strategy
 from .smoothing import NoiseGroup
@@ -201,11 +207,7 @@ def _select_clips(
         order = gen.permutation(clips.size)
         return np.sort(clips[order[:count]])
     num_classes = annotated.data.num_classes
-    missing = [c for c in range(num_classes) if c not in spec.rate_by_class]
-    if missing:
-        raise ConfigurationError(
-            f"rate_by_class must cover every class; missing {missing}"
-        )
+    check_class_map("noise.rate_by_class", spec.rate_by_class, num_classes)
     selected: list[int] = []
     for cls in range(num_classes):
         class_clips = clips[original == cls]
@@ -595,19 +597,6 @@ def _single_run(cfg: ExperimentConfig, run_index: int) -> RunResult:
     )
 
 
-def _check_class_map(name: str, by_class: Mapping[int, object] | None, num_classes: int) -> None:
-    """Reject a per-class map whose keys are not exactly ``0 .. num_classes - 1``."""
-    if by_class is None:
-        return
-    missing = sorted(set(range(num_classes)) - set(by_class))
-    unknown = sorted(set(by_class) - set(range(num_classes)))
-    if missing or unknown:
-        raise ConfigurationError(
-            f"{name} must key exactly the classes 0..{num_classes - 1};"
-            f" missing {missing}, unknown {unknown}"
-        )
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute ``cfg.runs`` paired pipelines and aggregate their accuracies.
 
@@ -626,10 +615,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     dp = cfg.dataset
     if cfg.noise is not None:
-        _check_class_map("noise.rate_by_class", cfg.noise.rate_by_class, dp.num_classes)
+        check_class_map("noise.rate_by_class", cfg.noise.rate_by_class, dp.num_classes)
     if cfg.train.smoothing is not None and not cfg.auto_noise_groups:
         groups = cfg.train.smoothing.group_of_class
-        _check_class_map("train.smoothing.groups", groups, dp.num_classes)
+        check_class_map("train.smoothing.groups", groups, dp.num_classes)
     val_clips = math.ceil(cfg.train.val_fraction * dp.clips_per_class)
     check_prune_plan(
         cfg.train.stage,

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import InvalidInputError
 
@@ -146,7 +145,8 @@ def mean_ci(values, level: float = 0.95) -> tuple[float, float]:
     """Arithmetic mean and Student-t confidence half-width of a sample.
 
     ``half_width = t_{(1+level)/2, N-1} * s / sqrt(N)`` with the sample
-    standard deviation ``s``; zero when ``N = 1`` or ``s = 0``.
+    standard deviation ``s``; zero when ``N = 1`` or ``s = 0``. The t quantile
+    comes from :func:`_t_quantile`.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -159,5 +159,126 @@ def mean_ci(values, level: float = 0.95) -> tuple[float, float]:
     s = float(v.std(ddof=1))
     if s == 0.0:
         return mean, 0.0
-    t = float(stats.t.ppf(0.5 * (1.0 + level), df=v.size - 1))
+    t = _t_quantile(0.5 * (1.0 + level), v.size - 1)
     return mean, t * s / math.sqrt(v.size)
+
+
+# The Student-t quantile for mean_ci's integer degrees of freedom.
+#
+# With x = df / (df + t^2) = cos^2(theta), theta = atan(t / sqrt(df)) and
+# s = sin(theta), c = cos(theta), A(t|df) = P(|T| <= t) is a finite sum
+# (Abramowitz & Stegun 26.7.3 and 26.7.4), for even df = 2m and odd df = 2m + 1:
+#
+#   even: A = s * sum_{k<m} a_k x^k,                      a_k = (2k-1)!! / (2k)!!
+#   odd:  A = (2/pi) * (theta + s c * sum_{k<m} b_k x^k), b_k = (2k)!! / (2k+1)!!
+#
+# Where A is near 1, 1 - A taken from these sums would lose most of its
+# digits, so there the tail is evaluated directly as the part the sums leave
+# out, sum_{k>=m}. That remainder is the incomplete beta function
+# I_x(df/2, 1/2) (A&S 26.7.1), summed by its continued fraction (A&S 26.5.8),
+# which converges quickly exactly where the tail is the smaller side.
+# Powers of x are taken as exp(k * ln x) with ln x from y = t^2 / (df + t^2),
+# not from a rounded x, whose error k-fold powers would multiply.
+
+_EPS = 2.0**-52
+_TINY = 1e-300
+
+
+def _t_quantile(p: float, df: int) -> float:
+    """The ``p`` quantile of Student's t with ``df >= 1`` degrees of freedom, ``p`` in [0.5, 1).
+
+    df 1 and 2 have closed forms. Otherwise Newton's method solves
+    A(t) = 2p - 1 from t = 0, kept inside the bracket [0, the df 2 quantile]
+    (heavier tails put every quantile above 1/2 further out) and bisecting
+    whenever a step would leave it.
+    """
+    q = 1.0 - p  # exact for p >= 1/2
+    if q == 0.5:
+        return 0.0
+    if df == 1:
+        # tan near its pole loses digits to the rounding of its argument
+        return math.tan(math.pi * (p - 0.5)) if q > 0.25 else 1.0 / math.tan(math.pi * q)
+    hi = (2.0 * p - 1.0) / math.sqrt(2.0 * p * q)
+    if df == 2:
+        return hi
+    coefs = _t_sum_coefficients(df)
+    lo = t = 0.0
+    for _ in range(200):
+        excess, slope = _t_excess(t, df, p, coefs)
+        if excess < 0.0:
+            lo = t
+        else:
+            hi = t
+        new = t - excess / slope if slope > 0.0 else hi
+        if abs(new - t) <= 4.0 * _EPS * new:
+            return new
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if hi - lo <= 4.0 * _EPS * new:
+                return new
+        t = new
+    raise ArithmeticError(f"t quantile did not converge at p={p}, df={df}")
+
+
+def _t_sum_coefficients(df: int) -> np.ndarray:
+    """The A&S sum coefficients c_0 .. c_m: a_k for even ``df``, b_k for odd."""
+    k = np.arange(1, (df - 1) // 2 + 1 if df % 2 else df // 2 + 1)
+    ratios = (2 * k) / (2 * k + 1) if df % 2 else (2 * k - 1) / (2 * k)
+    return np.cumprod(np.concatenate(([1.0], ratios)))
+
+
+def _t_excess(t: float, df: int, p: float, coefs: np.ndarray) -> tuple[float, float]:
+    """``A(t) - (2p - 1)`` and dA/dt at ``t``.
+
+    Below the switch to the tail the difference is taken from A; above it,
+    as ``2(1 - p) - (1 - A)`` with the tail ``1 - A`` evaluated directly.
+    """
+    r2 = df + t * t
+    x = df / r2
+    y = t * t / r2
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    s = math.sqrt(y)
+    m = coefs.size - 1
+    odd = df % 2
+    # the density is norm * x^((df+1)/2), and 1/(a B(a, 1/2)) with a = df/2 is
+    # a_m for even df and (2/pi) b_m for odd df
+    c_m = float(coefs[m])
+    norm = c_m * math.sqrt(df) / math.pi if odd else c_m * math.sqrt(m / 2.0)
+    slope = 2.0 * norm * math.exp(0.5 * (df + 1) * log_x)
+    # the fraction converges where x < (a + 1) / (a + 5/2), a = df/2, that is
+    # t^2 (df + 2) > 3 df; it is taken only well inside, where it converges fast
+    if t * t * (df + 2) > 6.0 * df:
+        beta = 2.0 / math.pi * c_m if odd else c_m
+        tail = beta * math.exp(0.5 * df * log_x) * s * _beta_fraction(0.5 * df, x, y)
+        return 2.0 * (1.0 - p) - tail, slope
+    head = float((coefs[:m] * np.exp(np.arange(m) * log_x)).sum())
+    if odd:
+        A = 2.0 / math.pi * (math.atan2(t, math.sqrt(df)) + s * math.sqrt(x) * head)
+    else:
+        A = s * head
+    return A - (2.0 * p - 1.0), slope
+
+
+def _beta_fraction(a: float, x: float, y: float) -> float:
+    """The continued fraction of I_x(a, 1/2) over x^a y^(1/2) / (a B(a, 1/2)), for y = 1 - x.
+
+    Modified Lentz evaluation of A&S 26.5.8 with b = 1/2; the first
+    denominator is written in y, where 1 - (a + 1/2) x / (a + 1) cancels.
+    """
+    b = 0.5
+    c = 1.0
+    d = (a + 1.0) / (b + (a + b) * y)
+    h = d
+    for i in range(1, 100_000):
+        for coef in (
+            i * (b - i) * x / ((a + 2 * i - 1) * (a + 2 * i)),
+            -(a + i) * (a + b + i) * x / ((a + 2 * i) * (a + 2 * i + 1)),
+        ):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + coef / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, x={x}")

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, InvalidInputError, read_json_lines
+from .errors import ConfigurationError, InvalidInputError, check_row_types, read_json_lines
 from .losses import LossReport, _check_loss_values
 from .numerics import percentile
 
@@ -225,11 +225,7 @@ _REPORT_FIELDS = (
 
 
 def _report_row(record) -> PruneRecord:
-    if not isinstance(record, dict):
-        raise TypeError(f"a row must be a JSON object, got {json.dumps(record)[:40]}")
-    for key, types in _REPORT_FIELDS:
-        if type(record[key]) not in types:
-            raise TypeError(f"{key} has the wrong type: {json.dumps(record[key])[:40]}")
+    check_row_types(record, _REPORT_FIELDS)
     if not -(2**63) <= record["clip_id"] < 2**63:
         raise ValueError(f"clip_id {record['clip_id']} is outside the int64 range of clip ids")
     return PruneRecord(

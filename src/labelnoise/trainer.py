@@ -29,7 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidInputError, TrainingError, read_json_lines
+from .errors import (
+    InvalidInputError,
+    TrainingError,
+    check_class_map,
+    check_row_types,
+    read_json_lines,
+)
 from .losses import (
     LossReport,
     LossSpec,
@@ -403,6 +409,10 @@ def train(
     """
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot train on an empty dataset")
+    if config.smoothing is not None:
+        check_class_map(
+            "train.smoothing.groups", config.smoothing.group_of_class, dataset.num_classes
+        )
     if rng is None:
         rng = RngStream(config.seed)
 
@@ -588,9 +598,20 @@ def read_metrics(path) -> list[EpochRecord]:
     return read_json_lines(path, _epoch_record)
 
 
+# Each metrics field and the JSON types it may take (a bool is not a number here).
+_METRICS_FIELDS = (
+    ("epoch", (int,)),
+    ("train_loss", (int, float)),
+    ("val_accuracy", (int, float)),
+    ("lr", (int, float)),
+    ("kept_fraction", (int, float)),
+)
+
+
 def _epoch_record(record) -> EpochRecord:
+    check_row_types(record, _METRICS_FIELDS)
     return EpochRecord(
-        epoch=int(record["epoch"]),
+        epoch=record["epoch"],
         train_loss=float(record["train_loss"]),
         val_accuracy=float(record["val_accuracy"]),
         lr=float(record["lr"]),

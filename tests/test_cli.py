@@ -214,6 +214,23 @@ class TestDatasetCommands:
         assert code == 2
         assert "rate-by-class" in capsys.readouterr().err
 
+    def test_corrupt_rate_map_with_unknown_class_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        out = tmp_path / "noisy.jsonl"
+        code = run_cli(
+            "dataset", "corrupt",
+            "--in", str(data), "--kind", "symmetric",
+            "--rate-by-class", '{"0": 0.5, "1": 0.5, "7": 0.9}',
+            "--out", str(out),
+        )
+        assert code == 2
+        assert (
+            "noise.rate_by_class must key exactly the classes 0..1; missing [], unknown [7]"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_corrupt_unknown_kind(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         run_cli(*generate_args(data))
@@ -287,6 +304,25 @@ class TestTrainCommand:
         report = (out_dir / "prune_report.jsonl").read_text().splitlines()
         assert len(report) == 12  # train split keeps 12 of 16 clips
         assert sum(json.loads(line)["removed"] for line in report) == 2
+
+    def test_group_map_with_unknown_class_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        groups = {"0": "low", "1": "high", "7": "low"}
+        config = train_config(
+            tmp_path, smoothing={"epsilon": 0.2, "delta_epsilon": 0.1, "groups": groups}
+        )
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(config), "--data", str(data),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert (
+            "train.smoothing.groups must key exactly the classes 0..1; missing [], unknown [7]"
+            in capsys.readouterr().err
+        )
+        assert not out_dir.exists()
 
     def test_print_config_writes_nothing(self, tmp_path, capsys):
         config = train_config(tmp_path)

@@ -256,6 +256,12 @@ class TestSymmetricNoise:
         with pytest.raises(ConfigurationError):
             inject_symmetric_noise(blobs(), spec)
 
+    def test_rate_by_class_must_name_only_classes(self):
+        rates = {0: 0.2, 1: 0.2, 2: 0.5, 3: 0.5, 7: 0.9}
+        spec = NoiseSpec(NoiseKind.SYMMETRIC_IV, seed=0, rate_by_class=rates)
+        with pytest.raises(ConfigurationError, match=r"unknown \[7\]"):
+            inject_symmetric_noise(blobs(), spec)
+
     def test_wrong_kind_rejected(self):
         with pytest.raises(InvalidInputError):
             inject_symmetric_noise(blobs(), NoiseSpec(NoiseKind.OOV_REPLACE, rate=0.2))

@@ -1,11 +1,18 @@
 """Tests for the shared numeric primitives."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import labelnoise
 from labelnoise import (
     InvalidInputError,
     RngStream,
@@ -17,6 +24,7 @@ from labelnoise import (
     softmax,
     softmax_rows,
 )
+from labelnoise.numerics import _t_quantile
 
 # High-precision reference values, computed once with 40-digit arithmetic
 # and pasted here.
@@ -259,3 +267,72 @@ class TestMeanCi:
             mean_ci([1.0, 2.0], level=1.0)
         with pytest.raises(InvalidInputError):
             mean_ci([1.0, 2.0], level=0.0)
+
+
+class TestTQuantile:
+    # 40-digit references at the double nearest each p: the closed forms
+    # cot(pi (1 - p)) for df 1 and (2p - 1) / sqrt(2p (1 - p)) for df 2, else
+    # the root of the regularized incomplete beta function. scipy.stats.t.ppf
+    # is 21 ulps off at df 6, p 0.975. At df 1000 the sums and the fraction
+    # run to hundreds of terms.
+    @pytest.mark.parametrize(
+        "df, p, expected, ulps",
+        [
+            (1, 0.6, 0.32491969623290623, 2),
+            (1, 0.75, 1.0, 2),
+            (1, 0.975, 12.706204736174694, 2),
+            (1, 0.99995, 6366.197671316637, 2),
+            (2, 0.6, 0.2886751345948128, 2),
+            (2, 0.75, 0.816496580927726, 2),
+            (2, 0.975, 4.302652729749462, 2),
+            (2, 0.99995, 99.99249984375004, 2),
+            (3, 0.75, 0.7648923284043453, 4),
+            (3, 0.975, 3.1824463052837086, 4),
+            (3, 0.99995, 28.000130010950006, 4),
+            (6, 0.75, 0.7175581964914126, 4),
+            (6, 0.975, 2.4469118511449692, 4),
+            (6, 0.99995, 9.08234632729417, 4),
+            (30, 0.75, 0.6827556933212926, 4),
+            (30, 0.975, 2.0422724563012378, 4),
+            (30, 0.99995, 4.482417175409786, 4),
+            (1000, 0.75, 0.6747351646070094, 32),
+            (1000, 0.975, 1.962339080826408, 32),
+            (1000, 0.99995, 3.9063437367014084, 32),
+        ],
+    )
+    def test_within_ulps_of_references(self, df, p, expected, ulps):
+        assert abs(_t_quantile(p, df) - expected) <= ulps * math.ulp(expected)
+
+    def test_median_is_zero(self):
+        for df in (1, 2, 3, 10, 1000):
+            assert _t_quantile(0.5, df) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(df=st.integers(1, 1000), level=st.floats(0.5, 0.9999))
+    def test_matches_scipy(self, df, level):
+        p = 0.5 * (1.0 + level)
+        assert _t_quantile(p, df) == pytest.approx(stats.t.ppf(p, df), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        df=st.integers(1, 1000),
+        level=st.floats(0.5, 0.9998),
+        gap=st.floats(1e-6, 0.1),
+    )
+    def test_rises_with_level_and_falls_with_df(self, df, level, gap):
+        p = 0.5 * (1.0 + level)
+        higher = 0.5 * (1.0 + min(level + gap, 0.9999))
+        assert _t_quantile(higher, df) > _t_quantile(p, df)
+        assert _t_quantile(p, df + 1) < _t_quantile(p, df)
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, labelnoise, labelnoise.cli;"
+        " print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(labelnoise.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

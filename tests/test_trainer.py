@@ -862,8 +862,31 @@ class TestArtifacts:
                 ' "val_accuracy": 0.5}',
                 "kept_fraction must lie in (0, 1]",
             ),
+            (
+                '{"epoch": "3", "kept_fraction": 1.0, "lr": 0.01, "train_loss": 0.5,'
+                ' "val_accuracy": 0.5}',
+                'epoch has the wrong type: "3"',
+            ),
+            (
+                '{"epoch": 3, "kept_fraction": 1.0, "lr": "0.01", "train_loss": 0.5,'
+                ' "val_accuracy": 0.5}',
+                'lr has the wrong type: "0.01"',
+            ),
+            (
+                '{"epoch": 4.9, "kept_fraction": 1.0, "lr": 0.01, "train_loss": 0.5,'
+                ' "val_accuracy": 0.5}',
+                "epoch has the wrong type: 4.9",
+            ),
+            (
+                '{"epoch": 3, "kept_fraction": true, "lr": 0.01, "train_loss": 0.5,'
+                ' "val_accuracy": 0.5}',
+                "kept_fraction has the wrong type: true",
+            ),
         ],
-        ids=["not_json", "missing_field", "out_of_range"],
+        ids=[
+            "not_json", "missing_field", "out_of_range",
+            "epoch_string", "lr_string", "epoch_float", "kept_fraction_bool",
+        ],
     )
     def test_malformed_metrics_line_named(self, tmp_path, line, message):
         path = tmp_path / "metrics.jsonl"
