@@ -147,6 +147,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         report_path = out_dir / "prune_report.jsonl"
         write_prune_report(report_path, result.prune_report)
         _wrote(report_path)
+    if not result.history:
+        print("no epoch ran, so there is no validation accuracy")
+        return 0
     best = max(record.val_accuracy for record in result.history)
     print(f"best validation accuracy = {100.0 * best:.1f}")
     return 0

@@ -88,4 +88,4 @@ class Dataset:
         }
 
     def n_clips(self) -> int:
-        return int(np.unique(self.clip_ids).size)
+        return self.clip_table()[0].size if self.n_examples else 0

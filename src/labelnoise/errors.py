@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, the JSON-lines loop that names a bad line, and
-the input checks that more than one module applies."""
+"""Exception types shared across the toolkit, the JSON-lines codec (one writer, one reader
+that names a bad line, one field-type rule), and the input checks more than one module applies."""
 
 import json
 from pathlib import Path
@@ -43,20 +43,6 @@ def check_class_map(name: str, by_class: Mapping[int, object] | None, num_classe
         )
 
 
-def check_row_types(record, fields) -> None:
-    """Raise ``TypeError`` unless ``record`` is a JSON object whose fields have their JSON types.
-
-    ``fields`` pairs each key with the types its parsed value may have. The
-    type is compared exactly, so a JSON boolean is not a number here. A
-    missing key raises ``KeyError``.
-    """
-    if not isinstance(record, dict):
-        raise TypeError(f"a row must be a JSON object, got {json.dumps(record)[:40]}")
-    for key, types in fields:
-        if type(record[key]) not in types:
-            raise TypeError(f"{key} has the wrong type: {json.dumps(record[key])[:40]}")
-
-
 def line_error(path, number: int, err: Exception) -> InvalidInputError:
     """An error naming line ``number`` of the JSON-lines file ``path`` and its fault."""
     if isinstance(err, KeyError):
@@ -86,3 +72,36 @@ def read_json_lines(path, parse_row) -> list:
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise line_error(path, number, exc) from exc
     return rows
+
+
+def write_json_lines(path, rows) -> None:
+    """Write each mapping of ``rows`` to ``path`` as one line of JSON, keys sorted."""
+    with open(Path(path), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+# How an error names the JSON type of each field kind.
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def row_fields(record, fields) -> tuple:
+    """The values of ``fields``, ``(key, kind)`` pairs, in the parsed JSON-lines row ``record``.
+
+    Types are compared exactly, so a boolean is neither an integer nor a number: ``int`` is a
+    JSON integer in the int64 range, ``float`` any JSON number (returned as a float) and
+    ``bool`` true or false. A bad row raises ``TypeError``, ``ValueError``, ``OverflowError``
+    or ``KeyError``, which :func:`read_json_lines` turns into its error.
+    """
+    if type(record) is not dict:
+        raise TypeError(f"a row must be a JSON object, got {json.dumps(record)[:40]}")
+    values = []
+    for key, kind in fields:
+        value = record[key]
+        if type(value) is not kind:
+            if kind is not float or type(value) is not int:
+                raise TypeError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)[:40]}")
+            value = float(value)
+        elif kind is int and not -(2**63) <= value < 2**63:
+            raise ValueError(f"{key} {value} is outside the int64 range")
+        values.append(value)
+    return tuple(values)

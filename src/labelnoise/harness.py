@@ -46,6 +46,8 @@ from .errors import (
     InvalidInputError,
     check_class_map,
     read_json_lines,
+    row_fields,
+    write_json_lines,
 )
 from .numerics import RngStream, derive_seed, mean_ci
 from .selection import PruneRecord, Strategy
@@ -320,9 +322,8 @@ def _write_rows(path, data: Dataset, **truth: np.ndarray) -> None:
         label=data.labels,
         **truth,
     )
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for values in zip(*(column.tolist() for column in columns.values())):
-            fh.write(json.dumps(dict(zip(columns, values)), sort_keys=True) + "\n")
+    values = zip(*(column.tolist() for column in columns.values()))
+    write_json_lines(path, (dict(zip(columns, row)) for row in values))
 
 
 def write_dataset(path, dataset: Dataset) -> None:
@@ -337,20 +338,10 @@ def write_annotated(path, annotated: AnnotatedDataset) -> None:
     )
 
 
-# How an error names each JSON type a field must have. Types are compared
-# exactly, so a boolean is not an integer and an integer is not a boolean.
-_FIELD_TYPES = {int: "an integer", bool: "true or false"}
+# The integer fields of every dataset row and the ground-truth pair of a private one.
+_ID_FIELDS = (("example_id", int), ("clip_id", int), ("label", int))
+_TRUTH_FIELDS = (("clean_label", int), ("corrupted", bool))
 _NUMBERS = frozenset((int, float))
-
-
-def _field(record: dict, key: str, kind: type):
-    """``record[key]``, which must be a JSON value of type ``kind``; integers fit int64."""
-    value = record[key]
-    if type(value) is not kind:
-        raise TypeError(f"{key} must be {_FIELD_TYPES[kind]}, got {json.dumps(value)[:40]}")
-    if kind is int and not -(2**63) <= value < 2**63:
-        raise ValueError(f"{key} {value} is outside the int64 range")
-    return value
 
 
 class _RowSchema:
@@ -369,8 +360,7 @@ class _RowSchema:
         self.annotated: bool | None = None
 
     def __call__(self, record) -> tuple:
-        if type(record) is not dict:
-            raise TypeError(f"a row must be a JSON object, got {json.dumps(record)[:40]}")
+        example_id, clip_id, label = row_fields(record, _ID_FIELDS)
         if self.annotated is None:
             self.annotated = "clean_label" in record
         if ("clean_label" in record, "corrupted" in record) != (self.annotated, self.annotated):
@@ -378,9 +368,6 @@ class _RowSchema:
                 "clean_label/corrupted on some rows only;"
                 " a dataset file annotates every row or none"
             )
-        example_id = _field(record, "example_id", int)
-        clip_id = _field(record, "clip_id", int)
-        label = _field(record, "label", int)
         features = record["features"]
         if type(features) is not list or not _NUMBERS.issuperset(map(type, features)):
             raise TypeError("features must be a flat list of numbers")
@@ -389,10 +376,8 @@ class _RowSchema:
         if len(features) != self.width:
             raise ValueError(f"{len(features)} features where earlier rows have {self.width}")
         features = np.array(features, dtype=np.float64)  # OverflowError past the float range
-        if not self.annotated:
-            return example_id, clip_id, label, features, label, False
-        clean_label = _field(record, "clean_label", int)
-        return example_id, clip_id, label, features, clean_label, _field(record, "corrupted", bool)
+        truth = row_fields(record, _TRUTH_FIELDS) if self.annotated else (label, False)
+        return example_id, clip_id, label, features, *truth
 
 
 def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:

@@ -11,16 +11,20 @@ losses by arithmetic mean.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, InvalidInputError, check_row_types, read_json_lines
+from .errors import (
+    ConfigurationError,
+    InvalidInputError,
+    read_json_lines,
+    row_fields,
+    write_json_lines,
+)
 from .losses import LossReport, _check_loss_values
 from .numerics import percentile
 
@@ -159,7 +163,7 @@ def prune_dataset(
     dataset (original row order) and the removed clip ids, highest loss
     first.
     """
-    clips = np.unique(dataset.clip_ids)
+    clips = dataset.clip_table()[0]
     if prune_count >= clips.size:
         raise InvalidInputError(
             f"prune_count {prune_count} must be smaller than the clip count {clips.size}"
@@ -199,35 +203,13 @@ def prune_report_rows(
 
 
 def write_prune_report(path, rows: Sequence[PruneRecord]) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for row in rows:
-            record = {
-                "clip_id": row.clip_id,
-                "clip_loss": row.clip_loss,
-                "rank": row.rank,
-                "removed": row.removed,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_json_lines(path, map(asdict, rows))
+
+
+# Each report field and its kind, in PruneRecord's field order.
+_REPORT_FIELDS = (("clip_id", int), ("clip_loss", float), ("rank", int), ("removed", bool))
 
 
 def read_prune_report(path) -> list[PruneRecord]:
     """Rows of a prune report; a malformed line raises ``InvalidInputError`` naming it."""
-    return read_json_lines(path, _report_row)
-
-
-# Each report field and the JSON types it may take (a bool is not an int here).
-_REPORT_FIELDS = (
-    ("clip_id", (int,)),
-    ("clip_loss", (int, float)),
-    ("rank", (int,)),
-    ("removed", (bool,)),
-)
-
-
-def _report_row(record) -> PruneRecord:
-    check_row_types(record, _REPORT_FIELDS)
-    if not -(2**63) <= record["clip_id"] < 2**63:
-        raise ValueError(f"clip_id {record['clip_id']} is outside the int64 range of clip ids")
-    return PruneRecord(
-        record["clip_id"], float(record["clip_loss"]), record["rank"], record["removed"]
-    )
+    return read_json_lines(path, lambda record: PruneRecord(*row_fields(record, _REPORT_FIELDS)))

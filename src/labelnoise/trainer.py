@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -33,8 +33,9 @@ from .errors import (
     InvalidInputError,
     TrainingError,
     check_class_map,
-    check_row_types,
     read_json_lines,
+    row_fields,
+    write_json_lines,
 )
 from .losses import (
     LossReport,
@@ -419,6 +420,11 @@ def train(
     train_split, val_split = stratified_split(
         dataset, config.val_fraction, rng.child(_SPLIT)
     )
+    if train_split.n_examples == 0:
+        raise InvalidInputError(
+            f"val_fraction {config.val_fraction} sends every clip to validation;"
+            " none is left to train on"
+        )
     prune_epochs = check_prune_plan(config.stage, config.max_epochs, train_split.n_clips())
     val_layout = _clip_layout(val_split, dataset.num_classes)
     current = train_split
@@ -576,47 +582,22 @@ def _prune_now(
 
 def write_metrics(path, history: list[EpochRecord]) -> None:
     """Append-style epoch metrics, one JSON record per line."""
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for record in history:
-            fh.write(
-                json.dumps(
-                    {
-                        "epoch": record.epoch,
-                        "train_loss": record.train_loss,
-                        "val_accuracy": record.val_accuracy,
-                        "lr": record.lr,
-                        "kept_fraction": record.kept_fraction,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_json_lines(path, map(asdict, history))
+
+
+# Each metrics field and its kind, in EpochRecord's field order.
+_METRICS_FIELDS = (
+    ("epoch", int),
+    ("train_loss", float),
+    ("val_accuracy", float),
+    ("lr", float),
+    ("kept_fraction", float),
+)
 
 
 def read_metrics(path) -> list[EpochRecord]:
     """Epoch records of a metrics file; a malformed line raises ``InvalidInputError`` naming it."""
-    return read_json_lines(path, _epoch_record)
-
-
-# Each metrics field and the JSON types it may take (a bool is not a number here).
-_METRICS_FIELDS = (
-    ("epoch", (int,)),
-    ("train_loss", (int, float)),
-    ("val_accuracy", (int, float)),
-    ("lr", (int, float)),
-    ("kept_fraction", (int, float)),
-)
-
-
-def _epoch_record(record) -> EpochRecord:
-    check_row_types(record, _METRICS_FIELDS)
-    return EpochRecord(
-        epoch=record["epoch"],
-        train_loss=float(record["train_loss"]),
-        val_accuracy=float(record["val_accuracy"]),
-        lr=float(record["lr"]),
-        kept_fraction=float(record["kept_fraction"]),
-    )
+    return read_json_lines(path, lambda record: EpochRecord(*row_fields(record, _METRICS_FIELDS)))
 
 
 def save_model(path, params: ModelParams) -> None:

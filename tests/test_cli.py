@@ -121,14 +121,14 @@ MALFORMED_REPORT_LINES = {
     "list_row": (lambda row: json.dumps(list(row.values())), "a row must be a JSON object"),
     "string_removed": (
         lambda row: json.dumps({**row, "removed": "false"}),
-        'removed has the wrong type: "false"',
+        'removed must be true or false, got "false"',
     ),
     "float_clip_id": (
-        lambda row: json.dumps({**row, "clip_id": 1.5}), "clip_id has the wrong type: 1.5"
+        lambda row: json.dumps({**row, "clip_id": 1.5}), "clip_id must be an integer, got 1.5"
     ),
     "clip_id_past_int64": (
         lambda row: json.dumps({**row, "clip_id": 2**63}),
-        f"clip_id {2**63} is outside the int64 range of clip ids",
+        f"clip_id {2**63} is outside the int64 range",
     ),
     "loss_past_float": (
         lambda row: json.dumps({**row, "clip_loss": 10**400}),
@@ -304,6 +304,33 @@ class TestTrainCommand:
         report = (out_dir / "prune_report.jsonl").read_text().splitlines()
         assert len(report) == 12  # train split keeps 12 of 16 clips
         assert sum(json.loads(line)["removed"] for line in report) == 2
+
+    def test_zero_epochs_writes_artifacts_and_says_so(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(train_config(tmp_path, max_epochs=0)),
+            "--data", str(data), "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert (out_dir / "metrics.jsonl").read_text() == ""
+        assert (out_dir / "model.json").exists()
+        output = capsys.readouterr().out
+        assert "no epoch ran" in output
+        assert "best validation accuracy" not in output
+
+    def test_split_without_train_clips_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data, clips_per_class=2))
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(train_config(tmp_path, val_fraction=0.9)),
+            "--data", str(data), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "none is left to train on" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_group_map_with_unknown_class_exits_two(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"

@@ -170,3 +170,6 @@ class TestClipAccessors:
 
     def test_n_clips(self):
         assert small_dataset().n_clips() == 3
+
+    def test_empty_dataset_has_no_clips(self):
+        assert small_dataset().subset(np.array([], dtype=int)).n_clips() == 0

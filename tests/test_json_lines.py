@@ -1,0 +1,153 @@
+"""Tests for the JSON-lines codec: the row writer, the field-type rule, and the
+metrics and prune-report files built on them."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from labelnoise import (
+    EpochRecord,
+    PruneRecord,
+    read_metrics,
+    read_prune_report,
+    write_metrics,
+    write_prune_report,
+)
+from labelnoise.errors import row_fields
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+EPOCH_RECORDS = st.builds(
+    EpochRecord,
+    epoch=INT64,
+    train_loss=st.floats(min_value=0.0, allow_infinity=False),
+    val_accuracy=st.floats(min_value=0.0, max_value=1.0),
+    lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    kept_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+PRUNE_RECORDS = st.builds(
+    PruneRecord, clip_id=INT64, clip_loss=FINITE, rank=INT64, removed=st.booleans()
+)
+
+
+def reference_metrics_text(history):
+    """The metrics file as each line was built before the shared writer."""
+    return "".join(
+        json.dumps(
+            {
+                "epoch": record.epoch,
+                "train_loss": record.train_loss,
+                "val_accuracy": record.val_accuracy,
+                "lr": record.lr,
+                "kept_fraction": record.kept_fraction,
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for record in history
+    )
+
+
+def reference_report_text(rows):
+    """The prune report as each line was built before the shared writer."""
+    return "".join(
+        json.dumps(
+            {
+                "clip_id": row.clip_id,
+                "clip_loss": row.clip_loss,
+                "rank": row.rank,
+                "removed": row.removed,
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for row in rows
+    )
+
+
+class TestRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(history=st.lists(EPOCH_RECORDS, max_size=6))
+    def test_metrics_survive_write_then_read(self, tmp_path_factory, history):
+        path = tmp_path_factory.mktemp("metrics") / "metrics.jsonl"
+        write_metrics(path, history)
+        assert path.read_text(encoding="utf-8") == reference_metrics_text(history)
+        assert read_metrics(path) == history
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(PRUNE_RECORDS, max_size=6))
+    def test_prune_report_survives_write_then_read(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("report") / "prune_report.jsonl"
+        write_prune_report(path, rows)
+        assert path.read_text(encoding="utf-8") == reference_report_text(rows)
+        assert read_prune_report(path) == rows
+
+    def test_read_values_have_the_field_types(self, tmp_path):
+        path = tmp_path / "prune_report.jsonl"
+        path.write_text('{"clip_id": 3, "clip_loss": 2, "rank": 1, "removed": false}\n')
+        (row,) = read_prune_report(path)
+        assert type(row.clip_id) is int and type(row.rank) is int
+        assert type(row.clip_loss) is float and row.clip_loss == 2.0
+        assert row.removed is False
+
+
+class TestRowFields:
+    @pytest.mark.parametrize(
+        "value, kind, expected",
+        [
+            (0, int, 0),
+            (-(2**63), int, -(2**63)),
+            (2**63 - 1, int, 2**63 - 1),
+            (1, float, 1.0),
+            (-0.5, float, -0.5),
+            (2**63, float, float(2**63)),
+            (True, bool, True),
+            (False, bool, False),
+        ],
+        ids=[
+            "zero", "int64_min", "int64_max", "int_as_number", "float_number",
+            "number_past_int64", "true", "false",
+        ],
+    )
+    def test_accepts(self, value, kind, expected):
+        (got,) = row_fields({"x": value}, [("x", kind)])
+        assert got == expected
+        assert type(got) is kind
+
+    @pytest.mark.parametrize(
+        "record, kind, error, message",
+        [
+            ({"x": True}, int, TypeError, "x must be an integer, got true"),
+            ({"x": True}, float, TypeError, "x must be a number, got true"),
+            ({"x": 1.7}, int, TypeError, "x must be an integer, got 1.7"),
+            ({"x": "1"}, int, TypeError, 'x must be an integer, got "1"'),
+            ({"x": "0.5"}, float, TypeError, 'x must be a number, got "0.5"'),
+            ({"x": None}, float, TypeError, "x must be a number, got null"),
+            ({"x": 1}, bool, TypeError, "x must be true or false, got 1"),
+            ({"x": "no"}, bool, TypeError, 'x must be true or false, got "no"'),
+            ({"x": 2**63}, int, ValueError, f"x {2**63} is outside the int64 range"),
+            ({"x": -(2**63) - 1}, int, ValueError, "outside the int64 range"),
+            ({"x": 10**400}, float, OverflowError, "int too large to convert to float"),
+            ({"y": 1}, int, KeyError, "'x'"),
+            ([1], int, TypeError, "a row must be a JSON object, got [1]"),
+            ("x", int, TypeError, 'a row must be a JSON object, got "x"'),
+            (None, int, TypeError, "a row must be a JSON object, got null"),
+        ],
+        ids=[
+            "true_not_int", "true_not_number", "float_not_int", "string_not_int",
+            "string_not_number", "null_not_number", "int_not_bool", "string_not_bool",
+            "past_int64_max", "past_int64_min", "past_float_range", "missing_key",
+            "list_row", "string_row", "null_row",
+        ],
+    )
+    def test_rejects(self, record, kind, error, message):
+        with pytest.raises(error) as excinfo:
+            row_fields(record, [("x", kind)])
+        assert message in str(excinfo.value)
+
+    def test_values_come_back_in_field_order(self):
+        record = {"b": 2.5, "a": 1, "c": True, "unused": "ignored"}
+        assert row_fields(record, [("c", bool), ("a", int), ("b", float)]) == (True, 1, 2.5)

@@ -560,6 +560,12 @@ class TestTrainLoop:
         for w, ref in zip(result.params.weights, reference.weights):
             np.testing.assert_array_equal(w, ref)
 
+    def test_split_without_train_clips_is_rejected(self):
+        # ceil(0.9 * 2) = 2: every clip of both classes goes to validation
+        ds = clip_dataset(num_classes=2, clips_per_class=2)
+        with pytest.raises(InvalidInputError, match="none is left to train on"):
+            train(ds, quick_config(val_fraction=0.9))
+
     def test_returns_best_epoch_snapshot(self):
         # rerunning the loop truncated right after the best epoch must land
         # on bit-identical parameters, because every random stream is keyed
@@ -865,22 +871,22 @@ class TestArtifacts:
             (
                 '{"epoch": "3", "kept_fraction": 1.0, "lr": 0.01, "train_loss": 0.5,'
                 ' "val_accuracy": 0.5}',
-                'epoch has the wrong type: "3"',
+                'epoch must be an integer, got "3"',
             ),
             (
                 '{"epoch": 3, "kept_fraction": 1.0, "lr": "0.01", "train_loss": 0.5,'
                 ' "val_accuracy": 0.5}',
-                'lr has the wrong type: "0.01"',
+                'lr must be a number, got "0.01"',
             ),
             (
                 '{"epoch": 4.9, "kept_fraction": 1.0, "lr": 0.01, "train_loss": 0.5,'
                 ' "val_accuracy": 0.5}',
-                "epoch has the wrong type: 4.9",
+                "epoch must be an integer, got 4.9",
             ),
             (
                 '{"epoch": 3, "kept_fraction": true, "lr": 0.01, "train_loss": 0.5,'
                 ' "val_accuracy": 0.5}',
-                "kept_fraction has the wrong type: true",
+                "kept_fraction must be a number, got true",
             ),
         ],
         ids=[
