@@ -1,7 +1,11 @@
 """Exception types shared across the toolkit, the JSON-lines codec (one writer, one reader
-that names a bad line, one field-type rule), and the input checks more than one module applies."""
+that names a bad line, one field-type rule), the one way an artifact file is written, and the
+input checks more than one module applies."""
 
 import json
+import os
+import secrets
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
 
@@ -74,9 +78,35 @@ def read_json_lines(path, parse_row) -> list:
     return rows
 
 
+@contextmanager
+def atomic_write(path):
+    """A text file to write that takes the place of ``path`` only once the block completes.
+
+    The text goes to a new temporary file in the directory of ``path``, which
+    ``os.replace`` renames over ``path`` when the block exits normally. If the
+    block raises, the temporary file is deleted and an existing ``path`` is left
+    byte for byte as it was. Nothing is synced to disk: this guards against a
+    writer that fails, not against a machine that stops.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(temp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_json_lines(path, rows) -> None:
-    """Write each mapping of ``rows`` to ``path`` as one line of JSON, keys sorted."""
-    with open(Path(path), "w", encoding="utf-8") as fh:
+    """Write each mapping of ``rows`` to ``path`` as one line of JSON, keys sorted.
+
+    Rows are consumed one at a time, and the file is replaced atomically
+    (:func:`atomic_write`).
+    """
+    with atomic_write(path) as fh:
         fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -44,6 +45,7 @@ from .errors import (
     ConfigurationError,
     ExperimentError,
     InvalidInputError,
+    atomic_write,
     check_class_map,
     read_json_lines,
     row_fields,
@@ -313,8 +315,17 @@ def prune_precision(
 # --- serialization ---------------------------------------------------------
 
 
+# Rows turned into Python values at a time by the dataset writer, so that its
+# memory does not grow with the row count.
+_WRITE_BLOCK = 1024
+
+
 def _write_rows(path, data: Dataset, **truth: np.ndarray) -> None:
-    """One JSON object per row, keys sorted: the public columns plus ``truth``."""
+    """One JSON object per row, keys sorted: the public columns plus ``truth``.
+
+    The columns are converted to Python values one block of ``_WRITE_BLOCK``
+    rows at a time, and each line is written as it is built.
+    """
     columns = dict(
         example_id=data.example_ids,
         clip_id=data.clip_ids,
@@ -322,8 +333,16 @@ def _write_rows(path, data: Dataset, **truth: np.ndarray) -> None:
         label=data.labels,
         **truth,
     )
-    values = zip(*(column.tolist() for column in columns.values()))
-    write_json_lines(path, (dict(zip(columns, row)) for row in values))
+
+    def rows():
+        for start in range(0, data.n_examples, _WRITE_BLOCK):
+            # the block's values are held only by this zip, so each block is
+            # freed before the next one is built
+            block = (column[start : start + _WRITE_BLOCK].tolist() for column in columns.values())
+            for row in zip(*block):
+                yield dict(zip(columns, row))
+
+    write_json_lines(path, rows())
 
 
 def write_dataset(path, dataset: Dataset) -> None:
@@ -351,13 +370,15 @@ class _RowSchema:
     and ``clean_label`` are integers, ``corrupted`` is a boolean, and
     ``features`` is a flat list of numbers as long as the first row's. The
     ground-truth pair is on every row or on none; a row without it reads
-    as clean. Returns ``(example_id, clip_id, label, features, clean_label,
-    corrupted)``.
+    as clean. Each row's features are appended to the packed float64 buffer
+    ``features``, so no per-row array is kept. Returns ``(example_id,
+    clip_id, label, clean_label, corrupted)``.
     """
 
     def __init__(self):
         self.width: int | None = None
         self.annotated: bool | None = None
+        self.features = array("d")
 
     def __call__(self, record) -> tuple:
         example_id, clip_id, label = row_fields(record, _ID_FIELDS)
@@ -375,9 +396,9 @@ class _RowSchema:
             self.width = len(features)
         if len(features) != self.width:
             raise ValueError(f"{len(features)} features where earlier rows have {self.width}")
-        features = np.array(features, dtype=np.float64)  # OverflowError past the float range
+        self.features.extend(features)  # OverflowError past the float range
         truth = row_fields(record, _TRUTH_FIELDS) if self.annotated else (label, False)
-        return example_id, clip_id, label, features, *truth
+        return example_id, clip_id, label, *truth
 
 
 def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
@@ -393,11 +414,12 @@ def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
         raise InvalidInputError(
             f"{path} is not a harness-private file: clean_label/corrupted missing"
         )
-    example_ids, clip_ids, labels, features, clean, flags = zip(*rows)
+    example_ids, clip_ids, labels, clean, flags = zip(*rows)
     data = Dataset(
         example_ids=example_ids,
         clip_ids=clip_ids,
-        features=features,
+        # a view of the schema's buffer: no per-row arrays and no stacking copy
+        features=np.frombuffer(schema.features).reshape(len(rows), schema.width),
         labels=labels,
         num_classes=max(max(labels) + 1, max(clean) + 1, 2),
     )
@@ -589,14 +611,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     two methods run with the same base seed see identical noisy datasets
     run for run.
 
-    Two config errors are rejected before run 0. A per-class map
+    Three config errors are rejected before run 0. A per-class map
     (``rate_by_class``, or a smoothing group map that is not derived
     automatically) that does not key exactly the classes raises
-    ``ConfigurationError``. A prune plan that cannot fit the train split
-    raises ``InvalidInputError``. The split size checked is that of the
-    noise-free dataset, ``num_classes * (clips_per_class -
-    ceil(val_fraction * clips_per_class))``; label noise moves clips between
-    classes, so a run's own split may differ and ``train`` checks it again.
+    ``ConfigurationError``. A ``val_fraction`` that sends every clip to
+    validation, and a prune plan that cannot fit the train split, raise
+    ``InvalidInputError``. The split checked is that of the noise-free
+    dataset, ``num_classes * (clips_per_class - ceil(val_fraction *
+    clips_per_class))`` clips; label noise moves clips between classes, so a
+    run's own split may differ and ``train`` checks it again.
     """
     dp = cfg.dataset
     if cfg.noise is not None:
@@ -605,6 +628,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         groups = cfg.train.smoothing.group_of_class
         check_class_map("train.smoothing.groups", groups, dp.num_classes)
     val_clips = math.ceil(cfg.train.val_fraction * dp.clips_per_class)
+    if val_clips == dp.clips_per_class:
+        raise InvalidInputError(
+            f"val_fraction {cfg.train.val_fraction} sends every clip to validation"
+            f" ({val_clips} of {dp.clips_per_class} per class); none is left to train on"
+        )
     check_prune_plan(
         cfg.train.stage,
         cfg.train.max_epochs,
@@ -629,6 +657,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def write_summary(path, summary: RunSummary) -> None:
+    """``summary.json``, written atomically."""
     record = {
         "config_fingerprint": summary.config_fingerprint,
         "per_run_accuracy": list(summary.per_run_accuracy),
@@ -636,7 +665,7 @@ def write_summary(path, summary: RunSummary) -> None:
         "ci_half_width": summary.ci_half_width,
         "dataset_fingerprints": list(summary.dataset_fingerprints),
     }
-    with open(Path(path), "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(record, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

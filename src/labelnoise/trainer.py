@@ -32,6 +32,7 @@ from .data import Dataset
 from .errors import (
     InvalidInputError,
     TrainingError,
+    atomic_write,
     check_class_map,
     read_json_lines,
     row_fields,
@@ -601,7 +602,7 @@ def read_metrics(path) -> list[EpochRecord]:
 
 
 def save_model(path, params: ModelParams) -> None:
-    """Portable JSON model file: architecture descriptor plus weight arrays."""
+    """Portable JSON model file: architecture descriptor plus weight arrays, written atomically."""
     record = {
         "architecture": params.architecture.value,
         "feature_dim": params.feature_dim,
@@ -609,7 +610,7 @@ def save_model(path, params: ModelParams) -> None:
         "hidden_units": params.hidden_units,
         "weights": [w.tolist() for w in params.weights],
     }
-    with open(Path(path), "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(record, fh, sort_keys=True)
         fh.write("\n")
 

@@ -562,6 +562,24 @@ class TestExperimentCommand:
         assert "would remove 12 of the 8" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_all_validation_split_exits_two_before_run_zero(self, tmp_path, capsys, monkeypatch):
+        # ceil(0.9 * 2) = 2: both clips of each class would go to validation
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before the split was checked")
+
+        monkeypatch.setattr("labelnoise.harness._single_run", no_runs)
+        config = experiment_config(
+            tmp_path,
+            dataset={"classes": 2, "clips_per_class": 2, "patches_per_clip": 2, "dims": 4},
+            train={"loss": {"kind": "cce"}, "max_epochs": 4, "val_fraction": 0.9},
+        )
+        out_dir = tmp_path / "exp"
+        code = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: val_fraction 0.9 sends every clip to validation (2 of 2 per class)" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "section, value, message",
         [

@@ -1,7 +1,9 @@
 """Tests for blob generation, noise injection, and the experiment harness."""
 
+import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -722,6 +724,132 @@ class TestFingerprintProperties:
             assert dataset_fingerprint(moved) == dataset_fingerprint(annotated)
 
 
+def reference_dataset_text(data, **truth):
+    """The dataset file as the whole-matrix writer built it: each column converted at once."""
+    columns = dict(
+        example_id=data.example_ids,
+        clip_id=data.clip_ids,
+        features=data.features,
+        label=data.labels,
+        **truth,
+    )
+    values = zip(*(column.tolist() for column in columns.values()))
+    return "".join(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n" for row in values)
+
+
+def awkward_dataset(rows, width, seed):
+    """Three-patch clips of three classes, half of them flipped, with features over
+    the whole float64 range: signed zeros, subnormals, integral values and 1e300s."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-320, 300, (rows, width))
+    features[rng.random((rows, width)) < 0.05] = -0.0
+    integral = rng.random((rows, width)) < 0.05
+    features[integral] = rng.integers(-1000, 1000, integral.sum())
+    clip_ids = np.arange(rows) // 3
+    clip_clean = rng.integers(0, 3, clip_ids[-1] + 1)
+    clip_flipped = rng.random(clip_ids[-1] + 1) < 0.5
+    clean = clip_clean[clip_ids]
+    flipped = clip_flipped[clip_ids]
+    data = Dataset(
+        example_ids=rng.permutation(rows) + 2**40,
+        clip_ids=clip_ids,
+        features=features,
+        labels=np.where(flipped, (clean + 1) % 3, clean),
+        num_classes=3,
+    )
+    return AnnotatedDataset(data, clean, flipped)
+
+
+def traced_peak(action) -> int:
+    """Bytes by which ``action()`` raised the traced Python and numpy heap at its peak."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        action()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+# sha256 of the dataset files of a 1032-row noisy dataset, recorded from the
+# writer that converted whole columns at once; 1032 rows span two write blocks.
+PINNED_FILE_DIGESTS = {
+    "write_annotated": "fc173770b2c0770d11635cf27ed4e6ac505a610ffa9556dad684206c9d888969",
+    "write_dataset": "bfab8660a111d55d2724658f97878e988cba3653871f2f51dcc8a203ae51cd78",
+}
+
+
+class TestDatasetFileStreaming:
+    """Dataset files are written a block of rows at a time and read into one packed
+    buffer, with the bytes and values of whole-matrix conversion."""
+
+    def test_pinned_file_bytes(self, tmp_path):
+        noisy = inject_symmetric_noise(
+            generate_blobs(4, 86, 3, 8, 0.25, seed=11),
+            NoiseSpec(NoiseKind.SYMMETRIC_IV, rate=0.4, seed=5),
+        )
+        write_annotated(tmp_path / "private.jsonl", noisy)
+        write_dataset(tmp_path / "public.jsonl", noisy.data)
+        digests = {
+            name: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+            for name, file in (("write_annotated", "private.jsonl"), ("write_dataset", "public.jsonl"))
+        }
+        assert digests == PINNED_FILE_DIGESTS
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        rows=st.sampled_from([1023, 1024, 1025, 2049]),
+        width=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        annotated=st.booleans(),
+    )
+    def test_bytes_and_read_back_match_whole_matrix_conversion(
+        self, tmp_path_factory, rows, width, seed, annotated
+    ):
+        original = awkward_dataset(rows, width, seed)
+        path = tmp_path_factory.mktemp("stream") / "data.jsonl"
+        if annotated:
+            write_annotated(path, original)
+            truth = dict(clean_label=original.clean_labels, corrupted=original.corrupted)
+        else:
+            write_dataset(path, original.data)
+            truth = {}
+        assert path.read_text(encoding="utf-8") == reference_dataset_text(original.data, **truth)
+        loaded = read_as_annotated(path)
+        pairs = [
+            (loaded.data.example_ids, original.data.example_ids),
+            (loaded.data.clip_ids, original.data.clip_ids),
+            (loaded.data.features, original.data.features),
+            (loaded.data.labels, original.data.labels),
+        ]
+        if annotated:
+            pairs += [(loaded.clean_labels, original.clean_labels),
+                      (loaded.corrupted, original.corrupted)]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_write_peak_does_not_grow_with_rows(self, tmp_path):
+        # one write block of rows against eight: a writer that converts whole
+        # columns peaks about eight times higher on the larger file
+        peaks = {}
+        for rows in (1024, 8192):
+            noisy = generate_blobs(2, rows // 8, 4, 4, 0.25, seed=1)
+            peaks[rows] = traced_peak(lambda: write_annotated(tmp_path / "data.jsonl", noisy))
+        assert peaks[8192] < 1.25 * peaks[1024], peaks
+
+    def test_read_peak_is_at_most_twice_the_feature_bytes(self, tmp_path):
+        noisy = generate_blobs(2, 512, 4, 64, 0.25, seed=1)  # 4096 rows x 64
+        path = tmp_path / "data.jsonl"
+        write_annotated(path, noisy)
+        feature_bytes = noisy.data.features.nbytes
+        assert traced_peak(lambda: read_annotated(path)) <= 2 * feature_bytes
+
+
 def tiny_experiment(**overrides):
     kwargs = dict(
         dataset=DatasetParams(
@@ -840,20 +968,28 @@ class TestExperiments:
             run_experiment(replace(cfg, auto_noise_groups=False))
 
     def test_failures_carry_the_run_index(self):
-        # one clip per class cannot be split, so run 0 fails immediately
-        cfg = tiny_experiment(
-            dataset=DatasetParams(
-                num_classes=2,
-                clips_per_class=1,
-                patches_per_clip=2,
-                feature_dim=4,
-                cluster_spread=0.2,
-                test_clips_per_class=2,
-            )
-        )
-        with pytest.raises(ExperimentError) as excinfo:
-            run_experiment(cfg)
+        # a learning rate this large overflows the weights, so run 0 fails in training
+        cfg = tiny_experiment(train=replace(tiny_experiment().train, initial_lr=1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ExperimentError, match="training diverged") as excinfo:
+                run_experiment(cfg)
         assert excinfo.value.run_index == 0
+
+    @pytest.mark.parametrize("clips_per_class, val_fraction", [(1, 0.25), (2, 0.9), (10, 0.95)])
+    def test_all_validation_split_rejected_before_run_zero(
+        self, monkeypatch, clips_per_class, val_fraction
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before the split was checked")
+
+        monkeypatch.setattr("labelnoise.harness._single_run", no_runs)
+        base = tiny_experiment()
+        cfg = tiny_experiment(
+            dataset=replace(base.dataset, clips_per_class=clips_per_class),
+            train=replace(base.train, val_fraction=val_fraction),
+        )
+        with pytest.raises(InvalidInputError, match="sends every clip to validation"):
+            run_experiment(cfg)
 
     def test_runs_lower_bound(self):
         with pytest.raises(InvalidInputError):

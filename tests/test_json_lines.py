@@ -1,21 +1,28 @@
-"""Tests for the JSON-lines codec: the row writer, the field-type rule, and the
-metrics and prune-report files built on them."""
+"""Tests for the JSON-lines codec: the row writer, the field-type rule, the
+metrics and prune-report files built on them, and atomic artifact writes."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelnoise import (
+    Architecture,
     EpochRecord,
     PruneRecord,
+    RngStream,
+    RunSummary,
+    init_params,
     read_metrics,
     read_prune_report,
+    save_model,
     write_metrics,
     write_prune_report,
+    write_summary,
 )
-from labelnoise.errors import row_fields
+from labelnoise.errors import row_fields, write_json_lines
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -151,3 +158,61 @@ class TestRowFields:
     def test_values_come_back_in_field_order(self):
         record = {"b": 2.5, "a": 1, "c": True, "unused": "ignored"}
         assert row_fields(record, [("c", bool), ("a", int), ("b", float)]) == (True, 1, 2.5)
+
+
+# The artifact writers that go through errors.atomic_write, each given a small artifact.
+ARTIFACT_WRITERS = {
+    "write_json_lines": lambda path: write_json_lines(path, [{"row": 1}]),
+    "save_model": lambda path: save_model(
+        path, init_params(Architecture.LINEAR, 3, 2, 1, RngStream(0))
+    ),
+    "write_summary": lambda path: write_summary(
+        path, RunSummary((50.0,), 50.0, 0.0, "0" * 16, ("1" * 16,))
+    ),
+}
+
+
+class TestAtomicWrite:
+    def test_rows_failing_partway_leave_the_target_unchanged(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_json_lines(path, [{"row": -1}])
+        before = path.read_bytes()
+
+        def rows():
+            # enough rows to pass the text buffer, so the temporary file has content
+            for index in range(5000):
+                yield {"row": index}
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_json_lines(path, rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+    def test_rows_failing_on_a_new_target_leave_no_file(self, tmp_path):
+        def rows():
+            yield {"row": 0}
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_json_lines(tmp_path / "rows.jsonl", rows())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_WRITERS))
+    def test_every_artifact_writer_replaces_its_target_atomically(
+        self, tmp_path, monkeypatch, name
+    ):
+        path = tmp_path / "artifact"
+        ARTIFACT_WRITERS[name](path)
+        written = path.read_bytes()
+        assert written and [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+        def refuse(source, target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        path.write_bytes(b"earlier artifact\n")
+        with pytest.raises(OSError, match="rename refused"):
+            ARTIFACT_WRITERS[name](path)
+        assert path.read_bytes() == b"earlier artifact\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

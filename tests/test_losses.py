@@ -365,3 +365,27 @@ class TestScalarFormsAreBatchRows:
         for spec, scalar in ((LossSpec(LossKind.CCE), cce), (LossSpec(LossKind.MAE), mae)):
             row = batch_losses(spec, y[None, :], p[None, :], [0]).per_example[0]
             assert scalar(y, p) == row
+
+
+# Stated before the property was run: each Lq value is (1 - dot**q) / q, whose
+# subtraction can lose a few ulps of 1.0, magnified by 1/q <= 1000 over the q
+# drawn here, and the cross-entropy sums at most ten terms of at most 27.7
+# (-log PROB_FLOOR). Both errors stay far below 1e-12 in absolute terms.
+LQ_ORDER_TOLERANCE = 1e-12
+
+
+class TestLqOverQ:
+    """(1 - u^q) / q falls as q grows and lies below -log u, which Jensen's
+    inequality puts below the cross-entropy of any target distribution."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=target_and_logits(),
+        qs=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=2).map(sorted),
+    )
+    def test_non_increasing_in_q_and_at_most_cce(self, case, qs):
+        y, z = case
+        p = softmax(z)
+        low, high = (lq_loss(y, p, q) for q in qs)
+        assert high <= low + LQ_ORDER_TOLERANCE
+        assert low <= cce(y, p) + LQ_ORDER_TOLERANCE

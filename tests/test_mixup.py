@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelnoise import (
     Batch,
@@ -226,3 +228,62 @@ class TestBatch:
     def test_size(self):
         batch = Batch(features=np.zeros((5, 2)), targets=np.full((5, 3), 1 / 3))
         assert len(batch) == 5
+
+
+@st.composite
+def batch_pairs(draw):
+    """A batch and an equal-size partner: features of any sign over many scales,
+    targets that are distributions (one-hot, smoothed or mixed rows). The partner
+    shares about a third of its entries with the batch, where a convex mix whose
+    ends are equal can round one ulp outside them."""
+    n = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def make():
+        features = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
+        targets = rng.dirichlet(np.full(k, 0.3), size=n)
+        one_hot = rng.random(n) < 0.3
+        targets[one_hot] = np.eye(k)[rng.integers(0, k, one_hot.sum())]
+        return features, targets / targets.sum(axis=1, keepdims=True)
+
+    features, targets = make()
+    partner_features, partner_targets = make()
+    shared = rng.random((n, width)) < 0.3
+    partner_features[shared] = features[shared]
+    same_row = rng.random(n) < 0.3
+    partner_targets[same_row] = targets[same_row]
+    return Batch(features, targets), Batch(partner_features, partner_targets)
+
+
+def assert_inside_envelope(mixed, a, b):
+    assert np.all(np.minimum(a, b) <= mixed) and np.all(mixed <= np.maximum(a, b))
+
+
+class TestConvexityProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pair=batch_pairs(),
+        alpha=st.floats(0.05, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixed_entries_inside_the_pair_envelope_and_targets_sum_to_one(
+        self, pair, alpha, seed
+    ):
+        batch, partner = pair
+        policy = MixupPolicy(alpha=alpha, pairing=Pairing.INTER_BATCH)
+        mixed = apply_mixup(batch, partner, policy, epoch=0, rng=RngStream(seed))
+        assert_inside_envelope(mixed.features, batch.features, partner.features)
+        assert_inside_envelope(mixed.targets, batch.targets, partner.targets)
+        np.testing.assert_allclose(mixed.targets.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=batch_pairs(), lam=st.floats(0.0, 1.0))
+    def test_mix_pair_stays_inside_the_envelope(self, pair, lam):
+        batch, partner = pair
+        x, y = mix_pair(batch.features[0], batch.targets[0],
+                        partner.features[0], partner.targets[0], lam)
+        assert_inside_envelope(x, batch.features[0], partner.features[0])
+        assert_inside_envelope(y, batch.targets[0], partner.targets[0])
+        assert abs(y.sum() - 1.0) <= 1e-12
