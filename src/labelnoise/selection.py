@@ -11,6 +11,7 @@ losses by arithmetic mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -154,16 +155,15 @@ def _removal_order(clip_loss_map: Mapping[int, float]) -> list[int]:
     return sorted(clip_loss_map, key=lambda clip: (-clip_loss_map[clip], -clip))
 
 
-def prune_dataset(
-    dataset: Dataset, clip_loss_map: Mapping[int, float], prune_count: int
-) -> tuple[Dataset, list[int]]:
-    """Drop the ``prune_count`` highest-loss clips from the dataset.
+def prune_rows(
+    clip_ids: np.ndarray, clip_loss_map: Mapping[int, float], prune_count: int
+) -> tuple[np.ndarray, list[int]]:
+    """Drop the ``prune_count`` highest-loss clips from rows with these clip ids.
 
-    Every clip in the dataset must have a loss entry. Returns the kept
-    dataset (original row order) and the removed clip ids, highest loss
-    first.
+    Every clip must have a loss entry. Returns the ascending positions of
+    the kept rows and the removed clip ids, highest loss first.
     """
-    clips = dataset.clip_table()[0]
+    clips = np.unique(clip_ids)
     if prune_count >= clips.size:
         raise InvalidInputError(
             f"prune_count {prune_count} must be smaller than the clip count {clips.size}"
@@ -172,11 +172,18 @@ def prune_dataset(
     if missing:
         raise ConfigurationError(f"clips without a loss entry: {missing[:5]}")
     if prune_count == 0:
-        return dataset, []
+        return np.arange(clip_ids.size), []
     scored = {int(c): float(clip_loss_map[int(c)]) for c in clips}
     removed = _removal_order(scored)[:prune_count]
-    keep_mask = ~np.isin(dataset.clip_ids, np.asarray(removed, dtype=np.int64))
-    return dataset.subset(keep_mask), removed
+    return np.flatnonzero(~np.isin(clip_ids, np.asarray(removed, dtype=np.int64))), removed
+
+
+def prune_dataset(
+    dataset: Dataset, clip_loss_map: Mapping[int, float], prune_count: int
+) -> tuple[Dataset, list[int]]:
+    """:func:`prune_rows` on ``dataset``: the kept dataset, in row order, and the removed clips."""
+    kept, removed = prune_rows(dataset.clip_ids, clip_loss_map, prune_count)
+    return (dataset.subset(kept) if removed else dataset), removed
 
 
 @dataclass(frozen=True)
@@ -211,5 +218,28 @@ _REPORT_FIELDS = (("clip_id", int), ("clip_loss", float), ("rank", int), ("remov
 
 
 def read_prune_report(path) -> list[PruneRecord]:
-    """Rows of a prune report; a malformed line raises ``InvalidInputError`` naming it."""
-    return read_json_lines(path, lambda record: PruneRecord(*row_fields(record, _REPORT_FIELDS)))
+    """Rows of a prune report; a malformed line raises ``InvalidInputError`` naming it.
+
+    Besides the field types, a line is malformed when its ``clip_loss`` is
+    negative or not finite, when its clip already appeared in the same prune
+    round (each round's ranks start at 1), or when an earlier round removed it.
+    """
+    in_round: set[int] = set()
+    removed: set[int] = set()
+
+    def parse(record) -> PruneRecord:
+        row = PruneRecord(*row_fields(record, _REPORT_FIELDS))
+        if not (math.isfinite(row.clip_loss) and row.clip_loss >= 0.0):
+            raise ValueError(f"clip_loss must be finite and non-negative, got {row.clip_loss}")
+        if row.rank == 1:
+            in_round.clear()
+        if row.clip_id in in_round:
+            raise ValueError(f"clip_id {row.clip_id} appears twice in one prune round")
+        if row.clip_id in removed:
+            raise ValueError(f"clip_id {row.clip_id} was removed by an earlier prune round")
+        in_round.add(row.clip_id)
+        if row.removed:
+            removed.add(row.clip_id)
+        return row
+
+    return read_json_lines(path, parse)

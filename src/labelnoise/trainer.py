@@ -53,8 +53,8 @@ from .selection import (
     StagePlan,
     Strategy,
     discard_mask,
-    prune_dataset,
     prune_report_rows,
+    prune_rows,
 )
 from .smoothing import SmoothingPolicy, targets_matrix
 
@@ -272,13 +272,15 @@ class TrainResult:
     prune_report: list[PruneRecord] | None
 
 
-def stratified_split(
+def split_rows(
     dataset: Dataset, val_fraction: float, seed: int | RngStream
-) -> tuple[Dataset, Dataset]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Clip-level stratified split: per class, ceil(fraction * clips) go to validation.
 
     Clips are assigned by a seeded shuffle within each class; no clip
-    straddles the two splits, and together they cover the dataset.
+    straddles the two splits, and together they cover the dataset. Returns
+    the ascending positions in ``dataset`` of the train rows and of the
+    validation rows.
     """
     if not 0.0 < val_fraction < 1.0:
         raise InvalidInputError(f"val_fraction must lie in (0, 1), got {val_fraction}")
@@ -298,7 +300,15 @@ def stratified_split(
         order = gen.permutation(class_clips.size)
         val_clips.extend(int(c) for c in class_clips[order[:n_val]])
     val_mask = np.isin(dataset.clip_ids, np.asarray(val_clips, dtype=np.int64))
-    return dataset.subset(~val_mask), dataset.subset(val_mask)
+    return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
+
+
+def stratified_split(
+    dataset: Dataset, val_fraction: float, seed: int | RngStream
+) -> tuple[Dataset, Dataset]:
+    """The train and validation rows of :func:`split_rows` as two datasets, in row order."""
+    train_rows, val_rows = split_rows(dataset, val_fraction, seed)
+    return dataset.subset(train_rows), dataset.subset(val_rows)
 
 
 def plateau_step(
@@ -418,18 +428,22 @@ def train(
     if rng is None:
         rng = RngStream(config.seed)
 
-    train_split, val_split = stratified_split(
-        dataset, config.val_fraction, rng.child(_SPLIT)
-    )
-    if train_split.n_examples == 0:
+    # The train set is ``rows``, the ascending positions of its rows in
+    # ``dataset``: batches gather their features from ``dataset`` itself.
+    # Validation is one contiguous copy, since a product's bits depend on
+    # its row count.
+    rows, val_rows = split_rows(dataset, config.val_fraction, rng.child(_SPLIT))
+    if rows.size == 0:
         raise InvalidInputError(
             f"val_fraction {config.val_fraction} sends every clip to validation;"
             " none is left to train on"
         )
-    prune_epochs = check_prune_plan(config.stage, config.max_epochs, train_split.n_clips())
+    prune_epochs = check_prune_plan(
+        config.stage, config.max_epochs, np.unique(dataset.clip_ids.take(rows)).size
+    )
+    val_split = dataset.subset(val_rows)
     val_layout = _clip_layout(val_split, dataset.num_classes)
-    current = train_split
-    targets = targets_matrix(current.labels, dataset.num_classes, config.smoothing)
+    targets = targets_matrix(dataset.labels.take(rows), dataset.num_classes, config.smoothing)
 
     # The weights, their gradient and the Adam moments each live in one flat
     # buffer; ``params.weights`` and ``grads`` are reshaped views into them.
@@ -451,7 +465,7 @@ def train(
     best_weights = flat_weights.copy()
     stall = 0
     history: list[EpochRecord] = []
-    prune_rows: list[PruneRecord] | None = None
+    prune_report: list[PruneRecord] | None = None
     discard = config.stage.strategy == Strategy.DISCARD
     inter_mixup = (
         config.mixup is not None
@@ -461,32 +475,33 @@ def train(
 
     for epoch in range(config.max_epochs):
         if epoch in prune_epochs:
-            current, targets, rows = _prune_now(params, current, targets, config, epoch)
-            prune_rows = (prune_rows or []) + rows
+            rows, targets, report_rows = _prune_now(params, dataset, rows, targets, config, epoch)
+            prune_report = (prune_report or []) + report_rows
 
-        n = current.n_examples
+        n = rows.size
+        # ``order`` indexes ``targets``; ``shuffled`` holds the same rows' positions in ``dataset``
         order = rng.child(_SHUFFLE).child(epoch).generator().permutation(n)
-        partner_order = (
-            rng.child(_PARTNER).child(epoch).generator().permutation(n)
-            if inter_mixup
-            else None
-        )
+        shuffled = rows.take(order)
+        if inter_mixup:
+            partner_order = rng.child(_PARTNER).child(epoch).generator().permutation(n)
+            partners = rows.take(partner_order)
         mixup_rng = rng.child(_MIXUP).child(epoch) if config.mixup is not None else None
 
         kept_loss_sum = 0.0
         kept_count = 0
         total_count = 0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
+            stop = start + config.batch_size
+            batch_rows = shuffled[start:stop]
             # take copies the same rows as fancy indexing, with less overhead
-            features = current.features.take(idx, axis=0)
-            batch_targets = targets.take(idx, axis=0)
+            features = dataset.features.take(batch_rows, axis=0)
+            batch_targets = targets.take(order[start:stop], axis=0)
             if config.mixup is not None:
                 partner = None
                 if inter_mixup:
-                    pidx = partner_order[start : start + config.batch_size]
                     partner = Batch(
-                        current.features.take(pidx, axis=0), targets.take(pidx, axis=0)
+                        dataset.features.take(partners[start:stop], axis=0),
+                        targets.take(partner_order[start:stop], axis=0),
                     )
                 mixed = apply_mixup(
                     Batch(features, batch_targets),
@@ -505,7 +520,7 @@ def train(
             total_count += len(losses)
             if discard:
                 # the report checks the values, as _check_loss_values does
-                report = LossReport(losses, current.example_ids[idx])
+                report = LossReport(losses, dataset.example_ids.take(batch_rows))
                 keep = discard_mask(
                     report, config.stage.rule, epoch, config.stage.start_epoch
                 )
@@ -556,29 +571,35 @@ def train(
 
     shapes = [w.shape for w in params.weights]
     best = [w.copy() for w in _flat_views(best_weights, shapes)]
-    return TrainResult(replace(params, weights=best), history, prune_rows)
+    return TrainResult(replace(params, weights=best), history, prune_report)
 
 
 def _prune_now(
     params: ModelParams,
-    current: Dataset,
+    dataset: Dataset,
+    rows: np.ndarray,
     targets: np.ndarray,
     config: TrainConfig,
     epoch: int,
-) -> tuple[Dataset, np.ndarray, list[PruneRecord]]:
-    logits = forward(params, current.features)
+) -> tuple[np.ndarray, np.ndarray, list[PruneRecord]]:
+    """One prune round over the train ``rows``: (surviving rows, their targets, report rows).
+
+    The forward runs on one contiguous gather of the rows, freed once it has
+    run; a forward over chunks, or over all of ``dataset``, could change the
+    losses' bits.
+    """
+    logits = forward(params, dataset.features.take(rows, axis=0))
     if not np.isfinite(logits).all():
         raise TrainingError("training diverged: non-finite logits while pruning", epoch)
     probs = softmax_rows(logits)
-    report = batch_losses(config.loss, targets, probs, current.example_ids)
-    clips, inverse, _ = current.clip_table()
+    report = batch_losses(config.loss, targets, probs, dataset.example_ids.take(rows))
+    clip_ids = dataset.clip_ids.take(rows)
+    clips, inverse = np.unique(clip_ids, return_inverse=True)
     # bincount adds each clip's patch losses in row order, as clip_losses does
     means = np.bincount(inverse, weights=report.per_example) / np.bincount(inverse)
     losses_by_clip = dict(zip(clips.tolist(), means.tolist()))
-    kept, removed = prune_dataset(current, losses_by_clip, config.stage.prune_count)
-    rows = prune_report_rows(losses_by_clip, removed)
-    # a target row depends only on its label, so rebuilding equals gathering
-    return kept, targets_matrix(kept.labels, kept.num_classes, config.smoothing), rows
+    kept, removed = prune_rows(clip_ids, losses_by_clip, config.stage.prune_count)
+    return rows.take(kept), targets.take(kept, axis=0), prune_report_rows(losses_by_clip, removed)
 
 
 def write_metrics(path, history: list[EpochRecord]) -> None:

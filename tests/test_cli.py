@@ -134,6 +134,31 @@ MALFORMED_REPORT_LINES = {
         lambda row: json.dumps({**row, "clip_loss": 10**400}),
         "int too large to convert to float",
     ),
+    # line 1 lists clip 0 as removed, at rank 1
+    "clip_listed_twice": (
+        lambda row: json.dumps({**row, "clip_id": 0, "removed": True}),
+        "clip_id 0 appears twice in one prune round",
+    ),
+    "clip_removed_and_kept": (
+        lambda row: json.dumps({**row, "clip_id": 0, "removed": False}),
+        "clip_id 0 appears twice in one prune round",
+    ),
+    "removed_clip_in_a_later_round": (
+        lambda row: json.dumps({**row, "clip_id": 0, "rank": 1, "removed": False}),
+        "clip_id 0 was removed by an earlier prune round",
+    ),
+    "negative_loss": (
+        lambda row: json.dumps({**row, "clip_loss": -1.0}),
+        "clip_loss must be finite and non-negative, got -1.0",
+    ),
+    "nan_loss": (
+        lambda row: json.dumps({**row, "clip_loss": float("nan")}),
+        "clip_loss must be finite and non-negative, got nan",
+    ),
+    "infinite_loss": (
+        lambda row: json.dumps({**row, "clip_loss": float("inf")}),
+        "clip_loss must be finite and non-negative, got inf",
+    ),
 }
 
 

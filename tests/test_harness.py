@@ -3,7 +3,6 @@
 import hashlib
 import json
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -760,21 +759,6 @@ def awkward_dataset(rows, width, seed):
     return AnnotatedDataset(data, clean, flipped)
 
 
-def traced_peak(action) -> int:
-    """Bytes by which ``action()`` raised the traced Python and numpy heap at its peak."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        action()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-
-
 # sha256 of the dataset files of a 1032-row noisy dataset, recorded from the
 # writer that converted whole columns at once; 1032 rows span two write blocks.
 PINNED_FILE_DIGESTS = {
@@ -833,7 +817,7 @@ class TestDatasetFileStreaming:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    def test_write_peak_does_not_grow_with_rows(self, tmp_path):
+    def test_write_peak_does_not_grow_with_rows(self, tmp_path, traced_peak):
         # one write block of rows against eight: a writer that converts whole
         # columns peaks about eight times higher on the larger file
         peaks = {}
@@ -842,7 +826,7 @@ class TestDatasetFileStreaming:
             peaks[rows] = traced_peak(lambda: write_annotated(tmp_path / "data.jsonl", noisy))
         assert peaks[8192] < 1.25 * peaks[1024], peaks
 
-    def test_read_peak_is_at_most_twice_the_feature_bytes(self, tmp_path):
+    def test_read_peak_is_at_most_twice_the_feature_bytes(self, tmp_path, traced_peak):
         noisy = generate_blobs(2, 512, 4, 64, 0.25, seed=1)  # 4096 rows x 64
         path = tmp_path / "data.jsonl"
         write_annotated(path, noisy)

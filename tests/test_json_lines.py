@@ -25,7 +25,6 @@ from labelnoise import (
 from labelnoise.errors import row_fields, write_json_lines
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 EPOCH_RECORDS = st.builds(
     EpochRecord,
@@ -35,8 +34,13 @@ EPOCH_RECORDS = st.builds(
     lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     kept_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
 )
+# a report lists each clip once, with a finite non-negative loss
 PRUNE_RECORDS = st.builds(
-    PruneRecord, clip_id=INT64, clip_loss=FINITE, rank=INT64, removed=st.booleans()
+    PruneRecord,
+    clip_id=INT64,
+    clip_loss=st.floats(min_value=0.0, allow_infinity=False),
+    rank=INT64,
+    removed=st.booleans(),
 )
 
 
@@ -85,7 +89,7 @@ class TestRoundTrip:
         assert read_metrics(path) == history
 
     @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(PRUNE_RECORDS, max_size=6))
+    @given(rows=st.lists(PRUNE_RECORDS, max_size=6, unique_by=lambda row: row.clip_id))
     def test_prune_report_survives_write_then_read(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("report") / "prune_report.jsonl"
         write_prune_report(path, rows)

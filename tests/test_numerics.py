@@ -129,6 +129,34 @@ class TestSoftmax:
         for i in range(6):
             np.testing.assert_allclose(rows[i], softmax(z[i]), atol=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]),
+                    ),
+                    min_size=k,
+                    max_size=k,
+                ),
+                min_size=0,
+                max_size=6,
+            ).map(lambda rows, k=k: np.array(rows, dtype=np.float64).reshape(len(rows), k))
+        )
+    )
+    def test_rows_variant_matches_reduction_max_bit_for_bit(self, z):
+        # the reference shifts by max(axis=1); NaN, +-inf, +-0 and values
+        # near the float limit included, so the bits must match, NaN for NaN
+        with np.errstate(all="ignore"):
+            expected = z - z.max(axis=1, keepdims=True)
+            np.exp(expected, out=expected)
+            expected /= expected.sum(axis=1, keepdims=True)
+            got = softmax_rows(z)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestPercentile:
     def test_single_element(self):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from labelnoise import (
@@ -35,7 +35,9 @@ from labelnoise import (
     inject_symmetric_noise,
     load_model,
     plateau_step,
+    prune_dataset,
     read_metrics,
+    read_prune_report,
     save_model,
     softmax,
     stratified_split,
@@ -480,6 +482,72 @@ class TestParamGrads:
                 numeric = (up - down) / (2 * h)
                 assert abs(flat_g[i] - numeric) < 1e-4 * max(1.0, abs(numeric))
 
+    # Tolerance, fixed before the first run: |analytic - numeric| <= 1e-5 *
+    # (1 + |numeric|). With h = 1e-6 a central difference is off by about h**2
+    # times the loss's third derivative, plus the loss's rounding divided by
+    # h. Lq's 1 - u**q cancels, so its rounding grows as eps / q; q stays at
+    # 1e-3 or more, where that term is about 2e-7.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from([LossKind.CCE, LossKind.MAE, LossKind.LQ]),
+        q=st.floats(1e-3, 1.0),
+        soft=st.booleans(),
+        architecture=st.sampled_from([Architecture.LINEAR, Architecture.ONE_HIDDEN]),
+        # rows, features, classes, hidden units
+        sizes=st.tuples(
+            st.integers(1, 8), st.integers(1, 5), st.integers(2, 5), st.integers(1, 6)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_central_differences_of_the_mean_loss(
+        self, kind, q, soft, architecture, sizes, seed
+    ):
+        from labelnoise import loss_gradients_from_probs
+        from labelnoise.losses import _loss_values
+
+        n, f, k, hidden_units = sizes
+        rng = np.random.default_rng(seed)
+        spec = LossSpec(kind, q=q if kind == LossKind.LQ else None)
+        params, _, grads, _ = _flat_params(
+            init_params(architecture, f, k, hidden_units, RngStream(seed))
+        )
+        for w in params.weights:  # nonzero biases too
+            w += 0.3 * rng.standard_normal(w.shape)
+        x = rng.standard_normal((n, f))
+        if soft:
+            y = rng.dirichlet(np.ones(k), size=n)
+        else:
+            y = np.eye(k)[rng.integers(0, k, size=n)]
+
+        logits, hidden = _forward_cached(params, x)
+        probs = softmax_rows(logits)
+        if architecture == Architecture.ONE_HIDDEN:
+            w1, b1 = params.weights[:2]
+            assume(np.abs(x @ w1 + b1).min() > 1e-3)  # the ReLU kink
+        if kind == LossKind.MAE:
+            # |y - p| has a kink where p meets a target strictly inside (0, 1)
+            inside = (y > 0.0) & (y < 1.0)
+            assume(not inside.any() or np.abs(probs - y)[inside].min() > 1e-3)
+
+        logit_grads = loss_gradients_from_probs(spec, y, probs) / n
+        _param_grads(params, x, logit_grads, hidden, grads)
+
+        def mean_loss():
+            return _loss_values(spec, y, softmax_rows(forward(params, x))).mean()
+
+        h = 1e-6
+        for w, g in zip(params.weights, grads):
+            flat_w, flat_g = w.ravel(), g.ravel()
+            for i in range(flat_w.size):
+                original = flat_w[i]
+                flat_w[i] = original + h
+                up = mean_loss()
+                flat_w[i] = original - h
+                down = mean_loss()
+                flat_w[i] = original
+                numeric = (up - down) / (2 * h)
+                assert abs(flat_g[i] - numeric) <= 1e-5 * (1.0 + abs(numeric))
+
     @pytest.mark.parametrize(
         "architecture", [Architecture.LINEAR, Architecture.ONE_HIDDEN]
     )
@@ -753,6 +821,16 @@ class TestTrainWithDefenses:
         assert len(result.prune_report) == 56
         assert sum(r.removed for r in result.prune_report) == 8
 
+    def test_iterative_prune_report_reads_back(self, tmp_path):
+        # the second round lists the first round's survivors again
+        stage = StagePlan(
+            strategy=Strategy.PRUNE, start_epoch=2, prune_count=4, prune_rounds=2
+        )
+        result = train(blob_dataset(), quick_config(max_epochs=6, stage=stage))
+        path = tmp_path / "prune_report.jsonl"
+        write_prune_report(path, result.prune_report)
+        assert read_prune_report(path) == result.prune_report
+
     def test_prune_overflow_rejected_before_first_epoch(self, monkeypatch):
         # 4 rounds x 10 clips cannot come out of the 30 train-split clips
         def no_batches(*args, **kwargs):
@@ -812,6 +890,107 @@ class TestTrainWithDefenses:
             ),
         )
         assert result.history[-1].val_accuracy >= 0.9
+
+
+def assert_same_rows(got: Dataset, want: Dataset):
+    for column in ("example_ids", "clip_ids", "labels", "features"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), column
+    assert got.num_classes == want.num_classes
+
+
+class TestTrainRows:
+    """``train`` keeps its train set as row positions; they must select what the
+    dataset-level split and prune select."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        clips_per_class=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        patches=st.lists(st.integers(1, 4), min_size=24, max_size=24),
+        val_fraction=st.floats(0.05, 0.6),
+        prune_draw=st.integers(0, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_split_and_prune(
+        self, clips_per_class, patches, val_fraction, prune_draw, seed
+    ):
+        import labelnoise.trainer as trainer_module
+
+        # shuffled rows, sparse clip ids, unequal patch counts per clip
+        rng = np.random.default_rng(seed)
+        clip_labels = np.repeat(np.arange(len(clips_per_class)), clips_per_class)
+        counts = patches[: clip_labels.size]
+        sparse_ids = rng.choice(10**6, size=clip_labels.size, replace=False)
+        order = rng.permutation(sum(counts))
+        ds = Dataset(
+            rng.choice(10**9, size=order.size, replace=False),
+            np.repeat(sparse_ids, counts)[order],
+            rng.standard_normal((order.size, 3)),
+            np.repeat(clip_labels, counts)[order],
+            len(clips_per_class),
+        )
+        train_half, val_half = stratified_split(ds, val_fraction, RngStream(seed).child(0))
+        train_clips = train_half.n_clips()
+        assume(train_clips >= 1)
+
+        calls = []
+        real_split, real_prune = trainer_module.split_rows, trainer_module._prune_now
+
+        def recorded_split(*args):
+            calls.append(("split", real_split(*args)))
+            return calls[-1][1]
+
+        def recorded_prune(params, dataset, rows, *args):
+            result = real_prune(params, dataset, rows, *args)
+            calls.append(("prune", rows.copy(), result[0]))
+            return result
+
+        prune_count = prune_draw % train_clips
+        stage = StagePlan(strategy=Strategy.PRUNE, start_epoch=1, prune_count=prune_count)
+        config = quick_config(
+            max_epochs=2, batch_size=4, val_fraction=val_fraction, seed=seed, stage=stage
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer_module, "split_rows", recorded_split)
+            patch.setattr(trainer_module, "_prune_now", recorded_prune)
+            result = train(ds, config)
+
+        (_, (train_rows, val_rows)), (_, before, after) = calls
+        assert_same_rows(ds.subset(train_rows), train_half)
+        assert_same_rows(ds.subset(val_rows), val_half)
+        assert np.array_equal(before, train_rows)
+        losses = {row.clip_id: row.clip_loss for row in result.prune_report}
+        kept, removed = prune_dataset(train_half, losses, prune_count)
+        assert_same_rows(ds.subset(after), kept)
+        assert removed == [row.clip_id for row in result.prune_report if row.removed]
+
+
+class TestTrainMemory:
+    """``train`` gathers batches from the caller's dataset instead of copying its
+    train rows; 8192 rows x 64 features, 2 Lq epochs."""
+
+    @staticmethod
+    def peak_over_feature_bytes(traced_peak, stage):
+        data = generate_blobs(8, 256, 4, 64, 0.25, seed=3).data
+        config = quick_config(
+            loss=LossSpec(LossKind.LQ, q=0.7),
+            max_epochs=2,
+            batch_size=64,
+            val_fraction=0.15,
+            stage=stage,
+        )
+        return traced_peak(lambda: train(data, config)) / data.features.nbytes
+
+    def test_peak_without_pruning(self, traced_peak):
+        # the validation copy and the targets; copying the train rows gave 1.26
+        assert self.peak_over_feature_bytes(traced_peak, StagePlan()) <= 0.6
+
+    def test_peak_with_one_prune_round(self, traced_peak):
+        # plus one transient gather of the current rows for the prune forward;
+        # copying the train rows and then the survivors gave 2.37
+        # 347 of the 1736 train-split clips
+        stage = StagePlan(strategy=Strategy.PRUNE, start_epoch=1, prune_count=347)
+        assert self.peak_over_feature_bytes(traced_peak, stage) <= 1.6
 
 
 class TestConfigValidation:
