@@ -50,9 +50,7 @@ from .errors import (
 )
 from .harness import (
     generate_blobs,
-    inject_oov_noise,
-    inject_symmetric_noise,
-    NoiseKind,
+    inject_noise,
     prune_precision,
     read_annotated,
     read_as_annotated,
@@ -90,6 +88,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
         partition=args.partition,
     )
+    return _write_datasets(args, annotated)
+
+
+def _write_datasets(args: argparse.Namespace, annotated) -> int:
+    """``--out`` with the ground truth and, if asked, ``--public-out`` without it."""
     out = Path(args.out)
     write_annotated(out, annotated)
     _wrote(out)
@@ -111,19 +114,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
                 f" {exc}"
             ) from exc
     spec = parse_noise(section, prefix="noise")
-    annotated = read_as_annotated(args.input)
-    if spec.kind == NoiseKind.SYMMETRIC_IV:
-        corrupted = inject_symmetric_noise(annotated, spec)
-    else:
-        corrupted = inject_oov_noise(annotated, spec)
-    out = Path(args.out)
-    write_annotated(out, corrupted)
-    _wrote(out)
-    if args.public_out:
-        public = Path(args.public_out)
-        write_dataset(public, corrupted.data)
-        _wrote(public)
-    return 0
+    return _write_datasets(args, inject_noise(read_as_annotated(args.input), spec))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

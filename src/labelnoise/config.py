@@ -78,14 +78,13 @@ def _object(value: Any, path: str) -> Mapping:
 def _typed(kind, noun: str) -> Callable:
     """A JSON value of one Python type; true and false are not numbers."""
     def cast(value: Any, path: str, ctx: _Context):
-        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise ConfigurationError(f"{path} must be {noun}, got {value!r}")
         return value
     return cast
 
 
 _int = _typed(int, "an integer")
-_bool = _typed(bool, "true or false")
 _string = _typed(str, "a string path")
 _number = _typed((int, float), "a number")
 
@@ -235,7 +234,6 @@ _TABLES: dict[type, tuple[_Key, ...]] = {
         _Key("alpha", _float, missing=_REQUIRED),
         _Key("warmup_epochs", _int),
         _Key("pairing", _enum(Pairing)),
-        _Key("enabled", _bool),
     ),
     TrainConfig: (
         _Key("loss", _section(LossSpec), missing={}),

@@ -86,6 +86,3 @@ class Dataset:
             int(example): int(clip)
             for example, clip in zip(self.example_ids, self.clip_ids)
         }
-
-    def n_clips(self) -> int:
-        return self.clip_table()[0].size if self.n_examples else 0

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, the JSON-lines codec (one writer, one reader
-that names a bad line, one field-type rule), the one way an artifact file is written, and the
-input checks more than one module applies."""
+"""Exception types shared across the toolkit, the JSON codecs (a writer and a reader for
+JSON-lines files and for one-document JSON files, each reader naming the bad line or file, and
+one field-type rule), the one way an artifact file is written, and the input checks more than
+one module applies."""
 
 import json
 import os
@@ -47,15 +48,18 @@ def check_class_map(name: str, by_class: Mapping[int, object] | None, num_classe
         )
 
 
+def _fault(err: Exception) -> str:
+    """What a parse error says is wrong with a JSON value."""
+    if isinstance(err, KeyError):
+        return f"missing field {err}"
+    if isinstance(err, json.JSONDecodeError):
+        return f"not valid JSON ({err.msg} at column {err.colno})"
+    return str(err)
+
+
 def line_error(path, number: int, err: Exception) -> InvalidInputError:
     """An error naming line ``number`` of the JSON-lines file ``path`` and its fault."""
-    if isinstance(err, KeyError):
-        reason = f"missing field {err}"
-    elif isinstance(err, json.JSONDecodeError):
-        reason = f"not valid JSON ({err.msg} at column {err.colno})"
-    else:
-        reason = str(err)
-    return InvalidInputError(f"{path}, line {number}: {reason}")
+    return InvalidInputError(f"{path}, line {number}: {_fault(err)}")
 
 
 def read_json_lines(path, parse_row) -> list:
@@ -76,6 +80,18 @@ def read_json_lines(path, parse_row) -> list:
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise line_error(path, number, exc) from exc
     return rows
+
+
+def read_json(path, parse):
+    """``parse`` of the one JSON document in the file ``path``.
+
+    A file that is not JSON, or whose value ``parse`` rejects as :func:`read_json_lines`
+    describes, raises ``InvalidInputError`` naming the file and the fault.
+    """
+    try:
+        return parse(json.loads(Path(path).read_bytes()))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{path}: {_fault(exc)}") from exc
 
 
 @contextmanager
@@ -108,6 +124,13 @@ def write_json_lines(path, rows) -> None:
     """
     with atomic_write(path) as fh:
         fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def write_json(path, record, indent: int | None = None) -> None:
+    """Write ``record`` to ``path`` as one JSON document, keys sorted, atomically."""
+    with atomic_write(path) as fh:
+        json.dump(record, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
 
 
 # How an error names the JSON type of each field kind.

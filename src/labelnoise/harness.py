@@ -35,7 +35,6 @@ import math
 from array import array
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -45,14 +44,15 @@ from .errors import (
     ConfigurationError,
     ExperimentError,
     InvalidInputError,
-    atomic_write,
     check_class_map,
+    read_json,
     read_json_lines,
     row_fields,
+    write_json,
     write_json_lines,
 )
 from .numerics import RngStream, derive_seed, mean_ci
-from .selection import PruneRecord, Strategy
+from .selection import PruneRecord
 from .smoothing import NoiseGroup
 from .trainer import (
     EpochRecord,
@@ -144,7 +144,7 @@ def generate_blobs(
         raise InvalidInputError(f"need at least 2 classes, got {num_classes}")
     if clips_per_class < 1 or patches_per_clip < 1 or feature_dim < 1:
         raise InvalidInputError("counts and feature_dim must be >= 1")
-    if cluster_spread < 0:
+    if not 0.0 <= cluster_spread < math.inf:
         raise InvalidInputError(f"cluster_spread must be >= 0, got {cluster_spread}")
     if partition not in _CLIP_STREAM:
         raise InvalidInputError(f"partition must be 'train' or 'test', got {partition!r}")
@@ -271,6 +271,14 @@ def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedD
     flags[rows] = True
     dataset = replace(annotated.data, features=features)
     return AnnotatedDataset(dataset, clean, flags)
+
+
+def inject_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDataset:
+    """Corrupt ``annotated`` with the injector of ``spec``'s kind, looked up by name at each
+    call (so a wrapper installed on that module attribute sees the call)."""
+    if spec.kind == NoiseKind.SYMMETRIC_IV:
+        return inject_symmetric_noise(annotated, spec)
+    return inject_oov_noise(annotated, spec)
 
 
 def per_class_corruption_rates(annotated: AnnotatedDataset) -> np.ndarray:
@@ -498,7 +506,7 @@ class DatasetParams:
         for name in ("clips_per_class", "patches_per_clip", "feature_dim", "test_clips_per_class"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1")
-        if self.cluster_spread < 0:
+        if not 0.0 <= self.cluster_spread < math.inf:
             raise InvalidInputError("cluster_spread must be >= 0")
 
 
@@ -573,11 +581,7 @@ def _single_run(cfg: ExperimentConfig, run_index: int) -> RunResult:
         dp.feature_dim, dp.cluster_spread, data_seed, partition="test",
     )
     if cfg.noise is not None:
-        spec = replace(cfg.noise, seed=noise_seed)
-        if spec.kind == NoiseKind.SYMMETRIC_IV:
-            train_annotated = inject_symmetric_noise(train_annotated, spec)
-        else:
-            train_annotated = inject_oov_noise(train_annotated, spec)
+        train_annotated = inject_noise(train_annotated, replace(cfg.noise, seed=noise_seed))
 
     train_cfg = cfg.train
     if cfg.auto_noise_groups and train_cfg.smoothing is not None:
@@ -657,26 +661,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def write_summary(path, summary: RunSummary) -> None:
-    """``summary.json``, written atomically."""
-    record = {
-        "config_fingerprint": summary.config_fingerprint,
-        "per_run_accuracy": list(summary.per_run_accuracy),
-        "mean": summary.mean,
-        "ci_half_width": summary.ci_half_width,
-        "dataset_fingerprints": list(summary.dataset_fingerprints),
-    }
-    with atomic_write(path) as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """``summary.json``, written atomically: each field of ``summary``, tuples as lists."""
+    write_json(path, asdict(summary), indent=2)
 
 
 def read_summary(path) -> RunSummary:
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    return RunSummary(
-        per_run_accuracy=tuple(float(a) for a in record["per_run_accuracy"]),
-        mean=float(record["mean"]),
-        ci_half_width=float(record["ci_half_width"]),
-        config_fingerprint=str(record["config_fingerprint"]),
-        dataset_fingerprints=tuple(str(f) for f in record["dataset_fingerprints"]),
+    """The summary in a ``summary.json``; a malformed one raises ``InvalidInputError``."""
+    return read_json(
+        path,
+        lambda record: RunSummary(
+            per_run_accuracy=tuple(float(a) for a in record["per_run_accuracy"]),
+            mean=float(record["mean"]),
+            ci_half_width=float(record["ci_half_width"]),
+            config_fingerprint=str(record["config_fingerprint"]),
+            dataset_fingerprints=tuple(str(f) for f in record["dataset_fingerprints"]),
+        ),
     )

@@ -16,6 +16,7 @@ validation and test data are never mixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,10 +36,9 @@ class MixupPolicy:
     alpha: float
     warmup_epochs: int = 0
     pairing: Pairing = Pairing.INTRA_BATCH
-    enabled: bool = True
 
     def __post_init__(self):
-        if self.enabled and self.alpha <= 0:
+        if not 0.0 < self.alpha < math.inf:
             raise InvalidInputError(
                 f"mixup strength alpha must be positive, got {self.alpha}"
             )
@@ -97,15 +97,15 @@ def apply_mixup(
 ) -> Batch:
     """Mix a whole batch according to the policy, or pass it through.
 
-    Returns the input batch object unchanged when mixup is disabled or the
-    epoch is still inside the warm-up period. Otherwise one ``lam`` is drawn
-    per pair and each row is mixed against its partner row: a seeded random
-    permutation of the batch itself for intra-batch pairing, or the same
-    position of ``partner_batch`` for inter-batch pairing.
+    Returns the input batch object unchanged while the epoch is still inside
+    the warm-up period. Otherwise one ``lam`` is drawn per pair and each row
+    is mixed against its partner row: a seeded random permutation of the
+    batch itself for intra-batch pairing, or the same position of
+    ``partner_batch`` for inter-batch pairing.
     """
     if len(batch) == 0:
         raise InvalidInputError("cannot mix an empty batch")
-    if not policy.enabled or epoch < policy.warmup_epochs:
+    if epoch < policy.warmup_epochs:
         return batch
 
     gen = rng.generator()

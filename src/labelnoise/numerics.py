@@ -145,11 +145,6 @@ def beta_draws(alpha: float, gen: np.random.Generator, size: int) -> np.ndarray:
     return g1 / total
 
 
-def sample_beta(alpha: float, rng: RngStream) -> float:
-    """One draw of λ ~ Beta(alpha, alpha) from the given stream."""
-    return float(beta_draws(alpha, rng.generator(), size=1)[0])
-
-
 def mean_ci(values, level: float = 0.95) -> tuple[float, float]:
     """Arithmetic mean and Student-t confidence half-width of a sample.
 

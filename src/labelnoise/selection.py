@@ -133,20 +133,28 @@ def discard_mask(
     return keep
 
 
+def _clip_means(clip_ids: np.ndarray, losses: np.ndarray) -> dict[int, float]:
+    """Arithmetic mean of ``losses`` per clip of the rows' ``clip_ids``, keyed by clip id.
+
+    bincount adds each clip's losses in row order from 0.0, so every mean has
+    the bits of a plain running sum divided by the clip's row count.
+    """
+    clips, inverse = np.unique(clip_ids, return_inverse=True)
+    means = np.bincount(inverse, weights=losses) / np.bincount(inverse)
+    return dict(zip(clips.tolist(), means.tolist()))
+
+
 def clip_losses(
     patch_losses: LossReport, clip_of_example: Mapping[int, int]
 ) -> dict[int, float]:
     """Arithmetic mean of patch losses per clip."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for example_id, value in zip(patch_losses.example_ids, patch_losses.per_example):
+    clip_ids = []
+    for example_id in patch_losses.example_ids:
         key = int(example_id)
         if key not in clip_of_example:
             raise ConfigurationError(f"example {key} has no clip assignment")
-        clip = int(clip_of_example[key])
-        sums[clip] = sums.get(clip, 0.0) + float(value)
-        counts[clip] = counts.get(clip, 0) + 1
-    return {clip: sums[clip] / counts[clip] for clip in sums}
+        clip_ids.append(int(clip_of_example[key]))
+    return _clip_means(np.asarray(clip_ids, dtype=np.int64), patch_losses.per_example)
 
 
 def _removal_order(clip_loss_map: Mapping[int, float]) -> list[int]:

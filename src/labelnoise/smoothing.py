@@ -45,7 +45,7 @@ class SmoothingPolicy:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise InvalidInputError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.delta_epsilon < 0.0:
+        if not self.delta_epsilon >= 0.0:
             raise InvalidInputError(
                 f"delta_epsilon must be non-negative, got {self.delta_epsilon}"
             )

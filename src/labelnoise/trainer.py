@@ -20,11 +20,9 @@ argmax.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -32,10 +30,11 @@ from .data import Dataset
 from .errors import (
     InvalidInputError,
     TrainingError,
-    atomic_write,
     check_class_map,
+    read_json,
     read_json_lines,
     row_fields,
+    write_json,
     write_json_lines,
 )
 from .losses import (
@@ -52,6 +51,7 @@ from .selection import (
     PruneRecord,
     StagePlan,
     Strategy,
+    _clip_means,
     discard_mask,
     prune_report_rows,
     prune_rows,
@@ -232,7 +232,7 @@ class TrainConfig:
             raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:
             raise InvalidInputError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.initial_lr <= 0:
+        if not 0.0 < self.initial_lr < math.inf:
             raise InvalidInputError(f"initial_lr must be positive, got {self.initial_lr}")
         if self.lr_halving_patience < 1 or self.early_stop_patience < 1:
             raise InvalidInputError("patience values must be >= 1")
@@ -429,7 +429,7 @@ def train(
         rng = RngStream(config.seed)
 
     # The train set is ``rows``, the ascending positions of its rows in
-    # ``dataset``: batches gather their features from ``dataset`` itself.
+    # ``dataset``: batches gather their features and targets by those positions.
     # Validation is one contiguous copy, since a product's bits depend on
     # its row count.
     rows, val_rows = split_rows(dataset, config.val_fraction, rng.child(_SPLIT))
@@ -443,7 +443,7 @@ def train(
     )
     val_split = dataset.subset(val_rows)
     val_layout = _clip_layout(val_split, dataset.num_classes)
-    targets = targets_matrix(dataset.labels.take(rows), dataset.num_classes, config.smoothing)
+    targets = targets_matrix(dataset.labels, dataset.num_classes, config.smoothing)
 
     # The weights, their gradient and the Adam moments each live in one flat
     # buffer; ``params.weights`` and ``grads`` are reshaped views into them.
@@ -467,24 +467,17 @@ def train(
     history: list[EpochRecord] = []
     prune_report: list[PruneRecord] | None = None
     discard = config.stage.strategy == Strategy.DISCARD
-    inter_mixup = (
-        config.mixup is not None
-        and config.mixup.enabled
-        and config.mixup.pairing == Pairing.INTER_BATCH
-    )
+    inter_mixup = config.mixup is not None and config.mixup.pairing == Pairing.INTER_BATCH
 
     for epoch in range(config.max_epochs):
         if epoch in prune_epochs:
-            rows, targets, report_rows = _prune_now(params, dataset, rows, targets, config, epoch)
+            rows, report_rows = _prune_now(params, dataset, rows, targets, config, epoch)
             prune_report = (prune_report or []) + report_rows
 
         n = rows.size
-        # ``order`` indexes ``targets``; ``shuffled`` holds the same rows' positions in ``dataset``
-        order = rng.child(_SHUFFLE).child(epoch).generator().permutation(n)
-        shuffled = rows.take(order)
+        shuffled = rows.take(rng.child(_SHUFFLE).child(epoch).generator().permutation(n))
         if inter_mixup:
-            partner_order = rng.child(_PARTNER).child(epoch).generator().permutation(n)
-            partners = rows.take(partner_order)
+            partners = rows.take(rng.child(_PARTNER).child(epoch).generator().permutation(n))
         mixup_rng = rng.child(_MIXUP).child(epoch) if config.mixup is not None else None
 
         kept_loss_sum = 0.0
@@ -495,13 +488,14 @@ def train(
             batch_rows = shuffled[start:stop]
             # take copies the same rows as fancy indexing, with less overhead
             features = dataset.features.take(batch_rows, axis=0)
-            batch_targets = targets.take(order[start:stop], axis=0)
+            batch_targets = targets.take(batch_rows, axis=0)
             if config.mixup is not None:
                 partner = None
                 if inter_mixup:
+                    partner_rows = partners[start:stop]
                     partner = Batch(
-                        dataset.features.take(partners[start:stop], axis=0),
-                        targets.take(partner_order[start:stop], axis=0),
+                        dataset.features.take(partner_rows, axis=0),
+                        targets.take(partner_rows, axis=0),
                     )
                 mixed = apply_mixup(
                     Batch(features, batch_targets),
@@ -581,25 +575,24 @@ def _prune_now(
     targets: np.ndarray,
     config: TrainConfig,
     epoch: int,
-) -> tuple[np.ndarray, np.ndarray, list[PruneRecord]]:
-    """One prune round over the train ``rows``: (surviving rows, their targets, report rows).
+) -> tuple[np.ndarray, list[PruneRecord]]:
+    """One prune round over the train ``rows``: (surviving rows, report rows).
 
-    The forward runs on one contiguous gather of the rows, freed once it has
-    run; a forward over chunks, or over all of ``dataset``, could change the
-    losses' bits.
+    ``targets`` has one row per row of ``dataset``. The forward runs on one
+    contiguous gather of the rows, freed once it has run; a forward over
+    chunks, or over all of ``dataset``, could change the losses' bits.
     """
     logits = forward(params, dataset.features.take(rows, axis=0))
     if not np.isfinite(logits).all():
         raise TrainingError("training diverged: non-finite logits while pruning", epoch)
     probs = softmax_rows(logits)
-    report = batch_losses(config.loss, targets, probs, dataset.example_ids.take(rows))
+    report = batch_losses(
+        config.loss, targets.take(rows, axis=0), probs, dataset.example_ids.take(rows)
+    )
     clip_ids = dataset.clip_ids.take(rows)
-    clips, inverse = np.unique(clip_ids, return_inverse=True)
-    # bincount adds each clip's patch losses in row order, as clip_losses does
-    means = np.bincount(inverse, weights=report.per_example) / np.bincount(inverse)
-    losses_by_clip = dict(zip(clips.tolist(), means.tolist()))
+    losses_by_clip = _clip_means(clip_ids, report.per_example)
     kept, removed = prune_rows(clip_ids, losses_by_clip, config.stage.prune_count)
-    return rows.take(kept), targets.take(kept, axis=0), prune_report_rows(losses_by_clip, removed)
+    return rows.take(kept), prune_report_rows(losses_by_clip, removed)
 
 
 def write_metrics(path, history: list[EpochRecord]) -> None:
@@ -624,25 +617,24 @@ def read_metrics(path) -> list[EpochRecord]:
 
 def save_model(path, params: ModelParams) -> None:
     """Portable JSON model file: architecture descriptor plus weight arrays, written atomically."""
-    record = {
+    write_json(path, {
         "architecture": params.architecture.value,
         "feature_dim": params.feature_dim,
         "num_classes": params.num_classes,
         "hidden_units": params.hidden_units,
         "weights": [w.tolist() for w in params.weights],
-    }
-    with atomic_write(path) as fh:
-        json.dump(record, fh, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_model(path) -> ModelParams:
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    return ModelParams(
-        architecture=Architecture(record["architecture"]),
-        feature_dim=int(record["feature_dim"]),
-        num_classes=int(record["num_classes"]),
-        hidden_units=int(record["hidden_units"]),
-        weights=[np.asarray(w, dtype=np.float64) for w in record["weights"]],
+    """The model in a :func:`save_model` file; a malformed one raises ``InvalidInputError``."""
+    return read_json(
+        path,
+        lambda record: ModelParams(
+            architecture=Architecture(record["architecture"]),
+            feature_dim=int(record["feature_dim"]),
+            num_classes=int(record["num_classes"]),
+            hidden_units=int(record["hidden_units"]),
+            weights=[np.asarray(w, dtype=np.float64) for w in record["weights"]],
+        ),
     )

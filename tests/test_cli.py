@@ -698,6 +698,24 @@ class TestExperimentCommand:
         assert f"error: {path} must be a finite number" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_mixup_enabled_key_exits_two(self, tmp_path, capsys, command, enabled):
+        # leaving the mixup section out is the one way to train without mixup
+        mixup = {"alpha": 0.3, "enabled": enabled}
+        if command == "train":
+            config = train_config(tmp_path, mixup=mixup)
+        else:
+            config = experiment_config(
+                tmp_path, train={"loss": {"kind": "cce"}, "max_epochs": 2, "mixup": mixup}
+            )
+        out_dir = tmp_path / "out"
+        code = run_cli(command, "--config", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown configuration key: train.mixup.enabled\n"
+        assert not out_dir.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("experiment", "--config", str(tmp_path / "absent.json")) == 2
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from labelnoise import (
     ConfigurationError,
     DatasetParams,
     ExperimentConfig,
+    InvalidInputError,
     LossKind,
     LossSpec,
     MixupPolicy,
@@ -27,6 +29,7 @@ from labelnoise import (
     StagePlan,
     Strategy,
     TrainConfig,
+    generate_blobs,
 )
 from labelnoise.config import (
     experiment_to_dict,
@@ -188,7 +191,7 @@ class TestParseSmoothing:
 class TestParseMixup:
     def test_full(self):
         policy = parse_train(
-            {"mixup": {"alpha": 0.3, "warmup_epochs": 10, "pairing": "inter", "enabled": True}}
+            {"mixup": {"alpha": 0.3, "warmup_epochs": 10, "pairing": "inter"}}
         )[0].mixup
         assert policy.alpha == 0.3
         assert policy.warmup_epochs == 10
@@ -198,9 +201,11 @@ class TestParseMixup:
         with pytest.raises(ConfigurationError, match="alpha"):
             parse_train({"mixup": {"warmup_epochs": 3}})
 
-    def test_enabled_must_be_bool(self):
-        with pytest.raises(ConfigurationError, match="enabled"):
-            parse_train({"mixup": {"alpha": 0.3, "enabled": "yes"}})
+    @pytest.mark.parametrize("enabled", [True, False, "yes"])
+    def test_enabled_is_an_unknown_key(self, enabled):
+        unknown = r"^unknown configuration key: train\.mixup\.enabled$"
+        with pytest.raises(ConfigurationError, match=unknown):
+            parse_train({"mixup": {"alpha": 0.3, "enabled": enabled}})
 
     def test_bool_alpha_rejected(self):
         with pytest.raises(ConfigurationError, match="alpha"):
@@ -395,7 +400,7 @@ class TestRoundTrips:
         assert train_to_dict(cfg, auto)["smoothing"] == raw
 
     def test_mixup(self):
-        raw = {"alpha": 0.3, "warmup_epochs": 10, "pairing": "intra", "enabled": True}
+        raw = {"alpha": 0.3, "warmup_epochs": 10, "pairing": "intra"}
         assert train_to_dict(parse_train({"mixup": raw})[0])["mixup"] == raw
 
     def test_dataset(self):
@@ -477,6 +482,25 @@ class TestNonFiniteNumbers:
             parse_train({"initial_lr": 10**400})
 
 
+# Each positive or non-negative float a dataclass (or generate_blobs) checks
+# itself, built with the value under test; NaN fails every ordered comparison,
+# so a check written as ``x <= 0`` lets it through.
+NUMBER_FIELDS = {
+    "MixupPolicy.alpha": lambda v: MixupPolicy(alpha=v),
+    "TrainConfig.initial_lr": lambda v: TrainConfig(LossSpec(LossKind.CCE), initial_lr=v),
+    "SmoothingPolicy.delta_epsilon": lambda v: SmoothingPolicy(0.1, delta_epsilon=v),
+    "DatasetParams.cluster_spread": lambda v: DatasetParams(cluster_spread=v),
+    "generate_blobs.cluster_spread": lambda v: generate_blobs(2, 2, 1, 2, v, seed=0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_dataclass_rejects_a_non_finite_number(field, value):
+    with pytest.raises(InvalidInputError, match=field.split(".")[1]):
+        NUMBER_FIELDS[field](value)
+
+
 # --- parse(render(cfg)) == cfg ---------------------------------------------------
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -511,12 +535,8 @@ def smoothing_policies(draw):
 
 @st.composite
 def mixup_policies(draw):
-    enabled = draw(st.booleans())
-    low = 1e-6 if enabled else -10.0
-    alpha = draw(st.floats(min_value=low, max_value=10.0, **finite))
-    return MixupPolicy(
-        alpha, draw(st.integers(0, 100)), draw(st.sampled_from(Pairing)), enabled
-    )
+    alpha = draw(st.floats(min_value=1e-6, max_value=10.0, **finite))
+    return MixupPolicy(alpha, draw(st.integers(0, 100)), draw(st.sampled_from(Pairing)))
 
 
 @st.composite

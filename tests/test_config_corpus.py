@@ -76,7 +76,7 @@ BASE = {
             "delta_epsilon": 0.05,
             "groups": {"0": "low", "1": "low", "2": "high", "3": "high"},
         },
-        "mixup": {"alpha": 0.3, "warmup_epochs": 10, "pairing": "intra", "enabled": True},
+        "mixup": {"alpha": 0.3, "warmup_epochs": 10, "pairing": "intra"},
     },
     "noise": {
         "kind": "symmetric",
@@ -240,8 +240,13 @@ def test_single_fault_cases_cover_every_key_path(corpus):
     assert corpus[0]["group"] == "base"
     recorded = [row["mutations"] for row in corpus if row["group"] == "single"]
     assert recorded == single_fault_mutations()
-    assert len(key_paths(BASE)) == 53
-    assert sum(row["group"] == "multi" for row in corpus) == MULTI_FAULT_CASES
+    assert len(key_paths(BASE)) == 52
+
+
+def test_multi_fault_cases_are_the_seeded_chains(corpus):
+    recorded = [row["mutations"] for row in corpus if row["group"] == "multi"]
+    assert len(recorded) == MULTI_FAULT_CASES
+    assert recorded == multi_fault_mutations()
 
 
 def test_corpus_holds_both_kinds_of_outcome(corpus):

@@ -169,7 +169,7 @@ class TestClipAccessors:
         assert ds.clip_of_example() == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
 
     def test_n_clips(self):
-        assert small_dataset().n_clips() == 3
+        assert np.unique(small_dataset().clip_ids).size == 3
 
     def test_empty_dataset_has_no_clips(self):
-        assert small_dataset().subset(np.array([], dtype=int)).n_clips() == 0
+        assert np.unique(small_dataset().subset(np.array([], dtype=int)).clip_ids).size == 0

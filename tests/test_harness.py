@@ -63,7 +63,7 @@ class TestGenerateBlobs:
         annotated = blobs()
         data = annotated.data
         assert data.n_examples == 600
-        assert data.n_clips() == 200
+        assert np.unique(data.clip_ids).size == 200
         assert data.feature_dim == 8
         for cls in range(4):
             assert (data.labels == cls).sum() == 150

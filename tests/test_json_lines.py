@@ -1,5 +1,6 @@
-"""Tests for the JSON-lines codec: the row writer, the field-type rule, the
-metrics and prune-report files built on them, and atomic artifact writes."""
+"""Tests for the JSON codecs: the row writer, the field-type rule, the metrics
+and prune-report files built on them, the one-document reader and writer behind
+the model and summary files, and atomic artifact writes."""
 
 import json
 import os
@@ -11,18 +12,21 @@ from hypothesis import strategies as st
 from labelnoise import (
     Architecture,
     EpochRecord,
+    InvalidInputError,
     PruneRecord,
     RngStream,
     RunSummary,
     init_params,
+    load_model,
     read_metrics,
     read_prune_report,
+    read_summary,
     save_model,
     write_metrics,
     write_prune_report,
     write_summary,
 )
-from labelnoise.errors import row_fields, write_json_lines
+from labelnoise.errors import read_json, row_fields, write_json_lines
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 
@@ -162,6 +166,118 @@ class TestRowFields:
     def test_values_come_back_in_field_order(self):
         record = {"b": 2.5, "a": 1, "c": True, "unused": "ignored"}
         assert row_fields(record, [("c", bool), ("a", int), ("b", float)]) == (True, 1, 2.5)
+
+
+SUMMARY = RunSummary((50.0, 62.5), 56.25, 79.4, "0" * 16, ("1" * 16, "2" * 16))
+MODEL = init_params(Architecture.ONE_HIDDEN, 3, 2, 4, RngStream(0))
+
+
+class TestJsonDocuments:
+    def test_read_json_returns_the_parsed_value(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2.5]}\n', encoding="utf-8")
+        assert read_json(path, lambda record: record["a"]) == [1, 2.5]
+
+    @pytest.mark.parametrize(
+        "text, parse, message",
+        [
+            ('{\n  "a": 1,\n}\n', dict, "not valid JSON (Expecting property name"
+             " enclosed in double quotes at column 1)"),
+            ("", dict, "not valid JSON"),
+            ('{"a": 1}', lambda record: record["b"], "missing field 'b'"),
+            ("[1, 2]", lambda record: record["b"], "list indices must be"),
+            ('{"a": "x"}', lambda record: float(record["a"]), "could not convert"),
+            ("1e400", lambda record: int(record), "cannot convert float infinity"),
+            (b"\xff\xfe\x00", dict, "codec can't decode"),
+        ],
+    )
+    def test_read_json_names_the_file_and_the_fault(self, tmp_path, text, parse, message):
+        path = tmp_path / "doc.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_json(path, parse)
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert message in str(excinfo.value)
+
+    def test_summary_bytes_and_round_trip(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_summary(path, SUMMARY)
+        # the summary file as it was built before the shared writer
+        record = {
+            "config_fingerprint": SUMMARY.config_fingerprint,
+            "per_run_accuracy": list(SUMMARY.per_run_accuracy),
+            "mean": SUMMARY.mean,
+            "ci_half_width": SUMMARY.ci_half_width,
+            "dataset_fingerprints": list(SUMMARY.dataset_fingerprints),
+        }
+        expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+        assert read_summary(path) == SUMMARY
+
+    def test_model_bytes_and_round_trip(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, MODEL)
+        record = {
+            "architecture": "one_hidden",
+            "feature_dim": 3,
+            "num_classes": 2,
+            "hidden_units": 4,
+            "weights": [w.tolist() for w in MODEL.weights],
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(record, sort_keys=True) + "\n"
+        loaded = load_model(path)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(loaded.weights, MODEL.weights))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda record: record.pop("hidden_units"), "missing field 'hidden_units'"),
+            (lambda record: record.update(architecture="deep"), "'deep' is not a valid"),
+            (lambda record: record.update(feature_dim=None), "int() argument must be"),
+            (lambda record: record.update(feature_dim=4), "do not match architecture"),
+            (lambda record: record["weights"][0].append([1.0]), "inhomogeneous"),
+            (lambda record: record.update(weights=7), "not iterable"),
+        ],
+    )
+    def test_malformed_model_file(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_model(path, MODEL)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        edit(record)
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(InvalidInputError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda record: record.pop("mean"), "missing field 'mean'"),
+            (lambda record: record.update(mean="high"), "could not convert"),
+            (lambda record: record.update(per_run_accuracy=50.0), "not iterable"),
+        ],
+    )
+    def test_malformed_summary_file(self, tmp_path, edit, message):
+        path = tmp_path / "summary.json"
+        write_summary(path, SUMMARY)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        edit(record)
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_summary(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("reader", [load_model, read_summary])
+    def test_truncated_file(self, tmp_path, reader):
+        path = tmp_path / "doc.json"
+        path.write_text('{"mean": 5', encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="not valid JSON"):
+            reader(path)
 
 
 # The artifact writers that go through errors.atomic_write, each given a small artifact.

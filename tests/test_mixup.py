@@ -103,7 +103,6 @@ class TestMixupPolicy:
         policy = MixupPolicy(alpha=0.3)
         assert policy.warmup_epochs == 0
         assert policy.pairing == Pairing.INTRA_BATCH
-        assert policy.enabled
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -112,10 +111,6 @@ class TestMixupPolicy:
             MixupPolicy(alpha=-1.0)
         with pytest.raises(InvalidInputError):
             MixupPolicy(alpha=0.3, warmup_epochs=-1)
-
-    def test_disabled_policy_skips_alpha_check(self):
-        policy = MixupPolicy(alpha=0.0, enabled=False)
-        assert not policy.enabled
 
 
 class TestApplyMixup:
@@ -133,12 +128,6 @@ class TestApplyMixup:
         out = apply_mixup(batch, None, policy, epoch=5, rng=RngStream(0, 0))
         assert out is not batch
         assert not np.array_equal(out.features, batch.features)
-
-    def test_disabled_returns_batch_unchanged(self):
-        rng = np.random.default_rng(4)
-        batch = make_batch(rng, 8)
-        policy = MixupPolicy(alpha=0.3, enabled=False)
-        assert apply_mixup(batch, None, policy, epoch=9, rng=RngStream(0, 0)) is batch
 
     def test_deterministic_under_same_stream(self):
         rng = np.random.default_rng(5)

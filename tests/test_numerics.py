@@ -20,7 +20,6 @@ from labelnoise import (
     derive_seed,
     mean_ci,
     percentile,
-    sample_beta,
     softmax,
     softmax_rows,
 )
@@ -238,17 +237,12 @@ class TestBetaSampling:
         b = beta_draws(0.5, RngStream(3, 4).generator(), size=64)
         np.testing.assert_array_equal(a, b)
 
-    def test_scalar_wrapper(self):
-        lam = sample_beta(0.3, RngStream(8, 2))
-        assert 0.0 <= lam <= 1.0
-        assert lam == sample_beta(0.3, RngStream(8, 2))
-
     def test_rejects_nonpositive_alpha(self):
         gen = RngStream(0).generator()
         with pytest.raises(InvalidInputError):
             beta_draws(0.0, gen, size=1)
         with pytest.raises(InvalidInputError):
-            sample_beta(-0.5, RngStream(0))
+            beta_draws(-0.5, gen, size=1)
 
 
 class TestMeanCi:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelnoise import (
     ConfigurationError,
@@ -21,6 +23,7 @@ from labelnoise import (
     threshold_from_rule,
     write_prune_report,
 )
+from labelnoise.selection import _clip_means
 
 
 def report(values):
@@ -152,6 +155,41 @@ class TestClipLosses:
         patch = LossReport(np.array([1.0]), np.array([0]))
         with pytest.raises(ConfigurationError):
             clip_losses(patch, {1: 0})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        patches=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+        losses=st.lists(
+            st.floats(0.0, 1e6, allow_subnormal=True) | st.sampled_from([0.0, 1e-300, 0.1]),
+            min_size=60,
+            max_size=60,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_clip_means_and_a_running_sum_bit_for_bit(self, patches, losses, seed):
+        # shuffled rows, sparse clip ids, unequal patch counts per clip
+        rng = np.random.default_rng(seed)
+        clips = rng.choice(10**9, size=len(patches), replace=False)
+        order = rng.permutation(sum(patches))
+        clip_ids = np.repeat(clips, patches)[order]
+        example_ids = rng.choice(10**12, size=order.size, replace=False)
+        values = np.asarray(losses[: order.size])
+        mapping = dict(zip(example_ids.tolist(), clip_ids.tolist()))
+
+        got = clip_losses(LossReport(values, example_ids), mapping)
+        # the mean as a Python loop adds it: in row order, from 0.0
+        sums, counts = {}, {}
+        for clip, value in zip(clip_ids.tolist(), values.tolist()):
+            sums[clip] = sums.get(clip, 0.0) + value
+            counts[clip] = counts.get(clip, 0) + 1
+        reference = {clip: sums[clip] / counts[clip] for clip in sums}
+
+        assert got.keys() == reference.keys()
+        for result in (got, _clip_means(clip_ids, values)):
+            assert {c: v.hex() for c, v in result.items()} == {
+                c: v.hex() for c, v in reference.items()
+            }
+            assert all(type(c) is int and type(v) is float for c, v in result.items())
 
 
 def patch_dataset():
