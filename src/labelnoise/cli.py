@@ -18,8 +18,9 @@ that include the ``clean_label`` and ``corrupted`` fields; pass
 on load.
 
 Exit status: 0 when the requested artifacts were written (or the
-requested text was printed), 2 for configuration and usage errors, 1 for
-runtime failures such as training divergence.
+requested text was printed), 2 for configuration, input and usage errors
+(also one that an experiment run finds), 1 for runtime failures such as
+training divergence.
 
 The output directory for ``train`` and ``experiment`` resolves in order:
 ``--out-dir`` flag, then the ``LABELNOISE_OUT_DIR`` environment variable,
@@ -49,6 +50,8 @@ from .errors import (
     TrainingError,
 )
 from .harness import (
+    DatasetParams,
+    NoiseSpec,
     generate_blobs,
     inject_noise,
     prune_precision,
@@ -60,7 +63,6 @@ from .harness import (
     write_dataset,
     write_summary,
 )
-from .numerics import RngStream
 from .selection import read_prune_report, write_prune_report
 from .trainer import save_model, train, write_metrics
 
@@ -126,7 +128,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.data is None:
         raise ConfigurationError("train requires --data when not printing the config")
     dataset = read_dataset(args.data)
-    result = train(dataset, config, rng=RngStream(config.seed))
+    result = train(dataset, config)
     out_dir = _resolve_out_dir(args.out_dir)
     metrics_path = out_dir / "metrics.jsonl"
     write_metrics(metrics_path, result.history)
@@ -152,14 +154,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raw["runs"] = args.runs
     if args.base_seed is not None:
         raw["base_seed"] = args.base_seed
-    if args.out_dir is not None:
-        raw["output_dir"] = args.out_dir
     config = parse_experiment(raw)
     if args.print_config:
         print(json.dumps(experiment_to_dict(config), indent=2, sort_keys=True))
         return 0
     result = run_experiment(config)
-    out_dir = _resolve_out_dir(config.output_dir)
+    out_dir = _resolve_out_dir(args.out_dir)
     summary_path = out_dir / "summary.json"
     write_summary(summary_path, result.summary)
     _wrote(summary_path)
@@ -202,11 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     generate = dataset_commands.add_parser(
         "generate", help="write a synthetic clip-structured dataset"
     )
-    generate.add_argument("--classes", type=int, default=4)
-    generate.add_argument("--clips-per-class", type=int, default=50)
-    generate.add_argument("--patches-per-clip", type=int, default=3)
-    generate.add_argument("--dims", type=int, default=8)
-    generate.add_argument("--spread", type=float, default=0.25)
+    generate.add_argument("--classes", type=int, default=DatasetParams.num_classes)
+    generate.add_argument("--clips-per-class", type=int, default=DatasetParams.clips_per_class)
+    generate.add_argument("--patches-per-clip", type=int, default=DatasetParams.patches_per_clip)
+    generate.add_argument("--dims", type=int, default=DatasetParams.feature_dim)
+    generate.add_argument("--spread", type=float, default=DatasetParams.cluster_spread)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument(
         "--partition", choices=("train", "test"), default="train",
@@ -224,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corrupt.add_argument("--in", dest="input", required=True, help="dataset file to corrupt")
     corrupt.add_argument("--kind", required=True, help="symmetric or oov")
-    corrupt.add_argument("--rate", type=float, default=0.0)
+    corrupt.add_argument("--rate", type=float, default=NoiseSpec.rate)
     corrupt.add_argument(
         "--rate-by-class", default=None,
         help='JSON object of per-class rates, e.g. \'{"0": 0.2, "1": 0.5}\'',
     )
-    corrupt.add_argument("--seed", type=int, default=0)
+    corrupt.add_argument("--seed", type=int, default=NoiseSpec.seed)
     corrupt.add_argument("--out", required=True, help="harness-private output file")
     corrupt.add_argument(
         "--public-out", default=None,

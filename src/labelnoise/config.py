@@ -85,7 +85,6 @@ def _typed(kind, noun: str) -> Callable:
 
 
 _int = _typed(int, "an integer")
-_string = _typed(str, "a string path")
 _number = _typed((int, float), "a number")
 
 
@@ -270,7 +269,6 @@ _TABLES: dict[type, tuple[_Key, ...]] = {
         _Key("noise", _noise, missing=None),
         _Key("runs", _int),
         _Key("base_seed", _int),
-        _Key("output_dir", _string, missing=_NULLABLE),
     ),
 }
 

@@ -8,7 +8,7 @@ import os
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_args, get_origin
 
 
 class InvalidInputError(ValueError):
@@ -48,12 +48,14 @@ def check_class_map(name: str, by_class: Mapping[int, object] | None, num_classe
         )
 
 
-def _fault(err: Exception) -> str:
-    """What a parse error says is wrong with a JSON value."""
+def _fault(err: Exception, document: bool = False) -> str:
+    """What a parse error says is wrong with a JSON value; a syntax error in a whole
+    ``document`` is placed by line and column, one in a JSON-lines line by column."""
     if isinstance(err, KeyError):
         return f"missing field {err}"
     if isinstance(err, json.JSONDecodeError):
-        return f"not valid JSON ({err.msg} at column {err.colno})"
+        where = f"line {err.lineno}, column {err.colno}" if document else f"column {err.colno}"
+        return f"not valid JSON ({err.msg} at {where})"
     return str(err)
 
 
@@ -86,12 +88,13 @@ def read_json(path, parse):
     """``parse`` of the one JSON document in the file ``path``.
 
     A file that is not JSON, or whose value ``parse`` rejects as :func:`read_json_lines`
-    describes, raises ``InvalidInputError`` naming the file and the fault.
+    describes, raises ``InvalidInputError`` naming the file and the fault (the line and
+    column of a JSON syntax error).
     """
     try:
         return parse(json.loads(Path(path).read_bytes()))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"{path}: {_fault(exc)}") from exc
+        raise InvalidInputError(f"{path}: {_fault(exc, document=True)}") from exc
 
 
 @contextmanager
@@ -133,28 +136,50 @@ def write_json(path, record, indent: int | None = None) -> None:
         fh.write("\n")
 
 
-# How an error names the JSON type of each field kind.
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+# How an error names the JSON type of each field kind (of a list kind, by its origin).
+_KIND_NAMES = {
+    int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"
+}
+
+
+def field_value(key: str, value, kind):
+    """``value``, the field ``key`` of a parsed JSON object, checked against ``kind``.
+
+    Types are compared exactly, so a boolean is neither an integer nor a number: ``int`` is a
+    JSON integer in the int64 range, ``float`` any JSON number (returned as a float), ``bool``
+    true or false, ``str`` a string, ``list`` any list, and ``list[item]`` a list whose
+    entries each pass ``item`` (returned as a tuple; an entry is named ``key[index]``). A bad
+    value raises ``TypeError``, ``ValueError`` or ``OverflowError``.
+    """
+    if type(value) is kind:
+        if kind is int and not -(2**63) <= value < 2**63:
+            raise ValueError(f"{key} {value} is outside the int64 range")
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    origin = get_origin(kind)
+    if origin is list and type(value) is list:
+        (item,) = get_args(kind)
+        return tuple(
+            field_value(f"{key}[{index}]", entry, item) for index, entry in enumerate(value)
+        )
+    raise TypeError(f"{key} must be {_KIND_NAMES[origin or kind]}, got {json.dumps(value)[:40]}")
 
 
 def row_fields(record, fields) -> tuple:
-    """The values of ``fields``, ``(key, kind)`` pairs, in the parsed JSON-lines row ``record``.
+    """The values of ``fields``, ``(key, kind)`` pairs, in the parsed JSON object ``record``.
 
-    Types are compared exactly, so a boolean is neither an integer nor a number: ``int`` is a
-    JSON integer in the int64 range, ``float`` any JSON number (returned as a float) and
-    ``bool`` true or false. A bad row raises ``TypeError``, ``ValueError``, ``OverflowError``
-    or ``KeyError``, which :func:`read_json_lines` turns into its error.
+    Each is checked by :func:`field_value`. A record that is not an object, or lacks a key,
+    raises ``TypeError`` or ``KeyError``; :func:`read_json_lines` and :func:`read_json` turn
+    these and the errors of :func:`field_value` into their errors.
     """
     if type(record) is not dict:
         raise TypeError(f"a row must be a JSON object, got {json.dumps(record)[:40]}")
     values = []
     for key, kind in fields:
         value = record[key]
-        if type(value) is not kind:
-            if kind is not float or type(value) is not int:
-                raise TypeError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)[:40]}")
-            value = float(value)
-        elif kind is int and not -(2**63) <= value < 2**63:
-            raise ValueError(f"{key} {value} is outside the int64 range")
+        # the exact, in-range case is decided inline: it is every field of every dataset row
+        if type(value) is not kind or (kind is int and not -(2**63) <= value < 2**63):
+            value = field_value(key, value, kind)
         values.append(value)
     return tuple(values)

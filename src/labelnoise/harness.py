@@ -138,14 +138,9 @@ def generate_blobs(
 
     Class centers depend on ``seed`` only, so ``partition="test"`` yields a
     fresh set of clips from the same centers to serve as held-out
-    evaluation data.
+    evaluation data. The sizes are checked as :class:`DatasetParams` checks them.
     """
-    if num_classes < 2:
-        raise InvalidInputError(f"need at least 2 classes, got {num_classes}")
-    if clips_per_class < 1 or patches_per_clip < 1 or feature_dim < 1:
-        raise InvalidInputError("counts and feature_dim must be >= 1")
-    if not 0.0 <= cluster_spread < math.inf:
-        raise InvalidInputError(f"cluster_spread must be >= 0, got {cluster_spread}")
+    DatasetParams(num_classes, clips_per_class, patches_per_clip, feature_dim, cluster_spread)
     if partition not in _CLIP_STREAM:
         raise InvalidInputError(f"partition must be 'train' or 'test', got {partition!r}")
 
@@ -520,7 +515,6 @@ class ExperimentConfig:
     runs: int = 7
     base_seed: int = 0
     auto_noise_groups: bool = False
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.runs < 1:
@@ -557,12 +551,8 @@ class ExperimentResult:
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:
-    """Stable hash of the fully resolved configuration.
-
-    ``output_dir`` says where results go, not what is run, so it is left
-    out: one experiment written to two directories has one fingerprint.
-    """
-    canonical = json.dumps(asdict(replace(cfg, output_dir=None)), sort_keys=True, default=str)
+    """Stable hash of the fully resolved configuration."""
+    canonical = json.dumps(asdict(cfg), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -589,9 +579,7 @@ def _single_run(cfg: ExperimentConfig, run_index: int) -> RunResult:
         train_cfg = replace(
             train_cfg, smoothing=replace(train_cfg.smoothing, group_of_class=groups)
         )
-    train_cfg = replace(train_cfg, seed=train_seed)
-
-    result = train(train_annotated.data, train_cfg, rng=RngStream(train_seed))
+    result = train(train_annotated.data, replace(train_cfg, seed=train_seed))
     accuracy = 100.0 * evaluate(result.params, test_annotated.data)
     precision = (
         prune_precision(result.prune_report, train_annotated)
@@ -624,6 +612,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     dataset, ``num_classes * (clips_per_class - ceil(val_fraction *
     clips_per_class))`` clips; label noise moves clips between classes, so a
     run's own split may differ and ``train`` checks it again.
+
+    A failure inside run ``i`` is prefixed ``run i:``. An ``InvalidInputError``
+    or ``ConfigurationError`` keeps its class, as if it had been found before
+    run 0; any other exception becomes an ``ExperimentError`` carrying ``i``.
     """
     dp = cfg.dataset
     if cfg.noise is not None:
@@ -646,6 +638,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for run_index in range(cfg.runs):
         try:
             runs.append(_single_run(cfg, run_index))
+        except (InvalidInputError, ConfigurationError) as exc:
+            raise type(exc)(f"run {run_index}: {exc}") from exc
         except Exception as exc:
             raise ExperimentError(str(exc), run_index) from exc
     accuracies = [run.accuracy for run in runs]
@@ -665,15 +659,19 @@ def write_summary(path, summary: RunSummary) -> None:
     write_json(path, asdict(summary), indent=2)
 
 
+# Each summary field and its kind, in RunSummary's field order.
+_SUMMARY_FIELDS = (
+    ("per_run_accuracy", list[float]),
+    ("mean", float),
+    ("ci_half_width", float),
+    ("config_fingerprint", str),
+    ("dataset_fingerprints", list[str]),
+)
+
+
 def read_summary(path) -> RunSummary:
-    """The summary in a ``summary.json``; a malformed one raises ``InvalidInputError``."""
-    return read_json(
-        path,
-        lambda record: RunSummary(
-            per_run_accuracy=tuple(float(a) for a in record["per_run_accuracy"]),
-            mean=float(record["mean"]),
-            ci_half_width=float(record["ci_half_width"]),
-            config_fingerprint=str(record["config_fingerprint"]),
-            dataset_fingerprints=tuple(str(f) for f in record["dataset_fingerprints"]),
-        ),
-    )
+    """The summary in a ``summary.json``; a malformed one raises ``InvalidInputError``.
+
+    Fields are checked by the exact-type rule of ``errors.row_fields``.
+    """
+    return read_json(path, lambda record: RunSummary(*row_fields(record, _SUMMARY_FIELDS)))

@@ -127,10 +127,10 @@ def beta_draws(alpha: float, gen: np.random.Generator, size: int) -> np.ndarray:
     """Beta(alpha, alpha) draws as a ratio of two Gamma(alpha, 1) variates.
 
     The gamma sampler underneath is safe for small shape parameters, so the
-    ratio construction is correct for every ``alpha > 0`` including the
+    ratio construction is correct for every finite ``alpha > 0`` including the
     heavy-endpoint regime alpha << 1.
     """
-    if alpha <= 0:
+    if not 0 < alpha < math.inf:
         raise InvalidInputError(f"beta shape parameter must be positive, got {alpha}")
     g1 = gen.standard_gamma(alpha, size=size)
     g2 = gen.standard_gamma(alpha, size=size)

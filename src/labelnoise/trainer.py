@@ -31,6 +31,7 @@ from .errors import (
     InvalidInputError,
     TrainingError,
     check_class_map,
+    field_value,
     read_json,
     read_json_lines,
     row_fields,
@@ -255,7 +256,7 @@ class EpochRecord:
     kept_fraction: float
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not 0 < self.lr < math.inf:
             raise InvalidInputError("lr must stay positive")
         if not 0.0 < self.kept_fraction <= 1.0:
             raise InvalidInputError("kept_fraction must lie in (0, 1]")
@@ -323,7 +324,7 @@ def plateau_step(
     Only strict improvement resets the stall counter; ties count as stalls.
     Returns (new_lr, new_counter, new_best).
     """
-    if lr <= 0:
+    if not 0 < lr < math.inf:
         raise InvalidInputError("lr must be positive")
     if current_val_acc > best_so_far:
         return lr, 0, current_val_acc
@@ -626,15 +627,34 @@ def save_model(path, params: ModelParams) -> None:
     })
 
 
-def load_model(path) -> ModelParams:
-    """The model in a :func:`save_model` file; a malformed one raises ``InvalidInputError``."""
-    return read_json(
-        path,
-        lambda record: ModelParams(
-            architecture=Architecture(record["architecture"]),
-            feature_dim=int(record["feature_dim"]),
-            num_classes=int(record["num_classes"]),
-            hidden_units=int(record["hidden_units"]),
-            weights=[np.asarray(w, dtype=np.float64) for w in record["weights"]],
-        ),
+# Each model file field and its kind; each weight array is checked by _weight_array.
+_MODEL_FIELDS = (
+    ("architecture", str),
+    ("feature_dim", int),
+    ("num_classes", int),
+    ("hidden_units", int),
+    ("weights", list[list]),
+)
+
+
+def _weight_array(key: str, value: list) -> np.ndarray:
+    """A weight matrix, a list of rows, or a bias, a list of numbers; ModelParams checks shapes."""
+    kind = list[list[float]] if value and type(value[0]) is list else list[float]
+    return np.asarray(field_value(key, value, kind), dtype=np.float64)
+
+
+def _model(record) -> ModelParams:
+    architecture, feature_dim, num_classes, hidden_units, weights = row_fields(
+        record, _MODEL_FIELDS
     )
+    arrays = [_weight_array(f"weights[{index}]", w) for index, w in enumerate(weights)]
+    return ModelParams(Architecture(architecture), feature_dim, num_classes, hidden_units, arrays)
+
+
+def load_model(path) -> ModelParams:
+    """The model in a :func:`save_model` file; a malformed one raises ``InvalidInputError``.
+
+    Fields are checked by the exact-type rule of ``errors.row_fields``: ``architecture`` a
+    string, the three sizes integers, and every weight a JSON number.
+    """
+    return read_json(path, _model)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from labelnoise import PruneRecord, read_annotated, read_dataset, read_summary, write_prune_report
-from labelnoise.cli import main
+from labelnoise.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -180,6 +180,32 @@ class TestDatasetCommands:
         assert run_cli(*generate_args(out, public=public)) == 0
         record = json.loads(public.read_text().splitlines()[0])
         assert set(record) == {"example_id", "clip_id", "features", "label"}
+
+    def test_flag_defaults(self):
+        parser = build_parser()
+        generate = parser.parse_args(["dataset", "generate", "--out", "x"])
+        sizes = (generate.classes, generate.clips_per_class, generate.patches_per_clip)
+        assert sizes + (generate.dims, generate.spread) == (4, 50, 3, 8, 0.25)
+        corrupt = parser.parse_args(
+            ["dataset", "corrupt", "--in", "x", "--kind", "symmetric", "--out", "y"]
+        )
+        assert (corrupt.rate, corrupt.seed) == (0.0, 0)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("classes", 1, "need at least 2 classes, got 1"),
+            ("clips_per_class", 0, "clips_per_class must be >= 1"),
+            ("patches_per_clip", 0, "patches_per_clip must be >= 1"),
+            ("dims", 0, "feature_dim must be >= 1"),
+            ("spread", -0.5, "cluster_spread must be >= 0"),
+        ],
+    )
+    def test_generate_size_error_names_the_size(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "data.jsonl"
+        assert run_cli(*generate_args(out, **{flag: value})) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_corrupt_flips_the_requested_fraction(self, tmp_path):
         data = tmp_path / "data.jsonl"
@@ -546,10 +572,18 @@ class TestExperimentCommand:
             for out in ("out_a", "out_b", "out_env")
         ]
         assert summaries[0] == summaries[1] == summaries[2]
-        # the value a config without an output directory has always had
+        # the hash of the resolved config, which holds no output directory
         assert read_summary(tmp_path / "out_a" / "summary.json").config_fingerprint == (
-            "86098ec4700db639"
+            "e50922f0d516ad9c"
         )
+
+    def test_output_dir_key_exits_two(self, tmp_path, capsys):
+        config = experiment_config(tmp_path, output_dir=str(tmp_path / "from_config"))
+        out_dir = tmp_path / "exp"
+        code = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        assert "error: unknown configuration key: output_dir" in capsys.readouterr().err
+        assert not out_dir.exists() and not (tmp_path / "from_config").exists()
 
     def test_flag_overrides_reach_the_config(self, tmp_path, capsys):
         config = experiment_config(tmp_path)
@@ -668,6 +702,31 @@ class TestExperimentCommand:
             )
         assert code == 1
         assert re.search(r"run 0: epoch \d+: training diverged", capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    def test_config_error_inside_a_run_exits_two(self, tmp_path, capsys):
+        # the noise-free split keeps 6 train clips, so the prune plan passes the check
+        # before run 0; label noise leaves run 0 with 5, which the plan would empty
+        config = experiment_config(
+            tmp_path,
+            dataset={
+                "classes": 2, "clips_per_class": 4, "patches_per_clip": 2, "dims": 4,
+                "spread": 0.2, "test_clips_per_class": 3,
+            },
+            noise={"kind": "symmetric", "rate": 0.3},
+            train={
+                "loss": {"kind": "cce"}, "max_epochs": 3, "batch_size": 4, "val_fraction": 0.25,
+                "stage": {"strategy": "prune", "start_epoch": 1, "prune_count": 5},
+            },
+            runs=4,
+        )
+        out_dir = tmp_path / "exp"
+        code = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: run 0: 1 prune round(s) of 5 clips would remove 5 of the 5 train-split"
+            " clips; at least one must survive\n"
+        )
         assert not out_dir.exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
@@ -835,6 +894,22 @@ class TestOutDirResolution:
             "train", "--config", str(train_config(tmp_path)), "--data", str(data)
         ) == 0
         assert (tmp_path / "labelnoise_out" / "model.json").exists()
+
+    def test_experiment_resolves_in_the_same_order(self, tmp_path, monkeypatch):
+        config = str(experiment_config(tmp_path))
+        monkeypatch.delenv("LABELNOISE_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("experiment", "--config", config) == 0
+        assert (tmp_path / "labelnoise_out" / "summary.json").exists()
+        monkeypatch.setenv("LABELNOISE_OUT_DIR", str(tmp_path / "from_env"))
+        assert run_cli("experiment", "--config", config) == 0
+        assert (tmp_path / "from_env" / "summary.json").exists()
+        flag_dir = tmp_path / "from_flag"
+        assert run_cli("experiment", "--config", config, "--out-dir", str(flag_dir)) == 0
+        assert (flag_dir / "summary.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+            "from_env", "from_flag", "labelnoise_out",
+        ]
 
 
 class TestArgumentErrors:

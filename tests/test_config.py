@@ -334,12 +334,6 @@ class TestParseExperiment:
         with pytest.raises(ConfigurationError, match="replicas"):
             parse_experiment(raw)
 
-    def test_output_dir_type(self):
-        raw = self.full_config()
-        raw["output_dir"] = 7
-        with pytest.raises(ConfigurationError, match="output_dir"):
-            parse_experiment(raw)
-
     def test_non_object(self):
         with pytest.raises(ConfigurationError):
             parse_experiment([1, 2, 3])
@@ -586,10 +580,7 @@ def experiment_configs(draw):
         draw(st.integers(2, 50)), draw(counts), draw(counts), draw(counts),
         draw(st.floats(min_value=0.0, max_value=100.0, **finite)), draw(counts),
     )
-    return ExperimentConfig(
-        dataset, train, noise, draw(counts), draw(seeds), auto,
-        draw(st.none() | st.text(max_size=20)),
-    )
+    return ExperimentConfig(dataset, train, noise, draw(counts), draw(seeds), auto)
 
 
 class TestRenderParseProperty:

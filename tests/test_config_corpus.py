@@ -86,7 +86,6 @@ BASE = {
     },
     "runs": 7,
     "base_seed": 2,
-    "output_dir": "runs/exp",
 }
 
 VALUES = [
@@ -240,7 +239,7 @@ def test_single_fault_cases_cover_every_key_path(corpus):
     assert corpus[0]["group"] == "base"
     recorded = [row["mutations"] for row in corpus if row["group"] == "single"]
     assert recorded == single_fault_mutations()
-    assert len(key_paths(BASE)) == 52
+    assert len(key_paths(BASE)) == 51
 
 
 def test_multi_fault_cases_are_the_seeded_chains(corpus):

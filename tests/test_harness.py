@@ -26,6 +26,8 @@ from labelnoise import (
     NoiseSpec,
     PruneRecord,
     SmoothingPolicy,
+    StagePlan,
+    Strategy,
     TrainConfig,
     dataset_fingerprint,
     generate_blobs,
@@ -43,6 +45,7 @@ from labelnoise import (
     write_dataset,
     write_summary,
 )
+from labelnoise import harness
 
 
 def blobs(**overrides):
@@ -958,6 +961,43 @@ class TestExperiments:
             with pytest.raises(ExperimentError, match="training diverged") as excinfo:
                 run_experiment(cfg)
         assert excinfo.value.run_index == 0
+
+    def test_config_error_inside_a_run_keeps_its_class(self):
+        # the noise-free split keeps 6 train clips, so the prune plan passes the check
+        # before run 0; label noise leaves run 0 with 5, which the plan would empty
+        cfg = tiny_experiment(
+            dataset=DatasetParams(2, 4, 2, 4, 0.2, 3),
+            noise=NoiseSpec(NoiseKind.SYMMETRIC_IV, rate=0.3),
+            train=replace(
+                tiny_experiment().train, max_epochs=3, batch_size=4,
+                stage=StagePlan(strategy=Strategy.PRUNE, start_epoch=1, prune_count=5),
+            ),
+            runs=4,
+        )
+        with pytest.raises(InvalidInputError) as excinfo:
+            run_experiment(cfg)
+        assert type(excinfo.value) is InvalidInputError
+        assert str(excinfo.value) == (
+            "run 0: 1 prune round(s) of 5 clips would remove 5 of the 5 train-split clips;"
+            " at least one must survive"
+        )
+
+    @pytest.mark.parametrize("error", [InvalidInputError, ConfigurationError])
+    def test_input_errors_keep_their_class_with_the_run_index(self, monkeypatch, error):
+        cause = error("bad value")
+
+        def fail_on_run_one(cfg, run_index):
+            if run_index == 1:
+                raise cause
+            return real_single_run(cfg, run_index)
+
+        real_single_run = harness._single_run
+        monkeypatch.setattr(harness, "_single_run", fail_on_run_one)
+        with pytest.raises(error) as excinfo:
+            run_experiment(tiny_experiment())
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == "run 1: bad value"
+        assert excinfo.value.__cause__ is cause
 
     @pytest.mark.parametrize("clips_per_class, val_fraction", [(1, 0.25), (2, 0.9), (10, 0.95)])
     def test_all_validation_split_rejected_before_run_zero(

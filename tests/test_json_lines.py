@@ -5,6 +5,7 @@ the model and summary files, and atomic artifact writes."""
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,16 +122,37 @@ class TestRowFields:
             (2**63, float, float(2**63)),
             (True, bool, True),
             (False, bool, False),
+            ("", str, ""),
+            ("1", str, "1"),
+            ([], list, []),
+            ([1, "a", None], list, [1, "a", None]),
         ],
         ids=[
             "zero", "int64_min", "int64_max", "int_as_number", "float_number",
-            "number_past_int64", "true", "false",
+            "number_past_int64", "true", "false", "empty_string", "string",
+            "empty_list", "any_list",
         ],
     )
     def test_accepts(self, value, kind, expected):
         (got,) = row_fields({"x": value}, [("x", kind)])
         assert got == expected
         assert type(got) is kind
+
+    @pytest.mark.parametrize(
+        "value, kind, expected",
+        [
+            ([], list[float], ()),
+            ([1, 2.5], list[float], (1.0, 2.5)),
+            (["a", "b"], list[str], ("a", "b")),
+            ([[1], [], [2.5, 3]], list[list[float]], ((1.0,), (), (2.5, 3.0))),
+        ],
+        ids=["empty", "numbers", "strings", "nested"],
+    )
+    def test_list_kind_gives_a_tuple_of_checked_items(self, value, kind, expected):
+        (got,) = row_fields({"x": value}, [("x", kind)])
+        assert got == expected
+        assert type(got) is tuple
+        assert [type(item) for item in got] == [type(item) for item in expected]
 
     @pytest.mark.parametrize(
         "record, kind, error, message",
@@ -146,6 +168,15 @@ class TestRowFields:
             ({"x": 2**63}, int, ValueError, f"x {2**63} is outside the int64 range"),
             ({"x": -(2**63) - 1}, int, ValueError, "outside the int64 range"),
             ({"x": 10**400}, float, OverflowError, "int too large to convert to float"),
+            ({"x": 1}, str, TypeError, "x must be a string, got 1"),
+            ({"x": None}, str, TypeError, "x must be a string, got null"),
+            ({"x": "ab"}, list, TypeError, 'x must be a list, got "ab"'),
+            ({"x": (1.0,)}, list[float], TypeError, "x must be a list, got [1.0]"),
+            ({"x": [1.0, "2"]}, list[float], TypeError, 'x[1] must be a number, got "2"'),
+            ({"x": [True]}, list[float], TypeError, "x[0] must be a number, got true"),
+            ({"x": ["a", 1]}, list[str], TypeError, "x[1] must be a string, got 1"),
+            ({"x": [[1], 2]}, list[list[float]], TypeError, "x[1] must be a list, got 2"),
+            ({"x": [2**63]}, list[int], ValueError, f"x[0] {2**63} is outside the int64 range"),
             ({"y": 1}, int, KeyError, "'x'"),
             ([1], int, TypeError, "a row must be a JSON object, got [1]"),
             ("x", int, TypeError, 'a row must be a JSON object, got "x"'),
@@ -154,7 +185,9 @@ class TestRowFields:
         ids=[
             "true_not_int", "true_not_number", "float_not_int", "string_not_int",
             "string_not_number", "null_not_number", "int_not_bool", "string_not_bool",
-            "past_int64_max", "past_int64_min", "past_float_range", "missing_key",
+            "past_int64_max", "past_int64_min", "past_float_range", "int_not_string",
+            "null_not_string", "string_not_list", "tuple_not_list", "string_item",
+            "bool_item", "int_item", "item_not_list", "item_past_int64", "missing_key",
             "list_row", "string_row", "null_row",
         ],
     )
@@ -182,7 +215,7 @@ class TestJsonDocuments:
         "text, parse, message",
         [
             ('{\n  "a": 1,\n}\n', dict, "not valid JSON (Expecting property name"
-             " enclosed in double quotes at column 1)"),
+             " enclosed in double quotes at line 3, column 1)"),
             ("", dict, "not valid JSON"),
             ('{"a": 1}', lambda record: record["b"], "missing field 'b'"),
             ("[1, 2]", lambda record: record["b"], "list indices must be"),
@@ -236,10 +269,13 @@ class TestJsonDocuments:
         [
             (lambda record: record.pop("hidden_units"), "missing field 'hidden_units'"),
             (lambda record: record.update(architecture="deep"), "'deep' is not a valid"),
-            (lambda record: record.update(feature_dim=None), "int() argument must be"),
+            (
+                lambda record: record.update(feature_dim=None),
+                "feature_dim must be an integer, got null",
+            ),
             (lambda record: record.update(feature_dim=4), "do not match architecture"),
             (lambda record: record["weights"][0].append([1.0]), "inhomogeneous"),
-            (lambda record: record.update(weights=7), "not iterable"),
+            (lambda record: record.update(weights=7), "weights must be a list, got 7"),
         ],
     )
     def test_malformed_model_file(self, tmp_path, edit, message):
@@ -257,8 +293,11 @@ class TestJsonDocuments:
         "edit, message",
         [
             (lambda record: record.pop("mean"), "missing field 'mean'"),
-            (lambda record: record.update(mean="high"), "could not convert"),
-            (lambda record: record.update(per_run_accuracy=50.0), "not iterable"),
+            (lambda record: record.update(mean="high"), 'mean must be a number, got "high"'),
+            (
+                lambda record: record.update(per_run_accuracy=50.0),
+                "per_run_accuracy must be a list, got 50.0",
+            ),
         ],
     )
     def test_malformed_summary_file(self, tmp_path, edit, message):
@@ -271,6 +310,92 @@ class TestJsonDocuments:
             read_summary(path)
         assert str(excinfo.value).startswith(f"{path}: ")
         assert message in str(excinfo.value)
+
+    # One mistyped value per field, each of which used to be coerced; MODEL is 3 -> 4 -> 2.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("architecture", 1, "architecture must be a string, got 1"),
+            ("feature_dim", 3.9, "feature_dim must be an integer, got 3.9"),
+            ("num_classes", "2", 'num_classes must be an integer, got "2"'),
+            ("hidden_units", True, "hidden_units must be an integer, got true"),
+            ("weights", [0.0], "weights[0] must be a list, got 0.0"),
+        ],
+    )
+    def test_model_field_of_the_wrong_type(self, tmp_path, field, value, message):
+        path = tmp_path / "model.json"
+        save_model(path, MODEL)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record[field] = value
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(InvalidInputError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "index, value, message",
+        [
+            (3, ["0", "0"], 'weights[3][0] must be a number, got "0"'),
+            (1, [0.0, 0.0, True, 0.0], "weights[1][2] must be a number, got true"),
+            (2, [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, "1"]],
+             'weights[2][3][1] must be a number, got "1"'),
+            (0, [[0.0] * 4, 0.0, [0.0] * 4], "weights[0][1] must be a list, got 0.0"),
+        ],
+        ids=["bias_strings", "bias_bool", "matrix_string", "matrix_ragged_depth"],
+    )
+    def test_weights_must_be_numbers(self, tmp_path, index, value, message):
+        path = tmp_path / "model.json"
+        save_model(path, MODEL)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["weights"][index] = value
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(InvalidInputError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_integer_weights_read_as_floats(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, MODEL)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["weights"][3] = [1, -2]
+        path.write_text(json.dumps(record), encoding="utf-8")
+        bias = load_model(path).weights[3]
+        assert bias.dtype == np.float64 and bias.tolist() == [1.0, -2.0]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("per_run_accuracy", ["80", True], 'per_run_accuracy[0] must be a number, got "80"'),
+            ("mean", "85.5", 'mean must be a number, got "85.5"'),
+            ("ci_half_width", None, "ci_half_width must be a number, got null"),
+            ("config_fingerprint", 12, "config_fingerprint must be a string, got 12"),
+            ("dataset_fingerprints", [1, 2], "dataset_fingerprints[0] must be a string, got 1"),
+        ],
+    )
+    def test_summary_field_of_the_wrong_type(self, tmp_path, field, value, message):
+        path = tmp_path / "summary.json"
+        write_summary(path, SUMMARY)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record[field] = value
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_summary(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_summary_syntax_error_names_line_and_column(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_summary(path, SUMMARY)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[-2:] == ["  ]", "}"]  # the end of the last field, per_run_accuracy
+        lines[-2] += ","
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_summary(path)
+        # the parser stops at the closing brace, where it expected another field name
+        assert str(excinfo.value) == (
+            f"{path}: not valid JSON (Expecting property name enclosed in double quotes"
+            f" at line {len(lines)}, column 1)"
+        )
 
     @pytest.mark.parametrize("reader", [load_model, read_summary])
     def test_truncated_file(self, tmp_path, reader):
