@@ -119,6 +119,19 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     return _write_datasets(args, inject_noise(read_as_annotated(args.input), spec))
 
 
+def _write_run(out_dir: Path, prefix: str, history, prune_report, params=None) -> None:
+    """A run's metrics, its model if ``params`` is given and its prune report if it pruned."""
+    for name, write, artifact in (
+        ("metrics.jsonl", write_metrics, history),
+        ("model.json", save_model, params),
+        ("prune_report.jsonl", write_prune_report, prune_report),
+    ):
+        if artifact is not None:
+            path = out_dir / f"{prefix}{name}"
+            write(path, artifact)
+            _wrote(path)
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     raw = read_config_file(args.config)
     config, _ = parse_train(raw, prefix="train", allow_auto_groups=False)
@@ -130,16 +143,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.data)
     result = train(dataset, config)
     out_dir = _resolve_out_dir(args.out_dir)
-    metrics_path = out_dir / "metrics.jsonl"
-    write_metrics(metrics_path, result.history)
-    _wrote(metrics_path)
-    model_path = out_dir / "model.json"
-    save_model(model_path, result.params)
-    _wrote(model_path)
-    if result.prune_report is not None:
-        report_path = out_dir / "prune_report.jsonl"
-        write_prune_report(report_path, result.prune_report)
-        _wrote(report_path)
+    _write_run(out_dir, "", result.history, result.prune_report, result.params)
     if not result.history:
         print("no epoch ran, so there is no validation accuracy")
         return 0
@@ -164,13 +168,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     write_summary(summary_path, result.summary)
     _wrote(summary_path)
     for index, run in enumerate(result.runs):
-        metrics_path = out_dir / f"run_{index:02d}_metrics.jsonl"
-        write_metrics(metrics_path, list(run.history))
-        _wrote(metrics_path)
-        if run.prune_report is not None:
-            report_path = out_dir / f"run_{index:02d}_prune_report.jsonl"
-            write_prune_report(report_path, list(run.prune_report))
-            _wrote(report_path)
+        _write_run(out_dir, f"run_{index:02d}_", run.history, run.prune_report)
     summary = result.summary
     print(f"acc = {summary.mean:.1f} ± {summary.ci_half_width:.1f}")
     return 0

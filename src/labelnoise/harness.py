@@ -22,9 +22,8 @@ generate -> corrupt -> train -> evaluate pipelines on seeds derived from
 set drawn from the same class centers, and aggregate accuracies as mean
 plus a 95% Student-t half-width.
 
-Datasets serialize as line-delimited JSON, one example per line, with
-fields ``example_id``, ``clip_id``, ``features``, and ``label``; the
-harness-private variant adds ``clean_label`` and ``corrupted``.
+Dataset files, laid out by :mod:`labelnoise.records`, hold one example per
+line; the harness-private variant adds ``clean_label`` and ``corrupted``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from array import array
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Mapping
@@ -40,18 +38,9 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    ConfigurationError,
-    ExperimentError,
-    InvalidInputError,
-    check_class_map,
-    read_json,
-    read_json_lines,
-    row_fields,
-    write_json,
-    write_json_lines,
-)
+from .errors import ConfigurationError, ExperimentError, InvalidInputError, check_class_map
 from .numerics import RngStream, derive_seed, mean_ci
+from .records import read_dataset_rows, read_record, write_dataset_rows, write_record
 from .selection import PruneRecord
 from .smoothing import NoiseGroup
 from .trainer import (
@@ -86,9 +75,8 @@ class NoiseSpec:
     """What corruption to inject and how much.
 
     ``rate`` applies to all clips; ``rate_by_class`` (class index -> rate)
-    overrides it per class and must then cover every class. Inside
-    ``run_experiment`` the seed is derived per run and this field is
-    ignored.
+    overrides it per class and must then cover every class. An
+    :class:`ExperimentConfig` derives the seed of each run and requires 0 here.
     """
 
     kind: NoiseKind
@@ -318,111 +306,26 @@ def prune_precision(
 # --- serialization ---------------------------------------------------------
 
 
-# Rows turned into Python values at a time by the dataset writer, so that its
-# memory does not grow with the row count.
-_WRITE_BLOCK = 1024
-
-
-def _write_rows(path, data: Dataset, **truth: np.ndarray) -> None:
-    """One JSON object per row, keys sorted: the public columns plus ``truth``.
-
-    The columns are converted to Python values one block of ``_WRITE_BLOCK``
-    rows at a time, and each line is written as it is built.
-    """
-    columns = dict(
-        example_id=data.example_ids,
-        clip_id=data.clip_ids,
-        features=data.features,
-        label=data.labels,
-        **truth,
-    )
-
-    def rows():
-        for start in range(0, data.n_examples, _WRITE_BLOCK):
-            # the block's values are held only by this zip, so each block is
-            # freed before the next one is built
-            block = (column[start : start + _WRITE_BLOCK].tolist() for column in columns.values())
-            for row in zip(*block):
-                yield dict(zip(columns, row))
-
-    write_json_lines(path, rows())
-
-
 def write_dataset(path, dataset: Dataset) -> None:
     """Public dataset file: no ground-truth fields."""
-    _write_rows(path, dataset)
+    write_dataset_rows(path, dataset)
 
 
 def write_annotated(path, annotated: AnnotatedDataset) -> None:
     """Harness-private dataset file including clean labels and flags."""
-    _write_rows(
-        path, annotated.data, clean_label=annotated.clean_labels, corrupted=annotated.corrupted
-    )
-
-
-# The integer fields of every dataset row and the ground-truth pair of a private one.
-_ID_FIELDS = (("example_id", int), ("clip_id", int), ("label", int))
-_TRUTH_FIELDS = (("clean_label", int), ("corrupted", bool))
-_NUMBERS = frozenset((int, float))
-
-
-class _RowSchema:
-    """Checks one parsed dataset row; the file's first row sets the width and layout.
-
-    Called on each row in file order. ``example_id``, ``clip_id``, ``label``
-    and ``clean_label`` are integers, ``corrupted`` is a boolean, and
-    ``features`` is a flat list of numbers as long as the first row's. The
-    ground-truth pair is on every row or on none; a row without it reads
-    as clean. Each row's features are appended to the packed float64 buffer
-    ``features``, so no per-row array is kept. Returns ``(example_id,
-    clip_id, label, clean_label, corrupted)``.
-    """
-
-    def __init__(self):
-        self.width: int | None = None
-        self.annotated: bool | None = None
-        self.features = array("d")
-
-    def __call__(self, record) -> tuple:
-        example_id, clip_id, label = row_fields(record, _ID_FIELDS)
-        if self.annotated is None:
-            self.annotated = "clean_label" in record
-        if ("clean_label" in record, "corrupted" in record) != (self.annotated, self.annotated):
-            raise ValueError(
-                "clean_label/corrupted on some rows only;"
-                " a dataset file annotates every row or none"
-            )
-        features = record["features"]
-        if type(features) is not list or not _NUMBERS.issuperset(map(type, features)):
-            raise TypeError("features must be a flat list of numbers")
-        if self.width is None:
-            self.width = len(features)
-        if len(features) != self.width:
-            raise ValueError(f"{len(features)} features where earlier rows have {self.width}")
-        self.features.extend(features)  # OverflowError past the float range
-        truth = row_fields(record, _TRUTH_FIELDS) if self.annotated else (label, False)
-        return example_id, clip_id, label, *truth
+    write_dataset_rows(path, annotated.data, (annotated.clean_labels, annotated.corrupted))
 
 
 def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
-    """The one dataset reader: each line is checked by :class:`_RowSchema` as it is read.
-
-    A file without ground-truth fields reads as clean unless ``require_truth``.
-    """
-    schema = _RowSchema()
-    rows = read_json_lines(path, schema)
-    if not rows:
-        raise InvalidInputError(f"dataset file {path} is empty")
-    if require_truth and not schema.annotated:
-        raise InvalidInputError(
-            f"{path} is not a harness-private file: clean_label/corrupted missing"
-        )
-    example_ids, clip_ids, labels, clean, flags = zip(*rows)
+    """The one dataset reader: ``records.read_dataset_rows``, then the class count and the
+    checks that need the whole dataset."""
+    example_ids, clip_ids, labels, clean, flags, features, annotated = read_dataset_rows(
+        path, require_truth
+    )
     data = Dataset(
         example_ids=example_ids,
         clip_ids=clip_ids,
-        # a view of the schema's buffer: no per-row arrays and no stacking copy
-        features=np.frombuffer(schema.features).reshape(len(rows), schema.width),
+        features=features,
         labels=labels,
         num_classes=max(max(labels) + 1, max(clean) + 1, 2),
     )
@@ -431,10 +334,10 @@ def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
     if not finite.all():
         bad = int(data.example_ids[np.argmin(finite)])
         raise InvalidInputError(f"example {bad} has a non-finite feature value")
-    annotated = AnnotatedDataset(data, clean, flags)
-    if schema.annotated:
-        _clip_view(annotated)  # rejects a clip whose patches disagree on the truth
-    return annotated
+    dataset = AnnotatedDataset(data, clean, flags)
+    if annotated:
+        _clip_view(dataset)  # rejects a clip whose patches disagree on the truth
+    return dataset
 
 
 def read_dataset(path) -> Dataset:
@@ -507,7 +410,8 @@ class DatasetParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs: data, noise, method, protocol."""
+    """Everything one experiment needs: data, noise, method, protocol. Each run's seeds
+    derive from ``base_seed`` and the run index, so ``train.seed`` and ``noise.seed`` stay 0."""
 
     dataset: DatasetParams
     train: TrainConfig
@@ -519,6 +423,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
+        for name, spec in (("train", self.train), ("noise", self.noise)):
+            if spec is not None and spec.seed != 0:
+                raise ConfigurationError(
+                    f"{name}.seed is {spec.seed}, but an experiment derives each run's seeds"
+                    " from base_seed and the run index; leave it out"
+                )
         if self.auto_noise_groups and self.train.smoothing is None:
             raise ConfigurationError(
                 "auto noise groups require a smoothing policy to apply them to"
@@ -574,7 +484,7 @@ def _single_run(cfg: ExperimentConfig, run_index: int) -> RunResult:
         train_annotated = inject_noise(train_annotated, replace(cfg.noise, seed=noise_seed))
 
     train_cfg = cfg.train
-    if cfg.auto_noise_groups and train_cfg.smoothing is not None:
+    if cfg.auto_noise_groups:
         groups = noise_group_map(train_annotated)
         train_cfg = replace(
             train_cfg, smoothing=replace(train_cfg.smoothing, group_of_class=groups)
@@ -656,22 +566,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def write_summary(path, summary: RunSummary) -> None:
     """``summary.json``, written atomically: each field of ``summary``, tuples as lists."""
-    write_json(path, asdict(summary), indent=2)
-
-
-# Each summary field and its kind, in RunSummary's field order.
-_SUMMARY_FIELDS = (
-    ("per_run_accuracy", list[float]),
-    ("mean", float),
-    ("ci_half_width", float),
-    ("config_fingerprint", str),
-    ("dataset_fingerprints", list[str]),
-)
+    write_record(path, summary, indent=2)
 
 
 def read_summary(path) -> RunSummary:
-    """The summary in a ``summary.json``; a malformed one raises ``InvalidInputError``.
-
-    Fields are checked by the exact-type rule of ``errors.row_fields``.
-    """
-    return read_json(path, lambda record: RunSummary(*row_fields(record, _SUMMARY_FIELDS)))
+    """The summary in a ``summary.json``; a malformed one raises ``InvalidInputError``."""
+    return read_record(path, RunSummary)

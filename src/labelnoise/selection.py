@@ -12,22 +12,17 @@ losses by arithmetic mean.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    ConfigurationError,
-    InvalidInputError,
-    read_json_lines,
-    row_fields,
-    write_json_lines,
-)
+from .errors import ConfigurationError, InvalidInputError
 from .losses import LossReport, _check_loss_values
 from .numerics import percentile
+from .records import read_records, write_records
 
 
 class SelectionKind(str, Enum):
@@ -196,12 +191,18 @@ def prune_dataset(
 
 @dataclass(frozen=True)
 class PruneRecord:
-    """One line of a prune report: a clip's loss-based rank and fate."""
+    """One line of a prune report: a clip's loss (finite, non-negative), rank and fate."""
 
     clip_id: int
     clip_loss: float
     rank: int
     removed: bool
+
+    def __post_init__(self):
+        if not (math.isfinite(self.clip_loss) and self.clip_loss >= 0.0):
+            raise InvalidInputError(
+                f"clip_loss must be finite and non-negative, got {self.clip_loss}"
+            )
 
 
 def prune_report_rows(
@@ -218,27 +219,20 @@ def prune_report_rows(
 
 
 def write_prune_report(path, rows: Sequence[PruneRecord]) -> None:
-    write_json_lines(path, map(asdict, rows))
-
-
-# Each report field and its kind, in PruneRecord's field order.
-_REPORT_FIELDS = (("clip_id", int), ("clip_loss", float), ("rank", int), ("removed", bool))
+    write_records(path, rows)
 
 
 def read_prune_report(path) -> list[PruneRecord]:
     """Rows of a prune report; a malformed line raises ``InvalidInputError`` naming it.
 
-    Besides the field types, a line is malformed when its ``clip_loss`` is
-    negative or not finite, when its clip already appeared in the same prune
-    round (each round's ranks start at 1), or when an earlier round removed it.
+    Besides what :class:`PruneRecord` checks, a line is malformed when its clip already
+    appeared in the same prune round (each round's ranks start at 1), or when an earlier
+    round removed it.
     """
     in_round: set[int] = set()
     removed: set[int] = set()
 
-    def parse(record) -> PruneRecord:
-        row = PruneRecord(*row_fields(record, _REPORT_FIELDS))
-        if not (math.isfinite(row.clip_loss) and row.clip_loss >= 0.0):
-            raise ValueError(f"clip_loss must be finite and non-negative, got {row.clip_loss}")
+    def check(row: PruneRecord) -> PruneRecord:
         if row.rank == 1:
             in_round.clear()
         if row.clip_id in in_round:
@@ -250,4 +244,4 @@ def read_prune_report(path) -> list[PruneRecord]:
             removed.add(row.clip_id)
         return row
 
-    return read_json_lines(path, parse)
+    return read_records(path, PruneRecord, check)

@@ -21,23 +21,13 @@ argmax.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    InvalidInputError,
-    TrainingError,
-    check_class_map,
-    field_value,
-    read_json,
-    read_json_lines,
-    row_fields,
-    write_json,
-    write_json_lines,
-)
+from .errors import InvalidInputError, TrainingError, check_class_map
 from .losses import (
     LossReport,
     LossSpec,
@@ -48,6 +38,7 @@ from .losses import (
 )
 from .mixup import Batch, MixupPolicy, Pairing, apply_mixup
 from .numerics import RngStream, softmax_rows
+from .records import read_record, read_records, write_record, write_records
 from .selection import (
     PruneRecord,
     StagePlan,
@@ -383,24 +374,18 @@ def _clip_accuracy(params: ModelParams, features: np.ndarray, layout: _ClipLayou
     return np.count_nonzero(predicted == layout.labels) / predicted.size
 
 
-def _prune_schedule(plan: StagePlan, max_epochs: int) -> set[int]:
-    """Epochs (before ``max_epochs``) that start with a prune round."""
-    if plan.strategy != Strategy.PRUNE:
-        return set()
-    if plan.start_epoch == 0:
-        epochs = {0}
-    else:
-        epochs = {plan.start_epoch * (k + 1) for k in range(plan.prune_rounds)}
-    return {epoch for epoch in epochs if epoch < max_epochs}
-
-
 def check_prune_plan(plan: StagePlan, max_epochs: int, train_clips: int) -> set[int]:
-    """The plan's prune epochs, once the rounds are known to leave a clip to train on.
+    """The epochs before ``max_epochs`` that start with a prune round of ``plan``, once the
+    rounds are known to leave a clip to train on.
 
     Raises ``InvalidInputError`` when ``prune_count`` times the rounds that
     start before ``max_epochs`` is positive and reaches ``train_clips``.
     """
-    prune_epochs = _prune_schedule(plan, max_epochs)
+    if plan.strategy != Strategy.PRUNE:
+        return set()
+    # a plan that starts at epoch 0 has one round (StagePlan checks this)
+    starts = (plan.start_epoch * (k + 1) for k in range(plan.prune_rounds))
+    prune_epochs = {epoch for epoch in starts if epoch < max_epochs}
     to_remove = plan.prune_count * len(prune_epochs)
     if to_remove and to_remove >= train_clips:
         raise InvalidInputError(
@@ -598,63 +583,19 @@ def _prune_now(
 
 def write_metrics(path, history: list[EpochRecord]) -> None:
     """Append-style epoch metrics, one JSON record per line."""
-    write_json_lines(path, map(asdict, history))
-
-
-# Each metrics field and its kind, in EpochRecord's field order.
-_METRICS_FIELDS = (
-    ("epoch", int),
-    ("train_loss", float),
-    ("val_accuracy", float),
-    ("lr", float),
-    ("kept_fraction", float),
-)
+    write_records(path, history)
 
 
 def read_metrics(path) -> list[EpochRecord]:
     """Epoch records of a metrics file; a malformed line raises ``InvalidInputError`` naming it."""
-    return read_json_lines(path, lambda record: EpochRecord(*row_fields(record, _METRICS_FIELDS)))
+    return read_records(path, EpochRecord)
 
 
 def save_model(path, params: ModelParams) -> None:
     """Portable JSON model file: architecture descriptor plus weight arrays, written atomically."""
-    write_json(path, {
-        "architecture": params.architecture.value,
-        "feature_dim": params.feature_dim,
-        "num_classes": params.num_classes,
-        "hidden_units": params.hidden_units,
-        "weights": [w.tolist() for w in params.weights],
-    })
-
-
-# Each model file field and its kind; each weight array is checked by _weight_array.
-_MODEL_FIELDS = (
-    ("architecture", str),
-    ("feature_dim", int),
-    ("num_classes", int),
-    ("hidden_units", int),
-    ("weights", list[list]),
-)
-
-
-def _weight_array(key: str, value: list) -> np.ndarray:
-    """A weight matrix, a list of rows, or a bias, a list of numbers; ModelParams checks shapes."""
-    kind = list[list[float]] if value and type(value[0]) is list else list[float]
-    return np.asarray(field_value(key, value, kind), dtype=np.float64)
-
-
-def _model(record) -> ModelParams:
-    architecture, feature_dim, num_classes, hidden_units, weights = row_fields(
-        record, _MODEL_FIELDS
-    )
-    arrays = [_weight_array(f"weights[{index}]", w) for index, w in enumerate(weights)]
-    return ModelParams(Architecture(architecture), feature_dim, num_classes, hidden_units, arrays)
+    write_record(path, params)
 
 
 def load_model(path) -> ModelParams:
-    """The model in a :func:`save_model` file; a malformed one raises ``InvalidInputError``.
-
-    Fields are checked by the exact-type rule of ``errors.row_fields``: ``architecture`` a
-    string, the three sizes integers, and every weight a JSON number.
-    """
-    return read_json(path, _model)
+    """The model in a :func:`save_model` file; a malformed one raises ``InvalidInputError``."""
+    return read_record(path, ModelParams)

@@ -585,6 +585,19 @@ class TestExperimentCommand:
         assert "error: unknown configuration key: output_dir" in capsys.readouterr().err
         assert not out_dir.exists() and not (tmp_path / "from_config").exists()
 
+    @pytest.mark.parametrize("section", ["train", "noise"])
+    def test_seed_key_exits_two_naming_base_seed(self, tmp_path, capsys, section):
+        raw = json.loads(experiment_config(tmp_path).read_text())
+        raw[section]["seed"] = 9
+        config = tmp_path / "seeded.json"
+        config.write_text(json.dumps(raw))
+        out_dir = tmp_path / "exp"
+        code = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: configuration: {section}.seed is 9," in err and "base_seed" in err
+        assert not out_dir.exists()
+
     def test_flag_overrides_reach_the_config(self, tmp_path, capsys):
         config = experiment_config(tmp_path)
         code = run_cli(

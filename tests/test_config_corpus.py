@@ -12,8 +12,9 @@ from the rendered base: ``{"changed": {dotted path: leaf}, "removed":
 ``json.dumps(rendered, sort_keys=True)`` (``1`` and ``1.0`` differ).
 
 The base merges the README's two example configs and sets every optional
-key. Single-fault cases are, for every key path of the base: delete the
-key, add an unknown sibling, and set the key to each of ``VALUES``.
+key but ``train.seed`` and ``noise.seed``, which an experiment config
+rejects unless 0. Single-fault cases are, for every key path of the base:
+delete the key, add an unknown sibling, and set the key to each of ``VALUES``.
 Multi-fault cases chain one to three such mutations, drawn with a seeded
 ``random.Random`` from the key paths present after each step. The first
 line holds the two rendered base configs in full.
@@ -61,7 +62,6 @@ BASE = {
         "lr_halving_patience": 10,
         "early_stop_patience": 40,
         "val_fraction": 0.3,
-        "seed": 2,
         "architecture": "linear",
         "hidden_units": 32,
         "stage": {
@@ -81,7 +81,6 @@ BASE = {
     "noise": {
         "kind": "symmetric",
         "rate": 0.4,
-        "seed": 1,
         "rate_by_class": {"0": 0.2, "1": 0.4, "2": 0.4, "3": 0.6},
     },
     "runs": 7,
@@ -239,7 +238,7 @@ def test_single_fault_cases_cover_every_key_path(corpus):
     assert corpus[0]["group"] == "base"
     recorded = [row["mutations"] for row in corpus if row["group"] == "single"]
     assert recorded == single_fault_mutations()
-    assert len(key_paths(BASE)) == 51
+    assert len(key_paths(BASE)) == 49
 
 
 def test_multi_fault_cases_are_the_seeded_chains(corpus):

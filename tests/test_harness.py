@@ -899,14 +899,15 @@ class TestExperiments:
         assert a.summary.dataset_fingerprints == b.summary.dataset_fingerprints
         assert a.summary.config_fingerprint != b.summary.config_fingerprint
 
-    def test_noise_spec_seed_field_is_ignored_inside_experiments(self):
-        a = run_experiment(
-            tiny_experiment(noise=NoiseSpec(NoiseKind.SYMMETRIC_IV, rate=0.4, seed=1))
-        )
-        b = run_experiment(
-            tiny_experiment(noise=NoiseSpec(NoiseKind.SYMMETRIC_IV, rate=0.4, seed=2))
-        )
-        assert a.summary.dataset_fingerprints == b.summary.dataset_fingerprints
+    @pytest.mark.parametrize("section", ["train", "noise"])
+    def test_seed_fields_are_rejected_inside_experiments(self, section):
+        # run_experiment derives both seeds per run, so a set one would only split the fingerprint
+        overrides = {
+            "train": dict(train=replace(tiny_experiment().train, seed=2)),
+            "noise": dict(noise=NoiseSpec(NoiseKind.SYMMETRIC_IV, rate=0.4, seed=2)),
+        }[section]
+        with pytest.raises(ConfigurationError, match=rf"^{section}\.seed is 2, .* base_seed "):
+            tiny_experiment(**overrides)
 
     def test_base_seed_changes_the_data(self):
         a = run_experiment(tiny_experiment())

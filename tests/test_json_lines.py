@@ -1,14 +1,19 @@
-"""Tests for the JSON codecs: the row writer, the field-type rule, the metrics
-and prune-report files built on them, the one-document reader and writer behind
-the model and summary files, and atomic artifact writes."""
+"""Tests for the artifact codecs of ``labelnoise.records``: the row writer, the
+field-type rule, the metrics and prune-report files built on them, the
+one-document reader and writer behind the model and summary files, a round trip
+of every record file, and atomic artifact writes."""
 
+import dataclasses
 import json
 import os
+import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from labelnoise import (
     Architecture,
@@ -27,26 +32,65 @@ from labelnoise import (
     write_prune_report,
     write_summary,
 )
-from labelnoise.errors import read_json, row_fields, write_json_lines
+from labelnoise.records import read_json, row_fields, write_json_lines
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
+TINY = 5e-324  # the smallest subnormal double
+HUGE = sys.float_info.max  # 1.7976931348623157e308
 
+
+def floats(*extremes, **bounds):
+    """Finite floats within ``bounds``, with each of ``extremes`` drawn often."""
+    return st.sampled_from(extremes) | st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+FINITE = floats(-0.0, TINY, -TINY, HUGE, -HUGE)
 EPOCH_RECORDS = st.builds(
     EpochRecord,
     epoch=INT64,
-    train_loss=st.floats(min_value=0.0, allow_infinity=False),
-    val_accuracy=st.floats(min_value=0.0, max_value=1.0),
-    lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    kept_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    train_loss=floats(0.0, TINY, HUGE, min_value=0.0),
+    val_accuracy=floats(0.0, TINY, 1.0, min_value=0.0, max_value=1.0),
+    lr=floats(TINY, HUGE, min_value=0.0, exclude_min=True),
+    kept_fraction=floats(TINY, 1.0, min_value=0.0, max_value=1.0, exclude_min=True),
 )
 # a report lists each clip once, with a finite non-negative loss
 PRUNE_RECORDS = st.builds(
     PruneRecord,
     clip_id=INT64,
-    clip_loss=st.floats(min_value=0.0, allow_infinity=False),
+    clip_loss=floats(0.0, TINY, HUGE, min_value=0.0),
     rank=INT64,
     removed=st.booleans(),
 )
+SUMMARIES = st.builds(
+    RunSummary,
+    per_run_accuracy=st.lists(FINITE, max_size=4).map(tuple),
+    mean=FINITE,
+    ci_half_width=FINITE,
+    config_fingerprint=st.text(),
+    dataset_fingerprints=st.lists(st.text(), max_size=4).map(tuple),
+)
+
+
+@st.composite
+def models(draw, architecture):
+    sizes = [draw(st.integers(1, 4)) for _ in range(3)]
+    layout = init_params(architecture, *sizes, RngStream(0))
+    weights = [draw(arrays(np.float64, w.shape, elements=FINITE)) for w in layout.weights]
+    return dataclasses.replace(layout, weights=weights)
+
+
+def bits(value):
+    """``value`` with each float as its IEEE bytes and each type kept, so that two values
+    compare equal only when every float has the same bits (``-0.0`` is not ``0.0``)."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return type(value), [bits(item) for item in value]
+    return type(value), value
 
 
 def reference_metrics_text(history):
@@ -100,6 +144,27 @@ class TestRoundTrip:
         write_prune_report(path, rows)
         assert path.read_text(encoding="utf-8") == reference_report_text(rows)
         assert read_prune_report(path) == rows
+
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_every_record_file_reads_back_bit_for_bit(self, tmp_path_factory, architecture, data):
+        history = data.draw(st.lists(EPOCH_RECORDS, max_size=4), "history")
+        report = data.draw(
+            st.lists(PRUNE_RECORDS, max_size=4, unique_by=lambda row: row.clip_id), "report"
+        )
+        summary = data.draw(SUMMARIES, "summary")
+        model = data.draw(models(architecture), "model")
+        directory = tmp_path_factory.mktemp("records")
+        files = [
+            (write_metrics, read_metrics, "metrics.jsonl", history),
+            (write_prune_report, read_prune_report, "prune_report.jsonl", report),
+            (write_summary, read_summary, "summary.json", summary),
+            (save_model, load_model, "model.json", model),
+        ]
+        for write, read, name, written in files:
+            write(directory / name, written)
+            assert bits(read(directory / name)) == bits(written), name
 
     def test_read_values_have_the_field_types(self, tmp_path):
         path = tmp_path / "prune_report.jsonl"
@@ -405,7 +470,7 @@ class TestJsonDocuments:
             reader(path)
 
 
-# The artifact writers that go through errors.atomic_write, each given a small artifact.
+# The artifact writers that go through records.atomic_write, each given a small artifact.
 ARTIFACT_WRITERS = {
     "write_json_lines": lambda path: write_json_lines(path, [{"row": 1}]),
     "save_model": lambda path: save_model(

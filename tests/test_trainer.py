@@ -1060,7 +1060,7 @@ class TestArtifacts:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ('{"epoch": 2, "lr": 0.01', "not valid JSON"),
+            ('{"epoch": 2, "lr": 0.01', "not valid JSON (Expecting ',' delimiter at column 24)"),
             ('{"epoch": 2, "lr": 0.01}', "missing field 'train_loss'"),
             (
                 '{"epoch": 2, "kept_fraction": 1.5, "lr": 0.01, "train_loss": 0.5,'
