@@ -27,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, enum_member
 from .harness import DatasetParams, ExperimentConfig, NoiseKind, NoiseSpec
 from .losses import LossKind, LossSpec
 from .mixup import MixupPolicy, Pairing
@@ -101,10 +101,9 @@ def _float(value: Any, path: str, ctx: _Context) -> float:
 def _enum(enum_cls) -> Callable:
     def cast(value: Any, path: str, ctx: _Context):
         try:
-            return enum_cls(value)
-        except ValueError:
-            options = ", ".join(repr(member.value) for member in enum_cls)
-            raise ConfigurationError(f"{path} must be one of {options}, got {value!r}") from None
+            return enum_member(path, value, enum_cls)
+        except InvalidInputError as exc:
+            raise ConfigurationError(str(exc)) from None
     return cast
 
 

@@ -12,6 +12,7 @@ clips (every patch of a clip carries the same label).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ class Dataset:
         object.__setattr__(self, "clip_ids", np.asarray(self.clip_ids, dtype=np.int64))
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "num_classes", operator.index(self.num_classes))
         n = self.example_ids.shape[0]
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise InvalidInputError("features must be a (N, F) array aligned with ids")

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and an input check more than one module applies."""
+"""Exception types shared across the toolkit, and the input checks more than one module applies."""
 
+from enum import Enum
 from typing import Mapping
 
 
@@ -38,3 +39,13 @@ def check_class_map(name: str, by_class: Mapping[int, object] | None, num_classe
             f"{name} must key exactly the classes 0..{num_classes - 1};"
             f" missing {missing}, unknown {unknown}"
         )
+
+
+def enum_member(name: str, value, kind: type[Enum]) -> Enum:
+    """``value`` as a member of the enum ``kind``; any other value raises ``InvalidInputError``
+    naming the field ``name`` and the allowed values."""
+    try:
+        return kind(value)
+    except ValueError:
+        options = ", ".join(repr(member.value) for member in kind)
+        raise InvalidInputError(f"{name} must be one of {options}, got {value!r}") from None

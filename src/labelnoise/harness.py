@@ -38,7 +38,9 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, ExperimentError, InvalidInputError, check_class_map
+from .errors import (
+    ConfigurationError, ExperimentError, InvalidInputError, check_class_map, enum_member
+)
 from .numerics import RngStream, derive_seed, mean_ci
 from .records import read_dataset_rows, read_record, write_dataset_rows, write_record
 from .selection import PruneRecord
@@ -85,6 +87,7 @@ class NoiseSpec:
     rate_by_class: Mapping[int, float] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", enum_member("kind", self.kind, NoiseKind))
         rates = [self.rate]
         if self.rate_by_class is not None:
             rates += list(self.rate_by_class.values())
@@ -317,23 +320,9 @@ def write_annotated(path, annotated: AnnotatedDataset) -> None:
 
 
 def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
-    """The one dataset reader: ``records.read_dataset_rows``, then the class count and the
-    checks that need the whole dataset."""
-    example_ids, clip_ids, labels, clean, flags, features, annotated = read_dataset_rows(
-        path, require_truth
-    )
-    data = Dataset(
-        example_ids=example_ids,
-        clip_ids=clip_ids,
-        features=features,
-        labels=labels,
-        num_classes=max(max(labels) + 1, max(clean) + 1, 2),
-    )
-    # Checked here rather than in Dataset, which re-validates on every subset.
-    finite = np.isfinite(data.features).all(axis=1)
-    if not finite.all():
-        bad = int(data.example_ids[np.argmin(finite)])
-        raise InvalidInputError(f"example {bad} has a non-finite feature value")
+    """The one dataset reader: ``records.read_dataset_rows``, then the truth checks that need
+    the whole dataset."""
+    data, clean, flags, annotated = read_dataset_rows(path, require_truth)
     dataset = AnnotatedDataset(data, clean, flags)
     if annotated:
         _clip_view(dataset)  # rejects a clip whose patches disagree on the truth
@@ -442,6 +431,16 @@ class RunSummary:
     ci_half_width: float
     config_fingerprint: str
     dataset_fingerprints: tuple[str, ...]
+
+    def __post_init__(self):
+        runs = [(f"per_run_accuracy[{i}]", value) for i, value in enumerate(self.per_run_accuracy)]
+        for name, value in (*runs, ("mean", self.mean)):
+            if not 0.0 <= value <= 100.0:
+                raise InvalidInputError(f"{name} must lie in [0, 100], got {value}")
+        if not 0.0 <= self.ci_half_width < math.inf:
+            raise InvalidInputError(
+                f"ci_half_width must be finite and non-negative, got {self.ci_half_width}"
+            )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, enum_member
 from .numerics import softmax
 
 PROB_FLOOR = 1e-12
@@ -43,6 +43,7 @@ class LossSpec:
     q: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", enum_member("kind", self.kind, LossKind))
         if self.kind == LossKind.LQ:
             if self.q is None or not 0.0 < self.q <= 1.0:
                 raise InvalidInputError(
@@ -142,10 +143,8 @@ def _loss_values(spec: LossSpec, targets: np.ndarray, predictions: np.ndarray) -
         return -(targets * np.log(np.maximum(predictions, PROB_FLOOR))).sum(axis=1)
     if spec.kind == LossKind.MAE:
         return np.abs(targets - predictions).sum(axis=1)
-    if spec.kind == LossKind.LQ:
-        dots = np.maximum((targets * predictions).sum(axis=1), PROB_FLOOR)
-        return (1.0 - dots**spec.q) / spec.q
-    raise InvalidInputError(f"unknown loss kind {spec.kind!r}")
+    dots = np.maximum((targets * predictions).sum(axis=1), PROB_FLOOR)
+    return (1.0 - dots**spec.q) / spec.q
 
 
 def loss_gradients_from_probs(
@@ -166,14 +165,12 @@ def loss_gradients_from_probs(
 
     if spec.kind == LossKind.CCE:
         return probs - targets
-    if spec.kind == LossKind.LQ:
-        dots = np.maximum((targets * probs).sum(axis=1, keepdims=True), PROB_FLOOR)
-        return dots ** (spec.q - 1.0) * probs * (dots - targets)
     if spec.kind == LossKind.MAE:
         signs = np.sign(probs - targets)
         inner = (signs * probs).sum(axis=1, keepdims=True)
         return probs * (signs - inner)
-    raise InvalidInputError(f"unknown loss kind {spec.kind!r}")
+    dots = np.maximum((targets * probs).sum(axis=1, keepdims=True), PROB_FLOOR)
+    return dots ** (spec.q - 1.0) * probs * (dots - targets)
 
 
 def loss_gradient_wrt_logits(spec: LossSpec, y, logits) -> np.ndarray:

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, enum_member
 from .numerics import RngStream, beta_draws
 
 
@@ -38,6 +38,7 @@ class MixupPolicy:
     pairing: Pairing = Pairing.INTRA_BATCH
 
     def __post_init__(self):
+        object.__setattr__(self, "pairing", enum_member("pairing", self.pairing, Pairing))
         if not 0.0 < self.alpha < math.inf:
             raise InvalidInputError(
                 f"mixup strength alpha must be positive, got {self.alpha}"

@@ -13,6 +13,7 @@ import secrets
 from array import array
 from contextlib import contextmanager
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -108,7 +109,8 @@ def write_json_lines(path, rows) -> None:
 
 # How an error names the JSON type of each field kind (of a list kind, by its origin).
 _KIND_NAMES = {
-    int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"
+    int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
+    np.ndarray: "a list",
 }
 
 
@@ -117,9 +119,10 @@ def field_value(key: str, value, kind):
 
     Types are compared exactly, so a boolean is neither an integer nor a number: ``int`` is a
     JSON integer in the int64 range, ``float`` any JSON number (returned as a float), ``bool``
-    true or false, ``str`` a string, ``list`` any list, and ``list[item]`` a list whose
-    entries each pass ``item`` (returned as a tuple; an entry is named ``key[index]``). A bad
-    value raises ``TypeError``, ``ValueError`` or ``OverflowError``.
+    true or false, ``str`` a string, ``list`` any list, ``list[item]`` a list whose entries
+    each pass ``item`` (returned as a tuple; an entry is named ``key[index]``), and
+    ``np.ndarray`` a list of numbers or a list of rows of numbers (returned as a float64
+    array). A bad value raises ``TypeError``, ``ValueError`` or ``OverflowError``.
     """
     if type(value) is kind:
         if kind is int and not -(2**63) <= value < 2**63:
@@ -127,6 +130,9 @@ def field_value(key: str, value, kind):
         return value
     if kind is float and type(value) is int:
         return float(value)
+    if kind is np.ndarray and type(value) is list:
+        rows = list[list[float]] if value and type(value[0]) is list else list[float]
+        return np.asarray(field_value(key, value, rows), dtype=np.float64)
     origin = get_origin(kind)
     if origin is list and type(value) is list:
         (item,) = get_args(kind)
@@ -163,39 +169,23 @@ def _json_object(record) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
-def _array(key: str, value: list) -> np.ndarray:
-    kind = list[list[float]] if value and type(value[0]) is list else list[float]
-    return np.asarray(field_value(key, value, kind), dtype=np.float64)
-
-
-def _field(hint) -> tuple:
-    """How a field annotated ``hint`` is read: the :func:`field_value` kind of its JSON value
-    (an enum's is a string, an array's or a tuple's a list), and the cast to the field value."""
-    if hint is np.ndarray:
-        return list, _array
+def _kind(hint):
+    """The :func:`field_value` kind of a field annotated ``hint``: a str enum's is a string,
+    and a list's or a tuple's is a list of its items' kind."""
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return str, lambda key, value: hint(value)
-    origin = get_origin(hint)
-    if origin not in (list, tuple):
-        return hint, lambda key, value: value
-    kind, cast = _field(get_args(hint)[0])
-    return list[kind], lambda key, value: origin(
-        cast(f"{key}[{index}]", item) for index, item in enumerate(value)
-    )
+        return str
+    if get_origin(hint) in (list, tuple):
+        return list[_kind(get_args(hint)[0])]
+    return hint
 
 
+@cache
 def _parser(cls):
-    """A parse of a JSON object as the dataclass ``cls``; every field is type-checked first."""
+    """A parse of a JSON object as the dataclass ``cls``: every field is type-checked by
+    :func:`row_fields`, in field order, and the values are passed to ``cls`` as they are."""
     hints = get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    kinds, casts = zip(*(_field(hints[name]) for name in names))
-    schema = tuple(zip(names, kinds))
-
-    def parse(record):
-        values = row_fields(record, schema)
-        return cls(*(cast(name, value) for name, cast, value in zip(names, casts, values)))
-
-    return parse
+    schema = tuple((f.name, _kind(hints[f.name])) for f in dataclasses.fields(cls))
+    return lambda record: cls(*row_fields(record, schema))
 
 
 def write_records(path, records) -> None:
@@ -298,9 +288,10 @@ class _RowSchema:
 
 
 def read_dataset_rows(path, require_truth: bool) -> tuple:
-    """``(example_ids, clip_ids, labels, clean_labels, corrupted, features, annotated)`` of the
-    dataset file ``path``, each row checked by :class:`_RowSchema`; ``features`` is a float64
-    array. A file without ground truth reads as clean, or is rejected if ``require_truth``."""
+    """``(data, clean_labels, corrupted, annotated)`` of the dataset file ``path``, each row
+    checked by :class:`_RowSchema`; ``data`` is a :class:`Dataset` whose class count is the
+    largest label or clean label plus one, and at least 2. A file without ground truth reads
+    as clean, or is rejected if ``require_truth``."""
     schema = _RowSchema()
     rows = read_json_lines(path, schema)
     if not rows:
@@ -309,6 +300,13 @@ def read_dataset_rows(path, require_truth: bool) -> tuple:
         raise InvalidInputError(
             f"{path} is not a harness-private file: clean_label/corrupted missing"
         )
+    example_ids, clip_ids, labels, clean, flags = zip(*rows)
     # a view of the schema's buffer: no per-row arrays and no stacking copy
     features = np.frombuffer(schema.features).reshape(len(rows), schema.width)
-    return *zip(*rows), features, schema.annotated
+    data = Dataset(example_ids, clip_ids, features, labels, max(max(labels), max(clean), 1) + 1)
+    # checked here rather than in Dataset, which re-validates on every subset
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        bad = example_ids[np.argmin(finite)]
+        raise InvalidInputError(f"example {bad} has a non-finite feature value")
+    return data, clean, flags, schema.annotated

@@ -12,6 +12,7 @@ losses by arithmetic mean.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, enum_member
 from .losses import LossReport, _check_loss_values
 from .numerics import percentile
 from .records import read_records, write_records
@@ -39,18 +40,14 @@ class SelectionRule:
     level: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", enum_member("kind", self.kind, SelectionKind))
         if self.kind == SelectionKind.MAX_FRACTION:
             if self.fraction is None or not 0.0 <= self.fraction <= 1.0:
                 raise InvalidInputError(
                     f"max-fraction rule needs fraction in [0, 1], got {self.fraction}"
                 )
-        elif self.kind == SelectionKind.PERCENTILE:
-            if self.level is None or not 0.0 <= self.level <= 100.0:
-                raise InvalidInputError(
-                    f"percentile rule needs level in [0, 100], got {self.level}"
-                )
-        else:
-            raise InvalidInputError(f"unknown selection kind {self.kind!r}")
+        elif self.level is None or not 0.0 <= self.level <= 100.0:
+            raise InvalidInputError(f"percentile rule needs level in [0, 100], got {self.level}")
 
     @classmethod
     def max_fraction(cls, fraction: float) -> "SelectionRule":
@@ -84,6 +81,9 @@ class StagePlan:
     prune_rounds: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "strategy", enum_member("strategy", self.strategy, Strategy))
+        for name in ("start_epoch", "prune_count", "prune_rounds"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.start_epoch < 0:
             raise InvalidInputError(f"start_epoch must be >= 0, got {self.start_epoch}")
         if self.strategy == Strategy.DISCARD and self.rule is None:
@@ -203,6 +203,8 @@ class PruneRecord:
             raise InvalidInputError(
                 f"clip_loss must be finite and non-negative, got {self.clip_loss}"
             )
+        if self.rank < 1:
+            raise InvalidInputError(f"rank must be >= 1, got {self.rank}")
 
 
 def prune_report_rows(

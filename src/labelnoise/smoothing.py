@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, enum_member
 
 
 class NoiseGroup(str, Enum):
@@ -43,6 +43,12 @@ class SmoothingPolicy:
     group_of_class: Mapping[int, NoiseGroup] | None = None
 
     def __post_init__(self):
+        if self.group_of_class is not None:
+            groups = {
+                cls: enum_member(f"group_of_class[{cls}]", group, NoiseGroup)
+                for cls, group in self.group_of_class.items()
+            }
+            object.__setattr__(self, "group_of_class", groups)
         if not 0.0 <= self.epsilon < 1.0:
             raise InvalidInputError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if not self.delta_epsilon >= 0.0:

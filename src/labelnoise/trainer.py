@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidInputError, TrainingError, check_class_map
+from .errors import InvalidInputError, TrainingError, check_class_map, enum_member
 from .losses import (
     LossReport,
     LossSpec,
@@ -76,6 +76,8 @@ class ModelParams:
     weights: list[np.ndarray]
 
     def __post_init__(self):
+        self.architecture = Architecture(self.architecture)
+        self.weights = list(self.weights)
         expected = _weight_shapes(
             self.architecture, self.feature_dim, self.num_classes, self.hidden_units
         )
@@ -220,6 +222,8 @@ class TrainConfig:
     hidden_units: int = 32
 
     def __post_init__(self):
+        architecture = enum_member("architecture", self.architecture, Architecture)
+        object.__setattr__(self, "architecture", architecture)
         if self.batch_size < 1:
             raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:
@@ -247,6 +251,8 @@ class EpochRecord:
     kept_fraction: float
 
     def __post_init__(self):
+        if self.epoch < 0:
+            raise InvalidInputError(f"epoch must be >= 0, got {self.epoch}")
         if not 0 < self.lr < math.inf:
             raise InvalidInputError("lr must stay positive")
         if not 0.0 < self.kept_fraction <= 1.0:

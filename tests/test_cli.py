@@ -147,6 +147,10 @@ MALFORMED_REPORT_LINES = {
         lambda row: json.dumps({**row, "clip_id": 0, "rank": 1, "removed": False}),
         "clip_id 0 was removed by an earlier prune round",
     ),
+    "rank_negative": (
+        lambda row: json.dumps({**row, "rank": -3}), "rank must be >= 1, got -3"
+    ),
+    "rank_zero": (lambda row: json.dumps({**row, "rank": 0}), "rank must be >= 1, got 0"),
     "negative_loss": (
         lambda row: json.dumps({**row, "clip_loss": -1.0}),
         "clip_loss must be finite and non-negative, got -1.0",

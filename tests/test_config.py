@@ -495,6 +495,44 @@ def test_dataclass_rejects_a_non_finite_number(field, value):
         NUMBER_FIELDS[field](value)
 
 
+# Each enum field a dataclass coerces itself: the field's value in a dataclass built with the
+# value under test, the name an error gives it, and a valid string with the member it names.
+ENUM_FIELDS = {
+    "LossSpec.kind": (lambda v: LossSpec(v, q=0.5).kind, "kind", "lq", LossKind.LQ),
+    "SelectionRule.kind": (
+        lambda v: SelectionRule(v, level=50.0).kind, "kind", "percentile", SelectionKind.PERCENTILE
+    ),
+    "StagePlan.strategy": (
+        lambda v: StagePlan(strategy=v, prune_count=1).strategy, "strategy", "prune",
+        Strategy.PRUNE,
+    ),
+    "MixupPolicy.pairing": (
+        lambda v: MixupPolicy(1.0, pairing=v).pairing, "pairing", "inter", Pairing.INTER_BATCH
+    ),
+    "TrainConfig.architecture": (
+        lambda v: TrainConfig(LossSpec(LossKind.CCE), architecture=v).architecture,
+        "architecture", "one_hidden", Architecture.ONE_HIDDEN,
+    ),
+    "NoiseSpec.kind": (lambda v: NoiseSpec(v).kind, "kind", "oov", NoiseKind.OOV_REPLACE),
+    "SmoothingPolicy.group_of_class": (
+        lambda v: SmoothingPolicy(0.1, 0.05, {0: NoiseGroup.LOW_NOISE, 1: v}).group_of_class[1],
+        "group_of_class[1]", "high", NoiseGroup.HIGH_NOISE,
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ENUM_FIELDS))
+def test_dataclass_coerces_its_enum_field(field):
+    value_of, name, valid, member = ENUM_FIELDS[field]
+    assert value_of(valid) is member
+    assert value_of(member) is member
+    options = ", ".join(repr(item.value) for item in type(member))
+    for bad in ("bogus", member.name, 1, None):
+        with pytest.raises(InvalidInputError) as excinfo:
+            value_of(bad)
+        assert str(excinfo.value) == f"{name} must be one of {options}, got {bad!r}"
+
+
 # --- parse(render(cfg)) == cfg ---------------------------------------------------
 
 finite = dict(allow_nan=False, allow_infinity=False)

@@ -5,9 +5,11 @@ of every record file, and atomic artifact writes."""
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import sys
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from labelnoise import (
     write_prune_report,
     write_summary,
 )
+from labelnoise import records
 from labelnoise.records import read_json, row_fields, write_json_lines
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -47,7 +50,7 @@ def floats(*extremes, **bounds):
 FINITE = floats(-0.0, TINY, -TINY, HUGE, -HUGE)
 EPOCH_RECORDS = st.builds(
     EpochRecord,
-    epoch=INT64,
+    epoch=st.integers(0, 2**63 - 1),
     train_loss=floats(0.0, TINY, HUGE, min_value=0.0),
     val_accuracy=floats(0.0, TINY, 1.0, min_value=0.0, max_value=1.0),
     lr=floats(TINY, HUGE, min_value=0.0, exclude_min=True),
@@ -58,14 +61,15 @@ PRUNE_RECORDS = st.builds(
     PruneRecord,
     clip_id=INT64,
     clip_loss=floats(0.0, TINY, HUGE, min_value=0.0),
-    rank=INT64,
+    rank=st.integers(1, 2**63 - 1),
     removed=st.booleans(),
 )
+PERCENT = floats(-0.0, TINY, 100.0, min_value=0.0, max_value=100.0)
 SUMMARIES = st.builds(
     RunSummary,
-    per_run_accuracy=st.lists(FINITE, max_size=4).map(tuple),
-    mean=FINITE,
-    ci_half_width=FINITE,
+    per_run_accuracy=st.lists(PERCENT, max_size=4).map(tuple),
+    mean=PERCENT,
+    ci_half_width=floats(-0.0, TINY, HUGE, min_value=0.0),
     config_fingerprint=st.text(),
     dataset_fingerprints=st.lists(st.text(), max_size=4).map(tuple),
 )
@@ -166,6 +170,27 @@ class TestRoundTrip:
             write(directory / name, written)
             assert bits(read(directory / name)) == bits(written), name
 
+    def test_each_record_schema_is_built_once(self, tmp_path, monkeypatch):
+        files = [
+            (write_metrics, read_metrics, "metrics.jsonl", [EpochRecord(0, 1.0, 0.5, 0.01, 1.0)]),
+            (write_prune_report, read_prune_report, "prune.jsonl", [PruneRecord(0, 1.0, 1, False)]),
+            (write_summary, read_summary, "summary.json", SUMMARY),
+            (save_model, load_model, "model.json", MODEL),
+        ]
+        built = []
+
+        def counted(cls):
+            built.append(cls.__name__)
+            return get_type_hints(cls)
+
+        records._parser.cache_clear()
+        monkeypatch.setattr(records, "get_type_hints", counted)
+        for write, read, name, written in files:
+            write(tmp_path / name, written)
+            for _ in range(3):
+                read(tmp_path / name)
+        assert built == ["EpochRecord", "PruneRecord", "RunSummary", "ModelParams"]
+
     def test_read_values_have_the_field_types(self, tmp_path):
         path = tmp_path / "prune_report.jsonl"
         path.write_text('{"clip_id": 3, "clip_loss": 2, "rank": 1, "removed": false}\n')
@@ -242,6 +267,10 @@ class TestRowFields:
             ({"x": ["a", 1]}, list[str], TypeError, "x[1] must be a string, got 1"),
             ({"x": [[1], 2]}, list[list[float]], TypeError, "x[1] must be a list, got 2"),
             ({"x": [2**63]}, list[int], ValueError, f"x[0] {2**63} is outside the int64 range"),
+            ({"x": 1.0}, np.ndarray, TypeError, "x must be a list, got 1.0"),
+            ({"x": [1.0, [2.0]]}, np.ndarray, TypeError, "x[1] must be a number, got [2.0]"),
+            ({"x": [[1.0], 2.0]}, np.ndarray, TypeError, "x[1] must be a list, got 2.0"),
+            ({"x": [[1.0], [2.0, 3.0]]}, np.ndarray, ValueError, "inhomogeneous"),
             ({"y": 1}, int, KeyError, "'x'"),
             ([1], int, TypeError, "a row must be a JSON object, got [1]"),
             ("x", int, TypeError, 'a row must be a JSON object, got "x"'),
@@ -252,7 +281,8 @@ class TestRowFields:
             "string_not_number", "null_not_number", "int_not_bool", "string_not_bool",
             "past_int64_max", "past_int64_min", "past_float_range", "int_not_string",
             "null_not_string", "string_not_list", "tuple_not_list", "string_item",
-            "bool_item", "int_item", "item_not_list", "item_past_int64", "missing_key",
+            "bool_item", "int_item", "item_not_list", "item_past_int64", "number_not_array",
+            "array_row_after_number", "array_number_after_row", "array_ragged", "missing_key",
             "list_row", "string_row", "null_row",
         ],
     )
@@ -260,6 +290,19 @@ class TestRowFields:
         with pytest.raises(error) as excinfo:
             row_fields(record, [("x", kind)])
         assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ([], np.empty(0)),
+            ([1, 2.5], np.array([1.0, 2.5])),
+            ([[1], [-0.0]], np.array([[1.0], [-0.0]])),
+        ],
+        ids=["empty", "numbers", "rows"],
+    )
+    def test_array_kind_gives_a_float64_array(self, value, expected):
+        (got,) = row_fields({"x": value}, [("x", np.ndarray)])
+        assert bits(got) == bits(expected)
 
     def test_values_come_back_in_field_order(self):
         record = {"b": 2.5, "a": 1, "c": True, "unused": "ignored"}
@@ -362,6 +405,19 @@ class TestJsonDocuments:
             (
                 lambda record: record.update(per_run_accuracy=50.0),
                 "per_run_accuracy must be a list, got 50.0",
+            ),
+            (lambda record: record.update(mean=math.nan), "mean must lie in [0, 100], got nan"),
+            (
+                lambda record: record.update(per_run_accuracy=[50.0, 100.5]),
+                "per_run_accuracy[1] must lie in [0, 100], got 100.5",
+            ),
+            (
+                lambda record: record.update(ci_half_width=math.inf),
+                "ci_half_width must be finite and non-negative, got inf",
+            ),
+            (
+                lambda record: record.update(ci_half_width=-0.5),
+                "ci_half_width must be finite and non-negative, got -0.5",
             ),
         ],
     )

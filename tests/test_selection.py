@@ -283,6 +283,14 @@ class TestStagePlan:
         with pytest.raises(InvalidInputError):
             StagePlan(strategy=Strategy.PRUNE, prune_count=-1)
 
+    @pytest.mark.parametrize("field", ["start_epoch", "prune_count", "prune_rounds"])
+    def test_counts_are_integers(self, field):
+        counts = {"start_epoch": 2, "prune_count": 3}
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            StagePlan(Strategy.PRUNE, **{**counts, field: 2.5})
+        plan = StagePlan(Strategy.PRUNE, **{**counts, field: np.int64(3)})
+        assert type(getattr(plan, field)) is int and getattr(plan, field) == 3
+
     def test_iterative_pruning_needs_nonzero_start(self):
         with pytest.raises(ConfigurationError):
             StagePlan(strategy=Strategy.PRUNE, start_epoch=0, prune_count=1, prune_rounds=2)

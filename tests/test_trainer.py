@@ -1097,11 +1097,16 @@ class TestArtifacts:
                 ' "val_accuracy": 0.5}',
                 "lr must stay positive",
             ),
+            (
+                '{"epoch": -5, "kept_fraction": 1.0, "lr": 0.01, "train_loss": 0.5,'
+                ' "val_accuracy": 0.5}',
+                "epoch must be >= 0, got -5",
+            ),
         ],
         ids=[
             "not_json", "missing_field", "out_of_range",
             "epoch_string", "lr_string", "epoch_float", "kept_fraction_bool",
-            "lr_nan", "lr_infinity",
+            "lr_nan", "lr_infinity", "epoch_negative",
         ],
     )
     def test_malformed_metrics_line_named(self, tmp_path, line, message):
@@ -1121,6 +1126,18 @@ class TestArtifacts:
         assert loaded.hidden_units == params.hidden_units
         for wa, wb in zip(params.weights, loaded.weights):
             np.testing.assert_array_equal(wa, wb)
+
+    def test_numpy_class_count_survives_save_and_load(self, tmp_path):
+        ds = blob_dataset()
+        ds = Dataset(ds.example_ids, ds.clip_ids, ds.features, ds.labels, np.int64(2))
+        assert type(ds.num_classes) is int
+        result = train(ds, quick_config(max_epochs=2))
+        path = tmp_path / "model.json"
+        save_model(path, result.params)
+        loaded = load_model(path)
+        assert loaded.num_classes == 2
+        for loaded_w, trained_w in zip(loaded.weights, result.params.weights):
+            assert loaded_w.tobytes() == trained_w.tobytes()
 
     def test_loaded_model_evaluates_identically(self, tmp_path):
         ds = blob_dataset()
