@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the input checks more than one module applies."""
 
+import operator
 from enum import Enum
 from typing import Mapping
 
@@ -39,6 +40,17 @@ def check_class_map(name: str, by_class: Mapping[int, object] | None, num_classe
             f"{name} must key exactly the classes 0..{num_classes - 1};"
             f" missing {missing}, unknown {unknown}"
         )
+
+
+def integer_fields(record, *names: str) -> None:
+    """Stores each field ``names`` of the frozen dataclass ``record`` as an ``int``, by
+    ``operator.index``; a value that is not an integer, such as a float, raises its
+    ``TypeError`` prefixed with the field name."""
+    for name in names:
+        try:
+            object.__setattr__(record, name, operator.index(getattr(record, name)))
+        except TypeError as exc:
+            raise TypeError(f"{name}: {exc}") from None
 
 
 def enum_member(name: str, value, kind: type[Enum]) -> Enum:

@@ -39,7 +39,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
-    ConfigurationError, ExperimentError, InvalidInputError, check_class_map, enum_member
+    ConfigurationError, ExperimentError, InvalidInputError, check_class_map, enum_member,
+    integer_fields,
 )
 from .numerics import RngStream, derive_seed, mean_ci
 from .records import read_dataset_rows, read_record, write_dataset_rows, write_record
@@ -88,6 +89,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", enum_member("kind", self.kind, NoiseKind))
+        integer_fields(self, "seed")
         rates = [self.rate]
         if self.rate_by_class is not None:
             rates += list(self.rate_by_class.values())
@@ -388,6 +390,10 @@ class DatasetParams:
     test_clips_per_class: int = 25
 
     def __post_init__(self):
+        integer_fields(
+            self, "num_classes", "clips_per_class", "patches_per_clip", "feature_dim",
+            "test_clips_per_class",
+        )
         if self.num_classes < 2:
             raise InvalidInputError(f"need at least 2 classes, got {self.num_classes}")
         for name in ("clips_per_class", "patches_per_clip", "feature_dim", "test_clips_per_class"):
@@ -410,6 +416,7 @@ class ExperimentConfig:
     auto_noise_groups: bool = False
 
     def __post_init__(self):
+        integer_fields(self, "runs", "base_seed")
         if self.runs < 1:
             raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
         for name, spec in (("train", self.train), ("noise", self.noise)):

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, enum_member
+from .errors import ConfigurationError, InvalidInputError, enum_member, integer_fields
 from .numerics import RngStream, beta_draws
 
 
@@ -39,6 +39,7 @@ class MixupPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "pairing", enum_member("pairing", self.pairing, Pairing))
+        integer_fields(self, "warmup_epochs")
         if not 0.0 < self.alpha < math.inf:
             raise InvalidInputError(
                 f"mixup strength alpha must be positive, got {self.alpha}"

@@ -9,11 +9,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 import secrets
+import shutil
+import signal
 from array import array
 from contextlib import contextmanager
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -34,6 +37,39 @@ def _fault(err: Exception, document: bool = False) -> str:
     return str(err)
 
 
+def _parse_lines(lines, parse_row) -> tuple:
+    """Passes the JSON value of each non-blank line of ``lines`` to ``parse_row``, up to the
+    first fault. Returns ``(count, fault)``: how many lines were read, and ``None`` or the fault
+    as ``(line, message, error)``, its line numbered from 1 among ``lines``."""
+    count = 0
+    for count, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            parse_row(json.loads(line))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            fault = exc
+            if isinstance(exc, json.JSONDecodeError):
+                # without its line ending, a line that stops early is faulted where it stops
+                try:
+                    json.loads(line.rstrip(b"\r\n"))
+                except json.JSONDecodeError as bare:
+                    fault = bare
+            return count, (count, _fault(fault), exc)
+    return count, None
+
+
+def _raise_first_fault(path, parts) -> None:
+    """Raises the first fault of the file ``path`` read as consecutive parts, each ``(count,
+    fault, ...)`` as :func:`_parse_lines` returns them, named by its line in the whole file."""
+    before = 0
+    for count, fault, *_ in parts:
+        if fault is not None:
+            line, message, exc = fault
+            raise InvalidInputError(f"{path}, line {before + line}: {message}") from exc
+        before += count
+
+
 def read_json_lines(path, parse_row) -> list:
     """``parse_row`` of each non-blank line of the JSON-lines file ``path``, in order.
 
@@ -45,20 +81,8 @@ def read_json_lines(path, parse_row) -> list:
     """
     rows = []
     with open(Path(path), "rb") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(parse_row(json.loads(line)))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                fault = exc
-                if isinstance(exc, json.JSONDecodeError):
-                    # without its line ending, a line that stops early is faulted where it stops
-                    try:
-                        json.loads(line.rstrip(b"\r\n"))
-                    except json.JSONDecodeError as bare:
-                        fault = bare
-                raise InvalidInputError(f"{path}, line {number}: {_fault(fault)}") from exc
+        count, fault = _parse_lines(fh, lambda record: rows.append(parse_row(record)))
+    _raise_first_fault(path, [(count, fault)])
     return rows
 
 
@@ -75,6 +99,11 @@ def read_json(path, parse):
         raise InvalidInputError(f"{path}: {_fault(exc, document=True)}") from exc
 
 
+def _scratch_name(path: Path, suffix: str) -> Path:
+    """A new hidden name beside ``path`` for a file that lives only while ``path`` is written."""
+    return path.with_name(f".{path.name}.{secrets.token_hex(4)}.{suffix}")
+
+
 @contextmanager
 def atomic_write(path):
     """A text file to write that takes the place of ``path`` only once the block completes.
@@ -85,8 +114,7 @@ def atomic_write(path):
     byte for byte as it was. Nothing is synced to disk: this guards against a
     writer that fails, not against a machine that stops.
     """
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    temp = _scratch_name(Path(path), "tmp")
     fh = open(temp, "x", encoding="utf-8")
     try:
         with fh:
@@ -215,16 +243,136 @@ def read_record(path, cls):
 
 
 # --- dataset files -----------------------------------------------------------
+#
+# A dataset file is split into one contiguous range of rows per worker process, and the ranges
+# are joined in file order, so its bytes, values and errors do not depend on the worker count.
+# A file of one range is handled by the same range functions in this process. Workers are
+# forked, not spawned, so that they read the parent's columns without a copy and start with
+# nothing to import; they touch no lock that another thread of the parent could hold.
 
-# Rows turned into Python values at a time by the dataset writer, so that its
-# memory does not grow with the row count.
+# Rows turned into Python values at a time by the dataset writer, so that its memory does
+# not grow with the row count; also the fewest rows given a range of their own.
 _WRITE_BLOCK = 1024
+
+
+def _worker_count() -> int:
+    """The most ranges a dataset file is split into: one per CPU this process may run on, where
+    worker processes can be forked."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _serve(task, pipe: int) -> None:
+    """Runs ``task`` in a worker process. Writes to the pipe ``pipe`` the pickled pair ``(error,
+    header)``, then, if the task returned ``(header, buffers)``, the bytes of each buffer."""
+    with open(pipe, "wb") as out:
+        try:
+            header, buffers = task()
+        except Exception as exc:  # raised again in the parent, by _header
+            pickle.dump((exc, None), out)
+        else:
+            pickle.dump((None, header), out)
+            out.writelines(buffers)
+
+
+def _fork(task) -> tuple:
+    """``(pid, pipe)`` of a new worker process that runs :func:`_serve` on ``task`` and exits;
+    it leaves without flushing or finalizing anything it inherited."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            _serve(task, write_end)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+@contextmanager
+def _forked(tasks):
+    """One pipe per task, in order, carrying what :func:`_serve` writes for it from a worker
+    process of its own. The workers are killed if the block raises, and reaped before it exits."""
+    workers = []
+    try:
+        for task in tasks:
+            workers.append(_fork(task))
+        yield [pipe for _, pipe in workers]
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+_STOPPED_EARLY = "a dataset file worker stopped before it finished its range"
+
+
+def _header(pipe):
+    """The header of the task behind ``pipe``; the exception the task raised is raised here."""
+    try:
+        error, header = pickle.load(pipe)
+    except EOFError:
+        raise ChildProcessError(_STOPPED_EARLY) from None
+    if error is not None:
+        raise error
+    return header
+
+
+def _bounds(size: int, count: int) -> list:
+    """``count`` + 1 offsets that split ``size`` items into ranges as equal as can be."""
+    return [size * index // count for index in range(count + 1)]
+
+
+def _check_finite(data: Dataset) -> None:
+    # checked here rather than in Dataset, which re-validates on every subset
+    finite = np.isfinite(data.features).all(axis=1)
+    if not finite.all():
+        bad = data.example_ids[np.argmin(finite)]
+        raise InvalidInputError(f"example {bad} has a non-finite feature value")
+
+
+def _encode_rows(fh, columns: dict, start: int, stop: int) -> None:
+    """Rows ``start`` to ``stop`` of ``columns`` as lines of the text file ``fh``, one JSON object
+    each, keys sorted, converted to Python values one block of ``_WRITE_BLOCK`` rows at a time."""
+    for at in range(start, stop, _WRITE_BLOCK):
+        end = min(at + _WRITE_BLOCK, stop)
+        block = (column[at:end].tolist() for column in columns.values())
+        # the block's values are held only by the zip of this generator, so each block is
+        # freed before the next one is built
+        lines = (json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n" for row in zip(*block))
+        fh.writelines(lines)
+
+
+def _encode_part(part: Path, start: int, stop: int, columns: dict) -> tuple:
+    """A worker's task: rows ``start`` to ``stop`` of ``columns`` encoded into the new file
+    ``part``."""
+    with open(part, "x", encoding="utf-8") as fh:
+        _encode_rows(fh, columns, start, stop)
+    return None, ()
 
 
 def write_dataset_rows(path, data: Dataset, truth: tuple | None = None) -> None:
     """One JSON object per example of ``data``, plus ``truth``, the clean labels and flags, as
-    ``clean_label`` and ``corrupted``. The columns are converted to Python values one block of
-    ``_WRITE_BLOCK`` rows at a time, and each line is written as it is built."""
+    ``clean_label`` and ``corrupted``, replacing ``path`` atomically. A dataset with a
+    non-finite feature is rejected before any byte is written. Each range of rows is encoded
+    by a worker into a part file beside ``path``, and the parts are appended in row order."""
+    _check_finite(data)
+    path = Path(path)
     columns = dict(
         example_id=data.example_ids,
         clip_id=data.clip_ids,
@@ -233,16 +381,26 @@ def write_dataset_rows(path, data: Dataset, truth: tuple | None = None) -> None:
     )
     if truth is not None:
         columns.update(clean_label=truth[0], corrupted=truth[1])
-
-    def rows():
-        for start in range(0, data.n_examples, _WRITE_BLOCK):
-            # the block's values are held only by this zip, so each block is
-            # freed before the next one is built
-            block = (column[start : start + _WRITE_BLOCK].tolist() for column in columns.values())
-            for row in zip(*block):
-                yield dict(zip(columns, row))
-
-    write_json_lines(path, rows())
+    rows = data.n_examples
+    bounds = _bounds(rows, max(1, min(_worker_count(), -(-rows // _WRITE_BLOCK))))
+    with atomic_write(path) as fh:
+        if len(bounds) == 2:
+            _encode_rows(fh, columns, 0, rows)
+            return
+        parts = [_scratch_name(path, "part") for _ in bounds[1:]]
+        try:
+            ranges = zip(parts, bounds, bounds[1:])
+            tasks = [partial(_encode_part, *part, columns) for part in ranges]
+            with _forked(tasks) as pipes:
+                for pipe in pipes:
+                    _header(pipe)
+            fh.flush()
+            for part in parts:
+                with open(part, "rb") as source:
+                    shutil.copyfileobj(source, fh.buffer)
+        finally:
+            for part in parts:
+                part.unlink(missing_ok=True)
 
 
 # The integer fields of every dataset row and the ground-truth pair of a private one.
@@ -252,21 +410,24 @@ _NUMBERS = frozenset((int, float))
 
 
 class _RowSchema:
-    """Checks each parsed dataset row, in file order; the first row sets the width and layout.
+    """Checks each parsed dataset row of a range, in file order, against the width and layout
+    of the file's first row, which sets them if not given.
 
     ``example_id``, ``clip_id``, ``label`` and ``clean_label`` are integers, ``corrupted`` a
     boolean and ``features`` a flat list of numbers as long as the first row's. The
-    ground-truth pair is on every row or on none; a row without it reads as clean. Features
-    are appended to the packed float64 buffer ``features``, so no per-row array is kept.
-    Returns ``(example_id, clip_id, label, clean_label, corrupted)``.
+    ground-truth pair is on every row or on none; a row without it reads as clean. Each row
+    is appended to three packed buffers, so no per-row object is kept: ``ids``, the example
+    id, clip id, label and clean label; ``corrupted``, one byte; and ``features``.
     """
 
-    def __init__(self):
-        self.width: int | None = None
-        self.annotated: bool | None = None
+    def __init__(self, width: int | None = None, annotated: bool | None = None):
+        self.width = width
+        self.annotated = annotated
+        self.ids = array("q")
+        self.corrupted = array("B")
         self.features = array("d")
 
-    def __call__(self, record) -> tuple:
+    def __call__(self, record) -> None:
         example_id, clip_id, label = row_fields(record, _ID_FIELDS)
         if self.annotated is None:
             self.annotated = "clean_label" in record
@@ -283,30 +444,105 @@ class _RowSchema:
         if len(features) != self.width:
             raise ValueError(f"{len(features)} features where earlier rows have {self.width}")
         self.features.extend(features)  # OverflowError past the float range
-        truth = row_fields(record, _TRUTH_FIELDS) if self.annotated else (label, False)
-        return example_id, clip_id, label, *truth
+        clean, corrupted = row_fields(record, _TRUTH_FIELDS) if self.annotated else (label, False)
+        self.ids.extend((example_id, clip_id, label, clean))
+        self.corrupted.append(corrupted)
+
+
+# The numpy types of a _RowSchema's buffers, in order.
+_BUFFER_TYPES = (np.int64, np.bool_, np.float64)
+
+
+def _lines_to(fh, stop: int):
+    """The lines of the binary file ``fh`` from its position up to byte ``stop``, which ends one."""
+    at = fh.tell()
+    if at < stop:
+        for line in fh:
+            yield line
+            at += len(line)
+            if at >= stop:
+                break
+
+
+def _parse_range(path, start: int, stop: int, schema: _RowSchema) -> tuple:
+    """``((count, fault, rows), buffers)``: ``schema`` fed the lines of bytes ``start`` to ``stop``
+    of ``path``, which begin and end lines, with ``count`` and ``fault`` as from
+    :func:`_parse_lines`, and the number of rows and the schema's buffers."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        count, fault = _parse_lines(_lines_to(fh, stop), schema)
+    buffers = (schema.ids, schema.corrupted, schema.features)
+    return (count, fault, len(schema.corrupted)), buffers
+
+
+def _ranges(fh, head: int) -> list:
+    """``(start, stop)`` byte ranges of the binary file ``fh`` in order, one per worker at most,
+    each of about ``_WRITE_BLOCK`` rows or more as long as ``head``, the first row's line. Each
+    bound is moved forward to the start of a line, and a range left empty is dropped."""
+    size = os.fstat(fh.fileno()).st_size
+    bounds = {0, size}
+    for offset in _bounds(size, min(_worker_count(), -(-size // (head * _WRITE_BLOCK))))[1:-1]:
+        fh.seek(offset - 1)
+        fh.readline()  # to the end of the line that holds the byte before the offset
+        bounds.add(fh.tell())
+    bounds = sorted(bounds)
+    return list(zip(bounds, bounds[1:]))
+
+
+def _receive(pipes, headers, width: int) -> tuple:
+    """The buffers of every range, read from the workers' ``pipes`` into one array each."""
+    rows = sum(taken for *_, taken in headers)
+    widths = (4, 1, width)
+    columns = tuple(map(np.empty, (rows * w for w in widths), _BUFFER_TYPES))
+    at = 0
+    for pipe, (*_, taken) in zip(pipes, headers):
+        for column, w in zip(columns, widths):
+            target = column[at * w : (at + taken) * w]
+            if pipe.readinto(target) != target.nbytes:
+                raise ChildProcessError(_STOPPED_EARLY)
+        at += taken
+    return columns
 
 
 def read_dataset_rows(path, require_truth: bool) -> tuple:
     """``(data, clean_labels, corrupted, annotated)`` of the dataset file ``path``, each row
     checked by :class:`_RowSchema`; ``data`` is a :class:`Dataset` whose class count is the
     largest label or clean label plus one, and at least 2. A file without ground truth reads
-    as clean, or is rejected if ``require_truth``."""
-    schema = _RowSchema()
-    rows = read_json_lines(path, schema)
-    if not rows:
-        raise InvalidInputError(f"dataset file {path} is empty")
-    if require_truth and not schema.annotated:
+    as clean, or is rejected if ``require_truth``. The first row is parsed first and sets
+    every range's width and layout; each range is then parsed by a worker into packed
+    buffers, and the first fault in file order is raised."""
+    with open(path, "rb") as fh:
+        head = 0
+        for line in fh:
+            head += len(line)
+            if line.strip():
+                break
+        first = _RowSchema()
+        header, _ = _parse_range(path, 0, head, first)
+        _raise_first_fault(path, [header])
+        if first.width is None:
+            raise InvalidInputError(f"dataset file {path} is empty")
+        ranges = _ranges(fh, head)
+    tasks = [
+        partial(_parse_range, path, start, stop, _RowSchema(first.width, first.annotated))
+        for start, stop in ranges
+    ]
+    if len(tasks) == 1:
+        header, buffers = tasks[0]()
+        _raise_first_fault(path, [header])
+        ids, corrupted, features = map(np.frombuffer, buffers, _BUFFER_TYPES)
+    else:
+        with _forked(tasks) as pipes:
+            headers = [_header(pipe) for pipe in pipes]
+            _raise_first_fault(path, headers)
+            ids, corrupted, features = _receive(pipes, headers, first.width)
+    if require_truth and not first.annotated:
         raise InvalidInputError(
             f"{path} is not a harness-private file: clean_label/corrupted missing"
         )
-    example_ids, clip_ids, labels, clean, flags = zip(*rows)
-    # a view of the schema's buffer: no per-row arrays and no stacking copy
-    features = np.frombuffer(schema.features).reshape(len(rows), schema.width)
-    data = Dataset(example_ids, clip_ids, features, labels, max(max(labels), max(clean), 1) + 1)
-    # checked here rather than in Dataset, which re-validates on every subset
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        bad = example_ids[np.argmin(finite)]
-        raise InvalidInputError(f"example {bad} has a non-finite feature value")
-    return data, clean, flags, schema.annotated
+    rows = corrupted.size
+    example_ids, clip_ids, labels, clean = ids.reshape(rows, 4).T.copy()
+    num_classes = max(int(labels.max()), int(clean.max()), 1) + 1
+    data = Dataset(example_ids, clip_ids, features.reshape(rows, first.width), labels, num_classes)
+    _check_finite(data)
+    return data, clean, corrupted, first.annotated

@@ -12,7 +12,6 @@ losses by arithmetic mean.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -20,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, InvalidInputError, enum_member
+from .errors import ConfigurationError, InvalidInputError, enum_member, integer_fields
 from .losses import LossReport, _check_loss_values
 from .numerics import percentile
 from .records import read_records, write_records
@@ -82,8 +81,7 @@ class StagePlan:
 
     def __post_init__(self):
         object.__setattr__(self, "strategy", enum_member("strategy", self.strategy, Strategy))
-        for name in ("start_epoch", "prune_count", "prune_rounds"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        integer_fields(self, "start_epoch", "prune_count", "prune_rounds")
         if self.start_epoch < 0:
             raise InvalidInputError(f"start_epoch must be >= 0, got {self.start_epoch}")
         if self.strategy == Strategy.DISCARD and self.rule is None:

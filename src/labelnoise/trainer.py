@@ -27,7 +27,9 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidInputError, TrainingError, check_class_map, enum_member
+from .errors import (
+    InvalidInputError, TrainingError, check_class_map, enum_member, integer_fields,
+)
 from .losses import (
     LossReport,
     LossSpec,
@@ -224,6 +226,10 @@ class TrainConfig:
     def __post_init__(self):
         architecture = enum_member("architecture", self.architecture, Architecture)
         object.__setattr__(self, "architecture", architecture)
+        integer_fields(
+            self, "max_epochs", "batch_size", "lr_halving_patience", "early_stop_patience",
+            "seed", "hidden_units",
+        )
         if self.batch_size < 1:
             raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:

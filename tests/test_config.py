@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -657,3 +658,48 @@ def test_readme_config_block_parses_and_survives_the_round_trip(index):
     else:
         cfg, auto = parse_train(raw)
         assert parse_train(json.loads(json.dumps(train_to_dict(cfg, auto)))) == (cfg, auto)
+
+
+# Each config dataclass with the arguments it needs, and its integer fields.
+INTEGER_FIELDS = {
+    "TrainConfig": (
+        lambda **field: TrainConfig(LossSpec(LossKind.CCE), **field),
+        ("max_epochs", "batch_size", "lr_halving_patience", "early_stop_patience", "seed",
+         "hidden_units"),
+    ),
+    "DatasetParams": (
+        DatasetParams,
+        ("num_classes", "clips_per_class", "patches_per_clip", "feature_dim",
+         "test_clips_per_class"),
+    ),
+    "ExperimentConfig": (
+        lambda **field: ExperimentConfig(
+            DatasetParams(), TrainConfig(LossSpec(LossKind.CCE)), **field
+        ),
+        ("runs", "base_seed"),
+    ),
+    "NoiseSpec": (lambda **field: NoiseSpec(NoiseKind.SYMMETRIC_IV, **field), ("seed",)),
+    "MixupPolicy": (lambda **field: MixupPolicy(alpha=0.2, **field), ("warmup_epochs",)),
+}
+INTEGER_FIELD_CASES = [
+    pytest.param(build, name, id=f"{cls}.{name}")
+    for cls, (build, names) in INTEGER_FIELDS.items()
+    for name in names
+]
+
+
+class TestIntegerFields:
+    """Every integer field of a config dataclass is stored as an int, as the config files
+    already cast them: a float is refused when the config is built, not deep in a run."""
+
+    @pytest.mark.parametrize("value", [2.5, 3.0])
+    @pytest.mark.parametrize("build, name", INTEGER_FIELD_CASES)
+    def test_float_refused_naming_the_field(self, build, name, value):
+        message = rf"^{name}: 'float' object cannot be interpreted as an integer$"
+        with pytest.raises(TypeError, match=message):
+            build(**{name: value})
+
+    @pytest.mark.parametrize("build, name", INTEGER_FIELD_CASES)
+    def test_numpy_integer_stored_as_int(self, build, name):
+        value = getattr(build(**{name: np.int64(3)}), name)
+        assert type(value) is int and value == 3

@@ -2,8 +2,15 @@
 
 import hashlib
 import json
+import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +52,7 @@ from labelnoise import (
     write_dataset,
     write_summary,
 )
-from labelnoise import harness
+from labelnoise import harness, records
 
 
 def blobs(**overrides):
@@ -654,13 +661,44 @@ class TestSerialization:
         features[5, 2] = np.nan
         features[7, 0] = np.inf
         bad = replace(annotated.data, features=features)
+        # json writes NaN and Infinity and reads them back; the dataset reader refuses them
         path = tmp_path / "nan.jsonl"
-        write_dataset(path, bad)
+        path.write_text(reference_dataset_text(bad))
         with pytest.raises(InvalidInputError, match="example 5 "):
             read_dataset(path)
-        write_annotated(path, replace(annotated, data=bad))
+        truth = dict(clean_label=annotated.clean_labels, corrupted=annotated.corrupted)
+        path.write_text(reference_dataset_text(bad, **truth))
         with pytest.raises(InvalidInputError, match="example 5 "):
             read_annotated(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("annotated", [False, True])
+    def test_non_finite_feature_refused_before_any_byte_is_written(
+        self, tmp_path, value, annotated
+    ):
+        clean = blobs(clips_per_class=2)
+        features = clean.data.features.copy()
+        features[5, 2] = value
+        features[7, 0] = np.nan
+        bad = replace(clean, data=replace(clean.data, features=features))
+
+        def write(path, dataset):
+            if annotated:
+                write_annotated(path, dataset)
+            else:
+                write_dataset(path, dataset.data)
+
+        message = r"^example 5 has a non-finite feature value$"
+        with pytest.raises(InvalidInputError, match=message):
+            write(tmp_path / "new.jsonl", bad)
+        assert list(tmp_path.iterdir()) == []
+        path = tmp_path / "data.jsonl"
+        write(path, clean)
+        before = path.read_bytes()
+        with pytest.raises(InvalidInputError, match=message):
+            write(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
 
 
 fingerprint_cases = st.fixed_dictionaries(
@@ -835,6 +873,224 @@ class TestDatasetFileStreaming:
         write_annotated(path, noisy)
         feature_bytes = noisy.data.features.nbytes
         assert traced_peak(lambda: read_annotated(path)) <= 2 * feature_bytes
+
+
+@contextmanager
+def split_into(workers, block):
+    """Dataset files split into at most ``workers`` ranges of ``block`` rows or more; yields
+    the list of ranges each call gave a worker process, one entry per worker started."""
+    forks = []
+    fork = records._fork
+
+    def counted(task):
+        forks.append(task)
+        return fork(task)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "_worker_count", lambda: workers)
+        patch.setattr(records, "_WRITE_BLOCK", block)
+        patch.setattr(records, "_fork", counted)
+        yield forks
+
+
+def child_pids():
+    """The processes, running or not yet reaped, whose parent is this one."""
+    tasks = Path("/proc/self/task")
+    if not (tasks / str(os.getpid()) / "children").exists():
+        pytest.skip("needs /proc/<pid>/task/<tid>/children")
+    return {pid for task in tasks.iterdir() for pid in (task / "children").read_text().split()}
+
+
+def range_starts(path, workers):
+    """The lines, from 0, that begin each range after the first when ``path`` is read by at
+    most ``workers`` workers at blocks of 4 rows."""
+    text = path.read_bytes()
+    with split_into(workers, 4), open(path, "rb") as fh:
+        ranges = records._ranges(fh, len(fh.readline()))
+    assert len(ranges) == workers
+    return [text[:start].count(b"\n") for start, _ in ranges[1:]]
+
+
+def read_columns(path):
+    loaded = read_as_annotated(path)
+    data = loaded.data
+    columns = (data.example_ids, data.clip_ids, data.features, data.labels,
+               loaded.clean_labels, loaded.corrupted)
+    return [(column.dtype, column.shape, column.tobytes()) for column in columns]
+
+
+def _drop_truth(row):
+    return {key: value for key, value in row.items() if key not in ("clean_label", "corrupted")}
+
+
+# A fault put into one row of a dataset file: the line that replaces the row's line.
+ROW_FAULTS = {
+    "bad_json": lambda row: json.dumps(row)[:-3],
+    "width_change": lambda row: json.dumps({**row, "features": row["features"][:-1]}),
+    "truth_on_some_rows_only": lambda row: json.dumps(_drop_truth(row)),
+    "non_finite_value": lambda row: json.dumps({**row, "features": [math.inf, *row["features"][1:]]}),
+}
+
+
+class TestDatasetFileRanges:
+    """A dataset file is written and read as one range of rows per worker process; its bytes,
+    values and errors are those of one range read in this process."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        width=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        annotated=st.booleans(),
+    )
+    def test_bytes_and_columns_do_not_depend_on_the_worker_count(
+        self, tmp_path_factory, rows, width, seed, annotated
+    ):
+        original = awkward_dataset(rows, width, seed)
+        truth = {}
+        if annotated:
+            truth = dict(clean_label=original.clean_labels, corrupted=original.corrupted)
+        directory = tmp_path_factory.mktemp("ranges")
+        files, columns = {}, {}
+        for workers in (1, 2, 3):
+            path = directory / f"{workers}.jsonl"
+            with split_into(workers, 4):
+                if annotated:
+                    write_annotated(path, original)
+                else:
+                    write_dataset(path, original.data)
+                files[workers] = path.read_bytes()
+                columns[workers] = read_columns(path)
+        assert files[1].decode() == reference_dataset_text(original.data, **truth)
+        assert files[2] == files[1] and files[3] == files[1]
+        assert columns[2] == columns[1] and columns[3] == columns[1]
+
+    def test_each_range_gets_a_worker(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        noisy = blobs(clips_per_class=4)  # 48 rows
+        with split_into(3, 4) as forks:
+            write_annotated(path, noisy)
+            assert len(forks) == 3
+            read_annotated(path)
+            assert len(forks) == 6
+        # a file of one block stays in this process; the reader sizes a block by the first row
+        with split_into(3, 64) as forks:
+            write_annotated(path, noisy)
+            read_annotated(path)
+            assert forks == []
+
+    # Where faults go: lines of the file (line 6 is blank), or the first lines of ranges.
+    FAULT_PLACES = {
+        "first_row": (0,), "second_row": (1,), "line_15": (15,), "line_27": (27,),
+        "lines_15_27": (15, 27), "lines_27_41": (27, 41),
+        "start_of_range_2_of_2": (2, 1), "start_of_range_3_of_3": (3, 2),
+        "starts_of_ranges_2_and_3_of_3": (3, 1, 2),
+    }
+
+    @pytest.mark.parametrize("place", sorted(FAULT_PLACES))
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_first_fault_in_file_order_raised_as_one_worker_raises_it(
+        self, tmp_path, fault, place
+    ):
+        path = tmp_path / "bad.jsonl"
+        write_annotated(path, blobs(clips_per_class=4))  # 48 rows
+        lines = path.read_text().splitlines()
+        lines.insert(6, "")  # blank lines count toward the line number
+        path.write_text("\n".join(lines) + "\n")
+        rows = self.FAULT_PLACES[place]
+        if place.startswith("start"):
+            rows = [range_starts(path, rows[0])[index - 1] for index in rows[1:]]
+        for row in rows:
+            # padded to its length, so that the fault moves no range bound
+            faulty = ROW_FAULTS[fault](json.loads(lines[row]))
+            assert len(faulty) <= len(lines[row])
+            lines[row] = faulty.ljust(len(lines[row]))
+        path.write_text("\n".join(lines) + "\n")
+        messages = {}
+        for workers in (1, 2, 3):
+            with split_into(workers, 4) as forks:
+                with pytest.raises(InvalidInputError) as excinfo:
+                    read_annotated(path)
+            messages[workers] = str(excinfo.value)
+            # only a first row that is not JSON is refused before the file is split
+            assert bool(forks) == (workers > 1 and (rows[0], fault) != (0, "bad_json"))
+        assert messages[2] == messages[1] and messages[3] == messages[1]
+
+    def test_mixed_faults_raise_the_earliest(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        write_annotated(path, blobs(clips_per_class=4))  # 48 rows
+        lines = path.read_text().splitlines()
+        lines[40] = ROW_FAULTS["bad_json"](json.loads(lines[40]))
+        lines[30] = ROW_FAULTS["non_finite_value"](json.loads(lines[30]))
+        lines[20] = ROW_FAULTS["width_change"](json.loads(lines[20]))
+        path.write_text("\n".join(lines) + "\n")
+        for workers in (1, 3):
+            with split_into(workers, 4):
+                with pytest.raises(InvalidInputError, match=r"bad\.jsonl, line 21: 7 features"):
+                    read_annotated(path)
+
+    def test_workers_are_reaped_and_no_part_file_is_left(self, tmp_path, monkeypatch):
+        before = child_pids()
+        path = tmp_path / "data.jsonl"
+        noisy = blobs(clips_per_class=10)  # 120 rows
+
+        def settled():
+            assert multiprocessing.active_children() == []
+            assert child_pids() == before
+            assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+        with split_into(3, 8) as forks:
+            write_annotated(path, noisy)
+            read_annotated(path)
+            assert len(forks) == 6
+            settled()
+            written = path.read_bytes()
+            lines = written.decode().splitlines(keepends=True)
+            path.write_text("".join(lines[:-1]) + "{\n")
+            with pytest.raises(InvalidInputError, match="line 120: not valid JSON"):
+                read_annotated(path)
+            settled()
+            path.write_bytes(written)
+            encode = records._encode_rows
+
+            def failing(fh, columns, start, stop):
+                if start:
+                    raise OSError("no space left in this range")
+                encode(fh, columns, start, stop)
+
+            monkeypatch.setattr(records, "_encode_rows", failing)
+            with pytest.raises(OSError, match="no space left in this range"):
+                write_dataset(path, noisy.data)
+            assert path.read_bytes() == written
+            settled()
+
+            def dying(fh, columns, start, stop):
+                if start:
+                    os._exit(3)
+                encode(fh, columns, start, stop)
+
+            monkeypatch.setattr(records, "_encode_rows", dying)
+            with pytest.raises(ChildProcessError, match="stopped before it finished"):
+                write_dataset(path, noisy.data)
+            assert path.read_bytes() == written
+            settled()
+
+    def test_import_loads_no_process_pool(self, tmp_path):
+        script = f"""
+import sys
+import labelnoise
+from labelnoise import records
+pools = ("multiprocessing", "concurrent.futures")
+assert not any(name in sys.modules for name in pools), "import"
+records._worker_count = lambda: 2
+records._WRITE_BLOCK = 4
+path = {str(tmp_path / "data.jsonl")!r}
+labelnoise.write_annotated(path, labelnoise.generate_blobs(2, 8, 2, 3, 0.25, seed=0))
+labelnoise.read_annotated(path)
+assert not any(name in sys.modules for name in pools), "split file"
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(records.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 def tiny_experiment(**overrides):
