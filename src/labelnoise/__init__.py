@@ -6,6 +6,8 @@ small numpy trainer, and a synthetic-data harness for controlled
 experiments. See the README for a tour.
 """
 
+from types import ModuleType as _ModuleType
+
 from .data import Dataset
 from .errors import (
     ConfigurationError,
@@ -103,89 +105,8 @@ from .trainer import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotatedDataset",
-    "Architecture",
-    "Batch",
-    "ConfigurationError",
-    "Dataset",
-    "DatasetParams",
-    "EpochRecord",
-    "ExperimentConfig",
-    "ExperimentError",
-    "ExperimentResult",
-    "InvalidInputError",
-    "LossKind",
-    "LossReport",
-    "LossSpec",
-    "MixupPolicy",
-    "ModelParams",
-    "NoiseGroup",
-    "NoiseKind",
-    "NoiseSpec",
-    "OOV_CLEAN_LABEL",
-    "PROB_FLOOR",
-    "Pairing",
-    "PruneRecord",
-    "RngStream",
-    "RunResult",
-    "RunSummary",
-    "SelectionKind",
-    "SelectionRule",
-    "SmoothingPolicy",
-    "StagePlan",
-    "Strategy",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingError",
-    "apply_mixup",
-    "batch_losses",
-    "beta_draws",
-    "cce",
-    "clip_losses",
-    "config_fingerprint",
-    "dataset_fingerprint",
-    "derive_seed",
-    "discard_mask",
-    "evaluate",
-    "forward",
-    "generate_blobs",
-    "init_params",
-    "inject_oov_noise",
-    "inject_symmetric_noise",
-    "load_model",
-    "loss_gradient_wrt_logits",
-    "loss_gradients_from_probs",
-    "lq_loss",
-    "mae",
-    "mean_ci",
-    "mix_pair",
-    "noise_group_map",
-    "per_class_corruption_rates",
-    "percentile",
-    "plateau_step",
-    "prune_dataset",
-    "prune_precision",
-    "prune_report_rows",
-    "read_annotated",
-    "read_as_annotated",
-    "read_dataset",
-    "read_metrics",
-    "read_prune_report",
-    "read_summary",
-    "run_experiment",
-    "save_model",
-    "smooth_uniform",
-    "smooth_with_policy",
-    "softmax",
-    "softmax_rows",
-    "stratified_split",
-    "targets_matrix",
-    "threshold_from_rule",
-    "train",
-    "write_annotated",
-    "write_dataset",
-    "write_metrics",
-    "write_prune_report",
-    "write_summary",
-]
+# every public name bound above, and no module
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -1,13 +1,18 @@
 """Translate JSON-style dictionaries into the toolkit's typed configs.
 
-The schema mirrors the dataclasses one level at a time, one table per
-level: each row names a JSON key, the dataclass field it fills, the caster
-that checks its value, and what a missing key means. ``_parse`` walks the
-tables and ``_render`` prints a config back out in the same schema.
-Parsing is strict: unknown keys are rejected with their dotted path before
-any value of their section is read, values are checked in table order, and
-a constraint violation raised while building a dataclass is re-raised as a
-:class:`ConfigurationError` naming the section it came from.
+Each section of a config is one dataclass, and its keys are the dataclass's
+fields, in field order: a field's type gives the caster that checks its
+value, and its default what a missing key means (a field that defaults to
+``None`` takes JSON null as its default too). ``_DIFFERENCES`` lists the few
+places where the JSON differs from the dataclass. ``_parse`` walks a
+section's keys and ``_render`` prints a config back out in the same schema.
+Integers and numbers are checked by :func:`records.field_value`, the rule of
+the record files, so a bad value is refused with the same words and printed
+as JSON; a number must also be finite. Parsing is strict: unknown keys are
+rejected with their dotted path before any value of their section is read,
+values are checked in field order, and a constraint violation raised while
+building a dataclass is re-raised as a :class:`ConfigurationError` naming
+the section it came from.
 
 Two conveniences are resolved here. A rule ``{"kind": "patch_count",
 "count": c}`` becomes the percentile rule that drops the ``c`` largest
@@ -23,17 +28,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Mapping
 from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError, InvalidInputError, enum_member
-from .harness import DatasetParams, ExperimentConfig, NoiseKind, NoiseSpec
-from .losses import LossKind, LossSpec
-from .mixup import MixupPolicy, Pairing
-from .selection import SelectionKind, SelectionRule, StagePlan, Strategy
+from .harness import DatasetParams, ExperimentConfig, NoiseSpec
+from .losses import LossSpec
+from .records import field_value
+from .selection import SelectionRule, StagePlan
 from .smoothing import NoiseGroup, SmoothingPolicy
-from .trainer import Architecture, TrainConfig
+from .trainer import TrainConfig
 
 AUTO_GROUPS = "auto"
 
@@ -75,26 +82,24 @@ def _object(value: Any, path: str) -> Mapping:
     return value
 
 
-def _typed(kind, noun: str) -> Callable:
-    """A JSON value of one Python type; true and false are not numbers."""
-    def cast(value: Any, path: str, ctx: _Context):
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigurationError(f"{path} must be {noun}, got {value!r}")
-        return value
-    return cast
+def _json(value: Any, path: str, kind: type):
+    try:
+        return field_value(path, value, kind)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
-_int = _typed(int, "an integer")
-_number = _typed((int, float), "a number")
+def _int(value: Any, path: str, ctx: _Context) -> int:
+    return _json(value, path, int)
 
 
 def _float(value: Any, path: str, ctx: _Context) -> float:
     try:
-        number = float(_number(value, path, ctx))
-    except OverflowError:
+        number = _json(value, path, float)
+    except OverflowError:  # an integer too large for a float
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigurationError(f"{path} must be a finite number, got {value!r}")
+        raise ConfigurationError(f"{path} must be a finite number, got {json.dumps(value)}")
     return number
 
 
@@ -108,24 +113,28 @@ def _enum(enum_cls) -> Callable:
 
 
 def _class_map(item: Callable) -> Callable:
-    """A JSON object keyed by class index; every key is checked before any value."""
+    """A JSON object keyed by class index, each written as ``str(index)``; every key is
+    checked before any value."""
     def cast(value: Any, path: str, ctx: _Context) -> dict:
         raw: dict[int, Any] = {}
         for key, entry in _object(value, path).items():
             try:
-                raw[int(key)] = entry
+                cls = int(key)
+                if str(cls) != str(key):
+                    raise ValueError
             except (TypeError, ValueError):
                 raise ConfigurationError(
                     f"{path} keys must be class indices, got {key!r}"
                 ) from None
+            raw[cls] = entry
         return {cls: item(entry, f"{path}[{cls}]", ctx) for cls, entry in raw.items()}
     return cast
 
 
 def _section(cls) -> Callable:
-    """A JSON object that fills one dataclass from its table."""
+    """A JSON object that fills the dataclass ``cls`` from its keys."""
     def cast(value: Any, path: str, ctx: _Context):
-        return _build(cls, path, **_parse(_TABLES[cls], _object(value, path), path, ctx))
+        return _build(cls, path, **_parse(_keys(cls), _object(value, path), path, ctx))
     return cast
 
 
@@ -201,75 +210,58 @@ _OPTIONAL, _NULLABLE, _REQUIRED = object(), object(), object()
 class _Key(NamedTuple):
     name: str
     cast: Callable
-    field: str = ""
-    missing: Any = _OPTIONAL
+    field: str
+    missing: Any
 
 
-_TABLES: dict[type, tuple[_Key, ...]] = {
-    LossSpec: (
-        _Key("kind", _enum(LossKind), missing="cce"),
-        _Key("q", _float, missing=_NULLABLE),
-    ),
-    # Rendered from this table; parsed by _rule, which also accepts "count".
-    SelectionRule: (
-        _Key("kind", _enum(SelectionKind)),
-        _Key("fraction", _float, missing=_NULLABLE),
-        _Key("level", _float, missing=_NULLABLE),
-    ),
-    StagePlan: (
-        _Key("strategy", _enum(Strategy)),
-        _Key("start_epoch", _int),
-        _Key("rule", _rule, missing=_NULLABLE),
-        _Key("prune_count", _int),
-        _Key("prune_rounds", _int),
-    ),
-    SmoothingPolicy: (
-        _Key("epsilon", _float, missing=_REQUIRED),
-        _Key("delta_epsilon", _float),
-        _Key("groups", _groups, "group_of_class", missing=_NULLABLE),
-    ),
-    MixupPolicy: (
-        _Key("alpha", _float, missing=_REQUIRED),
-        _Key("warmup_epochs", _int),
-        _Key("pairing", _enum(Pairing)),
-    ),
-    TrainConfig: (
-        _Key("loss", _section(LossSpec), missing={}),
-        _Key("max_epochs", _int),
-        _Key("batch_size", _batch_size),
-        _Key("initial_lr", _float),
-        _Key("lr_halving_patience", _int),
-        _Key("early_stop_patience", _int),
-        _Key("val_fraction", _float),
-        _Key("seed", _int),
-        _Key("hidden_units", _int),
-        _Key("architecture", _enum(Architecture)),
-        _Key("stage", _section(StagePlan), missing=_NULLABLE),
-        _Key("smoothing", _section(SmoothingPolicy), missing=_NULLABLE),
-        _Key("mixup", _section(MixupPolicy), missing=_NULLABLE),
-    ),
-    DatasetParams: (
-        _Key("classes", _int, "num_classes"),
-        _Key("clips_per_class", _int),
-        _Key("patches_per_clip", _int),
-        _Key("dims", _int, "feature_dim"),
-        _Key("spread", _float, "cluster_spread"),
-        _Key("test_clips_per_class", _int),
-    ),
-    NoiseSpec: (
-        _Key("kind", _enum(NoiseKind), missing=_REQUIRED),
-        _Key("rate", _float),
-        _Key("seed", _int),
-        _Key("rate_by_class", _class_map(_float), missing=_NULLABLE),
-    ),
-    ExperimentConfig: (
-        _Key("dataset", _section(DatasetParams), missing={}),
-        _Key("train", _section(TrainConfig), missing={}),
-        _Key("noise", _noise, missing=None),
-        _Key("runs", _int),
-        _Key("base_seed", _int),
-    ),
+# Where a section's JSON differs from its dataclass, by (dataclass, field): the
+# _Key members that replace the derived ones, or None for a field with no key.
+_DIFFERENCES: dict[tuple[type, str], dict | None] = {
+    (DatasetParams, "num_classes"): dict(name="classes"),
+    (DatasetParams, "feature_dim"): dict(name="dims"),
+    (DatasetParams, "cluster_spread"): dict(name="spread"),
+    (SmoothingPolicy, "group_of_class"): dict(name="groups", cast=_groups),
+    (TrainConfig, "batch_size"): dict(cast=_batch_size),
+    (StagePlan, "rule"): dict(cast=_rule),  # rendered as a SelectionRule
+    (ExperimentConfig, "noise"): dict(cast=_noise, missing=None),
+    (LossSpec, "kind"): dict(missing="cce"),
+    (TrainConfig, "loss"): dict(missing={}),
+    (ExperimentConfig, "dataset"): dict(missing={}),
+    (ExperimentConfig, "train"): dict(missing={}),
+    (TrainConfig, "stage"): dict(missing=_NULLABLE),  # null is the default plan too
+    (ExperimentConfig, "auto_noise_groups"): None,  # set by "groups": "auto"
 }
+
+
+def _caster(hint) -> Callable:
+    """The caster of a field of type ``hint``; ``X | None`` is cast as ``X``."""
+    if type(None) in get_args(hint):
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if get_origin(hint) is Mapping:
+        return _class_map(_caster(get_args(hint)[1]))
+    if hint in (int, float):
+        return _int if hint is int else _float
+    return _enum(hint) if issubclass(hint, Enum) else _section(hint)
+
+
+@cache
+def _keys(cls) -> tuple[_Key, ...]:
+    """The keys of the config dataclass ``cls``, one per field, in field order."""
+    hints = get_type_hints(cls)
+    keys = []
+    for field in dataclasses.fields(cls):
+        difference = _DIFFERENCES.get((cls, field.name), {})
+        if difference is None:
+            continue
+        if field.default is None:
+            missing = _NULLABLE
+        elif field.default is field.default_factory is dataclasses.MISSING:
+            missing = _REQUIRED
+        else:
+            missing = _OPTIONAL
+        key = _Key(field.name, _caster(hints[field.name]), field.name, missing)
+        keys.append(key._replace(**difference))
+    return tuple(keys)
 
 
 def _check_keys(section: Mapping, allowed, prefix: str) -> None:
@@ -278,11 +270,11 @@ def _check_keys(section: Mapping, allowed, prefix: str) -> None:
             raise ConfigurationError(f"unknown configuration key: {_dotted(prefix, str(key))}")
 
 
-def _parse(table: tuple[_Key, ...], section: Mapping, prefix: str, ctx: _Context) -> dict:
-    """Field keyword arguments for one section, checked in table order."""
-    _check_keys(section, [key.name for key in table], prefix)
+def _parse(keys: tuple[_Key, ...], section: Mapping, prefix: str, ctx: _Context) -> dict:
+    """Field keyword arguments for one section, checked in field order."""
+    _check_keys(section, [key.name for key in keys], prefix)
     fields: dict[str, Any] = {}
-    for key in table:
+    for key in keys:
         path = _dotted(prefix, key.name)
         if key.missing is _NULLABLE and section.get(key.name) is None:
             continue
@@ -290,7 +282,7 @@ def _parse(table: tuple[_Key, ...], section: Mapping, prefix: str, ctx: _Context
         if value is _REQUIRED:
             raise ConfigurationError(f"{path} is required")
         if value is not _OPTIONAL:
-            fields[key.field or key.name] = key.cast(value, path, ctx)
+            fields[key.field] = key.cast(value, path, ctx)
     return fields
 
 
@@ -299,9 +291,9 @@ def _render(value: Any) -> Any:
         return value.value
     if isinstance(value, Mapping):
         return {str(cls): _render(item) for cls, item in sorted(value.items())}
-    if type(value) not in _TABLES:
+    if not dataclasses.is_dataclass(value):
         return value
-    items = ((key.name, getattr(value, key.field or key.name)) for key in _TABLES[type(value)])
+    items = ((key.name, getattr(value, key.field)) for key in _keys(type(value)))
     return {name: _render(item) for name, item in items if item is not None}
 
 
@@ -319,7 +311,7 @@ def parse_experiment(config: Any) -> ExperimentConfig:
     if not isinstance(config, Mapping):
         raise ConfigurationError("the configuration must be a JSON object")
     ctx = _Context(allow_auto_groups=True)
-    fields = _parse(_TABLES[ExperimentConfig], config, "", ctx)
+    fields = _parse(_keys(ExperimentConfig), config, "", ctx)
     return _build(ExperimentConfig, "configuration", auto_noise_groups=ctx.auto_groups, **fields)
 
 

@@ -31,8 +31,10 @@ from labelnoise import (
     Strategy,
     TrainConfig,
     generate_blobs,
+    read_metrics,
 )
 from labelnoise.config import (
+    _keys as config_keys,
     experiment_to_dict,
     parse_experiment,
     parse_noise,
@@ -180,9 +182,13 @@ class TestParseSmoothing:
         with pytest.raises(ConfigurationError, match="epsilon"):
             parse_train({"smoothing": {}})
 
-    def test_bad_group_key(self):
-        with pytest.raises(ConfigurationError, match="class indices"):
-            parse_train({"smoothing": {"epsilon": 0.1, "groups": {"cat": "low"}}})
+    @pytest.mark.parametrize("key", ["cat", "00", "1_0", " 1", "+1"])
+    def test_bad_group_key(self, key):
+        groups = {"0": "low", key: "high"}
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_train({"smoothing": {"epsilon": 0.1, "groups": groups}})
+        message = f"train.smoothing.groups keys must be class indices, got {key!r}"
+        assert str(excinfo.value) == message
 
     def test_bad_group_value(self):
         with pytest.raises(ConfigurationError, match="low"):
@@ -292,6 +298,17 @@ class TestParseDatasetAndNoise:
             {"kind": "oov", "rate_by_class": {"0": 0.2, "1": 0.5}}
         )
         assert spec.rate_by_class == {0: 0.2, 1: 0.5}
+
+    @pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1", "1 ", "-0", "1.0", "", "\u0661"])
+    def test_noise_class_keys_are_written_as_class_indices(self, key):
+        rates = {"0": 0.2, "1": 0.3, key: 0.9}
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_noise({"kind": "oov", "rate_by_class": rates})
+        assert str(excinfo.value) == f"noise.rate_by_class keys must be class indices, got {key!r}"
+
+    def test_noise_negative_and_multi_digit_class_keys_parse(self):
+        spec = parse_noise({"kind": "oov", "rate_by_class": {"-1": 0.2, "10": 0.5}})
+        assert spec.rate_by_class == {-1: 0.2, 10: 0.5}
 
     def test_noise_kind_required(self):
         with pytest.raises(ConfigurationError, match="kind"):
@@ -477,6 +494,64 @@ class TestNonFiniteNumbers:
             parse_train({"initial_lr": 10**400})
 
 
+class TestRecordFileRule:
+    """Config integers and numbers are checked by the rule of the record files."""
+
+    def test_integer_outside_int64_rejected(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_train({"max_epochs": 10**30})
+        assert str(excinfo.value) == f"train.max_epochs {10**30} is outside the int64 range"
+
+    def test_seed_outside_int64_rejected(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_experiment({"base_seed": 2**63})
+        assert str(excinfo.value) == f"base_seed {2**63} is outside the int64 range"
+        assert parse_experiment({"base_seed": 2**63 - 1}).base_seed == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "value, config_key, record_key",
+        [(True, "max_epochs", "epoch"), ("x", "initial_lr", "lr"), (2**63, "max_epochs", "epoch")],
+    )
+    def test_same_words_as_a_metrics_file(self, tmp_path, value, config_key, record_key):
+        row = {"epoch": 0, "train_loss": 0.5, "val_accuracy": 0.5, "lr": 0.01, "kept_fraction": 1.0}
+        path = tmp_path / "metrics.jsonl"
+        path.write_text(json.dumps({**row, record_key: value}) + "\n")
+        with pytest.raises(InvalidInputError) as from_record:
+            read_metrics(path)
+        with pytest.raises(ConfigurationError) as from_config:
+            parse_train({config_key: value})
+        record_name, config_name = f"{path}, line 1: {record_key} ", f"train.{config_key} "
+        assert str(from_record.value).startswith(record_name)
+        assert str(from_config.value).startswith(config_name)
+        words = str(from_config.value).removeprefix(config_name)
+        assert words == str(from_record.value).removeprefix(record_name)
+        assert json.dumps(value) in words
+
+
+# The config key of each field whose key is not its name; every other field of a
+# config dataclass is a key of the same name, but auto_noise_groups has none.
+RENAMED_KEYS = {
+    (DatasetParams, "num_classes"): "classes",
+    (DatasetParams, "feature_dim"): "dims",
+    (DatasetParams, "cluster_spread"): "spread",
+    (SmoothingPolicy, "group_of_class"): "groups",
+}
+CONFIG_SECTIONS = [
+    LossSpec, SelectionRule, StagePlan, SmoothingPolicy, MixupPolicy, TrainConfig,
+    DatasetParams, NoiseSpec, ExperimentConfig,
+]
+
+
+@pytest.mark.parametrize("cls", CONFIG_SECTIONS, ids=lambda cls: cls.__name__)
+def test_section_keys_are_the_dataclass_fields(cls):
+    expected = [
+        RENAMED_KEYS.get((cls, field.name), field.name)
+        for field in dataclasses.fields(cls)
+        if (cls, field.name) != (ExperimentConfig, "auto_noise_groups")
+    ]
+    assert [key.name for key in config_keys(cls)] == expected
+
+
 # Each positive or non-negative float a dataclass (or generate_blobs) checks
 # itself, built with the value under test; NaN fails every ordered comparison,
 # so a check written as ``x <= 0`` lets it through.
@@ -538,7 +613,8 @@ def test_dataclass_coerces_its_enum_field(field):
 
 finite = dict(allow_nan=False, allow_infinity=False)
 counts = st.integers(min_value=1, max_value=10**6)
-seeds = st.integers(min_value=-(2**63), max_value=2**63)
+# config integers are JSON integers in the int64 range, as in the record files
+seeds = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 unit = st.floats(min_value=0.0, max_value=1.0, **finite)
 class_indices = st.integers(min_value=-3, max_value=40)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -358,3 +359,14 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_all_lists_every_public_name_and_no_module():
+    listed = set(labelnoise.__all__)
+    assert all(not isinstance(getattr(labelnoise, name), ModuleType) for name in listed)
+    public = {
+        name for name, value in vars(labelnoise).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert listed == public
+    assert labelnoise.__all__ == sorted(listed)
