@@ -48,6 +48,7 @@ from .errors import (
     ExperimentError,
     InvalidInputError,
     TrainingError,
+    json_text,
 )
 from .harness import (
     DatasetParams,
@@ -112,7 +113,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
             section["rate_by_class"] = json.loads(args.rate_by_class)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
-                f"--rate-by-class must be a JSON object, got {args.rate_by_class!r}:"
+                f"--rate-by-class must be a JSON object, got {json_text(args.rate_by_class)}:"
                 f" {exc}"
             ) from exc
     spec = parse_noise(section, prefix="noise")

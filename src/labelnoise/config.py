@@ -26,18 +26,16 @@ a lone training run has no ground truth to derive it from, so only
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from collections.abc import Mapping
 from enum import Enum
 from functools import cache
-from pathlib import Path
 from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .errors import ConfigurationError, InvalidInputError, enum_member
+from .errors import ConfigurationError, InvalidInputError, enum_member, json_text
 from .harness import DatasetParams, ExperimentConfig, NoiseSpec
 from .losses import LossSpec
-from .records import field_value
+from .records import field_value, read_json
 from .selection import SelectionRule, StagePlan
 from .smoothing import NoiseGroup, SmoothingPolicy
 from .trainer import TrainConfig
@@ -46,18 +44,13 @@ AUTO_GROUPS = "auto"
 
 
 def read_config_file(path) -> dict:
-    """Load a JSON config file, normalizing failure modes to config errors."""
+    """The JSON object of the config file ``path``, each fault a ``ConfigurationError``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return read_json(path, lambda config: _object(config, "the configuration"))
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        loaded = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise ConfigurationError(f"config file {path} must hold a JSON object at the top level")
-    return loaded
+    except InvalidInputError as exc:
+        raise ConfigurationError(f"config file {exc}") from exc
 
 
 def _dotted(prefix: str, key: str) -> str:
@@ -78,7 +71,7 @@ class _Context:
 
 def _object(value: Any, path: str) -> Mapping:
     if not isinstance(value, Mapping):
-        raise ConfigurationError(f"{path} must be a JSON object, got {type(value).__name__}")
+        raise ConfigurationError(f"{path} must be a JSON object, got {json_text(value)}")
     return value
 
 
@@ -99,7 +92,7 @@ def _float(value: Any, path: str, ctx: _Context) -> float:
     except OverflowError:  # an integer too large for a float
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigurationError(f"{path} must be a finite number, got {json.dumps(value)}")
+        raise ConfigurationError(f"{path} must be a finite number, got {json_text(value)}")
     return number
 
 
@@ -124,7 +117,7 @@ def _class_map(item: Callable) -> Callable:
                     raise ValueError
             except (TypeError, ValueError):
                 raise ConfigurationError(
-                    f"{path} keys must be class indices, got {key!r}"
+                    f"{path} keys must be class indices, got {json_text(key)}"
                 ) from None
             raw[cls] = entry
         return {cls: item(entry, f"{path}[{cls}]", ctx) for cls, entry in raw.items()}
@@ -151,6 +144,7 @@ def _batch_size(value: Any, path: str, ctx: _Context) -> int:
 
 
 _RULE_PARAMETER = {"max_fraction": "fraction", "percentile": "level", "patch_count": "count"}
+_RuleKind = Enum("_RuleKind", {kind: kind for kind in _RULE_PARAMETER})
 
 
 def _rule(value: Any, path: str, ctx: _Context) -> SelectionRule:
@@ -158,10 +152,7 @@ def _rule(value: Any, path: str, ctx: _Context) -> SelectionRule:
     _check_keys(raw, ("kind", *_RULE_PARAMETER.values()), path)
     if "kind" not in raw:
         raise ConfigurationError(f"{_dotted(path, 'kind')} is required")
-    kind = raw["kind"]
-    if not isinstance(kind, str) or kind not in _RULE_PARAMETER:
-        options = ", ".join(map(repr, _RULE_PARAMETER))
-        raise ConfigurationError(f"{_dotted(path, 'kind')} must be one of {options}, got {kind!r}")
+    kind = _enum(_RuleKind)(raw["kind"], _dotted(path, "kind"), ctx).value
     parameter = _RULE_PARAMETER[kind]
     where = _dotted(path, parameter)
     if parameter not in raw:

@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the input checks more than one module applies."""
 
+import json
 import operator
 from enum import Enum
 from typing import Mapping
@@ -42,13 +43,20 @@ def check_class_map(name: str, by_class: Mapping[int, object] | None, num_classe
         )
 
 
+def json_text(value) -> str:
+    """How an error shows a rejected ``value``: its JSON text, cut to 40 characters."""
+    return json.dumps(value, default=repr)[:40]
+
+
 def integer_fields(record, *names: str) -> None:
     """Stores each field ``names`` of the frozen dataclass ``record`` as an ``int``, by
-    ``operator.index``; a value that is not an integer, such as a float, raises its
+    ``operator.index``; a value that is not an integer, such as a float or a bool, raises a
     ``TypeError`` prefixed with the field name."""
     for name in names:
         try:
-            object.__setattr__(record, name, operator.index(getattr(record, name)))
+            if isinstance(value := getattr(record, name), bool):
+                raise TypeError("'bool' object cannot be interpreted as an integer")
+            object.__setattr__(record, name, operator.index(value))
         except TypeError as exc:
             raise TypeError(f"{name}: {exc}") from None
 
@@ -59,5 +67,5 @@ def enum_member(name: str, value, kind: type[Enum]) -> Enum:
     try:
         return kind(value)
     except ValueError:
-        options = ", ".join(repr(member.value) for member in kind)
-        raise InvalidInputError(f"{name} must be one of {options}, got {value!r}") from None
+        options = ", ".join(json_text(member.value) for member in kind)
+        raise InvalidInputError(f"{name} must be one of {options}, got {json_text(value)}") from None

@@ -40,7 +40,7 @@ import numpy as np
 from .data import Dataset
 from .errors import (
     ConfigurationError, ExperimentError, InvalidInputError, check_class_map, enum_member,
-    integer_fields,
+    integer_fields, json_text,
 )
 from .numerics import RngStream, derive_seed, mean_ci
 from .records import read_dataset_rows, read_record, write_dataset_rows, write_record
@@ -134,8 +134,8 @@ def generate_blobs(
     evaluation data. The sizes are checked as :class:`DatasetParams` checks them.
     """
     DatasetParams(num_classes, clips_per_class, patches_per_clip, feature_dim, cluster_spread)
-    if partition not in _CLIP_STREAM:
-        raise InvalidInputError(f"partition must be 'train' or 'test', got {partition!r}")
+    if not isinstance(partition, str) or partition not in _CLIP_STREAM:
+        raise InvalidInputError(f'partition must be "train" or "test", got {json_text(partition)}')
 
     center_gen = RngStream(seed, _CENTER_STREAM).generator()
     raw = center_gen.standard_normal((num_classes, feature_dim))

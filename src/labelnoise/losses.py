@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, enum_member
+from .errors import InvalidInputError, enum_member, json_text
 from .numerics import softmax
 
 PROB_FLOOR = 1e-12
@@ -47,7 +47,7 @@ class LossSpec:
         if self.kind == LossKind.LQ:
             if self.q is None or not 0.0 < self.q <= 1.0:
                 raise InvalidInputError(
-                    f"the lq loss requires an exponent q in (0, 1], got {self.q}"
+                    f"the lq loss requires an exponent q in (0, 1], got {json_text(self.q)}"
                 )
 
 

@@ -23,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_text
 
 
 def _fault(err: Exception, document: bool = False) -> str:
@@ -167,7 +167,7 @@ def field_value(key: str, value, kind):
         return tuple(
             field_value(f"{key}[{index}]", entry, item) for index, entry in enumerate(value)
         )
-    raise TypeError(f"{key} must be {_KIND_NAMES[origin or kind]}, got {json.dumps(value)[:40]}")
+    raise TypeError(f"{key} must be {_KIND_NAMES[origin or kind]}, got {json_text(value)}")
 
 
 def row_fields(record, fields) -> tuple:
@@ -178,7 +178,7 @@ def row_fields(record, fields) -> tuple:
     these and the errors of :func:`field_value` into their errors.
     """
     if type(record) is not dict:
-        raise TypeError(f"a row must be a JSON object, got {json.dumps(record)[:40]}")
+        raise TypeError(f"a row must be a JSON object, got {json_text(record)}")
     values = []
     for key, kind in fields:
         value = record[key]
@@ -508,9 +508,9 @@ def read_dataset_rows(path, require_truth: bool) -> tuple:
     """``(data, clean_labels, corrupted, annotated)`` of the dataset file ``path``, each row
     checked by :class:`_RowSchema`; ``data`` is a :class:`Dataset` whose class count is the
     largest label or clean label plus one, and at least 2. A file without ground truth reads
-    as clean, or is rejected if ``require_truth``. The first row is parsed first and sets
-    every range's width and layout; each range is then parsed by a worker into packed
-    buffers, and the first fault in file order is raised."""
+    as clean, or, if ``require_truth``, is rejected once its first row is parsed. The first
+    row is parsed first and sets every range's width and layout; each range is then parsed
+    by a worker into packed buffers, and the first fault in file order is raised."""
     with open(path, "rb") as fh:
         head = 0
         for line in fh:
@@ -522,6 +522,10 @@ def read_dataset_rows(path, require_truth: bool) -> tuple:
         _raise_first_fault(path, [header])
         if first.width is None:
             raise InvalidInputError(f"dataset file {path} is empty")
+        if require_truth and not first.annotated:
+            raise InvalidInputError(
+                f"{path} is not a harness-private file: clean_label/corrupted missing"
+            )
         ranges = _ranges(fh, head)
     tasks = [
         partial(_parse_range, path, start, stop, _RowSchema(first.width, first.annotated))
@@ -536,10 +540,6 @@ def read_dataset_rows(path, require_truth: bool) -> tuple:
             headers = [_header(pipe) for pipe in pipes]
             _raise_first_fault(path, headers)
             ids, corrupted, features = _receive(pipes, headers, first.width)
-    if require_truth and not first.annotated:
-        raise InvalidInputError(
-            f"{path} is not a harness-private file: clean_label/corrupted missing"
-        )
     rows = corrupted.size
     example_ids, clip_ids, labels, clean = ids.reshape(rows, 4).T.copy()
     num_classes = max(int(labels.max()), int(clean.max()), 1) + 1

@@ -267,7 +267,10 @@ class TestDatasetCommands:
             "--out", str(tmp_path / "x.jsonl"),
         )
         assert code == 2
-        assert "rate-by-class" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            'error: --rate-by-class must be a JSON object, got "not json":'
+            " Expecting value: line 1 column 1 (char 0)\n"
+        )
 
     def test_corrupt_rate_map_with_unknown_class_exits_two(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
@@ -297,7 +300,7 @@ class TestDatasetCommands:
             "--out", str(out),
         )
         assert code == 2
-        assert "noise.rate_by_class keys must be class indices, got '01'" in capsys.readouterr().err
+        assert 'noise.rate_by_class keys must be class indices, got "01"' in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupt_seed_outside_int64_exits_two(self, tmp_path, capsys):
@@ -822,6 +825,44 @@ class TestExperimentCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("experiment", "--config", str(tmp_path / "absent.json")) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+class TestConfigFileFaults:
+    """A config file that cannot be read, is not JSON or holds no object exits 2, before
+    anything is written."""
+
+    def test_absent_file(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.json"
+        assert run_cli(command, "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_trailing_comma_placed_by_line_and_column(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text('{\n  "max_epochs": 3,\n}\n')
+        assert run_cli(command, "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {path}: not valid JSON (Expecting property name enclosed in"
+            " double quotes at line 3, column 1)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_bytes_that_are_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"max_epochs": "\xff"}\n')
+        assert run_cli(command, "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config file {path}: 'utf-8' codec can't decode byte 0xff"
+        )
+
+    def test_top_level_list(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]\n")
+        assert run_cli(command, "--config", str(path), "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {path}: the configuration must be a JSON object, got [1, 2]\n"
+        )
 
 
 class TestPruneReportCommand:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ class TestParseLoss:
             parse_train({"loss": {"kind": "lq", "q": 1.5}})
 
     def test_unknown_kind_lists_options(self):
-        with pytest.raises(ConfigurationError, match="'cce'"):
+        with pytest.raises(ConfigurationError, match='"cce", "mae", "lq"'):
             parse_train({"loss": {"kind": "huber"}})
 
     def test_unknown_key_dotted_path(self):
@@ -187,7 +188,7 @@ class TestParseSmoothing:
         groups = {"0": "low", key: "high"}
         with pytest.raises(ConfigurationError) as excinfo:
             parse_train({"smoothing": {"epsilon": 0.1, "groups": groups}})
-        message = f"train.smoothing.groups keys must be class indices, got {key!r}"
+        message = f"train.smoothing.groups keys must be class indices, got {json.dumps(key)}"
         assert str(excinfo.value) == message
 
     def test_bad_group_value(self):
@@ -304,7 +305,8 @@ class TestParseDatasetAndNoise:
         rates = {"0": 0.2, "1": 0.3, key: 0.9}
         with pytest.raises(ConfigurationError) as excinfo:
             parse_noise({"kind": "oov", "rate_by_class": rates})
-        assert str(excinfo.value) == f"noise.rate_by_class keys must be class indices, got {key!r}"
+        message = f"noise.rate_by_class keys must be class indices, got {json.dumps(key)}"
+        assert str(excinfo.value) == message
 
     def test_noise_negative_and_multi_digit_class_keys_parse(self):
         spec = parse_noise({"kind": "oov", "rate_by_class": {"-1": 0.2, "10": 0.5}})
@@ -376,8 +378,104 @@ class TestReadConfigFile:
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ConfigurationError, match="JSON object"):
+        with pytest.raises(ConfigurationError) as excinfo:
             read_config_file(path)
+        message = f"config file {path}: the configuration must be a JSON object, got [1, 2]"
+        assert str(excinfo.value) == message
+
+    def test_syntax_error_placed_by_line_and_column(self, tmp_path):
+        path = tmp_path / "trailing_comma.json"
+        path.write_text('{\n  "runs": 3,\n}\n')
+        with pytest.raises(ConfigurationError) as excinfo:
+            read_config_file(path)
+        assert str(excinfo.value) == (
+            f"config file {path}: not valid JSON (Expecting property name enclosed in double"
+            " quotes at line 3, column 1)"
+        )
+
+
+# A value of each JSON kind, and one whose JSON text is longer than an error shows of it.
+REJECTED_VALUES = [None, True, "x", 1.5, [1], {"a": 1}, list(range(30))]
+
+
+def shown(value) -> str:
+    """How an error ends that rejects ``value``."""
+    return f"got {json.dumps(value)[:40]}"
+
+
+class Pairs(Mapping):
+    """A mapping of ``(key, value)`` pairs whose keys need not be hashable."""
+
+    def __init__(self, *pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        return next(value for held, value in self.pairs if held == key)
+
+    def __iter__(self):
+        return (key for key, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+class TestRejectedValuesNamedAsJson:
+    """Every error that rejects an input value names it by its JSON text, cut to 40
+    characters, as the record files do."""
+
+    # an object is a JSON object, refused only for what it holds
+    @pytest.mark.parametrize(
+        "value", [v for v in REJECTED_VALUES if not isinstance(v, dict)], ids=json.dumps
+    )
+    def test_object_key(self, value):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_train({"loss": value})
+        assert str(excinfo.value) == f"train.loss must be a JSON object, {shown(value)}"
+
+    @pytest.mark.parametrize("value", REJECTED_VALUES, ids=json.dumps)
+    def test_enum_key(self, value):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_train({"architecture": value})
+        assert str(excinfo.value) == (
+            f'train.architecture must be one of "linear", "one_hidden", {shown(value)}'
+        )
+
+    @pytest.mark.parametrize("value", REJECTED_VALUES, ids=json.dumps)
+    def test_rule_kind_shares_the_enum_wording(self, value):
+        stage = {"strategy": "discard", "start_epoch": 1, "rule": {"kind": value, "level": 50}}
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_train({"stage": stage})
+        assert str(excinfo.value) == (
+            'train.stage.rule.kind must be one of "max_fraction", "percentile", "patch_count",'
+            f" {shown(value)}"
+        )
+
+    @pytest.mark.parametrize("value", REJECTED_VALUES, ids=json.dumps)
+    def test_class_map_key(self, value):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_noise({"kind": "oov", "rate_by_class": Pairs(("0", 0.2), (value, 0.5))})
+        message = f"noise.rate_by_class keys must be class indices, {shown(value)}"
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("value", REJECTED_VALUES, ids=json.dumps)
+    def test_metrics_file_field(self, tmp_path, value):
+        path = tmp_path / "metrics.jsonl"
+        row = dict(epoch=value, kept_fraction=1.0, lr=0.01, train_loss=0.5, val_accuracy=0.5)
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_metrics(path)
+        assert str(excinfo.value) == f"{path}, line 1: epoch must be an integer, {shown(value)}"
+
+    @pytest.mark.parametrize("value", REJECTED_VALUES, ids=json.dumps)
+    def test_dataset_partition(self, value):
+        with pytest.raises(InvalidInputError) as excinfo:
+            generate_blobs(2, 2, 1, 2, 0.1, seed=0, partition=value)
+        assert str(excinfo.value) == f'partition must be "train" or "test", {shown(value)}'
+
+    def test_value_json_cannot_hold_shown_by_its_repr(self):
+        with pytest.raises(InvalidInputError) as excinfo:
+            LossSpec(kind=Ellipsis)
+        assert str(excinfo.value) == 'kind must be one of "cce", "mae", "lq", got "Ellipsis"'
 
 
 class TestRoundTrips:
@@ -602,11 +700,11 @@ def test_dataclass_coerces_its_enum_field(field):
     value_of, name, valid, member = ENUM_FIELDS[field]
     assert value_of(valid) is member
     assert value_of(member) is member
-    options = ", ".join(repr(item.value) for item in type(member))
+    options = ", ".join(json.dumps(item.value) for item in type(member))
     for bad in ("bogus", member.name, 1, None):
         with pytest.raises(InvalidInputError) as excinfo:
             value_of(bad)
-        assert str(excinfo.value) == f"{name} must be one of {options}, got {bad!r}"
+        assert str(excinfo.value) == f"{name} must be one of {options}, got {json.dumps(bad)}"
 
 
 # --- parse(render(cfg)) == cfg ---------------------------------------------------
@@ -766,12 +864,20 @@ INTEGER_FIELD_CASES = [
 
 class TestIntegerFields:
     """Every integer field of a config dataclass is stored as an int, as the config files
-    already cast them: a float is refused when the config is built, not deep in a run."""
+    already cast them: a float or a bool is refused when the config is built, not deep in a
+    run."""
 
     @pytest.mark.parametrize("value", [2.5, 3.0])
     @pytest.mark.parametrize("build, name", INTEGER_FIELD_CASES)
     def test_float_refused_naming_the_field(self, build, name, value):
         message = rf"^{name}: 'float' object cannot be interpreted as an integer$"
+        with pytest.raises(TypeError, match=message):
+            build(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("build, name", INTEGER_FIELD_CASES)
+    def test_bool_refused_naming_the_field(self, build, name, value):
+        message = rf"^{name}: 'bool' object cannot be interpreted as an integer$"
         with pytest.raises(TypeError, match=message):
             build(**{name: value})
 

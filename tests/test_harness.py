@@ -1012,9 +1012,27 @@ class TestDatasetFileRanges:
                 with pytest.raises(InvalidInputError) as excinfo:
                     read_annotated(path)
             messages[workers] = str(excinfo.value)
-            # only a first row that is not JSON is refused before the file is split
-            assert bool(forks) == (workers > 1 and (rows[0], fault) != (0, "bad_json"))
+            # a first row that is not JSON, or that has no ground truth (a public file, which
+            # read_annotated refuses), is refused before the file is split
+            refused_first = rows[0] == 0 and fault in ("bad_json", "truth_on_some_rows_only")
+            assert bool(forks) == (workers > 1 and not refused_first)
         assert messages[2] == messages[1] and messages[3] == messages[1]
+
+    def test_public_file_refused_at_its_first_row(self, tmp_path):
+        path = tmp_path / "public.jsonl"
+        with split_into(3, 4) as forks:
+            write_dataset(path, blobs(clips_per_class=4).data)  # 48 rows
+            assert len(forks) == 3
+        lines = path.read_text().splitlines()
+        lines[30] = ROW_FAULTS["bad_json"](json.loads(lines[30]))  # the first row decides
+        path.write_text("\n".join(lines) + "\n")
+        for workers in (1, 2, 3):
+            with split_into(workers, 4) as forks:
+                with pytest.raises(InvalidInputError) as excinfo:
+                    read_annotated(path)
+                assert forks == []
+            message = f"{path} is not a harness-private file: clean_label/corrupted missing"
+            assert str(excinfo.value) == message
 
     def test_mixed_faults_raise_the_earliest(self, tmp_path):
         path = tmp_path / "bad.jsonl"
