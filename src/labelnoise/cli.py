@@ -36,6 +36,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    config_value,
     experiment_to_dict,
     parse_experiment,
     parse_noise,
@@ -88,7 +89,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         patches_per_clip=args.patches_per_clip,
         feature_dim=args.dims,
         cluster_spread=args.spread,
-        seed=args.seed,
+        seed=config_value(args.seed, "seed", int),  # a config integer, as corrupt's seed is
         partition=args.partition,
     )
     return _write_datasets(args, annotated)

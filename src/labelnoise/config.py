@@ -75,7 +75,8 @@ def _object(value: Any, path: str) -> Mapping:
     return value
 
 
-def _json(value: Any, path: str, kind: type):
+def config_value(value: Any, path: str, kind: type):
+    """``value`` checked by :func:`records.field_value`, a fault raised as ConfigurationError."""
     try:
         return field_value(path, value, kind)
     except (TypeError, ValueError) as exc:
@@ -83,12 +84,12 @@ def _json(value: Any, path: str, kind: type):
 
 
 def _int(value: Any, path: str, ctx: _Context) -> int:
-    return _json(value, path, int)
+    return config_value(value, path, int)
 
 
 def _float(value: Any, path: str, ctx: _Context) -> float:
     try:
-        number = _json(value, path, float)
+        number = config_value(value, path, float)
     except OverflowError:  # an integer too large for a float
         number = math.inf
     if not math.isfinite(number):
@@ -166,7 +167,9 @@ def _rule(value: Any, path: str, ctx: _Context) -> SelectionRule:
         return _build(SelectionRule.at_percentile, path, level=_float(raw[parameter], where, ctx))
     count, batch_size = _int(raw[parameter], where, ctx), ctx.batch_size
     if not 1 <= count <= batch_size:
-        raise ConfigurationError(f"{where} must lie in [1, batch_size={batch_size}], got {count}")
+        raise ConfigurationError(
+            f"{where} must lie in [1, batch_size={batch_size}], got {json_text(count)}"
+        )
     return _build(SelectionRule.at_percentile, path, level=100.0 * (1.0 - count / batch_size))
 
 

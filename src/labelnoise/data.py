@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, integer_fields
+from .errors import InvalidInputError, check_fields, within
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,13 @@ class Dataset:
         object.__setattr__(self, "clip_ids", np.asarray(self.clip_ids, dtype=np.int64))
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        integer_fields(self, "num_classes")
+        check_fields(self)
         n = self.example_ids.shape[0]
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise InvalidInputError("features must be a (N, F) array aligned with ids")
         if self.clip_ids.shape != (n,) or self.labels.shape != (n,):
             raise InvalidInputError("dataset columns must have equal lengths")
-        if self.num_classes < 2:
-            raise InvalidInputError(f"need at least 2 classes, got {self.num_classes}")
+        within("num_classes", self.num_classes, "[2, inf)")
         if n:
             if np.unique(self.example_ids).size != n:
                 raise InvalidInputError("example ids must be unique")

@@ -1,9 +1,12 @@
 """Exception types shared across the toolkit, and the input checks more than one module applies."""
 
+import dataclasses
 import json
 import operator
+from collections.abc import Mapping
 from enum import Enum
-from typing import Mapping
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 
 class InvalidInputError(ValueError):
@@ -48,19 +51,6 @@ def json_text(value) -> str:
     return json.dumps(value, default=repr)[:40]
 
 
-def integer_fields(record, *names: str) -> None:
-    """Stores each field ``names`` of the frozen dataclass ``record`` as an ``int``, by
-    ``operator.index``; a value that is not an integer, such as a float or a bool, raises a
-    ``TypeError`` prefixed with the field name."""
-    for name in names:
-        try:
-            if isinstance(value := getattr(record, name), bool):
-                raise TypeError("'bool' object cannot be interpreted as an integer")
-            object.__setattr__(record, name, operator.index(value))
-        except TypeError as exc:
-            raise TypeError(f"{name}: {exc}") from None
-
-
 def enum_member(name: str, value, kind: type[Enum]) -> Enum:
     """``value`` as a member of the enum ``kind``; any other value raises ``InvalidInputError``
     naming the field ``name`` and the allowed values."""
@@ -69,3 +59,73 @@ def enum_member(name: str, value, kind: type[Enum]) -> Enum:
     except ValueError:
         options = ", ".join(json_text(member.value) for member in kind)
         raise InvalidInputError(f"{name} must be one of {options}, got {json_text(value)}") from None
+
+
+# How an error names the JSON type of a field kind.
+KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be {KIND_NAMES[int]}, got {json_text(value)}")
+    return operator.index(value)
+
+
+def _boolean(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be {KIND_NAMES[bool]}, got {json_text(value)}")
+    return value
+
+
+def _field_rule(hint):
+    """How :func:`check_fields` checks a field annotated ``hint``: a function of the field's
+    name and value that returns the value to store, or ``None`` for a field it leaves alone."""
+    if type(None) in get_args(hint):  # X | None
+        rule = _field_rule(get_args(hint)[0])
+        return rule and (lambda name, value: value if value is None else rule(name, value))
+    if hint is int:
+        return _integer
+    if hint is bool:
+        return _boolean
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return lambda name, value: enum_member(name, value, hint)
+    if get_origin(hint) is Mapping and (item := _field_rule(get_args(hint)[1])):
+        return lambda name, value: {key: item(f"{name}[{key}]", v) for key, v in value.items()}
+    return None
+
+
+@cache
+def _field_rules(cls) -> tuple:
+    """``(name, rule)`` of each field of the dataclass ``cls`` that :func:`check_fields` checks."""
+    hints = get_type_hints(cls)
+    rules = ((field.name, _field_rule(hints[field.name])) for field in dataclasses.fields(cls))
+    return tuple((name, rule) for name, rule in rules if rule)
+
+
+def check_fields(record) -> None:
+    """Checks each field of the dataclass ``record`` by its annotation, and stores it as checked:
+    an ``int`` by ``operator.index``, refusing a bool; a ``bool`` as a bool; an enum, and each
+    value of a ``Mapping`` to an enum, as its :func:`enum_member`; ``X | None`` may be ``None``.
+    A value of the wrong type raises ``TypeError`` in the words of the record files."""
+    for name, rule in _field_rules(type(record)):
+        object.__setattr__(record, name, rule(name, getattr(record, name)))
+
+
+@cache
+def _bounds(interval: str) -> tuple:
+    """The bounds of ``interval``, ``"[0, 1)"`` say, and the comparisons that test them."""
+    low, high = interval[1:-1].split(", ")
+    closed = {"[": operator.le, "(": operator.lt, "]": operator.le, ")": operator.lt}
+    return float(low), float(high), closed[interval[0]], closed[interval[-1]]
+
+
+def within(name: str, value, interval: str) -> None:
+    """Rejects ``value``, the input ``name``, unless it lies in ``interval``, written as printed
+    (``"[0, 1)"``, ``"(0, inf)"``); NaN, ``None`` and what does not compare lie in none."""
+    low, high, above_low, below_high = _bounds(interval)
+    try:
+        inside = above_low(low, value) and below_high(value, high)
+    except TypeError:
+        inside = False
+    if not inside:
+        raise InvalidInputError(f"{name} must lie in {interval}, got {json_text(value)}")

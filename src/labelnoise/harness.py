@@ -39,8 +39,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
-    ConfigurationError, ExperimentError, InvalidInputError, check_class_map, enum_member,
-    integer_fields, json_text,
+    ConfigurationError, ExperimentError, InvalidInputError, check_class_map, check_fields,
+    json_text, within,
 )
 from .numerics import RngStream, derive_seed, mean_ci
 from .records import read_dataset_rows, read_record, write_dataset_rows, write_record
@@ -88,14 +88,10 @@ class NoiseSpec:
     rate_by_class: Mapping[int, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", enum_member("kind", self.kind, NoiseKind))
-        integer_fields(self, "seed")
-        rates = [self.rate]
-        if self.rate_by_class is not None:
-            rates += list(self.rate_by_class.values())
-        for rate in rates:
-            if not 0.0 <= rate <= 1.0:
-                raise InvalidInputError(f"noise rate must lie in [0, 1], got {rate}")
+        check_fields(self)
+        within("rate", self.rate, "[0, 1]")
+        for cls, rate in (self.rate_by_class or {}).items():
+            within(f"rate_by_class[{cls}]", rate, "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,7 @@ def _select_clips(
 def inject_symmetric_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDataset:
     """Flip the labels of a seeded-exact subset of clips to other classes."""
     if spec.kind != NoiseKind.SYMMETRIC_IV:
-        raise InvalidInputError(f"expected a symmetric noise spec, got {spec.kind}")
+        raise InvalidInputError(f"expected a symmetric noise spec, got {json_text(spec.kind)}")
     gen = RngStream(spec.seed, _NOISE_STREAM).generator()
     selected = _select_clips(annotated, spec, gen)
     if selected.size == 0:
@@ -239,7 +235,7 @@ def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedD
     clean label becomes the out-of-vocabulary sentinel.
     """
     if spec.kind != NoiseKind.OOV_REPLACE:
-        raise InvalidInputError(f"expected an oov noise spec, got {spec.kind}")
+        raise InvalidInputError(f"expected an oov noise spec, got {json_text(spec.kind)}")
     gen = RngStream(spec.seed, _NOISE_STREAM).generator()
     selected = _select_clips(annotated, spec, gen)
     if selected.size == 0:
@@ -390,17 +386,11 @@ class DatasetParams:
     test_clips_per_class: int = 25
 
     def __post_init__(self):
-        integer_fields(
-            self, "num_classes", "clips_per_class", "patches_per_clip", "feature_dim",
-            "test_clips_per_class",
-        )
-        if self.num_classes < 2:
-            raise InvalidInputError(f"need at least 2 classes, got {self.num_classes}")
+        check_fields(self)
+        within("num_classes", self.num_classes, "[2, inf)")
         for name in ("clips_per_class", "patches_per_clip", "feature_dim", "test_clips_per_class"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
-        if not 0.0 <= self.cluster_spread < math.inf:
-            raise InvalidInputError("cluster_spread must be >= 0")
+            within(name, getattr(self, name), "[1, inf)")
+        within("cluster_spread", self.cluster_spread, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -416,9 +406,8 @@ class ExperimentConfig:
     auto_noise_groups: bool = False
 
     def __post_init__(self):
-        integer_fields(self, "runs", "base_seed")
-        if self.runs < 1:
-            raise InvalidInputError(f"runs must be >= 1, got {self.runs}")
+        check_fields(self)
+        within("runs", self.runs, "[1, inf)")
         for name, spec in (("train", self.train), ("noise", self.noise)):
             if spec is not None and spec.seed != 0:
                 raise ConfigurationError(
@@ -440,14 +429,10 @@ class RunSummary:
     dataset_fingerprints: tuple[str, ...]
 
     def __post_init__(self):
-        runs = [(f"per_run_accuracy[{i}]", value) for i, value in enumerate(self.per_run_accuracy)]
-        for name, value in (*runs, ("mean", self.mean)):
-            if not 0.0 <= value <= 100.0:
-                raise InvalidInputError(f"{name} must lie in [0, 100], got {value}")
-        if not 0.0 <= self.ci_half_width < math.inf:
-            raise InvalidInputError(
-                f"ci_half_width must be finite and non-negative, got {self.ci_half_width}"
-            )
+        for index, value in enumerate(self.per_run_accuracy):
+            within(f"per_run_accuracy[{index}]", value, "[0, 100]")
+        within("mean", self.mean, "[0, 100]")
+        within("ci_half_width", self.ci_half_width, "[0, inf)")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, enum_member, json_text
+from .errors import InvalidInputError, check_fields, within
 from .numerics import softmax
 
 PROB_FLOOR = 1e-12
@@ -43,12 +43,9 @@ class LossSpec:
     q: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", enum_member("kind", self.kind, LossKind))
+        check_fields(self)
         if self.kind == LossKind.LQ:
-            if self.q is None or not 0.0 < self.q <= 1.0:
-                raise InvalidInputError(
-                    f"the lq loss requires an exponent q in (0, 1], got {json_text(self.q)}"
-                )
+            within("q", self.q, "(0, 1]")
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ validation and test data are never mixed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, enum_member, integer_fields
+from .errors import ConfigurationError, InvalidInputError, check_fields, within
 from .numerics import RngStream, beta_draws
 
 
@@ -38,16 +37,9 @@ class MixupPolicy:
     pairing: Pairing = Pairing.INTRA_BATCH
 
     def __post_init__(self):
-        object.__setattr__(self, "pairing", enum_member("pairing", self.pairing, Pairing))
-        integer_fields(self, "warmup_epochs")
-        if not 0.0 < self.alpha < math.inf:
-            raise InvalidInputError(
-                f"mixup strength alpha must be positive, got {self.alpha}"
-            )
-        if self.warmup_epochs < 0:
-            raise InvalidInputError(
-                f"warmup_epochs must be non-negative, got {self.warmup_epochs}"
-            )
+        check_fields(self)
+        within("alpha", self.alpha, "(0, inf)")
+        within("warmup_epochs", self.warmup_epochs, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -85,8 +77,7 @@ def mix_pair(x_i, y_i, x_j, y_j, lam: float) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError("mixed features must have equal dimensions")
     if y_i.shape != y_j.shape:
         raise InvalidInputError("mixed targets must have equal dimensions")
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidInputError(f"mixing weight must lie in [0, 1], got {lam}")
+    within("mixing weight", lam, "[0, 1]")
     return _convex_mix(x_i, x_j, lam), _convex_mix(y_i, y_j, lam)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_text, within
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,7 +52,7 @@ class RngStream:
     def child(self, index: int) -> "RngStream":
         """Derive the ``index``-th sub-stream of this stream."""
         if index < 0:
-            raise InvalidInputError(f"stream index must be non-negative, got {index}")
+            raise InvalidInputError(f"stream index must be non-negative, got {json_text(index)}")
         mixed = _splitmix64(((self.stream_id & _MASK64) * _GOLDEN + index + 1) & _MASK64)
         return RngStream(self.seed, mixed)
 
@@ -113,8 +113,7 @@ def percentile(values, level: float) -> float:
         raise InvalidInputError("percentile of an empty sequence")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("percentile requires finite values")
-    if not 0.0 <= level <= 100.0:
-        raise InvalidInputError(f"percentile level must lie in [0, 100], got {level}")
+    within("percentile level", level, "[0, 100]")
     v = np.sort(v)
     idx = (level / 100.0) * (v.size - 1)
     lo = int(math.floor(idx))
@@ -130,8 +129,7 @@ def beta_draws(alpha: float, gen: np.random.Generator, size: int) -> np.ndarray:
     ratio construction is correct for every finite ``alpha > 0`` including the
     heavy-endpoint regime alpha << 1.
     """
-    if not 0 < alpha < math.inf:
-        raise InvalidInputError(f"beta shape parameter must be positive, got {alpha}")
+    within("beta shape parameter", alpha, "(0, inf)")
     g1 = gen.standard_gamma(alpha, size=size)
     g2 = gen.standard_gamma(alpha, size=size)
     total = g1 + g2
@@ -155,8 +153,7 @@ def mean_ci(values, level: float = 0.95) -> tuple[float, float]:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise InvalidInputError("mean_ci of an empty sequence")
-    if not 0.0 < level < 1.0:
-        raise InvalidInputError(f"confidence level must lie in (0, 1), got {level}")
+    within("confidence level", level, "(0, 1)")
     mean = float(v.mean())
     if v.size == 1:
         return mean, 0.0

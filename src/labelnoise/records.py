@@ -23,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidInputError, json_text
+from .errors import KIND_NAMES, InvalidInputError, json_text
 
 
 def _fault(err: Exception, document: bool = False) -> str:
@@ -136,10 +136,7 @@ def write_json_lines(path, rows) -> None:
 
 
 # How an error names the JSON type of each field kind (of a list kind, by its origin).
-_KIND_NAMES = {
-    int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
-    np.ndarray: "a list",
-}
+_KIND_NAMES = {**KIND_NAMES, list: "a list", np.ndarray: "a list"}
 
 
 def field_value(key: str, value, kind):

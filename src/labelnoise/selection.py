@@ -11,7 +11,6 @@ losses by arithmetic mean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -19,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, InvalidInputError, enum_member, integer_fields
+from .errors import ConfigurationError, InvalidInputError, check_fields, within
 from .losses import LossReport, _check_loss_values
 from .numerics import percentile
 from .records import read_records, write_records
@@ -39,14 +38,11 @@ class SelectionRule:
     level: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", enum_member("kind", self.kind, SelectionKind))
+        check_fields(self)
         if self.kind == SelectionKind.MAX_FRACTION:
-            if self.fraction is None or not 0.0 <= self.fraction <= 1.0:
-                raise InvalidInputError(
-                    f"max-fraction rule needs fraction in [0, 1], got {self.fraction}"
-                )
-        elif self.level is None or not 0.0 <= self.level <= 100.0:
-            raise InvalidInputError(f"percentile rule needs level in [0, 100], got {self.level}")
+            within("fraction", self.fraction, "[0, 1]")
+        else:
+            within("level", self.level, "[0, 100]")
 
     @classmethod
     def max_fraction(cls, fraction: float) -> "SelectionRule":
@@ -80,16 +76,12 @@ class StagePlan:
     prune_rounds: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "strategy", enum_member("strategy", self.strategy, Strategy))
-        integer_fields(self, "start_epoch", "prune_count", "prune_rounds")
-        if self.start_epoch < 0:
-            raise InvalidInputError(f"start_epoch must be >= 0, got {self.start_epoch}")
+        check_fields(self)
+        within("start_epoch", self.start_epoch, "[0, inf)")
         if self.strategy == Strategy.DISCARD and self.rule is None:
             raise ConfigurationError("discard strategy requires a selection rule")
-        if self.prune_count < 0:
-            raise InvalidInputError(f"prune_count must be >= 0, got {self.prune_count}")
-        if self.prune_rounds < 1:
-            raise InvalidInputError(f"prune_rounds must be >= 1, got {self.prune_rounds}")
+        within("prune_count", self.prune_count, "[0, inf)")
+        within("prune_rounds", self.prune_rounds, "[1, inf)")
         if self.prune_rounds > 1 and self.start_epoch == 0:
             raise ConfigurationError("iterative pruning requires start_epoch >= 1")
 
@@ -197,12 +189,9 @@ class PruneRecord:
     removed: bool
 
     def __post_init__(self):
-        if not (math.isfinite(self.clip_loss) and self.clip_loss >= 0.0):
-            raise InvalidInputError(
-                f"clip_loss must be finite and non-negative, got {self.clip_loss}"
-            )
-        if self.rank < 1:
-            raise InvalidInputError(f"rank must be >= 1, got {self.rank}")
+        check_fields(self)
+        within("clip_loss", self.clip_loss, "[0, inf)")
+        within("rank", self.rank, "[1, inf)")
 
 
 def prune_report_rows(

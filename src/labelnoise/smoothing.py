@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, enum_member
+from .errors import ConfigurationError, InvalidInputError, check_fields, json_text, within
 
 
 class NoiseGroup(str, Enum):
@@ -43,22 +43,13 @@ class SmoothingPolicy:
     group_of_class: Mapping[int, NoiseGroup] | None = None
 
     def __post_init__(self):
-        if self.group_of_class is not None:
-            groups = {
-                cls: enum_member(f"group_of_class[{cls}]", group, NoiseGroup)
-                for cls, group in self.group_of_class.items()
-            }
-            object.__setattr__(self, "group_of_class", groups)
-        if not 0.0 <= self.epsilon < 1.0:
-            raise InvalidInputError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if not self.delta_epsilon >= 0.0:
-            raise InvalidInputError(
-                f"delta_epsilon must be non-negative, got {self.delta_epsilon}"
-            )
+        check_fields(self)
+        within("epsilon", self.epsilon, "[0, 1)")
+        within("delta_epsilon", self.delta_epsilon, "[0, inf)")
         if self.epsilon - self.delta_epsilon < 0.0 or self.epsilon + self.delta_epsilon >= 1.0:
             raise InvalidInputError(
-                "epsilon +/- delta_epsilon must stay within [0, 1): "
-                f"got epsilon={self.epsilon}, delta_epsilon={self.delta_epsilon}"
+                "epsilon +/- delta_epsilon must stay within [0, 1): got"
+                f" epsilon={json_text(self.epsilon)}, delta_epsilon={json_text(self.delta_epsilon)}"
             )
 
     def effective_epsilon(self, target_class: int) -> float:
@@ -76,12 +67,8 @@ class SmoothingPolicy:
 
 def smooth_uniform(target_class: int, num_classes: int, epsilon: float) -> np.ndarray:
     """Smoothed target distribution for ``target_class`` over ``num_classes``."""
-    if num_classes < 2:
-        raise InvalidInputError(f"need at least 2 classes, got {num_classes}")
-    if not 0 <= target_class < num_classes:
-        raise InvalidInputError(
-            f"target class {target_class} outside [0, {num_classes})"
-        )
+    within("num_classes", num_classes, "[2, inf)")
+    within("target class", target_class, f"[0, {num_classes})")
     # the policy checks epsilon
     return targets_matrix([target_class], num_classes, SmoothingPolicy(epsilon))[0]
 

@@ -27,9 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    InvalidInputError, TrainingError, check_class_map, enum_member, integer_fields,
-)
+from .errors import InvalidInputError, TrainingError, check_class_map, check_fields, within
 from .losses import (
     LossReport,
     LossSpec,
@@ -78,7 +76,7 @@ class ModelParams:
     weights: list[np.ndarray]
 
     def __post_init__(self):
-        self.architecture = Architecture(self.architecture)
+        check_fields(self)
         self.weights = list(self.weights)
         expected = _weight_shapes(
             self.architecture, self.feature_dim, self.num_classes, self.hidden_units
@@ -224,28 +222,15 @@ class TrainConfig:
     hidden_units: int = 32
 
     def __post_init__(self):
-        architecture = enum_member("architecture", self.architecture, Architecture)
-        object.__setattr__(self, "architecture", architecture)
-        integer_fields(
-            self, "max_epochs", "batch_size", "lr_halving_patience", "early_stop_patience",
-            "seed", "hidden_units",
-        )
-        if self.batch_size < 1:
-            raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 0:
-            raise InvalidInputError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if not 0.0 < self.initial_lr < math.inf:
-            raise InvalidInputError(f"initial_lr must be positive, got {self.initial_lr}")
-        if self.lr_halving_patience < 1 or self.early_stop_patience < 1:
-            raise InvalidInputError("patience values must be >= 1")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise InvalidInputError(
-                f"val_fraction must lie in (0, 1), got {self.val_fraction}"
-            )
-        if self.architecture == Architecture.ONE_HIDDEN and self.hidden_units < 1:
-            raise InvalidInputError(
-                f"hidden_units must be >= 1, got {self.hidden_units}"
-            )
+        check_fields(self)
+        within("max_epochs", self.max_epochs, "[0, inf)")
+        within("batch_size", self.batch_size, "[1, inf)")
+        within("initial_lr", self.initial_lr, "(0, inf)")
+        within("lr_halving_patience", self.lr_halving_patience, "[1, inf)")
+        within("early_stop_patience", self.early_stop_patience, "[1, inf)")
+        within("val_fraction", self.val_fraction, "(0, 1)")
+        if self.architecture == Architecture.ONE_HIDDEN:
+            within("hidden_units", self.hidden_units, "[1, inf)")
 
 
 @dataclass(frozen=True)
@@ -257,16 +242,12 @@ class EpochRecord:
     kept_fraction: float
 
     def __post_init__(self):
-        if self.epoch < 0:
-            raise InvalidInputError(f"epoch must be >= 0, got {self.epoch}")
-        if not 0 < self.lr < math.inf:
-            raise InvalidInputError("lr must stay positive")
-        if not 0.0 < self.kept_fraction <= 1.0:
-            raise InvalidInputError("kept_fraction must lie in (0, 1]")
-        if not 0.0 <= self.val_accuracy <= 1.0:
-            raise InvalidInputError("val_accuracy must lie in [0, 1]")
-        if not math.isfinite(self.train_loss) or self.train_loss < 0:
-            raise InvalidInputError("train_loss must be finite and non-negative")
+        check_fields(self)
+        within("epoch", self.epoch, "[0, inf)")
+        within("lr", self.lr, "(0, inf)")
+        within("kept_fraction", self.kept_fraction, "(0, 1]")
+        within("val_accuracy", self.val_accuracy, "[0, 1]")
+        within("train_loss", self.train_loss, "[0, inf)")
 
 
 @dataclass
@@ -286,8 +267,7 @@ def split_rows(
     the ascending positions in ``dataset`` of the train rows and of the
     validation rows.
     """
-    if not 0.0 < val_fraction < 1.0:
-        raise InvalidInputError(f"val_fraction must lie in (0, 1), got {val_fraction}")
+    within("val_fraction", val_fraction, "(0, 1)")
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot split an empty dataset")
     rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
@@ -327,8 +307,7 @@ def plateau_step(
     Only strict improvement resets the stall counter; ties count as stalls.
     Returns (new_lr, new_counter, new_best).
     """
-    if not 0 < lr < math.inf:
-        raise InvalidInputError("lr must be positive")
+    within("lr", lr, "(0, inf)")
     if current_val_acc > best_so_far:
         return lr, 0, current_val_acc
     counter = stall_counter + 1

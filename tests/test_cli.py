@@ -148,20 +148,20 @@ MALFORMED_REPORT_LINES = {
         "clip_id 0 was removed by an earlier prune round",
     ),
     "rank_negative": (
-        lambda row: json.dumps({**row, "rank": -3}), "rank must be >= 1, got -3"
+        lambda row: json.dumps({**row, "rank": -3}), "rank must lie in [1, inf), got -3"
     ),
-    "rank_zero": (lambda row: json.dumps({**row, "rank": 0}), "rank must be >= 1, got 0"),
+    "rank_zero": (lambda row: json.dumps({**row, "rank": 0}), "rank must lie in [1, inf), got 0"),
     "negative_loss": (
         lambda row: json.dumps({**row, "clip_loss": -1.0}),
-        "clip_loss must be finite and non-negative, got -1.0",
+        "clip_loss must lie in [0, inf), got -1.0",
     ),
     "nan_loss": (
         lambda row: json.dumps({**row, "clip_loss": float("nan")}),
-        "clip_loss must be finite and non-negative, got nan",
+        "clip_loss must lie in [0, inf), got NaN",
     ),
     "infinite_loss": (
         lambda row: json.dumps({**row, "clip_loss": float("inf")}),
-        "clip_loss must be finite and non-negative, got inf",
+        "clip_loss must lie in [0, inf), got Infinity",
     ),
 }
 
@@ -198,17 +198,25 @@ class TestDatasetCommands:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("classes", 1, "need at least 2 classes, got 1"),
-            ("clips_per_class", 0, "clips_per_class must be >= 1"),
-            ("patches_per_clip", 0, "patches_per_clip must be >= 1"),
-            ("dims", 0, "feature_dim must be >= 1"),
-            ("spread", -0.5, "cluster_spread must be >= 0"),
+            ("classes", 1, "num_classes must lie in [2, inf), got 1"),
+            ("clips_per_class", 0, "clips_per_class must lie in [1, inf), got 0"),
+            ("patches_per_clip", 0, "patches_per_clip must lie in [1, inf), got 0"),
+            ("dims", 0, "feature_dim must lie in [1, inf), got 0"),
+            ("spread", -0.5, "cluster_spread must lie in [0, inf), got -0.5"),
         ],
     )
     def test_generate_size_error_names_the_size(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "data.jsonl"
         assert run_cli(*generate_args(out, **{flag: value})) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 + 5, -(2**63) - 1])
+    def test_generate_seed_outside_int64_exits_two(self, tmp_path, capsys, seed):
+        # the random streams hash a seed's low 64 bits, so a larger seed would alias one in range
+        out = tmp_path / "data.jsonl"
+        assert run_cli(*generate_args(out, seed=seed)) == 2
+        assert capsys.readouterr().err == f"error: seed {seed} is outside the int64 range\n"
         assert not out.exists()
 
     def test_corrupt_flips_the_requested_fraction(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the JSON-dictionary configuration layer."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -15,24 +16,35 @@ from hypothesis import strategies as st
 from labelnoise import (
     Architecture,
     ConfigurationError,
+    Dataset,
     DatasetParams,
+    EpochRecord,
     ExperimentConfig,
     InvalidInputError,
     LossKind,
     LossSpec,
     MixupPolicy,
+    ModelParams,
     NoiseGroup,
     NoiseKind,
     NoiseSpec,
     Pairing,
+    PruneRecord,
+    RunSummary,
     SelectionKind,
     SelectionRule,
     SmoothingPolicy,
     StagePlan,
     Strategy,
     TrainConfig,
+    beta_draws,
     generate_blobs,
+    mean_ci,
+    mix_pair,
+    percentile,
+    plateau_step,
     read_metrics,
+    smooth_uniform,
 )
 from labelnoise.config import (
     _keys as config_keys,
@@ -43,6 +55,7 @@ from labelnoise.config import (
     read_config_file,
     train_to_dict,
 )
+from labelnoise.trainer import split_rows
 
 
 class TestParseLoss:
@@ -650,25 +663,6 @@ def test_section_keys_are_the_dataclass_fields(cls):
     assert [key.name for key in config_keys(cls)] == expected
 
 
-# Each positive or non-negative float a dataclass (or generate_blobs) checks
-# itself, built with the value under test; NaN fails every ordered comparison,
-# so a check written as ``x <= 0`` lets it through.
-NUMBER_FIELDS = {
-    "MixupPolicy.alpha": lambda v: MixupPolicy(alpha=v),
-    "TrainConfig.initial_lr": lambda v: TrainConfig(LossSpec(LossKind.CCE), initial_lr=v),
-    "SmoothingPolicy.delta_epsilon": lambda v: SmoothingPolicy(0.1, delta_epsilon=v),
-    "DatasetParams.cluster_spread": lambda v: DatasetParams(cluster_spread=v),
-    "generate_blobs.cluster_spread": lambda v: generate_blobs(2, 2, 1, 2, v, seed=0),
-}
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
-def test_dataclass_rejects_a_non_finite_number(field, value):
-    with pytest.raises(InvalidInputError, match=field.split(".")[1]):
-        NUMBER_FIELDS[field](value)
-
-
 # Each enum field a dataclass coerces itself: the field's value in a dataclass built with the
 # value under test, the name an error gives it, and a valid string with the member it names.
 ENUM_FIELDS = {
@@ -688,6 +682,10 @@ ENUM_FIELDS = {
         "architecture", "one_hidden", Architecture.ONE_HIDDEN,
     ),
     "NoiseSpec.kind": (lambda v: NoiseSpec(v).kind, "kind", "oov", NoiseKind.OOV_REPLACE),
+    "ModelParams.architecture": (
+        lambda v: ModelParams(v, 2, 2, 1, [np.zeros((2, 2)), np.zeros(2)]).architecture,
+        "architecture", "linear", Architecture.LINEAR,
+    ),
     "SmoothingPolicy.group_of_class": (
         lambda v: SmoothingPolicy(0.1, 0.05, {0: NoiseGroup.LOW_NOISE, 1: v}).group_of_class[1],
         "group_of_class[1]", "high", NoiseGroup.HIGH_NOISE,
@@ -834,7 +832,9 @@ def test_readme_config_block_parses_and_survives_the_round_trip(index):
         assert parse_train(json.loads(json.dumps(train_to_dict(cfg, auto)))) == (cfg, auto)
 
 
-# Each config dataclass with the arguments it needs, and its integer fields.
+# Each dataclass that holds integers, with the other arguments it needs and its integer
+# fields; 3 is a valid value of each.
+ONE_HIDDEN_WEIGHTS = [np.zeros((3, 3)), np.zeros(3), np.zeros((3, 3)), np.zeros(3)]
 INTEGER_FIELDS = {
     "TrainConfig": (
         lambda **field: TrainConfig(LossSpec(LossKind.CCE), **field),
@@ -854,6 +854,26 @@ INTEGER_FIELDS = {
     ),
     "NoiseSpec": (lambda **field: NoiseSpec(NoiseKind.SYMMETRIC_IV, **field), ("seed",)),
     "MixupPolicy": (lambda **field: MixupPolicy(alpha=0.2, **field), ("warmup_epochs",)),
+    "EpochRecord": (
+        lambda **field: EpochRecord(
+            **{"epoch": 3, "train_loss": 0.5, "val_accuracy": 0.5, "lr": 0.01,
+               "kept_fraction": 1.0, **field}
+        ),
+        ("epoch",),
+    ),
+    "PruneRecord": (
+        lambda **field: PruneRecord(
+            **{"clip_id": 3, "clip_loss": 0.3, "rank": 3, "removed": False, **field}
+        ),
+        ("clip_id", "rank"),
+    ),
+    "ModelParams": (
+        lambda **field: ModelParams(
+            **{"architecture": "one_hidden", "feature_dim": 3, "num_classes": 3,
+               "hidden_units": 3, "weights": ONE_HIDDEN_WEIGHTS, **field}
+        ),
+        ("feature_dim", "num_classes", "hidden_units"),
+    ),
 }
 INTEGER_FIELD_CASES = [
     pytest.param(build, name, id=f"{cls}.{name}")
@@ -863,25 +883,224 @@ INTEGER_FIELD_CASES = [
 
 
 class TestIntegerFields:
-    """Every integer field of a config dataclass is stored as an int, as the config files
-    already cast them: a float or a bool is refused when the config is built, not deep in a
-    run."""
+    """Every integer field of a dataclass is stored as an int, as the config and record files
+    already cast them: a float or a bool is refused, in the words of the record files, when
+    the dataclass is built, not deep in a run."""
 
     @pytest.mark.parametrize("value", [2.5, 3.0])
     @pytest.mark.parametrize("build, name", INTEGER_FIELD_CASES)
     def test_float_refused_naming_the_field(self, build, name, value):
-        message = rf"^{name}: 'float' object cannot be interpreted as an integer$"
-        with pytest.raises(TypeError, match=message):
+        with pytest.raises(TypeError) as excinfo:
             build(**{name: value})
+        assert str(excinfo.value) == f"{name} must be an integer, {shown(value)}"
 
     @pytest.mark.parametrize("value", [True, False])
     @pytest.mark.parametrize("build, name", INTEGER_FIELD_CASES)
     def test_bool_refused_naming_the_field(self, build, name, value):
-        message = rf"^{name}: 'bool' object cannot be interpreted as an integer$"
-        with pytest.raises(TypeError, match=message):
+        with pytest.raises(TypeError) as excinfo:
             build(**{name: value})
+        assert str(excinfo.value) == f"{name} must be an integer, {shown(value)}"
 
     @pytest.mark.parametrize("build, name", INTEGER_FIELD_CASES)
     def test_numpy_integer_stored_as_int(self, build, name):
         value = getattr(build(**{name: np.int64(3)}), name)
         assert type(value) is int and value == 3
+
+
+# Each bool field, with the other arguments its dataclass needs.
+BOOL_FIELDS = {
+    "PruneRecord.removed": lambda v: PruneRecord(clip_id=2, clip_loss=0.3, rank=1, removed=v),
+    "ExperimentConfig.auto_noise_groups": lambda v: ExperimentConfig(
+        DatasetParams(), TrainConfig(LossSpec(LossKind.CCE), smoothing=SmoothingPolicy(0.1)),
+        auto_noise_groups=v,
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOL_FIELDS))
+def test_bool_field_holds_a_bool(field):
+    name = field.split(".")[1]
+    for valid in (True, False):
+        assert getattr(BOOL_FIELDS[field](valid), name) is valid
+    for bad in ("yes", "no", 1, 0, None):
+        with pytest.raises(TypeError) as excinfo:
+            BOOL_FIELDS[field](bad)
+        assert str(excinfo.value) == f"{name} must be true or false, {shown(bad)}"
+
+
+def epoch_record(**field):
+    values = dict(epoch=0, train_loss=0.5, val_accuracy=0.5, lr=0.01, kept_fraction=1.0)
+    return EpochRecord(**{**values, **field})
+
+
+def run_summary(**field):
+    values = dict(per_run_accuracy=(50.0,), mean=50.0, ci_half_width=0.0,
+                  config_fingerprint="0" * 16, dataset_fingerprints=("0" * 16,))
+    return RunSummary(**{**values, **field})
+
+
+def tiny_dataset(num_classes=2):
+    return Dataset([0, 1, 2, 3], [0, 1, 2, 3], np.zeros((4, 1)), [0, 0, 1, 1], num_classes)
+
+
+def train_config(**field):
+    return TrainConfig(LossSpec(LossKind.CCE), **field)
+
+
+# Every bounded field and argument: the name its error gives it, its interval as the error
+# prints it, whether it holds an integer, and a call that passes it the value under test.
+# NaN fails every ordered comparison, so a check written as ``x <= 0`` would let it through.
+BOUNDS = {
+    "Dataset.num_classes": ("num_classes", "[2, inf)", int, tiny_dataset),
+    "NoiseSpec.rate": ("rate", "[0, 1]", float, lambda v: NoiseSpec(NoiseKind.OOV_REPLACE, v)),
+    "NoiseSpec.rate_by_class": (
+        "rate_by_class[1]", "[0, 1]", float,
+        lambda v: NoiseSpec(NoiseKind.OOV_REPLACE, rate_by_class={0: 0.1, 1: v}),
+    ),
+    "DatasetParams.num_classes": (
+        "num_classes", "[2, inf)", int, lambda v: DatasetParams(num_classes=v)
+    ),
+    **{
+        f"DatasetParams.{name}": (
+            name, "[1, inf)", int, lambda v, name=name: DatasetParams(**{name: v})
+        )
+        for name in ("clips_per_class", "patches_per_clip", "feature_dim", "test_clips_per_class")
+    },
+    "DatasetParams.cluster_spread": (
+        "cluster_spread", "[0, inf)", float, lambda v: DatasetParams(cluster_spread=v)
+    ),
+    "generate_blobs.cluster_spread": (
+        "cluster_spread", "[0, inf)", float, lambda v: generate_blobs(2, 2, 1, 2, v, seed=0)
+    ),
+    "ExperimentConfig.runs": (
+        "runs", "[1, inf)", int,
+        lambda v: ExperimentConfig(DatasetParams(), train_config(), runs=v),
+    ),
+    "RunSummary.per_run_accuracy": (
+        "per_run_accuracy[1]", "[0, 100]", float,
+        lambda v: run_summary(per_run_accuracy=(50.0, v)),
+    ),
+    "RunSummary.mean": ("mean", "[0, 100]", float, lambda v: run_summary(mean=v)),
+    "RunSummary.ci_half_width": (
+        "ci_half_width", "[0, inf)", float, lambda v: run_summary(ci_half_width=v)
+    ),
+    "LossSpec.q": ("q", "(0, 1]", float, lambda v: LossSpec(LossKind.LQ, v)),
+    "MixupPolicy.alpha": ("alpha", "(0, inf)", float, lambda v: MixupPolicy(v)),
+    "MixupPolicy.warmup_epochs": (
+        "warmup_epochs", "[0, inf)", int, lambda v: MixupPolicy(0.2, warmup_epochs=v)
+    ),
+    "SelectionRule.fraction": ("fraction", "[0, 1]", float, SelectionRule.max_fraction),
+    "SelectionRule.level": ("level", "[0, 100]", float, SelectionRule.at_percentile),
+    "StagePlan.start_epoch": ("start_epoch", "[0, inf)", int, lambda v: StagePlan(start_epoch=v)),
+    "StagePlan.prune_count": ("prune_count", "[0, inf)", int, lambda v: StagePlan(prune_count=v)),
+    "StagePlan.prune_rounds": (
+        "prune_rounds", "[1, inf)", int, lambda v: StagePlan(start_epoch=1, prune_rounds=v)
+    ),
+    "PruneRecord.clip_loss": (
+        "clip_loss", "[0, inf)", float, lambda v: PruneRecord(2, v, 1, False)
+    ),
+    "PruneRecord.rank": ("rank", "[1, inf)", int, lambda v: PruneRecord(2, 0.3, v, False)),
+    "SmoothingPolicy.epsilon": ("epsilon", "[0, 1)", float, SmoothingPolicy),
+    "SmoothingPolicy.delta_epsilon": (
+        "delta_epsilon", "[0, inf)", float, lambda v: SmoothingPolicy(0.1, v)
+    ),
+    **{
+        f"TrainConfig.{name}": (
+            name, interval, kind, lambda v, name=name: train_config(**{name: v})
+        )
+        for name, interval, kind in (
+            ("max_epochs", "[0, inf)", int),
+            ("batch_size", "[1, inf)", int),
+            ("initial_lr", "(0, inf)", float),
+            ("lr_halving_patience", "[1, inf)", int),
+            ("early_stop_patience", "[1, inf)", int),
+            ("val_fraction", "(0, 1)", float),
+        )
+    },
+    "TrainConfig.hidden_units": (
+        "hidden_units", "[1, inf)", int,
+        lambda v: train_config(architecture=Architecture.ONE_HIDDEN, hidden_units=v),
+    ),
+    **{
+        f"EpochRecord.{name}": (
+            name, interval, kind, lambda v, name=name: epoch_record(**{name: v})
+        )
+        for name, interval, kind in (
+            ("epoch", "[0, inf)", int),
+            ("train_loss", "[0, inf)", float),
+            ("val_accuracy", "[0, 1]", float),
+            ("lr", "(0, inf)", float),
+            ("kept_fraction", "(0, 1]", float),
+        )
+    },
+    "split_rows.val_fraction": (
+        "val_fraction", "(0, 1)", float, lambda v: split_rows(tiny_dataset(), v, 0)
+    ),
+    "mix_pair.lam": (
+        "mixing weight", "[0, 1]", float, lambda v: mix_pair([0.0], [1.0], [1.0], [0.0], v)
+    ),
+    "smooth_uniform.num_classes": (
+        "num_classes", "[2, inf)", int, lambda v: smooth_uniform(0, v, 0.1)
+    ),
+    "smooth_uniform.target_class": (
+        "target class", "[0, 2)", int, lambda v: smooth_uniform(v, 2, 0.1)
+    ),
+    "percentile.level": ("percentile level", "[0, 100]", float, lambda v: percentile([1.0], v)),
+    "beta_draws.alpha": (
+        "beta shape parameter", "(0, inf)", float,
+        lambda v: beta_draws(v, np.random.default_rng(0), 2),
+    ),
+    "mean_ci.level": ("confidence level", "(0, 1)", float, lambda v: mean_ci([1.0, 2.0], v)),
+    "plateau_step.lr": ("lr", "(0, inf)", float, lambda v: plateau_step(0.5, 0.4, 0, v, 5)),
+}
+
+
+def outside(interval: str, kind: type) -> list:
+    """Values that lie outside ``interval``: for a number, NaN, ±Infinity and None (no bound
+    above is a closed infinity); for an integer, the integer just below the lower bound."""
+    if kind is int:
+        return [int(interval[1:].split(",")[0]) - 1]
+    return [math.nan, -math.inf, math.inf, None]
+
+
+BOUND_CASES = [
+    pytest.param(case, value, id=f"{case}-{json.dumps(value)}")
+    for case, (_, interval, kind, _) in BOUNDS.items()
+    for value in outside(interval, kind)
+]
+
+
+@pytest.mark.parametrize("case, value", BOUND_CASES)
+def test_bound_refuses_a_value_outside_it_named_as_json(case, value):
+    name, interval, _, call = BOUNDS[case]
+    with pytest.raises(InvalidInputError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"{name} must lie in {interval}, {shown(value)}"
+
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "labelnoise").glob("*.py"))
+
+
+def got_placeholders(source: str):
+    """The expression of each placeholder that follows the text ``got `` in an f-string."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            for before, part in zip(node.values, node.values[1:]):
+                if isinstance(part, ast.FormattedValue) and isinstance(before, ast.Constant):
+                    if before.value.endswith("got "):
+                        yield part.value
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_got_placeholder_names_its_value_as_json(path):
+    bare = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for node in got_placeholders(path.read_text(encoding="utf-8"))
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "json_text")
+    ]
+    assert not bare
+
+
+def test_got_placeholder_scan_finds_a_bare_value():
+    found = list(got_placeholders('f"x must be 1, got {x}, not {json_text(x)}"'))
+    assert [ast.unparse(node) for node in found] == ["x"]

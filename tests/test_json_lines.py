@@ -376,7 +376,10 @@ class TestJsonDocuments:
         "edit, message",
         [
             (lambda record: record.pop("hidden_units"), "missing field 'hidden_units'"),
-            (lambda record: record.update(architecture="deep"), "'deep' is not a valid"),
+            (
+                lambda record: record.update(architecture="deep"),
+                'architecture must be one of "linear", "one_hidden", got "deep"',
+            ),
             (
                 lambda record: record.update(feature_dim=None),
                 "feature_dim must be an integer, got null",
@@ -406,18 +409,18 @@ class TestJsonDocuments:
                 lambda record: record.update(per_run_accuracy=50.0),
                 "per_run_accuracy must be a list, got 50.0",
             ),
-            (lambda record: record.update(mean=math.nan), "mean must lie in [0, 100], got nan"),
+            (lambda record: record.update(mean=math.nan), "mean must lie in [0, 100], got NaN"),
             (
                 lambda record: record.update(per_run_accuracy=[50.0, 100.5]),
                 "per_run_accuracy[1] must lie in [0, 100], got 100.5",
             ),
             (
                 lambda record: record.update(ci_half_width=math.inf),
-                "ci_half_width must be finite and non-negative, got inf",
+                "ci_half_width must lie in [0, inf), got Infinity",
             ),
             (
                 lambda record: record.update(ci_half_width=-0.5),
-                "ci_half_width must be finite and non-negative, got -0.5",
+                "ci_half_width must lie in [0, inf), got -0.5",
             ),
         ],
     )

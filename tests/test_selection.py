@@ -286,7 +286,7 @@ class TestStagePlan:
     @pytest.mark.parametrize("field", ["start_epoch", "prune_count", "prune_rounds"])
     def test_counts_are_integers(self, field):
         counts = {"start_epoch": 2, "prune_count": 3}
-        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got 2.5$"):
             StagePlan(Strategy.PRUNE, **{**counts, field: 2.5})
         plan = StagePlan(Strategy.PRUNE, **{**counts, field: np.int64(3)})
         assert type(getattr(plan, field)) is int and getattr(plan, field) == 3
