@@ -7,11 +7,14 @@ never here, so losses, smoothing, mixup, selection, and the trainer cannot
 peek at it even by accident.
 
 Examples are patches; several patches share a clip, and labels attach to
-clips (every patch of a clip carries the same label).
+clips (every patch of a clip carries the same label). The clip table maps
+each row to its clip, and :func:`draw_clips` is the one seeded per-class draw
+of clips (the validation split and both noise injectors make it).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +47,8 @@ class Dataset:
                 raise InvalidInputError("example ids must be unique")
             if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
                 raise InvalidInputError("labels outside [0, num_classes)")
-            order = np.argsort(self.clip_ids, kind="stable")
-            boundary = np.diff(self.clip_ids[order]) != 0
-            disagree = (np.diff(self.labels[order]) != 0) & ~boundary
-            if np.any(disagree):
+            _, inverse, clip_labels = self.clip_table()
+            if np.any(clip_labels[inverse] != self.labels):
                 raise InvalidInputError("patches of one clip must share a label")
 
     @property
@@ -86,3 +87,19 @@ class Dataset:
             int(example): int(clip)
             for example, clip in zip(self.example_ids, self.clip_ids)
         }
+
+
+def draw_clips(
+    clip_classes: np.ndarray, count: Callable[[int, int], int], gen: np.random.Generator
+) -> np.ndarray:
+    """A seeded per-class draw of clips, as a boolean mask over ``clip_classes``.
+
+    For each class present, in ascending order, ``gen`` shuffles that class's ``n`` clips
+    (taken in clip order) and the first ``count(cls, n)`` of the shuffle are drawn.
+    """
+    drawn = np.zeros(clip_classes.size, dtype=bool)
+    for cls in np.unique(clip_classes):
+        members = np.flatnonzero(clip_classes == cls)
+        take = count(int(cls), members.size)
+        drawn[members[gen.permutation(members.size)[:take]]] = True
+    return drawn

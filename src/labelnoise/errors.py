@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import numbers
 import operator
 from collections.abc import Mapping
 from enum import Enum
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -47,8 +50,10 @@ def check_class_map(name: str, by_class: Mapping[int, object] | None, num_classe
 
 
 def json_text(value) -> str:
-    """How an error shows a rejected ``value``: its JSON text, cut to 40 characters."""
-    return json.dumps(value, default=repr)[:40]
+    """How an error shows a rejected ``value``: its JSON text, cut to 40 characters. A numpy
+    scalar is written as its Python value, any other part JSON cannot hold as its repr."""
+    text = json.dumps(value, default=lambda v: v.item() if isinstance(v, np.generic) else repr(v))
+    return text[:40]
 
 
 def enum_member(name: str, value, kind: type[Enum]) -> Enum:
@@ -71,6 +76,12 @@ def _integer(name: str, value) -> int:
     return operator.index(value)
 
 
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be {KIND_NAMES[float]}, got {json_text(value)}")
+    return float(value)
+
+
 def _boolean(name: str, value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"{name} must be {KIND_NAMES[bool]}, got {json_text(value)}")
@@ -85,6 +96,8 @@ def _field_rule(hint):
         return rule and (lambda name, value: value if value is None else rule(name, value))
     if hint is int:
         return _integer
+    if hint is float:
+        return _number
     if hint is bool:
         return _boolean
     if isinstance(hint, type) and issubclass(hint, Enum):
@@ -104,8 +117,9 @@ def _field_rules(cls) -> tuple:
 
 def check_fields(record) -> None:
     """Checks each field of the dataclass ``record`` by its annotation, and stores it as checked:
-    an ``int`` by ``operator.index``, refusing a bool; a ``bool`` as a bool; an enum, and each
-    value of a ``Mapping`` to an enum, as its :func:`enum_member`; ``X | None`` may be ``None``.
+    an ``int`` by ``operator.index`` and a real ``float`` as a float, each refusing a bool; a
+    ``bool`` as a bool; an enum as its :func:`enum_member`; each value of a ``Mapping`` by the
+    rule of its value type; ``X | None`` may be ``None``.
     A value of the wrong type raises ``TypeError`` in the words of the record files."""
     for name, rule in _field_rules(type(record)):
         object.__setattr__(record, name, rule(name, getattr(record, name)))

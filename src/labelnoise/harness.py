@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, draw_clips
 from .errors import (
     ConfigurationError, ExperimentError, InvalidInputError, check_class_map, check_fields,
     json_text, within,
@@ -161,10 +161,9 @@ def _round_count(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _clip_view(annotated: AnnotatedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(clip ids, label, original class, corrupted flag), one entry per clip.
-
-    Built on the clip table; raises if patches of one clip disagree on the truth.
+def _clip_view(annotated: AnnotatedDataset) -> tuple[np.ndarray, ...]:
+    """The clip table (clip ids, per-example clip index, label) and each clip's original class
+    and corrupted flag; raises if patches of one clip disagree on the truth.
     """
     clips, inverse, clip_labels = annotated.data.clip_table()
     clean = np.empty(clips.size, dtype=np.int64)
@@ -178,31 +177,21 @@ def _clip_view(annotated: AnnotatedDataset) -> tuple[np.ndarray, np.ndarray, np.
             " disagree on clean_label or corrupted"
         )
     original = np.where(clean >= 0, clean, clip_labels)
-    return clips, clip_labels, original, flags
+    return clips, inverse, clip_labels, original, flags
 
 
 def _select_clips(
-    annotated: AnnotatedDataset, spec: NoiseSpec, gen: np.random.Generator
+    original: np.ndarray, spec: NoiseSpec, num_classes: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Pick the clips to corrupt: exact counts via seeded shuffle.
+    """Mask of the clips to corrupt, by a seeded draw of exact counts.
 
     Uniform rate: exactly round(rate * N_clips) over the whole dataset.
     Per-class rates: exactly round(rate_c * N_clips_c) within each class.
     """
-    clips, _, original, _ = _clip_view(annotated)
     if spec.rate_by_class is None:
-        count = _round_count(spec.rate * clips.size)
-        order = gen.permutation(clips.size)
-        return np.sort(clips[order[:count]])
-    num_classes = annotated.data.num_classes
+        return draw_clips(np.zeros_like(original), lambda _, n: _round_count(spec.rate * n), gen)
     check_class_map("noise.rate_by_class", spec.rate_by_class, num_classes)
-    selected: list[int] = []
-    for cls in range(num_classes):
-        class_clips = clips[original == cls]
-        count = _round_count(float(spec.rate_by_class[cls]) * class_clips.size)
-        order = gen.permutation(class_clips.size)
-        selected.extend(int(c) for c in class_clips[order[:count]])
-    return np.sort(np.asarray(selected, dtype=np.int64))
+    return draw_clips(original, lambda cls, n: _round_count(spec.rate_by_class[cls] * n), gen)
 
 
 def inject_symmetric_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDataset:
@@ -210,19 +199,16 @@ def inject_symmetric_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> Anno
     if spec.kind != NoiseKind.SYMMETRIC_IV:
         raise InvalidInputError(f"expected a symmetric noise spec, got {json_text(spec.kind)}")
     gen = RngStream(spec.seed, _NOISE_STREAM).generator()
-    selected = _select_clips(annotated, spec, gen)
-    if selected.size == 0:
+    _, inverse, clip_labels, original, _ = _clip_view(annotated)
+    picked = _select_clips(original, spec, annotated.data.num_classes, gen)
+    if not picked.any():
         return annotated
-    draws = gen.integers(0, annotated.data.num_classes - 1, size=selected.size)
-    clips, inverse, clip_labels = annotated.data.clip_table()
-    picked = np.searchsorted(clips, selected)
+    draws = gen.integers(0, annotated.data.num_classes - 1, size=np.count_nonzero(picked))
     old = clip_labels[picked]
     # a draw at or above the old label skips it, so the new label always differs
     clip_labels[picked] = np.where(draws < old, draws, draws + 1)
-    flipped = np.zeros(clips.size, dtype=bool)
-    flipped[picked] = True
     dataset = replace(annotated.data, labels=clip_labels[inverse])
-    flags = annotated.corrupted | flipped[inverse]
+    flags = annotated.corrupted | picked[inverse]
     return AnnotatedDataset(dataset, annotated.clean_labels.copy(), flags)
 
 
@@ -237,8 +223,9 @@ def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedD
     if spec.kind != NoiseKind.OOV_REPLACE:
         raise InvalidInputError(f"expected an oov noise spec, got {json_text(spec.kind)}")
     gen = RngStream(spec.seed, _NOISE_STREAM).generator()
-    selected = _select_clips(annotated, spec, gen)
-    if selected.size == 0:
+    _, inverse, _, original, _ = _clip_view(annotated)
+    picked = _select_clips(original, spec, annotated.data.num_classes, gen)
+    if not picked.any():
         return annotated
     lo = annotated.data.features.min(axis=0)
     hi = annotated.data.features.max(axis=0)
@@ -247,7 +234,7 @@ def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedD
     features = annotated.data.features.copy()
     clean = annotated.clean_labels.copy()
     flags = annotated.corrupted.copy()
-    rows = np.flatnonzero(np.isin(annotated.data.clip_ids, selected))
+    rows = np.flatnonzero(picked[inverse])
     features[rows] = gen.uniform(
         center - width, center + width, size=(rows.size, features.shape[1])
     )
@@ -267,7 +254,7 @@ def inject_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDatas
 
 def per_class_corruption_rates(annotated: AnnotatedDataset) -> np.ndarray:
     """Fraction of corrupted clips per original class (clip-level)."""
-    _, _, original, flags = _clip_view(annotated)
+    *_, original, flags = _clip_view(annotated)
     num_classes = annotated.data.num_classes
     # counts of whole clips are exact, so each rate is the mean of the flags
     clips = np.bincount(original, minlength=num_classes)[:num_classes]
@@ -296,7 +283,7 @@ def prune_precision(
     removed = np.unique([row.clip_id for row in report if row.removed]).astype(np.int64)
     if not removed.size:
         return None
-    clips, _, _, flags = _clip_view(annotated)
+    clips, *_, flags = _clip_view(annotated)
     at = np.minimum(np.searchsorted(clips, removed), clips.size - 1)
     missing = removed[clips[at] != removed]
     if missing.size:

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, draw_clips
 from .errors import InvalidInputError, TrainingError, check_class_map, check_fields, within
 from .losses import (
     LossReport,
@@ -271,19 +271,14 @@ def split_rows(
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot split an empty dataset")
     rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
-    gen = rng.generator()
-    clips, _, clip_labels = dataset.clip_table()
-    val_clips: list[int] = []
-    for cls in np.unique(clip_labels):
-        class_clips = clips[clip_labels == cls]
-        if class_clips.size < 2:
-            raise InvalidInputError(
-                f"class {int(cls)} has {class_clips.size} clip(s); need at least 2 to split"
-            )
-        n_val = math.ceil(val_fraction * class_clips.size)
-        order = gen.permutation(class_clips.size)
-        val_clips.extend(int(c) for c in class_clips[order[:n_val]])
-    val_mask = np.isin(dataset.clip_ids, np.asarray(val_clips, dtype=np.int64))
+    _, inverse, clip_labels = dataset.clip_table()
+
+    def n_val(cls: int, n: int) -> int:
+        if n < 2:
+            raise InvalidInputError(f"class {cls} has {n} clip(s); need at least 2 to split")
+        return math.ceil(val_fraction * n)
+
+    val_mask = draw_clips(clip_labels, n_val, rng.generator())[inverse]
     return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 

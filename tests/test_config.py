@@ -6,6 +6,7 @@ import json
 import math
 import re
 from collections.abc import Mapping
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from labelnoise import (
     Strategy,
     TrainConfig,
     beta_draws,
+    config_fingerprint,
     generate_blobs,
     mean_ci,
     mix_pair,
@@ -371,6 +373,16 @@ class TestParseExperiment:
         with pytest.raises(ConfigurationError):
             parse_experiment([1, 2, 3])
 
+    def test_integer_float_fields_fingerprint_as_parsed(self):
+        parsed = parse_experiment(
+            {"dataset": {"spread": 1}, "train": {"initial_lr": 1, "loss": {"kind": "cce"}}}
+        )
+        built = ExperimentConfig(
+            DatasetParams(cluster_spread=1), TrainConfig(LossSpec(LossKind.CCE), initial_lr=1)
+        )
+        assert built == parsed
+        assert config_fingerprint(built) == config_fingerprint(parsed)
+
 
 class TestReadConfigFile:
     def test_reads_json(self, tmp_path):
@@ -412,8 +424,8 @@ REJECTED_VALUES = [None, True, "x", 1.5, [1], {"a": 1}, list(range(30))]
 
 
 def shown(value) -> str:
-    """How an error ends that rejects ``value``."""
-    return f"got {json.dumps(value)[:40]}"
+    """How an error ends that rejects ``value``; a numpy scalar is shown as its Python value."""
+    return f"got {json.dumps(value.item() if isinstance(value, np.generic) else value)[:40]}"
 
 
 class Pairs(Mapping):
@@ -1067,15 +1079,68 @@ BOUND_CASES = [
     pytest.param(case, value, id=f"{case}-{json.dumps(value)}")
     for case, (_, interval, kind, _) in BOUNDS.items()
     for value in outside(interval, kind)
+] + [
+    # a numpy scalar is named by its Python value, as 1 and NaN
+    pytest.param(case, value, id=f"{case}-{value!r}")
+    for case, value in (
+        ("smooth_uniform.num_classes", np.int64(1)), ("percentile.level", np.float32("nan"))
+    )
 ]
+
+# The bounded fields annotated ``float``: their type is checked before their bound, so None is
+# refused as no number (generate_blobs checks its sizes by building a DatasetParams).
+FLOAT_FIELDS = [
+    "NoiseSpec.rate", "NoiseSpec.rate_by_class", "DatasetParams.cluster_spread",
+    "MixupPolicy.alpha", "PruneRecord.clip_loss", "SmoothingPolicy.epsilon",
+    "SmoothingPolicy.delta_epsilon", "TrainConfig.initial_lr", "TrainConfig.val_fraction",
+    "EpochRecord.train_loss", "EpochRecord.val_accuracy", "EpochRecord.lr",
+    "EpochRecord.kept_fraction",
+]
+NONE_REFUSED_BY_TYPE = {*FLOAT_FIELDS, "generate_blobs.cluster_spread"}
+# The fields annotated ``float | None``: None passes their type and is left to their bound.
+OPTIONAL_FLOAT_FIELDS = ["LossSpec.q", "SelectionRule.fraction", "SelectionRule.level"]
 
 
 @pytest.mark.parametrize("case, value", BOUND_CASES)
 def test_bound_refuses_a_value_outside_it_named_as_json(case, value):
     name, interval, _, call = BOUNDS[case]
+    if value is None and case in NONE_REFUSED_BY_TYPE:
+        with pytest.raises(TypeError) as excinfo:
+            call(value)
+        assert str(excinfo.value) == f"{name} must be a number, got null"
+        return
     with pytest.raises(InvalidInputError) as excinfo:
         call(value)
     assert str(excinfo.value) == f"{name} must lie in {interval}, {shown(value)}"
+
+
+def stored(record, name: str):
+    """The value ``record`` holds for the field ``name``, or ``name[key]`` of a map field."""
+    field, _, key = name.partition("[")
+    value = getattr(record, field)
+    return value[int(key[:-1])] if key else value
+
+
+class TestFloatFields:
+    """Every float field of a dataclass is stored as a float, as the config and record files
+    already cast them: a bool, or a value that is no real number, is refused in the words of
+    the record files when the dataclass is built."""
+
+    # 1/16 lies in every float field's bound, SmoothingPolicy(0.1)'s delta_epsilon included
+    @pytest.mark.parametrize("value", [np.float32(0.0625), Fraction(1, 16)], ids=repr)
+    @pytest.mark.parametrize("case", FLOAT_FIELDS + OPTIONAL_FLOAT_FIELDS)
+    def test_real_number_stored_as_float(self, case, value):
+        name, _, _, build = BOUNDS[case]
+        held = stored(build(value), name)
+        assert type(held) is float and held == 0.0625
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", [0.5]], ids=json.dumps)
+    @pytest.mark.parametrize("case", FLOAT_FIELDS + OPTIONAL_FLOAT_FIELDS)
+    def test_bool_or_non_number_refused_naming_the_field(self, case, value):
+        name, _, _, build = BOUNDS[case]
+        with pytest.raises(TypeError) as excinfo:
+            build(value)
+        assert str(excinfo.value) == f"{name} must be a number, {shown(value)}"
 
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "labelnoise").glob("*.py"))

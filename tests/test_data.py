@@ -1,9 +1,24 @@
-"""Tests for the Dataset container."""
+"""Tests for the Dataset container and the per-class clip draw."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labelnoise import Dataset, InvalidInputError
+from labelnoise import (
+    AnnotatedDataset,
+    Dataset,
+    InvalidInputError,
+    NoiseKind,
+    NoiseSpec,
+    RngStream,
+    inject_oov_noise,
+    inject_symmetric_noise,
+)
+from labelnoise.harness import _NOISE_STREAM, _round_count
+from labelnoise.trainer import split_rows
 
 
 def small_dataset():
@@ -104,13 +119,18 @@ class TestConstruction:
                 num_classes=1,
             )
 
-    def test_patches_of_one_clip_share_a_label(self):
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize(
+        "clip_ids, labels",
+        [([7, 7], [0, 1]), ([7, 3, 3, 7], [0, 1, 1, 1])],
+        ids=["adjacent", "apart"],
+    )
+    def test_patches_of_one_clip_share_a_label(self, clip_ids, labels):
+        with pytest.raises(InvalidInputError, match="^patches of one clip must share a label$"):
             Dataset(
-                example_ids=np.arange(2),
-                clip_ids=np.array([7, 7]),
-                features=np.zeros((2, 2)),
-                labels=np.array([0, 1]),
+                example_ids=np.arange(len(clip_ids)),
+                clip_ids=np.array(clip_ids),
+                features=np.zeros((len(clip_ids), 2)),
+                labels=np.array(labels),
                 num_classes=2,
             )
 
@@ -173,3 +193,115 @@ class TestClipAccessors:
 
     def test_empty_dataset_has_no_clips(self):
         assert np.unique(small_dataset().subset(np.array([], dtype=int)).clip_ids).size == 0
+
+
+# Reference copies of the three per-class clip draws as each once kept its own loop: the
+# validation split, and the uniform and per-class clip selection of the noise injectors.
+def reference_split_rows(dataset, val_fraction, seed):
+    gen = RngStream(seed).generator()
+    clips, _, clip_labels = dataset.clip_table()
+    val_clips = []
+    for cls in np.unique(clip_labels):
+        class_clips = clips[clip_labels == cls]
+        if class_clips.size < 2:
+            raise InvalidInputError(
+                f"class {int(cls)} has {class_clips.size} clip(s); need at least 2 to split"
+            )
+        n_val = math.ceil(val_fraction * class_clips.size)
+        order = gen.permutation(class_clips.size)
+        val_clips.extend(int(c) for c in class_clips[order[:n_val]])
+    val_mask = np.isin(dataset.clip_ids, np.asarray(val_clips, dtype=np.int64))
+    return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
+
+
+def reference_noisy_clips(annotated, spec):
+    """The sorted ids of the clips ``spec`` corrupts, and the generator after drawing them."""
+    gen = RngStream(spec.seed, _NOISE_STREAM).generator()
+    clips, inverse, clip_labels = annotated.data.clip_table()
+    if spec.rate_by_class is None:
+        order = gen.permutation(clips.size)
+        return np.sort(clips[order[: _round_count(spec.rate * clips.size)]]), gen
+    clean = np.empty(clips.size, dtype=np.int64)
+    clean[inverse] = annotated.clean_labels
+    original = np.where(clean >= 0, clean, clip_labels)
+    selected = []
+    for cls in range(annotated.data.num_classes):
+        class_clips = clips[original == cls]
+        count = _round_count(float(spec.rate_by_class[cls]) * class_clips.size)
+        order = gen.permutation(class_clips.size)
+        selected.extend(int(c) for c in class_clips[order[:count]])
+    return np.sort(np.asarray(selected, dtype=np.int64)), gen
+
+
+@st.composite
+def clip_layouts(draw):
+    """A dataset of 2 to 4 classes, each with 0 to 4 clips of 1 to 3 patches, under scattered
+    clip ids and in shuffled row order."""
+    num_classes = draw(st.integers(2, 4))
+    clips_per_class = draw(st.lists(st.integers(0, 4), min_size=num_classes, max_size=num_classes))
+    clip_classes = np.repeat(np.arange(num_classes), clips_per_class)
+    if clip_classes.size == 0:
+        clip_classes = np.array([draw(st.integers(0, num_classes - 1))])
+    n_clips = clip_classes.size
+    clip_ids = np.asarray(draw(st.permutations(range(3 * n_clips))))[:n_clips]
+    patches = draw(st.lists(st.integers(1, 3), min_size=n_clips, max_size=n_clips))
+    rows = np.asarray(draw(st.permutations(range(sum(patches)))))
+    row_clips = np.repeat(np.arange(n_clips), patches)[rows]
+    return Dataset(
+        example_ids=np.arange(rows.size),
+        clip_ids=clip_ids[row_clips],
+        features=np.arange(2.0 * rows.size).reshape(rows.size, 2),
+        labels=clip_classes[row_clips],
+        num_classes=num_classes,
+    )
+
+
+rates = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+INJECT = {NoiseKind.SYMMETRIC_IV: inject_symmetric_noise, NoiseKind.OOV_REPLACE: inject_oov_noise}
+
+
+class TestDrawClips:
+    """The validation split and both noise injectors draw their clips through
+    ``data.draw_clips``, and each draws exactly what its own loop once drew."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clip_layouts(), st.floats(0.01, 0.99), st.integers(0, 2**32))
+    def test_split_rows_as_its_own_loop(self, dataset, val_fraction, seed):
+        try:
+            expected = reference_split_rows(dataset, val_fraction, seed)
+        except InvalidInputError as exc:  # a class of one clip
+            with pytest.raises(InvalidInputError) as excinfo:
+                split_rows(dataset, val_fraction, seed)
+            assert str(excinfo.value) == str(exc)
+            return
+        for got, want in zip(split_rows(dataset, val_fraction, seed), expected):
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        clip_layouts(), rates, st.booleans(), st.integers(0, 2**32),
+        st.sampled_from([None, NoiseKind.SYMMETRIC_IV, NoiseKind.OOV_REPLACE]), st.data(),
+    )
+    def test_noise_masks_as_their_own_loops(self, dataset, rate, by_class, seed, prior, data):
+        rate_by_class = None
+        if by_class:
+            rate_by_class = {cls: data.draw(rates) for cls in range(dataset.num_classes)}
+        annotated = AnnotatedDataset(
+            dataset, dataset.labels.copy(), np.zeros(dataset.n_examples, dtype=bool)
+        )
+        if prior is not None:  # a clip's original class is then not always its label
+            annotated = INJECT[prior](annotated, NoiseSpec(prior, 0.5, seed + 1))
+        for kind, inject in INJECT.items():
+            spec = NoiseSpec(kind, rate, seed, rate_by_class)
+            selected, gen = reference_noisy_clips(annotated, spec)
+            noisy = inject(annotated, spec)
+            rows = np.isin(annotated.data.clip_ids, selected)
+            np.testing.assert_array_equal(noisy.corrupted, annotated.corrupted | rows)
+            if kind is NoiseKind.SYMMETRIC_IV and selected.size:
+                # the label draws follow the clip draws and land on the clips in id order
+                draws = gen.integers(0, dataset.num_classes - 1, size=selected.size)
+                clips, inverse, clip_labels = annotated.data.clip_table()
+                picked = np.searchsorted(clips, selected)
+                old = clip_labels[picked]
+                clip_labels[picked] = np.where(draws < old, draws, draws + 1)
+                np.testing.assert_array_equal(noisy.data.labels, clip_labels[inverse])
