@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import InvalidInputError, check_fields, within
+from .errors import InvalidInputError, check_fields
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class Dataset:
     clip_ids: np.ndarray     # (N,) int64
     features: np.ndarray     # (N, F) float64
     labels: np.ndarray       # (N,) int64 in [0, num_classes)
-    num_classes: int
+    num_classes: Annotated[int, "[2, inf)"]
 
     def __post_init__(self):
         object.__setattr__(self, "example_ids", np.asarray(self.example_ids, dtype=np.int64))
@@ -41,7 +42,6 @@ class Dataset:
             raise InvalidInputError("features must be a (N, F) array aligned with ids")
         if self.clip_ids.shape != (n,) or self.labels.shape != (n,):
             raise InvalidInputError("dataset columns must have equal lengths")
-        within("num_classes", self.num_classes, "[2, inf)")
         if n:
             if np.unique(self.example_ids).size != n:
                 raise InvalidInputError("example ids must be unique")

@@ -7,7 +7,7 @@ import operator
 from collections.abc import Mapping
 from enum import Enum
 from functools import cache
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -67,7 +67,9 @@ def enum_member(name: str, value, kind: type[Enum]) -> Enum:
 
 
 # How an error names the JSON type of a field kind.
-KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+KIND_NAMES = {
+    int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"
+}
 
 
 def _integer(name: str, value) -> int:
@@ -79,48 +81,65 @@ def _integer(name: str, value) -> int:
 def _number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be {KIND_NAMES[float]}, got {json_text(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise InvalidInputError(f"{name} must be a finite number, got {json_text(value)}") from None
 
 
-def _boolean(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"{name} must be {KIND_NAMES[bool]}, got {json_text(value)}")
-    return value
+def _instance(kind: type, *also: type):
+    """The rule of a field that holds a ``kind``, or one of ``also``, as it is."""
+    def rule(name: str, value):
+        if not isinstance(value, (kind, *also)):
+            raise TypeError(f"{name} must be {KIND_NAMES[kind]}, got {json_text(value)}")
+        return value
+    return rule
+
+
+# The rule of each scalar field kind.
+_SCALAR_RULES = {int: _integer, float: _number, bool: _instance(bool), str: _instance(str)}
 
 
 def _field_rule(hint):
     """How :func:`check_fields` checks a field annotated ``hint``: a function of the field's
     name and value that returns the value to store, or ``None`` for a field it leaves alone."""
+    if get_origin(hint) is Annotated:  # X and the interval it lies in
+        rule, interval = _field_rule(get_args(hint)[0]), hint.__metadata__[0]
+        return lambda name, value: within(name, rule(name, value), interval)
     if type(None) in get_args(hint):  # X | None
         rule = _field_rule(get_args(hint)[0])
         return rule and (lambda name, value: value if value is None else rule(name, value))
-    if hint is int:
-        return _integer
-    if hint is float:
-        return _number
-    if hint is bool:
-        return _boolean
+    if hint in _SCALAR_RULES:
+        return _SCALAR_RULES[hint]
     if isinstance(hint, type) and issubclass(hint, Enum):
         return lambda name, value: enum_member(name, value, hint)
     if get_origin(hint) is Mapping and (item := _field_rule(get_args(hint)[1])):
         return lambda name, value: {key: item(f"{name}[{key}]", v) for key, v in value.items()}
+    if get_origin(hint) is tuple and (item := _field_rule(get_args(hint)[0])):
+        entries = _instance(list, tuple)
+        return lambda name, value: tuple(
+            item(f"{name}[{index}]", v) for index, v in enumerate(entries(name, value))
+        )
     return None
 
 
 @cache
 def _field_rules(cls) -> tuple:
     """``(name, rule)`` of each field of the dataclass ``cls`` that :func:`check_fields` checks."""
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
     rules = ((field.name, _field_rule(hints[field.name])) for field in dataclasses.fields(cls))
     return tuple((name, rule) for name, rule in rules if rule)
 
 
 def check_fields(record) -> None:
-    """Checks each field of the dataclass ``record`` by its annotation, and stores it as checked:
-    an ``int`` by ``operator.index`` and a real ``float`` as a float, each refusing a bool; a
-    ``bool`` as a bool; an enum as its :func:`enum_member`; each value of a ``Mapping`` by the
-    rule of its value type; ``X | None`` may be ``None``.
-    A value of the wrong type raises ``TypeError`` in the words of the record files."""
+    """Checks each field of the dataclass ``record`` by its annotation, in field order, and stores
+    it as checked: an ``int`` by ``operator.index`` and a real ``float`` as a float, each refusing
+    a bool; a ``bool`` as a bool; a ``str`` as a str; an enum as its :func:`enum_member`; each
+    value of a ``Mapping`` by the rule of its value type; a ``tuple[X, ...]`` as a tuple whose
+    entries, named ``name[i]``, pass ``X``'s rule; ``X | None`` may be ``None``; and
+    ``Annotated[X, interval]`` by ``X``'s rule, then by :func:`within` ``interval``.
+    A value of the wrong type raises ``TypeError`` in the words of the record files; one outside
+    its interval, or an integer too large for a float, raises ``InvalidInputError``."""
     for name, rule in _field_rules(type(record)):
         object.__setattr__(record, name, rule(name, getattr(record, name)))
 
@@ -133,8 +152,8 @@ def _bounds(interval: str) -> tuple:
     return float(low), float(high), closed[interval[0]], closed[interval[-1]]
 
 
-def within(name: str, value, interval: str) -> None:
-    """Rejects ``value``, the input ``name``, unless it lies in ``interval``, written as printed
+def within(name: str, value, interval: str):
+    """``value``, the input ``name``, if it lies in ``interval``, written as printed
     (``"[0, 1)"``, ``"(0, inf)"``); NaN, ``None`` and what does not compare lie in none."""
     low, high, above_low, below_high = _bounds(interval)
     try:
@@ -143,3 +162,4 @@ def within(name: str, value, interval: str) -> None:
         inside = False
     if not inside:
         raise InvalidInputError(f"{name} must lie in {interval}, got {json_text(value)}")
+    return value

@@ -33,14 +33,14 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Mapping
+from typing import Annotated, Mapping
 
 import numpy as np
 
 from .data import Dataset, draw_clips
 from .errors import (
     ConfigurationError, ExperimentError, InvalidInputError, check_class_map, check_fields,
-    json_text, within,
+    json_text,
 )
 from .numerics import RngStream, derive_seed, mean_ci
 from .records import read_dataset_rows, read_record, write_dataset_rows, write_record
@@ -83,15 +83,12 @@ class NoiseSpec:
     """
 
     kind: NoiseKind
-    rate: float = 0.0
+    rate: Annotated[float, "[0, 1]"] = 0.0
     seed: int = 0
-    rate_by_class: Mapping[int, float] | None = None
+    rate_by_class: Mapping[int, Annotated[float, "[0, 1]"]] | None = None
 
     def __post_init__(self):
         check_fields(self)
-        within("rate", self.rate, "[0, 1]")
-        for cls, rate in (self.rate_by_class or {}).items():
-            within(f"rate_by_class[{cls}]", rate, "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -365,19 +362,15 @@ def dataset_fingerprint(annotated: AnnotatedDataset) -> str:
 
 @dataclass(frozen=True)
 class DatasetParams:
-    num_classes: int = 4
-    clips_per_class: int = 50
-    patches_per_clip: int = 3
-    feature_dim: int = 8
-    cluster_spread: float = 0.25
-    test_clips_per_class: int = 25
+    num_classes: Annotated[int, "[2, inf)"] = 4
+    clips_per_class: Annotated[int, "[1, inf)"] = 50
+    patches_per_clip: Annotated[int, "[1, inf)"] = 3
+    feature_dim: Annotated[int, "[1, inf)"] = 8
+    cluster_spread: Annotated[float, "[0, inf)"] = 0.25
+    test_clips_per_class: Annotated[int, "[1, inf)"] = 25
 
     def __post_init__(self):
         check_fields(self)
-        within("num_classes", self.num_classes, "[2, inf)")
-        for name in ("clips_per_class", "patches_per_clip", "feature_dim", "test_clips_per_class"):
-            within(name, getattr(self, name), "[1, inf)")
-        within("cluster_spread", self.cluster_spread, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -388,13 +381,12 @@ class ExperimentConfig:
     dataset: DatasetParams
     train: TrainConfig
     noise: NoiseSpec | None = None
-    runs: int = 7
+    runs: Annotated[int, "[1, inf)"] = 7
     base_seed: int = 0
     auto_noise_groups: bool = False
 
     def __post_init__(self):
         check_fields(self)
-        within("runs", self.runs, "[1, inf)")
         for name, spec in (("train", self.train), ("noise", self.noise)):
             if spec is not None and spec.seed != 0:
                 raise ConfigurationError(
@@ -409,17 +401,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunSummary:
-    per_run_accuracy: tuple[float, ...]  # percent
-    mean: float
-    ci_half_width: float
+    per_run_accuracy: tuple[Annotated[float, "[0, 100]"], ...]  # percent
+    mean: Annotated[float, "[0, 100]"]
+    ci_half_width: Annotated[float, "[0, inf)"]
     config_fingerprint: str
     dataset_fingerprints: tuple[str, ...]
 
     def __post_init__(self):
-        for index, value in enumerate(self.per_run_accuracy):
-            within(f"per_run_accuracy[{index}]", value, "[0, 100]")
-        within("mean", self.mean, "[0, 100]")
-        within("ci_half_width", self.ci_half_width, "[0, inf)")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Annotated
 
 import numpy as np
 
@@ -32,14 +33,12 @@ class Pairing(str, Enum):
 
 @dataclass(frozen=True)
 class MixupPolicy:
-    alpha: float
-    warmup_epochs: int = 0
+    alpha: Annotated[float, "(0, inf)"]
+    warmup_epochs: Annotated[int, "[0, inf)"] = 0
     pairing: Pairing = Pairing.INTRA_BATCH
 
     def __post_init__(self):
         check_fields(self)
-        within("alpha", self.alpha, "(0, inf)")
-        within("warmup_epochs", self.warmup_epochs, "[0, inf)")
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ def write_json_lines(path, rows) -> None:
 
 
 # How an error names the JSON type of each field kind (of a list kind, by its origin).
-_KIND_NAMES = {**KIND_NAMES, list: "a list", np.ndarray: "a list"}
+_KIND_NAMES = {**KIND_NAMES, np.ndarray: "a list"}
 
 
 def field_value(key: str, value, kind):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
 import numpy as np
 
@@ -70,18 +70,15 @@ class StagePlan:
     """
 
     strategy: Strategy = Strategy.NONE
-    start_epoch: int = 0
+    start_epoch: Annotated[int, "[0, inf)"] = 0
     rule: SelectionRule | None = None
-    prune_count: int = 0
-    prune_rounds: int = 1
+    prune_count: Annotated[int, "[0, inf)"] = 0
+    prune_rounds: Annotated[int, "[1, inf)"] = 1
 
     def __post_init__(self):
         check_fields(self)
-        within("start_epoch", self.start_epoch, "[0, inf)")
         if self.strategy == Strategy.DISCARD and self.rule is None:
             raise ConfigurationError("discard strategy requires a selection rule")
-        within("prune_count", self.prune_count, "[0, inf)")
-        within("prune_rounds", self.prune_rounds, "[1, inf)")
         if self.prune_rounds > 1 and self.start_epoch == 0:
             raise ConfigurationError("iterative pruning requires start_epoch >= 1")
 
@@ -184,14 +181,12 @@ class PruneRecord:
     """One line of a prune report: a clip's loss (finite, non-negative), rank and fate."""
 
     clip_id: int
-    clip_loss: float
-    rank: int
+    clip_loss: Annotated[float, "[0, inf)"]
+    rank: Annotated[int, "[1, inf)"]
     removed: bool
 
     def __post_init__(self):
         check_fields(self)
-        within("clip_loss", self.clip_loss, "[0, inf)")
-        within("rank", self.rank, "[1, inf)")
 
 
 def prune_report_rows(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Annotated, Mapping
 
 import numpy as np
 
@@ -38,14 +38,12 @@ class SmoothingPolicy:
     classes mapped to ``HIGH_NOISE`` use ``epsilon + delta_epsilon``.
     """
 
-    epsilon: float
-    delta_epsilon: float = 0.0
+    epsilon: Annotated[float, "[0, 1)"]
+    delta_epsilon: Annotated[float, "[0, inf)"] = 0.0
     group_of_class: Mapping[int, NoiseGroup] | None = None
 
     def __post_init__(self):
         check_fields(self)
-        within("epsilon", self.epsilon, "[0, 1)")
-        within("delta_epsilon", self.delta_epsilon, "[0, inf)")
         if self.epsilon - self.delta_epsilon < 0.0 or self.epsilon + self.delta_epsilon >= 1.0:
             raise InvalidInputError(
                 "epsilon +/- delta_epsilon must stay within [0, 1): got"

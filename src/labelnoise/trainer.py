@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Annotated
 
 import numpy as np
 
@@ -208,12 +209,12 @@ class _Adam:
 @dataclass(frozen=True)
 class TrainConfig:
     loss: LossSpec
-    max_epochs: int = 100
-    batch_size: int = 64
-    initial_lr: float = 0.001
-    lr_halving_patience: int = 5
-    early_stop_patience: int = 15
-    val_fraction: float = 0.15
+    max_epochs: Annotated[int, "[0, inf)"] = 100
+    batch_size: Annotated[int, "[1, inf)"] = 64
+    initial_lr: Annotated[float, "(0, inf)"] = 0.001
+    lr_halving_patience: Annotated[int, "[1, inf)"] = 5
+    early_stop_patience: Annotated[int, "[1, inf)"] = 15
+    val_fraction: Annotated[float, "(0, 1)"] = 0.15
     seed: int = 0
     stage: StagePlan = field(default_factory=StagePlan)
     smoothing: SmoothingPolicy | None = None
@@ -223,31 +224,20 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        within("max_epochs", self.max_epochs, "[0, inf)")
-        within("batch_size", self.batch_size, "[1, inf)")
-        within("initial_lr", self.initial_lr, "(0, inf)")
-        within("lr_halving_patience", self.lr_halving_patience, "[1, inf)")
-        within("early_stop_patience", self.early_stop_patience, "[1, inf)")
-        within("val_fraction", self.val_fraction, "(0, 1)")
         if self.architecture == Architecture.ONE_HIDDEN:
             within("hidden_units", self.hidden_units, "[1, inf)")
 
 
 @dataclass(frozen=True)
 class EpochRecord:
-    epoch: int
-    train_loss: float
-    val_accuracy: float
-    lr: float
-    kept_fraction: float
+    epoch: Annotated[int, "[0, inf)"]
+    train_loss: Annotated[float, "[0, inf)"]
+    val_accuracy: Annotated[float, "[0, 1]"]
+    lr: Annotated[float, "(0, inf)"]
+    kept_fraction: Annotated[float, "(0, 1]"]
 
     def __post_init__(self):
         check_fields(self)
-        within("epoch", self.epoch, "[0, inf)")
-        within("lr", self.lr, "(0, inf)")
-        within("kept_fraction", self.kept_fraction, "(0, 1]")
-        within("val_accuracy", self.val_accuracy, "[0, 1]")
-        within("train_loss", self.train_loss, "[0, inf)")
 
 
 @dataclass

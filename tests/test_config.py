@@ -2,18 +2,22 @@
 
 import ast
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import labelnoise
 from labelnoise import (
     Architecture,
     ConfigurationError,
@@ -1094,7 +1098,8 @@ FLOAT_FIELDS = [
     "MixupPolicy.alpha", "PruneRecord.clip_loss", "SmoothingPolicy.epsilon",
     "SmoothingPolicy.delta_epsilon", "TrainConfig.initial_lr", "TrainConfig.val_fraction",
     "EpochRecord.train_loss", "EpochRecord.val_accuracy", "EpochRecord.lr",
-    "EpochRecord.kept_fraction",
+    "EpochRecord.kept_fraction", "RunSummary.per_run_accuracy", "RunSummary.mean",
+    "RunSummary.ci_half_width",
 ]
 NONE_REFUSED_BY_TYPE = {*FLOAT_FIELDS, "generate_blobs.cluster_spread"}
 # The fields annotated ``float | None``: None passes their type and is left to their bound.
@@ -1142,6 +1147,77 @@ class TestFloatFields:
             build(value)
         assert str(excinfo.value) == f"{name} must be a number, {shown(value)}"
 
+    # as a config file refuses it: an integer past the float range is no finite number
+    @pytest.mark.parametrize("case", FLOAT_FIELDS + OPTIONAL_FLOAT_FIELDS)
+    def test_integer_too_large_for_a_float_refused(self, case):
+        name, _, _, build = BOUNDS[case]
+        with pytest.raises(InvalidInputError) as excinfo:
+            build(10**400)
+        assert str(excinfo.value) == f"{name} must be a finite number, {shown(10**400)}"
+
+
+class TestRunSummaryFields:
+    """A summary is checked when it is built, so that ``read_summary`` accepts what
+    ``write_summary`` writes: its lists are stored as tuples of checked entries (its number
+    fields are in the float tables above)."""
+
+    def test_lists_and_integers_stored_as_read_back(self):
+        summary = run_summary(
+            per_run_accuracy=[50, np.float64(62.5)], mean=56, ci_half_width=0,
+            dataset_fingerprints=["a", "b"],
+        )
+        assert summary.per_run_accuracy == (50.0, 62.5)
+        assert [type(v) for v in summary.per_run_accuracy] == [float, float]
+        assert (type(summary.mean), type(summary.ci_half_width)) == (float, float)
+        assert summary.dataset_fingerprints == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"per_run_accuracy": 50.0}, "per_run_accuracy must be a list, got 50.0"),
+            ({"config_fingerprint": 5}, "config_fingerprint must be a string, got 5"),
+            ({"dataset_fingerprints": "ab"}, 'dataset_fingerprints must be a list, got "ab"'),
+            (
+                {"dataset_fingerprints": ["a", None]},
+                "dataset_fingerprints[1] must be a string, got null",
+            ),
+        ],
+        ids=["accuracy_number", "config_int", "fingerprints_str", "fingerprint_null"],
+    )
+    def test_wrong_type_refused_naming_the_entry(self, field, message):
+        with pytest.raises(TypeError) as excinfo:
+            run_summary(**field)
+        assert str(excinfo.value) == message
+
+
+def intervals(hint):
+    """Each interval an ``Annotated`` inside the type hint ``hint`` declares."""
+    if get_origin(hint) is Annotated:
+        yield hint.__metadata__[0]
+    for arg in get_args(hint):
+        yield from intervals(arg)
+
+
+def annotated_bounds() -> dict:
+    """``{"Class.field": interval}`` for every bound a labelnoise dataclass field declares."""
+    bounds = {}
+    for module in pkgutil.iter_modules(labelnoise.__path__, "labelnoise."):
+        for cls in vars(importlib.import_module(module.name)).values():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.name):
+                continue
+            hints = get_type_hints(cls, include_extras=True)
+            for field in dataclasses.fields(cls):
+                for interval in intervals(hints[field.name]):
+                    bounds[f"{cls.__name__}.{field.name}"] = interval
+    return bounds
+
+
+def test_every_annotated_bound_is_in_the_bounds_table():
+    declared = annotated_bounds()
+    assert "Dataset.num_classes" in declared and "NoiseSpec.rate_by_class" in declared
+    assert {case: BOUNDS.get(case, (None, None))[1] for case in declared} == declared
+
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "labelnoise").glob("*.py"))
 
@@ -1169,3 +1245,43 @@ def test_every_got_placeholder_names_its_value_as_json(path):
 def test_got_placeholder_scan_finds_a_bare_value():
     found = list(got_placeholders('f"x must be 1, got {x}, not {json_text(x)}"'))
     assert [ast.unparse(node) for node in found] == ["x"]
+
+
+def unguarded_bounds(source: str):
+    """Each ``within(...)`` call in a ``__post_init__`` that no ``if`` statement guards."""
+    def calls(nodes):
+        for node in nodes:
+            if isinstance(node, ast.If):
+                continue
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "within":
+                yield node
+            yield from calls(ast.iter_child_nodes(node))
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            yield from calls(node.body)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_unconditional_field_bound_is_declared_in_its_annotation(path):
+    """A bound that holds whenever the record exists is written in the field's ``Annotated``
+    type and checked by ``check_fields``; ``__post_init__`` keeps only the conditional ones."""
+    unguarded = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for node in unguarded_bounds(path.read_text(encoding="utf-8"))
+    ]
+    assert not unguarded
+
+
+def test_bound_scan_finds_an_unguarded_call():
+    source = """
+class Record:
+    def __post_init__(self):
+        within("a", self.a, "[0, 1]")
+        for key, value in self.b.items():
+            within(f"b[{key}]", value, "[0, 1]")
+        if self.c is not None:
+            within("c", self.c, "[0, 1]")
+"""
+    found = [ast.unparse(node.args[1]) for node in unguarded_bounds(source)]
+    assert found == ["self.a", "value"]

@@ -157,6 +157,11 @@ class TestSubset:
     def test_empty_selection(self):
         assert small_dataset().subset(np.array([], dtype=int)).n_examples == 0
 
+    def test_repeated_index_refused(self):
+        # an index array may name a row twice; the subset's own checks must refuse it
+        with pytest.raises(InvalidInputError, match="^example ids must be unique$"):
+            small_dataset().subset(np.array([0, 0]))
+
 
 class TestClipAccessors:
     def test_clip_table_structure(self):
