@@ -68,7 +68,8 @@ def enum_member(name: str, value, kind: type[Enum]) -> Enum:
 
 # How an error names the JSON type of a field kind.
 KIND_NAMES = {
-    int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"
+    int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list",
+    Mapping: "an object",
 }
 
 
@@ -114,12 +115,23 @@ def _field_rule(hint):
     if isinstance(hint, type) and issubclass(hint, Enum):
         return lambda name, value: enum_member(name, value, hint)
     if get_origin(hint) is Mapping and (item := _field_rule(get_args(hint)[1])):
-        return lambda name, value: {key: item(f"{name}[{key}]", v) for key, v in value.items()}
-    if get_origin(hint) is tuple and (item := _field_rule(get_args(hint)[0])):
-        entries = _instance(list, tuple)
-        return lambda name, value: tuple(
+        pairs = _instance(Mapping)
+        return lambda name, value: {
+            key: item(f"{name}[{key}]", v) for key, v in pairs(name, value).items()
+        }
+    if get_origin(hint) in (list, tuple) and (item := _field_rule(get_args(hint)[0])):
+        entries, kind = _instance(list, tuple), get_origin(hint)
+        return lambda name, value: kind(
             item(f"{name}[{index}]", v) for index, v in enumerate(entries(name, value))
         )
+    if hint is np.ndarray:  # an array as it is; a list of numbers, or of rows, as float64
+        flat, nested = _field_rule(tuple[float, ...]), _field_rule(tuple[tuple[float, ...], ...])
+        def array(name: str, value):
+            if isinstance(value, np.ndarray):
+                return value
+            rows = isinstance(value, list) and value and isinstance(value[0], list)
+            return np.asarray((nested if rows else flat)(name, value), dtype=np.float64)
+        return array
     return None
 
 
@@ -134,9 +146,11 @@ def _field_rules(cls) -> tuple:
 def check_fields(record) -> None:
     """Checks each field of the dataclass ``record`` by its annotation, in field order, and stores
     it as checked: an ``int`` by ``operator.index`` and a real ``float`` as a float, each refusing
-    a bool; a ``bool`` as a bool; a ``str`` as a str; an enum as its :func:`enum_member`; each
-    value of a ``Mapping`` by the rule of its value type; a ``tuple[X, ...]`` as a tuple whose
-    entries, named ``name[i]``, pass ``X``'s rule; ``X | None`` may be ``None``; and
+    a bool; a ``bool`` as a bool; a ``str`` as a str; an enum as its :func:`enum_member`; a
+    ``Mapping`` as a dict, each value named ``name[key]`` and checked by the rule of its value
+    type; a ``list[X]`` or ``tuple[X, ...]``, given a list or a tuple, as a list or a tuple
+    whose entries, named ``name[i]``, pass ``X``'s rule; an ``np.ndarray`` as it is, or a list
+    of numbers, or of rows of numbers, as a float64 array; ``X | None`` may be ``None``; and
     ``Annotated[X, interval]`` by ``X``'s rule, then by :func:`within` ``interval``.
     A value of the wrong type raises ``TypeError`` in the words of the record files; one outside
     its interval, or an integer too large for a float, raises ``InvalidInputError``."""

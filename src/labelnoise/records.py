@@ -1,7 +1,8 @@
 """The on-disk layout of every artifact: JSON-lines files (dataset rows, metrics, prune reports)
-and one-document JSON files (model, summary), keys sorted, written atomically, and read by one
-exact-type rule that names the file and line of a fault. A record file's schema is its
-dataclass; a dataset file holds the columns of a ``Dataset``, plus the ground truth if private.
+and one-document JSON files (model, summary), keys sorted, written atomically, and read with
+each fault named by its file and line. A record file's schema is its dataclass, which types
+the fields as it is built; a dataset file holds the columns of a ``Dataset``, plus the ground
+truth if private, each value checked by the exact-type rule of :func:`field_value`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ import shutil
 import signal
 from array import array
 from contextlib import contextmanager
-from enum import Enum
 from functools import cache, partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -135,36 +134,21 @@ def write_json_lines(path, rows) -> None:
         fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-# How an error names the JSON type of each field kind (of a list kind, by its origin).
-_KIND_NAMES = {**KIND_NAMES, np.ndarray: "a list"}
-
-
 def field_value(key: str, value, kind):
     """``value``, the field ``key`` of a parsed JSON object, checked against ``kind``.
 
     Types are compared exactly, so a boolean is neither an integer nor a number: ``int`` is a
     JSON integer in the int64 range, ``float`` any JSON number (returned as a float), ``bool``
-    true or false, ``str`` a string, ``list`` any list, ``list[item]`` a list whose entries
-    each pass ``item`` (returned as a tuple; an entry is named ``key[index]``), and
-    ``np.ndarray`` a list of numbers or a list of rows of numbers (returned as a float64
-    array). A bad value raises ``TypeError``, ``ValueError`` or ``OverflowError``.
+    true or false, and ``object`` any JSON value, left to the caller to type, an integer held
+    to the int64 range. A bad value raises ``TypeError``, ``ValueError`` or ``OverflowError``.
     """
-    if type(value) is kind:
-        if kind is int and not -(2**63) <= value < 2**63:
+    if type(value) is kind or kind is object:
+        if type(value) is int and not -(2**63) <= value < 2**63:
             raise ValueError(f"{key} {value} is outside the int64 range")
         return value
     if kind is float and type(value) is int:
         return float(value)
-    if kind is np.ndarray and type(value) is list:
-        rows = list[list[float]] if value and type(value[0]) is list else list[float]
-        return np.asarray(field_value(key, value, rows), dtype=np.float64)
-    origin = get_origin(kind)
-    if origin is list and type(value) is list:
-        (item,) = get_args(kind)
-        return tuple(
-            field_value(f"{key}[{index}]", entry, item) for index, entry in enumerate(value)
-        )
-    raise TypeError(f"{key} must be {_KIND_NAMES[origin or kind]}, got {json_text(value)}")
+    raise TypeError(f"{key} must be {KIND_NAMES[kind]}, got {json_text(value)}")
 
 
 def row_fields(record, fields) -> tuple:
@@ -194,23 +178,13 @@ def _json_object(record) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
-def _kind(hint):
-    """The :func:`field_value` kind of a field annotated ``hint``: a str enum's is a string,
-    and a list's or a tuple's is a list of its items' kind."""
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return str
-    if get_origin(hint) in (list, tuple):
-        return list[_kind(get_args(hint)[0])]
-    return hint
-
-
 @cache
 def _parser(cls):
-    """A parse of a JSON object as the dataclass ``cls``: every field is type-checked by
-    :func:`row_fields`, in field order, and the values are passed to ``cls`` as they are."""
-    hints = get_type_hints(cls)
-    schema = tuple((f.name, _kind(hints[f.name])) for f in dataclasses.fields(cls))
-    return lambda record: cls(*row_fields(record, schema))
+    """A parse of a JSON object as the dataclass ``cls``: every field must be present, and goes
+    to ``cls`` as parsed, an integer held to the int64 range by :func:`row_fields`; ``cls``
+    checks the types and bounds as it is built."""
+    fields = tuple((f.name, object) for f in dataclasses.fields(cls))
+    return lambda record: cls(*row_fields(record, fields))
 
 
 def write_records(path, records) -> None:

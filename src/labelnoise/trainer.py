@@ -78,7 +78,6 @@ class ModelParams:
 
     def __post_init__(self):
         check_fields(self)
-        self.weights = list(self.weights)
         expected = _weight_shapes(
             self.architecture, self.feature_dim, self.num_classes, self.hidden_units
         )
@@ -137,6 +136,15 @@ def _forward_cached(
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Logits for a (N, F) feature matrix."""
     return _forward_cached(params, features)[0]
+
+
+def _checked_forward(params: ModelParams, features, epoch: int, where: str = "") -> tuple:
+    """:func:`_forward_cached` during training: logits that are not all finite mean that
+    training diverged, raised as ``TrainingError`` at ``epoch``, its message ending ``where``."""
+    logits, hidden = _forward_cached(params, features)
+    if not np.isfinite(logits).all():
+        raise TrainingError(f"training diverged: non-finite logits{where}", epoch)
+    return logits, hidden
 
 
 def _param_grads(
@@ -302,11 +310,14 @@ def plateau_step(
 
 
 def evaluate(params: ModelParams, dataset: Dataset) -> float:
-    """Clip-level accuracy: average patch softmax per clip, argmax vs clip label."""
+    """Clip-level accuracy: average patch softmax per clip, argmax vs clip label. A model whose
+    logits on ``dataset`` are not all finite raises ``InvalidInputError``."""
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot evaluate on an empty dataset")
-    layout = _clip_layout(dataset, params.num_classes)
-    return _clip_accuracy(params, dataset.features, layout)
+    logits = forward(params, dataset.features)
+    if not np.isfinite(logits).all():
+        raise InvalidInputError("cannot evaluate a model whose logits are not all finite")
+    return _clip_accuracy(logits, _clip_layout(dataset, params.num_classes))
 
 
 @dataclass(frozen=True)
@@ -329,11 +340,9 @@ def _clip_layout(dataset: Dataset, num_classes: int) -> _ClipLayout:
     return _ClipLayout(cells, counts, clip_labels)
 
 
-def _clip_mean_probs(
-    params: ModelParams, features: np.ndarray, layout: _ClipLayout
-) -> np.ndarray:
-    """Per-clip mean of the patch softmax rows, one row per clip."""
-    probs = softmax_rows(forward(params, features))
+def _clip_mean_probs(logits: np.ndarray, layout: _ClipLayout) -> np.ndarray:
+    """Per-clip mean of the softmax rows of the patch ``logits``, one row per clip."""
+    probs = softmax_rows(logits)
     # bincount adds each cell's terms in row order from 0.0, as np.add.at
     # does, so the sums are bit-identical to it (np.add.reduceat is not: it
     # adds a segment's first row to the sum of the others)
@@ -344,8 +353,8 @@ def _clip_mean_probs(
     return sums
 
 
-def _clip_accuracy(params: ModelParams, features: np.ndarray, layout: _ClipLayout) -> float:
-    predicted = _clip_mean_probs(params, features, layout).argmax(axis=1)
+def _clip_accuracy(logits: np.ndarray, layout: _ClipLayout) -> float:
+    predicted = _clip_mean_probs(logits, layout).argmax(axis=1)
     # an exact count over an exact size: the same float as the mean of the bools
     return np.count_nonzero(predicted == layout.labels) / predicted.size
 
@@ -468,9 +477,7 @@ def train(
                 )
                 features, batch_targets = mixed.features, mixed.targets
 
-            logits, hidden = _forward_cached(params, features)
-            if not np.isfinite(logits).all():
-                raise TrainingError("training diverged: non-finite logits", epoch)
+            logits, hidden = _checked_forward(params, features, epoch)
             probs = softmax_rows(logits)
             losses = _loss_values(config.loss, batch_targets, probs)
             total_count += len(losses)
@@ -503,7 +510,8 @@ def train(
             kept_loss_sum += loss_sum
             kept_count += n_kept
 
-        val_acc = _clip_accuracy(params, val_split.features, val_layout)
+        val_logits, _ = _checked_forward(params, val_split.features, epoch, " in validation")
+        val_acc = _clip_accuracy(val_logits, val_layout)
         history.append(
             EpochRecord(
                 epoch=epoch,
@@ -544,9 +552,9 @@ def _prune_now(
     contiguous gather of the rows, freed once it has run; a forward over
     chunks, or over all of ``dataset``, could change the losses' bits.
     """
-    logits = forward(params, dataset.features.take(rows, axis=0))
-    if not np.isfinite(logits).all():
-        raise TrainingError("training diverged: non-finite logits while pruning", epoch)
+    logits, _ = _checked_forward(
+        params, dataset.features.take(rows, axis=0), epoch, " while pruning"
+    )
     probs = softmax_rows(logits)
     report = batch_losses(
         config.loss, targets.take(rows, axis=0), probs, dataset.example_ids.take(rows)

@@ -132,7 +132,7 @@ MALFORMED_REPORT_LINES = {
     ),
     "loss_past_float": (
         lambda row: json.dumps({**row, "clip_loss": 10**400}),
-        "int too large to convert to float",
+        f"clip_loss {10**400} is outside the int64 range",
     ),
     # line 1 lists clip 0 as removed, at rank 1
     "clip_listed_twice": (
@@ -369,6 +369,25 @@ class TestTrainCommand:
         assert not (out_dir / "prune_report.jsonl").exists()
         output = capsys.readouterr().out
         assert re.search(r"best validation accuracy = \d+\.\d", output)
+
+    def test_divergence_found_by_validation_exits_one(self, tmp_path, capsys):
+        # one step per epoch, whose learning rate overflows the weights it leaves, so only
+        # the validation forward sees the non-finite logits
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(
+            data, classes=4, clips_per_class=20, patches_per_clip=3, dims=8, spread=0.25, seed=1,
+        ))
+        config = train_config(tmp_path, max_epochs=1, batch_size=1000, initial_lr=1e308)
+        out_dir = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(
+                "train", "--config", str(config), "--data", str(data), "--out-dir", str(out_dir)
+            )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: epoch 0: training diverged: non-finite logits in validation\n"
+        )
+        assert not (out_dir / "model.json").exists()
 
     def test_runs_are_byte_reproducible(self, tmp_path):
         data = tmp_path / "data.jsonl"

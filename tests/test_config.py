@@ -944,6 +944,29 @@ def test_bool_field_holds_a_bool(field):
         assert str(excinfo.value) == f"{name} must be true or false, {shown(bad)}"
 
 
+# Each mapping field, with the other arguments its dataclass needs and a valid map.
+MAPPING_FIELDS = {
+    "NoiseSpec.rate_by_class": (
+        lambda v: NoiseSpec(NoiseKind.OOV_REPLACE, rate_by_class=v), {0: 0.5, 1: 0.25}
+    ),
+    "SmoothingPolicy.group_of_class": (
+        lambda v: SmoothingPolicy(0.1, 0.05, v), {0: NoiseGroup.LOW_NOISE}
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MAPPING_FIELDS))
+def test_mapping_field_holds_a_dict(field):
+    build, valid = MAPPING_FIELDS[field]
+    name = field.split(".")[1]
+    held = getattr(build(valid), name)
+    assert type(held) is dict and held == valid
+    for bad in (5, [1], "ab", True):
+        with pytest.raises(TypeError) as excinfo:
+            build(bad)
+        assert str(excinfo.value) == f"{name} must be an object, {shown(bad)}"
+
+
 def epoch_record(**field):
     values = dict(epoch=0, train_loss=0.5, val_accuracy=0.5, lr=0.01, kept_fraction=1.0)
     return EpochRecord(**{**values, **field})

@@ -294,6 +294,15 @@ class TestForwardAndEvaluate:
         with pytest.raises(InvalidInputError):
             evaluate(params, ds)
 
+    def test_evaluate_refuses_non_finite_logits(self):
+        # weights this large overflow every logit, and NaN probabilities would score 0.25
+        data = generate_blobs(4, 20, 3, 8, 0.25, seed=1).data
+        params = self.linear_params(np.full((8, 4), 1e308), np.full(4, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError) as excinfo:
+                evaluate(params, data)
+        assert str(excinfo.value) == "cannot evaluate a model whose logits are not all finite"
+
     @settings(max_examples=60, deadline=None)
     @given(
         n_rows=st.integers(1, 40),
@@ -352,7 +361,8 @@ class TestForwardAndEvaluate:
         np.add.at(sums, inverse, probs)
         means = sums / np.bincount(inverse).astype(np.float64)[:, None]
         layout = _clip_layout(ds, num_classes)
-        np.testing.assert_array_equal(_clip_mean_probs(params, ds.features, layout), means)
+        got = _clip_mean_probs(forward(params, ds.features), layout)
+        np.testing.assert_array_equal(got, means)
         expected = float((means.argmax(axis=1) == label_of_clip[clips]).mean())
         assert evaluate(params, ds) == expected
 
@@ -666,12 +676,19 @@ class TestTrainLoop:
         import labelnoise.trainer as trainer_module
 
         scores = iter([0.5, 0.9, 0.7, 0.6, 0.8])
+        trained = []  # the model train updates in place
         scored_weights = []
+        real_forward = trainer_module._checked_forward
 
-        def scripted(params, features, layout):
-            scored_weights.append([w.copy() for w in params.weights])
+        def watched(params, *args):
+            trained[:] = [params]
+            return real_forward(params, *args)
+
+        def scripted(logits, layout):
+            scored_weights.append([w.copy() for w in trained[0].weights])
             return next(scores)
 
+        monkeypatch.setattr(trainer_module, "_checked_forward", watched)
         monkeypatch.setattr(trainer_module, "_clip_accuracy", scripted)
         result = train(blob_dataset(), quick_config(max_epochs=5, initial_lr=0.05))
         assert [r.val_accuracy for r in result.history] == [0.5, 0.9, 0.7, 0.6, 0.8]
@@ -744,6 +761,17 @@ class TestTrainLoop:
             with pytest.raises(TrainingError) as excinfo:
                 train(bad, quick_config())
         assert excinfo.value.epoch == 0
+
+    def test_non_finite_validation_logits_raise(self):
+        # one step per epoch: its logits are finite, and the step it takes overflows the
+        # weights, so validation is the first forward to see non-finite logits
+        data = generate_blobs(4, 20, 3, 8, 0.25, seed=1).data
+        config = TrainConfig(LossSpec("cce"), max_epochs=1, batch_size=1000, initial_lr=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError) as excinfo:
+                train(data, config)
+        assert excinfo.value.epoch == 0
+        assert str(excinfo.value) == "epoch 0: training diverged: non-finite logits in validation"
 
     def test_empty_dataset(self):
         ds = blob_dataset().subset(np.array([], dtype=int))
