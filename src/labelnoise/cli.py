@@ -49,6 +49,7 @@ from .errors import (
     ExperimentError,
     InvalidInputError,
     TrainingError,
+    field_rule,
     json_text,
 )
 from .harness import (
@@ -89,7 +90,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         patches_per_clip=args.patches_per_clip,
         feature_dim=args.dims,
         cluster_spread=args.spread,
-        seed=config_value(args.seed, "seed", int),  # a config integer, as corrupt's seed is
+        seed=config_value(args.seed, "seed", field_rule(int)),  # a config integer, as corrupt's is
         partition=args.partition,
     )
     return _write_datasets(args, annotated)

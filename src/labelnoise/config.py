@@ -1,18 +1,19 @@
 """Translate JSON-style dictionaries into the toolkit's typed configs.
 
 Each section of a config is one dataclass, and its keys are the dataclass's
-fields, in field order: a field's type gives the caster that checks its
-value, and its default what a missing key means (a field that defaults to
-``None`` takes JSON null as its default too). ``_DIFFERENCES`` lists the few
-places where the JSON differs from the dataclass. ``_parse`` walks a
-section's keys and ``_render`` prints a config back out in the same schema.
-Integers and numbers are checked by :func:`records.field_value`, the rule of
-the record files, so a bad value is refused with the same words and printed
-as JSON; a number must also be finite. Parsing is strict: unknown keys are
-rejected with their dotted path before any value of their section is read,
-values are checked in field order, and a constraint violation raised while
-building a dataclass is re-raised as a :class:`ConfigurationError` naming
-the section it came from.
+fields, in field order: a field's default gives what a missing key means (a
+field that defaults to ``None`` takes JSON null as its default too), and its
+rule in :func:`errors.field_rules`, the one its constructor checks, types and
+bounds its value. ``_DIFFERENCES`` lists the few places where the JSON
+differs from the dataclass. ``_parse`` walks a section's keys and ``_render``
+prints a config back out in the same schema. A value is first held to the
+int64 range, as in the record files, so a bad value is refused in the words
+of the constructors and the record files, named by its dotted JSON path and
+printed as JSON. Parsing is strict: unknown keys are rejected with their
+dotted path before any value of their section is read, values are checked in
+field order, and a constraint between fields, raised while building a
+dataclass, is re-raised as a :class:`ConfigurationError` naming the section
+it came from.
 
 Two conveniences are resolved here. A rule ``{"kind": "patch_count",
 "count": c}`` becomes the percentile rule that drops the ``c`` largest
@@ -26,18 +27,17 @@ a lone training run has no ground truth to derive it from, so only
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections.abc import Mapping
 from enum import Enum
 from functools import cache
 from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .errors import ConfigurationError, InvalidInputError, enum_member, json_text
+from .errors import ConfigurationError, InvalidInputError, field_rule, field_rules, json_text
 from .harness import DatasetParams, ExperimentConfig, NoiseSpec
 from .losses import LossSpec
 from .records import field_value, read_json
-from .selection import SelectionRule, StagePlan
-from .smoothing import NoiseGroup, SmoothingPolicy
+from .selection import SelectionKind, SelectionRule, StagePlan
+from .smoothing import SmoothingPolicy
 from .trainer import TrainConfig
 
 AUTO_GROUPS = "auto"
@@ -75,40 +75,24 @@ def _object(value: Any, path: str) -> Mapping:
     return value
 
 
-def config_value(value: Any, path: str, kind: type):
-    """``value`` checked by :func:`records.field_value`, a fault raised as ConfigurationError."""
+def config_value(value: Any, path: str, rule: Callable):
+    """The JSON value at ``path``, an integer held to the int64 range by
+    :func:`records.field_value`, then typed and bounded by the field rule ``rule`` (see
+    :func:`errors.field_rule`); a fault is raised as a ConfigurationError."""
     try:
-        return field_value(path, value, kind)
+        return rule(path, field_value(path, value, object))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from None
 
 
-def _int(value: Any, path: str, ctx: _Context) -> int:
-    return config_value(value, path, int)
+def _rule_of(cls, name: str) -> Callable:
+    """The rule of the field ``name`` of the dataclass ``cls``."""
+    return dict(field_rules(cls))[name]
 
 
-def _float(value: Any, path: str, ctx: _Context) -> float:
-    try:
-        number = config_value(value, path, float)
-    except OverflowError:  # an integer too large for a float
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{path} must be a finite number, got {json_text(value)}")
-    return number
-
-
-def _enum(enum_cls) -> Callable:
-    def cast(value: Any, path: str, ctx: _Context):
-        try:
-            return enum_member(path, value, enum_cls)
-        except InvalidInputError as exc:
-            raise ConfigurationError(str(exc)) from None
-    return cast
-
-
-def _class_map(item: Callable) -> Callable:
-    """A JSON object keyed by class index, each written as ``str(index)``; every key is
-    checked before any value."""
+def _class_map(rule: Callable) -> Callable:
+    """A JSON object keyed by class index, each written as ``str(index)``, checked by the map
+    field's ``rule`` once every key is an index, so an entry is named ``path[index]``."""
     def cast(value: Any, path: str, ctx: _Context) -> dict:
         raw: dict[int, Any] = {}
         for key, entry in _object(value, path).items():
@@ -121,7 +105,7 @@ def _class_map(item: Callable) -> Callable:
                     f"{path} keys must be class indices, got {json_text(key)}"
                 ) from None
             raw[cls] = entry
-        return {cls: item(entry, f"{path}[{cls}]", ctx) for cls, entry in raw.items()}
+        return config_value(raw, path, rule)
     return cast
 
 
@@ -140,7 +124,7 @@ def _build(factory, path: str, **kwargs):
 
 
 def _batch_size(value: Any, path: str, ctx: _Context) -> int:
-    ctx.batch_size = _int(value, path, ctx)
+    ctx.batch_size = config_value(value, path, _rule_of(TrainConfig, "batch_size"))
     return ctx.batch_size
 
 
@@ -153,7 +137,7 @@ def _rule(value: Any, path: str, ctx: _Context) -> SelectionRule:
     _check_keys(raw, ("kind", *_RULE_PARAMETER.values()), path)
     if "kind" not in raw:
         raise ConfigurationError(f"{_dotted(path, 'kind')} is required")
-    kind = _enum(_RuleKind)(raw["kind"], _dotted(path, "kind"), ctx).value
+    kind = config_value(raw["kind"], _dotted(path, "kind"), field_rule(_RuleKind)).value
     parameter = _RULE_PARAMETER[kind]
     where = _dotted(path, parameter)
     if parameter not in raw:
@@ -161,11 +145,10 @@ def _rule(value: Any, path: str, ctx: _Context) -> SelectionRule:
     for stray in _RULE_PARAMETER.values():
         if stray != parameter and stray in raw:
             raise ConfigurationError(f"{_dotted(path, stray)} does not apply to the {kind} rule")
-    if kind == "max_fraction":
-        return _build(SelectionRule.max_fraction, path, fraction=_float(raw[parameter], where, ctx))
-    if kind == "percentile":
-        return _build(SelectionRule.at_percentile, path, level=_float(raw[parameter], where, ctx))
-    count, batch_size = _int(raw[parameter], where, ctx), ctx.batch_size
+    if kind != "patch_count":
+        number = config_value(raw[parameter], where, _rule_of(SelectionRule, parameter))
+        return _build(SelectionRule, path, kind=SelectionKind(kind), **{parameter: number})
+    count, batch_size = config_value(raw[parameter], where, field_rule(int)), ctx.batch_size
     if not 1 <= count <= batch_size:
         raise ConfigurationError(
             f"{where} must lie in [1, batch_size={batch_size}], got {json_text(count)}"
@@ -175,7 +158,7 @@ def _rule(value: Any, path: str, ctx: _Context) -> SelectionRule:
 
 def _groups(value: Any, path: str, ctx: _Context):
     if value != AUTO_GROUPS:
-        return _class_map(_enum(NoiseGroup))(value, path, ctx)
+        return _class_map(_rule_of(SmoothingPolicy, "group_of_class"))(value, path, ctx)
     if not ctx.allow_auto_groups:
         raise ConfigurationError(
             f"{path}: 'auto' derives the group map from injected corruption and is only"
@@ -227,21 +210,22 @@ _DIFFERENCES: dict[tuple[type, str], dict | None] = {
 }
 
 
-def _caster(hint) -> Callable:
-    """The caster of a field of type ``hint``; ``X | None`` is cast as ``X``."""
+def _caster(hint, rule) -> Callable:
+    """The caster of a field of type ``hint`` that :func:`errors.field_rules` checks by
+    ``rule``, or, for a config section, leaves alone; ``X | None`` is cast as ``X``."""
     if type(None) in get_args(hint):
-        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+        hint = get_args(hint)[0]
+    if rule is None:
+        return _section(hint)
     if get_origin(hint) is Mapping:
-        return _class_map(_caster(get_args(hint)[1]))
-    if hint in (int, float):
-        return _int if hint is int else _float
-    return _enum(hint) if issubclass(hint, Enum) else _section(hint)
+        return _class_map(rule)
+    return lambda value, path, ctx: config_value(value, path, rule)
 
 
 @cache
 def _keys(cls) -> tuple[_Key, ...]:
     """The keys of the config dataclass ``cls``, one per field, in field order."""
-    hints = get_type_hints(cls)
+    hints, rules = get_type_hints(cls), dict(field_rules(cls))
     keys = []
     for field in dataclasses.fields(cls):
         difference = _DIFFERENCES.get((cls, field.name), {})
@@ -253,7 +237,8 @@ def _keys(cls) -> tuple[_Key, ...]:
             missing = _REQUIRED
         else:
             missing = _OPTIONAL
-        key = _Key(field.name, _caster(hints[field.name]), field.name, missing)
+        cast = _caster(hints[field.name], rules.get(field.name))
+        key = _Key(field.name, cast, field.name, missing)
         keys.append(key._replace(**difference))
     return tuple(keys)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import numbers
 import operator
 from collections.abc import Mapping
@@ -83,9 +84,12 @@ def _number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be {KIND_NAMES[float]}, got {json_text(value)}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer too large for a float
-        raise InvalidInputError(f"{name} must be a finite number, got {json_text(value)}") from None
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidInputError(f"{name} must be a finite number, got {json_text(value)}")
+    return number
 
 
 def _instance(kind: type, *also: type):
@@ -101,31 +105,31 @@ def _instance(kind: type, *also: type):
 _SCALAR_RULES = {int: _integer, float: _number, bool: _instance(bool), str: _instance(str)}
 
 
-def _field_rule(hint):
+def field_rule(hint):
     """How :func:`check_fields` checks a field annotated ``hint``: a function of the field's
     name and value that returns the value to store, or ``None`` for a field it leaves alone."""
     if get_origin(hint) is Annotated:  # X and the interval it lies in
-        rule, interval = _field_rule(get_args(hint)[0]), hint.__metadata__[0]
+        rule, interval = field_rule(get_args(hint)[0]), hint.__metadata__[0]
         return lambda name, value: within(name, rule(name, value), interval)
     if type(None) in get_args(hint):  # X | None
-        rule = _field_rule(get_args(hint)[0])
+        rule = field_rule(get_args(hint)[0])
         return rule and (lambda name, value: value if value is None else rule(name, value))
     if hint in _SCALAR_RULES:
         return _SCALAR_RULES[hint]
     if isinstance(hint, type) and issubclass(hint, Enum):
         return lambda name, value: enum_member(name, value, hint)
-    if get_origin(hint) is Mapping and (item := _field_rule(get_args(hint)[1])):
+    if get_origin(hint) is Mapping and (item := field_rule(get_args(hint)[1])):
         pairs = _instance(Mapping)
         return lambda name, value: {
             key: item(f"{name}[{key}]", v) for key, v in pairs(name, value).items()
         }
-    if get_origin(hint) in (list, tuple) and (item := _field_rule(get_args(hint)[0])):
+    if get_origin(hint) in (list, tuple) and (item := field_rule(get_args(hint)[0])):
         entries, kind = _instance(list, tuple), get_origin(hint)
         return lambda name, value: kind(
             item(f"{name}[{index}]", v) for index, v in enumerate(entries(name, value))
         )
     if hint is np.ndarray:  # an array as it is; a list of numbers, or of rows, as float64
-        flat, nested = _field_rule(tuple[float, ...]), _field_rule(tuple[tuple[float, ...], ...])
+        flat, nested = field_rule(tuple[float, ...]), field_rule(tuple[tuple[float, ...], ...])
         def array(name: str, value):
             if isinstance(value, np.ndarray):
                 return value
@@ -136,25 +140,26 @@ def _field_rule(hint):
 
 
 @cache
-def _field_rules(cls) -> tuple:
-    """``(name, rule)`` of each field of the dataclass ``cls`` that :func:`check_fields` checks."""
+def field_rules(cls) -> tuple:
+    """``(name, rule)`` of each field of the dataclass ``cls`` that :func:`check_fields` checks;
+    a config file checks its keys by the same rules."""
     hints = get_type_hints(cls, include_extras=True)
-    rules = ((field.name, _field_rule(hints[field.name])) for field in dataclasses.fields(cls))
+    rules = ((field.name, field_rule(hints[field.name])) for field in dataclasses.fields(cls))
     return tuple((name, rule) for name, rule in rules if rule)
 
 
 def check_fields(record) -> None:
     """Checks each field of the dataclass ``record`` by its annotation, in field order, and stores
-    it as checked: an ``int`` by ``operator.index`` and a real ``float`` as a float, each refusing
-    a bool; a ``bool`` as a bool; a ``str`` as a str; an enum as its :func:`enum_member`; a
+    it as checked: an ``int`` by ``operator.index`` and a finite real ``float`` as a float, each
+    refusing a bool; a ``bool`` as a bool; a ``str`` as a str; an enum as its :func:`enum_member`; a
     ``Mapping`` as a dict, each value named ``name[key]`` and checked by the rule of its value
     type; a ``list[X]`` or ``tuple[X, ...]``, given a list or a tuple, as a list or a tuple
     whose entries, named ``name[i]``, pass ``X``'s rule; an ``np.ndarray`` as it is, or a list
     of numbers, or of rows of numbers, as a float64 array; ``X | None`` may be ``None``; and
     ``Annotated[X, interval]`` by ``X``'s rule, then by :func:`within` ``interval``.
     A value of the wrong type raises ``TypeError`` in the words of the record files; one outside
-    its interval, or an integer too large for a float, raises ``InvalidInputError``."""
-    for name, rule in _field_rules(type(record)):
+    its interval, or a number that is not finite, raises ``InvalidInputError``."""
+    for name, rule in field_rules(type(record)):
         object.__setattr__(record, name, rule(name, getattr(record, name)))
 
 

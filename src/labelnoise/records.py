@@ -137,17 +137,15 @@ def write_json_lines(path, rows) -> None:
 def field_value(key: str, value, kind):
     """``value``, the field ``key`` of a parsed JSON object, checked against ``kind``.
 
-    Types are compared exactly, so a boolean is neither an integer nor a number: ``int`` is a
-    JSON integer in the int64 range, ``float`` any JSON number (returned as a float), ``bool``
-    true or false, and ``object`` any JSON value, left to the caller to type, an integer held
-    to the int64 range. A bad value raises ``TypeError``, ``ValueError`` or ``OverflowError``.
+    Types are compared exactly, so a boolean is not an integer: ``int`` is a JSON integer in
+    the int64 range, ``bool`` true or false, and ``object`` any JSON value, left to the caller
+    to type, an integer held to the int64 range. A bad value raises ``TypeError`` or
+    ``ValueError``.
     """
     if type(value) is kind or kind is object:
         if type(value) is int and not -(2**63) <= value < 2**63:
-            raise ValueError(f"{key} {value} is outside the int64 range")
+            raise ValueError(f"{key} {json_text(value)} is outside the int64 range")
         return value
-    if kind is float and type(value) is int:
-        return float(value)
     raise TypeError(f"{key} must be {KIND_NAMES[kind]}, got {json_text(value)}")
 
 
@@ -209,8 +207,12 @@ def write_record(path, record, indent: int | None = None) -> None:
 
 
 def read_record(path, cls):
-    """The one JSON document of ``path`` as a record of the dataclass ``cls``."""
-    return read_json(path, _parser(cls))
+    """The one JSON document of ``path``, an object, as a record of the dataclass ``cls``."""
+    def parse(document):
+        if type(document) is not dict:
+            raise TypeError(f"the file must hold one JSON object, got {json_text(document)}")
+        return _parser(cls)(document)
+    return read_json(path, parse)
 
 
 # --- dataset files -----------------------------------------------------------

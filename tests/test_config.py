@@ -577,7 +577,9 @@ class TestRoundTrips:
 
 
 class TestNonFiniteNumbers:
-    """json.loads accepts NaN and Infinity; the float caster does not."""
+    """json.loads accepts NaN and Infinity; the rule of a float field does not, in a config
+    file as in the constructor. An integer is held to the int64 range before it is typed, so
+    one too large for a float is refused as outside that range."""
 
     def test_nan_learning_rate(self):
         with pytest.raises(ConfigurationError, match=r"^train\.initial_lr must be a finite"):
@@ -616,9 +618,18 @@ class TestNonFiniteNumbers:
         with pytest.raises(ConfigurationError, match=r"^noise\.rate_by_class\[1\] must be"):
             parse_noise({"kind": "oov", "rate_by_class": {"0": 0.1, "1": float("inf")}})
 
+    def test_constructor_refuses_what_the_config_file_refuses(self):
+        with pytest.raises(InvalidInputError, match=r"^q must be a finite number, got NaN$"):
+            LossSpec(LossKind.CCE, q=float("nan"))
+        with pytest.raises(
+            ConfigurationError, match=r"^train\.loss\.q must be a finite number, got NaN$"
+        ):
+            parse_train(json.loads('{"loss": {"kind": "cce", "q": NaN}}'))
+
     def test_integer_too_large_for_a_float(self):
-        with pytest.raises(ConfigurationError, match=r"^train\.initial_lr must be a finite"):
+        with pytest.raises(ConfigurationError) as excinfo:
             parse_train({"initial_lr": 10**400})
+        assert str(excinfo.value) == f"train.initial_lr {'1' + '0' * 39} is outside the int64 range"
 
 
 class TestRecordFileRule:
@@ -1127,6 +1138,8 @@ FLOAT_FIELDS = [
 NONE_REFUSED_BY_TYPE = {*FLOAT_FIELDS, "generate_blobs.cluster_spread"}
 # The fields annotated ``float | None``: None passes their type and is left to their bound.
 OPTIONAL_FLOAT_FIELDS = ["LossSpec.q", "SelectionRule.fraction", "SelectionRule.level"]
+# A float field's type refuses NaN and ±Infinity before its bound is looked at.
+NON_FINITE_REFUSED_BY_TYPE = {*NONE_REFUSED_BY_TYPE, *OPTIONAL_FLOAT_FIELDS}
 
 
 @pytest.mark.parametrize("case, value", BOUND_CASES)
@@ -1139,7 +1152,10 @@ def test_bound_refuses_a_value_outside_it_named_as_json(case, value):
         return
     with pytest.raises(InvalidInputError) as excinfo:
         call(value)
-    assert str(excinfo.value) == f"{name} must lie in {interval}, {shown(value)}"
+    if isinstance(value, float) and not math.isfinite(value) and case in NON_FINITE_REFUSED_BY_TYPE:
+        assert str(excinfo.value) == f"{name} must be a finite number, {shown(value)}"
+    else:
+        assert str(excinfo.value) == f"{name} must lie in {interval}, {shown(value)}"
 
 
 def stored(record, name: str):

@@ -267,6 +267,76 @@ def test_outcomes_match_the_recording(corpus, bases, group, entry):
     assert not mismatches, f"{len(mismatches)} cases differ, first: {mismatches[0]}"
 
 
+# Every leaf of BASE is checked by its field's rule, where its JSON key is read: a value of the
+# wrong JSON type, or one outside the field's unconditional bound, is refused with the key as
+# written, a class map's entry as ``map[class]``.
+WRONG_TYPES = {int: ["x", True, 1.5, [1]], float: ["x", False, {}], str: [1, True, [1]]}
+OUT_OF_BOUND = {
+    "dataset.classes": 1, "dataset.clips_per_class": 0, "dataset.patches_per_clip": 0,
+    "dataset.dims": 0, "dataset.spread": -1, "dataset.test_clips_per_class": 0,
+    "train.max_epochs": -1, "train.batch_size": 0, "train.initial_lr": 0,
+    "train.lr_halving_patience": 0, "train.early_stop_patience": 0, "train.val_fraction": 1,
+    "train.stage.start_epoch": -1, "train.stage.rule.count": 0, "train.stage.prune_count": -1,
+    "train.stage.prune_rounds": 0, "train.smoothing.epsilon": 1,
+    "train.smoothing.delta_epsilon": -0.5, "train.mixup.alpha": 0, "train.mixup.warmup_epochs": -1,
+    "noise.rate": 1.5, **{f"noise.rate_by_class.{cls}": 1.5 for cls in range(4)}, "runs": 0,
+}
+# Leaves whose bound, if any, depends on another key: q on the loss kind, hidden_units on the
+# architecture; the rest are enums and a seed.
+NO_UNCONDITIONAL_BOUND = {
+    "train.loss.kind", "train.loss.q", "train.architecture", "train.hidden_units",
+    "train.stage.strategy", "train.stage.rule.kind", "train.mixup.pairing", "noise.kind",
+    "base_seed", *(f"train.smoothing.groups.{cls}" for cls in range(4)),
+}
+
+def leaves() -> dict:
+    """The value of each leaf of BASE, by its dotted key path."""
+    values = {}
+    for path in key_paths(BASE):
+        value = BASE
+        for key in path:
+            value = value[key]
+        if not isinstance(value, dict):
+            values[".".join(path)] = value
+    return values
+
+
+def written(dotted: str) -> str:
+    """How an error names the key at ``dotted``: as written, a class map's entry as map[class]."""
+    holder, _, last = dotted.rpartition(".")
+    return f"{holder}[{last}]" if last.isdigit() else dotted
+
+
+def refusals(dotted: str, value) -> list[str]:
+    """What each entry point that reads the key ``dotted`` says when it holds ``value``."""
+    config = mutated([["set", dotted, value]])
+    entries = ENTRIES if dotted.startswith("train.") else {"experiment": ENTRIES["experiment"]}
+    said = []
+    for run in entries.values():
+        with pytest.raises(ConfigurationError) as excinfo:
+            run(config)
+        said.append(str(excinfo.value))
+    return said
+
+
+def test_leaf_bounds_tables_cover_every_leaf():
+    assert set(OUT_OF_BOUND) | NO_UNCONDITIONAL_BOUND == set(leaves())
+    assert not set(OUT_OF_BOUND) & NO_UNCONDITIONAL_BOUND
+
+
+@pytest.mark.parametrize("dotted, leaf", leaves().items())
+def test_wrong_type_refused_naming_the_key_as_written(dotted, leaf):
+    for value in WRONG_TYPES[type(leaf)]:
+        for message in refusals(dotted, value):
+            assert message.startswith(f"{written(dotted)} must be "), (value, message)
+
+
+@pytest.mark.parametrize("dotted", sorted(OUT_OF_BOUND))
+def test_out_of_bound_value_refused_naming_the_key_as_written(dotted):
+    for message in refusals(dotted, OUT_OF_BOUND[dotted]):
+        assert message.startswith(f"{written(dotted)} must lie in "), message
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)

@@ -1093,12 +1093,12 @@ class TestArtifacts:
             (
                 '{"epoch": 3, "kept_fraction": 1.0, "lr": NaN, "train_loss": 0.5,'
                 ' "val_accuracy": 0.5}',
-                "lr must lie in (0, inf), got NaN",
+                "lr must be a finite number, got NaN",
             ),
             (
                 '{"epoch": 3, "kept_fraction": 1.0, "lr": Infinity, "train_loss": 0.5,'
                 ' "val_accuracy": 0.5}',
-                "lr must lie in (0, inf), got Infinity",
+                "lr must be a finite number, got Infinity",
             ),
             (
                 '{"epoch": -5, "kept_fraction": 1.0, "lr": 0.01, "train_loss": 0.5,'
