@@ -38,6 +38,7 @@ from pathlib import Path
 from .config import (
     config_value,
     experiment_to_dict,
+    parse_dataset,
     parse_experiment,
     parse_noise,
     parse_train,
@@ -84,14 +85,13 @@ def _wrote(path: Path) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # the sizes are the dataset section of a config, and the seed a config integer, as
+    # corrupt's are
+    sizes = ("classes", "clips_per_class", "patches_per_clip", "dims", "spread")
+    dp = parse_dataset({key: getattr(args, key) for key in sizes})
     annotated = generate_blobs(
-        num_classes=args.classes,
-        clips_per_class=args.clips_per_class,
-        patches_per_clip=args.patches_per_clip,
-        feature_dim=args.dims,
-        cluster_spread=args.spread,
-        seed=config_value(args.seed, "seed", field_rule(int)),  # a config integer, as corrupt's is
-        partition=args.partition,
+        dp.num_classes, dp.clips_per_class, dp.patches_per_clip, dp.feature_dim,
+        dp.cluster_spread, config_value(args.seed, "seed", field_rule(int)), args.partition,
     )
     return _write_datasets(args, annotated)
 
@@ -281,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingError, ExperimentError, OSError) as exc:
+    except (TrainingError, ExperimentError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,7 +80,7 @@ def config_value(value: Any, path: str, rule: Callable):
     :func:`records.field_value`, then typed and bounded by the field rule ``rule`` (see
     :func:`errors.field_rule`); a fault is raised as a ConfigurationError."""
     try:
-        return rule(path, field_value(path, value, object))
+        return rule(path, field_value(path, value))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from None
 
@@ -284,6 +284,10 @@ def parse_train(section: Any, prefix: str = "train", allow_auto_groups: bool = F
 
 def parse_noise(section: Any, prefix: str = "noise") -> NoiseSpec:
     return _section(NoiseSpec)(section, prefix, _Context())
+
+
+def parse_dataset(section: Any) -> DatasetParams:
+    return _section(DatasetParams)(section, "dataset", _Context())
 
 
 def parse_experiment(config: Any) -> ExperimentConfig:

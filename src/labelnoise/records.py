@@ -2,7 +2,7 @@
 and one-document JSON files (model, summary), keys sorted, written atomically, and read with
 each fault named by its file and line. A record file's schema is its dataclass, which types
 the fields as it is built; a dataset file holds the columns of a ``Dataset``, plus the ground
-truth if private, each value checked by the exact-type rule of :func:`field_value`.
+truth if private, each value typed by its field rule from :mod:`errors`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import KIND_NAMES, InvalidInputError, json_text
+from .errors import InvalidInputError, field_rule, json_text
 
 
 def _fault(err: Exception, document: bool = False) -> str:
@@ -46,7 +46,7 @@ def _parse_lines(lines, parse_row) -> tuple:
             continue
         try:
             parse_row(json.loads(line))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             fault = exc
             if isinstance(exc, json.JSONDecodeError):
                 # without its line ending, a line that stops early is faulted where it stops
@@ -74,9 +74,8 @@ def read_json_lines(path, parse_row) -> list:
 
     Lines are numbered from 1, blank ones included. A line that is not JSON,
     or whose parsed value ``parse_row`` rejects with a ``KeyError``,
-    ``TypeError``, ``ValueError`` or ``OverflowError`` (a JSON integer too
-    large for a float), raises ``InvalidInputError`` naming the file, the line
-    and the fault.
+    ``TypeError`` or ``ValueError``, raises ``InvalidInputError`` naming the
+    file, the line and the fault.
     """
     rows = []
     with open(Path(path), "rb") as fh:
@@ -94,7 +93,7 @@ def read_json(path, parse):
     """
     try:
         return parse(json.loads(Path(path).read_bytes()))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: {_fault(exc, document=True)}") from exc
 
 
@@ -134,27 +133,21 @@ def write_json_lines(path, rows) -> None:
         fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def field_value(key: str, value, kind):
-    """``value``, the field ``key`` of a parsed JSON object, checked against ``kind``.
-
-    Types are compared exactly, so a boolean is not an integer: ``int`` is a JSON integer in
-    the int64 range, ``bool`` true or false, and ``object`` any JSON value, left to the caller
-    to type, an integer held to the int64 range. A bad value raises ``TypeError`` or
-    ``ValueError``.
-    """
-    if type(value) is kind or kind is object:
-        if type(value) is int and not -(2**63) <= value < 2**63:
-            raise ValueError(f"{key} {json_text(value)} is outside the int64 range")
-        return value
-    raise TypeError(f"{key} must be {KIND_NAMES[kind]}, got {json_text(value)}")
+def field_value(key: str, value):
+    """``value``, the field ``key`` of a parsed JSON object; an integer outside the int64 range
+    raises ``ValueError``."""
+    if type(value) is int and not -(2**63) <= value < 2**63:
+        raise ValueError(f"{key} {json_text(value)} is outside the int64 range")
+    return value
 
 
 def row_fields(record, fields) -> tuple:
     """The values of ``fields``, ``(key, kind)`` pairs, in the parsed JSON object ``record``.
 
-    Each is checked by :func:`field_value`. A record that is not an object, or lacks a key,
+    Each is typed by the :func:`errors.field_rule` of its ``kind`` (``object`` leaves it as
+    parsed) and held by :func:`field_value`. A record that is not an object, or lacks a key,
     raises ``TypeError`` or ``KeyError``; :func:`read_json_lines` and :func:`read_json` turn
-    these and the errors of :func:`field_value` into their errors.
+    these and the errors of the rules into their errors.
     """
     if type(record) is not dict:
         raise TypeError(f"a row must be a JSON object, got {json_text(record)}")
@@ -163,7 +156,7 @@ def row_fields(record, fields) -> tuple:
         value = record[key]
         # the exact, in-range case is decided inline: it is every field of every dataset row
         if type(value) is not kind or (kind is int and not -(2**63) <= value < 2**63):
-            value = field_value(key, value, kind)
+            value = field_value(key, value if kind is object else field_rule(kind)(key, value))
         values.append(value)
     return tuple(values)
 
@@ -379,7 +372,8 @@ def write_dataset_rows(path, data: Dataset, truth: tuple | None = None) -> None:
 # The integer fields of every dataset row and the ground-truth pair of a private one.
 _ID_FIELDS = (("example_id", int), ("clip_id", int), ("label", int))
 _TRUTH_FIELDS = (("clean_label", int), ("corrupted", bool))
-_NUMBERS = frozenset((int, float))
+_FLOATS = frozenset((float,))
+_FEATURES = field_rule(tuple[float, ...])  # the rule of a features list not all floats
 
 
 class _RowSchema:
@@ -410,13 +404,13 @@ class _RowSchema:
                 " a dataset file annotates every row or none"
             )
         features = record["features"]
-        if type(features) is not list or not _NUMBERS.issuperset(map(type, features)):
-            raise TypeError("features must be a flat list of numbers")
+        if type(features) is not list or not _FLOATS.issuperset(map(type, features)):
+            features = _FEATURES("features", features)  # names a bad entry; an int as a float
         if self.width is None:
             self.width = len(features)
         if len(features) != self.width:
             raise ValueError(f"{len(features)} features where earlier rows have {self.width}")
-        self.features.extend(features)  # OverflowError past the float range
+        self.features.extend(features)
         clean, corrupted = row_fields(record, _TRUTH_FIELDS) if self.annotated else (label, False)
         self.ids.extend((example_id, clip_id, label, clean))
         self.corrupted.append(corrupted)

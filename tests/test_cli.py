@@ -103,11 +103,11 @@ MALFORMED_ROWS = {
     ),
     "string_feature": (
         lambda row: json.dumps({**row, "features": ["2.5", *row["features"][1:]]}),
-        "features must be a flat list of numbers",
+        'features[0] must be a number, got "2.5"',
     ),
     "huge_int_feature": (
         lambda row: json.dumps({**row, "features": [10**400, *row["features"][1:]]}),
-        "int too large to convert to float",
+        f"features[0] must be a finite number, got {'1' + '0' * 39}",
     ),
 }
 
@@ -196,20 +196,44 @@ class TestDatasetCommands:
         )
         assert (corrupt.rate, corrupt.seed) == (0.0, 0)
 
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("classes", 1, "num_classes must lie in [2, inf), got 1"),
-            ("clips_per_class", 0, "clips_per_class must lie in [1, inf), got 0"),
-            ("patches_per_clip", 0, "patches_per_clip must lie in [1, inf), got 0"),
-            ("dims", 0, "feature_dim must lie in [1, inf), got 0"),
-            ("spread", -0.5, "cluster_spread must lie in [0, inf), got -0.5"),
-        ],
-    )
-    def test_generate_size_error_names_the_size(self, tmp_path, capsys, flag, value, message):
+    # each size flag is the key of the dataset section of a config with the flag's name
+    SIZE_FAULTS = {
+        "classes": (1, "dataset.classes must lie in [2, inf), got 1"),
+        "clips_per_class": (0, "dataset.clips_per_class must lie in [1, inf), got 0"),
+        "patches_per_clip": (0, "dataset.patches_per_clip must lie in [1, inf), got 0"),
+        "dims": (0, "dataset.dims must lie in [1, inf), got 0"),
+        "spread": (-0.5, "dataset.spread must lie in [0, inf), got -0.5"),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(SIZE_FAULTS))
+    def test_generate_size_error_names_the_size(self, tmp_path, capsys, flag):
+        value, message = self.SIZE_FAULTS[flag]
         out = tmp_path / "data.jsonl"
         assert run_cli(*generate_args(out, **{flag: value})) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", sorted(SIZE_FAULTS))
+    def test_generate_size_error_is_the_config_files(self, tmp_path, capsys, flag):
+        value, _ = self.SIZE_FAULTS[flag]
+        assert run_cli(*generate_args(tmp_path / "data.jsonl", **{flag: value})) == 2
+        from_flag = capsys.readouterr().err
+        config = json.loads(experiment_config(tmp_path).read_text())
+        config["dataset"][flag] = value
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("experiment", "--config", str(path), "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == from_flag
+
+    def test_generate_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        # raised in place of numpy's allocation failure, so that no test asks for the memory
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 23.3 TiB for an array")
+
+        monkeypatch.setattr("labelnoise.cli.generate_blobs", no_memory)
+        out = tmp_path / "data.jsonl"
+        assert run_cli(*generate_args(out, clips_per_class=10**11)) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 23.3 TiB for an array\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [2**63, 2**64 + 5, -(2**63) - 1])

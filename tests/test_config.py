@@ -55,6 +55,7 @@ from labelnoise import (
 from labelnoise.config import (
     _keys as config_keys,
     experiment_to_dict,
+    parse_dataset,
     parse_experiment,
     parse_noise,
     parse_train,
@@ -307,6 +308,13 @@ class TestParseDatasetAndNoise:
         assert params.feature_dim == 5
         assert params.cluster_spread == 0.5
         assert params.patches_per_clip == 3  # default
+
+    def test_dataset_section_alone_is_the_experiments(self):
+        section = {"classes": 6, "clips_per_class": 10, "dims": 5, "spread": 0.5}
+        assert parse_dataset(section) == parse_experiment({"dataset": section}).dataset
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_dataset({"spread": -1.0})
+        assert str(excinfo.value) == "dataset.spread must lie in [0, inf), got -1.0"
 
     def test_noise_uniform(self):
         spec = parse_noise({"kind": "symmetric", "rate": 0.4})

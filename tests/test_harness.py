@@ -535,9 +535,9 @@ MALFORMED = {
     "float_clip_id": "clip_id must be an integer, got 1.5",
     "string_clean_label": 'clean_label must be an integer, got "0"',
     "string_corrupted": 'corrupted must be true or false, got "no"',
-    "string_feature": "features must be a flat list of numbers",
-    "bool_feature": "features must be a flat list of numbers",
-    "huge_int_feature": "int too large to convert to float",
+    "string_feature": 'features[1] must be a number, got "2.5"',
+    "bool_feature": "features[1] must be a number, got true",
+    "huge_int_feature": f"features[1] must be a finite number, got {'1' + '0' * 39}",
 }
 
 
@@ -654,6 +654,18 @@ class TestSerialization:
         assert len(dataset_fingerprint(a)) == 16
         c = blobs(clips_per_class=2, seed=1)
         assert dataset_fingerprint(a) != dataset_fingerprint(c)
+
+    @pytest.mark.parametrize("reader", [read_dataset, read_annotated, read_as_annotated])
+    def test_integer_features_read_as_their_floats(self, tmp_path, reader):
+        # an integer feature reads back as the float nearest it, 2**53 + 1 as 2**53
+        path = tmp_path / "ints.jsonl"
+        rows = [dict(example_id=0, features=[1, 2.5]), dict(example_id=1, features=[2**53 + 1, -3])]
+        truth = dict(clip_id=0, label=0, clean_label=0, corrupted=False)
+        path.write_text("".join(json.dumps({**row, **truth}) + "\n" for row in rows))
+        loaded = reader(path)
+        features = getattr(loaded, "data", loaded).features
+        expected = np.array([[1.0, 2.5], [2.0**53, -3.0]])
+        assert features.tobytes() == expected.tobytes()
 
     def test_non_finite_feature_rejected_with_its_example_id(self, tmp_path):
         annotated = blobs(clips_per_class=2)
@@ -923,12 +935,34 @@ def _drop_truth(row):
     return {key: value for key, value in row.items() if key not in ("clean_label", "corrupted")}
 
 
+def first_feature(value):
+    """A row fault: the row with its first feature replaced by ``value``."""
+    return lambda row: json.dumps({**row, "features": [value, *row["features"][1:]]})
+
+
 # A fault put into one row of a dataset file: the line that replaces the row's line.
 ROW_FAULTS = {
     "bad_json": lambda row: json.dumps(row)[:-3],
     "width_change": lambda row: json.dumps({**row, "features": row["features"][:-1]}),
     "truth_on_some_rows_only": lambda row: json.dumps(_drop_truth(row)),
     "non_finite_value": lambda row: json.dumps({**row, "features": [math.inf, *row["features"][1:]]}),
+    "bool_feature": first_feature(True),
+    "string_feature": first_feature("2.5"),
+    "nested_feature": first_feature([1.0]),
+    "null_feature": first_feature(None),
+    # alone: 310 digits do not fit in a row's line beside the other features
+    "huge_int_feature": lambda row: json.dumps({**row, "features": [10**309]}),
+    "features_not_a_list": lambda row: json.dumps({**row, "features": {"0": 1.5}}),
+}
+
+# What a feature fault of ROW_FAULTS is refused with, after its file and line.
+FEATURE_FAULTS = {
+    "bool_feature": "features[0] must be a number, got true",
+    "string_feature": 'features[0] must be a number, got "2.5"',
+    "nested_feature": "features[0] must be a number, got [1.0]",
+    "null_feature": "features[0] must be a number, got null",
+    "huge_int_feature": f"features[0] must be a finite number, got {'1' + '0' * 39}",
+    "features_not_a_list": 'features must be a list, got {"0": 1.5}',
 }
 
 
@@ -993,7 +1027,8 @@ class TestDatasetFileRanges:
         self, tmp_path, fault, place
     ):
         path = tmp_path / "bad.jsonl"
-        write_annotated(path, blobs(clips_per_class=4))  # 48 rows
+        # 48 rows, each long enough to hold a feature of 310 digits
+        write_annotated(path, blobs(clips_per_class=4, feature_dim=24))
         lines = path.read_text().splitlines()
         lines.insert(6, "")  # blank lines count toward the line number
         path.write_text("\n".join(lines) + "\n")
@@ -1012,11 +1047,15 @@ class TestDatasetFileRanges:
                 with pytest.raises(InvalidInputError) as excinfo:
                     read_annotated(path)
             messages[workers] = str(excinfo.value)
-            # a first row that is not JSON, or that has no ground truth (a public file, which
-            # read_annotated refuses), is refused before the file is split
-            refused_first = rows[0] == 0 and fault in ("bad_json", "truth_on_some_rows_only")
+            # a first row that is not JSON, has a bad feature, or has no ground truth (a public
+            # file, which read_annotated refuses), is refused before the file is split
+            refused_first = rows[0] == 0 and (
+                fault in ("bad_json", "truth_on_some_rows_only") or fault in FEATURE_FAULTS
+            )
             assert bool(forks) == (workers > 1 and not refused_first)
         assert messages[2] == messages[1] and messages[3] == messages[1]
+        if fault in FEATURE_FAULTS:
+            assert messages[1].endswith(f": {FEATURE_FAULTS[fault]}")
 
     def test_public_file_refused_at_its_first_row(self, tmp_path):
         path = tmp_path / "public.jsonl"

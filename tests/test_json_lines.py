@@ -284,7 +284,9 @@ class TestJsonDocuments:
             ('{"a": 1}', lambda record: record["b"], "missing field 'b'"),
             ("[1, 2]", lambda record: record["b"], "list indices must be"),
             ('{"a": "x"}', lambda record: float(record["a"]), "could not convert"),
-            ("1e400", lambda record: int(record), "cannot convert float infinity"),
+            # a number past the float range is refused by its field rule, naming the value
+            (str(10**400), lambda record: errors.field_rule(float)("x", record),
+             "x must be a finite number, got 1000"),
             (b"\xff\xfe\x00", dict, "codec can't decode"),
         ],
     )
