@@ -43,7 +43,8 @@ class Dataset:
         if self.clip_ids.shape != (n,) or self.labels.shape != (n,):
             raise InvalidInputError("dataset columns must have equal lengths")
         if n:
-            if np.unique(self.example_ids).size != n:
+            ids = np.sort(self.example_ids)
+            if (ids[1:] == ids[:-1]).any():
                 raise InvalidInputError("example ids must be unique")
             if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
                 raise InvalidInputError("labels outside [0, num_classes)")

@@ -136,6 +136,10 @@ def generate_blobs(
 
     n_clips = num_classes * clips_per_class
     n = n_clips * patches_per_clip
+    if n * feature_dim * 8 > np.iinfo(np.intp).max:
+        # numpy refuses a float64 array of this many bytes with a ValueError before
+        # allocating; fail as an allocation too large for memory does
+        raise MemoryError(f"{n} patches x {feature_dim} dims is too big for an array")
     clip_gen = RngStream(seed, _CLIP_STREAM[partition]).generator()
     clip_offsets = clip_gen.standard_normal((n_clips, feature_dim)) * cluster_spread
     patch_offsets = clip_gen.standard_normal((n, feature_dim)) * cluster_spread

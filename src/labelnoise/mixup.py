@@ -10,7 +10,7 @@ with ``lam ~ Beta(alpha, alpha)`` drawn independently per pair (no
 gated by a warm-up schedule: before ``warmup_epochs`` completed epochs the
 batch passes through untouched. Pairing is either a seeded random
 permutation of the batch against itself or positional pairing against a
-partner batch of equal size. Mixup is a training-time augmentation only;
+partner batch of equal shape. Mixup is a training-time augmentation only;
 validation and test data are never mixed.
 """
 
@@ -61,9 +61,13 @@ class Batch:
 def _convex_mix(a: np.ndarray, b: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # Clamping to the per-entry envelope makes convexity exact in floating
     # point (lam*a + (1-lam)*a can otherwise land one ulp outside) and makes
-    # mixing identical inputs an exact identity.
-    mixed = lam * a + (1.0 - lam) * b
-    return np.clip(mixed, np.minimum(a, b), np.maximum(a, b))
+    # mixing identical inputs an exact identity. The clamp is a maximum then
+    # a minimum written into the mix, with the mix as first operand: the bits
+    # of np.clip, signed zeros and NaNs included, without its slower loop.
+    mixed = np.asarray(lam * a)  # 0-d operands give a numpy scalar; out= needs an array
+    mixed += (1.0 - lam) * b
+    np.maximum(mixed, np.minimum(a, b), out=mixed)
+    return np.minimum(mixed, np.maximum(a, b), out=mixed)
 
 
 def mix_pair(x_i, y_i, x_j, y_j, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +81,8 @@ def mix_pair(x_i, y_i, x_j, y_j, lam: float) -> tuple[np.ndarray, np.ndarray]:
     if y_i.shape != y_j.shape:
         raise InvalidInputError("mixed targets must have equal dimensions")
     within("mixing weight", lam, "[0, 1]")
-    return _convex_mix(x_i, x_j, lam), _convex_mix(y_i, y_j, lam)
+    # [()] turns a 0-d mix into a numpy scalar, as scalar arithmetic gives
+    return _convex_mix(x_i, x_j, lam)[()], _convex_mix(y_i, y_j, lam)[()]
 
 
 def apply_mixup(
@@ -103,15 +108,16 @@ def apply_mixup(
     gen = rng.generator()
     if policy.pairing == Pairing.INTRA_BATCH:
         perm = gen.permutation(len(batch))
-        partner_features = batch.features[perm]
-        partner_targets = batch.targets[perm]
+        partner_features = batch.features.take(perm, axis=0)
+        partner_targets = batch.targets.take(perm, axis=0)
     else:
         if partner_batch is None:
             raise ConfigurationError("inter-batch mixup requires a partner batch")
-        if len(partner_batch) != len(batch):
+        shapes = (partner_batch.features.shape, partner_batch.targets.shape)
+        if shapes != (batch.features.shape, batch.targets.shape):
             raise InvalidInputError(
-                "partner batch size must equal batch size: "
-                f"{len(partner_batch)} != {len(batch)}"
+                "partner batch shapes must equal the batch's: "
+                f"{shapes} != {(batch.features.shape, batch.targets.shape)}"
             )
         partner_features = partner_batch.features
         partner_targets = partner_batch.targets

@@ -111,7 +111,7 @@ def percentile(values, level: float) -> float:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise InvalidInputError("percentile of an empty sequence")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInputError("percentile requires finite values")
     within("percentile level", level, "[0, 100]")
     v = np.sort(v)
@@ -134,7 +134,7 @@ def beta_draws(alpha: float, gen: np.random.Generator, size: int) -> np.ndarray:
     g2 = gen.standard_gamma(alpha, size=size)
     total = g1 + g2
     degenerate = total == 0.0
-    if np.any(degenerate):
+    if degenerate.any():
         # Both variates underflowed to zero (possible only for tiny alpha);
         # by symmetry the draw is then an endpoint coin flip.
         coin = gen.integers(0, 2, size=size).astype(np.float64)

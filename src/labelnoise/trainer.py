@@ -439,6 +439,11 @@ def train(
     prune_report: list[PruneRecord] | None = None
     discard = config.stage.strategy == Strategy.DISCARD
     inter_mixup = config.mixup is not None and config.mixup.pairing == Pairing.INTER_BATCH
+    # Each epoch's streams are children of these three. child is pure, so
+    # deriving them once per run gives the same draws as once per epoch.
+    shuffle_rng = rng.child(_SHUFFLE)
+    partner_rng = rng.child(_PARTNER)
+    mixup_parent = rng.child(_MIXUP)
 
     for epoch in range(config.max_epochs):
         if epoch in prune_epochs:
@@ -446,10 +451,10 @@ def train(
             prune_report = (prune_report or []) + report_rows
 
         n = rows.size
-        shuffled = rows.take(rng.child(_SHUFFLE).child(epoch).generator().permutation(n))
+        shuffled = rows.take(shuffle_rng.child(epoch).generator().permutation(n))
         if inter_mixup:
-            partners = rows.take(rng.child(_PARTNER).child(epoch).generator().permutation(n))
-        mixup_rng = rng.child(_MIXUP).child(epoch) if config.mixup is not None else None
+            partners = rows.take(partner_rng.child(epoch).generator().permutation(n))
+        mixup_rng = mixup_parent.child(epoch) if config.mixup is not None else None
 
         kept_loss_sum = 0.0
         kept_count = 0
@@ -488,12 +493,15 @@ def train(
                     report, config.stage.rule, epoch, config.stage.start_epoch
                 )
                 if not keep.all():
-                    features = features[keep]
-                    batch_targets = batch_targets[keep]
-                    probs = probs[keep]
-                    losses = losses[keep]
+                    # one index array and five takes: the rows of five boolean
+                    # masks, at half their cost
+                    kept = np.flatnonzero(keep)
+                    features = features.take(kept, axis=0)
+                    batch_targets = batch_targets.take(kept, axis=0)
+                    probs = probs.take(kept, axis=0)
+                    losses = losses.take(kept)
                     if hidden is not None:
-                        hidden = hidden[keep]
+                        hidden = hidden.take(kept, axis=0)
             loss_sum = float(losses.sum())
             # Without a report, check the values here. Terms >= 0 whose sum is
             # finite are all finite (min is NaN if any term is NaN); when this

@@ -236,6 +236,14 @@ class TestDatasetCommands:
         assert capsys.readouterr().err == "error: Unable to allocate 23.3 TiB for an array\n"
         assert not out.exists()
 
+    def test_generate_past_the_array_limit_exits_one(self, tmp_path, capsys):
+        # numpy refuses the shape before it allocates, so this asks for no memory
+        out = tmp_path / "data.jsonl"
+        assert run_cli(*generate_args(out, clips_per_class=10**17)) == 1
+        message = "error: 400000000000000000 patches x 4 dims is too big for an array\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", [2**63, 2**64 + 5, -(2**63) - 1])
     def test_generate_seed_outside_int64_exits_two(self, tmp_path, capsys, seed):
         # the random streams hash a seed's low 64 bits, so a larger seed would alias one in range

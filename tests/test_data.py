@@ -81,6 +81,20 @@ class TestConstruction:
                 num_classes=2,
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3), max_size=12))
+    def test_refuses_exactly_the_ids_with_a_repeat(self, ids):
+        n = len(ids)
+
+        def build():
+            return Dataset(ids, np.zeros(n, dtype=int), np.zeros((n, 1)), np.zeros(n, dtype=int), 2)
+
+        if len(set(ids)) == n:
+            assert build().n_examples == n
+        else:
+            with pytest.raises(InvalidInputError, match="^example ids must be unique$"):
+                build()
+
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInputError):
             Dataset(

@@ -13,8 +13,10 @@ from labelnoise import (
     Pairing,
     RngStream,
     apply_mixup,
+    beta_draws,
     mix_pair,
 )
+from labelnoise.mixup import _convex_mix
 
 
 def make_batch(rng, n, feat_dim=6, k=4):
@@ -191,6 +193,20 @@ class TestApplyMixup:
         with pytest.raises(InvalidInputError):
             apply_mixup(batch, partner, policy, epoch=0, rng=RngStream(0, 0))
 
+    @pytest.mark.parametrize(
+        "batch_widths, partner_widths",
+        [((6, 4), (1, 4)), ((1, 4), (6, 4)), ((6, 4), (5, 4)), ((6, 4), (6, 1))],
+        ids=["partner_one_feature", "batch_one_feature", "features", "classes"],
+    )
+    def test_inter_mode_partner_width_mismatch(self, batch_widths, partner_widths):
+        # a width of 1 on either side would broadcast against the other; any other width fails to
+        rng = np.random.default_rng(11)
+        batch = make_batch(rng, 8, *batch_widths)
+        partner = make_batch(rng, 8, *partner_widths)
+        policy = MixupPolicy(alpha=0.3, pairing=Pairing.INTER_BATCH)
+        with pytest.raises(InvalidInputError, match="^partner batch shapes must equal the batch's"):
+            apply_mixup(batch, partner, policy, epoch=0, rng=RngStream(0, 0))
+
     def test_inter_mode_mixes_positionally(self):
         rng = np.random.default_rng(12)
         batch = make_batch(rng, 8)
@@ -276,3 +292,39 @@ class TestConvexityProperty:
         assert_inside_envelope(x, batch.features[0], partner.features[0])
         assert_inside_envelope(y, batch.targets[0], partner.targets[0])
         assert abs(y.sum() - 1.0) <= 1e-12
+
+
+# signed zeros, infinities and NaN, where a clamp written as max/min can differ from np.clip
+_EDGE_ENTRIES = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def mix_operands(draw):
+    """Two (n, width) operands with edge entries among ordinary floats, and per-row weights of
+    0, 1 or a Beta draw."""
+    n = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from(_EDGE_ENTRIES), st.floats(-1e6, 1e6), st.floats())
+    a, b = (
+        np.array(draw(st.lists(entry, min_size=n * width, max_size=n * width))).reshape(n, width)
+        for _ in range(2)
+    )
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = beta_draws(draw(st.floats(0.05, 4.0)), gen, size=n)
+    ends = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([0.0, 1.0])))
+    for row, end in ends.items():
+        lam[row] = end
+    return a, b, lam[:, None]
+
+
+class TestConvexMixBits:
+    @settings(max_examples=100, deadline=None)
+    @given(operands=mix_operands())
+    def test_equals_np_clip_of_the_mix_bit_for_bit(self, operands):
+        a, b, lam = operands
+        with np.errstate(all="ignore"):
+            expected = np.clip(lam * a + (1 - lam) * b, np.minimum(a, b), np.maximum(a, b))
+            mixed = _convex_mix(a, b, lam)
+        nan = np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(mixed), nan)
+        np.testing.assert_array_equal(mixed[~nan].view(np.uint64), expected[~nan].view(np.uint64))

@@ -791,7 +791,19 @@ class TestTrainWithDefenses:
         assert all(k == 1.0 for k in kept[:4])
         assert any(k < 1.0 for k in kept[4:])
 
-    def test_gradient_and_discard_hooks_see_every_step(self, monkeypatch):
+    HOOKED_DISCARDS = {
+        "linear_max_fraction": dict(rule=SelectionRule.max_fraction(0.5)),
+        # the hidden activations are gathered with the kept rows, after an inter-batch mix
+        "hidden_inter_mixup_percentile": dict(
+            rule=SelectionRule.at_percentile(70.0),
+            architecture=Architecture.ONE_HIDDEN,
+            hidden_units=6,
+            mixup=MixupPolicy(alpha=0.4, warmup_epochs=1, pairing=Pairing.INTER_BATCH),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOOKED_DISCARDS))
+    def test_gradient_and_discard_hooks_see_every_step(self, monkeypatch, case):
         # the benchmark counts training rows by wrapping these two functions
         # where the trainer binds them; bypassing either must fail here
         import labelnoise.trainer as trainer_module
@@ -811,10 +823,9 @@ class TestTrainWithDefenses:
 
         monkeypatch.setattr(trainer_module, "discard_mask", counted_mask)
         monkeypatch.setattr(trainer_module, "loss_gradients_from_probs", counted_grads)
-        stage = StagePlan(
-            strategy=Strategy.DISCARD, start_epoch=2, rule=SelectionRule.max_fraction(0.5)
-        )
-        result = train(blob_dataset(), quick_config(max_epochs=5, stage=stage))
+        overrides = dict(self.HOOKED_DISCARDS[case])
+        stage = StagePlan(strategy=Strategy.DISCARD, start_epoch=2, rule=overrides.pop("rule"))
+        result = train(blob_dataset(), quick_config(max_epochs=5, stage=stage, **overrides))
         steps_per_epoch = math.ceil(90 / 16)  # 30 train clips x 3 patches
         assert len(masks) == len(grad_rows) == 5 * steps_per_epoch
         assert grad_rows == [int(keep.sum()) for keep in masks]
