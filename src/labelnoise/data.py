@@ -8,8 +8,9 @@ peek at it even by accident.
 
 Examples are patches; several patches share a clip, and labels attach to
 clips (every patch of a clip carries the same label). The clip table maps
-each row to its clip, and :func:`draw_clips` is the one seeded per-class draw
-of clips (the validation split and both noise injectors make it).
+each row to its clip, :class:`GroupMeans` is the one mean of rows per group
+(per clip, or per class), and :func:`draw_clips` is the one seeded per-class
+draw of clips (the validation split and both noise injectors make it).
 """
 
 from __future__ import annotations
@@ -88,6 +89,33 @@ class Dataset:
             int(example): int(clip)
             for example, clip in zip(self.example_ids, self.clip_ids)
         }
+
+
+class GroupMeans:
+    """Each group's mean row of a (N,) or (N, ``width``) table whose row i is in group
+    ``group[i]``: a clip table's ``inverse``, say, or each clip's original class.
+
+    Built once per grouping; each call is one bincount and one divide. The bincount adds each
+    group's rows in row order from 0.0, as ``np.add.at`` does (``np.add.reduceat`` adds a
+    segment's first row to the sum of the others), so every mean has the bits of a running sum
+    divided by the group's size. An empty group's mean is 0, and a row whose group is at or
+    past ``count`` adds to none.
+    """
+
+    def __init__(self, group: np.ndarray, count: int, width: int = 1):
+        self.width = width
+        # the cell of each table entry, row-major: group * width + column
+        self.cells = (group[:, None] * width + np.arange(width)).ravel()
+        self.sizes = np.bincount(group, minlength=count)[:count]
+        # an empty group's sum is 0.0, divided by 1
+        self._divisors = np.maximum(self.sizes, 1).astype(np.float64)[:, None]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """The (count,) or (count, width) means of ``values``, shaped (N,) or (N, width)."""
+        count, width = self.sizes.size, self.width
+        sums = np.bincount(self.cells, weights=values.ravel(), minlength=count * width)
+        means = sums[: count * width].reshape(count, width) / self._divisors
+        return means.reshape((count,) + values.shape[1:])
 
 
 def draw_clips(

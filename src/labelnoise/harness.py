@@ -37,7 +37,7 @@ from typing import Annotated, Mapping
 
 import numpy as np
 
-from .data import Dataset, draw_clips
+from .data import Dataset, GroupMeans, draw_clips
 from .errors import (
     ConfigurationError, ExperimentError, InvalidInputError, check_class_map, check_fields,
     json_text,
@@ -254,13 +254,9 @@ def inject_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDatas
 
 
 def per_class_corruption_rates(annotated: AnnotatedDataset) -> np.ndarray:
-    """Fraction of corrupted clips per original class (clip-level)."""
+    """Fraction of corrupted clips per original class (clip-level); 0 for a class with no clip."""
     *_, original, flags = _clip_view(annotated)
-    num_classes = annotated.data.num_classes
-    # counts of whole clips are exact, so each rate is the mean of the flags
-    clips = np.bincount(original, minlength=num_classes)[:num_classes]
-    corrupted = np.bincount(original, weights=flags, minlength=num_classes)[:num_classes]
-    return np.divide(corrupted, clips, out=np.zeros(num_classes), where=clips > 0)
+    return GroupMeans(original, annotated.data.num_classes)(flags)
 
 
 def noise_group_map(annotated: AnnotatedDataset) -> dict[int, NoiseGroup]:

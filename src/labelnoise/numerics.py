@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, json_text, within
+from .errors import InvalidInputError, _integer, check_fields, json_text, within
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -42,6 +42,11 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        # child() builds a stream per batch, so an exact int pays only this type test
+        if type(self.seed) is not int or type(self.stream_id) is not int:
+            check_fields(self)
+
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
         seq = np.random.SeedSequence(
@@ -51,6 +56,7 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         """Derive the ``index``-th sub-stream of this stream."""
+        index = _integer("stream index", index)
         if index < 0:
             raise InvalidInputError(f"stream index must be non-negative, got {json_text(index)}")
         mixed = _splitmix64(((self.stream_id & _MASK64) * _GOLDEN + index + 1) & _MASK64)

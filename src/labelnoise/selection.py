@@ -17,7 +17,7 @@ from typing import Annotated, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, GroupMeans
 from .errors import ConfigurationError, InvalidInputError, check_fields, within
 from .losses import LossReport, _check_loss_values
 from .numerics import percentile
@@ -116,13 +116,10 @@ def discard_mask(
 
 
 def _clip_means(clip_ids: np.ndarray, losses: np.ndarray) -> dict[int, float]:
-    """Arithmetic mean of ``losses`` per clip of the rows' ``clip_ids``, keyed by clip id.
-
-    bincount adds each clip's losses in row order from 0.0, so every mean has
-    the bits of a plain running sum divided by the clip's row count.
-    """
+    """Arithmetic mean of ``losses`` per clip of the rows' ``clip_ids``, keyed by clip id, with
+    the bits of a running sum in row order divided by the clip's row count."""
     clips, inverse = np.unique(clip_ids, return_inverse=True)
-    means = np.bincount(inverse, weights=losses) / np.bincount(inverse)
+    means = GroupMeans(inverse, clips.size)(losses)
     return dict(zip(clips.tolist(), means.tolist()))
 
 

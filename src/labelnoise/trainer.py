@@ -27,7 +27,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .data import Dataset, draw_clips
+from .data import Dataset, GroupMeans, draw_clips
 from .errors import InvalidInputError, TrainingError, check_class_map, check_fields, within
 from .losses import (
     LossReport,
@@ -317,46 +317,19 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
     logits = forward(params, dataset.features)
     if not np.isfinite(logits).all():
         raise InvalidInputError("cannot evaluate a model whose logits are not all finite")
-    return _clip_accuracy(logits, _clip_layout(dataset, params.num_classes))
+    return _clip_accuracy(logits, *_clip_scoring(dataset, params.num_classes))
 
 
-@dataclass(frozen=True)
-class _ClipLayout:
-    """Where each patch probability of a dataset adds up; built once per run.
-
-    ``cells`` holds ``clip * K + class`` for every entry of the row-major
-    (N, K) probability matrix, so one bincount gives every per-clip sum.
-    """
-
-    cells: np.ndarray  # (N * K,) int64
-    counts: np.ndarray  # (clips, 1) patch counts as float64
-    labels: np.ndarray  # (clips,) clip labels
+def _clip_scoring(dataset: Dataset, num_classes: int) -> tuple[GroupMeans, np.ndarray]:
+    """The per-clip mean of ``dataset``'s patch probabilities, and each clip's label."""
+    clips, inverse, clip_labels = dataset.clip_table()
+    return GroupMeans(inverse, clips.size, num_classes), clip_labels
 
 
-def _clip_layout(dataset: Dataset, num_classes: int) -> _ClipLayout:
-    _, inverse, clip_labels = dataset.clip_table()
-    cells = (inverse[:, None] * num_classes + np.arange(num_classes)).ravel()
-    counts = np.bincount(inverse).astype(np.float64)[:, None]
-    return _ClipLayout(cells, counts, clip_labels)
-
-
-def _clip_mean_probs(logits: np.ndarray, layout: _ClipLayout) -> np.ndarray:
-    """Per-clip mean of the softmax rows of the patch ``logits``, one row per clip."""
-    probs = softmax_rows(logits)
-    # bincount adds each cell's terms in row order from 0.0, as np.add.at
-    # does, so the sums are bit-identical to it (np.add.reduceat is not: it
-    # adds a segment's first row to the sum of the others)
-    n_clips = layout.counts.shape[0]
-    sums = np.bincount(layout.cells, weights=probs.ravel(), minlength=n_clips * probs.shape[1])
-    sums = sums.reshape(n_clips, probs.shape[1])
-    sums /= layout.counts
-    return sums
-
-
-def _clip_accuracy(logits: np.ndarray, layout: _ClipLayout) -> float:
-    predicted = _clip_mean_probs(logits, layout).argmax(axis=1)
+def _clip_accuracy(logits: np.ndarray, clip_means: GroupMeans, clip_labels: np.ndarray) -> float:
+    predicted = clip_means(softmax_rows(logits)).argmax(axis=1)
     # an exact count over an exact size: the same float as the mean of the bools
-    return np.count_nonzero(predicted == layout.labels) / predicted.size
+    return np.count_nonzero(predicted == clip_labels) / predicted.size
 
 
 def check_prune_plan(plan: StagePlan, max_epochs: int, train_clips: int) -> set[int]:
@@ -413,7 +386,7 @@ def train(
         config.stage, config.max_epochs, np.unique(dataset.clip_ids.take(rows)).size
     )
     val_split = dataset.subset(val_rows)
-    val_layout = _clip_layout(val_split, dataset.num_classes)
+    val_scoring = _clip_scoring(val_split, dataset.num_classes)
     targets = targets_matrix(dataset.labels, dataset.num_classes, config.smoothing)
 
     # The weights, their gradient and the Adam moments each live in one flat
@@ -519,7 +492,7 @@ def train(
             kept_count += n_kept
 
         val_logits, _ = _checked_forward(params, val_split.features, epoch, " in validation")
-        val_acc = _clip_accuracy(val_logits, val_layout)
+        val_acc = _clip_accuracy(val_logits, *val_scoring)
         history.append(
             EpochRecord(
                 epoch=epoch,

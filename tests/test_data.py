@@ -1,4 +1,4 @@
-"""Tests for the Dataset container and the per-class clip draw."""
+"""Tests for the Dataset container, the grouped mean and the per-class clip draw."""
 
 import math
 
@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 
 from labelnoise import (
     AnnotatedDataset,
+    Architecture,
     Dataset,
     InvalidInputError,
     NoiseKind,
     NoiseSpec,
     RngStream,
+    forward,
+    init_params,
     inject_oov_noise,
     inject_symmetric_noise,
 )
+from labelnoise.data import GroupMeans
 from labelnoise.harness import _NOISE_STREAM, _round_count
+from labelnoise.numerics import softmax_rows
 from labelnoise.trainer import split_rows
 
 
@@ -212,6 +217,52 @@ class TestClipAccessors:
 
     def test_empty_dataset_has_no_clips(self):
         assert np.unique(small_dataset().subset(np.array([], dtype=int)).clip_ids).size == 0
+
+
+@st.composite
+def grouped_rows(draw):
+    """(group of each row, group count, row width, values). Either up to 30 rows over 1 to 8
+    groups, some of them empty and some rows past the count, with 1-D values or rows of width
+    1 to 4; or, as validation scores clips, the softmax rows of a seeded model's logits on
+    clips of unequal patch counts, rows interleaved, grouped by the clip table's inverse."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        patches = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+        num_classes = draw(st.integers(2, 5))
+        clip_of_row = np.repeat(np.arange(len(patches)) * 5 + 3, patches)
+        _, inverse = np.unique(clip_of_row[rng.permutation(clip_of_row.size)], return_inverse=True)
+        architecture = draw(st.sampled_from(list(Architecture)))
+        params = init_params(architecture, 3, num_classes, 4, RngStream(seed))
+        logits = forward(params, rng.standard_normal((inverse.size, 3)))
+        return inverse, len(patches), num_classes, softmax_rows(logits)
+    count = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 30))
+    group = np.asarray(draw(st.lists(st.integers(0, count + 1), min_size=n, max_size=n)))
+    width = draw(st.sampled_from([None, 1, 2, 4]))
+    shape = (n,) if width is None else (n, width)
+    entries = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1])
+    values = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return group.astype(np.int64), count, width or 1, np.asarray(values).reshape(shape)
+
+
+class TestGroupMeans:
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_rows())
+    def test_each_mean_is_a_running_sum_over_the_group_size(self, case):
+        group, count, width, values = case
+        got = GroupMeans(group, count, width)(values)
+        # np.add.at adds each group's rows one by one, in row order, from 0.0
+        inside = group < count
+        sums = np.zeros((count,) + values.shape[1:])
+        np.add.at(sums, group[inside], values[inside])
+        sizes = np.bincount(group[inside], minlength=count)
+        expected = np.zeros_like(sums)
+        for g in np.flatnonzero(sizes):
+            expected[g] = sums[g] / sizes[g]
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert not got[sizes == 0].any()
 
 
 # Reference copies of the three per-class clip draws as each once kept its own loop: the

@@ -63,6 +63,29 @@ class TestRngStream:
         with pytest.raises(InvalidInputError):
             RngStream(0).child(-1)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: RngStream(1.5), "seed must be an integer, got 1.5"),
+            (lambda: RngStream("a"), 'seed must be an integer, got "a"'),
+            (lambda: RngStream(1, 2.5), "stream_id must be an integer, got 2.5"),
+            (lambda: RngStream(True), "seed must be an integer, got true"),
+            (lambda: RngStream(1).child(1.5), "stream index must be an integer, got 1.5"),
+        ],
+        ids=["float_seed", "str_seed", "float_stream_id", "bool_seed", "float_child_index"],
+    )
+    def test_non_integer_coordinates_rejected_by_name(self, make, message):
+        with pytest.raises(TypeError) as excinfo:
+            make()
+        assert str(excinfo.value) == message
+
+    def test_integer_seeds_of_every_kind_draw_as_python_ints(self):
+        expected = RngStream(2**64 - 1, 3).generator().integers(0, 2**62, size=4)
+        stream = RngStream(np.uint64(2**64 - 1), np.int64(3))
+        assert (type(stream.seed), type(stream.stream_id)) == (int, int)
+        np.testing.assert_array_equal(stream.generator().integers(0, 2**62, size=4), expected)
+        assert RngStream(5).child(np.int64(2)) == RngStream(5).child(2)
+
     def test_generator_does_not_mutate_stream(self):
         stream = RngStream(9, 4)
         stream.generator().standard_normal(100)
