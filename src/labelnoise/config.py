@@ -21,7 +21,8 @@ losses of a batch of the configured size: level ``100 * (1 - c /
 batch_size)``. A smoothing ``groups`` value of ``"auto"`` asks the
 experiment runner to derive the group map from the corruption it injected;
 a lone training run has no ground truth to derive it from, so only
-``parse_experiment`` accepts it.
+``parse_experiment`` accepts it, and :class:`ExperimentConfig` refuses it
+without a noise section.
 """
 
 from __future__ import annotations
@@ -168,16 +169,6 @@ def _groups(value: Any, path: str, ctx: _Context):
     return None
 
 
-def _noise(value: Any, path: str, ctx: _Context) -> NoiseSpec | None:
-    noise = None if value is None else _section(NoiseSpec)(value, path, ctx)
-    if ctx.auto_groups and noise is None:
-        raise ConfigurationError(
-            "train.smoothing.groups: 'auto' requires a noise section to derive"
-            " the group map from"
-        )
-    return noise
-
-
 # What a missing key means: the dataclass default (_OPTIONAL), the dataclass
 # default for JSON null too (_NULLABLE), an error (_REQUIRED), or any other
 # value, which is cast as if the JSON had held it.
@@ -200,7 +191,6 @@ _DIFFERENCES: dict[tuple[type, str], dict | None] = {
     (SmoothingPolicy, "group_of_class"): dict(name="groups", cast=_groups),
     (TrainConfig, "batch_size"): dict(cast=_batch_size),
     (StagePlan, "rule"): dict(cast=_rule),  # rendered as a SelectionRule
-    (ExperimentConfig, "noise"): dict(cast=_noise, missing=None),
     (LossSpec, "kind"): dict(missing="cce"),
     (TrainConfig, "loss"): dict(missing={}),
     (ExperimentConfig, "dataset"): dict(missing={}),

@@ -50,7 +50,7 @@ from .trainer import (
     EpochRecord,
     ModelParams,
     TrainConfig,
-    check_prune_plan,
+    check_plan,
     evaluate,
     train,
 )
@@ -93,7 +93,12 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class AnnotatedDataset:
-    """A dataset plus the ground truth that training code must never see."""
+    """A dataset plus the ground truth that training code must never see.
+
+    An uncorrupted row keeps its label as its clean label; a clean label is a class in
+    ``[0, num_classes)`` or ``OOV_CLEAN_LABEL``; and the patches of one clip share their
+    clean label and flag.
+    """
 
     data: Dataset
     clean_labels: np.ndarray  # int64; OOV_CLEAN_LABEL marks out-of-vocabulary content
@@ -104,11 +109,35 @@ class AnnotatedDataset:
         flags = np.asarray(self.corrupted, dtype=bool)
         object.__setattr__(self, "clean_labels", clean)
         object.__setattr__(self, "corrupted", flags)
-        n = self.data.n_examples
+        data = self.data
+        n = data.n_examples
         if clean.shape != (n,) or flags.shape != (n,):
             raise InvalidInputError("annotations must align with the dataset rows")
-        if n and np.any(self.data.labels[~flags] != clean[~flags]):
+        if not n:
+            return
+        if np.any(data.labels[~flags] != clean[~flags]):
             raise InvalidInputError("uncorrupted rows must keep label == clean_label")
+        # OOV_CLEAN_LABEL is -1, just below the classes
+        outside = (clean < OOV_CLEAN_LABEL) | (clean >= data.num_classes)
+        if outside.any():
+            at = outside.argmax()
+            raise InvalidInputError(
+                f"clean_label {clean[at]} of clip {data.clip_ids[at]} is neither a class in"
+                f" [0, {data.num_classes}) nor OOV_CLEAN_LABEL ({OOV_CLEAN_LABEL})"
+            )
+        # with no row corrupted, each clean label is its row's label, which a clip's patches share
+        if not flags.any():
+            return
+        truth = clean * 2 + flags  # one integer per (clean label, flag) pair
+        clips, inverse, _ = data.clip_table()
+        truth_of_clip = np.empty(clips.size, dtype=np.int64)
+        truth_of_clip[inverse] = truth
+        disagree = truth_of_clip[inverse] != truth
+        if disagree.any():
+            raise InvalidInputError(
+                f"patches of clip {data.clip_ids[disagree.argmax()]}"
+                " disagree on clean_label or corrupted"
+            )
 
 
 def generate_blobs(
@@ -164,19 +193,13 @@ def _round_count(x: float) -> int:
 
 def _clip_view(annotated: AnnotatedDataset) -> tuple[np.ndarray, ...]:
     """The clip table (clip ids, per-example clip index, label) and each clip's original class
-    and corrupted flag; raises if patches of one clip disagree on the truth.
+    and corrupted flag, which :class:`AnnotatedDataset` checks its patches share.
     """
     clips, inverse, clip_labels = annotated.data.clip_table()
     clean = np.empty(clips.size, dtype=np.int64)
     clean[inverse] = annotated.clean_labels
     flags = np.empty(clips.size, dtype=bool)
     flags[inverse] = annotated.corrupted
-    disagree = (clean[inverse] != annotated.clean_labels) | (flags[inverse] != annotated.corrupted)
-    if disagree.any():
-        raise InvalidInputError(
-            f"patches of clip {annotated.data.clip_ids[disagree.argmax()]}"
-            " disagree on clean_label or corrupted"
-        )
     original = np.where(clean >= 0, clean, clip_labels)
     return clips, inverse, clip_labels, original, flags
 
@@ -302,13 +325,9 @@ def write_annotated(path, annotated: AnnotatedDataset) -> None:
 
 
 def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
-    """The one dataset reader: ``records.read_dataset_rows``, then the truth checks that need
-    the whole dataset."""
-    data, clean, flags, annotated = read_dataset_rows(path, require_truth)
-    dataset = AnnotatedDataset(data, clean, flags)
-    if annotated:
-        _clip_view(dataset)  # rejects a clip whose patches disagree on the truth
-    return dataset
+    """The one dataset reader: ``records.read_dataset_rows``, then the truth checks of
+    :class:`AnnotatedDataset`, which need the whole dataset."""
+    return AnnotatedDataset(*read_dataset_rows(path, require_truth))
 
 
 def read_dataset(path) -> Dataset:
@@ -396,6 +415,10 @@ class ExperimentConfig:
         if self.auto_noise_groups and self.train.smoothing is None:
             raise ConfigurationError(
                 "auto noise groups require a smoothing policy to apply them to"
+            )
+        if self.auto_noise_groups and self.noise is None:
+            raise ConfigurationError(
+                "auto noise groups require a noise spec to derive the group map from"
             )
 
 
@@ -485,9 +508,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     automatically) that does not key exactly the classes raises
     ``ConfigurationError``. A ``val_fraction`` that sends every clip to
     validation, and a prune plan that cannot fit the train split, raise
-    ``InvalidInputError``. The split checked is that of the noise-free
-    dataset, ``num_classes * (clips_per_class - ceil(val_fraction *
-    clips_per_class))`` clips; label noise moves clips between classes, so a
+    ``InvalidInputError`` from :func:`trainer.check_plan`, on the clip counts of
+    the noise-free dataset; label noise moves clips between classes, so a
     run's own split may differ and ``train`` checks it again.
 
     A failure inside run ``i`` is prefixed ``run i:``. An ``InvalidInputError``
@@ -500,17 +522,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.train.smoothing is not None and not cfg.auto_noise_groups:
         groups = cfg.train.smoothing.group_of_class
         check_class_map("train.smoothing.groups", groups, dp.num_classes)
-    val_clips = math.ceil(cfg.train.val_fraction * dp.clips_per_class)
-    if val_clips == dp.clips_per_class:
-        raise InvalidInputError(
-            f"val_fraction {cfg.train.val_fraction} sends every clip to validation"
-            f" ({val_clips} of {dp.clips_per_class} per class); none is left to train on"
-        )
-    check_prune_plan(
-        cfg.train.stage,
-        cfg.train.max_epochs,
-        dp.num_classes * (dp.clips_per_class - val_clips),
-    )
+    check_plan(cfg.train, [dp.clips_per_class] * dp.num_classes)
     runs: list[RunResult] = []
     for run_index in range(cfg.runs):
         try:

@@ -472,7 +472,7 @@ def _receive(pipes, headers, width: int) -> tuple:
 
 
 def read_dataset_rows(path, require_truth: bool) -> tuple:
-    """``(data, clean_labels, corrupted, annotated)`` of the dataset file ``path``, each row
+    """``(data, clean_labels, corrupted)`` of the dataset file ``path``, each row
     checked by :class:`_RowSchema`; ``data`` is a :class:`Dataset` whose class count is the
     largest label or clean label plus one, and at least 2. A file without ground truth reads
     as clean, or, if ``require_truth``, is rejected once its first row is parsed. The first
@@ -512,4 +512,4 @@ def read_dataset_rows(path, require_truth: bool) -> tuple:
     num_classes = max(int(labels.max()), int(clean.max()), 1) + 1
     data = Dataset(example_ids, clip_ids, features.reshape(rows, first.width), labels, num_classes)
     _check_finite(data)
-    return data, clean, corrupted, first.annotated
+    return data, clean, corrupted

@@ -258,7 +258,7 @@ class TrainResult:
 def split_rows(
     dataset: Dataset, val_fraction: float, seed: int | RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clip-level stratified split: per class, ceil(fraction * clips) go to validation.
+    """Clip-level stratified split: per class, :func:`_val_clips` of its clips go to validation.
 
     Clips are assigned by a seeded shuffle within each class; no clip
     straddles the two splits, and together they cover the dataset. Returns
@@ -268,16 +268,21 @@ def split_rows(
     within("val_fraction", val_fraction, "(0, 1)")
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot split an empty dataset")
-    rng = seed if isinstance(seed, RngStream) else RngStream(int(seed))
+    rng = seed if isinstance(seed, RngStream) else RngStream(seed)
     _, inverse, clip_labels = dataset.clip_table()
 
     def n_val(cls: int, n: int) -> int:
         if n < 2:
             raise InvalidInputError(f"class {cls} has {n} clip(s); need at least 2 to split")
-        return math.ceil(val_fraction * n)
+        return _val_clips(val_fraction, n)
 
     val_mask = draw_clips(clip_labels, n_val, rng.generator())[inverse]
     return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
+
+
+def _val_clips(val_fraction: float, n: int) -> int:
+    """The clips of a class of ``n`` that the split sends to validation."""
+    return math.ceil(val_fraction * n)
 
 
 def stratified_split(
@@ -332,18 +337,27 @@ def _clip_accuracy(logits: np.ndarray, clip_means: GroupMeans, clip_labels: np.n
     return np.count_nonzero(predicted == clip_labels) / predicted.size
 
 
-def check_prune_plan(plan: StagePlan, max_epochs: int, train_clips: int) -> set[int]:
-    """The epochs before ``max_epochs`` that start with a prune round of ``plan``, once the
-    rounds are known to leave a clip to train on.
+def check_plan(config: TrainConfig, clips_per_class: list[int]) -> set[int]:
+    """The epochs before ``config.max_epochs`` that start a prune round, once classes of
+    ``clips_per_class`` clips each are known to keep a train clip through the split and rounds.
 
-    Raises ``InvalidInputError`` when ``prune_count`` times the rounds that
-    start before ``max_epochs`` is positive and reaches ``train_clips``.
+    Raises ``InvalidInputError`` when the split sends every clip to validation, and when
+    ``prune_count`` times the rounds that start before ``max_epochs`` is positive and reaches
+    the train-split clips.
     """
+    val_clips = sum(_val_clips(config.val_fraction, n) for n in clips_per_class)
+    train_clips = sum(clips_per_class) - val_clips
+    if train_clips == 0:
+        raise InvalidInputError(
+            f"val_fraction {config.val_fraction} sends every clip to validation"
+            f" ({val_clips} of {val_clips} clips); none is left to train on"
+        )
+    plan = config.stage
     if plan.strategy != Strategy.PRUNE:
         return set()
     # a plan that starts at epoch 0 has one round (StagePlan checks this)
     starts = (plan.start_epoch * (k + 1) for k in range(plan.prune_rounds))
-    prune_epochs = {epoch for epoch in starts if epoch < max_epochs}
+    prune_epochs = {epoch for epoch in starts if epoch < config.max_epochs}
     to_remove = plan.prune_count * len(prune_epochs)
     if to_remove and to_remove >= train_clips:
         raise InvalidInputError(
@@ -377,14 +391,7 @@ def train(
     # Validation is one contiguous copy, since a product's bits depend on
     # its row count.
     rows, val_rows = split_rows(dataset, config.val_fraction, rng.child(_SPLIT))
-    if rows.size == 0:
-        raise InvalidInputError(
-            f"val_fraction {config.val_fraction} sends every clip to validation;"
-            " none is left to train on"
-        )
-    prune_epochs = check_prune_plan(
-        config.stage, config.max_epochs, np.unique(dataset.clip_ids.take(rows)).size
-    )
+    prune_epochs = check_plan(config, np.bincount(dataset.clip_table()[2]).tolist())
     val_split = dataset.subset(val_rows)
     val_scoring = _clip_scoring(val_split, dataset.num_classes)
     targets = targets_matrix(dataset.labels, dataset.num_classes, config.smoothing)

@@ -743,8 +743,10 @@ class TestExperimentCommand:
         out_dir = tmp_path / "exp"
         code = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
         assert code == 2
-        err = capsys.readouterr().err
-        assert "error: val_fraction 0.9 sends every clip to validation (2 of 2 per class)" in err
+        assert capsys.readouterr().err == (
+            "error: val_fraction 0.9 sends every clip to validation (4 of 4 clips);"
+            " none is left to train on\n"
+        )
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -791,6 +793,21 @@ class TestExperimentCommand:
         code = run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir))
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_auto_groups_without_noise_exit_two(self, tmp_path, capsys):
+        config = json.loads(experiment_config(tmp_path).read_text())
+        del config["noise"]
+        config["train"]["smoothing"] = {"epsilon": 0.2, "groups": "auto"}
+        path = tmp_path / "auto.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "exp"
+        code = run_cli("experiment", "--config", str(path), "--out-dir", str(out_dir))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: configuration: auto noise groups require a noise spec to derive the group"
+            " map from\n"
+        )
         assert not out_dir.exists()
 
     def test_failure_inside_a_run_exits_one(self, tmp_path, capsys):

@@ -947,7 +947,7 @@ BOOL_FIELDS = {
     "PruneRecord.removed": lambda v: PruneRecord(clip_id=2, clip_loss=0.3, rank=1, removed=v),
     "ExperimentConfig.auto_noise_groups": lambda v: ExperimentConfig(
         DatasetParams(), TrainConfig(LossSpec(LossKind.CCE), smoothing=SmoothingPolicy(0.1)),
-        auto_noise_groups=v,
+        noise=NoiseSpec(NoiseKind.SYMMETRIC_IV), auto_noise_groups=v,
     ),
 }
 

@@ -37,6 +37,7 @@ from labelnoise import (
     Strategy,
     TrainConfig,
     dataset_fingerprint,
+    derive_seed,
     generate_blobs,
     inject_oov_noise,
     inject_symmetric_noise,
@@ -48,6 +49,7 @@ from labelnoise import (
     read_dataset,
     read_summary,
     run_experiment,
+    train,
     write_annotated,
     write_dataset,
     write_summary,
@@ -449,11 +451,8 @@ class TestClipView:
         annotated = blobs(num_classes=2, clips_per_class=2, patches_per_clip=2)
         flags = annotated.corrupted.copy()
         flags[0] = True  # rows 0 and 1 are the patches of clip 0
-        bad = AnnotatedDataset(annotated.data, annotated.clean_labels, flags)
         with pytest.raises(InvalidInputError, match="patches of clip 0 disagree"):
-            per_class_corruption_rates(bad)
-        with pytest.raises(InvalidInputError, match="patches of clip 0 disagree"):
-            prune_precision([PruneRecord(0, 1.0, 1, True)], bad)
+            AnnotatedDataset(annotated.data, annotated.clean_labels, flags)
 
 
 def disagreeing_rows(path, field: str) -> list[dict]:
@@ -480,6 +479,38 @@ class TestClipTruthAgreement:
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         with pytest.raises(InvalidInputError, match="patches of clip 0 disagree"):
             reader(path)
+
+    @pytest.mark.parametrize("clean_label", [2, 7, -2])
+    def test_clean_label_off_the_classes_rejected(self, clean_label):
+        # two classes of one clip each; clip 1 (rows 2 and 3) is marked corrupted
+        annotated = blobs(num_classes=2, clips_per_class=1, patches_per_clip=2)
+        clean = annotated.clean_labels.copy()
+        clean[2:] = clean_label
+        with pytest.raises(InvalidInputError) as excinfo:
+            AnnotatedDataset(annotated.data, clean, annotated.data.clip_ids == 1)
+        assert str(excinfo.value) == (
+            f"clean_label {clean_label} of clip 1 is neither a class in [0, 2)"
+            " nor OOV_CLEAN_LABEL (-1)"
+        )
+
+    def test_clean_label_off_the_classes_rejected_in_a_file(self, tmp_path):
+        # a file's class count covers its largest clean label, so only a negative one is off
+        path = tmp_path / "off.jsonl"
+        write_annotated(path, blobs(num_classes=2, clips_per_class=1, patches_per_clip=2))
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows[2:]:
+            row.update(clean_label=-5, corrupted=True)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(InvalidInputError, match=r"clean_label -5 of clip 1 is neither"):
+            read_annotated(path)
+
+    def test_oov_clean_label_accepted(self):
+        annotated = blobs(num_classes=2, clips_per_class=1, patches_per_clip=2)
+        clean = annotated.clean_labels.copy()
+        clean[2:] = OOV_CLEAN_LABEL
+        flags = annotated.data.clip_ids == 1
+        oov = AnnotatedDataset(annotated.data, clean, flags)
+        assert per_class_corruption_rates(oov).tolist() == [0.0, 1.0]
 
 
 def malformed(row: dict, case: str) -> str:
@@ -758,7 +789,8 @@ class TestFingerprintProperties:
         annotated = blobs(**case)
         row = data.draw(st.integers(0, annotated.data.n_examples - 1))
         flags = annotated.corrupted.copy()
-        flags[row] = True  # clean blobs: every flag starts false
+        # clean blobs: every flag starts false; every patch of a clip shares its flag
+        flags[annotated.data.clip_ids == annotated.data.clip_ids[row]] = True
         flipped = AnnotatedDataset(annotated.data, annotated.clean_labels, flags)
         assert dataset_fingerprint(flipped) != dataset_fingerprint(annotated)
 
@@ -1174,6 +1206,74 @@ def tiny_experiment(**overrides):
     return ExperimentConfig(**kwargs)
 
 
+plan_cases = st.fixed_dictionaries(
+    dict(
+        num_classes=st.integers(2, 3),
+        clips_per_class=st.integers(2, 6),
+        val_fraction=st.floats(0.05, 0.95),
+        max_epochs=st.integers(0, 2),
+        strategy=st.sampled_from([Strategy.NONE, Strategy.PRUNE]),
+        start_epoch=st.integers(0, 2),
+        prune_count=st.integers(0, 12),
+        prune_rounds=st.integers(1, 3),
+        base_seed=st.integers(0, 2**32 - 1),
+    )
+)
+
+
+class _RunStarted(Exception):
+    pass
+
+
+def _no_runs(*args):
+    raise _RunStarted
+
+
+class TestPlanCheck:
+    @settings(max_examples=60, deadline=None)
+    @given(case=plan_cases)
+    def test_experiment_refuses_before_run_zero_exactly_when_train_does(self, case):
+        num_classes, clips_per_class = case["num_classes"], case["clips_per_class"]
+        stage = StagePlan(
+            strategy=case["strategy"],
+            start_epoch=case["start_epoch"],
+            prune_count=case["prune_count"],
+            # iterative pruning needs start_epoch >= 1
+            prune_rounds=case["prune_rounds"] if case["start_epoch"] else 1,
+        )
+        cfg = tiny_experiment(
+            # two patches per clip, so a count of rows is not a count of clips
+            dataset=DatasetParams(num_classes, clips_per_class, 2, 2, 0.2, 1),
+            train=replace(
+                tiny_experiment().train,
+                max_epochs=case["max_epochs"], val_fraction=case["val_fraction"], stage=stage,
+            ),
+            runs=1,
+            base_seed=case["base_seed"],
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_single_run", _no_runs)
+            try:
+                run_experiment(cfg)
+            except InvalidInputError as exc:
+                before_run_zero = str(exc)
+            except ExperimentError as exc:
+                assert isinstance(exc.__cause__, _RunStarted)
+                before_run_zero = None
+
+        # run 0's dataset and training seed, as the experiment derives them
+        data_seed = derive_seed(cfg.base_seed, harness._DATA_TAG, 0)
+        dataset = generate_blobs(num_classes, clips_per_class, 2, 2, 0.2, data_seed).data
+        train_seed = derive_seed(cfg.base_seed, harness._TRAIN_TAG, 0)
+        try:
+            train(dataset, replace(cfg.train, seed=train_seed))
+        except InvalidInputError as exc:
+            in_train = str(exc)
+        else:
+            in_train = None
+        assert before_run_zero == in_train
+
+
 class TestExperiments:
     def test_summary_shape_and_determinism(self):
         result = run_experiment(tiny_experiment())
@@ -1267,6 +1367,17 @@ class TestExperiments:
         assert len(run_experiment(cfg).runs) == 2
         with pytest.raises(ConfigurationError, match=r"missing \[1\], unknown \[\]"):
             run_experiment(replace(cfg, auto_noise_groups=False))
+
+    def test_auto_noise_groups_require_noise(self):
+        smoothing = SmoothingPolicy(epsilon=0.15, delta_epsilon=0.05)
+        with pytest.raises(ConfigurationError) as excinfo:
+            tiny_experiment(
+                train=replace(tiny_experiment().train, smoothing=smoothing),
+                auto_noise_groups=True,
+            )
+        assert str(excinfo.value) == (
+            "auto noise groups require a noise spec to derive the group map from"
+        )
 
     def test_failures_carry_the_run_index(self):
         # a learning rate this large overflows the weights, so run 0 fails in training

@@ -52,6 +52,7 @@ from labelnoise.trainer import (
     _flat_views,
     _forward_cached,
     _param_grads,
+    split_rows,
 )
 
 
@@ -135,6 +136,16 @@ class TestStratifiedSplit:
         )
         with pytest.raises(InvalidInputError):
             stratified_split(ds, 0.5, 0)
+
+    @pytest.mark.parametrize("split", [split_rows, stratified_split])
+    @pytest.mark.parametrize(
+        "seed, shown", [(1.5, "1.5"), ("3", '"3"'), (True, "true")], ids=["float", "str", "bool"]
+    )
+    def test_non_integer_seed_rejected(self, split, seed, shown):
+        # the seed reaches RngStream as given, so 1.5 is not split as seed 1
+        with pytest.raises(TypeError) as excinfo:
+            split(clip_dataset(2, 4), 0.25, seed)
+        assert str(excinfo.value) == f"seed must be an integer, got {shown}"
 
 
 class TestStratifiedSplitProperty:
