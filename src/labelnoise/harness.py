@@ -503,14 +503,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     two methods run with the same base seed see identical noisy datasets
     run for run.
 
-    Three config errors are rejected before run 0. A per-class map
+    Four config errors are rejected before run 0. A per-class map
     (``rate_by_class``, or a smoothing group map that is not derived
     automatically) that does not key exactly the classes raises
-    ``ConfigurationError``. A ``val_fraction`` that sends every clip to
-    validation, and a prune plan that cannot fit the train split, raise
-    ``InvalidInputError`` from :func:`trainer.check_plan`, on the clip counts of
-    the noise-free dataset; label noise moves clips between classes, so a
-    run's own split may differ and ``train`` checks it again.
+    ``ConfigurationError``. A class of one clip, which the split cannot
+    divide, a ``val_fraction`` that sends every clip to validation, and a
+    prune plan that cannot fit the train split, raise ``InvalidInputError``
+    from :func:`trainer.check_plan`, on the clip counts of the noise-free
+    dataset; label noise moves clips between classes, so a run's own split
+    may differ and ``train`` checks it again.
 
     A failure inside run ``i`` is prefixed ``run i:``. An ``InvalidInputError``
     or ``ConfigurationError`` keeps its class, as if it had been found before

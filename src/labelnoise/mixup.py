@@ -90,7 +90,7 @@ def apply_mixup(
     partner_batch: Batch | None,
     policy: MixupPolicy,
     epoch: int,
-    rng: RngStream,
+    rng: RngStream | np.random.Generator,
 ) -> Batch:
     """Mix a whole batch according to the policy, or pass it through.
 
@@ -98,14 +98,16 @@ def apply_mixup(
     the warm-up period. Otherwise one ``lam`` is drawn per pair and each row
     is mixed against its partner row: a seeded random permutation of the
     batch itself for intra-batch pairing, or the same position of
-    ``partner_batch`` for inter-batch pairing.
+    ``partner_batch`` for inter-batch pairing. The draws come from ``rng``'s
+    generator, or from ``rng`` itself when it is a generator (one that
+    :meth:`RngStream.reseat` placed at a stream's start draws the same).
     """
     if len(batch) == 0:
         raise InvalidInputError("cannot mix an empty batch")
     if epoch < policy.warmup_epochs:
         return batch
 
-    gen = rng.generator()
+    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
     if policy.pairing == Pairing.INTRA_BATCH:
         perm = gen.permutation(len(batch))
         partner_features = batch.features.take(perm, axis=0)

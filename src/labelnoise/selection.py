@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset, GroupMeans
 from .errors import ConfigurationError, InvalidInputError, check_fields, within
 from .losses import LossReport, _check_loss_values
-from .numerics import percentile
+from .numerics import _percentile
 from .records import read_records, write_records
 
 
@@ -89,9 +89,15 @@ def threshold_from_rule(losses, rule: SelectionRule) -> float:
     if values.size == 0:
         raise InvalidInputError("cannot derive a threshold from an empty loss array")
     _check_loss_values(values)
+    return _threshold(values, rule)
+
+
+def _threshold(values: np.ndarray, rule: SelectionRule) -> float:
+    """:func:`threshold_from_rule` of losses already checked, as a :class:`LossReport`'s are;
+    ``rule`` checked its own level."""
     if rule.kind == SelectionKind.MAX_FRACTION:
         return float(rule.fraction * values.max())
-    return percentile(values, rule.level)
+    return _percentile(values, rule.level)
 
 
 def discard_mask(
@@ -109,7 +115,7 @@ def discard_mask(
     values = losses.per_example
     if epoch < start_epoch:
         return np.ones(len(losses), dtype=bool)
-    keep = values <= threshold_from_rule(values, rule)
+    keep = values <= _threshold(values, rule)
     if not keep.any():
         keep = values == values.min()
     return keep

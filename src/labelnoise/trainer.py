@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Annotated
 
 import numpy as np
@@ -125,12 +126,20 @@ def init_params(
 def _forward_cached(
     params: ModelParams, features: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
+    # the biases and the ReLU go into the product's own array: the bits of ``x @ w + b``
+    # and ``np.maximum(..., 0.0)`` without their copies
     if params.architecture == Architecture.LINEAR:
         w, b = params.weights
-        return features @ w + b, None
+        logits = features @ w
+        logits += b
+        return logits, None
     w1, b1, w2, b2 = params.weights
-    hidden = np.maximum(features @ w1 + b1, 0.0)
-    return hidden @ w2 + b2, hidden
+    hidden = features @ w1
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ w2
+    logits += b2
+    return logits, hidden
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -270,18 +279,15 @@ def split_rows(
         raise InvalidInputError("cannot split an empty dataset")
     rng = seed if isinstance(seed, RngStream) else RngStream(seed)
     _, inverse, clip_labels = dataset.clip_table()
-
-    def n_val(cls: int, n: int) -> int:
-        if n < 2:
-            raise InvalidInputError(f"class {cls} has {n} clip(s); need at least 2 to split")
-        return _val_clips(val_fraction, n)
-
-    val_mask = draw_clips(clip_labels, n_val, rng.generator())[inverse]
+    val_mask = draw_clips(clip_labels, partial(_val_clips, val_fraction), rng.generator())[inverse]
     return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 
-def _val_clips(val_fraction: float, n: int) -> int:
-    """The clips of a class of ``n`` that the split sends to validation."""
+def _val_clips(val_fraction: float, cls: int, n: int) -> int:
+    """The clips of class ``cls``, of ``n >= 1``, that the split sends to validation; a class
+    of one clip cannot be split."""
+    if n < 2:
+        raise InvalidInputError(f"class {cls} has {n} clip(s); need at least 2 to split")
     return math.ceil(val_fraction * n)
 
 
@@ -341,11 +347,14 @@ def check_plan(config: TrainConfig, clips_per_class: list[int]) -> set[int]:
     """The epochs before ``config.max_epochs`` that start a prune round, once classes of
     ``clips_per_class`` clips each are known to keep a train clip through the split and rounds.
 
-    Raises ``InvalidInputError`` when the split sends every clip to validation, and when
+    Raises ``InvalidInputError`` when a class has one clip (a class of none is skipped, as
+    the split skips it), when the split sends every clip to validation, and when
     ``prune_count`` times the rounds that start before ``max_epochs`` is positive and reaches
     the train-split clips.
     """
-    val_clips = sum(_val_clips(config.val_fraction, n) for n in clips_per_class)
+    val_clips = sum(
+        _val_clips(config.val_fraction, cls, n) for cls, n in enumerate(clips_per_class) if n
+    )
     train_clips = sum(clips_per_class) - val_clips
     if train_clips == 0:
         raise InvalidInputError(
@@ -424,6 +433,9 @@ def train(
     shuffle_rng = rng.child(_SHUFFLE)
     partner_rng = rng.child(_PARTNER)
     mixup_parent = rng.child(_MIXUP)
+    # One generator, re-seated at the start of each stream it draws from: the
+    # epoch's shuffle, its partner permutation and each mixed batch's stream.
+    gen = np.random.Generator(np.random.PCG64(0))
 
     for epoch in range(config.max_epochs):
         if epoch in prune_epochs:
@@ -431,10 +443,13 @@ def train(
             prune_report = (prune_report or []) + report_rows
 
         n = rows.size
-        shuffled = rows.take(shuffle_rng.child(epoch).generator().permutation(n))
-        if inter_mixup:
-            partners = rows.take(partner_rng.child(epoch).generator().permutation(n))
-        mixup_rng = mixup_parent.child(epoch) if config.mixup is not None else None
+        shuffled = rows.take(shuffle_rng.child(epoch).reseat(gen).permutation(n))
+        # a warm-up epoch mixes nothing, so it derives no partner or mixup stream
+        mixing = config.mixup is not None and epoch >= config.mixup.warmup_epochs
+        if mixing:
+            if inter_mixup:
+                partners = rows.take(partner_rng.child(epoch).reseat(gen).permutation(n))
+            mixup_rng = mixup_parent.child(epoch)
 
         kept_loss_sum = 0.0
         kept_count = 0
@@ -445,7 +460,7 @@ def train(
             # take copies the same rows as fancy indexing, with less overhead
             features = dataset.features.take(batch_rows, axis=0)
             batch_targets = targets.take(batch_rows, axis=0)
-            if config.mixup is not None:
+            if mixing:
                 partner = None
                 if inter_mixup:
                     partner_rows = partners[start:stop]
@@ -458,7 +473,7 @@ def train(
                     partner,
                     config.mixup,
                     epoch,
-                    mixup_rng.child(batch_index),
+                    mixup_rng.child(batch_index).reseat(gen),
                 )
                 features, batch_targets = mixed.features, mixed.targets
 

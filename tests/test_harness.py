@@ -1209,7 +1209,8 @@ def tiny_experiment(**overrides):
 plan_cases = st.fixed_dictionaries(
     dict(
         num_classes=st.integers(2, 3),
-        clips_per_class=st.integers(2, 6),
+        # one clip per class cannot be split; both refuse it with the split's words
+        clips_per_class=st.integers(1, 6),
         val_fraction=st.floats(0.05, 0.95),
         max_epochs=st.integers(0, 2),
         strategy=st.sampled_from([Strategy.NONE, Strategy.PRUNE]),
@@ -1424,7 +1425,7 @@ class TestExperiments:
         assert str(excinfo.value) == "run 1: bad value"
         assert excinfo.value.__cause__ is cause
 
-    @pytest.mark.parametrize("clips_per_class, val_fraction", [(1, 0.25), (2, 0.9), (10, 0.95)])
+    @pytest.mark.parametrize("clips_per_class, val_fraction", [(2, 0.9), (10, 0.95)])
     def test_all_validation_split_rejected_before_run_zero(
         self, monkeypatch, clips_per_class, val_fraction
     ):
@@ -1439,6 +1440,20 @@ class TestExperiments:
         )
         with pytest.raises(InvalidInputError, match="sends every clip to validation"):
             run_experiment(cfg)
+
+    def test_one_clip_class_rejected_before_run_zero_in_the_splits_words(self, monkeypatch):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started before the split was checked")
+
+        monkeypatch.setattr("labelnoise.harness._single_run", no_runs)
+        base = tiny_experiment()
+        cfg = tiny_experiment(
+            dataset=replace(base.dataset, clips_per_class=1),
+            train=replace(base.train, val_fraction=0.25),
+        )
+        with pytest.raises(InvalidInputError) as excinfo:
+            run_experiment(cfg)
+        assert str(excinfo.value) == "class 0 has 1 clip(s); need at least 2 to split"
 
     def test_runs_lower_bound(self):
         with pytest.raises(InvalidInputError):

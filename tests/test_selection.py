@@ -75,15 +75,35 @@ class TestThresholdFromRule:
         t = threshold_from_rule(values, SelectionRule.at_percentile(80.0))
         assert t == percentile(values, 80.0)
 
-    def test_empty_losses(self):
-        with pytest.raises(InvalidInputError):
-            threshold_from_rule([], SelectionRule.max_fraction(0.9))
+    # discard_mask thresholds a LossReport's checked values without these checks;
+    # the public functions keep all of them, with the same messages
+    @pytest.mark.parametrize(
+        "rule", [SelectionRule.max_fraction(0.9), SelectionRule.at_percentile(70.0)]
+    )
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.0, np.nan], "loss values must be finite and non-negative"),
+            ([np.inf, 1.0], "loss values must be finite and non-negative"),
+            ([-0.5, 1.0], "loss values must be finite and non-negative"),
+            ([], "cannot derive a threshold from an empty loss array"),
+        ],
+    )
+    def test_public_threshold_keeps_its_checks(self, rule, values, message):
+        with pytest.raises(InvalidInputError, match=rf"^{message}$"):
+            threshold_from_rule(values, rule)
 
-    def test_negative_or_non_finite_losses(self):
-        with pytest.raises(InvalidInputError):
-            threshold_from_rule([-0.5, 1.0], SelectionRule.max_fraction(0.9))
-        with pytest.raises(InvalidInputError):
-            threshold_from_rule([np.inf, 1.0], SelectionRule.max_fraction(0.9))
+    @pytest.mark.parametrize(
+        "values, level, message",
+        [
+            ([1.0, np.nan], 50, "percentile requires finite values"),
+            ([], 50, "percentile of an empty sequence"),
+            ([1.0], -1, r"percentile level must lie in \[0, 100\], got -1"),
+        ],
+    )
+    def test_public_percentile_keeps_its_checks(self, values, level, message):
+        with pytest.raises(InvalidInputError, match=rf"^{message}$"):
+            percentile(values, level)
 
 
 class TestDiscardMask:

@@ -1215,6 +1215,18 @@ GOLDEN_CONFIGS = {
         ),
         mixup=MixupPolicy(alpha=0.4, pairing=Pairing.INTER_BATCH),
     ),
+    # warm-up epochs draw no partner permutation and no mixup stream
+    "hidden_lq_percentile_discard_inter_mixup_warmup": dict(
+        loss=_LQ,
+        architecture=Architecture.ONE_HIDDEN,
+        hidden_units=6,
+        stage=StagePlan(
+            strategy=Strategy.DISCARD,
+            start_epoch=1,
+            rule=SelectionRule.at_percentile(70.0),
+        ),
+        mixup=MixupPolicy(alpha=0.4, warmup_epochs=2, pairing=Pairing.INTER_BATCH),
+    ),
     "hidden_cce_intra_mixup": dict(
         architecture=Architecture.ONE_HIDDEN,
         hidden_units=5,
@@ -1242,6 +1254,7 @@ GOLDEN_CONFIGS = {
 GOLDEN_DIGESTS = {
     "hidden_cce_intra_mixup": "0c8aaa2fd3feaa740edf3231a930bb14eed559119ea68292bdb865e33ddd220a",
     "hidden_lq_percentile_discard_inter_mixup": "35a4754f257f2d47803676e172765278a6c8b0b06682216b08a4c7fd00de6f86",
+    "hidden_lq_percentile_discard_inter_mixup_warmup": "6aac1a4415e6b0905f01a229c4bb5ade1cb294f8034c96f0d063034415687318",
     "hidden_mae_prune_at_start": "c5766de8d1d3f736999eb02f796a7900cdf81769929c80471175b2591ec09cb4",
     "linear_cce": "9c800fc1ba1379b99ce3bb5586b1a826f78b681a33147fe84a62759c0bb844f8",
     "linear_cce_two_group_smoothing": "7ba86cafcd4a92cccf782cc8195fbb7df5f50fb73896abb8ca95f3e0c3005ca0",
