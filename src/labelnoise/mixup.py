@@ -98,9 +98,10 @@ def apply_mixup(
     the warm-up period. Otherwise one ``lam`` is drawn per pair and each row
     is mixed against its partner row: a seeded random permutation of the
     batch itself for intra-batch pairing, or the same position of
-    ``partner_batch`` for inter-batch pairing. The draws come from ``rng``'s
-    generator, or from ``rng`` itself when it is a generator (one that
-    :meth:`RngStream.reseat` placed at a stream's start draws the same).
+    ``partner_batch`` for inter-batch pairing. The draws come from a fresh
+    generator at the start of ``rng`` when it is a stream, or from ``rng``
+    itself when it is a generator, which they advance: ``train`` passes one
+    generator for every mixed batch of a run.
     """
     if len(batch) == 0:
         raise InvalidInputError("cannot mix an empty batch")

@@ -3,10 +3,13 @@
 Everything here is a pure function of its inputs. Randomness is routed
 through :class:`RngStream`, a splittable seeded stream: the same
 ``(seed, stream_id)`` pair always reproduces the same draws, and distinct
-stream ids yield statistically independent sequences. Streams advance
-functionally, with ``child(i)`` deriving a fresh independent sub-stream
-rather than mutating the parent, so any piece of the pipeline can be
-re-run in isolation and reproduce its draws exactly.
+stream ids yield statistically independent sequences. Streams are pure:
+``child(i)`` derives a fresh independent sub-stream rather than mutating
+the parent, and ``generator()`` starts a new generator at the stream's
+start. A consumer that keeps drawing from one generator makes its draws
+depend on everything drawn before them: ``train`` draws each concern's
+stream (shuffles, partner permutations, mixup) in order over a run, so
+one epoch's draws reproduce only by re-running the run from its start.
 
 All arithmetic is 64-bit floating point.
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,81 +34,6 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-# numpy's SeedSequence hash (``bit_generator.pyx``) and PCG64 seeding (``pcg64.c``), for
-# RngStream.reseat. Hash arithmetic is mod 2**32 and PCG64's mod 2**128.
-#
-# hashmix(v) is ``v ^= h; h *= MULT_A; v *= h; v ^= v >> 16``, with ``h`` starting at INIT_A and
-# carrying from call to call. ``h`` never depends on ``v``, so the k-th call's xor and
-# multiplier are fixed: _HASH_A[k]. The i-th output word is the same hash of pool[i % 4]
-# with INIT_B and MULT_B: _HASH_B[i].
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (init * pow(mult, k, 1 << 32) & _MASK32, init * pow(mult, k + 1, 1 << 32) & _MASK32)
-        for k in range(count)
-    )
-
-
-# 16 calls hash a 64-bit seed's 4 pool words, then 4 per word of a 64-bit stream id
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, 24)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
-def _hashmix(v: int, constants: tuple[int, int]) -> int:
-    xor, mult = constants
-    v = ((v ^ xor) * mult) & _MASK32
-    return v ^ (v >> 16)
-
-
-def _words(x: int) -> list[int]:
-    """The 32-bit words of ``x`` in [0, 2**64), least significant first; 0 gives ``[0]``."""
-    return [x & _MASK32, x >> 32] if x > _MASK32 else [x]
-
-
-@lru_cache(maxsize=256)
-def _seed_pool(seed: int) -> tuple[int, ...]:
-    """The entropy pool of ``SeedSequence(entropy=seed, spawn_key=(...,))`` before its spawn
-    key is mixed in; a spawn key pads the seed's words to 4. Uses hash calls 0 to 15."""
-    entropy = _words(seed)
-    pool = [_hashmix(w, _HASH_A[k]) for k, w in enumerate(entropy + [0] * (4 - len(entropy)))]
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A[k]))
-                k += 1
-    return tuple(pool)
-
-
-def _pcg64_state(seed: int, stream_id: int) -> tuple[int, int]:
-    """The (state, increment) that ``PCG64(SeedSequence(entropy=seed, spawn_key=(stream_id,)))``
-    starts in, for ``seed`` and ``stream_id`` in [0, 2**64)."""
-    pool = list(_seed_pool(seed))
-    k = 16
-    for w in _words(stream_id):
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(w, _HASH_A[k]))
-            k += 1
-    out = [_hashmix(v, constants) for constants, v in zip(_HASH_B, pool + pool)]
-    # the 8 words are 4 little-endian 64-bit words u0..u3; PCG64 seeds with
-    # initstate u0:u1 and sequence u2:u3, and steps twice
-    initstate = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
-    inc = (out[5] << 97 | out[4] << 65 | out[7] << 33 | out[6] << 1 | 1) & _MASK128
-    return ((inc + initstate) * _PCG_MULT + inc) & _MASK128, inc
-
-
 @dataclass(frozen=True)
 class RngStream:
     """A named, reproducible random stream.
@@ -119,9 +46,7 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        # child() builds a stream per batch, so an exact int pays only this type test
-        if type(self.seed) is not int or type(self.stream_id) is not int:
-            check_fields(self)
+        check_fields(self)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
@@ -129,21 +54,6 @@ class RngStream:
             entropy=self.seed & _MASK64, spawn_key=(self.stream_id & _MASK64,)
         )
         return np.random.Generator(np.random.PCG64(seq))
-
-    def reseat(self, gen: np.random.Generator) -> np.random.Generator:
-        """Move ``gen``, a PCG64 generator, to the start of this stream and return it.
-
-        Its draws are then those of :meth:`generator`'s, bit for bit, without building a
-        ``SeedSequence`` and a bit generator; the seed's part of the hash is cached.
-        """
-        state, inc = _pcg64_state(self.seed & _MASK64, self.stream_id & _MASK64)
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
 
     def child(self, index: int) -> "RngStream":
         """Derive the ``index``-th sub-stream of this stream."""

@@ -428,14 +428,10 @@ def train(
     prune_report: list[PruneRecord] | None = None
     discard = config.stage.strategy == Strategy.DISCARD
     inter_mixup = config.mixup is not None and config.mixup.pairing == Pairing.INTER_BATCH
-    # Each epoch's streams are children of these three. child is pure, so
-    # deriving them once per run gives the same draws as once per epoch.
-    shuffle_rng = rng.child(_SHUFFLE)
-    partner_rng = rng.child(_PARTNER)
-    mixup_parent = rng.child(_MIXUP)
-    # One generator, re-seated at the start of each stream it draws from: the
-    # epoch's shuffle, its partner permutation and each mixed batch's stream.
-    gen = np.random.Generator(np.random.PCG64(0))
+    # one generator per concern, each drawn in order over the whole run
+    shuffle_gen = rng.child(_SHUFFLE).generator()
+    partner_gen = rng.child(_PARTNER).generator()
+    mixup_gen = rng.child(_MIXUP).generator()
 
     for epoch in range(config.max_epochs):
         if epoch in prune_epochs:
@@ -443,18 +439,16 @@ def train(
             prune_report = (prune_report or []) + report_rows
 
         n = rows.size
-        shuffled = rows.take(shuffle_rng.child(epoch).reseat(gen).permutation(n))
-        # a warm-up epoch mixes nothing, so it derives no partner or mixup stream
+        shuffled = rows.take(shuffle_gen.permutation(n))
+        # a warm-up epoch mixes nothing, so it draws no partner permutation or mixup weight
         mixing = config.mixup is not None and epoch >= config.mixup.warmup_epochs
-        if mixing:
-            if inter_mixup:
-                partners = rows.take(partner_rng.child(epoch).reseat(gen).permutation(n))
-            mixup_rng = mixup_parent.child(epoch)
+        if mixing and inter_mixup:
+            partners = rows.take(partner_gen.permutation(n))
 
         kept_loss_sum = 0.0
         kept_count = 0
         total_count = 0
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
+        for start in range(0, n, config.batch_size):
             stop = start + config.batch_size
             batch_rows = shuffled[start:stop]
             # take copies the same rows as fancy indexing, with less overhead
@@ -469,11 +463,7 @@ def train(
                         targets.take(partner_rows, axis=0),
                     )
                 mixed = apply_mixup(
-                    Batch(features, batch_targets),
-                    partner,
-                    config.mixup,
-                    epoch,
-                    mixup_rng.child(batch_index).reseat(gen),
+                    Batch(features, batch_targets), partner, config.mixup, epoch, mixup_gen
                 )
                 features, batch_targets = mixed.features, mixed.targets
 

@@ -840,6 +840,37 @@ class TestTrainWithDefenses:
             kept = sum(int(keep.sum()) for keep in epoch_masks)
             assert record.kept_fraction == kept / 90
 
+    def test_mixup_draws_never_shift_the_batches(self, monkeypatch):
+        # each concern draws from its own stream: with or without mixup, of either
+        # pairing and at any warm-up, every step trains on the same shuffled rows
+        import labelnoise.trainer as trainer_module
+
+        real_mask = trainer_module.discard_mask
+        stage = StagePlan(
+            strategy=Strategy.DISCARD, start_epoch=0, rule=SelectionRule.max_fraction(0.5)
+        )
+        policies = [None] + [
+            MixupPolicy(alpha=0.4, warmup_epochs=warmup, pairing=pairing)
+            for pairing in Pairing
+            for warmup in (0, 2)
+        ]
+        batches = []
+        for mixup in policies:
+            ids = []
+
+            def recorded_mask(report, *args):
+                ids.append(report.example_ids.copy())
+                return real_mask(report, *args)
+
+            monkeypatch.setattr(trainer_module, "discard_mask", recorded_mask)
+            train(blob_dataset(), quick_config(max_epochs=4, stage=stage, mixup=mixup))
+            batches.append(ids)
+        assert len(batches[0]) == 4 * math.ceil(90 / 16)  # 30 train clips x 3 patches
+        for ids in batches[1:]:
+            assert len(ids) == len(batches[0])
+            for step, step_ids in zip(batches[0], ids):
+                np.testing.assert_array_equal(step_ids, step)
+
     def test_prune_runs_once_and_reports(self):
         ds = blob_dataset()  # split at 0.25 leaves 30 train clips
         stage = StagePlan(strategy=Strategy.PRUNE, start_epoch=2, prune_count=5)
@@ -1252,16 +1283,16 @@ GOLDEN_CONFIGS = {
 # SHA-256 of the metrics, model and prune-report bytes each configuration
 # writes. A change to the training loop must leave all of them unchanged.
 GOLDEN_DIGESTS = {
-    "hidden_cce_intra_mixup": "0c8aaa2fd3feaa740edf3231a930bb14eed559119ea68292bdb865e33ddd220a",
-    "hidden_lq_percentile_discard_inter_mixup": "35a4754f257f2d47803676e172765278a6c8b0b06682216b08a4c7fd00de6f86",
-    "hidden_lq_percentile_discard_inter_mixup_warmup": "6aac1a4415e6b0905f01a229c4bb5ade1cb294f8034c96f0d063034415687318",
-    "hidden_mae_prune_at_start": "c5766de8d1d3f736999eb02f796a7900cdf81769929c80471175b2591ec09cb4",
-    "linear_cce": "9c800fc1ba1379b99ce3bb5586b1a826f78b681a33147fe84a62759c0bb844f8",
-    "linear_cce_two_group_smoothing": "7ba86cafcd4a92cccf782cc8195fbb7df5f50fb73896abb8ca95f3e0c3005ca0",
-    "linear_early_stop": "5a39faa5cfa9ff995b91dd8666817e4309818f80166ada4680d601129e897066",
-    "linear_lq_iterative_prune": "893fdbe368cfc7c247f636d1dc2d822b260423eae40dfa7908ee06fd228b012d",
-    "linear_lq_max_fraction_discard": "6689427ddd84199c762f26f9f1d99bac6e776cd262217cdd3a772f31196d02de",
-    "linear_mae": "0febec7c5a488268663c02dceb126fcd28f3c3a7c4824e0232faab5fe129c3a8",
+    "hidden_cce_intra_mixup": "3d7be7fef69873ae241d22b98eb88c64eb157167e1289c40f79a87e53f447074",
+    "hidden_lq_percentile_discard_inter_mixup": "7710ac9d3e30913142e9b35f65021d2badd60d4d8c0caea113655208a87e017a",
+    "hidden_lq_percentile_discard_inter_mixup_warmup": "5cca50da49b212f122b67d3126f58ca6eed01fba8e500f633bb6d147062c8dfa",
+    "hidden_mae_prune_at_start": "2266b353e43c73d2ab9ee726e117fa562db7535f0cd1fbf709489127cc910fa1",
+    "linear_cce": "a190434fb97c8bac95fb000f8815ea611cd580f44a6d6d1fc9cd2457eeb211c2",
+    "linear_cce_two_group_smoothing": "c80e0c1ad3bf76bf96e6ae5e514d39d99f3142b972aa62f58520dbfb62670bde",
+    "linear_early_stop": "aeecaebf0ff67cac8ee19cfbf43c350a32e0a799968169d95f077b97c2cc54c0",
+    "linear_lq_iterative_prune": "2ee69b84e1d0ed9b2d62bac74fd0877e149af5e0b130dcd5b91b997b48845932",
+    "linear_lq_max_fraction_discard": "3020f3af04192b59f6f8787dd9587ad56d8f551dda80b7cfc0e857c06b03fdd0",
+    "linear_mae": "794aa5e945b5288b37f2489b9fec29160042c6b5d15738ba820e779d5cf3bc32",
     "linear_no_epochs": "10165f09ae1899e6a0d49b50a842de07a55d59384b4113d5da8a4198f5cb1c14",
 }
 
