@@ -118,7 +118,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
                 f"--rate-by-class must be a JSON object, got {json_text(args.rate_by_class)}:"
                 f" {exc}"
             ) from exc
-    spec = parse_noise(section, prefix="noise")
+    spec = parse_noise(section)
     return _write_datasets(args, inject_noise(read_as_annotated(args.input), spec))
 
 
@@ -137,7 +137,7 @@ def _write_run(out_dir: Path, prefix: str, history, prune_report, params=None) -
 
 def _cmd_train(args: argparse.Namespace) -> int:
     raw = read_config_file(args.config)
-    config, _ = parse_train(raw, prefix="train", allow_auto_groups=False)
+    config = parse_train(raw)
     if args.print_config:
         print(json.dumps(train_to_dict(config), indent=2, sort_keys=True))
         return 0

@@ -266,14 +266,14 @@ def _render(value: Any) -> Any:
     return {name: _render(item) for name, item in items if item is not None}
 
 
-def parse_train(section: Any, prefix: str = "train", allow_auto_groups: bool = False):
-    """Returns (TrainConfig, wants_auto_groups)."""
-    ctx = _Context(allow_auto_groups=allow_auto_groups)
-    return _section(TrainConfig)(section, prefix, ctx), ctx.auto_groups
+def parse_train(section: Any) -> TrainConfig:
+    """A lone run's ``train`` section; ``"groups": "auto"`` needs an experiment's noise."""
+    return _section(TrainConfig)(section, "train", _Context())
 
 
-def parse_noise(section: Any, prefix: str = "noise") -> NoiseSpec:
-    return _section(NoiseSpec)(section, prefix, _Context())
+def parse_noise(section: Any) -> NoiseSpec:
+    """The ``noise`` section of a corruption."""
+    return _section(NoiseSpec)(section, "noise", _Context())
 
 
 def parse_dataset(section: Any) -> DatasetParams:
@@ -288,12 +288,12 @@ def parse_experiment(config: Any) -> ExperimentConfig:
     return _build(ExperimentConfig, "configuration", auto_noise_groups=ctx.auto_groups, **fields)
 
 
-def train_to_dict(cfg: TrainConfig, auto_groups: bool = False) -> dict:
-    out = _render(cfg)
-    if auto_groups and cfg.smoothing is not None:
-        out["smoothing"]["groups"] = AUTO_GROUPS
-    return out
+def train_to_dict(cfg: TrainConfig) -> dict:
+    return _render(cfg)
 
 
 def experiment_to_dict(cfg: ExperimentConfig) -> dict:
-    return {**_render(cfg), "train": train_to_dict(cfg.train, cfg.auto_noise_groups)}
+    out = _render(cfg)
+    if cfg.auto_noise_groups:  # ExperimentConfig holds that smoothing is set
+        out["train"]["smoothing"]["groups"] = AUTO_GROUPS
+    return out

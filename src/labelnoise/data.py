@@ -28,7 +28,7 @@ from .errors import InvalidInputError, check_fields
 class Dataset:
     example_ids: np.ndarray  # (N,) int64, unique
     clip_ids: np.ndarray     # (N,) int64
-    features: np.ndarray     # (N, F) float64
+    features: np.ndarray     # (N, F) float64, F >= 1
     labels: np.ndarray       # (N,) int64 in [0, num_classes)
     num_classes: Annotated[int, "[2, inf)"]
 
@@ -41,6 +41,8 @@ class Dataset:
         n = self.example_ids.shape[0]
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise InvalidInputError("features must be a (N, F) array aligned with ids")
+        if self.features.shape[1] == 0:
+            raise InvalidInputError("features must have at least one column")
         if self.clip_ids.shape != (n,) or self.labels.shape != (n,):
             raise InvalidInputError("dataset columns must have equal lengths")
         if n:

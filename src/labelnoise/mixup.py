@@ -23,7 +23,7 @@ from typing import Annotated
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, check_fields, within
-from .numerics import RngStream, beta_draws
+from .numerics import beta_draws
 
 
 class Pairing(str, Enum):
@@ -90,25 +90,24 @@ def apply_mixup(
     partner_batch: Batch | None,
     policy: MixupPolicy,
     epoch: int,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> Batch:
     """Mix a whole batch according to the policy, or pass it through.
 
     Returns the input batch object unchanged while the epoch is still inside
     the warm-up period. Otherwise one ``lam`` is drawn per pair and each row
-    is mixed against its partner row: a seeded random permutation of the
+    is mixed against its partner row: a random permutation of the
     batch itself for intra-batch pairing, or the same position of
-    ``partner_batch`` for inter-batch pairing. The draws come from a fresh
-    generator at the start of ``rng`` when it is a stream, or from ``rng``
-    itself when it is a generator, which they advance: ``train`` passes one
-    generator for every mixed batch of a run.
+    ``partner_batch`` for inter-batch pairing. The draws come from ``gen``
+    and advance it, the permutation (intra-batch only) before the weights,
+    so two calls on one generator mix differently: ``train`` passes one
+    generator for every mixed batch of a run. A warm-up call draws nothing.
     """
     if len(batch) == 0:
         raise InvalidInputError("cannot mix an empty batch")
     if epoch < policy.warmup_epochs:
         return batch
 
-    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
     if policy.pairing == Pairing.INTRA_BATCH:
         perm = gen.permutation(len(batch))
         partner_features = batch.features.take(perm, axis=0)

@@ -1,15 +1,15 @@
 """Deterministic numeric primitives shared by the rest of the toolkit.
 
-Everything here is a pure function of its inputs. Randomness is routed
-through :class:`RngStream`, a splittable seeded stream: the same
-``(seed, stream_id)`` pair always reproduces the same draws, and distinct
-stream ids yield statistically independent sequences. Streams are pure:
-``child(i)`` derives a fresh independent sub-stream rather than mutating
-the parent, and ``generator()`` starts a new generator at the stream's
-start. A consumer that keeps drawing from one generator makes its draws
-depend on everything drawn before them: ``train`` draws each concern's
-stream (shuffles, partner permutations, mixup) in order over a run, so
-one epoch's draws reproduce only by re-running the run from its start.
+Everything here is a pure function of its inputs. Randomness starts at
+:class:`RngStream`, a splittable seeded stream held only by ``train`` and
+the harness: the same ``(seed, stream_id)`` pair always reproduces the same
+draws, distinct stream ids yield independent sequences, ``child(i)`` derives
+a sub-stream without mutating the parent, and ``generator()`` starts a new
+generator at the stream's start. Every function below them that draws takes
+the ``np.random.Generator`` it draws from and advances it: ``train`` builds
+one per concern (split, weights, shuffles, partners, mixup) and draws each
+in order over a run, so one epoch's draws reproduce only by re-running the
+run from its start.
 
 All arithmetic is 64-bit floating point.
 """

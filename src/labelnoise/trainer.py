@@ -72,8 +72,8 @@ class ModelParams:
     """Weights of the classifier; ``weights`` is [W, b] or [W1, b1, W2, b2]."""
 
     architecture: Architecture
-    feature_dim: int
-    num_classes: int
+    feature_dim: Annotated[int, "[1, inf)"]
+    num_classes: Annotated[int, "[2, inf)"]
     hidden_units: int
     weights: list[np.ndarray]
 
@@ -109,10 +109,9 @@ def init_params(
     feature_dim: int,
     num_classes: int,
     hidden_units: int,
-    rng: RngStream,
+    gen: np.random.Generator,
 ) -> ModelParams:
-    """Seeded Gaussian weights with standard deviation 1/sqrt(fan_in); zero biases."""
-    gen = rng.generator()
+    """Gaussian weights of standard deviation 1/sqrt(fan_in) drawn from ``gen``; zero biases."""
     weights: list[np.ndarray] = []
     for shape in _weight_shapes(architecture, feature_dim, num_classes, hidden_units):
         if len(shape) == 2:
@@ -265,21 +264,20 @@ class TrainResult:
 
 
 def split_rows(
-    dataset: Dataset, val_fraction: float, seed: int | RngStream
+    dataset: Dataset, val_fraction: float, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clip-level stratified split: per class, :func:`_val_clips` of its clips go to validation.
 
-    Clips are assigned by a seeded shuffle within each class; no clip
-    straddles the two splits, and together they cover the dataset. Returns
-    the ascending positions in ``dataset`` of the train rows and of the
-    validation rows.
+    Clips are assigned by a shuffle within each class, drawn from ``gen`` by
+    :func:`draw_clips`; no clip straddles the two splits, and together they
+    cover the dataset. Returns the ascending positions in ``dataset`` of the
+    train rows and of the validation rows.
     """
     within("val_fraction", val_fraction, "(0, 1)")
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot split an empty dataset")
-    rng = seed if isinstance(seed, RngStream) else RngStream(seed)
     _, inverse, clip_labels = dataset.clip_table()
-    val_mask = draw_clips(clip_labels, partial(_val_clips, val_fraction), rng.generator())[inverse]
+    val_mask = draw_clips(clip_labels, partial(_val_clips, val_fraction), gen)[inverse]
     return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 
@@ -292,10 +290,10 @@ def _val_clips(val_fraction: float, cls: int, n: int) -> int:
 
 
 def stratified_split(
-    dataset: Dataset, val_fraction: float, seed: int | RngStream
+    dataset: Dataset, val_fraction: float, gen: np.random.Generator
 ) -> tuple[Dataset, Dataset]:
     """The train and validation rows of :func:`split_rows` as two datasets, in row order."""
-    train_rows, val_rows = split_rows(dataset, val_fraction, seed)
+    train_rows, val_rows = split_rows(dataset, val_fraction, gen)
     return dataset.subset(train_rows), dataset.subset(val_rows)
 
 
@@ -399,7 +397,7 @@ def train(
     # ``dataset``: batches gather their features and targets by those positions.
     # Validation is one contiguous copy, since a product's bits depend on
     # its row count.
-    rows, val_rows = split_rows(dataset, config.val_fraction, rng.child(_SPLIT))
+    rows, val_rows = split_rows(dataset, config.val_fraction, rng.child(_SPLIT).generator())
     prune_epochs = check_plan(config, np.bincount(dataset.clip_table()[2]).tolist())
     val_split = dataset.subset(val_rows)
     val_scoring = _clip_scoring(val_split, dataset.num_classes)
@@ -413,7 +411,7 @@ def train(
             dataset.feature_dim,
             dataset.num_classes,
             config.hidden_units,
-            rng.child(_INIT),
+            rng.child(_INIT).generator(),
         )
     )
     adam = _Adam(flat_weights.size)

@@ -6,7 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from labelnoise import PruneRecord, read_annotated, read_dataset, read_summary, write_prune_report
+from labelnoise import (
+    PruneRecord,
+    load_model,
+    read_annotated,
+    read_dataset,
+    read_metrics,
+    read_prune_report,
+    read_summary,
+    write_prune_report,
+)
 from labelnoise.cli import build_parser, main
 
 
@@ -542,6 +551,21 @@ class TestTrainCommand:
         assert f"example {rows[3]['example_id']} " in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_dataset_of_no_features_exits_two_before_training(self, tmp_path, capsys):
+        # a model of no features could be written but never loaded back
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        rows = [{**json.loads(line), "features": []} for line in data.read_text().splitlines()]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(train_config(tmp_path)),
+            "--data", str(data), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: features must have at least one column\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
     def test_malformed_row_exits_two_naming_its_line(self, tmp_path, capsys, case):
         broken, message = MALFORMED_ROWS[case]
@@ -600,6 +624,32 @@ class TestTrainCommand:
         assert f"error: {path} must be a finite number" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_file_pipeline_reads_back(self, tmp_path, capsys):
+        # corrupt a generated file, train with a prune round on its public view, score the
+        # report against the private file; every file the commands wrote reads back
+        data, noisy, public = (tmp_path / f"{name}.jsonl" for name in ("data", "noisy", "public"))
+        run_cli(*generate_args(data))
+        assert run_cli(
+            "dataset", "corrupt", "--in", str(data), "--kind", "symmetric", "--rate", "0.25",
+            "--seed", "1", "--out", str(noisy), "--public-out", str(public),
+        ) == 0
+        config = train_config(
+            tmp_path,
+            loss={"kind": "lq", "q": 0.7},
+            stage={"strategy": "prune", "start_epoch": 2, "prune_count": 2},
+        )
+        out_dir = tmp_path / "run"
+        assert run_cli(
+            "train", "--config", str(config), "--data", str(public), "--out-dir", str(out_dir)
+        ) == 0
+        assert load_model(out_dir / "model.json").feature_dim == 4
+        assert len(read_metrics(out_dir / "metrics.jsonl")) == 4
+        report = out_dir / "prune_report.jsonl"
+        assert sum(row.removed for row in read_prune_report(report)) == 2
+        capsys.readouterr()
+        assert run_cli("prune-report", "--report", str(report), "--dataset", str(noisy)) == 0
+        assert "removed clips = 2" in capsys.readouterr().out
+
     def test_trains_from_public_file_too(self, tmp_path):
         data = tmp_path / "data.jsonl"
         public = tmp_path / "public.jsonl"
@@ -624,6 +674,25 @@ class TestExperimentCommand:
         assert (out_dir / "run_01_metrics.jsonl").exists()
         output = capsys.readouterr().out
         assert re.search(r"acc = \d+\.\d ± \d+\.\d", output)
+
+    def test_hidden_layer_with_inter_mixup_and_discard(self, tmp_path):
+        # after a warm-up epoch, inter-batch mixup and a percentile discard: every generator
+        # train builds is drawn from, and each run's metrics read back
+        train = {
+            "loss": {"kind": "cce"}, "max_epochs": 3, "batch_size": 8, "initial_lr": 0.01,
+            "val_fraction": 0.25, "architecture": "one_hidden", "hidden_units": 8,
+            "mixup": {"alpha": 0.4, "warmup_epochs": 1, "pairing": "inter"},
+            "stage": {
+                "strategy": "discard", "start_epoch": 1,
+                "rule": {"kind": "percentile", "level": 85},
+            },
+        }
+        out_dir = tmp_path / "exp"
+        config = experiment_config(tmp_path, train=train)
+        assert run_cli("experiment", "--config", str(config), "--out-dir", str(out_dir)) == 0
+        assert len(read_summary(out_dir / "summary.json").per_run_accuracy) == 2
+        for index in range(2):
+            assert len(read_metrics(out_dir / f"run_{index:02d}_metrics.jsonl")) == 3
 
     def test_single_run_reports_zero_half_width(self, tmp_path, capsys):
         config = experiment_config(tmp_path)

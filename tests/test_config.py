@@ -67,12 +67,12 @@ from labelnoise.trainer import split_rows
 
 class TestParseLoss:
     def test_defaults_to_cce(self):
-        spec = parse_train({"loss": {}})[0].loss
+        spec = parse_train({"loss": {}}).loss
         assert spec.kind == LossKind.CCE
         assert spec.q is None
 
     def test_lq_with_q(self):
-        spec = parse_train({"loss": {"kind": "lq", "q": 0.7}})[0].loss
+        spec = parse_train({"loss": {"kind": "lq", "q": 0.7}}).loss
         assert spec.kind == LossKind.LQ
         assert spec.q == 0.7
 
@@ -100,16 +100,16 @@ def rule_config(rule: dict) -> dict:
 
 class TestParseRule:
     def test_max_fraction(self):
-        cfg, _ = parse_train(rule_config({"kind": "max_fraction", "fraction": 0.93}))
+        cfg = parse_train(rule_config({"kind": "max_fraction", "fraction": 0.93}))
         assert cfg.stage.rule.kind == SelectionKind.MAX_FRACTION
         assert cfg.stage.rule.fraction == 0.93
 
     def test_percentile(self):
-        cfg, _ = parse_train(rule_config({"kind": "percentile", "level": 80.0}))
+        cfg = parse_train(rule_config({"kind": "percentile", "level": 80.0}))
         assert cfg.stage.rule.level == 80.0
 
     def test_patch_count_becomes_percentile(self):
-        cfg, _ = parse_train(rule_config({"kind": "patch_count", "count": 16}))
+        cfg = parse_train(rule_config({"kind": "patch_count", "count": 16}))
         assert cfg.stage.rule.kind == SelectionKind.PERCENTILE
         assert cfg.stage.rule.level == 75.0
 
@@ -138,7 +138,7 @@ class TestParseRule:
 
 class TestParseStage:
     def test_full_plan(self):
-        cfg, _ = parse_train(
+        cfg = parse_train(
             {
                 "batch_size": 64,
                 "stage": {
@@ -153,7 +153,7 @@ class TestParseStage:
 
     def test_prune_plan(self):
         stage = {"strategy": "prune", "start_epoch": 5, "prune_count": 28}
-        plan = parse_train({"batch_size": 64, "stage": stage})[0].stage
+        plan = parse_train({"batch_size": 64, "stage": stage}).stage
         assert plan.strategy == Strategy.PRUNE
         assert plan.prune_count == 28
 
@@ -168,13 +168,12 @@ class TestParseStage:
 
 class TestParseSmoothing:
     def test_plain(self):
-        cfg, auto = parse_train({"smoothing": {"epsilon": 0.15}})
+        cfg = parse_train({"smoothing": {"epsilon": 0.15}})
         assert cfg.smoothing.epsilon == 0.15
         assert cfg.smoothing.delta_epsilon == 0.0
-        assert not auto
 
     def test_explicit_groups_with_int_keys_as_strings(self):
-        cfg, auto = parse_train(
+        cfg = parse_train(
             {
                 "smoothing": {
                     "epsilon": 0.15,
@@ -183,7 +182,6 @@ class TestParseSmoothing:
                 }
             }
         )
-        assert not auto
         assert cfg.smoothing.group_of_class == {
             0: NoiseGroup.LOW_NOISE, 1: NoiseGroup.HIGH_NOISE
         }
@@ -193,11 +191,15 @@ class TestParseSmoothing:
             parse_train({"smoothing": {"epsilon": 0.15, "groups": "auto"}})
 
     def test_auto_allowed_when_enabled(self):
-        cfg, auto = parse_train(
-            {"smoothing": {"epsilon": 0.15, "groups": "auto"}}, allow_auto_groups=True
+        # only an experiment, whose noise section gives the map to derive, takes auto groups
+        cfg = parse_experiment(
+            {
+                "noise": {"kind": "symmetric", "rate": 0.4},
+                "train": {"smoothing": {"epsilon": 0.15, "groups": "auto"}},
+            }
         )
-        assert auto
-        assert cfg.smoothing.group_of_class is None
+        assert cfg.auto_noise_groups
+        assert cfg.train.smoothing.group_of_class is None
 
     def test_epsilon_required(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
@@ -220,7 +222,7 @@ class TestParseMixup:
     def test_full(self):
         policy = parse_train(
             {"mixup": {"alpha": 0.3, "warmup_epochs": 10, "pairing": "inter"}}
-        )[0].mixup
+        ).mixup
         assert policy.alpha == 0.3
         assert policy.warmup_epochs == 10
         assert policy.pairing == Pairing.INTER_BATCH
@@ -242,15 +244,14 @@ class TestParseMixup:
 
 class TestParseTrain:
     def test_defaults(self):
-        cfg, auto = parse_train({})
+        cfg = parse_train({})
         assert cfg.loss.kind == LossKind.CCE
         assert cfg.max_epochs == 100
         assert cfg.batch_size == 64
         assert cfg.architecture == Architecture.LINEAR
-        assert not auto
 
     def test_nested_sections(self):
-        cfg, auto = parse_train(
+        cfg = parse_train(
             {
                 "loss": {"kind": "lq", "q": 0.7},
                 "batch_size": 32,
@@ -267,10 +268,9 @@ class TestParseTrain:
         assert cfg.stage.rule.level == 75.0  # 8 of 32 dropped
         assert cfg.smoothing.epsilon == 0.1
         assert cfg.mixup.alpha == 0.2
-        assert not auto
 
     def test_patch_count_uses_default_batch_size_when_unset(self):
-        cfg, _ = parse_train(
+        cfg = parse_train(
             {
                 "stage": {
                     "strategy": "discard",
@@ -294,7 +294,7 @@ class TestParseTrain:
             parse_train({"val_fraction": 1.5})
 
     def test_architecture(self):
-        cfg, _ = parse_train({"architecture": "one_hidden", "hidden_units": 8})
+        cfg = parse_train({"architecture": "one_hidden", "hidden_units": 8})
         assert cfg.architecture == Architecture.ONE_HIDDEN
         assert cfg.hidden_units == 8
 
@@ -518,11 +518,11 @@ class TestRejectedValuesNamedAsJson:
 class TestRoundTrips:
     def test_loss(self):
         raw = {"kind": "lq", "q": 0.7}
-        assert train_to_dict(parse_train({"loss": raw})[0])["loss"] == raw
+        assert train_to_dict(parse_train({"loss": raw}))["loss"] == raw
 
     def test_rule(self):
         raw = {"kind": "max_fraction", "fraction": 0.93}
-        cfg, _ = parse_train(rule_config(raw))
+        cfg = parse_train(rule_config(raw))
         assert train_to_dict(cfg)["stage"]["rule"] == raw
 
     def test_stage(self):
@@ -533,22 +533,23 @@ class TestRoundTrips:
             "prune_rounds": 1,
             "rule": {"kind": "percentile", "level": 75.0},
         }
-        cfg, _ = parse_train({"batch_size": 64, "stage": raw})
+        cfg = parse_train({"batch_size": 64, "stage": raw})
         assert train_to_dict(cfg)["stage"] == raw
 
     def test_smoothing_with_groups(self):
         raw = {"epsilon": 0.15, "delta_epsilon": 0.05, "groups": {"0": "low", "1": "high"}}
-        cfg, auto = parse_train({"smoothing": raw})
-        assert train_to_dict(cfg, auto)["smoothing"] == raw
+        cfg = parse_train({"smoothing": raw})
+        assert train_to_dict(cfg)["smoothing"] == raw
 
     def test_smoothing_auto_marker_survives(self):
         raw = {"epsilon": 0.15, "delta_epsilon": 0.0, "groups": "auto"}
-        cfg, auto = parse_train({"smoothing": raw}, allow_auto_groups=True)
-        assert train_to_dict(cfg, auto)["smoothing"] == raw
+        noise = {"kind": "symmetric", "rate": 0.4}
+        cfg = parse_experiment({"noise": noise, "train": {"smoothing": raw}})
+        assert experiment_to_dict(cfg)["train"]["smoothing"] == raw
 
     def test_mixup(self):
         raw = {"alpha": 0.3, "warmup_epochs": 10, "pairing": "intra"}
-        assert train_to_dict(parse_train({"mixup": raw})[0])["mixup"] == raw
+        assert train_to_dict(parse_train({"mixup": raw}))["mixup"] == raw
 
     def test_dataset(self):
         cfg = parse_experiment({"dataset": {"classes": 4, "spread": 0.25}})
@@ -578,9 +579,9 @@ class TestRoundTrips:
         assert parse_experiment(json.loads(json.dumps(rendered))) == cfg
 
     def test_train_to_dict_reparses(self):
-        cfg, auto = parse_train({"loss": {"kind": "mae"}, "batch_size": 16})
-        rendered = train_to_dict(cfg, auto)
-        reparsed, _ = parse_train(rendered)
+        cfg = parse_train({"loss": {"kind": "mae"}, "batch_size": 16})
+        rendered = train_to_dict(cfg)
+        reparsed = parse_train(rendered)
         assert reparsed == cfg
 
 
@@ -842,7 +843,7 @@ class TestRenderParseProperty:
     @given(cfg=train_configs)
     def test_train_survives_json(self, cfg):
         rendered = json.loads(json.dumps(train_to_dict(cfg)))
-        assert parse_train(rendered) == (cfg, False)
+        assert parse_train(rendered) == cfg
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -863,8 +864,8 @@ def test_readme_config_block_parses_and_survives_the_round_trip(index):
         cfg = parse_experiment(raw)
         assert parse_experiment(json.loads(json.dumps(experiment_to_dict(cfg)))) == cfg
     else:
-        cfg, auto = parse_train(raw)
-        assert parse_train(json.loads(json.dumps(train_to_dict(cfg, auto)))) == (cfg, auto)
+        cfg = parse_train(raw)
+        assert parse_train(json.loads(json.dumps(train_to_dict(cfg)))) == cfg
 
 
 # Each dataclass that holds integers, with the other arguments it needs and its integer
@@ -1058,6 +1059,14 @@ BOUNDS = {
         "clip_loss", "[0, inf)", float, lambda v: PruneRecord(2, v, 1, False)
     ),
     "PruneRecord.rank": ("rank", "[1, inf)", int, lambda v: PruneRecord(2, 0.3, v, False)),
+    "ModelParams.feature_dim": (
+        "feature_dim", "[1, inf)", int,
+        lambda v: ModelParams(Architecture.LINEAR, v, 2, 1, [np.zeros((1, 2)), np.zeros(2)]),
+    ),
+    "ModelParams.num_classes": (
+        "num_classes", "[2, inf)", int,
+        lambda v: ModelParams(Architecture.LINEAR, 1, v, 1, [np.zeros((1, 2)), np.zeros(2)]),
+    ),
     "SmoothingPolicy.epsilon": ("epsilon", "[0, 1)", float, SmoothingPolicy),
     "SmoothingPolicy.delta_epsilon": (
         "delta_epsilon", "[0, inf)", float, lambda v: SmoothingPolicy(0.1, v)
@@ -1092,7 +1101,8 @@ BOUNDS = {
         )
     },
     "split_rows.val_fraction": (
-        "val_fraction", "(0, 1)", float, lambda v: split_rows(tiny_dataset(), v, 0)
+        "val_fraction", "(0, 1)", float,
+        lambda v: split_rows(tiny_dataset(), v, np.random.default_rng(0)),
     ),
     "mix_pair.lam": (
         "mixing weight", "[0, 1]", float, lambda v: mix_pair([0.0], [1.0], [1.0], [0.0], v)

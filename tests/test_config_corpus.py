@@ -2,8 +2,8 @@
 
 ``tests/data/config_corpus.jsonl`` holds one mutated config per line and
 what each of the two config entry points made of it: ``parse_experiment``
-on the whole config, and ``parse_train(config.get("train", {}),
-allow_auto_groups=False)`` on its train section. An outcome is either the
+on the whole config, and ``parse_train(config.get("train", {}))`` on its
+train section. An outcome is either the
 exact ``ConfigurationError`` text, or the rendered config
 (``experiment_to_dict`` / ``train_to_dict``) written as its difference
 from the rendered base: ``{"changed": {dotted path: leaf}, "removed":
@@ -178,8 +178,7 @@ def run_experiment_entry(config: dict) -> dict:
 
 
 def run_train_entry(config: dict) -> dict:
-    cfg, auto = parse_train(config.get("train", {}), allow_auto_groups=False)
-    return train_to_dict(cfg, auto)
+    return train_to_dict(parse_train(config.get("train", {})))
 
 
 ENTRIES = {"experiment": run_experiment_entry, "train": run_train_entry}

@@ -128,6 +128,17 @@ class TestConstruction:
                 num_classes=2,
             )
 
+    @pytest.mark.parametrize("rows", [2, 0])
+    def test_features_need_a_column(self, rows):
+        with pytest.raises(InvalidInputError, match="^features must have at least one column$"):
+            Dataset(
+                example_ids=np.arange(rows),
+                clip_ids=np.arange(rows),
+                features=np.zeros((rows, 0)),
+                labels=np.zeros(rows, dtype=int),
+                num_classes=2,
+            )
+
     def test_fewer_than_two_classes(self):
         with pytest.raises(InvalidInputError):
             Dataset(
@@ -233,7 +244,7 @@ def grouped_rows(draw):
         clip_of_row = np.repeat(np.arange(len(patches)) * 5 + 3, patches)
         _, inverse = np.unique(clip_of_row[rng.permutation(clip_of_row.size)], return_inverse=True)
         architecture = draw(st.sampled_from(list(Architecture)))
-        params = init_params(architecture, 3, num_classes, 4, RngStream(seed))
+        params = init_params(architecture, 3, num_classes, 4, RngStream(seed).generator())
         logits = forward(params, rng.standard_normal((inverse.size, 3)))
         return inverse, len(patches), num_classes, softmax_rows(logits)
     count = draw(st.integers(1, 8))
@@ -341,10 +352,11 @@ class TestDrawClips:
             expected = reference_split_rows(dataset, val_fraction, seed)
         except InvalidInputError as exc:  # a class of one clip
             with pytest.raises(InvalidInputError) as excinfo:
-                split_rows(dataset, val_fraction, seed)
+                split_rows(dataset, val_fraction, RngStream(seed).generator())
             assert str(excinfo.value) == str(exc)
             return
-        for got, want in zip(split_rows(dataset, val_fraction, seed), expected):
+        gen = RngStream(seed).generator()
+        for got, want in zip(split_rows(dataset, val_fraction, gen), expected):
             np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)

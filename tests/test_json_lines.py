@@ -79,8 +79,9 @@ SUMMARIES = st.builds(
 
 @st.composite
 def models(draw, architecture):
-    sizes = [draw(st.integers(1, 4)) for _ in range(3)]
-    layout = init_params(architecture, *sizes, RngStream(0))
+    # feature_dim, num_classes and hidden_units, each at its lower bound or above
+    sizes = [draw(st.integers(low, 4)) for low in (1, 2, 1)]
+    layout = init_params(architecture, *sizes, RngStream(0).generator())
     weights = [draw(arrays(np.float64, w.shape, elements=FINITE)) for w in layout.weights]
     return dataclasses.replace(layout, weights=weights)
 
@@ -266,7 +267,7 @@ class TestRowFields:
 
 
 SUMMARY = RunSummary((50.0, 62.5), 56.25, 79.4, "0" * 16, ("1" * 16, "2" * 16))
-MODEL = init_params(Architecture.ONE_HIDDEN, 3, 2, 4, RngStream(0))
+MODEL = init_params(Architecture.ONE_HIDDEN, 3, 2, 4, RngStream(0).generator())
 
 
 class TestJsonDocuments:
@@ -343,6 +344,19 @@ class TestJsonDocuments:
                 "feature_dim must be an integer, got null",
             ),
             (lambda record: record.update(feature_dim=4), "do not match architecture"),
+            # a model of no features or of fewer than 2 classes is refused as read, not used
+            (
+                lambda record: record.update(feature_dim=0),
+                "feature_dim must lie in [1, inf), got 0",
+            ),
+            (
+                lambda record: record.update(num_classes=1),
+                "num_classes must lie in [2, inf), got 1",
+            ),
+            (
+                lambda record: record.update(num_classes=0),
+                "num_classes must lie in [2, inf), got 0",
+            ),
             (lambda record: record["weights"][0].append([1.0]), "inhomogeneous"),
             (lambda record: record.update(weights=7), "weights must be a list, got 7"),
         ],
@@ -627,7 +641,7 @@ class TestListAndArrayRules:
 ARTIFACT_WRITERS = {
     "write_json_lines": lambda path: write_json_lines(path, [{"row": 1}]),
     "save_model": lambda path: save_model(
-        path, init_params(Architecture.LINEAR, 3, 2, 1, RngStream(0))
+        path, init_params(Architecture.LINEAR, 3, 2, 1, RngStream(0).generator())
     ),
     "write_summary": lambda path: write_summary(
         path, RunSummary((50.0,), 50.0, 0.0, "0" * 16, ("1" * 16,))

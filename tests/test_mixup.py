@@ -120,14 +120,14 @@ class TestApplyMixup:
         rng = np.random.default_rng(2)
         batch = make_batch(rng, 8)
         policy = MixupPolicy(alpha=0.3, warmup_epochs=5)
-        out = apply_mixup(batch, None, policy, epoch=4, rng=RngStream(0, 0))
+        out = apply_mixup(batch, None, policy, epoch=4, gen=RngStream(0, 0).generator())
         assert out is batch
 
     def test_active_after_warmup(self):
         rng = np.random.default_rng(3)
         batch = make_batch(rng, 16)
         policy = MixupPolicy(alpha=0.3, warmup_epochs=5)
-        out = apply_mixup(batch, None, policy, epoch=5, rng=RngStream(0, 0))
+        out = apply_mixup(batch, None, policy, epoch=5, gen=RngStream(0, 0).generator())
         assert out is not batch
         assert not np.array_equal(out.features, batch.features)
 
@@ -135,8 +135,8 @@ class TestApplyMixup:
         rng = np.random.default_rng(5)
         batch = make_batch(rng, 32)
         policy = MixupPolicy(alpha=0.2)
-        a = apply_mixup(batch, None, policy, epoch=0, rng=RngStream(7, 3))
-        b = apply_mixup(batch, None, policy, epoch=0, rng=RngStream(7, 3))
+        a = apply_mixup(batch, None, policy, epoch=0, gen=RngStream(7, 3).generator())
+        b = apply_mixup(batch, None, policy, epoch=0, gen=RngStream(7, 3).generator())
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.targets, b.targets)
 
@@ -144,15 +144,15 @@ class TestApplyMixup:
         rng = np.random.default_rng(6)
         batch = make_batch(rng, 32)
         policy = MixupPolicy(alpha=0.2)
-        a = apply_mixup(batch, None, policy, epoch=0, rng=RngStream(7, 3))
-        b = apply_mixup(batch, None, policy, epoch=0, rng=RngStream(7, 4))
+        a = apply_mixup(batch, None, policy, epoch=0, gen=RngStream(7, 3).generator())
+        b = apply_mixup(batch, None, policy, epoch=0, gen=RngStream(7, 4).generator())
         assert not np.array_equal(a.features, b.features)
 
     def test_rows_stay_in_convex_hull_of_the_batch(self):
         rng = np.random.default_rng(7)
         batch = make_batch(rng, 24)
         policy = MixupPolicy(alpha=0.4)
-        out = apply_mixup(batch, None, policy, epoch=0, rng=RngStream(11, 0))
+        out = apply_mixup(batch, None, policy, epoch=0, gen=RngStream(11, 0).generator())
         assert np.all(out.features >= batch.features.min(axis=0) - 1e-12)
         assert np.all(out.features <= batch.features.max(axis=0) + 1e-12)
         assert np.allclose(out.targets.sum(axis=1), 1.0, atol=1e-12)
@@ -161,7 +161,7 @@ class TestApplyMixup:
         rng = np.random.default_rng(8)
         batch = make_batch(rng, 1)
         policy = MixupPolicy(alpha=0.3)
-        out = apply_mixup(batch, None, policy, epoch=0, rng=RngStream(0, 0))
+        out = apply_mixup(batch, None, policy, epoch=0, gen=RngStream(0, 0).generator())
         np.testing.assert_array_equal(out.features, batch.features)
         np.testing.assert_array_equal(out.targets, batch.targets)
 
@@ -172,9 +172,8 @@ class TestApplyMixup:
         for trial in range(trials):
             features = np.arange(n, dtype=float).reshape(n, 1)
             batch = Batch(features=features, targets=np.tile([1.0, 0.0], (n, 1)))
-            out = apply_mixup(
-                batch, None, MixupPolicy(alpha=0.5), epoch=0, rng=RngStream(100, trial)
-            )
+            gen = RngStream(100, trial).generator()
+            out = apply_mixup(batch, None, MixupPolicy(alpha=0.5), epoch=0, gen=gen)
             means.append(out.features[:, 0].mean())
         assert np.mean(means) == pytest.approx((n - 1) / 2, abs=1.0)
 
@@ -183,7 +182,7 @@ class TestApplyMixup:
         batch = make_batch(rng, 8)
         policy = MixupPolicy(alpha=0.3, pairing=Pairing.INTER_BATCH)
         with pytest.raises(ConfigurationError):
-            apply_mixup(batch, None, policy, epoch=0, rng=RngStream(0, 0))
+            apply_mixup(batch, None, policy, epoch=0, gen=RngStream(0, 0).generator())
 
     def test_inter_mode_partner_size_mismatch(self):
         rng = np.random.default_rng(11)
@@ -191,7 +190,7 @@ class TestApplyMixup:
         partner = make_batch(rng, 6)
         policy = MixupPolicy(alpha=0.3, pairing=Pairing.INTER_BATCH)
         with pytest.raises(InvalidInputError):
-            apply_mixup(batch, partner, policy, epoch=0, rng=RngStream(0, 0))
+            apply_mixup(batch, partner, policy, epoch=0, gen=RngStream(0, 0).generator())
 
     @pytest.mark.parametrize(
         "batch_widths, partner_widths",
@@ -205,24 +204,40 @@ class TestApplyMixup:
         partner = make_batch(rng, 8, *partner_widths)
         policy = MixupPolicy(alpha=0.3, pairing=Pairing.INTER_BATCH)
         with pytest.raises(InvalidInputError, match="^partner batch shapes must equal the batch's"):
-            apply_mixup(batch, partner, policy, epoch=0, rng=RngStream(0, 0))
+            apply_mixup(batch, partner, policy, 0, RngStream(0, 0).generator())
 
     def test_inter_mode_mixes_positionally(self):
         rng = np.random.default_rng(12)
         batch = make_batch(rng, 8)
         partner = make_batch(rng, 8)
         policy = MixupPolicy(alpha=0.3, pairing=Pairing.INTER_BATCH)
-        out = apply_mixup(batch, partner, policy, epoch=0, rng=RngStream(2, 0))
+        out = apply_mixup(batch, partner, policy, epoch=0, gen=RngStream(2, 0).generator())
         lo = np.minimum(batch.features, partner.features)
         hi = np.maximum(batch.features, partner.features)
         assert np.all(out.features >= lo - 1e-12)
         assert np.all(out.features <= hi + 1e-12)
 
+    def test_advances_the_generator_it_is_given(self):
+        # two calls on one generator draw a permutation then the weights, twice, in order
+        rng = np.random.default_rng(14)
+        batch = make_batch(rng, 8)
+        policy = MixupPolicy(alpha=0.3)
+        gen, reference = RngStream(9).generator(), RngStream(9).generator()
+        outputs = [apply_mixup(batch, None, policy, 0, gen) for _ in range(2)]
+        for out in outputs:
+            perm = reference.permutation(len(batch))
+            lam = beta_draws(policy.alpha, reference, len(batch))[:, None]
+            expected_features = _convex_mix(batch.features, batch.features[perm], lam)
+            expected_targets = _convex_mix(batch.targets, batch.targets[perm], lam)
+            assert out.features.tobytes() == expected_features.tobytes()
+            assert out.targets.tobytes() == expected_targets.tobytes()
+        assert not np.array_equal(outputs[0].features, outputs[1].features)
+
     def test_epoch_before_warmup_window_is_gated(self):
         rng = np.random.default_rng(13)
         batch = make_batch(rng, 4)
         policy = MixupPolicy(alpha=0.3, warmup_epochs=5)
-        assert apply_mixup(batch, None, policy, epoch=0, rng=RngStream(0, 0)) is batch
+        assert apply_mixup(batch, None, policy, epoch=0, gen=RngStream(0, 0).generator()) is batch
 
 
 class TestBatch:
@@ -278,7 +293,7 @@ class TestConvexityProperty:
     ):
         batch, partner = pair
         policy = MixupPolicy(alpha=alpha, pairing=Pairing.INTER_BATCH)
-        mixed = apply_mixup(batch, partner, policy, epoch=0, rng=RngStream(seed))
+        mixed = apply_mixup(batch, partner, policy, epoch=0, gen=RngStream(seed).generator())
         assert_inside_envelope(mixed.features, batch.features, partner.features)
         assert_inside_envelope(mixed.targets, batch.targets, partner.targets)
         np.testing.assert_allclose(mixed.targets.sum(axis=1), 1.0, rtol=0, atol=1e-12)

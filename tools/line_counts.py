@@ -1,13 +1,14 @@
-"""Print the physical lines and code lines of each module of the package sources.
+"""Print the physical lines and code lines of each module under a source directory.
 
 Usage, from the root of a checkout::
 
     python tools/line_counts.py [SOURCE_DIR]
 
-``SOURCE_DIR`` defaults to ``src``; every ``*.py`` file under it is counted. A
-code line holds a token that is not a comment, outside the docstrings of
-modules, classes and functions, so blank lines, comment lines and docstring
-lines are not code. Only the standard library is used.
+``SOURCE_DIR`` defaults to ``src``; CI counts ``tests`` too. Every ``*.py``
+file under it is counted. A code line holds a token that is not a comment,
+outside the docstrings of modules, classes and functions, so blank lines,
+comment lines and docstring lines are not code. Only the standard library
+is used.
 """
 
 from __future__ import annotations
