@@ -7,10 +7,10 @@ never here, so losses, smoothing, mixup, selection, and the trainer cannot
 peek at it even by accident.
 
 Examples are patches; several patches share a clip, and labels attach to
-clips (every patch of a clip carries the same label). The clip table maps
-each row to its clip, :class:`GroupMeans` is the one mean of rows per group
-(per clip, or per class), and :func:`draw_clips` is the one seeded per-class
-draw of clips (the validation split and both noise injectors make it).
+clips (every patch of a clip carries the same label). The clip table, built
+once with the dataset, maps each row to its clip, :class:`GroupMeans` is the
+one mean of rows per group (per clip, or per class), and :func:`draw_clips` is
+the one seeded per-class draw of clips (the split and both injectors make it).
 """
 
 from __future__ import annotations
@@ -45,15 +45,19 @@ class Dataset:
             raise InvalidInputError("features must have at least one column")
         if self.clip_ids.shape != (n,) or self.labels.shape != (n,):
             raise InvalidInputError("dataset columns must have equal lengths")
-        if n:
-            ids = np.sort(self.example_ids)
-            if (ids[1:] == ids[:-1]).any():
-                raise InvalidInputError("example ids must be unique")
-            if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-                raise InvalidInputError("labels outside [0, num_classes)")
-            _, inverse, clip_labels = self.clip_table()
-            if np.any(clip_labels[inverse] != self.labels):
-                raise InvalidInputError("patches of one clip must share a label")
+        ids = np.sort(self.example_ids)
+        if (ids[1:] == ids[:-1]).any():
+            raise InvalidInputError("example ids must be unique")
+        if ((self.labels < 0) | (self.labels >= self.num_classes)).any():
+            raise InvalidInputError("labels outside [0, num_classes)")
+        clips, inverse = np.unique(self.clip_ids, return_inverse=True)
+        clip_labels = np.empty(clips.size, dtype=np.int64)
+        clip_labels[inverse] = self.labels
+        if np.any(clip_labels[inverse] != self.labels):
+            raise InvalidInputError("patches of one clip must share a label")
+        for column in (clips, inverse, clip_labels):
+            column.flags.writeable = False
+        object.__setattr__(self, "_clip_table", (clips, inverse, clip_labels))
 
     @property
     def n_examples(self) -> int:
@@ -74,17 +78,14 @@ class Dataset:
         )
 
     def clip_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(unique clip ids, per-example clip index, per-clip label).
+        """(unique clip ids, per-example clip index, per-clip label), built with the dataset.
 
         Unique clip ids are sorted ascending; the per-example index maps
-        each row to its position in that list.
+        each row to its position in that list. The arrays are read-only.
         """
         if self.n_examples == 0:
             raise InvalidInputError("empty dataset has no clips")
-        clips, inverse = np.unique(self.clip_ids, return_inverse=True)
-        clip_labels = np.empty(clips.size, dtype=np.int64)
-        clip_labels[inverse] = self.labels
-        return clips, inverse, clip_labels
+        return self._clip_table
 
     def clip_of_example(self) -> dict[int, int]:
         return {

@@ -15,12 +15,12 @@ the clip level:
   recorded with the ``OOV_CLEAN_LABEL`` sentinel.
 
 Ground truth (clean labels and corruption flags) lives only in
-:class:`AnnotatedDataset`; training code receives the plain ``data`` view
-and cannot observe it. Experiments run several independent
-generate -> corrupt -> train -> evaluate pipelines on seeds derived from
-``(base_seed, run_index)`` alone, evaluate on an uncorrupted held-out test
-set drawn from the same class centers, and aggregate accuracies as mean
-plus a 95% Student-t half-width.
+:class:`AnnotatedDataset`, which also holds it per clip, and training code
+receives the plain ``data`` view and cannot observe it. Experiments run
+several independent generate -> corrupt -> train -> evaluate pipelines on
+seeds derived from ``(base_seed, run_index)`` alone, evaluate on an
+uncorrupted held-out test set drawn from the same class centers, and
+aggregate accuracies as mean plus a 95% Student-t half-width.
 
 Dataset files, laid out by :mod:`labelnoise.records`, hold one example per
 line; the harness-private variant adds ``clean_label`` and ``corrupted``.
@@ -97,7 +97,8 @@ class AnnotatedDataset:
 
     An uncorrupted row keeps its label as its clean label; a clean label is a class in
     ``[0, num_classes)`` or ``OOV_CLEAN_LABEL``; and the patches of one clip share their
-    clean label and flag.
+    clean label and flag. The check keeps, in clip-table order, each clip's original class
+    (its clean label, or its label if out of vocabulary) and flag, for the noise functions.
     """
 
     data: Dataset
@@ -125,12 +126,9 @@ class AnnotatedDataset:
                 f"clean_label {clean[at]} of clip {data.clip_ids[at]} is neither a class in"
                 f" [0, {data.num_classes}) nor OOV_CLEAN_LABEL ({OOV_CLEAN_LABEL})"
             )
-        # with no row corrupted, each clean label is its row's label, which a clip's patches share
-        if not flags.any():
-            return
         truth = clean * 2 + flags  # one integer per (clean label, flag) pair
-        clips, inverse, _ = data.clip_table()
-        truth_of_clip = np.empty(clips.size, dtype=np.int64)
+        _, inverse, clip_labels = data.clip_table()
+        truth_of_clip = np.empty(clip_labels.size, dtype=np.int64)
         truth_of_clip[inverse] = truth
         disagree = truth_of_clip[inverse] != truth
         if disagree.any():
@@ -138,6 +136,8 @@ class AnnotatedDataset:
                 f"patches of clip {data.clip_ids[disagree.argmax()]}"
                 " disagree on clean_label or corrupted"
             )
+        original = np.where(truth_of_clip >= 0, truth_of_clip // 2, clip_labels)
+        object.__setattr__(self, "_clip_truth", (original, truth_of_clip % 2 == 1))
 
 
 def generate_blobs(
@@ -191,19 +191,6 @@ def _round_count(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _clip_view(annotated: AnnotatedDataset) -> tuple[np.ndarray, ...]:
-    """The clip table (clip ids, per-example clip index, label) and each clip's original class
-    and corrupted flag, which :class:`AnnotatedDataset` checks its patches share.
-    """
-    clips, inverse, clip_labels = annotated.data.clip_table()
-    clean = np.empty(clips.size, dtype=np.int64)
-    clean[inverse] = annotated.clean_labels
-    flags = np.empty(clips.size, dtype=bool)
-    flags[inverse] = annotated.corrupted
-    original = np.where(clean >= 0, clean, clip_labels)
-    return clips, inverse, clip_labels, original, flags
-
-
 def _select_clips(
     original: np.ndarray, spec: NoiseSpec, num_classes: int, gen: np.random.Generator
 ) -> np.ndarray:
@@ -223,15 +210,17 @@ def inject_symmetric_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> Anno
     if spec.kind != NoiseKind.SYMMETRIC_IV:
         raise InvalidInputError(f"expected a symmetric noise spec, got {json_text(spec.kind)}")
     gen = RngStream(spec.seed, _NOISE_STREAM).generator()
-    _, inverse, clip_labels, original, _ = _clip_view(annotated)
+    _, inverse, clip_labels = annotated.data.clip_table()
+    original, _ = annotated._clip_truth
     picked = _select_clips(original, spec, annotated.data.num_classes, gen)
     if not picked.any():
         return annotated
     draws = gen.integers(0, annotated.data.num_classes - 1, size=np.count_nonzero(picked))
-    old = clip_labels[picked]
+    labels = clip_labels.copy()
+    old = labels[picked]
     # a draw at or above the old label skips it, so the new label always differs
-    clip_labels[picked] = np.where(draws < old, draws, draws + 1)
-    dataset = replace(annotated.data, labels=clip_labels[inverse])
+    labels[picked] = np.where(draws < old, draws, draws + 1)
+    dataset = replace(annotated.data, labels=labels[inverse])
     flags = annotated.corrupted | picked[inverse]
     return AnnotatedDataset(dataset, annotated.clean_labels.copy(), flags)
 
@@ -247,7 +236,8 @@ def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedD
     if spec.kind != NoiseKind.OOV_REPLACE:
         raise InvalidInputError(f"expected an oov noise spec, got {json_text(spec.kind)}")
     gen = RngStream(spec.seed, _NOISE_STREAM).generator()
-    _, inverse, _, original, _ = _clip_view(annotated)
+    _, inverse, _ = annotated.data.clip_table()
+    original, _ = annotated._clip_truth
     picked = _select_clips(original, spec, annotated.data.num_classes, gen)
     if not picked.any():
         return annotated
@@ -278,7 +268,8 @@ def inject_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDatas
 
 def per_class_corruption_rates(annotated: AnnotatedDataset) -> np.ndarray:
     """Fraction of corrupted clips per original class (clip-level); 0 for a class with no clip."""
-    *_, original, flags = _clip_view(annotated)
+    annotated.data.clip_table()  # raises on an empty dataset, which has no clips
+    original, flags = annotated._clip_truth
     return GroupMeans(original, annotated.data.num_classes)(flags)
 
 
@@ -303,7 +294,8 @@ def prune_precision(
     removed = np.unique([row.clip_id for row in report if row.removed]).astype(np.int64)
     if not removed.size:
         return None
-    clips, *_, flags = _clip_view(annotated)
+    clips, _, _ = annotated.data.clip_table()
+    _, flags = annotated._clip_truth
     at = np.minimum(np.searchsorted(clips, removed), clips.size - 1)
     missing = removed[clips[at] != removed]
     if missing.size:
@@ -325,9 +317,9 @@ def write_annotated(path, annotated: AnnotatedDataset) -> None:
 
 
 def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
-    """The one dataset reader: ``records.read_dataset_rows``, then the truth checks of
-    :class:`AnnotatedDataset`, which need the whole dataset."""
-    return AnnotatedDataset(*read_dataset_rows(path, require_truth))
+    """The one dataset reader: ``records.read_dataset_rows``, which ends with the truth checks
+    of :class:`AnnotatedDataset`, which need the whole dataset."""
+    return read_dataset_rows(path, require_truth, AnnotatedDataset)
 
 
 def read_dataset(path) -> Dataset:

@@ -471,13 +471,14 @@ def _receive(pipes, headers, width: int) -> tuple:
     return columns
 
 
-def read_dataset_rows(path, require_truth: bool) -> tuple:
-    """``(data, clean_labels, corrupted)`` of the dataset file ``path``, each row
+def read_dataset_rows(path, require_truth: bool, annotate):
+    """``annotate(data, clean_labels, corrupted)`` of the dataset file ``path``, each row
     checked by :class:`_RowSchema`; ``data`` is a :class:`Dataset` whose class count is the
     largest label or clean label plus one, and at least 2. A file without ground truth reads
     as clean, or, if ``require_truth``, is rejected once its first row is parsed. The first
     row is parsed first and sets every range's width and layout; each range is then parsed
-    by a worker into packed buffers, and the first fault in file order is raised."""
+    by a worker into packed buffers, and the first fault in file order is raised. A fault of
+    the whole dataset, which ``Dataset``, the finite check or ``annotate`` finds, names ``path``."""
     with open(path, "rb") as fh:
         head = 0
         for line in fh:
@@ -510,6 +511,10 @@ def read_dataset_rows(path, require_truth: bool) -> tuple:
     rows = corrupted.size
     example_ids, clip_ids, labels, clean = ids.reshape(rows, 4).T.copy()
     num_classes = max(int(labels.max()), int(clean.max()), 1) + 1
-    data = Dataset(example_ids, clip_ids, features.reshape(rows, first.width), labels, num_classes)
-    _check_finite(data)
-    return data, clean, corrupted
+    features = features.reshape(rows, first.width)
+    try:
+        data = Dataset(example_ids, clip_ids, features, labels, num_classes)
+        _check_finite(data)
+        return annotate(data, clean, corrupted)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc

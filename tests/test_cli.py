@@ -563,7 +563,35 @@ class TestTrainCommand:
             "--data", str(data), "--out-dir", str(out_dir),
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: features must have at least one column\n"
+        assert capsys.readouterr().err == f"error: {data}: features must have at least one column\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "fault", ["repeated_example_id", "clip_of_two_labels", "non_finite_feature"]
+    )
+    def test_dataset_fault_exits_two_naming_the_file(self, tmp_path, capsys, fault):
+        # faults of the whole dataset, found once every row is read: the file is named once
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        rows = [json.loads(line) for line in data.read_text().splitlines()]
+        assert rows[0]["clip_id"] == rows[1]["clip_id"]
+        if fault == "repeated_example_id":
+            rows[5]["example_id"] = rows[2]["example_id"]
+            message = "example ids must be unique"
+        elif fault == "clip_of_two_labels":
+            rows[1]["label"] = rows[1]["clean_label"] = 1 - rows[0]["label"]
+            message = "patches of one clip must share a label"
+        else:
+            rows[3]["features"][1] = float("nan")
+            message = f"example {rows[3]['example_id']} has a non-finite feature value"
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(train_config(tmp_path)),
+            "--data", str(data), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))

@@ -219,6 +219,17 @@ class TestClipAccessors:
         with pytest.raises(InvalidInputError):
             empty.clip_table()
 
+    def test_clip_table_is_built_once(self):
+        ds = small_dataset()
+        for first, second in zip(ds.clip_table(), ds.clip_table()):
+            assert first is second
+
+    @pytest.mark.parametrize("column", range(3))
+    def test_clip_table_is_read_only(self, column):
+        table = small_dataset().clip_table()
+        with pytest.raises(ValueError, match="read-only"):
+            table[column][0] = 1
+
     def test_clip_of_example_mapping(self):
         ds = small_dataset()
         assert ds.clip_of_example() == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
@@ -383,7 +394,31 @@ class TestDrawClips:
                 # the label draws follow the clip draws and land on the clips in id order
                 draws = gen.integers(0, dataset.num_classes - 1, size=selected.size)
                 clips, inverse, clip_labels = annotated.data.clip_table()
+                clip_labels = clip_labels.copy()
                 picked = np.searchsorted(clips, selected)
                 old = clip_labels[picked]
                 clip_labels[picked] = np.where(draws < old, draws, draws + 1)
                 np.testing.assert_array_equal(noisy.data.labels, clip_labels[inverse])
+
+
+def annotated_columns(annotated):
+    """The bytes of each label, truth and clip-table column of ``annotated``."""
+    columns = (annotated.data.labels, annotated.clean_labels, annotated.corrupted)
+    return [column.tobytes() for column in columns + annotated.data.clip_table()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    clip_layouts(), rates, st.integers(0, 2**32),
+    st.sampled_from([None, NoiseKind.SYMMETRIC_IV, NoiseKind.OOV_REPLACE]),
+)
+def test_injectors_leave_their_input_unchanged(dataset, rate, seed, prior):
+    annotated = AnnotatedDataset(
+        dataset, dataset.labels.copy(), np.zeros(dataset.n_examples, dtype=bool)
+    )
+    if prior is not None:
+        annotated = INJECT[prior](annotated, NoiseSpec(prior, 0.5, seed + 1))
+    before = annotated_columns(annotated)
+    for kind, inject in INJECT.items():
+        inject(annotated, NoiseSpec(kind, rate, seed))
+        assert annotated_columns(annotated) == before

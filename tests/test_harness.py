@@ -477,8 +477,11 @@ class TestClipTruthAgreement:
         if reverse:
             rows.reverse()
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        with pytest.raises(InvalidInputError, match="patches of clip 0 disagree"):
+        with pytest.raises(InvalidInputError) as excinfo:
             reader(path)
+        assert str(excinfo.value) == (
+            f"{path}: patches of clip 0 disagree on clean_label or corrupted"
+        )
 
     @pytest.mark.parametrize("clean_label", [2, 7, -2])
     def test_clean_label_off_the_classes_rejected(self, clean_label):
@@ -503,6 +506,16 @@ class TestClipTruthAgreement:
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         with pytest.raises(InvalidInputError, match=r"clean_label -5 of clip 1 is neither"):
             read_annotated(path)
+
+    def test_empty_dataset_has_no_clip_truth(self):
+        empty = blobs(clips_per_class=1)
+        empty = AnnotatedDataset(
+            empty.data.subset(np.array([], dtype=int)),
+            np.array([], dtype=int),
+            np.array([], dtype=bool),
+        )
+        with pytest.raises(InvalidInputError, match="^empty dataset has no clips$"):
+            per_class_corruption_rates(empty)
 
     def test_oov_clean_label_accepted(self):
         annotated = blobs(num_classes=2, clips_per_class=1, patches_per_clip=2)
