@@ -180,7 +180,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_prune_report(args: argparse.Namespace) -> int:
     report = read_prune_report(args.report)
     annotated = read_annotated(args.dataset)
-    precision = prune_precision(report, annotated)
+    try:
+        precision = prune_precision(report, annotated)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{args.report}: {exc}") from exc
     removed = [row for row in report if row.removed]
     if precision is None:
         print("no clips were removed")

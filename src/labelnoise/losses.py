@@ -62,16 +62,15 @@ class LossReport:
         object.__setattr__(self, "example_ids", ids)
         if values.ndim != 1 or ids.ndim != 1 or values.shape[0] != ids.shape[0]:
             raise InvalidInputError("loss values and example ids must align 1:1")
-        if values.size:
-            _check_loss_values(values)
+        _check_loss_values(values)
 
     def __len__(self) -> int:
         return int(self.per_example.shape[0])
 
 
 def _check_loss_values(values: np.ndarray) -> None:
-    """Raise unless a non-empty float array of losses is finite and non-negative."""
-    if not np.isfinite(values).all() or values.min() < 0:
+    """Raise unless a float array of losses is finite and non-negative (an empty one is)."""
+    if not np.isfinite(values).all() or values.min(initial=0.0) < 0:
         raise InvalidInputError("loss values must be finite and non-negative")
 
 

@@ -335,9 +335,12 @@ def _encode_part(part: Path, start: int, stop: int, columns: dict) -> tuple:
 def write_dataset_rows(path, data: Dataset, truth: tuple | None = None) -> None:
     """One JSON object per example of ``data``, plus ``truth``, the clean labels and flags, as
     ``clean_label`` and ``corrupted``, replacing ``path`` atomically. A dataset with a
-    non-finite feature is rejected before any byte is written. Each range of rows is encoded
-    by a worker into a part file beside ``path``, and the parts are appended in row order."""
-    _check_finite(data)
+    non-finite feature is refused, naming ``path``, before any byte is written. Each range of
+    rows is encoded by a worker into a part file beside ``path``, appended in row order."""
+    try:
+        _check_finite(data)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
     path = Path(path)
     columns = dict(
         example_id=data.example_ids,

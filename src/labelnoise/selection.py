@@ -6,7 +6,9 @@ the batch's loss values into a rejection threshold (either a fraction of
 the largest loss or a percentile) and instances above it are dropped from
 the gradient update (DISCARD), or the train set itself is pruned once by
 removing the highest-loss clips (PRUNE). Patch losses aggregate to clip
-losses by arithmetic mean.
+losses by arithmetic mean. Prune rounds rank clips in the dataset's clip
+table, as arrays in one removal order; dict maps remain only at the public
+boundary (``clip_losses``, ``prune_dataset``, ``prune_report_rows``).
 """
 
 from __future__ import annotations
@@ -121,14 +123,6 @@ def discard_mask(
     return keep
 
 
-def _clip_means(clip_ids: np.ndarray, losses: np.ndarray) -> dict[int, float]:
-    """Arithmetic mean of ``losses`` per clip of the rows' ``clip_ids``, keyed by clip id, with
-    the bits of a running sum in row order divided by the clip's row count."""
-    clips, inverse = np.unique(clip_ids, return_inverse=True)
-    means = GroupMeans(inverse, clips.size)(losses)
-    return dict(zip(clips.tolist(), means.tolist()))
-
-
 def clip_losses(
     patch_losses: LossReport, clip_of_example: Mapping[int, int]
 ) -> dict[int, float]:
@@ -139,44 +133,38 @@ def clip_losses(
         if key not in clip_of_example:
             raise ConfigurationError(f"example {key} has no clip assignment")
         clip_ids.append(int(clip_of_example[key]))
-    return _clip_means(np.asarray(clip_ids, dtype=np.int64), patch_losses.per_example)
+    clips, inverse = np.unique(np.asarray(clip_ids, dtype=np.int64), return_inverse=True)
+    means = GroupMeans(inverse, clips.size)(patch_losses.per_example)
+    return dict(zip(clips.tolist(), means.tolist()))
 
 
-def _removal_order(clip_loss_map: Mapping[int, float]) -> list[int]:
-    # Largest loss first; among equal losses the higher clip id goes first,
-    # so lower ids survive longest.
-    return sorted(clip_loss_map, key=lambda clip: (-clip_loss_map[clip], -clip))
-
-
-def prune_rows(
-    clip_ids: np.ndarray, clip_loss_map: Mapping[int, float], prune_count: int
-) -> tuple[np.ndarray, list[int]]:
-    """Drop the ``prune_count`` highest-loss clips from rows with these clip ids.
-
-    Every clip must have a loss entry. Returns the ascending positions of
-    the kept rows and the removed clip ids, highest loss first.
-    """
-    clips = np.unique(clip_ids)
-    if prune_count >= clips.size:
-        raise InvalidInputError(
-            f"prune_count {prune_count} must be smaller than the clip count {clips.size}"
-        )
-    missing = [int(c) for c in clips if int(c) not in clip_loss_map]
-    if missing:
-        raise ConfigurationError(f"clips without a loss entry: {missing[:5]}")
-    if prune_count == 0:
-        return np.arange(clip_ids.size), []
-    scored = {int(c): float(clip_loss_map[int(c)]) for c in clips}
-    removed = _removal_order(scored)[:prune_count]
-    return np.flatnonzero(~np.isin(clip_ids, np.asarray(removed, dtype=np.int64))), removed
+def _removal_order(clips: np.ndarray, losses: np.ndarray) -> np.ndarray:
+    """The positions of the unique ``clips`` in removal order: largest loss first, then the
+    higher id (lexsort's ascending order reversed; negated ids would overflow at -2**63)."""
+    return np.lexsort((clips, losses))[::-1]
 
 
 def prune_dataset(
     dataset: Dataset, clip_loss_map: Mapping[int, float], prune_count: int
 ) -> tuple[Dataset, list[int]]:
-    """:func:`prune_rows` on ``dataset``: the kept dataset, in row order, and the removed clips."""
-    kept, removed = prune_rows(dataset.clip_ids, clip_loss_map, prune_count)
-    return (dataset.subset(kept) if removed else dataset), removed
+    """Drop the ``prune_count`` highest-loss clips of ``dataset``, each with a finite, non-negative
+    loss entry: the kept dataset, in row order, and the removed clip ids, highest loss first."""
+    clips, inverse, _ = dataset.clip_table()
+    if prune_count >= clips.size:
+        raise InvalidInputError(
+            f"prune_count {prune_count} must be smaller than the clip count {clips.size}"
+        )
+    missing = [clip for clip in clips.tolist() if clip not in clip_loss_map]
+    if missing:
+        raise ConfigurationError(f"clips without a loss entry: {missing[:5]}")
+    losses = np.array([clip_loss_map[clip] for clip in clips.tolist()], dtype=np.float64)
+    _check_loss_values(losses)
+    if prune_count == 0:
+        return dataset, []
+    removed = _removal_order(clips, losses)[:prune_count]
+    dropped = np.zeros(clips.size, dtype=bool)
+    dropped[removed] = True
+    return dataset.subset(~dropped[inverse]), clips[removed].tolist()
 
 
 @dataclass(frozen=True)
@@ -192,17 +180,21 @@ class PruneRecord:
         check_fields(self)
 
 
+def _report(clips, losses, order, removed) -> list[PruneRecord]:
+    """Rows of ``clips`` and ``losses`` in ``order`` (rank 1 first), flagged by ``removed``."""
+    ranked = zip(clips[order].tolist(), losses[order].tolist(), removed[order].tolist())
+    return [PruneRecord(clip, loss, rank, cut) for rank, (clip, loss, cut) in enumerate(ranked, 1)]
+
+
 def prune_report_rows(
     clip_loss_map: Mapping[int, float], removed: Sequence[int]
 ) -> list[PruneRecord]:
-    """Report rows for every scored clip, ranked by removal order (rank 1 first)."""
-    removed_set = set(int(c) for c in removed)
-    rows = []
-    for rank, clip in enumerate(_removal_order(clip_loss_map), start=1):
-        rows.append(
-            PruneRecord(int(clip), float(clip_loss_map[clip]), rank, clip in removed_set)
-        )
-    return rows
+    """Report rows for every scored clip, its loss finite and non-negative, in removal order."""
+    clips = np.fromiter(clip_loss_map, dtype=np.int64, count=len(clip_loss_map))
+    losses = np.fromiter(clip_loss_map.values(), dtype=np.float64, count=clips.size)
+    _check_loss_values(losses)
+    flags = np.isin(clips, np.fromiter(removed, dtype=np.int64))
+    return _report(clips, losses, _removal_order(clips, losses), flags)
 
 
 def write_prune_report(path, rows: Sequence[PruneRecord]) -> None:

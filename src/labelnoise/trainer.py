@@ -45,10 +45,9 @@ from .selection import (
     PruneRecord,
     StagePlan,
     Strategy,
-    _clip_means,
+    _removal_order,
+    _report,
     discard_mask,
-    prune_report_rows,
-    prune_rows,
 )
 from .smoothing import SmoothingPolicy, targets_matrix
 
@@ -537,12 +536,10 @@ def _prune_now(
     config: TrainConfig,
     epoch: int,
 ) -> tuple[np.ndarray, list[PruneRecord]]:
-    """One prune round over the train ``rows``: (surviving rows, report rows).
-
-    ``targets`` has one row per row of ``dataset``. The forward runs on one
-    contiguous gather of the rows, freed once it has run; a forward over
-    chunks, or over all of ``dataset``, could change the losses' bits.
-    """
+    """One prune round over the train ``rows``: (surviving rows, report rows). Its clips are
+    ranked in ``dataset``'s clip table by the mean loss of their rows; ``targets`` has one row
+    per row of ``dataset``. The forward runs on one contiguous gather of the rows, freed once it
+    has run; a forward over chunks, or over all of ``dataset``, could change the losses' bits."""
     logits, _ = _checked_forward(
         params, dataset.features.take(rows, axis=0), epoch, " while pruning"
     )
@@ -550,10 +547,15 @@ def _prune_now(
     report = batch_losses(
         config.loss, targets.take(rows, axis=0), probs, dataset.example_ids.take(rows)
     )
-    clip_ids = dataset.clip_ids.take(rows)
-    losses_by_clip = _clip_means(clip_ids, report.per_example)
-    kept, removed = prune_rows(clip_ids, losses_by_clip, config.stage.prune_count)
-    return rows.take(kept), prune_report_rows(losses_by_clip, removed)
+    clips, inverse, _ = dataset.clip_table()
+    groups = inverse.take(rows)
+    means = GroupMeans(groups, clips.size)
+    losses = means(report.per_example)
+    ranked = _removal_order(clips, losses)
+    order = ranked[means.sizes.take(ranked) > 0]  # the round's clips: those with a row in rows
+    dropped = np.zeros(clips.size, dtype=bool)
+    dropped[order[: config.stage.prune_count]] = True
+    return rows[~dropped[groups]], _report(clips, losses, order, dropped)
 
 
 def write_metrics(path, history: list[EpochRecord]) -> None:

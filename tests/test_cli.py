@@ -1087,6 +1087,16 @@ class TestPruneReportCommand:
         code = run_cli("prune-report", "--report", str(report), "--dataset", str(public))
         assert code == 2
 
+    def test_clip_missing_from_the_dataset_exits_two_naming_the_report(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        report = tmp_path / "report.jsonl"
+        write_prune_report(report, [PruneRecord(99, 1.0, 1, True), PruneRecord(0, 0.5, 2, False)])
+        code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {report}: removed clips not present in the dataset: [99]\n"
+        )
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_REPORT_LINES))
     def test_malformed_report_exits_two_naming_its_line(self, tmp_path, capsys, case):

@@ -744,14 +744,17 @@ class TestSerialization:
             else:
                 write_dataset(path, dataset.data)
 
-        message = r"^example 5 has a non-finite feature value$"
-        with pytest.raises(InvalidInputError, match=message):
+        def message(path):
+            # the reader's words: the file, then the fault
+            return rf"^{re.escape(str(path))}: example 5 has a non-finite feature value$"
+
+        with pytest.raises(InvalidInputError, match=message(tmp_path / "new.jsonl")):
             write(tmp_path / "new.jsonl", bad)
         assert list(tmp_path.iterdir()) == []
         path = tmp_path / "data.jsonl"
         write(path, clean)
         before = path.read_bytes()
-        with pytest.raises(InvalidInputError, match=message):
+        with pytest.raises(InvalidInputError, match=message(path)):
             write(path, bad)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]

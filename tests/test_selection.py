@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelnoise import (
@@ -23,7 +23,6 @@ from labelnoise import (
     threshold_from_rule,
     write_prune_report,
 )
-from labelnoise.selection import _clip_means
 
 
 def report(values):
@@ -186,7 +185,7 @@ class TestClipLosses:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_clip_means_and_a_running_sum_bit_for_bit(self, patches, losses, seed):
+    def test_matches_a_running_sum_bit_for_bit(self, patches, losses, seed):
         # shuffled rows, sparse clip ids, unequal patch counts per clip
         rng = np.random.default_rng(seed)
         clips = rng.choice(10**9, size=len(patches), replace=False)
@@ -204,12 +203,8 @@ class TestClipLosses:
             counts[clip] = counts.get(clip, 0) + 1
         reference = {clip: sums[clip] / counts[clip] for clip in sums}
 
-        assert got.keys() == reference.keys()
-        for result in (got, _clip_means(clip_ids, values)):
-            assert {c: v.hex() for c, v in result.items()} == {
-                c: v.hex() for c, v in reference.items()
-            }
-            assert all(type(c) is int and type(v) is float for c, v in result.items())
+        assert {c: v.hex() for c, v in got.items()} == {c: v.hex() for c, v in reference.items()}
+        assert all(type(c) is int and type(v) is float for c, v in got.items())
 
 
 def patch_dataset():
@@ -262,6 +257,24 @@ class TestPruneDataset:
         losses = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0, 99: 100.0}
         _, removed = prune_dataset(ds, losses, 1)
         assert removed == [3]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_loss_that_is_not_finite_and_non_negative_is_refused(self, bad, count):
+        # a NaN once ranked below every loss, so count 2 removed clips 0 and 1
+        ds = patch_dataset()
+        with pytest.raises(
+            InvalidInputError, match=r"^loss values must be finite and non-negative$"
+        ):
+            prune_dataset(ds, {0: 1.0, 1: bad, 2: 3.0, 3: 7.0}, count)
+        # an ignored entry is not checked
+        _, removed = prune_dataset(ds, {0: 1.0, 1: 2.0, 2: 3.0, 3: 7.0, 99: bad}, count)
+        assert removed == [3, 2][:count]
+
+    def test_empty_dataset_has_no_clips(self):
+        empty = patch_dataset().subset(np.arange(0))
+        with pytest.raises(InvalidInputError, match=r"^empty dataset has no clips$"):
+            prune_dataset(empty, {}, 0)
 
     def test_top_k_equals_percentile_threshold(self):
         # removing k of n clips keeps exactly those at or below the
@@ -326,6 +339,16 @@ class TestPruneReport:
             (0, 3, False),
         ]
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -5.0])
+    def test_loss_that_is_not_finite_and_non_negative_is_refused(self, bad):
+        with pytest.raises(
+            InvalidInputError, match=r"^loss values must be finite and non-negative$"
+        ):
+            prune_report_rows({0: 1.0, 1: bad}, removed=[0])
+
+    def test_no_clips_no_rows(self):
+        assert prune_report_rows({}, removed=[]) == []
+
     def test_round_trip(self, tmp_path):
         rows = prune_report_rows({5: 2.5, 6: 2.5, 7: 0.125}, removed=[6])
         path = tmp_path / "prune.jsonl"
@@ -337,3 +360,41 @@ class TestPruneReport:
         write_prune_report(path, [PruneRecord(1, 0.5, 1, True)])
         path.write_text(path.read_text() + "\n\n")
         assert len(read_prune_report(path)) == 1
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+class TestRemovalOrder:
+    """Pruning removes clips in one order, over arrays, in ``prune_dataset``, the report and
+    the trainer's prune rounds: the order of ``sorted`` by (-loss, -clip) on Python values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        others=st.lists(st.integers(INT64_MIN, INT64_MAX), max_size=12, unique=True),
+        pool=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 4), min_size=14, max_size=14),
+        count=st.integers(0, 13),
+    )
+    # the two extreme ids tie, at 0.0 and -0.0: the larger goes first
+    @example(others=[], pool=[1.0], picks=[0, 1] + [2] * 12, count=1)
+    def test_equals_python_sort_by_negated_loss_then_id(self, others, pool, picks, count):
+        # both int64 extremes, ties forced through a pool of at most 5 losses, 0.0 and -0.0
+        clips = list(dict.fromkeys([INT64_MIN, INT64_MAX, *others]))
+        values = [0.0, -0.0, *pool]
+        losses = {clip: values[pick % len(values)] for clip, pick in zip(clips, picks)}
+        expected = sorted(clips, key=lambda clip: (-losses[clip], -clip))
+        count %= len(clips)
+
+        rows = prune_report_rows(losses, removed=expected[:count])
+        assert [row.clip_id for row in rows] == expected
+        assert [row.rank for row in rows] == list(range(1, len(clips) + 1))
+        assert [row.removed for row in rows] == [rank < count for rank in range(len(clips))]
+        assert [row.clip_loss.hex() for row in rows] == [losses[c].hex() for c in expected]
+
+        # one row per clip, in the drawn order, which is not the table's
+        n = len(clips)
+        ds = Dataset(np.arange(n), clips, np.zeros((n, 1)), np.zeros(n, dtype=int), 2)
+        kept, removed = prune_dataset(ds, losses, count)
+        assert removed == expected[:count]
+        assert kept.clip_ids.tolist() == [clip for clip in clips if clip not in removed]
