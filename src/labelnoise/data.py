@@ -1,10 +1,10 @@
 """The column-oriented dataset view that training code operates on.
 
-A :class:`Dataset` carries exactly four parallel columns (example id,
-clip id, feature vector, observed label) plus the class count. Ground
-truth about injected corruption lives in the harness's annotated wrapper,
-never here, so losses, smoothing, mixup, selection, and the trainer cannot
-peek at it even by accident.
+A :class:`Dataset` carries exactly four parallel columns (example id, clip id, feature vector,
+observed label) plus the class count, checked as it is built (every feature finite); it keeps
+the arrays it is given and makes them read-only. Ground truth about injected corruption lives
+in the harness's annotated wrapper, never here, so losses, smoothing, mixup, selection, and
+the trainer cannot peek at it even by accident.
 
 Examples are patches; several patches share a clip, and labels attach to
 clips (every patch of a clip carries the same label). The clip table, built
@@ -55,7 +55,12 @@ class Dataset:
         clip_labels[inverse] = self.labels
         if np.any(clip_labels[inverse] != self.labels):
             raise InvalidInputError("patches of one clip must share a label")
-        for column in (clips, inverse, clip_labels):
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            bad = self.example_ids[finite.argmin()]
+            raise InvalidInputError(f"example {bad} has a non-finite feature value")
+        columns = (self.example_ids, self.clip_ids, self.features, self.labels)
+        for column in (*columns, clips, inverse, clip_labels):
             column.flags.writeable = False
         object.__setattr__(self, "_clip_table", (clips, inverse, clip_labels))
 

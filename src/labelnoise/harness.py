@@ -99,6 +99,7 @@ class AnnotatedDataset:
     ``[0, num_classes)`` or ``OOV_CLEAN_LABEL``; and the patches of one clip share their
     clean label and flag. The check keeps, in clip-table order, each clip's original class
     (its clean label, or its label if out of vocabulary) and flag, for the noise functions.
+    The constructor keeps the arrays it is given and makes them read-only.
     """
 
     data: Dataset
@@ -114,6 +115,7 @@ class AnnotatedDataset:
         n = data.n_examples
         if clean.shape != (n,) or flags.shape != (n,):
             raise InvalidInputError("annotations must align with the dataset rows")
+        clean.flags.writeable = flags.flags.writeable = False
         if not n:
             return
         if np.any(data.labels[~flags] != clean[~flags]):
@@ -137,7 +139,9 @@ class AnnotatedDataset:
                 " disagree on clean_label or corrupted"
             )
         original = np.where(truth_of_clip >= 0, truth_of_clip // 2, clip_labels)
-        object.__setattr__(self, "_clip_truth", (original, truth_of_clip % 2 == 1))
+        clip_flags = truth_of_clip % 2 == 1
+        original.flags.writeable = clip_flags.flags.writeable = False
+        object.__setattr__(self, "_clip_truth", (original, clip_flags))
 
 
 def generate_blobs(
@@ -183,7 +187,7 @@ def generate_blobs(
         labels=labels,
         num_classes=num_classes,
     )
-    return AnnotatedDataset(dataset, labels.copy(), np.zeros(n, dtype=bool))
+    return AnnotatedDataset(dataset, labels, np.zeros(n, dtype=bool))
 
 
 def _round_count(x: float) -> int:
@@ -222,7 +226,7 @@ def inject_symmetric_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> Anno
     labels[picked] = np.where(draws < old, draws, draws + 1)
     dataset = replace(annotated.data, labels=labels[inverse])
     flags = annotated.corrupted | picked[inverse]
-    return AnnotatedDataset(dataset, annotated.clean_labels.copy(), flags)
+    return AnnotatedDataset(dataset, annotated.clean_labels, flags)
 
 
 def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDataset:
@@ -316,15 +320,9 @@ def write_annotated(path, annotated: AnnotatedDataset) -> None:
     write_dataset_rows(path, annotated.data, (annotated.clean_labels, annotated.corrupted))
 
 
-def _read_annotated(path, require_truth: bool) -> AnnotatedDataset:
-    """The one dataset reader: ``records.read_dataset_rows``, which ends with the truth checks
-    of :class:`AnnotatedDataset`, which need the whole dataset."""
-    return read_dataset_rows(path, require_truth, AnnotatedDataset)
-
-
 def read_dataset(path) -> Dataset:
     """Read any dataset file as the public view (ground truth dropped)."""
-    return _read_annotated(path, require_truth=False).data
+    return read_dataset_rows(path, require_truth=False, annotate=AnnotatedDataset).data
 
 
 def read_as_annotated(path) -> AnnotatedDataset:
@@ -335,12 +333,12 @@ def read_as_annotated(path) -> AnnotatedDataset:
     file that annotates only some rows is rejected. Use
     :func:`read_annotated` when the annotations must actually be present.
     """
-    return _read_annotated(path, require_truth=False)
+    return read_dataset_rows(path, require_truth=False, annotate=AnnotatedDataset)
 
 
 def read_annotated(path) -> AnnotatedDataset:
     """Read a harness-private dataset file; fails if ground truth is absent."""
-    return _read_annotated(path, require_truth=True)
+    return read_dataset_rows(path, require_truth=True, annotate=AnnotatedDataset)
 
 
 def dataset_fingerprint(annotated: AnnotatedDataset) -> str:

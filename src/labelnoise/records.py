@@ -2,7 +2,8 @@
 and one-document JSON files (model, summary), keys sorted, written atomically, and read with
 each fault named by its file and line. A record file's schema is its dataclass, which types
 the fields as it is built; a dataset file holds the columns of a ``Dataset``, plus the ground
-truth if private, each value typed by its field rule from :mod:`errors`.
+truth if private, each value typed by its field rule from :mod:`errors` and the whole checked
+as the ``Dataset`` is built (a non-finite feature, say).
 """
 
 from __future__ import annotations
@@ -304,14 +305,6 @@ def _bounds(size: int, count: int) -> list:
     return [size * index // count for index in range(count + 1)]
 
 
-def _check_finite(data: Dataset) -> None:
-    # checked here rather than in Dataset, which re-validates on every subset
-    finite = np.isfinite(data.features).all(axis=1)
-    if not finite.all():
-        bad = data.example_ids[np.argmin(finite)]
-        raise InvalidInputError(f"example {bad} has a non-finite feature value")
-
-
 def _encode_rows(fh, columns: dict, start: int, stop: int) -> None:
     """Rows ``start`` to ``stop`` of ``columns`` as lines of the text file ``fh``, one JSON object
     each, keys sorted, converted to Python values one block of ``_WRITE_BLOCK`` rows at a time."""
@@ -334,13 +327,8 @@ def _encode_part(part: Path, start: int, stop: int, columns: dict) -> tuple:
 
 def write_dataset_rows(path, data: Dataset, truth: tuple | None = None) -> None:
     """One JSON object per example of ``data``, plus ``truth``, the clean labels and flags, as
-    ``clean_label`` and ``corrupted``, replacing ``path`` atomically. A dataset with a
-    non-finite feature is refused, naming ``path``, before any byte is written. Each range of
-    rows is encoded by a worker into a part file beside ``path``, appended in row order."""
-    try:
-        _check_finite(data)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
+    ``clean_label`` and ``corrupted``, replacing ``path`` atomically. Each range of rows is
+    encoded by a worker into a part file beside ``path``, appended in row order."""
     path = Path(path)
     columns = dict(
         example_id=data.example_ids,
@@ -481,7 +469,7 @@ def read_dataset_rows(path, require_truth: bool, annotate):
     as clean, or, if ``require_truth``, is rejected once its first row is parsed. The first
     row is parsed first and sets every range's width and layout; each range is then parsed
     by a worker into packed buffers, and the first fault in file order is raised. A fault of
-    the whole dataset, which ``Dataset``, the finite check or ``annotate`` finds, names ``path``."""
+    the whole dataset, which ``Dataset`` or ``annotate`` finds, names ``path``."""
     with open(path, "rb") as fh:
         head = 0
         for line in fh:
@@ -517,7 +505,6 @@ def read_dataset_rows(path, require_truth: bool, annotate):
     features = features.reshape(rows, first.width)
     try:
         data = Dataset(example_ids, clip_ids, features, labels, num_classes)
-        _check_finite(data)
         return annotate(data, clean, corrupted)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc

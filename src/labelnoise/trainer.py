@@ -141,7 +141,11 @@ def _forward_cached(
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Logits for a (N, F) feature matrix."""
+    """Logits for a (N, F) feature matrix, F the model's ``feature_dim``."""
+    if features.shape[1:] != (params.feature_dim,):
+        raise InvalidInputError(
+            f"features of shape {features.shape} do not fit a model of {params.feature_dim} inputs"
+        )
     return _forward_cached(params, features)[0]
 
 
@@ -318,10 +322,12 @@ def plateau_step(
 
 
 def evaluate(params: ModelParams, dataset: Dataset) -> float:
-    """Clip-level accuracy: average patch softmax per clip, argmax vs clip label. A model whose
-    logits on ``dataset`` are not all finite raises ``InvalidInputError``."""
+    """Clip-level accuracy: average patch softmax per clip, argmax vs clip label. A label the
+    model has no class for, or logits that are not all finite, raise ``InvalidInputError``."""
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot evaluate on an empty dataset")
+    if (top := dataset.labels.max()) >= params.num_classes:
+        raise InvalidInputError(f"label {top} is not a class of a {params.num_classes}-class model")
     logits = forward(params, dataset.features)
     if not np.isfinite(logits).all():
         raise InvalidInputError("cannot evaluate a model whose logits are not all finite")

@@ -1,6 +1,7 @@
 """Tests for the Dataset container, the grouped mean and the per-class clip draw."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,64 @@ class TestConstruction:
                 labels=np.array(labels),
                 num_classes=2,
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ids=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8, unique=True),
+        width=st.integers(1, 4),
+        cells=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.integers(0, 3),
+                st.sampled_from([math.nan, math.inf, -math.inf])
+                | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_names_the_first_row_with_a_non_finite_feature(self, ids, width, cells):
+        rows = len(ids)
+        features = np.zeros((rows, width))
+        for row, column, value in cells:
+            features[row % rows, column % width] = value
+        bad = [i for i, row in enumerate(features.tolist()) if not all(map(math.isfinite, row))]
+        labels = np.zeros(rows, dtype=int)
+        clean = Dataset(ids, np.arange(rows), np.zeros((rows, width)), labels, 2)
+        for build in (
+            lambda: Dataset(ids, np.arange(rows), features, labels, 2),
+            lambda: replace(clean, features=features),
+        ):
+            if bad:
+                message = f"^example {ids[bad[0]]} has a non-finite feature value$"
+                with pytest.raises(InvalidInputError, match=message):
+                    build()
+            else:
+                assert build().features.tobytes() == features.tobytes()
+
+    def test_keeps_its_columns_and_makes_them_read_only(self):
+        labels = np.array([0, 0, 1, 1])
+        ds = Dataset(np.arange(4), np.array([0, 0, 1, 1]), np.zeros((4, 1)), labels, 2)
+        assert ds.labels is labels
+        # a write into the array the dataset was built from would leave its clip table stale
+        with pytest.raises(ValueError, match="read-only"):
+            labels[:] = 1
+        for column in (ds.example_ids, ds.clip_ids, ds.features, ds.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        np.testing.assert_array_equal(ds.labels, [0, 0, 1, 1])
+        np.testing.assert_array_equal(ds.clip_table()[2], [0, 1])
+
+    @pytest.mark.parametrize("rows", [4, 0])
+    def test_annotations_are_kept_and_made_read_only(self, rows):
+        ds = small_dataset().subset(np.arange(rows))
+        clean = ds.labels.copy()
+        flags = np.zeros(rows, dtype=bool)
+        annotated = AnnotatedDataset(ds, clean, flags)
+        assert annotated.clean_labels is clean and annotated.corrupted is flags
+        kept = [clean, flags, *(annotated._clip_truth if rows else ())]
+        for column in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                column[:] = 1
 
 
 class TestSubset:

@@ -305,6 +305,24 @@ class TestForwardAndEvaluate:
                 evaluate(params, data)
         assert str(excinfo.value) == "cannot evaluate a model whose logits are not all finite"
 
+    def test_forward_refuses_features_of_another_width(self):
+        params = self.linear_params(np.eye(3), np.zeros(3))
+        with pytest.raises(InvalidInputError) as excinfo:
+            forward(params, np.zeros((2, 4)))
+        assert str(excinfo.value) == "features of shape (2, 4) do not fit a model of 3 inputs"
+        data = generate_blobs(3, 20, 3, 8, 0.25, seed=1).data
+        with pytest.raises(InvalidInputError, match=r"^features of shape \(180, 8\) do not fit"):
+            evaluate(params, data)
+
+    def test_evaluate_refuses_a_label_the_model_has_no_class_for(self):
+        # a 3-class model would score 4-class blobs as if class 3 were never right
+        data = generate_blobs(4, 20, 3, 8, 0.25, seed=1).data
+        params = self.linear_params(np.zeros((8, 3)), np.zeros(3))
+        with pytest.raises(InvalidInputError) as excinfo:
+            evaluate(params, data)
+        assert str(excinfo.value) == "label 3 is not a class of a 3-class model"
+        assert evaluate(params, data.subset(data.labels < 3)) == pytest.approx(1 / 3)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n_rows=st.integers(1, 40),
@@ -752,14 +770,16 @@ class TestTrainLoop:
         assert lrs[3] == pytest.approx(5e-14)
 
     def test_non_finite_logits_raise_at_first_epoch(self):
-        ds = blob_dataset()
-        bad_features = ds.features.copy()
-        bad_features[0, 0] = np.inf
-        bad = Dataset(ds.example_ids, ds.clip_ids, bad_features, ds.labels, ds.num_classes)
+        # finite features of +-1e308, a random sign per cell, overflow the product with the
+        # initial weights: a row's logit is 1e308 times a sum of 16 signed weights
+        ds = generate_blobs(2, 20, 3, 16, 0.1, seed=5).data
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], size=ds.features.shape)
+        bad = Dataset(ds.example_ids, ds.clip_ids, 1e308 * signs, ds.labels, ds.num_classes)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingError) as excinfo:
                 train(bad, quick_config())
         assert excinfo.value.epoch == 0
+        assert str(excinfo.value) == "epoch 0: training diverged: non-finite logits"
 
     def test_non_finite_validation_logits_raise(self):
         # one step per epoch: its logits are finite, and the step it takes overflows the
