@@ -75,7 +75,6 @@ from .selection import (
     prune_dataset,
     prune_report_rows,
     read_prune_report,
-    threshold_from_rule,
     write_prune_report,
 )
 from .smoothing import (

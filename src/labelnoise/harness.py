@@ -224,9 +224,7 @@ def inject_symmetric_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> Anno
     old = labels[picked]
     # a draw at or above the old label skips it, so the new label always differs
     labels[picked] = np.where(draws < old, draws, draws + 1)
-    dataset = replace(annotated.data, labels=labels[inverse])
-    flags = annotated.corrupted | picked[inverse]
-    return AnnotatedDataset(dataset, annotated.clean_labels, flags)
+    return _annotate(replace(annotated.data, labels=labels[inverse]), annotated.clean_labels)
 
 
 def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDataset:
@@ -251,15 +249,19 @@ def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedD
     width = hi - lo
     features = annotated.data.features.copy()
     clean = annotated.clean_labels.copy()
-    flags = annotated.corrupted.copy()
     rows = np.flatnonzero(picked[inverse])
     features[rows] = gen.uniform(
         center - width, center + width, size=(rows.size, features.shape[1])
     )
     clean[rows] = OOV_CLEAN_LABEL
-    flags[rows] = True
-    dataset = replace(annotated.data, features=features)
-    return AnnotatedDataset(dataset, clean, flags)
+    return _annotate(replace(annotated.data, features=features), clean)
+
+
+def _annotate(dataset: Dataset, clean_labels: np.ndarray) -> AnnotatedDataset:
+    """``dataset`` and its clean labels; a row is corrupted when its label is not its clean label
+    or its content is out of vocabulary, so a flip back to the clean label clears its clip."""
+    corrupted = (dataset.labels != clean_labels) | (clean_labels == OOV_CLEAN_LABEL)
+    return AnnotatedDataset(dataset, clean_labels, corrupted)
 
 
 def inject_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDataset:

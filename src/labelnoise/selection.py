@@ -65,10 +65,10 @@ class Strategy(str, Enum):
 class StagePlan:
     """When and how stage-two selection kicks in.
 
-    ``start_epoch`` counts completed epochs: discarding first applies in
-    epoch ``start_epoch``, and pruning runs right before it. With
-    ``prune_rounds > 1`` pruning repeats every ``start_epoch`` epochs
-    (an optional iterative mode; single-shot is the default).
+    ``start_epoch`` counts completed epochs: discarding first applies in epoch
+    ``start_epoch``, and pruning runs right before it. With ``prune_rounds > 1`` pruning
+    repeats every ``start_epoch`` epochs (an optional iterative mode; single-shot is the
+    default). The other strategies ignore ``prune_count`` and ``prune_rounds``.
     """
 
     strategy: Strategy = Strategy.NONE
@@ -81,25 +81,8 @@ class StagePlan:
         check_fields(self)
         if self.strategy == Strategy.DISCARD and self.rule is None:
             raise ConfigurationError("discard strategy requires a selection rule")
-        if self.prune_rounds > 1 and self.start_epoch == 0:
+        if self.strategy == Strategy.PRUNE and self.prune_rounds > 1 and self.start_epoch == 0:
             raise ConfigurationError("iterative pruning requires start_epoch >= 1")
-
-
-def threshold_from_rule(losses, rule: SelectionRule) -> float:
-    """Rejection threshold for a non-empty array of non-negative losses."""
-    values = np.asarray(losses, dtype=np.float64)
-    if values.size == 0:
-        raise InvalidInputError("cannot derive a threshold from an empty loss array")
-    _check_loss_values(values)
-    return _threshold(values, rule)
-
-
-def _threshold(values: np.ndarray, rule: SelectionRule) -> float:
-    """:func:`threshold_from_rule` of losses already checked, as a :class:`LossReport`'s are;
-    ``rule`` checked its own level."""
-    if rule.kind == SelectionKind.MAX_FRACTION:
-        return float(rule.fraction * values.max())
-    return _percentile(values, rule.level)
 
 
 def discard_mask(
@@ -108,7 +91,8 @@ def discard_mask(
     """Keep-mask for one batch (True = keep).
 
     Before ``start_epoch`` completed epochs everything is kept. Afterwards
-    instances with loss above the rule's threshold are rejected, except
+    instances with loss above the rule's threshold (``fraction`` times the
+    batch's largest loss, or its ``level`` percentile) are rejected, except
     that a batch never rejects everything: if it would, the instances
     attaining the minimum loss are kept instead.
     """
@@ -117,7 +101,11 @@ def discard_mask(
     values = losses.per_example
     if epoch < start_epoch:
         return np.ones(len(losses), dtype=bool)
-    keep = values <= _threshold(values, rule)
+    if rule.kind == SelectionKind.MAX_FRACTION:
+        threshold = rule.fraction * values.max()
+    else:
+        threshold = _percentile(values, rule.level)
+    keep = values <= threshold
     if not keep.any():
         keep = values == values.min()
     return keep

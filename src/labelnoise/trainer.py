@@ -331,13 +331,8 @@ def evaluate(params: ModelParams, dataset: Dataset) -> float:
     logits = forward(params, dataset.features)
     if not np.isfinite(logits).all():
         raise InvalidInputError("cannot evaluate a model whose logits are not all finite")
-    return _clip_accuracy(logits, *_clip_scoring(dataset, params.num_classes))
-
-
-def _clip_scoring(dataset: Dataset, num_classes: int) -> tuple[GroupMeans, np.ndarray]:
-    """The per-clip mean of ``dataset``'s patch probabilities, and each clip's label."""
     clips, inverse, clip_labels = dataset.clip_table()
-    return GroupMeans(inverse, clips.size, num_classes), clip_labels
+    return _clip_accuracy(logits, GroupMeans(inverse, clips.size, params.num_classes), clip_labels)
 
 
 def _clip_accuracy(logits: np.ndarray, clip_means: GroupMeans, clip_labels: np.ndarray) -> float:
@@ -400,12 +395,16 @@ def train(
 
     # The train set is ``rows``, the ascending positions of its rows in
     # ``dataset``: batches gather their features and targets by those positions.
-    # Validation is one contiguous copy, since a product's bits depend on
-    # its row count.
+    # Validation is one contiguous gather, since a product's bits depend on
+    # its row count, scored through the clip table: no clip straddles the
+    # split, and table positions sort as clip ids do.
     rows, val_rows = split_rows(dataset, config.val_fraction, rng.child(_SPLIT).generator())
-    prune_epochs = check_plan(config, np.bincount(dataset.clip_table()[2]).tolist())
-    val_split = dataset.subset(val_rows)
-    val_scoring = _clip_scoring(val_split, dataset.num_classes)
+    _, inverse, clip_labels = dataset.clip_table()
+    prune_epochs = check_plan(config, np.bincount(clip_labels).tolist())
+    val_features = dataset.features.take(val_rows, axis=0)
+    val_clips, val_groups = np.unique(inverse.take(val_rows), return_inverse=True)
+    val_scoring = GroupMeans(val_groups, val_clips.size, dataset.num_classes)
+    val_clip_labels = clip_labels.take(val_clips)
     targets = targets_matrix(dataset.labels, dataset.num_classes, config.smoothing)
 
     # The weights, their gradient and the Adam moments each live in one flat
@@ -506,8 +505,8 @@ def train(
             kept_loss_sum += loss_sum
             kept_count += n_kept
 
-        val_logits, _ = _checked_forward(params, val_split.features, epoch, " in validation")
-        val_acc = _clip_accuracy(val_logits, *val_scoring)
+        val_logits, _ = _checked_forward(params, val_features, epoch, " in validation")
+        val_acc = _clip_accuracy(val_logits, val_scoring, val_clip_labels)
         history.append(
             EpochRecord(
                 epoch=epoch,

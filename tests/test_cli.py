@@ -377,6 +377,23 @@ class TestDatasetCommands:
         )
         assert code == 2
 
+    def test_corrupt_twice_clears_a_clip_flipped_back_to_its_clean_label(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data, classes=3, clips_per_class=6, dims=3))
+        for seed in (1, 2):
+            noisy = tmp_path / f"noisy{seed}.jsonl"
+            code = run_cli(
+                "dataset", "corrupt",
+                "--in", str(data), "--kind", "symmetric", "--rate", "1.0",
+                "--seed", str(seed), "--out", str(noisy),
+            )
+            assert code == 0
+            data = noisy
+        annotated = read_annotated(data)
+        restored = annotated.data.labels == annotated.clean_labels
+        assert restored.sum() == 10  # 5 clips of 2 patches that the second flip restored
+        np.testing.assert_array_equal(annotated.corrupted, ~restored)
+
 
     def test_corrupt_partly_annotated_file_exits_two(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"

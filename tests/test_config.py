@@ -161,6 +161,13 @@ class TestParseStage:
         with pytest.raises(ConfigurationError, match="train.stage"):
             parse_train({"batch_size": 64, "stage": {"strategy": "discard", "start_epoch": 3}})
 
+    @pytest.mark.parametrize("strategy", ["none", "discard"])
+    def test_rounds_of_a_plan_that_never_prunes_are_not_checked(self, strategy):
+        rule = {"kind": "max_fraction", "fraction": 0.9}
+        stage = {"strategy": strategy, "rule": rule, "prune_count": 1, "prune_rounds": 3}
+        plan = parse_train({"batch_size": 64, "stage": stage}).stage
+        assert (plan.start_epoch, plan.prune_rounds) == (0, 3)
+
     def test_float_start_epoch_rejected(self):
         with pytest.raises(ConfigurationError, match="start_epoch"):
             parse_train({"batch_size": 64, "stage": {"strategy": "none", "start_epoch": 2.5}})

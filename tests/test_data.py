@@ -448,7 +448,11 @@ class TestDrawClips:
             selected, gen = reference_noisy_clips(annotated, spec)
             noisy = inject(annotated, spec)
             rows = np.isin(annotated.data.clip_ids, selected)
-            np.testing.assert_array_equal(noisy.corrupted, annotated.corrupted | rows)
+            # an unpicked row keeps its flag; a picked row is corrupted unless a
+            # flip restored its clean label
+            np.testing.assert_array_equal(noisy.corrupted[~rows], annotated.corrupted[~rows])
+            restored = (noisy.data.labels == noisy.clean_labels) & (noisy.clean_labels >= 0)
+            np.testing.assert_array_equal(noisy.corrupted[rows], ~restored[rows])
             if kind is NoiseKind.SYMMETRIC_IV and selected.size:
                 # the label draws follow the clip draws and land on the clips in id order
                 draws = gen.integers(0, dataset.num_classes - 1, size=selected.size)

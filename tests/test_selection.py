@@ -20,7 +20,6 @@ from labelnoise import (
     prune_dataset,
     prune_report_rows,
     read_prune_report,
-    threshold_from_rule,
     write_prune_report,
 )
 
@@ -58,39 +57,13 @@ class TestSelectionRule:
             SelectionRule(SelectionKind.PERCENTILE)
 
 
-class TestThresholdFromRule:
-    def test_max_fraction_reference(self):
-        t = threshold_from_rule([1.0, 2.0, 4.0], SelectionRule.max_fraction(0.93))
-        assert t == pytest.approx(3.72, abs=1e-12)
-
-    def test_fraction_one_keeps_everything(self):
-        values = [0.5, 1.5, 2.5]
-        t = threshold_from_rule(values, SelectionRule.max_fraction(1.0))
-        assert t == 2.5
-
-    def test_percentile_rule_matches_percentile_op(self):
+class TestPercentileRule:
+    def test_mask_keeps_values_at_or_below_the_percentile(self):
         rng = np.random.default_rng(0)
         values = rng.exponential(size=40)
-        t = threshold_from_rule(values, SelectionRule.at_percentile(80.0))
-        assert t == percentile(values, 80.0)
-
-    # discard_mask thresholds a LossReport's checked values without these checks;
-    # the public functions keep all of them, with the same messages
-    @pytest.mark.parametrize(
-        "rule", [SelectionRule.max_fraction(0.9), SelectionRule.at_percentile(70.0)]
-    )
-    @pytest.mark.parametrize(
-        "values, message",
-        [
-            ([1.0, np.nan], "loss values must be finite and non-negative"),
-            ([np.inf, 1.0], "loss values must be finite and non-negative"),
-            ([-0.5, 1.0], "loss values must be finite and non-negative"),
-            ([], "cannot derive a threshold from an empty loss array"),
-        ],
-    )
-    def test_public_threshold_keeps_its_checks(self, rule, values, message):
-        with pytest.raises(InvalidInputError, match=rf"^{message}$"):
-            threshold_from_rule(values, rule)
+        mask = discard_mask(report(values), SelectionRule.at_percentile(80.0), 0, 0)
+        np.testing.assert_array_equal(mask, values <= percentile(values, 80.0))
+        assert mask.sum() == 32
 
     @pytest.mark.parametrize(
         "values, level, message",
@@ -158,6 +131,24 @@ class TestDiscardMask:
     def test_empty_report(self):
         with pytest.raises(InvalidInputError):
             discard_mask(report([]), SelectionRule.max_fraction(0.9), 0, 0)
+
+    # the batch threshold reads a LossReport's checked values; the report and the
+    # mask refuse what the threshold cannot take, under either rule
+    @pytest.mark.parametrize(
+        "rule", [SelectionRule.max_fraction(0.9), SelectionRule.at_percentile(70.0)]
+    )
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.0, np.nan], "loss values must be finite and non-negative"),
+            ([np.inf, 1.0], "loss values must be finite and non-negative"),
+            ([-0.5, 1.0], "loss values must be finite and non-negative"),
+            ([], "cannot build a mask for an empty loss report"),
+        ],
+    )
+    def test_threshold_inputs_are_checked(self, rule, values, message):
+        with pytest.raises(InvalidInputError, match=rf"^{message}$"):
+            discard_mask(report(values), rule, 0, 0)
 
 
 class TestClipLosses:
@@ -328,6 +319,12 @@ class TestStagePlan:
         with pytest.raises(ConfigurationError):
             StagePlan(strategy=Strategy.PRUNE, start_epoch=0, prune_count=1, prune_rounds=2)
         StagePlan(strategy=Strategy.PRUNE, start_epoch=1, prune_count=1, prune_rounds=2)
+
+    @pytest.mark.parametrize("strategy", [Strategy.NONE, Strategy.DISCARD])
+    def test_a_plan_that_never_prunes_ignores_its_rounds(self, strategy):
+        rule = SelectionRule.max_fraction(0.9)
+        plan = StagePlan(strategy, start_epoch=0, rule=rule, prune_count=1, prune_rounds=3)
+        assert (plan.start_epoch, plan.prune_rounds) == (0, 3)
 
 
 class TestPruneReport:

@@ -981,6 +981,65 @@ def assert_same_rows(got: Dataset, want: Dataset):
     assert got.num_classes == want.num_classes
 
 
+def scattered_clips(clips_per_class, patches, seed):
+    """A dataset of ``clips_per_class[c]`` clips of class c, their patch counts taken in
+    order from ``patches``, under sparse clip and example ids and in shuffled row order."""
+    rng = np.random.default_rng(seed)
+    clip_labels = np.repeat(np.arange(len(clips_per_class)), clips_per_class)
+    counts = patches[: clip_labels.size]
+    sparse_ids = rng.choice(10**6, size=clip_labels.size, replace=False)
+    order = rng.permutation(sum(counts))
+    return Dataset(
+        rng.choice(10**9, size=order.size, replace=False),
+        np.repeat(sparse_ids, counts)[order],
+        rng.standard_normal((order.size, 3)),
+        np.repeat(clip_labels, counts)[order],
+        len(clips_per_class),
+    )
+
+
+class TestTrainValidation:
+    """``train`` scores validation as row positions of the caller's dataset, through its
+    clip table, and builds no dataset of its own."""
+
+    def test_train_builds_no_dataset(self, monkeypatch):
+        ds = clip_dataset(3, 8, patches_per_clip=2)
+        stage = StagePlan(strategy=Strategy.PRUNE, start_epoch=1, prune_count=1, prune_rounds=2)
+        config = quick_config(max_epochs=4, stage=stage)
+        built = []
+        real_check = Dataset.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real_check(self)
+
+        monkeypatch.setattr(Dataset, "__post_init__", counted)
+        result = train(ds, config)
+        assert len(result.history) == 4 and result.prune_report
+        assert built == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        clips_per_class=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        patches=st.lists(st.integers(1, 4), min_size=24, max_size=24),
+        val_fraction=st.floats(0.05, 0.6),
+        architecture=st.sampled_from(Architecture),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_val_accuracy_is_evaluate_on_the_split_bit_for_bit(
+        self, clips_per_class, patches, val_fraction, architecture, seed
+    ):
+        ds = scattered_clips(clips_per_class, patches, seed)
+        _, val_rows = split_rows(ds, val_fraction, RngStream(seed).child(0).generator())
+        assume(val_rows.size < ds.n_examples)
+        config = quick_config(
+            max_epochs=1, batch_size=4, val_fraction=val_fraction, seed=seed,
+            architecture=architecture, hidden_units=5,
+        )
+        result = train(ds, config)
+        assert result.history[0].val_accuracy == evaluate(result.params, ds.subset(val_rows))
+
+
 class TestTrainRows:
     """``train`` keeps its train set as row positions; they must select what the
     dataset-level split and prune select."""
@@ -998,19 +1057,7 @@ class TestTrainRows:
     ):
         import labelnoise.trainer as trainer_module
 
-        # shuffled rows, sparse clip ids, unequal patch counts per clip
-        rng = np.random.default_rng(seed)
-        clip_labels = np.repeat(np.arange(len(clips_per_class)), clips_per_class)
-        counts = patches[: clip_labels.size]
-        sparse_ids = rng.choice(10**6, size=clip_labels.size, replace=False)
-        order = rng.permutation(sum(counts))
-        ds = Dataset(
-            rng.choice(10**9, size=order.size, replace=False),
-            np.repeat(sparse_ids, counts)[order],
-            rng.standard_normal((order.size, 3)),
-            np.repeat(clip_labels, counts)[order],
-            len(clips_per_class),
-        )
+        ds = scattered_clips(clips_per_class, patches, seed)
         split_gen = RngStream(seed).child(0).generator()
         train_half, val_half = stratified_split(ds, val_fraction, split_gen)
         train_clips = np.unique(train_half.clip_ids).size
