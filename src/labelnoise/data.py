@@ -2,9 +2,9 @@
 
 A :class:`Dataset` carries exactly four parallel columns (example id, clip id, feature vector,
 observed label) plus the class count, checked as it is built (every feature finite); it keeps
-the arrays it is given and makes them read-only. Ground truth about injected corruption lives
-in the harness's annotated wrapper, never here, so losses, smoothing, mixup, selection, and
-the trainer cannot peek at it even by accident.
+the arrays it is given, each as :func:`own_column` gives it, and makes them read-only. Ground
+truth about injected corruption lives in the harness's annotated wrapper, never here, so
+losses, smoothing, mixup, selection, and the trainer cannot peek at it even by accident.
 
 Examples are patches; several patches share a clip, and labels attach to
 clips (every patch of a clip carries the same label). The clip table, built
@@ -21,11 +21,11 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import InvalidInputError, check_fields
+from .errors import Checked, InvalidInputError
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(Checked):
     example_ids: np.ndarray  # (N,) int64, unique
     clip_ids: np.ndarray     # (N,) int64
     features: np.ndarray     # (N, F) float64, F >= 1
@@ -33,11 +33,11 @@ class Dataset:
     num_classes: Annotated[int, "[2, inf)"]
 
     def __post_init__(self):
-        object.__setattr__(self, "example_ids", np.asarray(self.example_ids, dtype=np.int64))
-        object.__setattr__(self, "clip_ids", np.asarray(self.clip_ids, dtype=np.int64))
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        check_fields(self)
+        for name in ("example_ids", "clip_ids", "features", "labels"):
+            kind = np.float64 if name == "features" else np.int64
+            column = np.asarray(getattr(self, name), dtype=kind)
+            object.__setattr__(self, name, own_column(column))
+        super().__post_init__()
         n = self.example_ids.shape[0]
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise InvalidInputError("features must be a (N, F) array aligned with ids")
@@ -97,6 +97,13 @@ class Dataset:
             int(example): int(clip)
             for example, clip in zip(self.example_ids, self.clip_ids)
         }
+
+
+def own_column(column: np.ndarray) -> np.ndarray:
+    """``column``, or a copy of it when it views a writeable array, which could change it after
+    a record that keeps the column has checked it and made it read-only."""
+    base = column.base
+    return column.copy() if isinstance(base, np.ndarray) and base.flags.writeable else column
 
 
 class GroupMeans:

@@ -163,6 +163,14 @@ def check_fields(record) -> None:
         object.__setattr__(record, name, rule(name, getattr(record, name)))
 
 
+class Checked:
+    """A record that :func:`check_fields` checks as it is built: a dataclass that subclasses
+    this inherits the check as its ``__post_init__``, or calls it by ``super()`` in its own."""
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 @cache
 def _bounds(interval: str) -> tuple:
     """The bounds of ``interval``, ``"[0, 1)"`` say, and the comparisons that test them."""

@@ -37,10 +37,9 @@ from typing import Annotated, Mapping
 
 import numpy as np
 
-from .data import Dataset, GroupMeans, draw_clips
+from .data import Dataset, GroupMeans, draw_clips, own_column
 from .errors import (
-    ConfigurationError, ExperimentError, InvalidInputError, check_class_map, check_fields,
-    json_text,
+    Checked, ConfigurationError, ExperimentError, InvalidInputError, check_class_map, json_text,
 )
 from .numerics import RngStream, derive_seed, mean_ci
 from .records import read_dataset_rows, read_record, write_dataset_rows, write_record
@@ -74,7 +73,7 @@ class NoiseKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Checked):
     """What corruption to inject and how much.
 
     ``rate`` applies to all clips; ``rate_by_class`` (class index -> rate)
@@ -87,9 +86,6 @@ class NoiseSpec:
     seed: int = 0
     rate_by_class: Mapping[int, Annotated[float, "[0, 1]"]] | None = None
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
 class AnnotatedDataset:
@@ -99,7 +95,8 @@ class AnnotatedDataset:
     ``[0, num_classes)`` or ``OOV_CLEAN_LABEL``; and the patches of one clip share their
     clean label and flag. The check keeps, in clip-table order, each clip's original class
     (its clean label, or its label if out of vocabulary) and flag, for the noise functions.
-    The constructor keeps the arrays it is given and makes them read-only.
+    The constructor keeps the arrays it is given, each as ``own_column`` gives it, and makes
+    them read-only.
     """
 
     data: Dataset
@@ -107,8 +104,8 @@ class AnnotatedDataset:
     corrupted: np.ndarray     # bool
 
     def __post_init__(self):
-        clean = np.asarray(self.clean_labels, dtype=np.int64)
-        flags = np.asarray(self.corrupted, dtype=bool)
+        clean = own_column(np.asarray(self.clean_labels, dtype=np.int64))
+        flags = own_column(np.asarray(self.corrupted, dtype=bool))
         object.__setattr__(self, "clean_labels", clean)
         object.__setattr__(self, "corrupted", flags)
         data = self.data
@@ -372,7 +369,7 @@ def dataset_fingerprint(annotated: AnnotatedDataset) -> str:
 
 
 @dataclass(frozen=True)
-class DatasetParams:
+class DatasetParams(Checked):
     num_classes: Annotated[int, "[2, inf)"] = 4
     clips_per_class: Annotated[int, "[1, inf)"] = 50
     patches_per_clip: Annotated[int, "[1, inf)"] = 3
@@ -380,12 +377,9 @@ class DatasetParams:
     cluster_spread: Annotated[float, "[0, inf)"] = 0.25
     test_clips_per_class: Annotated[int, "[1, inf)"] = 25
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Checked):
     """Everything one experiment needs: data, noise, method, protocol. Each run's seeds
     derive from ``base_seed`` and the run index, so ``train.seed`` and ``noise.seed`` stay 0."""
 
@@ -397,7 +391,7 @@ class ExperimentConfig:
     auto_noise_groups: bool = False
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         for name, spec in (("train", self.train), ("noise", self.noise)):
             if spec is not None and spec.seed != 0:
                 raise ConfigurationError(
@@ -415,15 +409,12 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class RunSummary:
+class RunSummary(Checked):
     per_run_accuracy: tuple[Annotated[float, "[0, 100]"], ...]  # percent
     mean: Annotated[float, "[0, 100]"]
     ci_half_width: Annotated[float, "[0, inf)"]
     config_fingerprint: str
     dataset_fingerprints: tuple[str, ...]
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ rules can consume them directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, check_fields, within
+from .errors import Checked, InvalidInputError, within
 from .numerics import softmax
 
 PROB_FLOOR = 1e-12
@@ -36,14 +37,14 @@ class LossKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class LossSpec:
+class LossSpec(Checked):
     """Which loss to optimize; ``q`` is meaningful only for ``LossKind.LQ``."""
 
     kind: LossKind
     q: float | None = None
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.kind == LossKind.LQ:
             within("q", self.q, "(0, 1]")
 
@@ -68,10 +69,15 @@ class LossReport:
         return int(self.per_example.shape[0])
 
 
-def _check_loss_values(values: np.ndarray) -> None:
-    """Raise unless a float array of losses is finite and non-negative (an empty one is)."""
-    if not np.isfinite(values).all() or values.min(initial=0.0) < 0:
-        raise InvalidInputError("loss values must be finite and non-negative")
+def _check_loss_values(values: np.ndarray) -> float:
+    """The sum of a float array of losses; raise unless each is finite and non-negative (an
+    empty array is). Terms >= 0 whose sum is finite are all finite (the min is NaN if any term
+    is NaN), so only a sum that overflowed needs the full scan."""
+    if values.min(initial=0.0) >= 0.0:
+        total = float(values.sum())
+        if math.isfinite(total) or np.isfinite(values).all():
+            return total
+    raise InvalidInputError("loss values must be finite and non-negative")
 
 
 def _check_pair(y, p) -> tuple[np.ndarray, np.ndarray]:

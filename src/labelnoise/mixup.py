@@ -22,7 +22,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, check_fields, within
+from .errors import Checked, ConfigurationError, InvalidInputError, within
 from .numerics import beta_draws
 
 
@@ -32,13 +32,10 @@ class Pairing(str, Enum):
 
 
 @dataclass(frozen=True)
-class MixupPolicy:
+class MixupPolicy(Checked):
     alpha: Annotated[float, "(0, inf)"]
     warmup_epochs: Annotated[int, "[0, inf)"] = 0
     pairing: Pairing = Pairing.INTRA_BATCH
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _integer, check_fields, json_text, within
+from .errors import Checked, InvalidInputError, _integer, json_text, within
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -35,7 +35,7 @@ def _splitmix64(x: int) -> int:
 
 
 @dataclass(frozen=True)
-class RngStream:
+class RngStream(Checked):
     """A named, reproducible random stream.
 
     ``seed`` identifies the whole reproducibility universe (one experiment
@@ -44,9 +44,6 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""

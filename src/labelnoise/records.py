@@ -500,7 +500,10 @@ def read_dataset_rows(path, require_truth: bool, annotate):
             _raise_first_fault(path, headers)
             ids, corrupted, features = _receive(pipes, headers, first.width)
     rows = corrupted.size
-    example_ids, clip_ids, labels, clean = ids.reshape(rows, 4).T.copy()
+    # read-only, so the records built on their views keep the views, not copies
+    block = ids.reshape(rows, 4).T.copy()
+    block.flags.writeable = features.flags.writeable = False
+    example_ids, clip_ids, labels, clean = block
     num_classes = max(int(labels.max()), int(clean.max()), 1) + 1
     features = features.reshape(rows, first.width)
     try:

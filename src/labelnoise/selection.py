@@ -20,7 +20,7 @@ from typing import Annotated, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, GroupMeans
-from .errors import ConfigurationError, InvalidInputError, check_fields, within
+from .errors import Checked, ConfigurationError, InvalidInputError, within
 from .losses import LossReport, _check_loss_values
 from .numerics import _percentile
 from .records import read_records, write_records
@@ -32,7 +32,7 @@ class SelectionKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class SelectionRule:
+class SelectionRule(Checked):
     """Threshold rule: ``fraction * max(losses)`` or ``percentile(losses, level)``."""
 
     kind: SelectionKind
@@ -40,7 +40,7 @@ class SelectionRule:
     level: float | None = None
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.kind == SelectionKind.MAX_FRACTION:
             within("fraction", self.fraction, "[0, 1]")
         else:
@@ -62,7 +62,7 @@ class Strategy(str, Enum):
 
 
 @dataclass(frozen=True)
-class StagePlan:
+class StagePlan(Checked):
     """When and how stage-two selection kicks in.
 
     ``start_epoch`` counts completed epochs: discarding first applies in epoch
@@ -78,7 +78,7 @@ class StagePlan:
     prune_rounds: Annotated[int, "[1, inf)"] = 1
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.strategy == Strategy.DISCARD and self.rule is None:
             raise ConfigurationError("discard strategy requires a selection rule")
         if self.strategy == Strategy.PRUNE and self.prune_rounds > 1 and self.start_epoch == 0:
@@ -156,16 +156,13 @@ def prune_dataset(
 
 
 @dataclass(frozen=True)
-class PruneRecord:
+class PruneRecord(Checked):
     """One line of a prune report: a clip's loss (finite, non-negative), rank and fate."""
 
     clip_id: int
     clip_loss: Annotated[float, "[0, inf)"]
     rank: Annotated[int, "[1, inf)"]
     removed: bool
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def _report(clips, losses, order, removed) -> list[PruneRecord]:

@@ -21,7 +21,7 @@ from typing import Annotated, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, check_fields, json_text, within
+from .errors import Checked, ConfigurationError, InvalidInputError, json_text, within
 
 
 class NoiseGroup(str, Enum):
@@ -30,7 +30,7 @@ class NoiseGroup(str, Enum):
 
 
 @dataclass(frozen=True)
-class SmoothingPolicy:
+class SmoothingPolicy(Checked):
     """Smoothing strength, optionally differentiated by per-class noise group.
 
     Without a group map every class is smoothed with ``epsilon``. With one,
@@ -43,7 +43,7 @@ class SmoothingPolicy:
     group_of_class: Mapping[int, NoiseGroup] | None = None
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.epsilon - self.delta_epsilon < 0.0 or self.epsilon + self.delta_epsilon >= 1.0:
             raise InvalidInputError(
                 "epsilon +/- delta_epsilon must stay within [0, 1): got"

@@ -29,7 +29,7 @@ from typing import Annotated
 import numpy as np
 
 from .data import Dataset, GroupMeans, draw_clips
-from .errors import InvalidInputError, TrainingError, check_class_map, check_fields, within
+from .errors import Checked, InvalidInputError, TrainingError, check_class_map, within
 from .losses import (
     LossReport,
     LossSpec,
@@ -67,7 +67,7 @@ class Architecture(str, Enum):
 
 
 @dataclass
-class ModelParams:
+class ModelParams(Checked):
     """Weights of the classifier; ``weights`` is [W, b] or [W1, b1, W2, b2]."""
 
     architecture: Architecture
@@ -77,7 +77,7 @@ class ModelParams:
     weights: list[np.ndarray]
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         expected = _weight_shapes(
             self.architecture, self.feature_dim, self.num_classes, self.hidden_units
         )
@@ -226,7 +226,7 @@ class _Adam:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Checked):
     loss: LossSpec
     max_epochs: Annotated[int, "[0, inf)"] = 100
     batch_size: Annotated[int, "[1, inf)"] = 64
@@ -242,21 +242,18 @@ class TrainConfig:
     hidden_units: int = 32
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.architecture == Architecture.ONE_HIDDEN:
             within("hidden_units", self.hidden_units, "[1, inf)")
 
 
 @dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(Checked):
     epoch: Annotated[int, "[0, inf)"]
     train_loss: Annotated[float, "[0, inf)"]
     val_accuracy: Annotated[float, "[0, 1]"]
     lr: Annotated[float, "(0, inf)"]
     kept_fraction: Annotated[float, "(0, 1]"]
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass
@@ -474,7 +471,6 @@ def train(
             losses = _loss_values(config.loss, batch_targets, probs)
             total_count += len(losses)
             if discard:
-                # the report checks the values, as _check_loss_values does
                 report = LossReport(losses, dataset.example_ids.take(batch_rows))
                 keep = discard_mask(
                     report, config.stage.rule, epoch, config.stage.start_epoch
@@ -489,12 +485,7 @@ def train(
                     losses = losses.take(kept)
                     if hidden is not None:
                         hidden = hidden.take(kept, axis=0)
-            loss_sum = float(losses.sum())
-            # Without a report, check the values here. Terms >= 0 whose sum is
-            # finite are all finite (min is NaN if any term is NaN); when this
-            # cheap test fails, the full check raises unless the sum overflowed.
-            if not discard and not (losses.min() >= 0.0 and math.isfinite(loss_sum)):
-                _check_loss_values(losses)
+            loss_sum = _check_loss_values(losses)
 
             n_kept = len(losses)
             logit_grads = loss_gradients_from_probs(config.loss, batch_targets, probs)

@@ -35,6 +35,7 @@ from labelnoise import (
     NoiseSpec,
     Pairing,
     PruneRecord,
+    RngStream,
     RunSummary,
     SelectionKind,
     SelectionRule,
@@ -1349,3 +1350,78 @@ class Record:
 """
     found = [ast.unparse(node.args[1]) for node in unguarded_bounds(source)]
     assert found == ["self.a", "value"]
+
+
+# One wrong-typed value per record, refused by the check each inherits from errors.Checked.
+WRONG_TYPED_RECORDS = [
+    (NoiseSpec, dict(kind="symmetric", rate=True), "rate must be a number, got true"),
+    (DatasetParams, dict(num_classes=True), "num_classes must be an integer, got true"),
+    (
+        ExperimentConfig,
+        dict(dataset=DatasetParams(), train=TrainConfig(LossSpec("cce")), runs=True),
+        "runs must be an integer, got true",
+    ),
+    (
+        RunSummary,
+        dict(per_run_accuracy=(50.0,), mean=50.0, ci_half_width=0.0, config_fingerprint=True,
+             dataset_fingerprints=("a",)),
+        "config_fingerprint must be a string, got true",
+    ),
+    (
+        Dataset,
+        dict(example_ids=[0, 1], clip_ids=[0, 1], features=[[0.0], [1.0]], labels=[0, 1],
+             num_classes=True),
+        "num_classes must be an integer, got true",
+    ),
+    (LossSpec, dict(kind="lq", q=True), "q must be a number, got true"),
+    (MixupPolicy, dict(alpha=True), "alpha must be a number, got true"),
+    (RngStream, dict(seed=True), "seed must be an integer, got true"),
+    (
+        SelectionRule,
+        dict(kind="max_fraction", fraction=True),
+        "fraction must be a number, got true",
+    ),
+    (StagePlan, dict(start_epoch=True), "start_epoch must be an integer, got true"),
+    (
+        PruneRecord,
+        dict(clip_id=1, clip_loss=0.5, rank=1, removed=1),
+        "removed must be true or false, got 1",
+    ),
+    (SmoothingPolicy, dict(epsilon=True), "epsilon must be a number, got true"),
+    (
+        ModelParams,
+        dict(architecture="linear", feature_dim=True, num_classes=2, hidden_units=0, weights=[]),
+        "feature_dim must be an integer, got true",
+    ),
+    (
+        TrainConfig,
+        dict(loss=LossSpec("cce"), max_epochs=True),
+        "max_epochs must be an integer, got true",
+    ),
+    (
+        EpochRecord,
+        dict(epoch=True, train_loss=0.5, val_accuracy=0.5, lr=0.01, kept_fraction=1.0),
+        "epoch must be an integer, got true",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, message", WRONG_TYPED_RECORDS,
+    ids=[record.__name__ for record, *_ in WRONG_TYPED_RECORDS],
+)
+def test_every_record_inherits_the_one_field_check(record, fields, message):
+    assert issubclass(record, labelnoise.errors.Checked)
+    with pytest.raises(TypeError) as excinfo:
+        record(**fields)
+    assert str(excinfo.value) == message
+
+
+def test_only_the_record_base_calls_check_fields():
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "check_fields"
+    ]
+    assert len(callers) == 1 and callers[0].startswith("errors.py:")

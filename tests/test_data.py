@@ -211,6 +211,25 @@ class TestConstruction:
         np.testing.assert_array_equal(ds.labels, [0, 0, 1, 1])
         np.testing.assert_array_equal(ds.clip_table()[2], [0, 1])
 
+    def test_copies_a_column_that_views_a_writeable_array(self):
+        # a write into the viewed array would change the labels under their clip table
+        base = np.array([0, 0, 1, 1])
+        ds = Dataset(np.arange(4), np.array([0, 0, 1, 1]), np.zeros((4, 1)), base[:], 2)
+        base[:] = 1
+        np.testing.assert_array_equal(ds.labels, [0, 0, 1, 1])
+        np.testing.assert_array_equal(ds.clip_table()[2], [0, 1])
+        # a view of a read-only array is kept as it is
+        base.flags.writeable = False
+        assert Dataset(np.arange(4), base, np.zeros((4, 1)), base[:], 2).labels.base is base
+
+    def test_copies_annotations_that_view_writeable_arrays(self):
+        ds = small_dataset()
+        clean, flags = ds.labels.copy(), np.zeros(ds.n_examples, dtype=bool)
+        annotated = AnnotatedDataset(ds, clean[:], flags[:])
+        clean[:], flags[:] = 0, True
+        np.testing.assert_array_equal(annotated.clean_labels, ds.labels)
+        assert not annotated.corrupted.any()
+
     @pytest.mark.parametrize("rows", [4, 0])
     def test_annotations_are_kept_and_made_read_only(self, rows):
         ds = small_dataset().subset(np.arange(rows))

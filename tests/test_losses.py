@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelnoise import (
@@ -21,6 +21,7 @@ from labelnoise import (
     mae,
     softmax,
 )
+from labelnoise.losses import _check_loss_values
 from labelnoise.numerics import softmax_rows
 
 CCE_SOFT_REFERENCE = 1.0397207708399180  # 1.5 * ln 2, for the pair below
@@ -191,6 +192,38 @@ class TestLossReport:
             LossReport(np.array([0.5, -0.1]), np.arange(2))
         with pytest.raises(InvalidInputError):
             LossReport(np.array([0.5, np.nan]), np.arange(2))
+
+
+class TestCheckLossValues:
+    """The one loss-value rule: it raises exactly when some value is not finite or is below 0,
+    and otherwise returns the values' float sum, bit for bit, an overflowed one included.
+    numpy warns of a sum that overflows, as of any; the test silences that warning."""
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(),
+                st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, -5e-324, 1e308]),
+            ),
+            max_size=8,
+        )
+    )
+    @example(values=[1e308, 1e308])
+    @example(values=[1e308, 1e308, np.nan])
+    @example(values=[-0.0, -0.0])
+    @example(values=[])
+    @settings(max_examples=300, deadline=None)
+    def test_raises_exactly_on_a_bad_value_and_returns_the_sum(self, values):
+        values = np.array(values, dtype=np.float64)
+        bad = not np.isfinite(values).all() or (values < 0).any()
+        with np.errstate(over="ignore"):
+            if bad:
+                with pytest.raises(
+                    InvalidInputError, match=r"^loss values must be finite and non-negative$"
+                ):
+                    _check_loss_values(values)
+            else:
+                assert _check_loss_values(values).hex() == float(values.sum()).hex()
 
 
 def finite_difference(spec, y, z, h=1e-4):

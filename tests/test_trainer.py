@@ -719,7 +719,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
     @pytest.mark.parametrize("strategy", [Strategy.NONE, Strategy.DISCARD])
     def test_bad_loss_values_raise_on_any_step(self, monkeypatch, bad, strategy):
-        # the loss check runs on every step, with or without a discard rule
+        # the one loss-value rule runs on every step, with or without a discard rule: both
+        # paths raise in the step that computes the bad value, the third of epoch 1's six
         import labelnoise.trainer as trainer_module
 
         real = trainer_module._loss_values
@@ -737,7 +738,9 @@ class TestTrainLoop:
             strategy=strategy,
             rule=SelectionRule.max_fraction(0.5) if strategy == Strategy.DISCARD else None,
         )
-        with pytest.raises(InvalidInputError, match="finite and non-negative"):
+        with pytest.raises(
+            InvalidInputError, match=r"^loss values must be finite and non-negative$"
+        ):
             train(blob_dataset(), quick_config(max_epochs=3, stage=stage))
         assert len(steps) == 9
 
@@ -1099,7 +1102,10 @@ class TestTrainRows:
 
 class TestTrainMemory:
     """``train`` gathers batches from the caller's dataset instead of copying its
-    train rows; 8192 rows x 64 features, 2 Lq epochs."""
+    train rows; 8192 rows x 64 features, 2 Lq epochs. Each peak is taken after one untraced
+    run of the same ``train``: the first run in a process imports modules (the first
+    ``np.unique`` imports ``numpy.ma``), and the trace would count them when the test runs
+    alone."""
 
     @staticmethod
     def peak_over_feature_bytes(traced_peak, stage):
@@ -1111,6 +1117,7 @@ class TestTrainMemory:
             val_fraction=0.15,
             stage=stage,
         )
+        train(data, config)
         return traced_peak(lambda: train(data, config)) / data.features.nbytes
 
     def test_peak_without_pruning(self, traced_peak):
