@@ -135,12 +135,24 @@ def _write_run(out_dir: Path, prefix: str, history, prune_report, params=None) -
             _wrote(path)
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    raw = read_config_file(args.config)
-    config = parse_train(raw)
-    if args.print_config:
-        print(json.dumps(train_to_dict(config), indent=2, sort_keys=True))
+def _configured(command, parse, to_dict):
+    """The handler of a ``--config`` command: it parses the file with ``parse`` after applying
+    ``--runs`` and ``--base-seed`` where given, then prints the config as ``to_dict`` resolves
+    it under ``--print-config``, or else runs ``command`` on it."""
+    def handler(args: argparse.Namespace) -> int:
+        raw = read_config_file(args.config)
+        for key in ("runs", "base_seed"):
+            if (value := getattr(args, key, None)) is not None:
+                raw[key] = value
+        config = parse(raw)
+        if not args.print_config:
+            return command(args, config)
+        print(json.dumps(to_dict(config), indent=2, sort_keys=True))
         return 0
+    return handler
+
+
+def _cmd_train(args: argparse.Namespace, config) -> int:
     if args.data is None:
         raise ConfigurationError("train requires --data when not printing the config")
     dataset = read_dataset(args.data)
@@ -155,16 +167,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    raw = read_config_file(args.config)
-    if args.runs is not None:
-        raw["runs"] = args.runs
-    if args.base_seed is not None:
-        raw["base_seed"] = args.base_seed
-    config = parse_experiment(raw)
-    if args.print_config:
-        print(json.dumps(experiment_to_dict(config), indent=2, sort_keys=True))
-        return 0
+def _cmd_experiment(args: argparse.Namespace, config) -> int:
     result = run_experiment(config)
     out_dir = _resolve_out_dir(args.out_dir)
     summary_path = out_dir / "summary.json"
@@ -200,11 +203,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", required=True, help="harness-private output file")
+    outputs.add_argument(
+        "--public-out", default=None, help="also write the dataset without ground-truth fields"
+    )
+    from_config = argparse.ArgumentParser(add_help=False)
+    from_config.add_argument("--config", required=True, help="JSON file, the command's schema")
+    from_config.add_argument("--out-dir", default=None)
+    from_config.add_argument(
+        "--print-config", action="store_true",
+        help="print the fully resolved config as JSON and exit",
+    )
+
     dataset_parser = commands.add_parser("dataset", help="generate or corrupt datasets")
     dataset_commands = dataset_parser.add_subparsers(dest="dataset_command", required=True)
 
     generate = dataset_commands.add_parser(
-        "generate", help="write a synthetic clip-structured dataset"
+        "generate", parents=[outputs], help="write a synthetic clip-structured dataset"
     )
     generate.add_argument("--classes", type=int, default=DatasetParams.num_classes)
     generate.add_argument("--clips-per-class", type=int, default=DatasetParams.clips_per_class)
@@ -216,15 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--partition", choices=("train", "test"), default="train",
         help="test draws fresh clips from the same class centers",
     )
-    generate.add_argument("--out", required=True, help="harness-private output file")
-    generate.add_argument(
-        "--public-out", default=None,
-        help="also write the dataset without ground-truth fields",
-    )
     generate.set_defaults(handler=_cmd_generate)
 
     corrupt = dataset_commands.add_parser(
-        "corrupt", help="inject label flips or feature replacement"
+        "corrupt", parents=[outputs], help="inject label flips or feature replacement"
     )
     corrupt.add_argument("--in", dest="input", required=True, help="dataset file to corrupt")
     corrupt.add_argument("--kind", required=True, help="symmetric or oov")
@@ -234,35 +245,22 @@ def build_parser() -> argparse.ArgumentParser:
         help='JSON object of per-class rates, e.g. \'{"0": 0.2, "1": 0.5}\'',
     )
     corrupt.add_argument("--seed", type=int, default=NoiseSpec.seed)
-    corrupt.add_argument("--out", required=True, help="harness-private output file")
-    corrupt.add_argument(
-        "--public-out", default=None,
-        help="also write the corrupted dataset without ground-truth fields",
-    )
     corrupt.set_defaults(handler=_cmd_corrupt)
 
-    train_parser = commands.add_parser("train", help="fit a model on a dataset file")
-    train_parser.add_argument("--config", required=True, help="JSON file, train schema")
-    train_parser.add_argument("--data", default=None, help="dataset file (JSON lines)")
-    train_parser.add_argument("--out-dir", default=None)
-    train_parser.add_argument(
-        "--print-config", action="store_true",
-        help="print the fully resolved config as JSON and exit",
+    train_parser = commands.add_parser(
+        "train", parents=[from_config], help="fit a model on a dataset file"
     )
-    train_parser.set_defaults(handler=_cmd_train)
+    train_parser.add_argument("--data", default=None, help="dataset file (JSON lines)")
+    train_parser.set_defaults(handler=_configured(_cmd_train, parse_train, train_to_dict))
 
     experiment = commands.add_parser(
-        "experiment", help="run the multi-seed protocol from a config file"
+        "experiment", parents=[from_config], help="run the multi-seed protocol from a config file"
     )
-    experiment.add_argument("--config", required=True, help="JSON file, experiment schema")
     experiment.add_argument("--runs", type=int, default=None)
     experiment.add_argument("--base-seed", type=int, default=None)
-    experiment.add_argument("--out-dir", default=None)
-    experiment.add_argument(
-        "--print-config", action="store_true",
-        help="print the fully resolved config as JSON and exit",
+    experiment.set_defaults(
+        handler=_configured(_cmd_experiment, parse_experiment, experiment_to_dict)
     )
-    experiment.set_defaults(handler=_cmd_experiment)
 
     prune_report = commands.add_parser(
         "prune-report", help="score removed clips against ground-truth flags"

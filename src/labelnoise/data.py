@@ -26,6 +26,11 @@ from .errors import Checked, InvalidInputError
 
 @dataclass(frozen=True)
 class Dataset(Checked):
+    """The four columns and the class count, checked as they are built. Each column is kept as
+    :func:`own_column` gives it and made read-only, which does not reach a view taken of it
+    before: a writeable view that a caller kept of an array still changes the dataset built
+    from that array, past its checks and its clip table."""
+
     example_ids: np.ndarray  # (N,) int64, unique
     clip_ids: np.ndarray     # (N,) int64
     features: np.ndarray     # (N, F) float64, F >= 1

@@ -192,30 +192,32 @@ def _round_count(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _select_clips(
-    original: np.ndarray, spec: NoiseSpec, num_classes: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Mask of the clips to corrupt, by a seeded draw of exact counts.
+def _draw_clips(annotated: AnnotatedDataset, spec: NoiseSpec, kind: NoiseKind) -> tuple:
+    """``(gen, picked)`` for an injector of ``kind``: the noise generator of ``spec`` and the
+    mask of the clips to corrupt, by a seeded draw of exact counts.
 
     Uniform rate: exactly round(rate * N_clips) over the whole dataset.
     Per-class rates: exactly round(rate_c * N_clips_c) within each class.
     """
-    if spec.rate_by_class is None:
-        return draw_clips(np.zeros_like(original), lambda _, n: _round_count(spec.rate * n), gen)
-    check_class_map("noise.rate_by_class", spec.rate_by_class, num_classes)
-    return draw_clips(original, lambda cls, n: _round_count(spec.rate_by_class[cls] * n), gen)
+    if spec.kind != kind:
+        named = {NoiseKind.SYMMETRIC_IV: "a symmetric", NoiseKind.OOV_REPLACE: "an oov"}[kind]
+        raise InvalidInputError(f"expected {named} noise spec, got {json_text(spec.kind)}")
+    gen = RngStream(spec.seed, _NOISE_STREAM).generator()
+    annotated.data.clip_table()  # raises on an empty dataset, which has no clips
+    original, _ = annotated._clip_truth
+    rates = spec.rate_by_class
+    check_class_map("noise.rate_by_class", rates, annotated.data.num_classes)
+    if rates is None:  # every clip in one class, at the uniform rate
+        original, rates = np.zeros_like(original), {0: spec.rate}
+    return gen, draw_clips(original, lambda cls, n: _round_count(rates[cls] * n), gen)
 
 
 def inject_symmetric_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDataset:
     """Flip the labels of a seeded-exact subset of clips to other classes."""
-    if spec.kind != NoiseKind.SYMMETRIC_IV:
-        raise InvalidInputError(f"expected a symmetric noise spec, got {json_text(spec.kind)}")
-    gen = RngStream(spec.seed, _NOISE_STREAM).generator()
-    _, inverse, clip_labels = annotated.data.clip_table()
-    original, _ = annotated._clip_truth
-    picked = _select_clips(original, spec, annotated.data.num_classes, gen)
+    gen, picked = _draw_clips(annotated, spec, NoiseKind.SYMMETRIC_IV)
     if not picked.any():
         return annotated
+    _, inverse, clip_labels = annotated.data.clip_table()
     draws = gen.integers(0, annotated.data.num_classes - 1, size=np.count_nonzero(picked))
     labels = clip_labels.copy()
     old = labels[picked]
@@ -232,12 +234,7 @@ def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedD
     overwhelming probability in moderate dimension. Labels are kept; the
     clean label becomes the out-of-vocabulary sentinel.
     """
-    if spec.kind != NoiseKind.OOV_REPLACE:
-        raise InvalidInputError(f"expected an oov noise spec, got {json_text(spec.kind)}")
-    gen = RngStream(spec.seed, _NOISE_STREAM).generator()
-    _, inverse, _ = annotated.data.clip_table()
-    original, _ = annotated._clip_truth
-    picked = _select_clips(original, spec, annotated.data.num_classes, gen)
+    gen, picked = _draw_clips(annotated, spec, NoiseKind.OOV_REPLACE)
     if not picked.any():
         return annotated
     lo = annotated.data.features.min(axis=0)
@@ -246,6 +243,7 @@ def inject_oov_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedD
     width = hi - lo
     features = annotated.data.features.copy()
     clean = annotated.clean_labels.copy()
+    _, inverse, _ = annotated.data.clip_table()
     rows = np.flatnonzero(picked[inverse])
     features[rows] = gen.uniform(
         center - width, center + width, size=(rows.size, features.shape[1])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Checked, InvalidInputError, _integer, json_text, within
+from .errors import Checked, InvalidInputError, _integer, _number, json_text, within
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -157,9 +157,9 @@ def mean_ci(values, level: float = 0.95) -> tuple[float, float]:
 
     ``half_width = t_{(1+level)/2, N-1} * s / sqrt(N)`` with the sample
     standard deviation ``s``; zero when ``N = 1`` or ``s = 0``. The t quantile
-    comes from :func:`_t_quantile`.
+    comes from :func:`_t_quantile`. Each value must be a finite number, as a float field's.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = np.array([_number(f"values[{i}]", x) for i, x in enumerate(values)], dtype=np.float64)
     if v.size == 0:
         raise InvalidInputError("mean_ci of an empty sequence")
     within("confidence level", level, "(0, 1)")

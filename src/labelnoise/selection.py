@@ -20,7 +20,7 @@ from typing import Annotated, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, GroupMeans
-from .errors import Checked, ConfigurationError, InvalidInputError, within
+from .errors import Checked, ConfigurationError, InvalidInputError, field_rules, within
 from .losses import LossReport, _check_loss_values
 from .numerics import _percentile
 from .records import read_records, write_records
@@ -136,7 +136,9 @@ def prune_dataset(
     dataset: Dataset, clip_loss_map: Mapping[int, float], prune_count: int
 ) -> tuple[Dataset, list[int]]:
     """Drop the ``prune_count`` highest-loss clips of ``dataset``, each with a finite, non-negative
-    loss entry: the kept dataset, in row order, and the removed clip ids, highest loss first."""
+    loss entry: the kept dataset, in row order, and the removed clip ids, highest loss first.
+    ``prune_count`` is checked by the rule of :attr:`StagePlan.prune_count`."""
+    prune_count = dict(field_rules(StagePlan))["prune_count"]("prune_count", prune_count)
     clips, inverse, _ = dataset.clip_table()
     if prune_count >= clips.size:
         raise InvalidInputError(
@@ -174,11 +176,16 @@ def _report(clips, losses, order, removed) -> list[PruneRecord]:
 def prune_report_rows(
     clip_loss_map: Mapping[int, float], removed: Sequence[int]
 ) -> list[PruneRecord]:
-    """Report rows for every scored clip, its loss finite and non-negative, in removal order."""
+    """Report rows for every scored clip, its loss finite and non-negative, in removal order;
+    each ``removed`` clip must be scored."""
     clips = np.fromiter(clip_loss_map, dtype=np.int64, count=len(clip_loss_map))
     losses = np.fromiter(clip_loss_map.values(), dtype=np.float64, count=clips.size)
     _check_loss_values(losses)
-    flags = np.isin(clips, np.fromiter(removed, dtype=np.int64))
+    removed = np.fromiter(removed, dtype=np.int64)
+    missing = removed[~np.isin(removed, clips)]
+    if missing.size:
+        raise ConfigurationError(f"removed clips without a loss entry: {missing[:5].tolist()}")
+    flags = np.isin(clips, removed)
     return _report(clips, losses, _removal_order(clips, losses), flags)
 
 

@@ -310,6 +310,7 @@ def plateau_step(
     Returns (new_lr, new_counter, new_best).
     """
     within("lr", lr, "(0, inf)")
+    within("patience", patience, "[1, inf)")
     if current_val_acc > best_so_far:
         return lr, 0, current_val_acc
     counter = stall_counter + 1

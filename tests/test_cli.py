@@ -322,49 +322,35 @@ class TestDatasetCommands:
             " Expecting value: line 1 column 1 (char 0)\n"
         )
 
-    def test_corrupt_rate_map_with_unknown_class_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--rate-by-class", '{"0": 0.5, "1": 0.5, "7": 0.9}'],
+                "noise.rate_by_class must key exactly the classes 0..1; missing [], unknown [7]",
+            ),
+            (
+                ["--rate-by-class", '{"0": 0.2, "1": 0.3, "01": 0.9}'],
+                'noise.rate_by_class keys must be class indices, got "01"',
+            ),
+            (
+                ["--rate", "0.2", "--seed", str(2**63)],
+                f"noise.seed {2**63} is outside the int64 range",
+            ),
+        ],
+        ids=["rate_map_with_unknown_class", "rate_map_naming_a_class_twice", "seed_outside_int64"],
+    )
+    def test_corrupt_refusal_exits_two(self, tmp_path, capsys, flags, message):
         data = tmp_path / "data.jsonl"
         run_cli(*generate_args(data))
         out = tmp_path / "noisy.jsonl"
         code = run_cli(
             "dataset", "corrupt",
-            "--in", str(data), "--kind", "symmetric",
-            "--rate-by-class", '{"0": 0.5, "1": 0.5, "7": 0.9}',
+            "--in", str(data), "--kind", "symmetric", *flags,
             "--out", str(out),
         )
         assert code == 2
-        assert (
-            "noise.rate_by_class must key exactly the classes 0..1; missing [], unknown [7]"
-            in capsys.readouterr().err
-        )
-        assert not out.exists()
-
-    def test_corrupt_rate_map_naming_a_class_twice_exits_two(self, tmp_path, capsys):
-        data = tmp_path / "data.jsonl"
-        run_cli(*generate_args(data))
-        out = tmp_path / "noisy.jsonl"
-        code = run_cli(
-            "dataset", "corrupt",
-            "--in", str(data), "--kind", "symmetric",
-            "--rate-by-class", '{"0": 0.2, "1": 0.3, "01": 0.9}',
-            "--out", str(out),
-        )
-        assert code == 2
-        assert 'noise.rate_by_class keys must be class indices, got "01"' in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_corrupt_seed_outside_int64_exits_two(self, tmp_path, capsys):
-        data = tmp_path / "data.jsonl"
-        run_cli(*generate_args(data))
-        out = tmp_path / "noisy.jsonl"
-        code = run_cli(
-            "dataset", "corrupt",
-            "--in", str(data), "--kind", "symmetric", "--rate", "0.2",
-            "--seed", str(2**63),
-            "--out", str(out),
-        )
-        assert code == 2
-        assert f"noise.seed {2**63} is outside the int64 range" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupt_unknown_kind(self, tmp_path, capsys):

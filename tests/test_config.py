@@ -50,6 +50,7 @@ from labelnoise import (
     mix_pair,
     percentile,
     plateau_step,
+    prune_dataset,
     read_metrics,
     smooth_uniform,
 )
@@ -1127,7 +1128,15 @@ BOUNDS = {
         lambda v: beta_draws(v, np.random.default_rng(0), 2),
     ),
     "mean_ci.level": ("confidence level", "(0, 1)", float, lambda v: mean_ci([1.0, 2.0], v)),
+    "mean_ci.values": ("values[1]", "(-inf, inf)", float, lambda v: mean_ci([1.0, v])),
     "plateau_step.lr": ("lr", "(0, inf)", float, lambda v: plateau_step(0.5, 0.4, 0, v, 5)),
+    "plateau_step.patience": (
+        "patience", "[1, inf)", int, lambda v: plateau_step(0.5, 0.4, 0, 0.1, v)
+    ),
+    "prune_dataset.prune_count": (
+        "prune_count", "[0, inf)", int,
+        lambda v: prune_dataset(tiny_dataset(), {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, v),
+    ),
 }
 
 
@@ -1152,7 +1161,8 @@ BOUND_CASES = [
 ]
 
 # The bounded fields annotated ``float``: their type is checked before their bound, so None is
-# refused as no number (generate_blobs checks its sizes by building a DatasetParams).
+# refused as no number (generate_blobs checks its sizes by building a DatasetParams, and mean_ci
+# checks each value by a float field's rule).
 FLOAT_FIELDS = [
     "NoiseSpec.rate", "NoiseSpec.rate_by_class", "DatasetParams.cluster_spread",
     "MixupPolicy.alpha", "PruneRecord.clip_loss", "SmoothingPolicy.epsilon",
@@ -1161,7 +1171,7 @@ FLOAT_FIELDS = [
     "EpochRecord.kept_fraction", "RunSummary.per_run_accuracy", "RunSummary.mean",
     "RunSummary.ci_half_width",
 ]
-NONE_REFUSED_BY_TYPE = {*FLOAT_FIELDS, "generate_blobs.cluster_spread"}
+NONE_REFUSED_BY_TYPE = {*FLOAT_FIELDS, "generate_blobs.cluster_spread", "mean_ci.values"}
 # The fields annotated ``float | None``: None passes their type and is left to their bound.
 OPTIONAL_FLOAT_FIELDS = ["LossSpec.q", "SelectionRule.fraction", "SelectionRule.level"]
 # A float field's type refuses NaN and ±Infinity before its bound is looked at.

@@ -67,25 +67,24 @@ class TestConstruction:
         )
         assert ds.n_examples == 0
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize(
+        "example_ids, clip_ids, features, labels, num_classes",
+        [
+            (np.arange(3), np.zeros(3, dtype=int), np.zeros((2, 2)), np.zeros(3, dtype=int), 2),
+            (np.arange(2), np.zeros(2, dtype=int), np.zeros(2), np.zeros(2, dtype=int), 2),
+            (np.array([0, 0]), np.array([0, 1]), np.zeros((2, 2)), np.array([0, 1]), 2),
+            (np.arange(2), np.arange(2), np.zeros((2, 2)), np.zeros(2, dtype=int), 1),
+        ],
+        ids=[
+            "length_mismatch", "features_must_be_2d", "duplicate_example_ids",
+            "fewer_than_two_classes",
+        ],
+    )
+    def test_refuses_a_malformed_dataset(
+        self, example_ids, clip_ids, features, labels, num_classes
+    ):
         with pytest.raises(InvalidInputError):
-            Dataset(
-                example_ids=np.arange(3),
-                clip_ids=np.zeros(3, dtype=int),
-                features=np.zeros((2, 2)),
-                labels=np.zeros(3, dtype=int),
-                num_classes=2,
-            )
-
-    def test_duplicate_example_ids(self):
-        with pytest.raises(InvalidInputError):
-            Dataset(
-                example_ids=np.array([0, 0]),
-                clip_ids=np.array([0, 1]),
-                features=np.zeros((2, 2)),
-                labels=np.array([0, 1]),
-                num_classes=2,
-            )
+            Dataset(example_ids, clip_ids, features, labels, num_classes)
 
     @settings(max_examples=100, deadline=None)
     @given(ids=st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3), max_size=12))
@@ -119,16 +118,6 @@ class TestConstruction:
                 num_classes=2,
             )
 
-    def test_features_must_be_2d(self):
-        with pytest.raises(InvalidInputError):
-            Dataset(
-                example_ids=np.arange(2),
-                clip_ids=np.zeros(2, dtype=int),
-                features=np.zeros(2),
-                labels=np.zeros(2, dtype=int),
-                num_classes=2,
-            )
-
     @pytest.mark.parametrize("rows", [2, 0])
     def test_features_need_a_column(self, rows):
         with pytest.raises(InvalidInputError, match="^features must have at least one column$"):
@@ -138,16 +127,6 @@ class TestConstruction:
                 features=np.zeros((rows, 0)),
                 labels=np.zeros(rows, dtype=int),
                 num_classes=2,
-            )
-
-    def test_fewer_than_two_classes(self):
-        with pytest.raises(InvalidInputError):
-            Dataset(
-                example_ids=np.arange(2),
-                clip_ids=np.arange(2),
-                features=np.zeros((2, 2)),
-                labels=np.zeros(2, dtype=int),
-                num_classes=1,
             )
 
     @pytest.mark.parametrize(

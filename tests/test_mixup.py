@@ -26,32 +26,21 @@ def make_batch(rng, n, feat_dim=6, k=4):
 
 
 class TestMixPair:
-    def test_lambda_one_keeps_first(self):
-        x, y = mix_pair(
-            np.array([1.0, 2.0]), np.array([1.0, 0.0]),
-            np.array([3.0, 4.0]), np.array([0.0, 1.0]),
-            1.0,
+    @pytest.mark.parametrize(
+        "first, second, lam, x, y",
+        [
+            ([1.0, 2.0], [3.0, 4.0], 1.0, [1.0, 2.0], [1.0, 0.0]),
+            ([1.0, 2.0], [3.0, 4.0], 0.0, [3.0, 4.0], [0.0, 1.0]),
+            ([0.0, 2.0], [4.0, 0.0], 0.5, [2.0, 1.0], [0.5, 0.5]),
+        ],
+        ids=["lambda_one_keeps_first", "lambda_zero_keeps_second", "midpoint"],
+    )
+    def test_fixed_lambda(self, first, second, lam, x, y):
+        mixed_x, mixed_y = mix_pair(
+            np.array(first), np.array([1.0, 0.0]), np.array(second), np.array([0.0, 1.0]), lam
         )
-        np.testing.assert_array_equal(x, [1.0, 2.0])
-        np.testing.assert_array_equal(y, [1.0, 0.0])
-
-    def test_lambda_zero_keeps_second(self):
-        x, y = mix_pair(
-            np.array([1.0, 2.0]), np.array([1.0, 0.0]),
-            np.array([3.0, 4.0]), np.array([0.0, 1.0]),
-            0.0,
-        )
-        np.testing.assert_array_equal(x, [3.0, 4.0])
-        np.testing.assert_array_equal(y, [0.0, 1.0])
-
-    def test_midpoint(self):
-        x, y = mix_pair(
-            np.array([0.0, 2.0]), np.array([1.0, 0.0]),
-            np.array([4.0, 0.0]), np.array([0.0, 1.0]),
-            0.5,
-        )
-        np.testing.assert_array_equal(x, [2.0, 1.0])
-        np.testing.assert_array_equal(y, [0.5, 0.5])
+        np.testing.assert_array_equal(mixed_x, x)
+        np.testing.assert_array_equal(mixed_y, y)
 
     def test_three_tenths(self):
         _, y = mix_pair(

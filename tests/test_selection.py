@@ -79,31 +79,30 @@ class TestPercentileRule:
 
 
 class TestDiscardMask:
-    def test_boundary_keeps_values_at_the_threshold(self):
-        # with fraction 1 the max itself sits on the threshold and is kept
-        mask = discard_mask(report([1.0, 2.0]), SelectionRule.max_fraction(1.0), 5, 0)
-        np.testing.assert_array_equal(mask, [True, True])
-
-    def test_rejects_above_threshold(self):
-        mask = discard_mask(
-            report([1.0, 3.72, 3.8, 4.0]), SelectionRule.max_fraction(0.93), 5, 0
-        )
-        np.testing.assert_array_equal(mask, [True, True, False, False])
+    @pytest.mark.parametrize(
+        "values, fraction, epoch, kept",
+        [
+            # with fraction 1 the max itself sits on the threshold and is kept
+            ([1.0, 2.0], 1.0, 5, [True, True]),
+            ([1.0, 3.72, 3.8, 4.0], 0.93, 5, [True, True, False, False]),
+            # threshold 5.0 < both losses, so the minimum-loss instance survives
+            ([10.0, 10.1], 0.495, 0, [True, False]),
+            ([7.0, 7.0, 9.0], 0.1, 0, [True, True, False]),
+        ],
+        ids=[
+            "boundary_keeps_values_at_the_threshold", "rejects_above_threshold",
+            "min_loss_guard_when_everything_would_drop", "guard_keeps_all_tied_minima",
+        ],
+    )
+    def test_threshold_and_guard(self, values, fraction, epoch, kept):
+        mask = discard_mask(report(values), SelectionRule.max_fraction(fraction), epoch, 0)
+        np.testing.assert_array_equal(mask, kept)
 
     def test_epoch_gating(self):
         rule = SelectionRule.max_fraction(0.5)
         values = report([1.0, 10.0])
         np.testing.assert_array_equal(discard_mask(values, rule, 2, 3), [True, True])
         np.testing.assert_array_equal(discard_mask(values, rule, 3, 3), [True, False])
-
-    def test_min_loss_guard_when_everything_would_drop(self):
-        # threshold 5.0 < both losses, so the minimum-loss instance survives
-        mask = discard_mask(report([10.0, 10.1]), SelectionRule.max_fraction(0.495), 0, 0)
-        np.testing.assert_array_equal(mask, [True, False])
-
-    def test_guard_keeps_all_tied_minima(self):
-        mask = discard_mask(report([7.0, 7.0, 9.0]), SelectionRule.max_fraction(0.1), 0, 0)
-        np.testing.assert_array_equal(mask, [True, True, False])
 
     def test_all_equal_losses_all_kept(self):
         mask = discard_mask(report([2.0, 2.0, 2.0]), SelectionRule.max_fraction(0.93), 0, 0)
@@ -243,6 +242,14 @@ class TestPruneDataset:
         with pytest.raises(ConfigurationError):
             prune_dataset(ds, {0: 1.0, 1: 2.0, 2: 3.0}, 1)
 
+    # True once removed clip 3, and 1.5 failed in numpy's slice (a count below 0 is in the
+    # bounds table of test_config.py)
+    @pytest.mark.parametrize("count, shown", [(True, "true"), (1.5, "1.5")])
+    def test_count_that_is_no_integer_is_refused(self, count, shown):
+        with pytest.raises(TypeError) as excinfo:
+            prune_dataset(patch_dataset(), {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, count)
+        assert str(excinfo.value) == f"prune_count must be an integer, got {shown}"
+
     def test_extra_loss_entries_are_ignored(self):
         ds = patch_dataset()
         losses = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0, 99: 100.0}
@@ -345,6 +352,12 @@ class TestPruneReport:
 
     def test_no_clips_no_rows(self):
         assert prune_report_rows({}, removed=[]) == []
+
+    def test_removed_clip_without_a_loss_is_refused(self):
+        # once reported no fault and flagged no row
+        with pytest.raises(ConfigurationError) as excinfo:
+            prune_report_rows({0: 1.0, 1: 2.0}, removed=[5])
+        assert str(excinfo.value) == "removed clips without a loss entry: [5]"
 
     def test_round_trip(self, tmp_path):
         rows = prune_report_rows({5: 2.5, 6: 2.5, 7: 0.125}, removed=[6])
