@@ -94,7 +94,6 @@ from .trainer import (
     forward,
     init_params,
     load_model,
-    plateau_step,
     read_metrics,
     save_model,
     stratified_split,

@@ -66,8 +66,17 @@ class Architecture(str, Enum):
     ONE_HIDDEN = "one_hidden"
 
 
+class _Layout(Checked):
+    """A checked record of a model layout, whose hidden layer, if any, has at least one unit."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.architecture == Architecture.ONE_HIDDEN:
+            within("hidden_units", self.hidden_units, "[1, inf)")
+
+
 @dataclass
-class ModelParams(Checked):
+class ModelParams(_Layout):
     """Weights of the classifier; ``weights`` is [W, b] or [W1, b1, W2, b2]."""
 
     architecture: Architecture
@@ -181,13 +190,8 @@ def _param_grads(
 
 def _flat_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Consecutive slices of a flat buffer, reshaped to ``shapes`` (views, not copies)."""
-    views = []
-    offset = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[offset : offset + size].reshape(shape))
-        offset += size
-    return views
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 def _flat_params(
@@ -226,7 +230,7 @@ class _Adam:
 
 
 @dataclass(frozen=True)
-class TrainConfig(Checked):
+class TrainConfig(_Layout):
     loss: LossSpec
     max_epochs: Annotated[int, "[0, inf)"] = 100
     batch_size: Annotated[int, "[1, inf)"] = 64
@@ -240,11 +244,6 @@ class TrainConfig(Checked):
     mixup: MixupPolicy | None = None
     architecture: Architecture = Architecture.LINEAR
     hidden_units: int = 32
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.architecture == Architecture.ONE_HIDDEN:
-            within("hidden_units", self.hidden_units, "[1, inf)")
 
 
 @dataclass(frozen=True)
@@ -295,28 +294,6 @@ def stratified_split(
     """The train and validation rows of :func:`split_rows` as two datasets, in row order."""
     train_rows, val_rows = split_rows(dataset, val_fraction, gen)
     return dataset.subset(train_rows), dataset.subset(val_rows)
-
-
-def plateau_step(
-    best_so_far: float,
-    current_val_acc: float,
-    stall_counter: int,
-    lr: float,
-    patience: int,
-) -> tuple[float, int, float]:
-    """One scheduler update: halve the learning rate after ``patience`` stalls.
-
-    Only strict improvement resets the stall counter; ties count as stalls.
-    Returns (new_lr, new_counter, new_best).
-    """
-    within("lr", lr, "(0, inf)")
-    within("patience", patience, "[1, inf)")
-    if current_val_acc > best_so_far:
-        return lr, 0, current_val_acc
-    counter = stall_counter + 1
-    if counter >= patience:
-        return lr / 2.0, 0, best_so_far
-    return lr, counter, best_so_far
 
 
 def evaluate(params: ModelParams, dataset: Dataset) -> float:
@@ -418,11 +395,11 @@ def train(
     )
     adam = _Adam(flat_weights.size)
     lr = config.initial_lr
-    plateau_counter = 0
     best_val = -math.inf
     # The best epoch's weights, as a flat copy; the initial weights are
     # returned if no epoch runs.
     best_weights = flat_weights.copy()
+    # consecutive epochs without a strict improvement; a tie is a stall
     stall = 0
     history: list[EpochRecord] = []
     prune_report: list[PruneRecord] | None = None
@@ -434,6 +411,8 @@ def train(
     mixup_gen = rng.child(_MIXUP).generator()
 
     for epoch in range(config.max_epochs):
+        if lr == 0.0:
+            raise TrainingError(f"learning rate halved to 0.0 after {stall} stalled epochs", epoch)
         if epoch in prune_epochs:
             rows, report_rows = _prune_now(params, dataset, rows, targets, config, epoch)
             prune_report = (prune_report or []) + report_rows
@@ -508,17 +487,16 @@ def train(
                 kept_fraction=kept_count / total_count,
             )
         )
-        # plateau_step below moves best_val on the same strict improvement
         if val_acc > best_val:
+            best_val = val_acc
             np.copyto(best_weights, flat_weights)
             stall = 0
         else:
             stall += 1
-        lr, plateau_counter, best_val = plateau_step(
-            best_val, val_acc, plateau_counter, lr, config.lr_halving_patience
-        )
-        if stall >= config.early_stop_patience:
-            break
+            if stall % config.lr_halving_patience == 0:
+                lr /= 2.0
+            if stall >= config.early_stop_patience:
+                break
 
     shapes = [w.shape for w in params.weights]
     best = [w.copy() for w in _flat_views(best_weights, shapes)]

@@ -434,6 +434,25 @@ class TestTrainCommand:
         )
         assert not (out_dir / "model.json").exists()
 
+    def test_learning_rate_halved_to_zero_exits_one(self, tmp_path, capsys):
+        # a halving at every stall takes 0.01 to 0.0 in about 1,070 epochs
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data, clips_per_class=4, dims=2, spread=0.3))
+        config = train_config(
+            tmp_path, max_epochs=1300, batch_size=64, lr_halving_patience=1,
+            early_stop_patience=1300, val_fraction=0.5,
+        )
+        out_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--config", str(config), "--data", str(data), "--out-dir", str(out_dir)
+        )
+        assert code == 1
+        assert re.fullmatch(
+            r"error: epoch \d+: learning rate halved to 0\.0 after \d+ stalled epochs\n",
+            capsys.readouterr().err,
+        )
+        assert not (out_dir / "model.json").exists()
+
     def test_runs_are_byte_reproducible(self, tmp_path):
         data = tmp_path / "data.jsonl"
         run_cli(*generate_args(data))

@@ -49,7 +49,6 @@ from labelnoise import (
     mean_ci,
     mix_pair,
     percentile,
-    plateau_step,
     prune_dataset,
     read_metrics,
     smooth_uniform,
@@ -1097,6 +1096,14 @@ BOUNDS = {
         "hidden_units", "[1, inf)", int,
         lambda v: train_config(architecture=Architecture.ONE_HIDDEN, hidden_units=v),
     ),
+    # by TrainConfig's rule, before the weight shapes, which a hidden layer of 0 units fits
+    "ModelParams.hidden_units": (
+        "hidden_units", "[1, inf)", int,
+        lambda v: ModelParams(
+            Architecture.ONE_HIDDEN, 2, 2, v,
+            [np.zeros((2, 0)), np.zeros(0), np.zeros((0, 2)), np.zeros(2)],
+        ),
+    ),
     **{
         f"EpochRecord.{name}": (
             name, interval, kind, lambda v, name=name: epoch_record(**{name: v})
@@ -1129,10 +1136,6 @@ BOUNDS = {
     ),
     "mean_ci.level": ("confidence level", "(0, 1)", float, lambda v: mean_ci([1.0, 2.0], v)),
     "mean_ci.values": ("values[1]", "(-inf, inf)", float, lambda v: mean_ci([1.0, v])),
-    "plateau_step.lr": ("lr", "(0, inf)", float, lambda v: plateau_step(0.5, 0.4, 0, v, 5)),
-    "plateau_step.patience": (
-        "patience", "[1, inf)", int, lambda v: plateau_step(0.5, 0.4, 0, 0.1, v)
-    ),
     "prune_dataset.prune_count": (
         "prune_count", "[0, inf)", int,
         lambda v: prune_dataset(tiny_dataset(), {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, v),

@@ -1,11 +1,14 @@
 """Tests for the classifier, the training loop, and its schedules."""
 
 import hashlib
+import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from labelnoise import (
@@ -34,7 +37,6 @@ from labelnoise import (
     init_params,
     inject_symmetric_noise,
     load_model,
-    plateau_step,
     prune_dataset,
     read_metrics,
     read_prune_report,
@@ -177,28 +179,6 @@ class TestStratifiedSplitProperty:
             assert val_clips.size == math.ceil(val_fraction * n_clips)
 
 
-class TestPlateauStep:
-    def test_improvement_resets(self):
-        lr, counter, best = plateau_step(0.5, 0.6, 3, 0.01, 5)
-        assert (lr, counter, best) == (0.01, 0, 0.6)
-
-    def test_tie_counts_as_stall(self):
-        lr, counter, best = plateau_step(0.5, 0.5, 0, 0.01, 5)
-        assert (lr, counter, best) == (0.01, 1, 0.5)
-
-    def test_halves_after_patience_stalls(self):
-        lr, counter, best = plateau_step(0.5, 0.4, 4, 0.01, 5)
-        assert (lr, counter, best) == (0.005, 0, 0.5)
-
-    def test_counter_runs_below_patience(self):
-        lr, counter, best = plateau_step(0.5, 0.4, 1, 0.01, 5)
-        assert (lr, counter, best) == (0.01, 2, 0.5)
-
-    def test_rejects_non_positive_lr(self):
-        with pytest.raises(InvalidInputError):
-            plateau_step(0.5, 0.6, 0, 0.0, 5)
-
-
 class TestInitParams:
     def test_linear_shapes_and_zero_biases(self):
         params = init_params(Architecture.LINEAR, 5, 3, 32, RngStream(0).generator())
@@ -228,6 +208,17 @@ class TestInitParams:
             ModelParams(
                 Architecture.LINEAR, 4, 2, 1, [np.full((4, 2), np.nan), np.zeros(2)]
             )
+
+    def test_model_file_of_a_hidden_layer_without_units_is_refused(self, tmp_path):
+        # what save_model wrote for such a model: the logits were only the last bias
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "architecture": "one_hidden", "feature_dim": 2, "hidden_units": 0,
+            "num_classes": 2, "weights": [[[], []], [], [], [0.5, 0.0]],
+        }))
+        with pytest.raises(InvalidInputError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value).endswith("hidden_units must lie in [1, inf), got 0")
 
 
 class TestForwardAndEvaluate:
@@ -612,6 +603,23 @@ def quick_config(**overrides):
     return TrainConfig(**defaults)
 
 
+def scheduled_lrs(accuracies, initial_lr, halving_patience, early_stop_patience):
+    """The learning rate of each epoch that runs when validation scores ``accuracies``. An
+    epoch's stall is the number of epochs since the last one that beat every earlier score (a
+    tie beats none); the rate halves after each epoch whose stall is a positive multiple of
+    ``halving_patience``, and the run ends with the first epoch whose stall reaches
+    ``early_stop_patience``."""
+    stalls = [
+        i - max(j for j in range(i + 1) if all(accuracies[j] > a for a in accuracies[:j]))
+        for i in range(len(accuracies))
+    ]
+    runs = next((i + 1 for i, s in enumerate(stalls) if s >= early_stop_patience), len(stalls))
+    return [
+        initial_lr / 2 ** sum(s > 0 and s % halving_patience == 0 for s in stalls[:epoch])
+        for epoch in range(runs)
+    ]
+
+
 class TestTrainLoop:
     def test_learns_separable_blobs(self):
         result = train(blob_dataset(), quick_config(max_epochs=50))
@@ -771,6 +779,52 @@ class TestTrainLoop:
         assert lrs[:3] == [1e-13] * 3
         # the record shows the lr the epoch ran with; the halving lands after
         assert lrs[3] == pytest.approx(5e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        accuracies=st.lists(st.sampled_from([0.25, 0.5, 0.75]), min_size=1, max_size=16),
+        halving_patience=st.integers(1, 4),
+        early_stop_patience=st.integers(1, 8),
+    )
+    @example(accuracies=[0.5] * 12, halving_patience=2, early_stop_patience=8)
+    @example(accuracies=[0.25, 0.5, 0.5, 0.75, 0.5, 0.5, 0.5], halving_patience=2,
+             early_stop_patience=3)
+    def test_lr_schedule_keeps_one_stall_count(
+        self, accuracies, halving_patience, early_stop_patience
+    ):
+        # the validation scores are scripted; every record's rate and the run's length follow
+        # from them by the rule of scheduled_lrs
+        import labelnoise.trainer as trainer_module
+
+        scores = iter(accuracies)
+        config = quick_config(
+            max_epochs=len(accuracies), batch_size=64, lr_halving_patience=halving_patience,
+            early_stop_patience=early_stop_patience,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer_module, "_clip_accuracy", lambda *scoring: next(scores))
+            result = train(clip_dataset(num_classes=2, clips_per_class=4), config)
+        assert [r.lr for r in result.history] == scheduled_lrs(
+            accuracies, config.initial_lr, halving_patience, early_stop_patience
+        )
+
+    def test_learning_rate_halved_to_zero_is_a_training_error(self):
+        # about 1,070 halvings take 0.01 to 0.0; the epoch that would train with it raises,
+        # and a run that ends before it passes
+        data = generate_blobs(2, 4, 2, 2, 0.3, seed=0).data
+        config = TrainConfig(
+            LossSpec("cce"), max_epochs=1300, lr_halving_patience=1, early_stop_patience=1300,
+            initial_lr=0.01, val_fraction=0.5,
+        )
+        with pytest.raises(TrainingError) as excinfo:
+            train(data, config)
+        epoch = excinfo.value.epoch
+        assert re.fullmatch(
+            rf"epoch {epoch}: learning rate halved to 0\.0 after \d+ stalled epochs",
+            str(excinfo.value),
+        )
+        result = train(data, replace(config, max_epochs=epoch))
+        assert len(result.history) == epoch and result.history[-1].lr > 0.0
 
     def test_non_finite_logits_raise_at_first_epoch(self):
         # finite features of +-1e308, a random sign per cell, overflow the product with the

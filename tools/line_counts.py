@@ -2,13 +2,16 @@
 
 Usage, from the root of a checkout::
 
-    python tools/line_counts.py [SOURCE_DIR]
+    python tools/line_counts.py [SOURCE_DIR [BASE_DIR]]
 
 ``SOURCE_DIR`` defaults to ``src``; CI counts ``tests`` too. Every ``*.py``
 file under it is counted. A code line holds a token that is not a comment,
 outside the docstrings of modules, classes and functions, so blank lines,
-comment lines and docstring lines are not code. Only the standard library
-is used.
+comment lines and docstring lines are not code. Given ``BASE_DIR``, the same
+directory in another checkout, each module's row and the total also print
+their change against the module at the same path under ``BASE_DIR``, as
+``physical/code``; a module missing on one side counts as 0 lines there.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -49,16 +52,33 @@ def line_counts(path: Path) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstring_lines(ast.parse(source)))
 
 
+def module_counts(root: Path) -> dict[Path, tuple[int, int]]:
+    """``(physical, code)`` lines of each ``*.py`` file under ``root``, by its path in ``root``."""
+    if not root.is_dir():
+        raise SystemExit(f"{root} is not a directory")
+    return {path.relative_to(root): line_counts(path) for path in root.rglob("*.py")}
+
+
+def row(counts: tuple[int, ...], with_change: bool, name: str) -> str:
+    """One printed row: ``counts`` is (physical, code, base physical, base code)."""
+    physical, code, base_physical, base_code = counts
+    change = f"{physical - base_physical:+d}/{code - base_code:+d}"
+    return f"{physical:>8} {code:>6}{f' {change:>9}' if with_change else ''}  {name}"
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else "src")
-    total_physical = total_code = 0
-    print(f"{'physical':>8} {'code':>6}  module")
-    for path in sorted(root.rglob("*.py")):
-        physical, code = line_counts(path)
-        total_physical += physical
-        total_code += code
-        print(f"{physical:>8} {code:>6}  {path.relative_to(root)}")
-    print(f"{total_physical:>8} {total_code:>6}  total")
+    if len(argv) > 2:
+        raise SystemExit("usage: python tools/line_counts.py [SOURCE_DIR [BASE_DIR]]")
+    here = module_counts(Path(argv[0] if argv else "src"))
+    with_change = len(argv) == 2
+    base = module_counts(Path(argv[1])) if with_change else {}
+    print(f"{'physical':>8} {'code':>6}{'    change' if with_change else ''}  module")
+    totals = (0, 0, 0, 0)
+    for module in sorted(here.keys() | base.keys()):
+        counts = here.get(module, (0, 0)) + base.get(module, (0, 0))
+        totals = tuple(map(sum, zip(totals, counts)))
+        print(row(counts, with_change, str(module)))
+    print(row(totals, with_change, "total"))
     return 0
 
 
