@@ -620,6 +620,48 @@ def scheduled_lrs(accuracies, initial_lr, halving_patience, early_stop_patience)
     ]
 
 
+def scripted_lrs(accuracies, halving_patience, early_stop_patience):
+    """The learning rate of each epoch ``train`` records when validation scores
+    ``accuracies``, with ``quick_config``'s initial rate of 0.01."""
+    import labelnoise.trainer as trainer_module
+
+    scores = iter(accuracies)
+    config = quick_config(
+        max_epochs=len(accuracies), batch_size=64, lr_halving_patience=halving_patience,
+        early_stop_patience=early_stop_patience,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer_module, "_clip_accuracy", lambda *scoring: next(scores))
+        result = train(clip_dataset(num_classes=2, clips_per_class=4), config)
+    return [r.lr for r in result.history]
+
+
+class TestStallCount:
+    """One count of consecutive epochs without a strict improvement in validation accuracy
+    drives both the halving of the learning rate and early stopping."""
+
+    def test_improvement_resets_the_count(self):
+        # stalls 0, 1, 0, 1, 2: without the reset the fourth epoch's stall of 2 would halve
+        assert scripted_lrs([0.25, 0.25, 0.5, 0.5, 0.5], 2, 8) == [0.01] * 5
+
+    def test_tie_counts_as_stall(self):
+        assert scripted_lrs([0.5, 0.5, 0.5, 0.5], 2, 8) == [0.01, 0.01, 0.01, 0.01 / 2]
+
+    def test_halves_at_every_patience_th_stall(self):
+        assert scripted_lrs([0.5] * 7, 2, 8) == [0.01] * 3 + [0.01 / 2] * 2 + [0.01 / 4] * 2
+
+    def test_count_runs_below_patience_without_halving(self):
+        assert scripted_lrs([0.5] * 5, 5, 8) == [0.01] * 5
+
+    def test_record_shows_the_rate_its_epoch_ran_with(self):
+        # the second epoch's stall halves the rate for the third, which then improves
+        assert scripted_lrs([0.5, 0.5, 0.75, 0.5], 1, 8) == [0.01, 0.01, 0.01 / 2, 0.01 / 2]
+
+    def test_stops_when_the_count_reaches_early_stop_patience(self):
+        # the fourth epoch's stall of 3 ends the run before the halving patience of 4
+        assert scripted_lrs([0.5] * 10, 4, 3) == [0.01] * 4
+
+
 class TestTrainLoop:
     def test_learns_separable_blobs(self):
         result = train(blob_dataset(), quick_config(max_epochs=50))
@@ -794,18 +836,8 @@ class TestTrainLoop:
     ):
         # the validation scores are scripted; every record's rate and the run's length follow
         # from them by the rule of scheduled_lrs
-        import labelnoise.trainer as trainer_module
-
-        scores = iter(accuracies)
-        config = quick_config(
-            max_epochs=len(accuracies), batch_size=64, lr_halving_patience=halving_patience,
-            early_stop_patience=early_stop_patience,
-        )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(trainer_module, "_clip_accuracy", lambda *scoring: next(scores))
-            result = train(clip_dataset(num_classes=2, clips_per_class=4), config)
-        assert [r.lr for r in result.history] == scheduled_lrs(
-            accuracies, config.initial_lr, halving_patience, early_stop_patience
+        assert scripted_lrs(accuracies, halving_patience, early_stop_patience) == scheduled_lrs(
+            accuracies, quick_config().initial_lr, halving_patience, early_stop_patience
         )
 
     def test_learning_rate_halved_to_zero_is_a_training_error(self):
