@@ -70,25 +70,10 @@ def _raise_first_fault(path, parts) -> None:
         before += count
 
 
-def read_json_lines(path, parse_row) -> list:
-    """``parse_row`` of each non-blank line of the JSON-lines file ``path``, in order.
-
-    Lines are numbered from 1, blank ones included. A line that is not JSON,
-    or whose parsed value ``parse_row`` rejects with a ``KeyError``,
-    ``TypeError`` or ``ValueError``, raises ``InvalidInputError`` naming the
-    file, the line and the fault.
-    """
-    rows = []
-    with open(Path(path), "rb") as fh:
-        count, fault = _parse_lines(fh, lambda record: rows.append(parse_row(record)))
-    _raise_first_fault(path, [(count, fault)])
-    return rows
-
-
 def read_json(path, parse):
     """``parse`` of the one JSON document in the file ``path``.
 
-    A file that is not JSON, or whose value ``parse`` rejects as :func:`read_json_lines`
+    A file that is not JSON, or whose value ``parse`` rejects as :func:`read_records`
     describes, raises ``InvalidInputError`` naming the file and the fault (the line and
     column of a JSON syntax error).
     """
@@ -124,16 +109,6 @@ def atomic_write(path):
         raise
 
 
-def write_json_lines(path, rows) -> None:
-    """Write each mapping of ``rows`` to ``path`` as one line of JSON, keys sorted.
-
-    Rows are consumed one at a time, and the file is replaced atomically
-    (:func:`atomic_write`).
-    """
-    with atomic_write(path) as fh:
-        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-
-
 def field_value(key: str, value):
     """``value``, the field ``key`` of a parsed JSON object; an integer outside the int64 range
     raises ``ValueError``."""
@@ -147,7 +122,7 @@ def row_fields(record, fields) -> tuple:
 
     Each is typed by the :func:`errors.field_rule` of its ``kind`` (``object`` leaves it as
     parsed) and held by :func:`field_value`. A record that is not an object, or lacks a key,
-    raises ``TypeError`` or ``KeyError``; :func:`read_json_lines` and :func:`read_json` turn
+    raises ``TypeError`` or ``KeyError``; :func:`read_records` and :func:`read_json` turn
     these and the errors of the rules into their errors.
     """
     if type(record) is not dict:
@@ -180,15 +155,24 @@ def _parser(cls):
 
 
 def write_records(path, records) -> None:
-    """Each dataclass record of ``records`` as one line of ``path``, its fields as keys."""
-    write_json_lines(path, map(_json_object, records))
+    """Each dataclass record of ``records`` as one line of JSON, its fields as keys, sorted.
+    The records are consumed one at a time, and ``path`` is replaced atomically."""
+    with atomic_write(path) as fh:
+        fh.writelines(json.dumps(_json_object(r), sort_keys=True) + "\n" for r in records)
 
 
 def read_records(path, cls, check=None) -> list:
-    """Each line of ``path`` as a record of the dataclass ``cls``, passed through ``check``,
-    if given, which returns it or rejects it with a ``ValueError``."""
-    parse = _parser(cls)
-    return read_json_lines(path, parse if check is None else lambda record: check(parse(record)))
+    """Each non-blank line of ``path`` as a record of the dataclass ``cls``, passed through
+    ``check``, if given, which returns it or rejects it with a ``ValueError``. A line that is
+    not JSON, or that the parse or ``check`` rejects with a ``KeyError``, ``TypeError`` or
+    ``ValueError``, raises ``InvalidInputError`` naming the file, the line (numbered from 1,
+    blank ones included) and the fault."""
+    parse, rows = _parser(cls), []
+    check = check or (lambda row: row)
+    with open(path, "rb") as fh:
+        count, fault = _parse_lines(fh, lambda record: rows.append(check(parse(record))))
+    _raise_first_fault(path, [(count, fault)])
+    return rows
 
 
 def write_record(path, record, indent: int | None = None) -> None:

@@ -43,8 +43,12 @@ class SelectionRule(Checked):
         super().__post_init__()
         if self.kind == SelectionKind.MAX_FRACTION:
             within("fraction", self.fraction, "[0, 1]")
+            stray = "level"
         else:
             within("level", self.level, "[0, 100]")
+            stray = "fraction"
+        if getattr(self, stray) is not None:
+            raise ConfigurationError(f"{stray} does not apply to the {self.kind.value} rule")
 
     @classmethod
     def max_fraction(cls, fraction: float) -> "SelectionRule":
@@ -196,14 +200,20 @@ def write_prune_report(path, rows: Sequence[PruneRecord]) -> None:
 def read_prune_report(path) -> list[PruneRecord]:
     """Rows of a prune report; a malformed line raises ``InvalidInputError`` naming it.
 
-    Besides what :class:`PruneRecord` checks, a line is malformed when its clip already
-    appeared in the same prune round (each round's ranks start at 1), or when an earlier
-    round removed it.
+    Besides what :class:`PruneRecord` checks, a line is malformed when its rank is neither 1,
+    which starts a prune round, nor the previous line's rank plus one, when its clip already
+    appeared in the same round, or when an earlier round removed it.
     """
     in_round: set[int] = set()
     removed: set[int] = set()
+    rank = 0  # the previous line's
 
     def check(row: PruneRecord) -> PruneRecord:
+        nonlocal rank
+        if row.rank not in (1, rank + 1):
+            after = f"rank {rank}" if rank else "the start of the report"
+            raise ValueError(f"rank {row.rank} follows {after}; each round ranks 1, 2, 3, ...")
+        rank = row.rank
         if row.rank == 1:
             in_round.clear()
         if row.clip_id in in_round:

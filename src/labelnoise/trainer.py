@@ -534,7 +534,7 @@ def _prune_now(
 
 
 def write_metrics(path, history: list[EpochRecord]) -> None:
-    """Append-style epoch metrics, one JSON record per line."""
+    """Epoch metrics, one JSON record per line, replacing ``path`` whole and atomically."""
     write_records(path, history)
 
 

@@ -1134,6 +1134,20 @@ class TestPruneReportCommand:
         assert code == 2
         assert f"report.jsonl, line 2: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ranks, line", [([2], 1), ([3, 3], 1), ([1, 2, 2], 3), ([1, 3], 2)],
+        ids=["first_rank_two", "both_rank_three", "repeated_rank", "skipped_rank"],
+    )
+    def test_rank_out_of_its_round_exits_two_naming_its_line(self, tmp_path, capsys, ranks, line):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        report = tmp_path / "report.jsonl"
+        write_prune_report(report, [PruneRecord(c, 1.0, r, False) for c, r in enumerate(ranks)])
+        code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
+        assert code == 2
+        message = f"report.jsonl, line {line}: rank {ranks[line - 1]} follows"
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
     def test_clip_with_disagreeing_patches_exits_two(self, tmp_path, capsys, reverse):
         data = tmp_path / "data.jsonl"

@@ -853,6 +853,23 @@ class TestRenderParseProperty:
         rendered = json.loads(json.dumps(train_to_dict(cfg)))
         assert parse_train(rendered) == cfg
 
+    # each parameter absent or in range: a rule is refused as it is built, or its rendered
+    # config parses back to it, so no ignored parameter is rendered or fingerprinted
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(SelectionKind),
+        fraction=st.none() | unit,
+        level=st.none() | st.floats(min_value=0.0, max_value=100.0, **finite),
+    )
+    def test_selection_rule_is_refused_or_survives_json(self, kind, fraction, level):
+        try:
+            rule = SelectionRule(kind, fraction, level)
+        except (ConfigurationError, InvalidInputError):
+            return
+        cfg = TrainConfig(LossSpec("cce"), stage=StagePlan("discard", rule=rule))
+        rendered = json.loads(json.dumps(train_to_dict(cfg)))
+        assert parse_train(rendered) == cfg
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

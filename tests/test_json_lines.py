@@ -1,4 +1,4 @@
-"""Tests for the artifact codecs of ``labelnoise.records``: the row writer, the
+"""Tests for the artifact codecs of ``labelnoise.records``: the record writer, the
 field-type rule of dataset rows, the metrics and prune-report files, the
 one-document reader and writer behind the model and summary files, the list and
 array rules by which their dataclasses type them, a round trip of every record
@@ -37,7 +37,7 @@ from labelnoise import (
 )
 from labelnoise import errors, records
 from labelnoise.errors import check_fields
-from labelnoise.records import read_json, row_fields, write_json_lines
+from labelnoise.records import read_json, row_fields, write_records
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 TINY = 5e-324  # the smallest subnormal double
@@ -58,14 +58,29 @@ EPOCH_RECORDS = st.builds(
     lr=floats(TINY, HUGE, min_value=0.0, exclude_min=True),
     kept_fraction=floats(TINY, 1.0, min_value=0.0, max_value=1.0, exclude_min=True),
 )
-# a report lists each clip once, with a finite non-negative loss
 PRUNE_RECORDS = st.builds(
     PruneRecord,
     clip_id=INT64,
     clip_loss=floats(0.0, TINY, HUGE, min_value=0.0),
-    rank=st.integers(1, 2**63 - 1),
+    rank=st.integers(1, 2),
     removed=st.booleans(),
 )
+
+
+def prune_reports(max_size):
+    """Reports that list each clip once, with a finite non-negative loss, and rank each round
+    1, 2, 3, ...: a drawn rank of 1 starts a round, and a drawn 2 goes on with the last."""
+
+    def ranked(rows):
+        rank = 0
+        for row in rows:
+            rank = 1 if row.rank == 1 else rank + 1
+            yield dataclasses.replace(row, rank=rank)
+
+    unique = st.lists(PRUNE_RECORDS, max_size=max_size, unique_by=lambda row: row.clip_id)
+    return unique.map(lambda rows: list(ranked(rows)))
+
+
 PERCENT = floats(-0.0, TINY, 100.0, min_value=0.0, max_value=100.0)
 SUMMARIES = st.builds(
     RunSummary,
@@ -145,7 +160,7 @@ class TestRoundTrip:
         assert read_metrics(path) == history
 
     @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(PRUNE_RECORDS, max_size=6, unique_by=lambda row: row.clip_id))
+    @given(rows=prune_reports(max_size=6))
     def test_prune_report_survives_write_then_read(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("report") / "prune_report.jsonl"
         write_prune_report(path, rows)
@@ -157,9 +172,7 @@ class TestRoundTrip:
     @given(data=st.data())
     def test_every_record_file_reads_back_bit_for_bit(self, tmp_path_factory, architecture, data):
         history = data.draw(st.lists(EPOCH_RECORDS, max_size=4), "history")
-        report = data.draw(
-            st.lists(PRUNE_RECORDS, max_size=4, unique_by=lambda row: row.clip_id), "report"
-        )
+        report = data.draw(prune_reports(max_size=4), "report")
         summary = data.draw(SUMMARIES, "summary")
         model = data.draw(models(architecture), "model")
         directory = tmp_path_factory.mktemp("records")
@@ -639,7 +652,7 @@ class TestListAndArrayRules:
 
 # The artifact writers that go through records.atomic_write, each given a small artifact.
 ARTIFACT_WRITERS = {
-    "write_json_lines": lambda path: write_json_lines(path, [{"row": 1}]),
+    "write_records": lambda path: write_records(path, [PruneRecord(1, 0.5, 1, False)]),
     "save_model": lambda path: save_model(
         path, init_params(Architecture.LINEAR, 3, 2, 1, RngStream(0).generator())
     ),
@@ -652,27 +665,27 @@ ARTIFACT_WRITERS = {
 class TestAtomicWrite:
     def test_rows_failing_partway_leave_the_target_unchanged(self, tmp_path):
         path = tmp_path / "rows.jsonl"
-        write_json_lines(path, [{"row": -1}])
+        write_records(path, [PruneRecord(-1, 0.5, 1, False)])
         before = path.read_bytes()
 
         def rows():
             # enough rows to pass the text buffer, so the temporary file has content
             for index in range(5000):
-                yield {"row": index}
+                yield PruneRecord(index, 0.5, index + 1, False)
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError, match="row source failed"):
-            write_json_lines(path, rows())
+            write_records(path, rows())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
     def test_rows_failing_on_a_new_target_leave_no_file(self, tmp_path):
         def rows():
-            yield {"row": 0}
+            yield PruneRecord(0, 0.5, 1, False)
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError, match="row source failed"):
-            write_json_lines(tmp_path / "rows.jsonl", rows())
+            write_records(tmp_path / "rows.jsonl", rows())
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", sorted(ARTIFACT_WRITERS))

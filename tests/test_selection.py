@@ -56,6 +56,12 @@ class TestSelectionRule:
         with pytest.raises(InvalidInputError):
             SelectionRule(SelectionKind.PERCENTILE)
 
+    @pytest.mark.parametrize("kind, stray", [("max_fraction", "level"), ("percentile", "fraction")])
+    def test_parameter_of_the_other_kind_refused(self, kind, stray):
+        message = f"^{stray} does not apply to the {kind} rule$"
+        with pytest.raises(ConfigurationError, match=message):
+            SelectionRule(kind, fraction=0.5, level=50.0)
+
 
 class TestPercentileRule:
     def test_mask_keeps_values_at_or_below_the_percentile(self):
@@ -370,6 +376,24 @@ class TestPruneReport:
         write_prune_report(path, [PruneRecord(1, 0.5, 1, True)])
         path.write_text(path.read_text() + "\n\n")
         assert len(read_prune_report(path)) == 1
+
+    @pytest.mark.parametrize(
+        "ranks, line, after",
+        [
+            ([2], 1, "the start of the report"),
+            ([3, 3], 1, "the start of the report"),
+            ([1, 2, 2], 3, "rank 2"),
+            ([1, 2, 1, 3], 4, "rank 1"),
+        ],
+        ids=["first_rank_two", "both_rank_three", "repeated_rank", "skipped_rank"],
+    )
+    def test_rank_that_does_not_continue_its_round_is_refused(self, tmp_path, ranks, line, after):
+        path = tmp_path / "prune.jsonl"
+        write_prune_report(path, [PruneRecord(c, 0.5, r, False) for c, r in enumerate(ranks)])
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_prune_report(path)
+        fault = f"rank {ranks[line - 1]} follows {after}; each round ranks 1, 2, 3, ..."
+        assert str(excinfo.value) == f"{path}, line {line}: {fault}"
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1

@@ -54,6 +54,7 @@ from labelnoise.trainer import (
     _flat_views,
     _forward_cached,
     _param_grads,
+    check_plan,
     split_rows,
 )
 
@@ -999,15 +1000,36 @@ class TestTrainWithDefenses:
         assert len(result.prune_report) == 56
         assert sum(r.removed for r in result.prune_report) == 8
 
-    def test_iterative_prune_report_reads_back(self, tmp_path):
-        # the second round lists the first round's survivors again
-        stage = StagePlan(
-            strategy=Strategy.PRUNE, start_epoch=2, prune_count=4, prune_rounds=2
-        )
-        result = train(blob_dataset(), quick_config(max_epochs=6, stage=stage))
-        path = tmp_path / "prune_report.jsonl"
-        write_prune_report(path, result.prune_report)
-        assert read_prune_report(path) == result.prune_report
+    @settings(max_examples=15, deadline=None)
+    @given(
+        clips=st.integers(2, 5),
+        patches=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        rounds=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_iterative_prune_report_reads_back(
+        self, tmp_path_factory, clips, patches, seed, rounds, data
+    ):
+        # each round lists the earlier rounds' survivors again, ranked from 1
+        start = data.draw(st.integers(0 if rounds == 1 else 1, 2), "start_epoch")
+        count = data.draw(st.integers(0, 2 * clips), "prune_count")
+        stage = StagePlan(Strategy.PRUNE, start, prune_count=count, prune_rounds=rounds)
+        config = quick_config(max_epochs=start * rounds + 1, stage=stage)
+        try:
+            check_plan(config, [clips, clips])
+        except InvalidInputError:
+            assume(False)
+        blobs = generate_blobs(2, clips, patches, 2, cluster_spread=0.5, seed=seed)
+        report = train(blobs.data, config).prune_report
+        path = tmp_path_factory.mktemp("report") / "prune_report.jsonl"
+        write_prune_report(path, report)
+        assert read_prune_report(path) == report
+        starts = [at for at, row in enumerate(report) if row.rank == 1] + [len(report)]
+        assert len(starts) == rounds + 1
+        for begin, end in zip(starts, starts[1:]):
+            assert [row.rank for row in report[begin:end]] == list(range(1, end - begin + 1))
+            assert sum(row.removed for row in report[begin:end]) == min(count, end - begin)
 
     def test_prune_overflow_rejected_before_first_epoch(self, monkeypatch):
         # 4 rounds x 10 clips cannot come out of the 30 train-split clips
