@@ -18,17 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .errors import Checked, InvalidInputError, _integer, _number, json_text, within
+from .errors import Checked, InvalidInputError, _integer, _number, within
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + _GOLDEN) & _MASK64
+def _fold(state: int, part: int) -> int:
+    """``part`` folded into ``state``: the SplitMix64 step of ``(state * golden + part + 1)``."""
+    x = (state * _GOLDEN + part + 1 + _GOLDEN) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
@@ -54,11 +56,8 @@ class RngStream(Checked):
 
     def child(self, index: int) -> "RngStream":
         """Derive the ``index``-th sub-stream of this stream."""
-        index = _integer("stream index", index)
-        if index < 0:
-            raise InvalidInputError(f"stream index must be non-negative, got {json_text(index)}")
-        mixed = _splitmix64(((self.stream_id & _MASK64) * _GOLDEN + index + 1) & _MASK64)
-        return RngStream(self.seed, mixed)
+        index = within("stream index", _integer("stream index", index), "[0, inf)")
+        return RngStream(self.seed, _fold(self.stream_id, index))
 
 
 def derive_seed(*parts: int) -> int:
@@ -67,10 +66,7 @@ def derive_seed(*parts: int) -> int:
     Used to derive per-run seeds from (base_seed, tag, run_index) tuples so
     that runs are independent yet fully determined by their coordinates.
     """
-    state = 0
-    for part in parts:
-        state = _splitmix64((state * _GOLDEN + (part & _MASK64) + 1) & _MASK64)
-    return state
+    return reduce(_fold, parts, 0)
 
 
 def softmax(logits) -> np.ndarray:

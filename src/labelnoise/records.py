@@ -284,8 +284,9 @@ def _header(pipe):
     return header
 
 
-def _bounds(size: int, count: int) -> list:
-    """``count`` + 1 offsets that split ``size`` items into ranges as equal as can be."""
+def _bounds(size: int, unit: int) -> list:
+    """Offsets of even ranges over ``size`` items: one per worker at most, each ``unit`` or more."""
+    count = max(1, min(_worker_count(), -(-size // unit)))
     return [size * index // count for index in range(count + 1)]
 
 
@@ -323,7 +324,7 @@ def write_dataset_rows(path, data: Dataset, truth: tuple | None = None) -> None:
     if truth is not None:
         columns.update(clean_label=truth[0], corrupted=truth[1])
     rows = data.n_examples
-    bounds = _bounds(rows, max(1, min(_worker_count(), -(-rows // _WRITE_BLOCK))))
+    bounds = _bounds(rows, _WRITE_BLOCK)
     with atomic_write(path) as fh:
         if len(bounds) == 2:
             _encode_rows(fh, columns, 0, rows)
@@ -423,7 +424,7 @@ def _ranges(fh, head: int) -> list:
     bound is moved forward to the start of a line, and a range left empty is dropped."""
     size = os.fstat(fh.fileno()).st_size
     bounds = {0, size}
-    for offset in _bounds(size, min(_worker_count(), -(-size // (head * _WRITE_BLOCK))))[1:-1]:
+    for offset in _bounds(size, head * _WRITE_BLOCK)[1:-1]:
         fh.seek(offset - 1)
         fh.readline()  # to the end of the line that holds the byte before the offset
         bounds.add(fh.tell())

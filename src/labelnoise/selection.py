@@ -144,10 +144,7 @@ def prune_dataset(
     ``prune_count`` is checked by the rule of :attr:`StagePlan.prune_count`."""
     prune_count = dict(field_rules(StagePlan))["prune_count"]("prune_count", prune_count)
     clips, inverse, _ = dataset.clip_table()
-    if prune_count >= clips.size:
-        raise InvalidInputError(
-            f"prune_count {prune_count} must be smaller than the clip count {clips.size}"
-        )
+    within("prune_count", prune_count, f"[0, {clips.size})")
     missing = [clip for clip in clips.tolist() if clip not in clip_loss_map]
     if missing:
         raise ConfigurationError(f"clips without a loss entry: {missing[:5]}")
@@ -202,24 +199,29 @@ def read_prune_report(path) -> list[PruneRecord]:
 
     Besides what :class:`PruneRecord` checks, a line is malformed when its rank is neither 1,
     which starts a prune round, nor the previous line's rank plus one, when its clip already
-    appeared in the same round, or when an earlier round removed it.
+    appeared in the same round, when an earlier round removed it, or when a later round names a
+    clip that the round before it did not keep.
     """
     in_round: set[int] = set()
     removed: set[int] = set()
+    kept: set[int] | None = None  # the previous round's clips less its removed ones
     rank = 0  # the previous line's
 
     def check(row: PruneRecord) -> PruneRecord:
-        nonlocal rank
+        nonlocal rank, kept
         if row.rank not in (1, rank + 1):
             after = f"rank {rank}" if rank else "the start of the report"
             raise ValueError(f"rank {row.rank} follows {after}; each round ranks 1, 2, 3, ...")
-        rank = row.rank
         if row.rank == 1:
+            kept = in_round - removed if rank else None
             in_round.clear()
+        rank = row.rank
         if row.clip_id in in_round:
             raise ValueError(f"clip_id {row.clip_id} appears twice in one prune round")
         if row.clip_id in removed:
             raise ValueError(f"clip_id {row.clip_id} was removed by an earlier prune round")
+        if kept is not None and row.clip_id not in kept:
+            raise ValueError(f"clip_id {row.clip_id} was not kept by the previous prune round")
         in_round.add(row.clip_id)
         if row.removed:
             removed.add(row.clip_id)

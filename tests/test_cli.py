@@ -1148,6 +1148,17 @@ class TestPruneReportCommand:
         message = f"report.jsonl, line {line}: rank {ranks[line - 1]} follows"
         assert message in capsys.readouterr().err
 
+    def test_clip_the_previous_round_did_not_keep_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        report = tmp_path / "report.jsonl"
+        rows = [PruneRecord(0, 2.0, 1, True), PruneRecord(1, 1.0, 2, False)]
+        write_prune_report(report, [*rows, PruneRecord(7, 1.0, 1, False)])
+        code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
+        assert code == 2
+        message = "report.jsonl, line 3: clip_id 7 was not kept by the previous prune round"
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
     def test_clip_with_disagreeing_patches_exits_two(self, tmp_path, capsys, reverse):
         data = tmp_path / "data.jsonl"

@@ -67,18 +67,26 @@ PRUNE_RECORDS = st.builds(
 )
 
 
-def prune_reports(max_size):
-    """Reports that list each clip once, with a finite non-negative loss, and rank each round
-    1, 2, 3, ...: a drawn rank of 1 starts a round, and a drawn 2 goes on with the last."""
-
-    def ranked(rows):
-        rank = 0
-        for row in rows:
-            rank = 1 if row.rank == 1 else rank + 1
-            yield dataclasses.replace(row, rank=rank)
-
-    unique = st.lists(PRUNE_RECORDS, max_size=max_size, unique_by=lambda row: row.clip_id)
-    return unique.map(lambda rows: list(ranked(rows)))
+@st.composite
+def prune_reports(draw, max_size):
+    """Reports as ``train`` writes them: each round ranks its rows 1, 2, 3, ... and lists each
+    clip once, with a finite non-negative loss, and a round after the first lists only clips
+    that the round before kept. A drawn rank of 1 starts a round, and a drawn 2 goes on with
+    the last; a later round names survivors of the round before that it has not yet listed,
+    and a row drawn when none is left is dropped."""
+    rows = draw(st.lists(PRUNE_RECORDS, max_size=max_size, unique_by=lambda row: row.clip_id))
+    report, in_round, free = [], [], None  # free: survivors left to list, after the first round
+    for row in rows:
+        if row.rank == 1 and in_round:
+            free = [kept.clip_id for kept in in_round if not kept.removed]
+            in_round = []
+        if free is not None:
+            if not free:
+                continue
+            row = dataclasses.replace(row, clip_id=free.pop(draw(st.integers(0, len(free) - 1))))
+        in_round.append(dataclasses.replace(row, rank=len(in_round) + 1))
+        report.append(in_round[-1])
+    return report
 
 
 PERCENT = floats(-0.0, TINY, 100.0, min_value=0.0, max_value=100.0)

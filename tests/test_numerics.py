@@ -59,8 +59,9 @@ class TestRngStream:
         assert len(seen) == 100
 
     def test_negative_child_index_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as excinfo:
             RngStream(0).child(-1)
+        assert str(excinfo.value) == "stream index must lie in [0, inf), got -1"
 
     @pytest.mark.parametrize(
         "make, message",
@@ -85,6 +86,32 @@ class TestRngStream:
         np.testing.assert_array_equal(stream.generator().integers(0, 2**62, size=4), expected)
         assert RngStream(5).child(np.int64(2)) == RngStream(5).child(2)
 
+    # Literal values pin the seed machinery on every CPU: they are integer arithmetic, while
+    # the byte-golden artifacts also depend on the SIMD level numpy dispatches to.
+    @pytest.mark.parametrize(
+        "seed, stream_id, index, expected",
+        [
+            (0, 0, 0, 10451216379200822465),
+            (5, 3, 2, 1344154044715485647),
+            (7, -1, 4, 13168350753275463132),
+            (1, 2**64 - 1, 9, 530445201382180217),
+        ],
+    )
+    def test_child_stream_ids_are_pinned(self, seed, stream_id, index, expected):
+        assert RngStream(seed, stream_id).child(index) == RngStream(seed, expected)
+
+    @pytest.mark.parametrize(
+        "seed, stream_id, expected",
+        [
+            (0, 0, [8697063857760222071, 2917695245530671819, 6662434433182091798]),
+            (42, 7, [14565051441774962, 855540027060222562, 8292205409807071688]),
+            (2**64 - 1, -3, [3535242959829952040, 7111229975751715546, 5473610620304226040]),
+        ],
+    )
+    def test_generator_draws_are_pinned(self, seed, stream_id, expected):
+        draws = RngStream(seed, stream_id).generator().integers(0, 2**63, size=3)
+        assert draws.tolist() == expected
+
     def test_generator_does_not_mutate_stream(self):
         stream = RngStream(9, 4)
         stream.generator().standard_normal(100)
@@ -104,6 +131,21 @@ class TestDeriveSeed:
     def test_distinct_runs_get_distinct_seeds(self):
         seeds = {derive_seed(0, 1, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+    @pytest.mark.parametrize(
+        "parts, expected",
+        [
+            ((), 0),
+            ((0,), 10451216379200822465),
+            ((1, 2, 3), 8899212914898005819),
+            ((42, -1, 7), 2033193597468809051),
+            ((2**64 + 5, 3), 5071209211373118176),
+            ((-(2**63), 2**70), 8175989832550291106),
+        ],
+    )
+    def test_values_are_pinned(self, parts, expected):
+        # a part is taken mod 2**64, so negative and oversized parts have fixed values too
+        assert derive_seed(*parts) == expected
 
     def test_fits_in_64_bits(self):
         for parts in [(0,), (2**63, 5), (1, 2, 3, 4)]:
@@ -234,8 +276,11 @@ class TestBetaSampling:
             assert draws.max() <= 1.0
 
     def test_empirical_mean_is_half(self):
-        """Beta(a, a) is symmetric about 1/2 for every shape value."""
-        for alpha in (0.1, 0.3, 1.0, 2.0):
+        """Beta(a, a) is symmetric about 1/2 for every shape value.
+
+        At a = 1e-3 about a fifth of the gamma pairs underflow to zero, so the endpoint coin
+        flip sets much of the mean."""
+        for alpha in (1e-3, 0.1, 0.3, 1.0, 2.0):
             draws = beta_draws(alpha, RngStream(42, 7).generator(), size=100_000)
             assert abs(draws.mean() - 0.5) < 0.01
 

@@ -240,8 +240,9 @@ class TestPruneDataset:
 
     def test_count_must_leave_a_clip(self):
         ds = patch_dataset()
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as excinfo:
             prune_dataset(ds, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, 4)
+        assert str(excinfo.value) == "prune_count must lie in [0, 4), got 4"
 
     def test_missing_loss_entry(self):
         ds = patch_dataset()
@@ -377,23 +378,39 @@ class TestPruneReport:
         path.write_text(path.read_text() + "\n\n")
         assert len(read_prune_report(path)) == 1
 
+    # the second round of skipped_rank lists clips that the first kept, so that its one fault
+    # is the rank
     @pytest.mark.parametrize(
-        "ranks, line, after",
+        "clips, ranks, line, after",
         [
-            ([2], 1, "the start of the report"),
-            ([3, 3], 1, "the start of the report"),
-            ([1, 2, 2], 3, "rank 2"),
-            ([1, 2, 1, 3], 4, "rank 1"),
+            ([0], [2], 1, "the start of the report"),
+            ([0, 1], [3, 3], 1, "the start of the report"),
+            ([0, 1, 2], [1, 2, 2], 3, "rank 2"),
+            ([0, 1, 0, 1], [1, 2, 1, 3], 4, "rank 1"),
         ],
         ids=["first_rank_two", "both_rank_three", "repeated_rank", "skipped_rank"],
     )
-    def test_rank_that_does_not_continue_its_round_is_refused(self, tmp_path, ranks, line, after):
+    def test_rank_that_does_not_continue_its_round_is_refused(
+        self, tmp_path, clips, ranks, line, after
+    ):
         path = tmp_path / "prune.jsonl"
-        write_prune_report(path, [PruneRecord(c, 0.5, r, False) for c, r in enumerate(ranks)])
+        write_prune_report(path, [PruneRecord(c, 0.5, r, False) for c, r in zip(clips, ranks)])
         with pytest.raises(InvalidInputError) as excinfo:
             read_prune_report(path)
         fault = f"rank {ranks[line - 1]} follows {after}; each round ranks 1, 2, 3, ..."
         assert str(excinfo.value) == f"{path}, line {line}: {fault}"
+
+    def test_later_round_names_only_clips_the_round_before_kept(self, tmp_path):
+        # round 1 removed clip 0 and kept clip 1, and never scored clip 7
+        path = tmp_path / "prune.jsonl"
+        rows = [PruneRecord(0, 2.0, 1, True), PruneRecord(1, 1.0, 2, False)]
+        write_prune_report(path, [*rows, PruneRecord(1, 1.0, 1, False)])
+        assert len(read_prune_report(path)) == 3
+        write_prune_report(path, [*rows, PruneRecord(7, 1.0, 1, False)])
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_prune_report(path)
+        fault = "clip_id 7 was not kept by the previous prune round"
+        assert str(excinfo.value) == f"{path}, line 3: {fault}"
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1

@@ -914,12 +914,16 @@ class TestTrainWithDefenses:
     @pytest.mark.parametrize("case", sorted(HOOKED_DISCARDS))
     def test_gradient_and_discard_hooks_see_every_step(self, monkeypatch, case):
         # the benchmark counts training rows by wrapping these two functions
-        # where the trainer binds them; bypassing either must fail here
+        # where the trainer binds them; bypassing either must fail here. The
+        # backprop and the loss check are wrapped too, to see each step's
+        # gradient scale and each epoch's loss sum
         import labelnoise.trainer as trainer_module
 
-        masks, grad_rows = [], []
+        masks, grad_rows, returned, scaled, loss_sums = [], [], [], [], []
         real_mask = trainer_module.discard_mask
         real_grads = trainer_module.loss_gradients_from_probs
+        real_param_grads = trainer_module._param_grads
+        real_check = trainer_module._check_loss_values
 
         def counted_mask(*args, **kwargs):
             keep = real_mask(*args, **kwargs)
@@ -928,10 +932,23 @@ class TestTrainWithDefenses:
 
         def counted_grads(spec, targets, probs):
             grad_rows.append(len(targets))
-            return real_grads(spec, targets, probs)
+            rows = real_grads(spec, targets, probs)
+            returned.append(rows.copy())
+            return rows
+
+        def seen_param_grads(params, features, logit_grads, *rest):
+            scaled.append(logit_grads.copy())
+            return real_param_grads(params, features, logit_grads, *rest)
+
+        def seen_check(values):
+            total = real_check(values)
+            loss_sums.append((total, len(values)))
+            return total
 
         monkeypatch.setattr(trainer_module, "discard_mask", counted_mask)
         monkeypatch.setattr(trainer_module, "loss_gradients_from_probs", counted_grads)
+        monkeypatch.setattr(trainer_module, "_param_grads", seen_param_grads)
+        monkeypatch.setattr(trainer_module, "_check_loss_values", seen_check)
         overrides = dict(self.HOOKED_DISCARDS[case])
         stage = StagePlan(strategy=Strategy.DISCARD, start_epoch=2, rule=overrides.pop("rule"))
         result = train(blob_dataset(), quick_config(max_epochs=5, stage=stage, **overrides))
@@ -940,10 +957,21 @@ class TestTrainWithDefenses:
         assert grad_rows == [int(keep.sum()) for keep in masks]
         assert sum(len(keep) for keep in masks) == 5 * 90
         assert any(rows < len(keep) for rows, keep in zip(grad_rows, masks))
+        # each step's gradient rows are scaled by the kept row count, bit for bit
+        assert len(scaled) == len(returned) == len(masks)
+        for rows, step in zip(returned, scaled):
+            assert step.shape == rows.shape
+            assert step.tobytes() == (rows / len(rows)).tobytes()
         for epoch, record in enumerate(result.history):
-            epoch_masks = masks[epoch * steps_per_epoch : (epoch + 1) * steps_per_epoch]
-            kept = sum(int(keep.sum()) for keep in epoch_masks)
+            epoch_steps = slice(epoch * steps_per_epoch, (epoch + 1) * steps_per_epoch)
+            kept = sum(int(keep.sum()) for keep in masks[epoch_steps])
             assert record.kept_fraction == kept / 90
+            # the mean kept loss: the step sums added in step order, over the kept rows
+            total = 0.0
+            for step_sum, _ in loss_sums[epoch_steps]:
+                total += step_sum
+            assert record.train_loss == total / kept
+            assert kept == sum(rows for _, rows in loss_sums[epoch_steps])
 
     def test_mixup_draws_never_shift_the_batches(self, monkeypatch):
         # each concern draws from its own stream: with or without mixup, of either
