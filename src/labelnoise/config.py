@@ -86,11 +86,6 @@ def config_value(value: Any, path: str, rule: Callable):
         raise ConfigurationError(str(exc)) from None
 
 
-def _rule_of(cls, name: str) -> Callable:
-    """The rule of the field ``name`` of the dataclass ``cls``."""
-    return dict(field_rules(cls))[name]
-
-
 def _class_map(rule: Callable) -> Callable:
     """A JSON object keyed by class index, each written as ``str(index)``, checked by the map
     field's ``rule`` once every key is an index, so an entry is named ``path[index]``."""
@@ -125,7 +120,7 @@ def _build(factory, path: str, **kwargs):
 
 
 def _batch_size(value: Any, path: str, ctx: _Context) -> int:
-    ctx.batch_size = config_value(value, path, _rule_of(TrainConfig, "batch_size"))
+    ctx.batch_size = config_value(value, path, field_rules(TrainConfig)["batch_size"])
     return ctx.batch_size
 
 
@@ -147,7 +142,7 @@ def _rule(value: Any, path: str, ctx: _Context) -> SelectionRule:
         if stray != parameter and stray in raw:
             raise ConfigurationError(f"{_dotted(path, stray)} does not apply to the {kind} rule")
     if kind != "patch_count":
-        number = config_value(raw[parameter], where, _rule_of(SelectionRule, parameter))
+        number = config_value(raw[parameter], where, field_rules(SelectionRule)[parameter])
         return _build(SelectionRule, path, kind=SelectionKind(kind), **{parameter: number})
     count, batch_size = config_value(raw[parameter], where, field_rule(int)), ctx.batch_size
     if not 1 <= count <= batch_size:
@@ -159,7 +154,7 @@ def _rule(value: Any, path: str, ctx: _Context) -> SelectionRule:
 
 def _groups(value: Any, path: str, ctx: _Context):
     if value != AUTO_GROUPS:
-        return _class_map(_rule_of(SmoothingPolicy, "group_of_class"))(value, path, ctx)
+        return _class_map(field_rules(SmoothingPolicy)["group_of_class"])(value, path, ctx)
     if not ctx.allow_auto_groups:
         raise ConfigurationError(
             f"{path}: 'auto' derives the group map from injected corruption and is only"
@@ -215,7 +210,7 @@ def _caster(hint, rule) -> Callable:
 @cache
 def _keys(cls) -> tuple[_Key, ...]:
     """The keys of the config dataclass ``cls``, one per field, in field order."""
-    hints, rules = get_type_hints(cls), dict(field_rules(cls))
+    hints, rules = get_type_hints(cls), field_rules(cls)
     keys = []
     for field in dataclasses.fields(cls):
         difference = _DIFFERENCES.get((cls, field.name), {})

@@ -8,6 +8,7 @@ import operator
 from collections.abc import Mapping
 from enum import Enum
 from functools import cache
+from types import MappingProxyType
 from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -140,12 +141,12 @@ def field_rule(hint):
 
 
 @cache
-def field_rules(cls) -> tuple:
-    """``(name, rule)`` of each field of the dataclass ``cls`` that :func:`check_fields` checks;
-    a config file checks its keys by the same rules."""
+def field_rules(cls) -> Mapping:
+    """The rule of each field of the dataclass ``cls`` that :func:`check_fields` checks, by
+    name, in field order, read-only; a config file checks its keys by the same rules."""
     hints = get_type_hints(cls, include_extras=True)
     rules = ((field.name, field_rule(hints[field.name])) for field in dataclasses.fields(cls))
-    return tuple((name, rule) for name, rule in rules if rule)
+    return MappingProxyType({name: rule for name, rule in rules if rule})
 
 
 def check_fields(record) -> None:
@@ -159,7 +160,7 @@ def check_fields(record) -> None:
     ``Annotated[X, interval]`` by ``X``'s rule, then by :func:`within` ``interval``.
     A value of the wrong type raises ``TypeError`` in the words of the record files; one outside
     its interval, or a number that is not finite, raises ``InvalidInputError``."""
-    for name, rule in field_rules(type(record)):
+    for name, rule in field_rules(type(record)).items():
         object.__setattr__(record, name, rule(name, getattr(record, name)))
 
 

@@ -96,7 +96,7 @@ class AnnotatedDataset:
     clean label and flag. The check keeps, in clip-table order, each clip's original class
     (its clean label, or its label if out of vocabulary) and flag, for the noise functions.
     The constructor keeps the arrays it is given, each as ``own_column`` gives it, and makes
-    them read-only.
+    them read-only once they pass its checks.
     """
 
     data: Dataset
@@ -112,8 +112,8 @@ class AnnotatedDataset:
         n = data.n_examples
         if clean.shape != (n,) or flags.shape != (n,):
             raise InvalidInputError("annotations must align with the dataset rows")
-        clean.flags.writeable = flags.flags.writeable = False
         if not n:
+            clean.flags.writeable = flags.flags.writeable = False
             return
         if np.any(data.labels[~flags] != clean[~flags]):
             raise InvalidInputError("uncorrupted rows must keep label == clean_label")
@@ -137,7 +137,9 @@ class AnnotatedDataset:
             )
         original = np.where(truth_of_clip >= 0, truth_of_clip // 2, clip_labels)
         clip_flags = truth_of_clip % 2 == 1
-        original.flags.writeable = clip_flags.flags.writeable = False
+        # frozen only once every check has passed, so a refused call leaves its arrays writeable
+        for column in (clean, flags, original, clip_flags):
+            column.flags.writeable = False
         object.__setattr__(self, "_clip_truth", (original, clip_flags))
 
 

@@ -64,8 +64,11 @@ def derive_seed(*parts: int) -> int:
     """Fold integers into one 64-bit seed, order-sensitively.
 
     Used to derive per-run seeds from (base_seed, tag, run_index) tuples so
-    that runs are independent yet fully determined by their coordinates.
+    that runs are independent yet fully determined by their coordinates. A part
+    that is not an integer (a bool is not) raises ``TypeError`` naming it
+    ``seed part i``, counted from 0.
     """
+    parts = (_integer(f"seed part {index}", part) for index, part in enumerate(parts))
     return reduce(_fold, parts, 0)
 
 

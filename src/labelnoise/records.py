@@ -33,29 +33,24 @@ def _fault(err: Exception, document: bool = False) -> str:
         return f"missing field {err}"
     if isinstance(err, json.JSONDecodeError):
         where = f"line {err.lineno}, column {err.colno}" if document else f"column {err.colno}"
-        return f"not valid JSON ({err.msg} at {where})"
+        # json's "Unterminated string starting at" and "Invalid control character at" end in "at"
+        return f"not valid JSON ({err.msg.removesuffix(' at')} at {where})"
     return str(err)
 
 
 def _parse_lines(lines, parse_row) -> tuple:
     """Passes the JSON value of each non-blank line of ``lines`` to ``parse_row``, up to the
     first fault. Returns ``(count, fault)``: how many lines were read, and ``None`` or the fault
-    as ``(line, message, error)``, its line numbered from 1 among ``lines``."""
+    as ``(line, message, error)``, its line numbered from 1 among ``lines``. Each line is parsed
+    without its line ending, LF or CRLF, so a line that stops early is faulted where it stops."""
     count = 0
     for count, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            parse_row(json.loads(line))
+            parse_row(json.loads(line.rstrip(b"\r\n")))
         except (KeyError, TypeError, ValueError) as exc:
-            fault = exc
-            if isinstance(exc, json.JSONDecodeError):
-                # without its line ending, a line that stops early is faulted where it stops
-                try:
-                    json.loads(line.rstrip(b"\r\n"))
-                except json.JSONDecodeError as bare:
-                    fault = bare
-            return count, (count, _fault(fault), exc)
+            return count, (count, _fault(exc), exc)
     return count, None
 
 
@@ -397,14 +392,14 @@ _BUFFER_TYPES = (np.int64, np.bool_, np.float64)
 
 
 def _lines_to(fh, stop: int):
-    """The lines of the binary file ``fh`` from its position up to byte ``stop``, which ends one."""
+    """The lines of the binary file ``fh`` from its position up to byte ``stop``, which ends a
+    line past the position, or is the end of a file with no line past it."""
     at = fh.tell()
-    if at < stop:
-        for line in fh:
-            yield line
-            at += len(line)
-            if at >= stop:
-                break
+    for line in fh:
+        yield line
+        at += len(line)
+        if at >= stop:
+            break
 
 
 def _parse_range(path, start: int, stop: int, schema: _RowSchema) -> tuple:

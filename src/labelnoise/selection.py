@@ -142,7 +142,7 @@ def prune_dataset(
     """Drop the ``prune_count`` highest-loss clips of ``dataset``, each with a finite, non-negative
     loss entry: the kept dataset, in row order, and the removed clip ids, highest loss first.
     ``prune_count`` is checked by the rule of :attr:`StagePlan.prune_count`."""
-    prune_count = dict(field_rules(StagePlan))["prune_count"]("prune_count", prune_count)
+    prune_count = field_rules(StagePlan)["prune_count"]("prune_count", prune_count)
     clips, inverse, _ = dataset.clip_table()
     within("prune_count", prune_count, f"[0, {clips.size})")
     missing = [clip for clip in clips.tolist() if clip not in clip_loss_map]

@@ -539,8 +539,25 @@ def write_metrics(path, history: list[EpochRecord]) -> None:
 
 
 def read_metrics(path) -> list[EpochRecord]:
-    """Epoch records of a metrics file; a malformed line raises ``InvalidInputError`` naming it."""
-    return read_records(path, EpochRecord)
+    """Epoch records of a metrics file; a malformed line raises ``InvalidInputError`` naming it.
+
+    Besides what :class:`EpochRecord` checks, a line is malformed, as :func:`train` never
+    writes it, when its epoch is not the previous line's plus one (0 on the first line), or
+    when its ``lr`` is neither the previous line's nor exactly half of it.
+    """
+    last: EpochRecord | None = None
+
+    def check(row: EpochRecord) -> EpochRecord:
+        nonlocal last
+        if row.epoch != (last.epoch + 1 if last else 0):
+            after = f"epoch {last.epoch}" if last else "the start of the file"
+            raise ValueError(f"epoch {row.epoch} follows {after}; epochs run 0, 1, 2, ...")
+        if last and row.lr not in (last.lr, last.lr / 2.0):
+            raise ValueError(f"lr {row.lr} follows lr {last.lr}; the rate only stays or halves")
+        last = row
+        return row
+
+    return read_records(path, EpochRecord, check)
 
 
 def save_model(path, params: ModelParams) -> None:

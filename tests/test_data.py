@@ -221,6 +221,23 @@ class TestConstruction:
             with pytest.raises(ValueError, match="read-only"):
                 column[:] = 1
 
+    @pytest.mark.parametrize(
+        "clean, flags, message",
+        [
+            ([1, 0, 1, 1, 0, 0], [0] * 6, "uncorrupted rows must keep label == clean_label"),
+            ([0, 0, 1, 1, -5, -5], [0, 0, 0, 0, 1, 1], "clean_label -5 of clip 2 is neither"),
+            ([0, 0, 1, 1, 0, 1], [0, 0, 0, 0, 0, 1], "patches of clip 2 disagree"),
+        ],
+        ids=["label_kept", "clean_label_range", "clip_agreement"],
+    )
+    def test_refused_annotations_stay_writeable(self, clean, flags, message):
+        clean, flags = np.array(clean, dtype=np.int64), np.array(flags, dtype=bool)
+        with pytest.raises(InvalidInputError, match=message):
+            AnnotatedDataset(small_dataset(), clean, flags)
+        # the caller's arrays, which the refused record would have kept, are left as they were
+        assert clean.flags.writeable and flags.flags.writeable
+        clean[:], flags[:] = 0, False
+
 
 class TestSubset:
     def test_selects_rows_by_position(self):

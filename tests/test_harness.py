@@ -1137,6 +1137,33 @@ class TestDatasetFileRanges:
                 with pytest.raises(InvalidInputError, match=r"bad\.jsonl, line 21: 7 features"):
                     read_annotated(path)
 
+    def test_crlf_file_reads_as_the_lf_file(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_annotated(path, blobs(clips_per_class=4))  # 48 rows
+        expected = read_columns(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        for workers in (1, 3):
+            with split_into(workers, 4) as forks:
+                assert read_columns(path) == expected
+            assert len(forks) == (workers if workers > 1 else 0)
+
+    @pytest.mark.parametrize("row", [30, 47])
+    def test_cut_line_faulted_at_the_same_place_under_both_endings(self, tmp_path, row):
+        path = tmp_path / "data.jsonl"
+        write_annotated(path, blobs(clips_per_class=4))  # 48 rows
+        lines = path.read_bytes().splitlines()
+        cut = lines[row] = lines[row][:-5]  # '"label": 3}' cut to '"label'
+        for ending in (b"\n", b"\r\n"):
+            path.write_bytes(ending.join(lines) + ending)
+            for workers in (1, 3):
+                with split_into(workers, 4):
+                    with pytest.raises(InvalidInputError) as excinfo:
+                        read_annotated(path)
+                assert str(excinfo.value) == (
+                    f"{path}, line {row + 1}: not valid JSON"
+                    f" (Unterminated string starting at column {len(cut) - 5})"
+                )
+
     def test_workers_are_reaped_and_no_part_file_is_left(self, tmp_path, monkeypatch):
         before = child_pids()
         path = tmp_path / "data.jsonl"

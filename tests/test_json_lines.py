@@ -58,6 +58,24 @@ EPOCH_RECORDS = st.builds(
     lr=floats(TINY, HUGE, min_value=0.0, exclude_min=True),
     kept_fraction=floats(TINY, 1.0, min_value=0.0, max_value=1.0, exclude_min=True),
 )
+
+
+@st.composite
+def histories(draw, max_size):
+    """Metrics histories as ``train`` writes them: epochs 0, 1, 2, ..., the first line's ``lr``
+    drawn and each later one the previous line's or exactly half of it, while that half is
+    above 0."""
+    history = []
+    for epoch, row in enumerate(draw(st.lists(EPOCH_RECORDS, max_size=max_size))):
+        lr = row.lr
+        if history:
+            lr = history[-1].lr
+            if lr / 2.0 > 0.0 and draw(st.booleans()):
+                lr /= 2.0
+        history.append(dataclasses.replace(row, epoch=epoch, lr=lr))
+    return history
+
+
 PRUNE_RECORDS = st.builds(
     PruneRecord,
     clip_id=INT64,
@@ -160,7 +178,7 @@ def reference_report_text(rows):
 
 class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
-    @given(history=st.lists(EPOCH_RECORDS, max_size=6))
+    @given(history=histories(max_size=6))
     def test_metrics_survive_write_then_read(self, tmp_path_factory, history):
         path = tmp_path_factory.mktemp("metrics") / "metrics.jsonl"
         write_metrics(path, history)
@@ -179,7 +197,7 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_every_record_file_reads_back_bit_for_bit(self, tmp_path_factory, architecture, data):
-        history = data.draw(st.lists(EPOCH_RECORDS, max_size=4), "history")
+        history = data.draw(histories(max_size=4), "history")
         report = data.draw(prune_reports(max_size=4), "report")
         summary = data.draw(SUMMARIES, "summary")
         model = data.draw(models(architecture), "model")
@@ -310,6 +328,11 @@ class TestJsonDocuments:
             (str(10**400), lambda record: errors.field_rule(float)("x", record),
              "x must be a finite number, got 1000"),
             (b"\xff\xfe\x00", dict, "codec can't decode"),
+            # two of json's messages end in "at"; the position follows them once
+            ('{"a": "abc', dict,
+             "not valid JSON (Unterminated string starting at line 1, column 7)"),
+            ('{"a": "a\tb"}', dict,
+             "not valid JSON (Invalid control character at line 1, column 9)"),
         ],
     )
     def test_read_json_names_the_file_and_the_fault(self, tmp_path, text, parse, message):
@@ -584,6 +607,40 @@ class TestRecordFileJsonRules:
             "the file must hold one JSON object"
         )
         assert error.startswith(f'{where}: {held}, got ["')
+
+
+class TestLineEndings:
+    """A JSON-lines line is parsed without its line ending, LF or CRLF: a record file reads the
+    same values under both, and a line cut short is faulted at the same line and column."""
+
+    @pytest.mark.parametrize("name", ["metrics.jsonl", "prune_report.jsonl"])
+    def test_crlf_file_reads_as_the_lf_file(self, tmp_path, name):
+        write, read, written, _ = RECORD_FILES[name]
+        path = tmp_path / name
+        write(path, written)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert read(path) == written
+
+    @pytest.mark.parametrize(
+        "name, fault",
+        [
+            # the line stops after '"val_accuracy": ', and its last value is missing
+            ("metrics.jsonl", "Expecting value at column 83"),
+            # the line stops at the "f" of false
+            ("prune_report.jsonl", "Expecting value at column 56"),
+        ],
+    )
+    def test_cut_line_faulted_at_the_same_place_under_both_endings(self, tmp_path, name, fault):
+        write, read, written, _ = RECORD_FILES[name]
+        path = tmp_path / name
+        write(path, written)
+        lines = path.read_bytes().splitlines()
+        lines[-1] = lines[-1][:-5]
+        for ending in (b"\n", b"\r\n"):
+            path.write_bytes(ending.join(lines) + ending)
+            with pytest.raises(InvalidInputError) as excinfo:
+                read(path)
+            assert str(excinfo.value) == f"{path}, line 2: not valid JSON ({fault})"
 
 
 @dataclasses.dataclass

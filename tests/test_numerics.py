@@ -151,6 +151,24 @@ class TestDeriveSeed:
         for parts in [(0,), (2**63, 5), (1, 2, 3, 4)]:
             assert 0 <= derive_seed(*parts) < 2**64
 
+    def test_numpy_integer_part_is_its_value(self):
+        assert derive_seed(1, np.int64(5)) == derive_seed(1, 5)
+        assert derive_seed(np.uint64(2**64 - 1), 3) == derive_seed(2**64 - 1, 3)
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((1, True), "seed part 1 must be an integer, got true"),
+            ((1, 1.5), "seed part 1 must be an integer, got 1.5"),
+            (("3",), 'seed part 0 must be an integer, got "3"'),
+        ],
+        ids=["bool", "float", "string"],
+    )
+    def test_part_that_is_no_integer_refused_by_its_position(self, parts, message):
+        with pytest.raises(TypeError) as excinfo:
+            derive_seed(*parts)
+        assert str(excinfo.value) == message
+
 
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):

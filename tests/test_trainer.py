@@ -1357,11 +1357,13 @@ class TestArtifacts:
                 ' "val_accuracy": 0.5}',
                 "epoch must lie in [0, inf), got -5",
             ),
+            # json's message ends in "at"; the column follows it once
+            ('{"epoch": 1, "lr": "0.0', "(Unterminated string starting at column 20)"),
         ],
         ids=[
             "not_json", "missing_field", "out_of_range",
             "epoch_string", "lr_string", "epoch_float", "kept_fraction_bool",
-            "lr_nan", "lr_infinity", "epoch_negative",
+            "lr_nan", "lr_infinity", "epoch_negative", "unterminated_string",
         ],
     )
     def test_malformed_metrics_line_named(self, tmp_path, line, message):
@@ -1371,6 +1373,38 @@ class TestArtifacts:
         with pytest.raises(InvalidInputError, match=r"metrics\.jsonl, line 3: ") as excinfo:
             read_metrics(path)
         assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(1, 0.01)], "line 1: epoch 1 follows the start of the file"),
+            ([(0, 0.01), (5, 0.01), (2, 0.5)], "line 2: epoch 5 follows epoch 0"),
+            ([(0, 0.01), (1, 0.005), (1, 0.005)], "line 3: epoch 1 follows epoch 1"),
+            ([(0, 0.01), (1, 0.5)], "line 2: lr 0.5 follows lr 0.01"),
+            ([(0, 0.01), (1, 0.005), (2, 0.001)], "line 3: lr 0.001 follows lr 0.005"),
+        ],
+        ids=["first_epoch_not_0", "epoch_skips", "epoch_repeats", "lr_rises", "lr_not_halved"],
+    )
+    def test_metrics_lines_follow_as_train_writes_them(self, tmp_path, rows, message):
+        path = tmp_path / "metrics.jsonl"
+        write_metrics(path, [EpochRecord(epoch, 0.5, 0.5, lr, 1.0) for epoch, lr in rows])
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_metrics(path)
+        rule = "epochs run 0, 1, 2, ..." if "epoch" in message else "the rate only stays or halves"
+        assert str(excinfo.value) == f"{path}, {message}; {rule}"
+
+    def test_trained_metrics_read_back(self, tmp_path, monkeypatch):
+        # every epoch after the first ties the first, so each stall halves the rate
+        scores = iter([0.5] * 6)
+        monkeypatch.setattr("labelnoise.trainer._clip_accuracy", lambda *scoring: next(scores))
+        config = quick_config(
+            max_epochs=6, batch_size=64, lr_halving_patience=1, early_stop_patience=8
+        )
+        history = train(clip_dataset(num_classes=2, clips_per_class=4), config).history
+        assert [record.lr for record in history] == [0.01 / 2**k for k in (0, 0, 1, 2, 3, 4)]
+        path = tmp_path / "metrics.jsonl"
+        write_metrics(path, history)
+        assert read_metrics(path) == history
 
     def test_model_round_trip(self, tmp_path):
         params = init_params(Architecture.ONE_HIDDEN, 3, 4, 5, RngStream(2).generator())
