@@ -410,11 +410,25 @@ class ExperimentConfig(Checked):
 
 @dataclass(frozen=True)
 class RunSummary(Checked):
+    """What ``summary.json`` holds: at least one run, each with its accuracy and the
+    fingerprint of its dataset, and the mean and confidence half-width of the accuracies."""
+
     per_run_accuracy: tuple[Annotated[float, "[0, 100]"], ...]  # percent
     mean: Annotated[float, "[0, 100]"]
     ci_half_width: Annotated[float, "[0, inf)"]
     config_fingerprint: str
     dataset_fingerprints: tuple[str, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        runs = len(self.per_run_accuracy)
+        if runs == 0:
+            raise InvalidInputError("per_run_accuracy must list at least one run")
+        if len(self.dataset_fingerprints) != runs:
+            raise InvalidInputError(
+                f"{len(self.dataset_fingerprints)} dataset fingerprint(s) for {runs} run(s);"
+                " each run has one"
+            )
 
 
 @dataclass(frozen=True)

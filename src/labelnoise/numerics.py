@@ -181,16 +181,16 @@ def mean_ci(values, level: float = 0.95) -> tuple[float, float]:
 #   even: A = s * sum_{k<m} a_k x^k,                      a_k = (2k-1)!! / (2k)!!
 #   odd:  A = (2/pi) * (theta + s c * sum_{k<m} b_k x^k), b_k = (2k)!! / (2k+1)!!
 #
-# Where A is near 1, 1 - A taken from these sums would lose most of its
-# digits, so there the tail is evaluated directly as the part the sums leave
-# out, sum_{k>=m}. That remainder is the incomplete beta function
-# I_x(df/2, 1/2) (A&S 26.7.1), summed by its continued fraction (A&S 26.5.8),
-# which converges quickly exactly where the tail is the smaller side.
+# Summed over every k, the even series is 1/s and the odd one (pi/2 - theta)/(s c),
+# so where A is near 1, and 1 - A taken from these sums would lose most of its
+# digits, the tail is the same series from k = m on:
+#
+#   even: 1 - A = s * sum_{k>=m} a_k x^k,   odd: 1 - A = (2/pi) * s c * sum_{k>=m} b_k x^k
+#
 # Powers of x are taken as exp(k * ln x) with ln x from y = t^2 / (df + t^2),
 # not from a rounded x, whose error k-fold powers would multiply.
 
 _EPS = 2.0**-52
-_TINY = 1e-300
 
 
 def _t_quantile(p: float, df: int) -> float:
@@ -230,8 +230,14 @@ def _t_quantile(p: float, df: int) -> float:
 
 
 def _t_sum_coefficients(df: int) -> np.ndarray:
-    """The A&S sum coefficients c_0 .. c_m: a_k for even ``df``, b_k for odd."""
-    k = np.arange(1, (df - 1) // 2 + 1 if df % 2 else df // 2 + 1)
+    """The A&S sum coefficients c_0, c_1, ...: a_k for even ``df``, b_k for odd.
+
+    They run past c_m, m = df // 2, as far as the tail needs: where it is taken,
+    x < (df + 2) / (df + 8), and since the coefficients fall, the terms left out
+    sum to less than x^(terms - m) < 2^-52 of the tail.
+    """
+    terms = df // 2 + math.ceil(math.log(_EPS) / math.log((df + 2) / (df + 8)))
+    k = np.arange(1, terms + 1)
     ratios = (2 * k) / (2 * k + 1) if df % 2 else (2 * k - 1) / (2 * k)
     return np.cumprod(np.concatenate(([1.0], ratios)))
 
@@ -247,18 +253,18 @@ def _t_excess(t: float, df: int, p: float, coefs: np.ndarray) -> tuple[float, fl
     y = t * t / r2
     log_x = math.log(x) if x < 0.5 else math.log1p(-y)
     s = math.sqrt(y)
-    m = coefs.size - 1
+    m = df // 2
     odd = df % 2
     # the density is norm * x^((df+1)/2), and 1/(a B(a, 1/2)) with a = df/2 is
     # a_m for even df and (2/pi) b_m for odd df
     c_m = float(coefs[m])
     norm = c_m * math.sqrt(df) / math.pi if odd else c_m * math.sqrt(m / 2.0)
     slope = 2.0 * norm * math.exp(0.5 * (df + 1) * log_x)
-    # the fraction converges where x < (a + 1) / (a + 5/2), a = df/2, that is
-    # t^2 (df + 2) > 3 df; it is taken only well inside, where it converges fast
+    # the tail is taken for t^2 (df + 2) > 6 df, where it is the smaller side and
+    # x < (df + 2) / (df + 8) bounds the terms it needs
     if t * t * (df + 2) > 6.0 * df:
-        beta = 2.0 / math.pi * c_m if odd else c_m
-        tail = beta * math.exp(0.5 * df * log_x) * s * _beta_fraction(0.5 * df, x, y)
+        tail = float((coefs[m:] * np.exp(np.arange(m, coefs.size) * log_x)).sum())
+        tail *= 2.0 / math.pi * s * math.sqrt(x) if odd else s
         return 2.0 * (1.0 - p) - tail, slope
     head = float((coefs[:m] * np.exp(np.arange(m) * log_x)).sum())
     if odd:
@@ -266,28 +272,3 @@ def _t_excess(t: float, df: int, p: float, coefs: np.ndarray) -> tuple[float, fl
     else:
         A = s * head
     return A - (2.0 * p - 1.0), slope
-
-
-def _beta_fraction(a: float, x: float, y: float) -> float:
-    """The continued fraction of I_x(a, 1/2) over x^a y^(1/2) / (a B(a, 1/2)), for y = 1 - x.
-
-    Modified Lentz evaluation of A&S 26.5.8 with b = 1/2; the first
-    denominator is written in y, where 1 - (a + 1/2) x / (a + 1) cancels.
-    """
-    b = 0.5
-    c = 1.0
-    d = (a + 1.0) / (b + (a + b) * y)
-    h = d
-    for i in range(1, 100_000):
-        for coef in (
-            i * (b - i) * x / ((a + 2 * i - 1) * (a + 2 * i)),
-            -(a + i) * (a + b + i) * x / ((a + 2 * i) * (a + 2 * i + 1)),
-        ):
-            d = 1.0 + coef * d
-            d = 1.0 / (d if abs(d) > _TINY else _TINY)
-            c = 1.0 + coef / c
-            c = c if abs(c) > _TINY else _TINY
-            h *= d * c
-        if abs(d * c - 1.0) <= _EPS:
-            return h
-    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, x={x}")

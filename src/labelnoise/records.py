@@ -156,14 +156,13 @@ def write_records(path, records) -> None:
         fh.writelines(json.dumps(_json_object(r), sort_keys=True) + "\n" for r in records)
 
 
-def read_records(path, cls, check=None) -> list:
+def read_records(path, cls, check) -> list:
     """Each non-blank line of ``path`` as a record of the dataclass ``cls``, passed through
-    ``check``, if given, which returns it or rejects it with a ``ValueError``. A line that is
+    ``check``, which returns it or rejects it with a ``ValueError``. A line that is
     not JSON, or that the parse or ``check`` rejects with a ``KeyError``, ``TypeError`` or
     ``ValueError``, raises ``InvalidInputError`` naming the file, the line (numbered from 1,
     blank ones included) and the fault."""
     parse, rows = _parser(cls), []
-    check = check or (lambda row: row)
     with open(path, "rb") as fh:
         count, fault = _parse_lines(fh, lambda record: rows.append(check(parse(record))))
     _raise_first_fault(path, [(count, fault)])

@@ -199,32 +199,58 @@ def read_prune_report(path) -> list[PruneRecord]:
 
     Besides what :class:`PruneRecord` checks, a line is malformed when its rank is neither 1,
     which starts a prune round, nor the previous line's rank plus one, when its clip already
-    appeared in the same round, when an earlier round removed it, or when a later round names a
-    clip that the round before it did not keep.
+    appeared in the same round, when an earlier round removed it, when a later round names a
+    clip that the round before it did not keep, or when its ``(clip_loss, clip_id)`` does not
+    fall below the previous line's in the round, as :func:`_removal_order` ranks them. A round
+    that leaves out a clip the round before it kept is refused at the line that starts the
+    next round, or, for the last round, once the file is read.
     """
     in_round: set[int] = set()
     removed: set[int] = set()
-    kept: set[int] | None = None  # the previous round's clips less its removed ones
-    rank = 0  # the previous line's
+    kept: set[int] | None = None  # the clips that the round before the current one kept
+    last: PruneRecord | None = None  # the previous line's row
+    rounds = 0
+
+    def left_out() -> str | None:
+        """The fault of the current round if it leaves out a clip the round before it kept."""
+        if kept is not None and (missing := kept - in_round):
+            return (
+                f"prune round {rounds} leaves out clip_id {min(missing)}, which round"
+                f" {rounds - 1} kept; each round lists every clip the round before it kept"
+            )
+        return None
 
     def check(row: PruneRecord) -> PruneRecord:
-        nonlocal rank, kept
+        nonlocal last, kept, rounds
+        rank = last.rank if last else 0
         if row.rank not in (1, rank + 1):
             after = f"rank {rank}" if rank else "the start of the report"
             raise ValueError(f"rank {row.rank} follows {after}; each round ranks 1, 2, 3, ...")
         if row.rank == 1:
+            if fault := left_out():
+                raise ValueError(fault)
             kept = in_round - removed if rank else None
             in_round.clear()
-        rank = row.rank
+            rounds += 1
         if row.clip_id in in_round:
             raise ValueError(f"clip_id {row.clip_id} appears twice in one prune round")
         if row.clip_id in removed:
             raise ValueError(f"clip_id {row.clip_id} was removed by an earlier prune round")
         if kept is not None and row.clip_id not in kept:
             raise ValueError(f"clip_id {row.clip_id} was not kept by the previous prune round")
+        if row.rank > 1 and (row.clip_loss, row.clip_id) >= (last.clip_loss, last.clip_id):
+            raise ValueError(
+                f"clip_id {row.clip_id} with clip_loss {row.clip_loss!r} is ranked below clip_id"
+                f" {last.clip_id} with clip_loss {last.clip_loss!r}; a round ranks by falling"
+                " clip_loss, then falling clip_id"
+            )
         in_round.add(row.clip_id)
         if row.removed:
             removed.add(row.clip_id)
+        last = row
         return row
 
-    return read_records(path, PruneRecord, check)
+    rows = read_records(path, PruneRecord, check)
+    if fault := left_out():
+        raise InvalidInputError(f"{path}: {fault}")
+    return rows

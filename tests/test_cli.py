@@ -16,6 +16,7 @@ from labelnoise import (
     read_summary,
     write_prune_report,
 )
+from labelnoise import records
 from labelnoise.cli import build_parser, main
 
 
@@ -1142,7 +1143,9 @@ class TestPruneReportCommand:
         data = tmp_path / "data.jsonl"
         run_cli(*generate_args(data))
         report = tmp_path / "report.jsonl"
-        write_prune_report(report, [PruneRecord(c, 1.0, r, False) for c, r in enumerate(ranks)])
+        # clip ids fall down the file, as equal losses rank, so that its one fault is the rank
+        rows = [PruneRecord(len(ranks) - c, 1.0, r, False) for c, r in enumerate(ranks)]
+        write_prune_report(report, rows)
         code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
         assert code == 2
         message = f"report.jsonl, line {line}: rank {ranks[line - 1]} follows"
@@ -1159,6 +1162,34 @@ class TestPruneReportCommand:
         message = "report.jsonl, line 3: clip_id 7 was not kept by the previous prune round"
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            (
+                [PruneRecord(0, 0.1, 1, False), PruneRecord(1, 5.0, 2, True)],
+                ", line 2: clip_id 1 with clip_loss 5.0 is ranked below clip_id 0",
+            ),
+            (
+                [PruneRecord(0, 1.0, 1, True), PruneRecord(1, 1.0, 2, False)],
+                ", line 2: clip_id 1 with clip_loss 1.0 is ranked below clip_id 0",
+            ),
+            (
+                [PruneRecord(1, 2.0, 1, False), PruneRecord(0, 1.0, 2, False),
+                 PruneRecord(1, 1.0, 1, False)],
+                ": prune round 2 leaves out clip_id 0, which round 1 kept",
+            ),
+        ],
+        ids=["loss_rises", "equal_losses_id_rises", "last_round_leaves_out"],
+    )
+    def test_report_its_writer_cannot_produce_exits_two(self, tmp_path, capsys, rows, fault):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))
+        report = tmp_path / "report.jsonl"
+        write_prune_report(report, rows)
+        code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
+        assert code == 2
+        assert f"error: {report}{fault}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
     def test_clip_with_disagreeing_patches_exits_two(self, tmp_path, capsys, reverse):
         data = tmp_path / "data.jsonl"
@@ -1174,6 +1205,27 @@ class TestPruneReportCommand:
         code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
         assert code == 2
         assert "disagree on clean_label or corrupted" in capsys.readouterr().err
+
+    def test_worker_that_sends_too_few_bytes_exits_one(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data.jsonl"
+        run_cli(*generate_args(data))  # 32 rows, read in two ranges below
+        report = tmp_path / "report.jsonl"
+        write_prune_report(report, [PruneRecord(0, 1.0, 1, False)])
+        parse = records._parse_range
+
+        def short(path, start, stop, schema):
+            # the worker of the second range sends its header but not its last buffer
+            header, buffers = parse(path, start, stop, schema)
+            return header, buffers[:-1] if start else buffers
+
+        monkeypatch.setattr(records, "_worker_count", lambda: 2)
+        monkeypatch.setattr(records, "_WRITE_BLOCK", 8)
+        monkeypatch.setattr(records, "_parse_range", short)
+        code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: a dataset file worker stopped before it finished its range\n"
+        )
 
 
 class TestOutDirResolution:

@@ -1062,7 +1062,7 @@ BOUNDS = {
     ),
     "RunSummary.per_run_accuracy": (
         "per_run_accuracy[1]", "[0, 100]", float,
-        lambda v: run_summary(per_run_accuracy=(50.0, v)),
+        lambda v: run_summary(per_run_accuracy=(50.0, v), dataset_fingerprints=("0" * 16,) * 2),
     ),
     "RunSummary.mean": ("mean", "[0, 100]", float, lambda v: run_summary(mean=v)),
     "RunSummary.ci_half_width": (
@@ -1281,6 +1281,25 @@ class TestRunSummaryFields:
     )
     def test_wrong_type_refused_naming_the_entry(self, field, message):
         with pytest.raises(TypeError) as excinfo:
+            run_summary(**field)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            (
+                {"per_run_accuracy": (), "dataset_fingerprints": ()},
+                "per_run_accuracy must list at least one run",
+            ),
+            (
+                {"per_run_accuracy": (90.0, 80.0, 70.0)},
+                "1 dataset fingerprint(s) for 3 run(s); each run has one",
+            ),
+        ],
+        ids=["no_runs", "fingerprint_per_run"],
+    )
+    def test_summary_its_writer_cannot_produce_refused(self, field, message):
+        with pytest.raises(InvalidInputError) as excinfo:
             run_summary(**field)
         assert str(excinfo.value) == message
 

@@ -68,23 +68,40 @@ class TestConstruction:
         assert ds.n_examples == 0
 
     @pytest.mark.parametrize(
-        "example_ids, clip_ids, features, labels, num_classes",
+        "example_ids, clip_ids, features, labels, num_classes, message",
         [
-            (np.arange(3), np.zeros(3, dtype=int), np.zeros((2, 2)), np.zeros(3, dtype=int), 2),
-            (np.arange(2), np.zeros(2, dtype=int), np.zeros(2), np.zeros(2, dtype=int), 2),
-            (np.array([0, 0]), np.array([0, 1]), np.zeros((2, 2)), np.array([0, 1]), 2),
-            (np.arange(2), np.arange(2), np.zeros((2, 2)), np.zeros(2, dtype=int), 1),
+            (
+                np.arange(3), np.zeros(3, dtype=int), np.zeros((2, 2)), np.zeros(3, dtype=int), 2,
+                "features must be a (N, F) array aligned with ids",
+            ),
+            (
+                np.arange(2), np.zeros(2, dtype=int), np.zeros(2), np.zeros(2, dtype=int), 2,
+                "features must be a (N, F) array aligned with ids",
+            ),
+            (
+                np.array([0, 0]), np.array([0, 1]), np.zeros((2, 2)), np.array([0, 1]), 2,
+                "example ids must be unique",
+            ),
+            (
+                np.arange(2), np.arange(2), np.zeros((2, 2)), np.zeros(2, dtype=int), 1,
+                "num_classes must lie in [2, inf), got 1",
+            ),
+            (
+                np.arange(3), np.zeros(2, dtype=int), np.zeros((3, 2)), np.zeros(3, dtype=int), 2,
+                "dataset columns must have equal lengths",
+            ),
         ],
         ids=[
             "length_mismatch", "features_must_be_2d", "duplicate_example_ids",
-            "fewer_than_two_classes",
+            "fewer_than_two_classes", "clip_ids_short",
         ],
     )
     def test_refuses_a_malformed_dataset(
-        self, example_ids, clip_ids, features, labels, num_classes
+        self, example_ids, clip_ids, features, labels, num_classes, message
     ):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as excinfo:
             Dataset(example_ids, clip_ids, features, labels, num_classes)
+        assert str(excinfo.value) == message
 
     @settings(max_examples=100, deadline=None)
     @given(ids=st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3), max_size=12))
@@ -227,8 +244,9 @@ class TestConstruction:
             ([1, 0, 1, 1, 0, 0], [0] * 6, "uncorrupted rows must keep label == clean_label"),
             ([0, 0, 1, 1, -5, -5], [0, 0, 0, 0, 1, 1], "clean_label -5 of clip 2 is neither"),
             ([0, 0, 1, 1, 0, 1], [0, 0, 0, 0, 0, 1], "patches of clip 2 disagree"),
+            ([0, 0, 1, 1, 0], [0] * 5, "^annotations must align with the dataset rows$"),
         ],
-        ids=["label_kept", "clean_label_range", "clip_agreement"],
+        ids=["label_kept", "clean_label_range", "clip_agreement", "alignment"],
     )
     def test_refused_annotations_stay_writeable(self, clean, flags, message):
         clean, flags = np.array(clean, dtype=np.int64), np.array(flags, dtype=bool)

@@ -76,46 +76,45 @@ def histories(draw, max_size):
     return history
 
 
-PRUNE_RECORDS = st.builds(
-    PruneRecord,
-    clip_id=INT64,
-    clip_loss=floats(0.0, TINY, HUGE, min_value=0.0),
-    rank=st.integers(1, 2),
-    removed=st.booleans(),
-)
+LOSSES = floats(0.0, TINY, HUGE, min_value=0.0)
 
 
 @st.composite
 def prune_reports(draw, max_size):
-    """Reports as ``train`` writes them: each round ranks its rows 1, 2, 3, ... and lists each
-    clip once, with a finite non-negative loss, and a round after the first lists only clips
-    that the round before kept. A drawn rank of 1 starts a round, and a drawn 2 goes on with
-    the last; a later round names survivors of the round before that it has not yet listed,
-    and a row drawn when none is left is dropped."""
-    rows = draw(st.lists(PRUNE_RECORDS, max_size=max_size, unique_by=lambda row: row.clip_id))
-    report, in_round, free = [], [], None  # free: survivors left to list, after the first round
-    for row in rows:
-        if row.rank == 1 and in_round:
-            free = [kept.clip_id for kept in in_round if not kept.removed]
-            in_round = []
-        if free is not None:
-            if not free:
-                continue
-            row = dataclasses.replace(row, clip_id=free.pop(draw(st.integers(0, len(free) - 1))))
-        in_round.append(dataclasses.replace(row, rank=len(in_round) + 1))
-        report.append(in_round[-1])
+    """Reports as ``train`` writes them: a round ranks each of its clips 1, 2, 3, ... by
+    falling loss, then falling clip id, each loss finite and non-negative, and flags any of
+    them removed; the first round scores drawn clips, and each later round exactly the clips
+    that the round before kept, while the report stays within ``max_size`` rows. The drawn
+    losses often tie, at 0, the smallest subnormal or the largest double."""
+    clips = draw(st.lists(INT64, max_size=max_size, unique=True))
+    report = []
+    while clips and len(report) + len(clips) <= max_size:
+        losses = draw(st.lists(LOSSES, min_size=len(clips), max_size=len(clips)))
+        ranked = sorted(zip(losses, clips), reverse=True)
+        cuts = draw(st.lists(st.booleans(), min_size=len(clips), max_size=len(clips)))
+        for rank, ((loss, clip), cut) in enumerate(zip(ranked, cuts), 1):
+            report.append(PruneRecord(clip, loss, rank, cut))
+        clips = [clip for (_, clip), cut in zip(ranked, cuts) if not cut]
+        if not draw(st.booleans()):
+            break
     return report
 
 
 PERCENT = floats(-0.0, TINY, 100.0, min_value=0.0, max_value=100.0)
-SUMMARIES = st.builds(
-    RunSummary,
-    per_run_accuracy=st.lists(PERCENT, max_size=4).map(tuple),
-    mean=PERCENT,
-    ci_half_width=floats(-0.0, TINY, HUGE, min_value=0.0),
-    config_fingerprint=st.text(),
-    dataset_fingerprints=st.lists(st.text(), max_size=4).map(tuple),
-)
+
+
+@st.composite
+def summaries(draw):
+    """Summaries as ``run_experiment`` writes them: at least one run, and one dataset
+    fingerprint per run."""
+    accuracies = draw(st.lists(PERCENT, min_size=1, max_size=4))
+    return RunSummary(
+        per_run_accuracy=tuple(accuracies),
+        mean=draw(PERCENT),
+        ci_half_width=draw(floats(-0.0, TINY, HUGE, min_value=0.0)),
+        config_fingerprint=draw(st.text()),
+        dataset_fingerprints=tuple(draw(st.text()) for _ in accuracies),
+    )
 
 
 @st.composite
@@ -199,7 +198,7 @@ class TestRoundTrip:
     def test_every_record_file_reads_back_bit_for_bit(self, tmp_path_factory, architecture, data):
         history = data.draw(histories(max_size=4), "history")
         report = data.draw(prune_reports(max_size=4), "report")
-        summary = data.draw(SUMMARIES, "summary")
+        summary = data.draw(summaries(), "summary")
         model = data.draw(models(architecture), "model")
         directory = tmp_path_factory.mktemp("records")
         files = [
@@ -437,6 +436,14 @@ class TestJsonDocuments:
             (
                 lambda record: record.update(ci_half_width=-0.5),
                 "ci_half_width must lie in [0, inf), got -0.5",
+            ),
+            (
+                lambda record: record.update(per_run_accuracy=[], dataset_fingerprints=[]),
+                "per_run_accuracy must list at least one run",
+            ),
+            (
+                lambda record: record.update(dataset_fingerprints=["1" * 16]),
+                "1 dataset fingerprint(s) for 2 run(s); each run has one",
             ),
         ],
     )

@@ -84,9 +84,18 @@ class TestMixPair:
         with pytest.raises(InvalidInputError):
             mix_pair(a, t, a, t, 1.1)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            mix_pair(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 0.5)
+    @pytest.mark.parametrize(
+        "x_j, y_j, message",
+        [
+            (np.zeros(2), np.zeros(2), "mixed targets must have equal dimensions"),
+            (np.zeros(4), np.zeros(3), "mixed features must have equal dimensions"),
+        ],
+        ids=["targets", "features"],
+    )
+    def test_shape_mismatch(self, x_j, y_j, message):
+        with pytest.raises(InvalidInputError) as excinfo:
+            mix_pair(np.zeros(2), np.zeros(3), x_j, y_j, 0.5)
+        assert str(excinfo.value) == message
 
 
 class TestMixupPolicy:
@@ -166,6 +175,12 @@ class TestApplyMixup:
             means.append(out.features[:, 0].mean())
         assert np.mean(means) == pytest.approx((n - 1) / 2, abs=1.0)
 
+    def test_empty_batch_refused(self):
+        batch = Batch(np.zeros((0, 2)), np.zeros((0, 3)))
+        with pytest.raises(InvalidInputError) as excinfo:
+            apply_mixup(batch, None, MixupPolicy(alpha=0.5), 0, RngStream(0, 0).generator())
+        assert str(excinfo.value) == "cannot mix an empty batch"
+
     def test_inter_mode_requires_partner_batch(self):
         rng = np.random.default_rng(10)
         batch = make_batch(rng, 8)
@@ -230,9 +245,18 @@ class TestApplyMixup:
 
 
 class TestBatch:
-    def test_row_count_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            Batch(features=np.zeros((3, 2)), targets=np.zeros((2, 4)))
+    @pytest.mark.parametrize(
+        "features, targets, message",
+        [
+            (np.zeros((3, 2)), np.zeros((2, 4)), "batch features and targets must align 1:1"),
+            (np.zeros(3), np.zeros((3, 4)), "batch features and targets must be 2-D arrays"),
+        ],
+        ids=["rows", "one_dimensional"],
+    )
+    def test_row_count_mismatch(self, features, targets, message):
+        with pytest.raises(InvalidInputError) as excinfo:
+            Batch(features=features, targets=targets)
+        assert str(excinfo.value) == message
 
     def test_size(self):
         batch = Batch(features=np.zeros((5, 2)), targets=np.full((5, 3), 1 / 3))

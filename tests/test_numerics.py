@@ -382,8 +382,10 @@ class TestTQuantile:
     # 40-digit references at the double nearest each p: the closed forms
     # cot(pi (1 - p)) for df 1 and (2p - 1) / sqrt(2p (1 - p)) for df 2, else
     # the root of the regularized incomplete beta function. scipy.stats.t.ppf
-    # is 21 ulps off at df 6, p 0.975. At df 1000 the sums and the fraction
-    # run to hundreds of terms.
+    # is 21 ulps off at df 6, p 0.975. At df 1000 the sums run to hundreds of
+    # terms and the tail to thousands. The last two rows sit at the switch
+    # t^2 (df + 2) = 6 df: just past it, on the tail side, at df 1000, and just
+    # before it, on the head side, at df 30.
     @pytest.mark.parametrize(
         "df, p, expected, ulps",
         [
@@ -407,6 +409,8 @@ class TestTQuantile:
             (1000, 0.75, 0.6747351646070094, 32),
             (1000, 0.975, 1.962339080826408, 32),
             (1000, 0.99995, 3.9063437367014084, 32),
+            (1000, 0.9927127319388392, 2.4470439221619844, 2),
+            (30, 0.987811512245317, 2.370708245126283, 10),
         ],
     )
     def test_within_ulps_of_references(self, df, p, expected, ulps):

@@ -378,15 +378,15 @@ class TestPruneReport:
         path.write_text(path.read_text() + "\n\n")
         assert len(read_prune_report(path)) == 1
 
-    # the second round of skipped_rank lists clips that the first kept, so that its one fault
-    # is the rank
+    # the clips of a round fall in id, as equal losses rank, and the second round of
+    # skipped_rank lists clips that the first kept, so that each file's one fault is the rank
     @pytest.mark.parametrize(
         "clips, ranks, line, after",
         [
             ([0], [2], 1, "the start of the report"),
             ([0, 1], [3, 3], 1, "the start of the report"),
-            ([0, 1, 2], [1, 2, 2], 3, "rank 2"),
-            ([0, 1, 0, 1], [1, 2, 1, 3], 4, "rank 1"),
+            ([2, 1, 0], [1, 2, 2], 3, "rank 2"),
+            ([1, 0, 1, 0], [1, 2, 1, 3], 4, "rank 1"),
         ],
         ids=["first_rank_two", "both_rank_three", "repeated_rank", "skipped_rank"],
     )
@@ -411,6 +411,53 @@ class TestPruneReport:
             read_prune_report(path)
         fault = "clip_id 7 was not kept by the previous prune round"
         assert str(excinfo.value) == f"{path}, line 3: {fault}"
+
+    def test_round_trip_of_three_rounds(self, tmp_path):
+        rows = [
+            PruneRecord(3, 2.0, 1, True), PruneRecord(2, 1.0, 2, False),
+            PruneRecord(1, 1.0, 3, False), PruneRecord(2, 4.0, 1, True),
+            PruneRecord(1, 0.0, 2, False), PruneRecord(1, 0.5, 1, False),
+        ]
+        path = tmp_path / "prune.jsonl"
+        write_prune_report(path, rows)
+        assert read_prune_report(path) == rows
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            (
+                [PruneRecord(0, 0.1, 1, False), PruneRecord(1, 5.0, 2, True)],
+                ", line 2: clip_id 1 with clip_loss 5.0 is ranked below clip_id 0 with clip_loss"
+                " 0.1; a round ranks by falling clip_loss, then falling clip_id",
+            ),
+            (
+                [PruneRecord(0, 1.0, 1, True), PruneRecord(1, 1.0, 2, False)],
+                ", line 2: clip_id 1 with clip_loss 1.0 is ranked below clip_id 0 with clip_loss"
+                " 1.0; a round ranks by falling clip_loss, then falling clip_id",
+            ),
+            (
+                [PruneRecord(1, 2.0, 1, False), PruneRecord(0, 1.0, 2, False),
+                 PruneRecord(1, 1.0, 1, False)],
+                # the last round is checked once the file is read, so no line is named
+                ": prune round 2 leaves out clip_id 0, which round 1 kept; each round lists every"
+                " clip the round before it kept",
+            ),
+            (
+                [PruneRecord(2, 2.0, 1, True), PruneRecord(1, 1.0, 2, False),
+                 PruneRecord(0, 1.0, 3, False), PruneRecord(1, 1.0, 1, True),
+                 PruneRecord(0, 1.0, 1, False)],
+                ", line 5: prune round 2 leaves out clip_id 0, which round 1 kept; each round"
+                " lists every clip the round before it kept",
+            ),
+        ],
+        ids=["loss_rises", "equal_losses_id_rises", "last_round_leaves_out", "round_leaves_out"],
+    )
+    def test_report_its_writer_cannot_produce_is_refused(self, tmp_path, rows, fault):
+        path = tmp_path / "prune.jsonl"
+        write_prune_report(path, rows)
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_prune_report(path)
+        assert str(excinfo.value) == f"{path}{fault}"
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1

@@ -143,6 +143,12 @@ class TestStratifiedSplit:
         with pytest.raises(InvalidInputError):
             stratified_split(ds, 0.5, RngStream(0).generator())
 
+    def test_empty_dataset(self):
+        ds = clip_dataset(2, 4).subset(np.array([], dtype=int))
+        with pytest.raises(InvalidInputError) as excinfo:
+            split_rows(ds, 0.5, RngStream(0).generator())
+        assert str(excinfo.value) == "cannot split an empty dataset"
+
 
 class TestStratifiedSplitProperty:
     @settings(max_examples=100, deadline=None)
