@@ -41,7 +41,7 @@ from .data import Dataset, GroupMeans, draw_clips, own_column
 from .errors import (
     Checked, ConfigurationError, ExperimentError, InvalidInputError, check_class_map, json_text,
 )
-from .numerics import RngStream, derive_seed, mean_ci
+from .numerics import RngStream, _mean, derive_seed, mean_ci
 from .records import read_dataset_rows, read_record, write_dataset_rows, write_record
 from .selection import PruneRecord
 from .smoothing import NoiseGroup
@@ -411,7 +411,9 @@ class ExperimentConfig(Checked):
 @dataclass(frozen=True)
 class RunSummary(Checked):
     """What ``summary.json`` holds: at least one run, each with its accuracy and the
-    fingerprint of its dataset, and the mean and confidence half-width of the accuracies."""
+    fingerprint of its dataset, and the mean and confidence half-width of the accuracies. The
+    mean must be exactly the one :func:`mean_ci` takes; the half-width keeps only its bound,
+    since the last bits of its t quantile vary with the CPU's SIMD level."""
 
     per_run_accuracy: tuple[Annotated[float, "[0, 100]"], ...]  # percent
     mean: Annotated[float, "[0, 100]"]
@@ -428,6 +430,10 @@ class RunSummary(Checked):
             raise InvalidInputError(
                 f"{len(self.dataset_fingerprints)} dataset fingerprint(s) for {runs} run(s);"
                 " each run has one"
+            )
+        if self.mean != (mean := _mean(self.per_run_accuracy)):
+            raise InvalidInputError(
+                f"mean {self.mean!r} is not the mean of per_run_accuracy, {mean!r}"
             )
 
 

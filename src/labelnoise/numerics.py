@@ -151,6 +151,11 @@ def beta_draws(alpha: float, gen: np.random.Generator, size: int) -> np.ndarray:
     return g1 / total
 
 
+def _mean(values) -> float:
+    """The mean that :func:`mean_ci` reports: of ``values`` as a float64 array, as a float."""
+    return float(np.asarray(values, dtype=np.float64).mean())
+
+
 def mean_ci(values, level: float = 0.95) -> tuple[float, float]:
     """Arithmetic mean and Student-t confidence half-width of a sample.
 
@@ -162,7 +167,7 @@ def mean_ci(values, level: float = 0.95) -> tuple[float, float]:
     if v.size == 0:
         raise InvalidInputError("mean_ci of an empty sequence")
     within("confidence level", level, "(0, 1)")
-    mean = float(v.mean())
+    mean = _mean(v)
     if v.size == 1:
         return mean, 0.0
     s = float(v.std(ddof=1))

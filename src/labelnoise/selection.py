@@ -7,8 +7,9 @@ the largest loss or a percentile) and instances above it are dropped from
 the gradient update (DISCARD), or the train set itself is pruned once by
 removing the highest-loss clips (PRUNE). Patch losses aggregate to clip
 losses by arithmetic mean. Prune rounds rank clips in the dataset's clip
-table, as arrays in one removal order; dict maps remain only at the public
-boundary (``clip_losses``, ``prune_dataset``, ``prune_report_rows``).
+table, as arrays in one removal order, and each removes the top of its order
+through one cut; dict maps remain only at the public boundary
+(``clip_losses``, ``prune_dataset``, ``prune_report_rows``).
 """
 
 from __future__ import annotations
@@ -136,26 +137,37 @@ def _removal_order(clips: np.ndarray, losses: np.ndarray) -> np.ndarray:
     return np.lexsort((clips, losses))[::-1]
 
 
+def _prune_round(clips, losses, prune_count, scored=None) -> tuple[np.ndarray, np.ndarray]:
+    """The one cut of every prune round: the positions of the round's clips in removal order,
+    and a mask over ``clips`` that flags the first ``prune_count`` of them, which it removes.
+    The round's clips are all ``clips``, or those that the mask ``scored`` flags. The count is
+    checked by the rule of :attr:`StagePlan.prune_count`, and must leave the round a clip."""
+    order = _removal_order(clips, losses)
+    if scored is not None:
+        order = order[scored.take(order)]
+    prune_count = field_rules(StagePlan)["prune_count"]("prune_count", prune_count)
+    within("prune_count", prune_count, f"[0, {order.size})")
+    removed = np.zeros(clips.size, dtype=bool)
+    removed[order[:prune_count]] = True
+    return order, removed
+
+
 def prune_dataset(
     dataset: Dataset, clip_loss_map: Mapping[int, float], prune_count: int
 ) -> tuple[Dataset, list[int]]:
     """Drop the ``prune_count`` highest-loss clips of ``dataset``, each with a finite, non-negative
     loss entry: the kept dataset, in row order, and the removed clip ids, highest loss first.
-    ``prune_count`` is checked by the rule of :attr:`StagePlan.prune_count`."""
-    prune_count = field_rules(StagePlan)["prune_count"]("prune_count", prune_count)
+    ``prune_count`` is checked as :func:`_prune_round` checks it."""
     clips, inverse, _ = dataset.clip_table()
-    within("prune_count", prune_count, f"[0, {clips.size})")
     missing = [clip for clip in clips.tolist() if clip not in clip_loss_map]
     if missing:
         raise ConfigurationError(f"clips without a loss entry: {missing[:5]}")
     losses = np.array([clip_loss_map[clip] for clip in clips.tolist()], dtype=np.float64)
     _check_loss_values(losses)
-    if prune_count == 0:
+    order, removed = _prune_round(clips, losses, prune_count)
+    if not removed.any():
         return dataset, []
-    removed = _removal_order(clips, losses)[:prune_count]
-    dropped = np.zeros(clips.size, dtype=bool)
-    dropped[removed] = True
-    return dataset.subset(~dropped[inverse]), clips[removed].tolist()
+    return dataset.subset(~removed[inverse]), clips[order[:prune_count]].tolist()
 
 
 @dataclass(frozen=True)
@@ -174,20 +186,13 @@ def _report(clips, losses, order, removed) -> list[PruneRecord]:
     return [PruneRecord(clip, loss, rank, cut) for rank, (clip, loss, cut) in enumerate(ranked, 1)]
 
 
-def prune_report_rows(
-    clip_loss_map: Mapping[int, float], removed: Sequence[int]
-) -> list[PruneRecord]:
-    """Report rows for every scored clip, its loss finite and non-negative, in removal order;
-    each ``removed`` clip must be scored."""
+def prune_report_rows(clip_loss_map: Mapping[int, float], prune_count: int) -> list[PruneRecord]:
+    """Report rows for every scored clip, its loss finite and non-negative, in removal order,
+    the first ``prune_count`` flagged removed, as :func:`prune_dataset` removes them."""
     clips = np.fromiter(clip_loss_map, dtype=np.int64, count=len(clip_loss_map))
     losses = np.fromiter(clip_loss_map.values(), dtype=np.float64, count=clips.size)
     _check_loss_values(losses)
-    removed = np.fromiter(removed, dtype=np.int64)
-    missing = removed[~np.isin(removed, clips)]
-    if missing.size:
-        raise ConfigurationError(f"removed clips without a loss entry: {missing[:5].tolist()}")
-    flags = np.isin(clips, removed)
-    return _report(clips, losses, _removal_order(clips, losses), flags)
+    return _report(clips, losses, *_prune_round(clips, losses, prune_count))
 
 
 def write_prune_report(path, rows: Sequence[PruneRecord]) -> None:
@@ -200,8 +205,9 @@ def read_prune_report(path) -> list[PruneRecord]:
     Besides what :class:`PruneRecord` checks, a line is malformed when its rank is neither 1,
     which starts a prune round, nor the previous line's rank plus one, when its clip already
     appeared in the same round, when an earlier round removed it, when a later round names a
-    clip that the round before it did not keep, or when its ``(clip_loss, clip_id)`` does not
-    fall below the previous line's in the round, as :func:`_removal_order` ranks them. A round
+    clip that the round before it did not keep, when its ``(clip_loss, clip_id)`` does not fall
+    below the previous line's in the round, as :func:`_removal_order` ranks them, or when it is
+    removed below a kept line of its round, since a round removes its top-ranked clips. A round
     that leaves out a clip the round before it kept is refused at the line that starts the
     next round, or, for the last round, once the file is read.
     """
@@ -243,6 +249,11 @@ def read_prune_report(path) -> list[PruneRecord]:
                 f"clip_id {row.clip_id} with clip_loss {row.clip_loss!r} is ranked below clip_id"
                 f" {last.clip_id} with clip_loss {last.clip_loss!r}; a round ranks by falling"
                 " clip_loss, then falling clip_id"
+            )
+        if row.removed and row.rank > 1 and not last.removed:
+            raise ValueError(
+                f"clip_id {row.clip_id} is removed below kept clip_id {last.clip_id}; a round"
+                " removes its top-ranked clips"
             )
         in_round.add(row.clip_id)
         if row.removed:

@@ -45,7 +45,7 @@ from .selection import (
     PruneRecord,
     StagePlan,
     Strategy,
-    _removal_order,
+    _prune_round,
     _report,
     discard_mask,
 )
@@ -526,10 +526,8 @@ def _prune_now(
     groups = inverse.take(rows)
     means = GroupMeans(groups, clips.size)
     losses = means(report.per_example)
-    ranked = _removal_order(clips, losses)
-    order = ranked[means.sizes.take(ranked) > 0]  # the round's clips: those with a row in rows
-    dropped = np.zeros(clips.size, dtype=bool)
-    dropped[order[: config.stage.prune_count]] = True
+    # the round's clips: those with a row in rows
+    order, dropped = _prune_round(clips, losses, config.stage.prune_count, means.sizes > 0)
     return rows[~dropped[groups]], _report(clips, losses, order, dropped)
 
 

@@ -1178,8 +1178,14 @@ class TestPruneReportCommand:
                  PruneRecord(1, 1.0, 1, False)],
                 ": prune round 2 leaves out clip_id 0, which round 1 kept",
             ),
+            (
+                [PruneRecord(1, 9.0, 1, False), PruneRecord(2, 3.0, 2, False),
+                 PruneRecord(0, 1.0, 3, True)],
+                ", line 3: clip_id 0 is removed below kept clip_id 2; a round removes its"
+                " top-ranked clips",
+            ),
         ],
-        ids=["loss_rises", "equal_losses_id_rises", "last_round_leaves_out"],
+        ids=["loss_rises", "equal_losses_id_rises", "last_round_leaves_out", "removed_below_kept"],
     )
     def test_report_its_writer_cannot_produce_exits_two(self, tmp_path, capsys, rows, fault):
         data = tmp_path / "data.jsonl"

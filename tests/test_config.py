@@ -1060,11 +1060,17 @@ BOUNDS = {
         "runs", "[1, inf)", int,
         lambda v: ExperimentConfig(DatasetParams(), train_config(), runs=v),
     ),
+    # a summary's mean is the mean of its accuracies, so each row's value, when it lies in its
+    # bound, is the 1/16 that TestFloatFields stores
     "RunSummary.per_run_accuracy": (
         "per_run_accuracy[1]", "[0, 100]", float,
-        lambda v: run_summary(per_run_accuracy=(50.0, v), dataset_fingerprints=("0" * 16,) * 2),
+        lambda v: run_summary(
+            per_run_accuracy=(1 / 16, v), mean=1 / 16, dataset_fingerprints=("0" * 16,) * 2
+        ),
     ),
-    "RunSummary.mean": ("mean", "[0, 100]", float, lambda v: run_summary(mean=v)),
+    "RunSummary.mean": (
+        "mean", "[0, 100]", float, lambda v: run_summary(per_run_accuracy=(1 / 16,), mean=v)
+    ),
     "RunSummary.ci_half_width": (
         "ci_half_width", "[0, inf)", float, lambda v: run_summary(ci_half_width=v)
     ),
@@ -1258,10 +1264,10 @@ class TestRunSummaryFields:
 
     def test_lists_and_integers_stored_as_read_back(self):
         summary = run_summary(
-            per_run_accuracy=[50, np.float64(62.5)], mean=56, ci_half_width=0,
+            per_run_accuracy=[50, np.float64(62.0)], mean=56, ci_half_width=0,
             dataset_fingerprints=["a", "b"],
         )
-        assert summary.per_run_accuracy == (50.0, 62.5)
+        assert summary.per_run_accuracy == (50.0, 62.0)
         assert [type(v) for v in summary.per_run_accuracy] == [float, float]
         assert (type(summary.mean), type(summary.ci_half_width)) == (float, float)
         assert summary.dataset_fingerprints == ("a", "b")
@@ -1295,8 +1301,19 @@ class TestRunSummaryFields:
                 {"per_run_accuracy": (90.0, 80.0, 70.0)},
                 "1 dataset fingerprint(s) for 3 run(s); each run has one",
             ),
+            (
+                {"per_run_accuracy": (90.0, 80.0, 70.0), "mean": 12.0,
+                 "dataset_fingerprints": ("x", "y", "z")},
+                "mean 12.0 is not the mean of per_run_accuracy, 80.0",
+            ),
+            (
+                # the writer's own mean of three 0.1s is 0.10000000000000002
+                {"per_run_accuracy": (0.1, 0.1, 0.1), "mean": 0.1,
+                 "dataset_fingerprints": ("x", "y", "z")},
+                "mean 0.1 is not the mean of per_run_accuracy, 0.10000000000000002",
+            ),
         ],
-        ids=["no_runs", "fingerprint_per_run"],
+        ids=["no_runs", "fingerprint_per_run", "mean_of_other_runs", "mean_off_by_an_ulp"],
     )
     def test_summary_its_writer_cannot_produce_refused(self, field, message):
         with pytest.raises(InvalidInputError) as excinfo:

@@ -27,6 +27,7 @@ from labelnoise import (
     RunSummary,
     init_params,
     load_model,
+    mean_ci,
     read_metrics,
     read_prune_report,
     read_summary,
@@ -82,19 +83,20 @@ LOSSES = floats(0.0, TINY, HUGE, min_value=0.0)
 @st.composite
 def prune_reports(draw, max_size):
     """Reports as ``train`` writes them: a round ranks each of its clips 1, 2, 3, ... by
-    falling loss, then falling clip id, each loss finite and non-negative, and flags any of
-    them removed; the first round scores drawn clips, and each later round exactly the clips
-    that the round before kept, while the report stays within ``max_size`` rows. The drawn
-    losses often tie, at 0, the smallest subnormal or the largest double."""
+    falling loss, then falling clip id, each loss finite and non-negative, and flags its first
+    ``prune_count`` removed, a count drawn per round that leaves it a clip; the first round
+    scores drawn clips, and each later round exactly the clips that the round before kept,
+    while the report stays within ``max_size`` rows. The drawn losses often tie, at 0, the
+    smallest subnormal or the largest double."""
     clips = draw(st.lists(INT64, max_size=max_size, unique=True))
     report = []
     while clips and len(report) + len(clips) <= max_size:
         losses = draw(st.lists(LOSSES, min_size=len(clips), max_size=len(clips)))
         ranked = sorted(zip(losses, clips), reverse=True)
-        cuts = draw(st.lists(st.booleans(), min_size=len(clips), max_size=len(clips)))
-        for rank, ((loss, clip), cut) in enumerate(zip(ranked, cuts), 1):
-            report.append(PruneRecord(clip, loss, rank, cut))
-        clips = [clip for (_, clip), cut in zip(ranked, cuts) if not cut]
+        prune_count = draw(st.integers(0, len(clips) - 1))
+        for rank, (loss, clip) in enumerate(ranked, 1):
+            report.append(PruneRecord(clip, loss, rank, rank <= prune_count))
+        clips = [clip for _, clip in ranked[prune_count:]]
         if not draw(st.booleans()):
             break
     return report
@@ -105,12 +107,12 @@ PERCENT = floats(-0.0, TINY, 100.0, min_value=0.0, max_value=100.0)
 
 @st.composite
 def summaries(draw):
-    """Summaries as ``run_experiment`` writes them: at least one run, and one dataset
-    fingerprint per run."""
+    """Summaries as ``run_experiment`` writes them: at least one run, the mean that
+    ``mean_ci`` takes of their accuracies, and one dataset fingerprint per run."""
     accuracies = draw(st.lists(PERCENT, min_size=1, max_size=4))
     return RunSummary(
         per_run_accuracy=tuple(accuracies),
-        mean=draw(PERCENT),
+        mean=mean_ci(accuracies)[0],
         ci_half_width=draw(floats(-0.0, TINY, HUGE, min_value=0.0)),
         config_fingerprint=draw(st.text()),
         dataset_fingerprints=tuple(draw(st.text()) for _ in accuracies),
@@ -444,6 +446,10 @@ class TestJsonDocuments:
             (
                 lambda record: record.update(dataset_fingerprints=["1" * 16]),
                 "1 dataset fingerprint(s) for 2 run(s); each run has one",
+            ),
+            (
+                lambda record: record.update(mean=12.0),
+                "mean 12.0 is not the mean of per_run_accuracy, 56.25",
             ),
         ],
     )

@@ -343,7 +343,7 @@ class TestStagePlan:
 
 class TestPruneReport:
     def test_rows_are_ranked_by_removal_order(self):
-        rows = prune_report_rows({0: 1.0, 1: 9.0, 2: 3.0}, removed=[1])
+        rows = prune_report_rows({0: 1.0, 1: 9.0, 2: 3.0}, 1)
         assert [(r.clip_id, r.rank, r.removed) for r in rows] == [
             (1, 1, True),
             (2, 2, False),
@@ -355,19 +355,32 @@ class TestPruneReport:
         with pytest.raises(
             InvalidInputError, match=r"^loss values must be finite and non-negative$"
         ):
-            prune_report_rows({0: 1.0, 1: bad}, removed=[0])
+            prune_report_rows({0: 1.0, 1: bad}, 1)
 
-    def test_no_clips_no_rows(self):
-        assert prune_report_rows({}, removed=[]) == []
+    # the count is checked as prune_dataset checks it: it must leave a clip, so no clips refuse
+    # every count, as an empty dataset is refused
+    @pytest.mark.parametrize(
+        "losses, count, error, message",
+        [
+            ({}, 0, InvalidInputError, "prune_count must lie in [0, 0), got 0"),
+            ({0: 1.0, 1: 2.0}, 2, InvalidInputError, "prune_count must lie in [0, 2), got 2"),
+            ({0: 1.0, 1: 2.0}, -1, InvalidInputError, "prune_count must lie in [0, inf), got -1"),
+            ({0: 1.0, 1: 2.0}, True, TypeError, "prune_count must be an integer, got true"),
+        ],
+        ids=["no_clips", "every_clip", "negative", "bool"],
+    )
+    def test_count_is_checked_as_prune_dataset_checks_it(self, losses, count, error, message):
+        with pytest.raises(error) as excinfo:
+            prune_report_rows(losses, count)
+        assert str(excinfo.value) == message
 
-    def test_removed_clip_without_a_loss_is_refused(self):
-        # once reported no fault and flagged no row
-        with pytest.raises(ConfigurationError) as excinfo:
-            prune_report_rows({0: 1.0, 1: 2.0}, removed=[5])
-        assert str(excinfo.value) == "removed clips without a loss entry: [5]"
+    def test_removed_list_is_no_longer_taken(self):
+        # a list once flagged any clips, ranked anywhere in the round
+        with pytest.raises(TypeError):
+            prune_report_rows({0: 1.0, 1: 9.0, 2: 3.0}, removed=[0])
 
     def test_round_trip(self, tmp_path):
-        rows = prune_report_rows({5: 2.5, 6: 2.5, 7: 0.125}, removed=[6])
+        rows = prune_report_rows({5: 2.5, 6: 2.5, 7: 0.125}, 1)
         path = tmp_path / "prune.jsonl"
         write_prune_report(path, rows)
         assert read_prune_report(path) == rows
@@ -449,8 +462,27 @@ class TestPruneReport:
                 ", line 5: prune round 2 leaves out clip_id 0, which round 1 kept; each round"
                 " lists every clip the round before it kept",
             ),
+            (
+                # prune_report_rows({0: 1.0, 1: 9.0, 2: 3.0}, removed=[0]) once built these
+                [PruneRecord(1, 9.0, 1, False), PruneRecord(2, 3.0, 2, False),
+                 PruneRecord(0, 1.0, 3, True)],
+                ", line 3: clip_id 0 is removed below kept clip_id 2; a round removes its"
+                " top-ranked clips",
+            ),
+            (
+                [PruneRecord(1, 2.0, 1, False), PruneRecord(1, 1.0, 2, False)],
+                ", line 2: clip_id 1 appears twice in one prune round",
+            ),
+            (
+                [PruneRecord(1, 2.0, 1, True), PruneRecord(0, 1.0, 2, False),
+                 PruneRecord(1, 1.0, 1, False)],
+                ", line 3: clip_id 1 was removed by an earlier prune round",
+            ),
         ],
-        ids=["loss_rises", "equal_losses_id_rises", "last_round_leaves_out", "round_leaves_out"],
+        ids=[
+            "loss_rises", "equal_losses_id_rises", "last_round_leaves_out", "round_leaves_out",
+            "removed_below_kept", "clip_twice_in_a_round", "removed_clip_listed_again",
+        ],
     )
     def test_report_its_writer_cannot_produce_is_refused(self, tmp_path, rows, fault):
         path = tmp_path / "prune.jsonl"
@@ -484,7 +516,7 @@ class TestRemovalOrder:
         expected = sorted(clips, key=lambda clip: (-losses[clip], -clip))
         count %= len(clips)
 
-        rows = prune_report_rows(losses, removed=expected[:count])
+        rows = prune_report_rows(losses, count)
         assert [row.clip_id for row in rows] == expected
         assert [row.rank for row in rows] == list(range(1, len(clips) + 1))
         assert [row.removed for row in rows] == [rank < count for rank in range(len(clips))]

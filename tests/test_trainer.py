@@ -38,6 +38,7 @@ from labelnoise import (
     inject_symmetric_noise,
     load_model,
     prune_dataset,
+    prune_report_rows,
     read_metrics,
     read_prune_report,
     save_model,
@@ -1240,6 +1241,10 @@ class TestTrainRows:
         kept, removed = prune_dataset(train_half, losses, prune_count)
         assert_same_rows(ds.subset(after), kept)
         assert removed == [row.clip_id for row in result.prune_report if row.removed]
+        # the public report of the same losses is train's, loss bits included
+        rows = prune_report_rows(losses, prune_count)
+        assert rows == result.prune_report
+        assert [r.clip_loss.hex() for r in rows] == [r.clip_loss.hex() for r in result.prune_report]
 
 
 class TestTrainMemory:
