@@ -445,6 +445,9 @@ class RunResult:
     prune_report: tuple[PruneRecord, ...] | None
     prune_precision: float | None
     dataset_fingerprint: str
+    steps: int  # the training counts of TrainResult
+    rows_seen: int
+    rows_kept: int
 
 
 @dataclass(frozen=True)
@@ -496,6 +499,9 @@ def _single_run(cfg: ExperimentConfig, run_index: int) -> RunResult:
         prune_report=tuple(result.prune_report) if result.prune_report is not None else None,
         prune_precision=precision,
         dataset_fingerprint=dataset_fingerprint(train_annotated),
+        steps=result.steps,
+        rows_seen=result.rows_seen,
+        rows_kept=result.rows_kept,
     )
 
 

@@ -63,7 +63,7 @@ class LossReport:
         object.__setattr__(self, "example_ids", ids)
         if values.ndim != 1 or ids.ndim != 1 or values.shape[0] != ids.shape[0]:
             raise InvalidInputError("loss values and example ids must align 1:1")
-        _check_loss_values(values)
+        _check_given_losses(values)
 
     def __len__(self) -> int:
         return int(self.per_example.shape[0])
@@ -78,6 +78,15 @@ def _check_loss_values(values: np.ndarray) -> float:
         if math.isfinite(total) or np.isfinite(values).all():
             return total
     raise InvalidInputError("loss values must be finite and non-negative")
+
+
+def _check_given_losses(values: np.ndarray) -> None:
+    """:func:`_check_loss_values` for the losses a caller of a public entry gives, whose finite
+    values may overflow their sum: that overflow, which the check handles, warns about nothing.
+    ``train``'s per-step check of its own losses, each at most about 27.6, calls
+    :func:`_check_loss_values` directly."""
+    with np.errstate(over="ignore"):
+        _check_loss_values(values)
 
 
 def _check_pair(y, p) -> tuple[np.ndarray, np.ndarray]:

@@ -11,10 +11,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import pickle
 import secrets
 import shutil
-import signal
 from array import array
 from contextlib import contextmanager
 from functools import cache, partial
@@ -24,6 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidInputError, field_rule, json_text
+from .pool import STOPPED_EARLY, map_forked, worker_count
 
 
 def _fault(err: Exception, document: bool = False) -> str:
@@ -191,96 +190,17 @@ def read_record(path, cls):
 #
 # A dataset file is split into one contiguous range of rows per worker process, and the ranges
 # are joined in file order, so its bytes, values and errors do not depend on the worker count.
-# A file of one range is handled by the same range functions in this process. Workers are
-# forked, not spawned, so that they read the parent's columns without a copy and start with
-# nothing to import; they touch no lock that another thread of the parent could hold.
+# A file of one range is handled by the same range functions in this process; the others run
+# through pool.map_forked, whose workers read the parent's columns without a copy.
 
 # Rows turned into Python values at a time by the dataset writer, so that its memory does
 # not grow with the row count; also the fewest rows given a range of their own.
 _WRITE_BLOCK = 1024
 
 
-def _worker_count() -> int:
-    """The most ranges a dataset file is split into: one per CPU this process may run on, where
-    worker processes can be forked."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _serve(task, pipe: int) -> None:
-    """Runs ``task`` in a worker process. Writes to the pipe ``pipe`` the pickled pair ``(error,
-    header)``, then, if the task returned ``(header, buffers)``, the bytes of each buffer."""
-    with open(pipe, "wb") as out:
-        try:
-            header, buffers = task()
-        except Exception as exc:  # raised again in the parent, by _header
-            pickle.dump((exc, None), out)
-        else:
-            pickle.dump((None, header), out)
-            out.writelines(buffers)
-
-
-def _fork(task) -> tuple:
-    """``(pid, pipe)`` of a new worker process that runs :func:`_serve` on ``task`` and exits;
-    it leaves without flushing or finalizing anything it inherited."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            _serve(task, write_end)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
-
-
-@contextmanager
-def _forked(tasks):
-    """One pipe per task, in order, carrying what :func:`_serve` writes for it from a worker
-    process of its own. The workers are killed if the block raises, and reaped before it exits."""
-    workers = []
-    try:
-        for task in tasks:
-            workers.append(_fork(task))
-        yield [pipe for _, pipe in workers]
-    except BaseException:
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.waitpid(pid, 0)
-
-
-_STOPPED_EARLY = "a dataset file worker stopped before it finished its range"
-
-
-def _header(pipe):
-    """The header of the task behind ``pipe``; the exception the task raised is raised here."""
-    try:
-        error, header = pickle.load(pipe)
-    except EOFError:
-        raise ChildProcessError(_STOPPED_EARLY) from None
-    if error is not None:
-        raise error
-    return header
-
-
 def _bounds(size: int, unit: int) -> list:
     """Offsets of even ranges over ``size`` items: one per worker at most, each ``unit`` or more."""
-    count = max(1, min(_worker_count(), -(-size // unit)))
+    count = max(1, min(worker_count(), -(-size // unit)))
     return [size * index // count for index in range(count + 1)]
 
 
@@ -326,10 +246,8 @@ def write_dataset_rows(path, data: Dataset, truth: tuple | None = None) -> None:
         parts = [_scratch_name(path, "part") for _ in bounds[1:]]
         try:
             ranges = zip(parts, bounds, bounds[1:])
-            tasks = [partial(_encode_part, *part, columns) for part in ranges]
-            with _forked(tasks) as pipes:
-                for pipe in pipes:
-                    _header(pipe)
+            with map_forked(partial(_encode_part, *part, columns) for part in ranges):
+                pass  # a worker sends its header once its part is written
             fh.flush()
             for part in parts:
                 with open(part, "rb") as source:
@@ -426,17 +344,18 @@ def _ranges(fh, head: int) -> list:
     return list(zip(bounds, bounds[1:]))
 
 
-def _receive(pipes, headers, width: int) -> tuple:
-    """The buffers of every range, read from the workers' ``pipes`` into one array each."""
-    rows = sum(taken for *_, taken in headers)
+def _receive(results, width: int) -> tuple:
+    """The buffers of every range, read from the ``(header, pipe)`` pairs of the workers into
+    one array each."""
+    rows = sum(taken for (*_, taken), _ in results)
     widths = (4, 1, width)
     columns = tuple(map(np.empty, (rows * w for w in widths), _BUFFER_TYPES))
     at = 0
-    for pipe, (*_, taken) in zip(pipes, headers):
+    for (*_, taken), pipe in results:
         for column, w in zip(columns, widths):
             target = column[at * w : (at + taken) * w]
             if pipe.readinto(target) != target.nbytes:
-                raise ChildProcessError(_STOPPED_EARLY)
+                raise ChildProcessError(STOPPED_EARLY)
         at += taken
     return columns
 
@@ -474,10 +393,9 @@ def read_dataset_rows(path, require_truth: bool, annotate):
         _raise_first_fault(path, [header])
         ids, corrupted, features = map(np.frombuffer, buffers, _BUFFER_TYPES)
     else:
-        with _forked(tasks) as pipes:
-            headers = [_header(pipe) for pipe in pipes]
-            _raise_first_fault(path, headers)
-            ids, corrupted, features = _receive(pipes, headers, first.width)
+        with map_forked(tasks) as results:
+            _raise_first_fault(path, [header for header, _ in results])
+            ids, corrupted, features = _receive(results, first.width)
     rows = corrupted.size
     # read-only, so the records built on their views keep the views, not copies
     block = ids.reshape(rows, 4).T.copy()

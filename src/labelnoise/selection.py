@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, GroupMeans
 from .errors import Checked, ConfigurationError, InvalidInputError, field_rules, within
-from .losses import LossReport, _check_loss_values
+from .losses import LossReport, _check_given_losses
 from .numerics import _percentile
 from .records import read_records, write_records
 
@@ -163,7 +163,7 @@ def prune_dataset(
     if missing:
         raise ConfigurationError(f"clips without a loss entry: {missing[:5]}")
     losses = np.array([clip_loss_map[clip] for clip in clips.tolist()], dtype=np.float64)
-    _check_loss_values(losses)
+    _check_given_losses(losses)
     order, removed = _prune_round(clips, losses, prune_count)
     if not removed.any():
         return dataset, []
@@ -191,7 +191,7 @@ def prune_report_rows(clip_loss_map: Mapping[int, float], prune_count: int) -> l
     the first ``prune_count`` flagged removed, as :func:`prune_dataset` removes them."""
     clips = np.fromiter(clip_loss_map, dtype=np.int64, count=len(clip_loss_map))
     losses = np.fromiter(clip_loss_map.values(), dtype=np.float64, count=clips.size)
-    _check_loss_values(losses)
+    _check_given_losses(losses)
     return _report(clips, losses, *_prune_round(clips, losses, prune_count))
 
 

@@ -260,6 +260,9 @@ class TrainResult:
     params: ModelParams
     history: list[EpochRecord]
     prune_report: list[PruneRecord] | None
+    steps: int  # optimizer steps, one per batch, over every epoch run
+    rows_seen: int  # batch rows whose losses were computed, summed over those steps
+    rows_kept: int  # the rows of those the steps trained on: all but what discard drops
 
 
 def split_rows(
@@ -356,8 +359,8 @@ def train(
     """Run the full training protocol on ``dataset``; see the module docstring.
 
     Returns the parameters of the best-validation epoch (ties resolved to
-    the earliest), the per-epoch history, and the prune report when the
-    stage plan pruned.
+    the earliest), the per-epoch history, the prune report when the
+    stage plan pruned, and the counts of steps and rows the run trained.
     """
     if dataset.n_examples == 0:
         raise InvalidInputError("cannot train on an empty dataset")
@@ -409,6 +412,7 @@ def train(
     shuffle_gen = rng.child(_SHUFFLE).generator()
     partner_gen = rng.child(_PARTNER).generator()
     mixup_gen = rng.child(_MIXUP).generator()
+    steps = rows_seen = rows_kept = 0
 
     for epoch in range(config.max_epochs):
         if lr == 0.0:
@@ -427,7 +431,8 @@ def train(
         kept_loss_sum = 0.0
         kept_count = 0
         total_count = 0
-        for start in range(0, n, config.batch_size):
+        batches = range(0, n, config.batch_size)
+        for start in batches:
             stop = start + config.batch_size
             batch_rows = shuffled[start:stop]
             # take copies the same rows as fancy indexing, with less overhead
@@ -475,6 +480,9 @@ def train(
 
             kept_loss_sum += loss_sum
             kept_count += n_kept
+        steps += len(batches)
+        rows_seen += total_count
+        rows_kept += kept_count
 
         val_logits, _ = _checked_forward(params, val_features, epoch, " in validation")
         val_acc = _clip_accuracy(val_logits, val_scoring, val_clip_labels)
@@ -500,7 +508,9 @@ def train(
 
     shapes = [w.shape for w in params.weights]
     best = [w.copy() for w in _flat_views(best_weights, shapes)]
-    return TrainResult(replace(params, weights=best), history, prune_report)
+    return TrainResult(
+        replace(params, weights=best), history, prune_report, steps, rows_seen, rows_kept
+    )
 
 
 def _prune_now(

@@ -1224,7 +1224,7 @@ class TestPruneReportCommand:
             header, buffers = parse(path, start, stop, schema)
             return header, buffers[:-1] if start else buffers
 
-        monkeypatch.setattr(records, "_worker_count", lambda: 2)
+        monkeypatch.setattr(records, "worker_count", lambda: 2)
         monkeypatch.setattr(records, "_WRITE_BLOCK", 8)
         monkeypatch.setattr(records, "_parse_range", short)
         code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))

@@ -54,7 +54,7 @@ from labelnoise import (
     write_dataset,
     write_summary,
 )
-from labelnoise import harness, records
+from labelnoise import harness, pool, records
 
 
 def blobs(**overrides):
@@ -943,16 +943,16 @@ def split_into(workers, block):
     """Dataset files split into at most ``workers`` ranges of ``block`` rows or more; yields
     the list of ranges each call gave a worker process, one entry per worker started."""
     forks = []
-    fork = records._fork
+    fork = pool._fork
 
     def counted(task):
         forks.append(task)
         return fork(task)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(records, "_worker_count", lambda: workers)
+        patch.setattr(records, "worker_count", lambda: workers)
         patch.setattr(records, "_WRITE_BLOCK", block)
-        patch.setattr(records, "_fork", counted)
+        patch.setattr(pool, "_fork", counted)
         yield forks
 
 
@@ -1063,6 +1063,23 @@ class TestDatasetFileRanges:
             write_annotated(path, noisy)
             read_annotated(path)
             assert forks == []
+
+    def test_write_task_encodes_its_rows_into_a_new_part_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(records, "_WRITE_BLOCK", 8)
+        data = blobs(clips_per_class=4).data  # 48 rows
+        columns = dict(
+            example_id=data.example_ids,
+            clip_id=data.clip_ids,
+            features=data.features,
+            label=data.labels,
+        )
+        part = tmp_path / "part"
+        assert records._encode_part(part, 5, 30, columns) == (None, ())
+        lines = reference_dataset_text(data).splitlines(keepends=True)
+        assert part.read_text() == "".join(lines[5:30])
+        with pytest.raises(FileExistsError):
+            records._encode_part(part, 0, 5, columns)
+        assert part.read_text() == "".join(lines[5:30])
 
     # Where faults go: lines of the file (line 6 is blank), or the first lines of ranges.
     FAULT_PLACES = {
@@ -1217,7 +1234,7 @@ import labelnoise
 from labelnoise import records
 pools = ("multiprocessing", "concurrent.futures")
 assert not any(name in sys.modules for name in pools), "import"
-records._worker_count = lambda: 2
+records.worker_count = lambda: 2
 records._WRITE_BLOCK = 4
 path = {str(tmp_path / "data.jsonl")!r}
 labelnoise.write_annotated(path, labelnoise.generate_blobs(2, 8, 2, 3, 0.25, seed=0))

@@ -1,6 +1,7 @@
 """Tests for the loss functions and their gradients."""
 
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -192,6 +193,12 @@ class TestLossReport:
             LossReport(np.array([0.5, -0.1]), np.arange(2))
         with pytest.raises(InvalidInputError):
             LossReport(np.array([0.5, np.nan]), np.arange(2))
+
+    def test_finite_values_whose_sum_overflows_are_taken_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = LossReport(np.array([1e308, 1e308]), np.arange(2))
+        assert report.per_example.tolist() == [1e308, 1e308]
 
 
 class TestCheckLossValues:

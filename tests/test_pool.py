@@ -1,0 +1,122 @@
+"""Tests for the fork pool. The worker's side runs in this process, with ``os.fork`` patched to
+return 0 and ``os._exit`` to raise, so that a line tracer sees it; the rest forks real workers."""
+
+import errno
+import os
+from functools import partial
+
+import pytest
+
+from labelnoise import InvalidInputError, pool
+
+
+def sending(index):
+    """A task: its header, then two buffers."""
+    return ("header", index), [bytes([index]) * 3, memoryview(b"end")]
+
+
+def raising(error):
+    raise error
+
+
+def received(pipe):
+    """What the parent reads from ``pipe``: the header and the bytes that follow it, or the
+    type and message of the exception the header raises."""
+    try:
+        header = pool._header(pipe)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return header, pipe.read()
+
+
+class _Exited(Exception):
+    """Raised by a patched ``os._exit``."""
+
+
+@pytest.mark.parametrize(
+    "task, status, expected",
+    [
+        (partial(sending, 2), 0, (("header", 2), b"\x02\x02\x02end")),
+        # the exception a task raises is sent, and raised again in the parent
+        (partial(raising, ValueError("line 3: bad row")), 0, (ValueError, "line 3: bad row")),
+        (partial(raising, InvalidInputError("x must be finite")), 0,
+         (InvalidInputError, "x must be finite")),
+        (partial(raising, KeyError("row")), 0, (KeyError, "'row'")),
+        # a header that cannot be pickled is never sent: the parent sees its worker stop
+        (lambda: (lambda: None, ()), 1, (ChildProcessError, pool.STOPPED_EARLY)),
+    ],
+    ids=["returns", "raises_value_error", "raises_invalid_input", "raises_key_error",
+         "unpicklable_header"],
+)
+def test_child_branch_serves_its_task_then_exits(monkeypatch, task, status, expected):
+    read_end, write_end = os.pipe()
+    reader = os.dup(read_end)  # the child closes read_end; this end keeps the pipe open
+    statuses = []
+
+    def exit_(code):
+        statuses.append(code)
+        raise _Exited
+
+    monkeypatch.setattr(os, "pipe", lambda: (read_end, write_end))
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(os, "_exit", exit_)
+    with pytest.raises(_Exited):
+        pool._fork(task)
+    assert statuses == [status]
+    with pytest.raises(OSError) as excinfo:
+        os.fstat(read_end)
+    assert excinfo.value.errno == errno.EBADF
+    with open(reader, "rb") as pipe:
+        assert received(pipe) == expected
+
+
+def test_failed_fork_closes_both_pipe_ends(monkeypatch):
+    ends = []
+    real_pipe = os.pipe
+
+    def pipe():
+        ends.extend(real_pipe())
+        return tuple(ends)
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(BlockingIOError):
+        with pool.map_forked([partial(sending, 0)]):
+            pass
+    assert len(ends) == 2
+    for end in ends:
+        with pytest.raises(OSError) as excinfo:
+            os.fstat(end)
+        assert excinfo.value.errno == errno.EBADF
+
+
+def test_headers_and_pipes_come_in_task_order():
+    with pool.map_forked([partial(sending, index) for index in range(3)]) as results:
+        sent = [(header, pipe.read()) for header, pipe in results]
+    assert sent == [(("header", i), bytes([i]) * 3 + b"end") for i in range(3)]
+
+
+def test_first_exception_in_task_order_is_raised():
+    tasks = [
+        partial(sending, 0),
+        partial(raising, ValueError("the second task")),
+        partial(raising, KeyError("the third task")),
+    ]
+    with pytest.raises(ValueError, match="^the second task$"):
+        with pool.map_forked(tasks):
+            pass
+
+
+def test_worker_count_without_fork_is_one(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert pool.worker_count() == 1
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_worker_count_without_affinity_is_the_cpu_count(monkeypatch, cpus, workers):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert pool.worker_count() == workers

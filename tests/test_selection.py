@@ -1,5 +1,7 @@
 """Tests for selection thresholds, batch discard, and clip pruning."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -276,6 +278,12 @@ class TestPruneDataset:
         _, removed = prune_dataset(ds, {0: 1.0, 1: 2.0, 2: 3.0, 3: 7.0, 99: bad}, count)
         assert removed == [3, 2][:count]
 
+    def test_losses_whose_sum_overflows_are_ranked_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, removed = prune_dataset(patch_dataset(), {0: 1e308, 1: 1e308, 2: 1.0, 3: 2.0}, 1)
+        assert removed == [1]
+
     def test_empty_dataset_has_no_clips(self):
         empty = patch_dataset().subset(np.arange(0))
         with pytest.raises(InvalidInputError, match=r"^empty dataset has no clips$"):
@@ -356,6 +364,15 @@ class TestPruneReport:
             InvalidInputError, match=r"^loss values must be finite and non-negative$"
         ):
             prune_report_rows({0: 1.0, 1: bad}, 1)
+
+    def test_losses_whose_sum_overflows_are_reported_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = prune_report_rows({0: 1e308, 1: 1e308}, 1)
+        assert [(r.clip_id, r.clip_loss, r.removed) for r in rows] == [
+            (1, 1e308, True),
+            (0, 1e308, False),
+        ]
 
     # the count is checked as prune_dataset checks it: it must leave a clip, so no clips refuse
     # every count, as an empty dataset is refused

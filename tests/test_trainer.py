@@ -964,6 +964,10 @@ class TestTrainWithDefenses:
         assert grad_rows == [int(keep.sum()) for keep in masks]
         assert sum(len(keep) for keep in masks) == 5 * 90
         assert any(rows < len(keep) for rows, keep in zip(grad_rows, masks))
+        # the run's own counts are those the hooks see
+        assert result.steps == len(grad_rows)
+        assert result.rows_kept == sum(grad_rows)
+        assert result.rows_seen == sum(len(keep) for keep in masks)
         # each step's gradient rows are scaled by the kept row count, bit for bit
         assert len(scaled) == len(returned) == len(masks)
         for rows, step in zip(returned, scaled):
