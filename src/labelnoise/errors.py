@@ -23,19 +23,27 @@ class ConfigurationError(ValueError):
 
 
 class TrainingError(RuntimeError):
-    """A training run failed. Carries the epoch index where it happened."""
+    """A training run failed. Carries the epoch index where it happened. Its arguments are
+    those it was built with, so that it pickles."""
 
     def __init__(self, message: str, epoch: int):
-        super().__init__(f"epoch {epoch}: {message}")
+        super().__init__(message, epoch)
         self.epoch = epoch
+
+    def __str__(self) -> str:
+        return f"epoch {self.epoch}: {self.args[0]}"
 
 
 class ExperimentError(RuntimeError):
-    """A run inside a multi-run experiment failed. Carries the run index."""
+    """A run inside a multi-run experiment failed. Carries the run index. Its arguments are
+    those it was built with, so that it pickles."""
 
     def __init__(self, message: str, run_index: int):
-        super().__init__(f"run {run_index}: {message}")
+        super().__init__(message, run_index)
         self.run_index = run_index
+
+    def __str__(self) -> str:
+        return f"run {self.run_index}: {self.args[0]}"
 
 
 def check_class_map(name: str, by_class: Mapping[int, object] | None, num_classes: int) -> None:

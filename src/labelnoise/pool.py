@@ -34,14 +34,17 @@ def worker_count() -> int:
 
 def _serve(task, pipe: int) -> None:
     """Runs ``task`` in a worker process. Writes to the pipe ``pipe`` the pickled pair ``(error,
-    header)``, then, if the task returned ``(header, buffers)``, the bytes of each buffer."""
+    header)``, then, if the task returned ``(header, buffers)``, the bytes of each buffer. The
+    header is pickled before anything is written, so a header that cannot be pickled is sent
+    as the task's error."""
     with open(pipe, "wb") as out:
         try:
             header, buffers = task()
+            sent = pickle.dumps((None, header))
         except Exception as exc:  # raised again in the parent, by _header
             pickle.dump((exc, None), out)
         else:
-            pickle.dump((None, header), out)
+            out.write(sent)
             out.writelines(buffers)
 
 

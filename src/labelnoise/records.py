@@ -131,6 +131,12 @@ def row_fields(record, fields) -> tuple:
     return tuple(values)
 
 
+def _unknown_field(record: dict, known) -> ValueError:
+    """The error for the first key of the parsed JSON object ``record`` outside ``known``."""
+    key = next(key for key in record if key not in known)
+    return ValueError(f"unknown field {key!r}")
+
+
 # --- record files: each file's schema is its dataclass ----------------------
 
 
@@ -143,9 +149,17 @@ def _json_object(record) -> dict:
 def _parser(cls):
     """A parse of a JSON object as the dataclass ``cls``: every field must be present, and goes
     to ``cls`` as parsed, an integer held to the int64 range by :func:`row_fields`; ``cls``
-    checks the types and bounds as it is built."""
+    checks the types and bounds as it is built. A key that names no field is refused."""
     fields = tuple((f.name, object) for f in dataclasses.fields(cls))
-    return lambda record: cls(*row_fields(record, fields))
+    names = frozenset(name for name, _ in fields)
+
+    def parse(record):
+        values = row_fields(record, fields)
+        if len(record) != len(fields):
+            raise _unknown_field(record, names)
+        return cls(*values)
+
+    return parse
 
 
 def write_records(path, records) -> None:
@@ -260,6 +274,8 @@ def write_dataset_rows(path, data: Dataset, truth: tuple | None = None) -> None:
 # The integer fields of every dataset row and the ground-truth pair of a private one.
 _ID_FIELDS = (("example_id", int), ("clip_id", int), ("label", int))
 _TRUTH_FIELDS = (("clean_label", int), ("corrupted", bool))
+# The keys of a dataset row: the id fields, features and the ground-truth pair.
+_ROW_KEYS = frozenset(name for name, _ in _ID_FIELDS + _TRUTH_FIELDS) | {"features"}
 _FLOATS = frozenset((float,))
 _FEATURES = field_rule(tuple[float, ...])  # the rule of a features list not all floats
 
@@ -270,9 +286,10 @@ class _RowSchema:
 
     ``example_id``, ``clip_id``, ``label`` and ``clean_label`` are integers, ``corrupted`` a
     boolean and ``features`` a flat list of numbers as long as the first row's. The
-    ground-truth pair is on every row or on none; a row without it reads as clean. Each row
-    is appended to three packed buffers, so no per-row object is kept: ``ids``, the example
-    id, clip id, label and clean label; ``corrupted``, one byte; and ``features``.
+    ground-truth pair is on every row or on none; a row without it reads as clean. Any other
+    key is refused. Each row is appended to three packed buffers, so no per-row object is
+    kept: ``ids``, the example id, clip id, label and clean label; ``corrupted``, one byte;
+    and ``features``.
     """
 
     def __init__(self, width: int | None = None, annotated: bool | None = None):
@@ -300,6 +317,8 @@ class _RowSchema:
             raise ValueError(f"{len(features)} features where earlier rows have {self.width}")
         self.features.extend(features)
         clean, corrupted = row_fields(record, _TRUTH_FIELDS) if self.annotated else (label, False)
+        if len(record) != (6 if self.annotated else 4):  # _ROW_KEYS, less the pair if not annotated
+            raise _unknown_field(record, _ROW_KEYS)
         self.ids.extend((example_id, clip_id, label, clean))
         self.corrupted.append(corrupted)
 

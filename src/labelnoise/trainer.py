@@ -430,7 +430,6 @@ def train(
 
         kept_loss_sum = 0.0
         kept_count = 0
-        total_count = 0
         batches = range(0, n, config.batch_size)
         for start in batches:
             stop = start + config.batch_size
@@ -454,7 +453,6 @@ def train(
             logits, hidden = _checked_forward(params, features, epoch)
             probs = softmax_rows(logits)
             losses = _loss_values(config.loss, batch_targets, probs)
-            total_count += len(losses)
             if discard:
                 report = LossReport(losses, dataset.example_ids.take(batch_rows))
                 keep = discard_mask(
@@ -481,7 +479,7 @@ def train(
             kept_loss_sum += loss_sum
             kept_count += n_kept
         steps += len(batches)
-        rows_seen += total_count
+        rows_seen += n
         rows_kept += kept_count
 
         val_logits, _ = _checked_forward(params, val_features, epoch, " in validation")
@@ -492,7 +490,7 @@ def train(
                 train_loss=kept_loss_sum / kept_count,
                 val_accuracy=val_acc,
                 lr=lr,
-                kept_fraction=kept_count / total_count,
+                kept_fraction=kept_count / n,
             )
         )
         if val_acc > best_val:

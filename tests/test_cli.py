@@ -2,6 +2,9 @@
 
 import json
 import re
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +100,7 @@ MALFORMED_ROWS = {
         lambda row: json.dumps({**row, "features": row["features"] + [0.0]}),
         "5 features where earlier rows have 4",
     ),
+    "unknown_field": (lambda row: json.dumps({**row, "bogus": 1}), "unknown field 'bogus'"),
     "float_label": (
         lambda row: json.dumps({**row, "label": 1.7}), "label must be an integer, got 1.7"
     ),
@@ -1231,6 +1235,27 @@ class TestPruneReportCommand:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: a dataset file worker stopped before it finished its range\n"
+        )
+
+    def test_run_as_a_module_exits_with_the_status_of_main(self, tmp_path, capsys, monkeypatch):
+        # `python -m labelnoise.cli`, run in this process: a missing dataset exits 1
+        report = tmp_path / "report.jsonl"
+        write_prune_report(report, [PruneRecord(0, 1.0, 1, False)])
+        missing = tmp_path / "missing.jsonl"
+        monkeypatch.setattr(
+            sys, "argv",
+            ["labelnoise", "prune-report", "--report", str(report), "--dataset", str(missing)],
+        )
+        with warnings.catch_warnings():
+            # this module has imported labelnoise.cli already, and runpy warns of it
+            warnings.filterwarnings(
+                "ignore", "'labelnoise.cli' found in sys.modules", RuntimeWarning
+            )
+            with pytest.raises(SystemExit) as excinfo:
+                runpy.run_module("labelnoise.cli", run_name="__main__")
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
         )
 
 

@@ -536,6 +536,9 @@ def malformed(row: dict, case: str) -> str:
         return json.dumps(row)
     if case == "list_row":
         return json.dumps(list(row))
+    if case == "unknown_field":
+        row["junk"] = 0
+        return json.dumps(row)
     if case in NON_INTEGER:
         key, value = NON_INTEGER[case]
         row[key] = value
@@ -573,6 +576,7 @@ MALFORMED = {
     "missing_label": "missing field 'label'",
     "list_row": "a row must be a JSON object",
     "ragged_features": "7 features where earlier rows have 8",
+    "unknown_field": "unknown field 'junk'",
     "float_label": "label must be an integer, got 1.7",
     "string_label": 'label must be an integer, got "1"',
     "bool_label": "label must be an integer, got true",
@@ -621,6 +625,17 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.clean_labels, noisy.clean_labels)
         np.testing.assert_array_equal(loaded.corrupted, noisy.corrupted)
         np.testing.assert_array_equal(loaded.data.labels, noisy.data.labels)
+
+    def test_public_row_with_an_unknown_field_refused(self, tmp_path):
+        path = tmp_path / "public.jsonl"
+        write_dataset(path, blobs(clips_per_class=2).data)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[3]["extra"] = []
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        for reader in (read_dataset, read_as_annotated):
+            with pytest.raises(InvalidInputError) as excinfo:
+                reader(path)
+            assert str(excinfo.value) == f"{path}, line 4: unknown field 'extra'"
 
     def test_public_file_has_no_ground_truth(self, tmp_path):
         path = tmp_path / "data.jsonl"

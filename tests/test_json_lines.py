@@ -451,6 +451,7 @@ class TestJsonDocuments:
                 lambda record: record.update(mean=12.0),
                 "mean 12.0 is not the mean of per_run_accuracy, 56.25",
             ),
+            (lambda record: record.update(zzz=0), "unknown field 'zzz'"),
         ],
     )
     def test_malformed_summary_file(self, tmp_path, edit, message):
@@ -611,6 +612,11 @@ class TestRecordFileJsonRules:
             tmp_path, name, lambda record: {k: v for k, v in record.items() if k != key}
         )
         assert error == f"{where}: missing field '{key}'"
+
+    @pytest.mark.parametrize("name", sorted(RECORD_FILES))
+    def test_unknown_field_refused(self, tmp_path, name):
+        error, where = self.read_broken(tmp_path, name, lambda record: {**record, "bogus": 1})
+        assert error == f"{where}: unknown field 'bogus'"
 
     @pytest.mark.parametrize("name", sorted(RECORD_FILES))
     def test_line_that_is_no_object_refused(self, tmp_path, name):

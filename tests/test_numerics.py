@@ -23,6 +23,7 @@ from labelnoise import (
     softmax,
     softmax_rows,
 )
+from labelnoise import numerics
 from labelnoise.numerics import _t_quantile
 
 # High-precision reference values, computed once with 40-digit arithmetic
@@ -419,6 +420,14 @@ class TestTQuantile:
     def test_median_is_zero(self):
         for df in (1, 2, 3, 10, 1000):
             assert _t_quantile(0.5, df) == 0.0
+
+    def test_newton_steps_that_never_settle_raise(self, monkeypatch):
+        # each step moves t by 0.001 and stays inside the bracket [0, 4.30], so the
+        # iteration runs out of steps
+        monkeypatch.setattr(numerics, "_t_excess", lambda *args: (-1.0, 1000.0))
+        with pytest.raises(ArithmeticError) as excinfo:
+            _t_quantile(0.975, 6)
+        assert str(excinfo.value) == "t quantile did not converge at p=0.975, df=6"
 
     @settings(max_examples=300, deadline=None)
     @given(df=st.integers(1, 1000), level=st.floats(0.5, 0.9999))

@@ -3,11 +3,12 @@ return 0 and ``os._exit`` to raise, so that a line tracer sees it; the rest fork
 
 import errno
 import os
+import pickle
 from functools import partial
 
 import pytest
 
-from labelnoise import InvalidInputError, pool
+from labelnoise import ExperimentError, InvalidInputError, TrainingError, pool
 
 
 def sending(index):
@@ -42,11 +43,14 @@ class _Exited(Exception):
         (partial(raising, InvalidInputError("x must be finite")), 0,
          (InvalidInputError, "x must be finite")),
         (partial(raising, KeyError("row")), 0, (KeyError, "'row'")),
-        # a header that cannot be pickled is never sent: the parent sees its worker stop
-        (lambda: (lambda: None, ()), 1, (ChildProcessError, pool.STOPPED_EARLY)),
+        # the package's run-time errors pickle with their own arguments
+        (partial(raising, TrainingError("training diverged", 3)), 0,
+         (TrainingError, "epoch 3: training diverged")),
+        # a header that cannot be pickled is sent as the task's error, the pickling error
+        (lambda: ((row for row in ()), ()), 0, (TypeError, "cannot pickle 'generator' object")),
     ],
     ids=["returns", "raises_value_error", "raises_invalid_input", "raises_key_error",
-         "unpicklable_header"],
+         "raises_training_error", "unpicklable_header"],
 )
 def test_child_branch_serves_its_task_then_exits(monkeypatch, task, status, expected):
     read_end, write_end = os.pipe()
@@ -120,3 +124,16 @@ def test_worker_count_without_affinity_is_the_cpu_count(monkeypatch, cpus, worke
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert pool.worker_count() == workers
+
+
+@pytest.mark.parametrize(
+    "error, attribute, text",
+    [(TrainingError("boom", 3), "epoch", "epoch 3: boom"),
+     (ExperimentError("boom", 3), "run_index", "run 3: boom")],
+    ids=["training_error", "experiment_error"],
+)
+def test_run_time_errors_survive_a_pickle_round_trip(error, attribute, text):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) == text
+    assert getattr(copy, attribute) == 3

@@ -1,4 +1,4 @@
-"""Print each executable line of the labelnoise package that no test runs.
+"""Print each executable line of the labelnoise package that no test runs, and fail if any.
 
 Usage, from the root of a checkout::
 
@@ -12,8 +12,9 @@ a module are the lines of the instructions of its code objects, nested ones
 included (``co_lines``). Each line that holds an instruction and was never
 run prints as ``path:line: source``, then a count. Code that runs in a forked
 worker process, or in a thread, is not seen: a child's record is lost when it
-exits, and only this thread is traced. The exit status is pytest's, so the
-list itself fails nothing. Only the standard library and pytest are used.
+exits, and only this thread is traced. The exit status is pytest's when pytest
+fails; when it passes, it is 1 if any line was not run and 0 otherwise. Only the
+standard library and pytest are used.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def main(argv: list[str]) -> int:
             missed += 1
             print(f"{path.relative_to(PACKAGE.parents[1])}:{line}: {source[line - 1].strip()}")
     print(f"{missed} of {total} executable lines of {PACKAGE.name} were not run")
-    return status
+    return status or int(missed > 0)
 
 
 if __name__ == "__main__":
