@@ -1,10 +1,11 @@
 """The column-oriented dataset view that training code operates on.
 
 A :class:`Dataset` carries exactly four parallel columns (example id, clip id, feature vector,
-observed label) plus the class count, checked as it is built (every feature finite); it keeps
-the arrays it is given, each as :func:`own_column` gives it, and makes them read-only. Ground
-truth about injected corruption lives in the harness's annotated wrapper, never here, so
-losses, smoothing, mixup, selection, and the trainer cannot peek at it even by accident.
+observed label) plus the class count, checked as it is built (at least one row, every feature
+finite); it keeps the arrays it is given, each as :func:`own_column` gives it, and makes them
+read-only. Ground truth about injected corruption lives in the harness's annotated wrapper,
+never here, so losses, smoothing, mixup, selection, and the trainer cannot peek at it even by
+accident.
 
 Examples are patches; several patches share a clip, and labels attach to
 clips (every patch of a clip carries the same label). The clip table, built
@@ -26,10 +27,12 @@ from .errors import Checked, InvalidInputError
 
 @dataclass(frozen=True)
 class Dataset(Checked):
-    """The four columns and the class count, checked as they are built. Each column is kept as
-    :func:`own_column` gives it and made read-only, which does not reach a view taken of it
-    before: a writeable view that a caller kept of an array still changes the dataset built
-    from that array, past its checks and its clip table."""
+    """The four columns and the class count, checked as they are built. A dataset has at least
+    one row, since nothing can split, train on, evaluate or corrupt one of none; that check
+    comes after the shape and length checks, so a malformed column keeps its own message. Each
+    column is kept as :func:`own_column` gives it and made read-only, which does not reach a
+    view taken of it before: a writeable view that a caller kept of an array still changes the
+    dataset built from that array, past its checks and its clip table."""
 
     example_ids: np.ndarray  # (N,) int64, unique
     clip_ids: np.ndarray     # (N,) int64
@@ -50,6 +53,8 @@ class Dataset(Checked):
             raise InvalidInputError("features must have at least one column")
         if self.clip_ids.shape != (n,) or self.labels.shape != (n,):
             raise InvalidInputError("dataset columns must have equal lengths")
+        if n == 0:
+            raise InvalidInputError("a dataset must have at least one example")
         ids = np.sort(self.example_ids)
         if (ids[1:] == ids[:-1]).any():
             raise InvalidInputError("example ids must be unique")
@@ -78,7 +83,8 @@ class Dataset(Checked):
         return int(self.features.shape[1])
 
     def subset(self, index) -> "Dataset":
-        """Row subset (boolean mask or index array); original order preserved."""
+        """The rows a boolean mask selects, in dataset order, or those an index array names, in
+        the array's order; a subset, like any dataset, keeps at least one row."""
         return Dataset(
             self.example_ids[index],
             self.clip_ids[index],
@@ -93,8 +99,6 @@ class Dataset(Checked):
         Unique clip ids are sorted ascending; the per-example index maps
         each row to its position in that list. The arrays are read-only.
         """
-        if self.n_examples == 0:
-            raise InvalidInputError("empty dataset has no clips")
         return self._clip_table
 
     def clip_of_example(self) -> dict[int, int]:

@@ -112,9 +112,6 @@ class AnnotatedDataset:
         n = data.n_examples
         if clean.shape != (n,) or flags.shape != (n,):
             raise InvalidInputError("annotations must align with the dataset rows")
-        if not n:
-            clean.flags.writeable = flags.flags.writeable = False
-            return
         if np.any(data.labels[~flags] != clean[~flags]):
             raise InvalidInputError("uncorrupted rows must keep label == clean_label")
         # OOV_CLEAN_LABEL is -1, just below the classes
@@ -205,7 +202,6 @@ def _draw_clips(annotated: AnnotatedDataset, spec: NoiseSpec, kind: NoiseKind) -
         named = {NoiseKind.SYMMETRIC_IV: "a symmetric", NoiseKind.OOV_REPLACE: "an oov"}[kind]
         raise InvalidInputError(f"expected {named} noise spec, got {json_text(spec.kind)}")
     gen = RngStream(spec.seed, _NOISE_STREAM).generator()
-    annotated.data.clip_table()  # raises on an empty dataset, which has no clips
     original, _ = annotated._clip_truth
     rates = spec.rate_by_class
     check_class_map("noise.rate_by_class", rates, annotated.data.num_classes)
@@ -271,7 +267,6 @@ def inject_noise(annotated: AnnotatedDataset, spec: NoiseSpec) -> AnnotatedDatas
 
 def per_class_corruption_rates(annotated: AnnotatedDataset) -> np.ndarray:
     """Fraction of corrupted clips per original class (clip-level); 0 for a class with no clip."""
-    annotated.data.clip_table()  # raises on an empty dataset, which has no clips
     original, flags = annotated._clip_truth
     return GroupMeans(original, annotated.data.num_classes)(flags)
 

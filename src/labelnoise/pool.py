@@ -42,10 +42,20 @@ def _serve(task, pipe: int) -> None:
             header, buffers = task()
             sent = pickle.dumps((None, header))
         except Exception as exc:  # raised again in the parent, by _header
-            pickle.dump((exc, None), out)
+            pickle.dump((_crossing(exc), None), out)
         else:
             out.write(sent)
             out.writelines(buffers)
+
+
+def _crossing(exc: Exception) -> Exception:
+    """``exc`` if it comes back whole from a pickle round trip; otherwise a
+    ``ChildProcessError`` that names its type and message, which does."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return ChildProcessError(f"a worker's task raised {type(exc).__qualname__}: {exc}")
+    return exc
 
 
 def _fork(task) -> tuple:
@@ -86,9 +96,10 @@ def map_forked(tasks):
     """``[(header, pipe), ...]``, one pair per task of ``tasks``, in order, each task run in a
     worker process of its own: the header it returned, and the pipe its buffers follow on.
 
-    The first exception a task raised, in task order, is raised here; a worker that exits
-    before it sends its header raises ``ChildProcessError``. The workers are killed if the
-    block raises, and reaped before it exits.
+    The first exception a task raised, in task order, is raised here, or a ``ChildProcessError``
+    that names it when it cannot cross by pickle; a worker that exits before it sends its
+    header raises ``ChildProcessError`` too. The workers are killed if the block raises, and
+    reaped before it exits.
     """
     workers = []
     try:

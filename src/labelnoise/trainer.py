@@ -276,8 +276,6 @@ def split_rows(
     train rows and of the validation rows.
     """
     within("val_fraction", val_fraction, "(0, 1)")
-    if dataset.n_examples == 0:
-        raise InvalidInputError("cannot split an empty dataset")
     _, inverse, clip_labels = dataset.clip_table()
     val_mask = draw_clips(clip_labels, partial(_val_clips, val_fraction), gen)[inverse]
     return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
@@ -302,8 +300,6 @@ def stratified_split(
 def evaluate(params: ModelParams, dataset: Dataset) -> float:
     """Clip-level accuracy: average patch softmax per clip, argmax vs clip label. A label the
     model has no class for, or logits that are not all finite, raise ``InvalidInputError``."""
-    if dataset.n_examples == 0:
-        raise InvalidInputError("cannot evaluate on an empty dataset")
     if (top := dataset.labels.max()) >= params.num_classes:
         raise InvalidInputError(f"label {top} is not a class of a {params.num_classes}-class model")
     logits = forward(params, dataset.features)
@@ -362,8 +358,6 @@ def train(
     the earliest), the per-epoch history, the prune report when the
     stage plan pruned, and the counts of steps and rows the run trained.
     """
-    if dataset.n_examples == 0:
-        raise InvalidInputError("cannot train on an empty dataset")
     if config.smoothing is not None:
         check_class_map(
             "train.smoothing.groups", config.smoothing.group_of_class, dataset.num_classes

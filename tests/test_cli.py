@@ -1105,6 +1105,16 @@ class TestPruneReportCommand:
         assert code == 0
         assert "no clips were removed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["no_line", "blanks"])
+    def test_dataset_file_with_no_row_exits_two(self, tmp_path, capsys, text):
+        data = tmp_path / "data.jsonl"
+        data.write_text(text)
+        report = tmp_path / "report.jsonl"
+        write_prune_report(report, [PruneRecord(0, 1.0, 1, False)])
+        code = run_cli("prune-report", "--report", str(report), "--dataset", str(data))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: dataset file {data} is empty\n"
+
     def test_public_dataset_rejected(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         public = tmp_path / "public.jsonl"

@@ -508,16 +508,6 @@ class TestClipTruthAgreement:
         with pytest.raises(InvalidInputError, match=r"clean_label -5 of clip 1 is neither"):
             read_annotated(path)
 
-    def test_empty_dataset_has_no_clip_truth(self):
-        empty = blobs(clips_per_class=1)
-        empty = AnnotatedDataset(
-            empty.data.subset(np.array([], dtype=int)),
-            np.array([], dtype=int),
-            np.array([], dtype=bool),
-        )
-        with pytest.raises(InvalidInputError, match="^empty dataset has no clips$"):
-            per_class_corruption_rates(empty)
-
     def test_oov_clean_label_accepted(self):
         annotated = blobs(num_classes=2, clips_per_class=1, patches_per_clip=2)
         clean = annotated.clean_labels.copy()
@@ -701,11 +691,14 @@ class TestSerialization:
         loaded = read_annotated(path)
         assert loaded.data.num_classes == 4
 
-    def test_empty_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "\n", "\n\r\n\n"], ids=["no_line", "blank", "blanks"])
+    @pytest.mark.parametrize("reader", [read_dataset, read_annotated, read_as_annotated])
+    def test_file_with_no_row_rejected(self, tmp_path, reader, text):
         path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(InvalidInputError):
-            read_dataset(path)
+        path.write_text(text, newline="")
+        with pytest.raises(InvalidInputError) as excinfo:
+            reader(path)
+        assert str(excinfo.value) == f"dataset file {path} is empty"
 
     def test_fingerprint_stable_and_content_sensitive(self):
         a = blobs(clips_per_class=2)
@@ -990,10 +983,14 @@ def range_starts(path, workers):
 
 
 def read_columns(path):
-    loaded = read_as_annotated(path)
-    data = loaded.data
+    return annotated_columns(read_as_annotated(path))
+
+
+def annotated_columns(annotated):
+    """The dtype, shape and bytes of each column of ``annotated`` and of its ground truth."""
+    data = annotated.data
     columns = (data.example_ids, data.clip_ids, data.features, data.labels,
-               loaded.clean_labels, loaded.corrupted)
+               annotated.clean_labels, annotated.corrupted)
     return [(column.dtype, column.shape, column.tobytes()) for column in columns]
 
 
@@ -1064,6 +1061,12 @@ class TestDatasetFileRanges:
         assert files[1].decode() == reference_dataset_text(original.data, **truth)
         assert files[2] == files[1] and files[3] == files[1]
         assert columns[2] == columns[1] and columns[3] == columns[1]
+        # and they are the columns written, bit for bit; a file without ground truth reads
+        # back as clean
+        if not annotated:
+            clean = np.zeros(rows, dtype=bool)
+            original = AnnotatedDataset(original.data, original.data.labels, clean)
+        assert columns[1] == annotated_columns(original)
 
     def test_each_range_gets_a_worker(self, tmp_path):
         path = tmp_path / "data.jsonl"

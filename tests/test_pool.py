@@ -20,6 +20,23 @@ def raising(error):
     raise error
 
 
+def local_error(message):
+    """An exception of a class defined here, which pickle cannot find by name."""
+
+    class LocalError(Exception):
+        pass
+
+    return LocalError(message)
+
+
+class TwoArgs(Exception):
+    """Pickles, but does not unpickle: it passes one of its two arguments to ``Exception``."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+        self.b = b
+
+
 def received(pipe):
     """What the parent reads from ``pipe``: the header and the bytes that follow it, or the
     type and message of the exception the header raises."""
@@ -48,9 +65,17 @@ class _Exited(Exception):
          (TrainingError, "epoch 3: training diverged")),
         # a header that cannot be pickled is sent as the task's error, the pickling error
         (lambda: ((row for row in ()), ()), 0, (TypeError, "cannot pickle 'generator' object")),
+        # an exception that cannot cross whole is named by a stand-in
+        (partial(raising, local_error("x must be 1")), 0, (
+            ChildProcessError,
+            "a worker's task raised local_error.<locals>.LocalError: x must be 1",
+        )),
+        (partial(raising, TwoArgs("a", "b")), 0,
+         (ChildProcessError, "a worker's task raised TwoArgs: a")),
     ],
     ids=["returns", "raises_value_error", "raises_invalid_input", "raises_key_error",
-         "raises_training_error", "unpicklable_header"],
+         "raises_training_error", "unpicklable_header", "raises_unpicklable_error",
+         "raises_error_that_does_not_unpickle"],
 )
 def test_child_branch_serves_its_task_then_exits(monkeypatch, task, status, expected):
     read_end, write_end = os.pipe()

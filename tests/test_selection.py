@@ -284,11 +284,6 @@ class TestPruneDataset:
             _, removed = prune_dataset(patch_dataset(), {0: 1e308, 1: 1e308, 2: 1.0, 3: 2.0}, 1)
         assert removed == [1]
 
-    def test_empty_dataset_has_no_clips(self):
-        empty = patch_dataset().subset(np.arange(0))
-        with pytest.raises(InvalidInputError, match=r"^empty dataset has no clips$"):
-            prune_dataset(empty, {}, 0)
-
     def test_top_k_equals_percentile_threshold(self):
         # removing k of n clips keeps exactly those at or below the
         # 100 (1 - k/n) percentile of clip losses when losses are distinct
@@ -374,8 +369,8 @@ class TestPruneReport:
             (0, 1e308, False),
         ]
 
-    # the count is checked as prune_dataset checks it: it must leave a clip, so no clips refuse
-    # every count, as an empty dataset is refused
+    # the count is checked as prune_dataset checks it: it must leave a clip, so a map of no
+    # clips refuses every count
     @pytest.mark.parametrize(
         "losses, count, error, message",
         [

@@ -144,12 +144,6 @@ class TestStratifiedSplit:
         with pytest.raises(InvalidInputError):
             stratified_split(ds, 0.5, RngStream(0).generator())
 
-    def test_empty_dataset(self):
-        ds = clip_dataset(2, 4).subset(np.array([], dtype=int))
-        with pytest.raises(InvalidInputError) as excinfo:
-            split_rows(ds, 0.5, RngStream(0).generator())
-        assert str(excinfo.value) == "cannot split an empty dataset"
-
 
 class TestStratifiedSplitProperty:
     @settings(max_examples=100, deadline=None)
@@ -159,6 +153,8 @@ class TestStratifiedSplitProperty:
         val_fraction=st.floats(0.01, 0.99),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a split that sends every clip to validation
+    @example(clips_per_class=[2, 3], patches=[1] * 28, val_fraction=0.9, seed=0)
     def test_partition(self, clips_per_class, patches, val_fraction, seed):
         # class c owns clips_per_class[c] clips (class 0 may be left empty by
         # starting at 1), clips have unequal patch counts, rows are shuffled
@@ -173,7 +169,14 @@ class TestStratifiedSplitProperty:
             np.repeat(clip_labels, patches[: clip_labels.size])[order],
             len(clips_per_class) + 1,
         )
-        train_split, val_split = stratified_split(ds, val_fraction, RngStream(seed).generator())
+        gen = RngStream(seed).generator()
+        if all(math.ceil(val_fraction * n) == n for n in clips_per_class):
+            # no clip is left to train on, and a dataset of no rows is refused
+            with pytest.raises(InvalidInputError) as excinfo:
+                stratified_split(ds, val_fraction, gen)
+            assert str(excinfo.value) == "a dataset must have at least one example"
+            return
+        train_split, val_split = stratified_split(ds, val_fraction, gen)
         train_ids = set(train_split.example_ids.tolist())
         val_ids = set(val_split.example_ids.tolist())
         assert not train_ids & val_ids
@@ -282,18 +285,6 @@ class TestForwardAndEvaluate:
         probs = [softmax(row) for row in forward(params, x)]
         assert sum(p.argmax() == 0 for p in probs) == 2  # vote would say class 0
         assert evaluate(params, ds) == 1.0
-
-    def test_evaluate_empty(self):
-        params = self.linear_params([[1.0, 0.0]], [0.0, 0.0])
-        ds = Dataset(
-            example_ids=np.arange(1),
-            clip_ids=np.zeros(1, dtype=int),
-            features=np.zeros((1, 1)),
-            labels=np.zeros(1, dtype=int),
-            num_classes=2,
-        ).subset(np.array([], dtype=int))
-        with pytest.raises(InvalidInputError):
-            evaluate(params, ds)
 
     def test_evaluate_refuses_non_finite_logits(self):
         # weights this large overflow every logit, and NaN probabilities would score 0.25
@@ -888,11 +879,6 @@ class TestTrainLoop:
                 train(data, config)
         assert excinfo.value.epoch == 0
         assert str(excinfo.value) == "epoch 0: training diverged: non-finite logits in validation"
-
-    def test_empty_dataset(self):
-        ds = blob_dataset().subset(np.array([], dtype=int))
-        with pytest.raises(InvalidInputError):
-            train(ds, quick_config())
 
 
 class TestTrainWithDefenses:
