@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from typing import Annotated, Mapping
 
@@ -45,14 +45,7 @@ from .numerics import RngStream, _mean, derive_seed, mean_ci
 from .records import read_dataset_rows, read_record, write_dataset_rows, write_record
 from .selection import PruneRecord
 from .smoothing import NoiseGroup
-from .trainer import (
-    EpochRecord,
-    ModelParams,
-    TrainConfig,
-    check_plan,
-    evaluate,
-    train,
-)
+from .trainer import TrainConfig, TrainResult, check_plan, evaluate, train
 
 OOV_CLEAN_LABEL = -1
 
@@ -433,16 +426,12 @@ class RunSummary(Checked):
 
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(TrainResult):
+    """A run's :class:`TrainResult`, as ``train`` returned it, plus what the harness measured."""
+
     accuracy: float  # percent, on the clean held-out test set
-    history: tuple[EpochRecord, ...]
-    params: ModelParams
-    prune_report: tuple[PruneRecord, ...] | None
     prune_precision: float | None
     dataset_fingerprint: str
-    steps: int  # the training counts of TrainResult
-    rows_seen: int
-    rows_kept: int
 
 
 @dataclass(frozen=True)
@@ -488,15 +477,8 @@ def _single_run(cfg: ExperimentConfig, run_index: int) -> RunResult:
         else None
     )
     return RunResult(
-        accuracy=accuracy,
-        history=tuple(result.history),
-        params=result.params,
-        prune_report=tuple(result.prune_report) if result.prune_report is not None else None,
-        prune_precision=precision,
-        dataset_fingerprint=dataset_fingerprint(train_annotated),
-        steps=result.steps,
-        rows_seen=result.rows_seen,
-        rows_kept=result.rows_kept,
+        *(getattr(result, f.name) for f in fields(TrainResult)),
+        accuracy, precision, dataset_fingerprint(train_annotated),
     )
 
 

@@ -255,7 +255,7 @@ class EpochRecord(Checked):
     kept_fraction: Annotated[float, "(0, 1]"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainResult:
     params: ModelParams
     history: list[EpochRecord]

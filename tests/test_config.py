@@ -1418,6 +1418,48 @@ class Record:
     assert found == ["self.a", "value"]
 
 
+def unused_imports(source: str):
+    """Each name an ``import`` binds that the module never reads as a name; ``from __future__``
+    imports are exempt."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read:
+                    yield f"{node.lineno}: {bound}"
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_every_import_of_a_module_is_used(path):
+    """``__init__.py`` is left out: its imports are the package's re-exports."""
+    unused = [f"{path.name}:{line}" for line in unused_imports(path.read_text(encoding="utf-8"))]
+    assert not unused
+
+
+def test_import_scan_finds_an_unused_name():
+    source = """
+from __future__ import annotations
+import os.path
+import numpy as np
+from dataclasses import dataclass, fields, replace as swap
+from .trainer import EpochRecord
+
+@dataclass
+class Record:
+    values: np.ndarray
+
+def join(parts):
+    return os.path.join(*parts), swap
+"""
+    assert list(unused_imports(source)) == ["5: fields", "6: EpochRecord"]
+
+
 # One wrong-typed value per record, refused by the check each inherits from errors.Checked.
 WRONG_TYPED_RECORDS = [
     (NoiseSpec, dict(kind="symmetric", rate=True), "rate must be a number, got true"),

@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from labelnoise import (
     StagePlan,
     Strategy,
     TrainConfig,
+    TrainResult,
     dataset_fingerprint,
     derive_seed,
     generate_blobs,
@@ -1564,3 +1565,28 @@ class TestExperiments:
         for run in result.runs:
             assert run.prune_report is not None
             assert 0.0 <= run.prune_precision <= 1.0
+
+    def test_run_is_the_train_result_it_was_given(self, monkeypatch):
+        returned = []
+
+        def capture(*args, **kwargs):
+            returned.append(train(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(harness, "train", capture)
+        stage = StagePlan(strategy=Strategy.PRUNE, start_epoch=2, prune_count=3)
+        cfg = tiny_experiment(
+            runs=1, train=replace(tiny_experiment().train, max_epochs=4, stage=stage)
+        )
+        (run,) = run_experiment(cfg).runs
+        (given,) = returned
+        assert isinstance(run, TrainResult)
+        assert list(type(run).__annotations__) == [
+            "accuracy", "prune_precision", "dataset_fingerprint"
+        ]
+        assert given.prune_report is not None
+        for field in fields(TrainResult):
+            assert getattr(run, field.name) is getattr(given, field.name), field.name
+        for record in (run, given):
+            with pytest.raises(FrozenInstanceError):
+                record.steps = 0

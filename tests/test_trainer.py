@@ -1058,10 +1058,11 @@ class TestTrainWithDefenses:
 
     def test_prune_overflow_rejected_before_first_epoch(self, monkeypatch):
         # 4 rounds x 10 clips cannot come out of the 30 train-split clips
-        def no_batches(*args, **kwargs):
+        # every step, validation and prune round goes through _checked_forward
+        def no_forward(*args, **kwargs):
             raise AssertionError("an epoch ran before the prune check")
 
-        monkeypatch.setattr("labelnoise.trainer.batch_losses", no_batches)
+        monkeypatch.setattr("labelnoise.trainer._checked_forward", no_forward)
         stage = StagePlan(
             strategy=Strategy.PRUNE, start_epoch=2, prune_count=10, prune_rounds=4
         )
